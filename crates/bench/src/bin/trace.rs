@@ -323,7 +323,7 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
         }
     }
     if let Some(path) = perf {
-        let work_units = result.requests.total() + result.squashed_accesses;
+        let work_units = result.work_units();
         let wall_nanos = wall.as_nanos() as u64;
         let units_per_sec = if wall_nanos == 0 {
             0.0
@@ -380,8 +380,8 @@ fn print_summary(r: &SimResult) {
         r.latency_hist.p999()
     );
     println!("context switches      {}", r.context_switches);
-    println!("pages promoted        {}", r.pages_promoted);
-    println!("flash pages programmed {}", r.flash_pages_programmed);
+    println!("pages promoted        {}", r.layers.migration.promotions);
+    println!("flash pages programmed {}", r.layers.flash.pages_programmed);
     if r.truncated {
         println!("WARNING: the run hit the engine step limit (truncated)");
     }

@@ -3,7 +3,7 @@
 //! A small set of canonical `.sbt` traces is checked into the repository
 //! under `corpus/`, together with a pinned golden [`SimResult`] (as JSON)
 //! for each trace × design-variant pair. `trace verify-corpus` replays every
-//! pair, diffs the result **field by field** against its golden, and runs
+//! pair, diffs the result **path by path** against its golden, and runs
 //! the cross-layer conservation audit on it — so an engine change that
 //! shifts any number at all fails CI with the exact fields (or invariants)
 //! that moved, including changes the shape-asserting unit tests cannot see.
@@ -394,10 +394,9 @@ pub fn pin(corpus: &Path, jobs: usize) -> Result<usize, String> {
 
 /// Like [`pin`], restricted to the entries named in `only` (every entry
 /// when `None`). A filtered pin is how *new* entries are added without
-/// rewriting the existing goldens — e.g. when the `SimResult` schema grows
-/// additive fields, legacy goldens stay byte-identical (the verifier
-/// tolerates them) and only the new entries are pinned under the new
-/// schema.
+/// rewriting the existing goldens. A change to the `SimResult` schema is
+/// not such a case: the verifier reads every golden under the current
+/// schema, so a schema change means a full [`pin`].
 pub fn pin_entries(corpus: &Path, jobs: usize, only: Option<&[String]>) -> Result<usize, String> {
     // Record, replay and validate everything in a scratch root first: a
     // generator change that fails replay or violates an audit invariant must
@@ -506,7 +505,7 @@ fn pin_into_staging(
 }
 
 /// Replays every corpus pair and verifies it against its pinned golden,
-/// field by field, plus the conservation audit. Output is identical for any
+/// path by path ([`SimResult::diff_fields`]), plus the conservation audit. Output is identical for any
 /// `jobs` value.
 pub fn verify(corpus: &Path, jobs: usize) -> Result<CorpusReport, String> {
     let entries = entries();

@@ -109,8 +109,8 @@ impl Simulation {
     /// single-tenant run would own outright.
     ///
     /// The result's [`SimResult::per_tenant`] carries one entry per pair,
-    /// in order, and the `tenant-*` conservation audit invariants tie those
-    /// entries back to the global counters.
+    /// in order; the run-wide request, AMAT, latency, instruction and squash
+    /// counters are sums over those entries.
     ///
     /// # Panics
     ///
@@ -515,13 +515,14 @@ mod tests {
         // The Figure 18 shape for a write-heavy workload.
         let base = run(VariantKind::BaseCssd, WorkloadKind::Tpcc);
         let w = run(VariantKind::SkyByteW, WorkloadKind::Tpcc);
+        let (w_flash, base_flash) = (&w.layers.flash, &base.layers.flash);
         assert!(
-            w.flash_pages_programmed < base.flash_pages_programmed,
+            w_flash.pages_programmed < base_flash.pages_programmed,
             "write log must reduce flash programs: {} vs {}",
-            w.flash_pages_programmed,
-            base.flash_pages_programmed
+            w_flash.pages_programmed,
+            base_flash.pages_programmed
         );
-        assert!(w.compactions > 0 || w.flash_pages_programmed == 0);
+        assert!(w.layers.ssd.compactions > 0 || w_flash.pages_programmed == 0);
         assert!(w.log_index_bytes > 0);
     }
 
@@ -538,8 +539,11 @@ mod tests {
     fn promotion_only_happens_with_migration_enabled() {
         let base = run(VariantKind::BaseCssd, WorkloadKind::Ycsb);
         let p = run(VariantKind::SkyByteP, WorkloadKind::Ycsb);
-        assert_eq!(base.pages_promoted, 0);
-        assert!(p.pages_promoted > 0, "SkyByte-P must promote hot pages");
+        assert_eq!(base.layers.migration.promotions, 0);
+        assert!(
+            p.layers.migration.promotions > 0,
+            "SkyByte-P must promote hot pages"
+        );
         assert!(p.requests.host > 0, "promoted pages must serve host hits");
     }
 
@@ -554,10 +558,10 @@ mod tests {
             assert!(r.ssd_accesses > 0);
             let windows = r.ssd_accesses / MIGRATION_PERIOD_ACCESSES + 1;
             assert!(
-                r.migration_runs <= windows,
+                r.layers.migration.runs <= windows,
                 "{workload:?}: migration ran {} times over {} SSD accesses \
                  (max one per {MIGRATION_PERIOD_ACCESSES}-access window)",
-                r.migration_runs,
+                r.layers.migration.runs,
                 r.ssd_accesses
             );
         }
@@ -750,7 +754,7 @@ mod tests {
         let a = run(VariantKind::SkyByteFull, WorkloadKind::Dlrm);
         let b = run(VariantKind::SkyByteFull, WorkloadKind::Dlrm);
         assert_eq!(a.exec_time, b.exec_time);
-        assert_eq!(a.flash_pages_programmed, b.flash_pages_programmed);
+        assert_eq!(a.layers.flash, b.layers.flash);
         assert_eq!(a.context_switches, b.context_switches);
         assert_eq!(a.requests, b.requests);
     }

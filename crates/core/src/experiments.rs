@@ -530,12 +530,12 @@ pub fn fig18_write_traffic(runner: &Runner, scale: &ExperimentScale) -> Experime
     }
     let results = runner.run_all(&runs);
     for (w, chunk) in ALL_WORKLOADS.iter().zip(results.chunks(variants.len())) {
-        let base_writes = chunk[0].flash_pages_programmed.max(1) as f64;
+        let base_writes = chunk[0].layers.flash.pages_programmed.max(1) as f64;
         t.push(
             w.name(),
             chunk
                 .iter()
-                .map(|r| r.flash_pages_programmed as f64 / base_writes)
+                .map(|r| r.layers.flash.pages_programmed as f64 / base_writes)
                 .collect(),
         );
     }
@@ -581,7 +581,7 @@ pub fn fig19_20_write_log_sweep(runner: &Runner, scale: &ExperimentScale) -> Exp
             .collect();
         let traffic: Vec<f64> = chunk
             .iter()
-            .map(|r| r.flash_pages_programmed as f64)
+            .map(|r| r.layers.flash.pages_programmed as f64)
             .collect();
         let t0 = times.last().copied().unwrap_or(1.0).max(1.0);
         let w0 = traffic.last().copied().unwrap_or(1.0).max(1.0);
@@ -1073,7 +1073,10 @@ pub fn table3_flash_read_latency(runner: &Runner, scale: &ExperimentScale) -> Ex
         .collect();
     let results = runner.run_all(&runs);
     for (w, r) in ALL_WORKLOADS.iter().zip(&results) {
-        t.push(w.name(), vec![r.avg_flash_read_latency.as_micros_f64()]);
+        t.push(
+            w.name(),
+            vec![r.layers.flash.avg_read_latency().as_micros_f64()],
+        );
     }
     t
 }

@@ -1,7 +1,7 @@
 //! End-to-end metrics produced by a simulation run.
 
 use crate::migration::MigrationStats;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 use skybyte_cpu::Boundedness;
 use skybyte_cxl::CxlPortStats;
 use skybyte_ssd::{FlashStats, FtlStats, SsdStats, WriteLogStats};
@@ -30,6 +30,16 @@ impl AmatBreakdown {
     /// Total latency across all components.
     pub fn total(&self) -> Nanos {
         self.host_dram + self.cxl_protocol + self.indexing + self.ssd_dram + self.flash
+    }
+
+    /// Adds `other`'s components and access count into `self`.
+    pub fn merge(&mut self, other: &AmatBreakdown) {
+        self.host_dram += other.host_dram;
+        self.cxl_protocol += other.cxl_protocol;
+        self.indexing += other.indexing;
+        self.ssd_dram += other.ssd_dram;
+        self.flash += other.flash;
+        self.accesses += other.accesses;
     }
 
     /// The average memory access time.
@@ -75,6 +85,14 @@ impl RequestBreakdown {
         self.host + self.ssd_read_hit + self.ssd_read_miss + self.ssd_write
     }
 
+    /// Adds `other`'s per-class counts into `self`.
+    pub fn merge(&mut self, other: &RequestBreakdown) {
+        self.host += other.host;
+        self.ssd_read_hit += other.ssd_read_hit;
+        self.ssd_read_miss += other.ssd_read_miss;
+        self.ssd_write += other.ssd_write;
+    }
+
     /// Fraction helper.
     fn frac(&self, x: u64) -> f64 {
         let t = self.total();
@@ -110,10 +128,11 @@ impl RequestBreakdown {
 /// attribution points (every access retires against the issuing thread's
 /// tenant; see `skybyte_sim::system`).
 ///
-/// The conservation audit ties the per-tenant sums back to the global
-/// counters (`tenant-*` invariants), so attribution can never silently leak
-/// an access. A single-tenant run carries exactly one entry covering the
-/// whole run.
+/// These are the only copy the engine keeps: the run-wide `instructions`,
+/// `requests`, `amat`, `latency_hist` and `squashed_accesses` of
+/// [`SimResult`] are sums over the tenants, so attribution cannot leak an
+/// access. A single-tenant run carries exactly one entry covering the whole
+/// run.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct TenantCounters {
     /// The tenant these counters describe.
@@ -159,20 +178,18 @@ impl TenantCounters {
 
 /// A post-run snapshot of every device layer's raw counters.
 ///
-/// The headline [`SimResult`] fields are *derived* figures (the quantities
-/// the paper plots); this snapshot preserves the underlying per-layer
-/// counters they were derived from, so the conservation audit
-/// (`skybyte_sim::audit`) can reconcile the layers against each other —
-/// e.g. FTL page conservation against the flash array's program count, or
-/// the write log's entry population against the controller's append count.
-/// Taken *after* the end-of-run flush, so it describes the complete run.
+/// This is the single home of the device-side figures the paper plots —
+/// flash traffic (Figure 18), average flash read latency
+/// ([`FlashStats::avg_read_latency`], Table III), write amplification
+/// ([`FtlStats::write_amplification`]), compactions, GC campaigns and page
+/// migrations — so the conservation audit (`skybyte_sim::audit`) can
+/// reconcile the layers against each other: e.g. FTL page conservation
+/// against the flash array's program count, or the write log's entry
+/// population against the controller's append count. Taken *after* the
+/// end-of-run flush, so it describes the complete run.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct LayerCounters {
     /// CXL link traffic counters (requests, responses, payload bytes).
-    ///
-    /// `#[serde(default)]` so golden results pinned before the port joined
-    /// the snapshot still deserialize (they carry no link counters).
-    #[serde(default)]
     pub cxl: CxlPortStats,
     /// SSD-controller counters (request routing, compaction, prefetch).
     pub ssd: SsdStats,
@@ -201,10 +218,6 @@ pub struct SimResult {
     /// The policy selection the run executed under (eviction, admission,
     /// hotness, tenant scheduling) — surfaced so an ablation row is
     /// self-describing and the audit can hold per policy.
-    ///
-    /// `#[serde(default)]` so golden results pinned before the policy seam
-    /// deserialize to the default block (which is what they ran under).
-    #[serde(default)]
     pub policy: PolicyConfig,
     /// Workload name (Table I).
     pub workload: String,
@@ -214,32 +227,21 @@ pub struct SimResult {
     pub cores: u32,
     /// End-to-end execution time (max over cores).
     pub exec_time: Nanos,
-    /// Total instructions executed (compute bursts).
+    /// Total instructions executed (compute bursts); the sum over
+    /// [`Self::per_tenant`].
     pub instructions: u64,
     /// Memory/compute/context-switch boundedness (Figures 4 and 10).
     pub boundedness: Boundedness,
-    /// AMAT component accounting (Figure 17).
+    /// AMAT component accounting (Figure 17); the sum over
+    /// [`Self::per_tenant`].
     pub amat: AmatBreakdown,
-    /// Request classification (Figure 16).
+    /// Request classification (Figure 16); the sum over [`Self::per_tenant`].
     pub requests: RequestBreakdown,
-    /// Distribution of end-to-end memory latencies (Figure 3).
+    /// Distribution of end-to-end memory latencies (Figure 3); the merge of
+    /// the per-tenant histograms.
     pub latency_hist: LatencyHistogram,
-    /// Pages programmed to flash (Figure 18 / 20).
-    pub flash_pages_programmed: u64,
-    /// Pages read from flash.
-    pub flash_pages_read: u64,
-    /// Average flash read latency including queueing (Table III).
-    pub avg_flash_read_latency: Nanos,
-    /// Write amplification factor reported by the FTL.
-    pub write_amplification: f64,
     /// Context switches performed by the CXL-aware scheduler.
     pub context_switches: u64,
-    /// Pages promoted to host DRAM.
-    pub pages_promoted: u64,
-    /// Pages evicted from host DRAM back to the SSD.
-    pub pages_demoted: u64,
-    /// Log compactions executed.
-    pub compactions: u64,
     /// Compaction busy time inside the measured window `[0, exec_time]`:
     /// a union measure of the campaign windows (overlapping campaigns are
     /// counted once; a campaign arriving on a lagging core clock entirely
@@ -257,29 +259,22 @@ pub struct SimResult {
     pub flash_busy_time: Nanos,
     /// Number of flash channels (for bandwidth-utilisation normalisation).
     pub flash_channels: u32,
-    /// GC campaigns run by the FTL.
-    pub gc_campaigns: u64,
     /// SSD accesses issued over the CXL port, including squashed
     /// (context-switched) accesses that are excluded from [`Self::requests`].
     pub ssd_accesses: u64,
     /// SSD accesses squashed by a `SkyByte-Delay` long-delay exception (the
-    /// thread blocked and re-issued the access later). Together with the
-    /// classified SSD requests these must add up to [`Self::ssd_accesses`].
+    /// thread blocked and re-issued the access later); the sum over
+    /// [`Self::per_tenant`]. Together with the classified SSD requests these
+    /// must add up to [`Self::ssd_accesses`].
     pub squashed_accesses: u64,
-    /// Invocations of the background page-migration policy.
-    pub migration_runs: u64,
     /// True when the run hit the engine's step limit before every thread
     /// finished — the metrics then describe a truncated execution.
     pub truncated: bool,
-    /// Raw per-layer counter snapshot backing the derived figures above.
+    /// Raw per-layer counter snapshot: flash, FTL, write-log, controller,
+    /// CXL-port and migration counters.
     pub layers: LayerCounters,
-    /// Per-tenant attribution of the counters above, one entry per tenant
-    /// in tenant-id order (a single-tenant run has exactly one).
-    ///
-    /// `#[serde(default)]` so golden results pinned before multi-tenancy
-    /// still deserialize; [`Self::diff_fields`] treats such a golden as
-    /// pre-tenant schema and skips the fields it cannot have pinned.
-    #[serde(default)]
+    /// Per-tenant attribution, one entry per tenant in tenant-id order (a
+    /// single-tenant run has exactly one).
     pub per_tenant: Vec<TenantCounters>,
 }
 
@@ -287,6 +282,12 @@ impl SimResult {
     /// Total memory accesses classified.
     pub fn total_accesses(&self) -> u64 {
         self.requests.total()
+    }
+
+    /// Work units the engine retired: completed requests plus squashed
+    /// re-issues. The unit host-side throughput (`RunTiming`) is measured in.
+    pub fn work_units(&self) -> u64 {
+        self.requests.total() + self.squashed_accesses
     }
 
     /// Work throughput in accesses per second (the Figure 15 bar metric).
@@ -338,259 +339,63 @@ impl SimResult {
         self.exec_time.as_nanos() as f64 / baseline.exec_time.as_nanos() as f64
     }
 
-    /// Field-by-field comparison against another result, returning one
-    /// `"path: expected X, got Y"` line per differing field.
+    /// Path-by-path comparison against another result, returning one
+    /// `"path: expected X, got Y"` line per differing leaf of the serialised
+    /// form, e.g. `layers.flash.pages_read` or
+    /// `per_tenant[1].latency_hist.buckets[7]` (see [`diff_values`]).
     ///
     /// This is the diff the golden-corpus verifier prints when a replayed
     /// trace no longer reproduces its pinned result: a plain `PartialEq`
-    /// failure says *that* the numbers drifted, the field list says *where*.
+    /// failure says *that* the numbers drifted, the path list says *where*.
+    /// It walks the serialised form, so every field is covered by
+    /// construction.
     pub fn diff_fields(&self, golden: &SimResult) -> Vec<String> {
-        let mut out = Vec::new();
-        macro_rules! cmp {
-            ($path:expr, $a:expr, $b:expr) => {
-                if $a != $b {
-                    out.push(format!("{}: expected {:?}, got {:?}", $path, $b, $a));
-                }
-            };
-        }
-        cmp!("variant", self.variant, golden.variant);
-        cmp!("policy", self.policy, golden.policy);
-        cmp!("workload", &self.workload, &golden.workload);
-        cmp!("threads", self.threads, golden.threads);
-        cmp!("cores", self.cores, golden.cores);
-        cmp!("exec_time", self.exec_time, golden.exec_time);
-        cmp!("instructions", self.instructions, golden.instructions);
-        cmp!(
-            "boundedness.compute",
-            self.boundedness.compute,
-            golden.boundedness.compute
-        );
-        cmp!(
-            "boundedness.memory",
-            self.boundedness.memory,
-            golden.boundedness.memory
-        );
-        cmp!(
-            "boundedness.context_switch",
-            self.boundedness.context_switch,
-            golden.boundedness.context_switch
-        );
-        cmp!(
-            "boundedness.idle",
-            self.boundedness.idle,
-            golden.boundedness.idle
-        );
-        cmp!("amat.host_dram", self.amat.host_dram, golden.amat.host_dram);
-        cmp!(
-            "amat.cxl_protocol",
-            self.amat.cxl_protocol,
-            golden.amat.cxl_protocol
-        );
-        cmp!("amat.indexing", self.amat.indexing, golden.amat.indexing);
-        cmp!("amat.ssd_dram", self.amat.ssd_dram, golden.amat.ssd_dram);
-        cmp!("amat.flash", self.amat.flash, golden.amat.flash);
-        cmp!("amat.accesses", self.amat.accesses, golden.amat.accesses);
-        cmp!("requests.host", self.requests.host, golden.requests.host);
-        cmp!(
-            "requests.ssd_read_hit",
-            self.requests.ssd_read_hit,
-            golden.requests.ssd_read_hit
-        );
-        cmp!(
-            "requests.ssd_read_miss",
-            self.requests.ssd_read_miss,
-            golden.requests.ssd_read_miss
-        );
-        cmp!(
-            "requests.ssd_write",
-            self.requests.ssd_write,
-            golden.requests.ssd_write
-        );
-        if self.latency_hist != golden.latency_hist {
-            out.push(format!(
-                "latency_hist: expected count {} mean {} max {}, \
-                 got count {} mean {} max {}",
-                golden.latency_hist.count(),
-                golden.latency_hist.mean(),
-                golden.latency_hist.max(),
-                self.latency_hist.count(),
-                self.latency_hist.mean(),
-                self.latency_hist.max()
-            ));
-        }
-        cmp!(
-            "flash_pages_programmed",
-            self.flash_pages_programmed,
-            golden.flash_pages_programmed
-        );
-        cmp!(
-            "flash_pages_read",
-            self.flash_pages_read,
-            golden.flash_pages_read
-        );
-        cmp!(
-            "avg_flash_read_latency",
-            self.avg_flash_read_latency,
-            golden.avg_flash_read_latency
-        );
-        cmp!(
-            "write_amplification",
-            self.write_amplification,
-            golden.write_amplification
-        );
-        cmp!(
-            "context_switches",
-            self.context_switches,
-            golden.context_switches
-        );
-        cmp!("pages_promoted", self.pages_promoted, golden.pages_promoted);
-        cmp!("pages_demoted", self.pages_demoted, golden.pages_demoted);
-        cmp!("compactions", self.compactions, golden.compactions);
-        cmp!(
-            "compaction_time",
-            self.compaction_time,
-            golden.compaction_time
-        );
-        cmp!(
-            "log_index_bytes",
-            self.log_index_bytes,
-            golden.log_index_bytes
-        );
-        cmp!(
-            "flash_busy_time",
-            self.flash_busy_time,
-            golden.flash_busy_time
-        );
-        cmp!("flash_channels", self.flash_channels, golden.flash_channels);
-        cmp!("gc_campaigns", self.gc_campaigns, golden.gc_campaigns);
-        cmp!("ssd_accesses", self.ssd_accesses, golden.ssd_accesses);
-        cmp!(
-            "squashed_accesses",
-            self.squashed_accesses,
-            golden.squashed_accesses
-        );
-        cmp!("migration_runs", self.migration_runs, golden.migration_runs);
-        cmp!("truncated", self.truncated, golden.truncated);
-        // A golden pinned before the tenant schema carries neither
-        // per-tenant counters nor the CXL-port snapshot; such fields are
-        // additive attribution (the global counters above pin the same
-        // physics), so they are skipped rather than forcing a re-pin of
-        // every legacy golden.
-        let legacy_golden = golden.per_tenant.is_empty() && !self.per_tenant.is_empty();
-        if !legacy_golden {
-            cmp!("layers.cxl", self.layers.cxl, golden.layers.cxl);
-            if self.per_tenant.len() != golden.per_tenant.len() {
-                out.push(format!(
-                    "per_tenant: expected {} tenant(s), got {}",
-                    golden.per_tenant.len(),
-                    self.per_tenant.len()
-                ));
-            } else {
-                for (mine, theirs) in self.per_tenant.iter().zip(&golden.per_tenant) {
-                    let tenant = theirs.tenant;
-                    cmp!(
-                        format!("per_tenant[{tenant}].tenant"),
-                        mine.tenant,
-                        theirs.tenant
-                    );
-                    cmp!(
-                        format!("per_tenant[{tenant}].threads"),
-                        mine.threads,
-                        theirs.threads
-                    );
-                    cmp!(
-                        format!("per_tenant[{tenant}].instructions"),
-                        mine.instructions,
-                        theirs.instructions
-                    );
-                    cmp!(
-                        format!("per_tenant[{tenant}].requests"),
-                        mine.requests,
-                        theirs.requests
-                    );
-                    cmp!(format!("per_tenant[{tenant}].amat"), mine.amat, theirs.amat);
-                    if mine.latency_hist != theirs.latency_hist {
-                        out.push(format!(
-                            "per_tenant[{tenant}].latency_hist: expected count {} \
-                             mean {} max {}, got count {} mean {} max {}",
-                            theirs.latency_hist.count(),
-                            theirs.latency_hist.mean(),
-                            theirs.latency_hist.max(),
-                            mine.latency_hist.count(),
-                            mine.latency_hist.mean(),
-                            mine.latency_hist.max()
-                        ));
-                    }
-                    cmp!(
-                        format!("per_tenant[{tenant}].ssd_accesses"),
-                        mine.ssd_accesses,
-                        theirs.ssd_accesses
-                    );
-                    cmp!(
-                        format!("per_tenant[{tenant}].squashed_accesses"),
-                        mine.squashed_accesses,
-                        theirs.squashed_accesses
-                    );
-                    cmp!(
-                        format!("per_tenant[{tenant}].context_switches"),
-                        mine.context_switches,
-                        theirs.context_switches
-                    );
-                    cmp!(
-                        format!("per_tenant[{tenant}].finish_time"),
-                        mine.finish_time,
-                        theirs.finish_time
-                    );
-                }
+        diff_values(&golden.serialize(), &self.serialize())
+    }
+}
+
+/// Compares two serialised values leaf by leaf and returns one
+/// `"path: expected X, got Y"` line per difference, with `X` and `Y`
+/// rendered as JSON. A map key or sequence element present on one side
+/// only is reported once, at its own path, as `absent` on the other.
+pub fn diff_values(expected: &Value, got: &Value) -> Vec<String> {
+    let mut out = Vec::new();
+    diff_at("", Some(expected), Some(got), &mut out);
+    out
+}
+
+fn diff_at(path: &str, expected: Option<&Value>, got: Option<&Value>, out: &mut Vec<String>) {
+    fn lookup<'a>(map: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
+        map.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+    }
+    fn render(v: Option<&Value>) -> String {
+        v.map_or("absent".into(), |v| {
+            serde_json::to_string(v).unwrap_or_default()
+        })
+    }
+    let field = |key: &str| match path {
+        "" => key.to_string(),
+        _ => format!("{path}.{key}"),
+    };
+    match (expected, got) {
+        (Some(Value::Map(a)), Some(Value::Map(b))) => {
+            for (key, value) in a {
+                diff_at(&field(key), Some(value), lookup(b, key), out);
+            }
+            for (key, value) in b.iter().filter(|(k, _)| lookup(a, k).is_none()) {
+                diff_at(&field(key), None, Some(value), out);
             }
         }
-        // A golden pinned before the hotness tracker exposed its page gauge
-        // carries `tracked_pages: None`; the gauge is additive (no physics
-        // behind it), so it is normalised away rather than forcing a re-pin.
-        let mut ssd_mine = self.layers.ssd;
-        if golden.layers.ssd.tracked_pages.is_none() {
-            ssd_mine.tracked_pages = None;
-        }
-        cmp!("layers.ssd", ssd_mine, golden.layers.ssd);
-        cmp!("layers.flash", self.layers.flash, golden.layers.flash);
-        cmp!("layers.ftl", self.layers.ftl, golden.layers.ftl);
-        cmp!(
-            "layers.write_log",
-            self.layers.write_log,
-            golden.layers.write_log
-        );
-        cmp!(
-            "layers.write_log_resident_entries",
-            self.layers.write_log_resident_entries,
-            golden.layers.write_log_resident_entries
-        );
-        cmp!(
-            "layers.migration",
-            self.layers.migration,
-            golden.layers.migration
-        );
-        // Completeness guard: if a future SimResult field is added without a
-        // `cmp!` line above, a drift in it must not slip through the golden
-        // corpus as an empty diff. Legacy goldens are normalised first so
-        // the deliberately skipped fields do not trip the guard.
-        if out.is_empty() {
-            let mut normalised = self.clone();
-            if legacy_golden {
-                normalised.per_tenant.clear();
-                normalised.layers.cxl = golden.layers.cxl;
-            }
-            if golden.layers.ssd.tracked_pages.is_none() {
-                normalised.layers.ssd.tracked_pages = None;
-            }
-            if normalised != *golden {
-                out.push(
-                    "results differ in a field diff_fields does not enumerate — \
-                     update SimResult::diff_fields"
-                        .to_string(),
-                );
+        (Some(Value::Seq(a)), Some(Value::Seq(b))) => {
+            for i in 0..a.len().max(b.len()) {
+                diff_at(&format!("{path}[{i}]"), a.get(i), b.get(i), out);
             }
         }
-        out
+        _ if expected != got => {
+            let (expected, got) = (render(expected), render(got));
+            out.push(format!("{path}: expected {expected}, got {got}"));
+        }
+        _ => {}
     }
 }
 
@@ -634,22 +439,13 @@ mod tests {
                 ssd_write: 20,
             },
             latency_hist: LatencyHistogram::new(),
-            flash_pages_programmed: 5,
-            flash_pages_read: 9,
-            avg_flash_read_latency: Nanos::from_micros(3),
-            write_amplification: 1.2,
             context_switches: 0,
-            pages_promoted: 0,
-            pages_demoted: 0,
-            compactions: 0,
             compaction_time: Nanos::ZERO,
             log_index_bytes: 0,
             flash_busy_time: Nanos::new(exec_ns / 2),
             flash_channels: 4,
-            gc_campaigns: 0,
             ssd_accesses: 90,
             squashed_accesses: 0,
-            migration_runs: 0,
             truncated: false,
             layers: LayerCounters::default(),
             per_tenant: vec![TenantCounters {
@@ -715,6 +511,31 @@ mod tests {
         let util = fast.ssd_bandwidth_utilisation();
         assert!(util > 0.1 && util <= 0.2, "util {util}");
         assert_eq!(fast.total_accesses(), 100);
+        let mut squashed = fast.clone();
+        squashed.squashed_accesses = 7;
+        assert_eq!(squashed.work_units(), 107);
+    }
+
+    #[test]
+    fn breakdowns_merge_componentwise() {
+        let t = dummy(1_000).per_tenant[0].clone();
+        let mut requests = t.requests;
+        requests.merge(&t.requests);
+        assert_eq!(requests.total(), 2 * t.requests.total());
+        assert_eq!(requests.ssd_write, 2 * t.requests.ssd_write);
+        let one = AmatBreakdown {
+            host_dram: Nanos::new(1),
+            cxl_protocol: Nanos::new(2),
+            indexing: Nanos::new(3),
+            ssd_dram: Nanos::new(4),
+            flash: Nanos::new(5),
+            accesses: 6,
+        };
+        let mut amat = one;
+        amat.merge(&one);
+        assert_eq!(amat.total(), Nanos::new(30));
+        assert_eq!(amat.accesses, 12);
+        assert_eq!(amat.amat(), one.amat());
     }
 
     #[test]
@@ -747,57 +568,87 @@ mod tests {
     }
 
     #[test]
-    fn diff_fields_pinpoints_divergent_fields() {
+    fn identical_results_diff_empty() {
         let golden = dummy(1_000_000);
         assert!(golden.diff_fields(&golden).is_empty());
+        assert!(golden.diff_fields(&golden.clone()).is_empty());
+    }
+
+    #[test]
+    fn diff_names_nested_struct_paths() {
+        let golden = dummy(1_000_000);
         let mut run = golden.clone();
         run.requests.ssd_write += 1;
         run.exec_time += Nanos::new(5);
         run.layers.flash.pages_read = 77;
-        let diff = run.diff_fields(&golden);
-        assert_eq!(diff.len(), 3, "{diff:?}");
-        assert!(diff.iter().any(|d| d.starts_with("requests.ssd_write:")));
-        assert!(diff.iter().any(|d| d.starts_with("exec_time:")));
-        assert!(diff.iter().any(|d| d.starts_with("layers.flash:")));
+        run.layers.cxl.requests = 42;
+        assert_eq!(
+            run.diff_fields(&golden),
+            vec![
+                "exec_time: expected 1000000, got 1000005",
+                "requests.ssd_write: expected 20, got 21",
+                "layers.cxl.requests: expected 0, got 42",
+                "layers.flash.pages_read: expected 0, got 77",
+            ]
+        );
     }
 
     #[test]
-    fn diff_fields_covers_tenant_and_port_counters() {
+    fn diff_names_array_index_paths() {
         let golden = dummy(1_000_000);
         let mut run = golden.clone();
-        run.per_tenant[0].ssd_accesses += 1;
-        run.per_tenant[0].finish_time += Nanos::new(9);
-        run.layers.cxl.requests = 42;
+        // 200 ns lands in bucket 7, [128, 256) ns.
+        run.per_tenant[0].latency_hist.record(Nanos::new(200));
         let diff = run.diff_fields(&golden);
-        assert_eq!(diff.len(), 3, "{diff:?}");
+        assert!(
+            diff.contains(&"per_tenant[0].latency_hist.buckets[7]: expected 0, got 1".to_string()),
+            "{diff:?}"
+        );
         assert!(diff
             .iter()
-            .any(|d| d.starts_with("per_tenant[t0].ssd_accesses:")));
-        assert!(diff
-            .iter()
-            .any(|d| d.starts_with("per_tenant[t0].finish_time:")));
-        assert!(diff.iter().any(|d| d.starts_with("layers.cxl:")));
-        // A differing tenant count is reported as such.
+            .all(|d| d.starts_with("per_tenant[0].latency_hist.")));
+    }
+
+    #[test]
+    fn diff_reports_keys_and_elements_present_on_one_side() {
+        let expected = Value::Map(vec![
+            ("kept".to_string(), Value::UInt(1)),
+            ("dropped".to_string(), Value::UInt(2)),
+        ]);
+        let got = Value::Map(vec![
+            ("kept".to_string(), Value::UInt(1)),
+            ("added".to_string(), Value::Seq(vec![Value::UInt(3)])),
+        ]);
+        assert_eq!(
+            diff_values(&expected, &got),
+            vec![
+                "dropped: expected 2, got absent",
+                "added: expected absent, got [3]"
+            ]
+        );
+        // An extra tenant is one line at its index, not one per field.
+        let golden = dummy(1_000_000);
         let mut extra = golden.clone();
         extra.per_tenant.push(extra.per_tenant[0].clone());
         let diff = extra.diff_fields(&golden);
-        assert!(diff.iter().any(|d| d.starts_with("per_tenant: expected 1")));
+        assert_eq!(diff.len(), 1, "{diff:?}");
+        assert!(diff[0].starts_with("per_tenant[1]: expected absent, got {"));
     }
 
     #[test]
-    fn legacy_goldens_without_tenant_counters_diff_clean() {
-        // A golden pinned before the tenant schema deserializes with an
-        // empty per-tenant vector and a zero port snapshot; a new-schema
-        // run must diff clean against it as long as the shared fields agree.
-        let run = dummy(1_000_000);
-        let mut legacy = run.clone();
-        legacy.per_tenant.clear();
-        legacy.layers.cxl = Default::default();
-        assert!(run.diff_fields(&legacy).is_empty());
-        // …while a drift in a shared field is still caught.
-        let mut drifted = run.clone();
-        drifted.exec_time += Nanos::new(1);
-        assert_eq!(drifted.diff_fields(&legacy).len(), 1);
+    fn diff_compares_float_leaves() {
+        let at = |waf: f64| Value::Map(vec![("waf".to_string(), Value::Float(waf))]);
+        assert!(diff_values(&at(1.25), &at(1.25)).is_empty());
+        assert_eq!(
+            diff_values(&at(1.25), &at(2.0)),
+            vec!["waf: expected 1.25, got 2.0"]
+        );
+        // A float never equals an integer of the same magnitude.
+        let int = Value::Map(vec![("waf".to_string(), Value::UInt(2))]);
+        assert_eq!(
+            diff_values(&at(2.0), &int),
+            vec!["waf: expected 2.0, got 2"]
+        );
     }
 
     #[test]
@@ -813,42 +664,5 @@ mod tests {
         assert!((contended.slowdown_over(&solo) - 2.5).abs() < 1e-12);
         assert_eq!(solo.slowdown_over(&TenantCounters::default()), 0.0);
         assert_eq!(solo.accesses(), 0);
-    }
-
-    #[test]
-    fn sim_result_deserialises_without_new_schema_fields() {
-        // Simulates reading a pre-tenant golden: serialize, strip the new
-        // fields from the JSON, and deserialize through #[serde(default)].
-        let r = dummy(1000);
-        let json = serde_json::to_string(&r).unwrap();
-        let value: serde::Value = serde_json::from_str(&json).unwrap();
-        // Rebuild the object without `per_tenant` / `layers.cxl`.
-        let stripped = match value {
-            serde::Value::Map(fields) => serde::Value::Map(
-                fields
-                    .into_iter()
-                    .filter(|(k, _)| k != "per_tenant")
-                    .map(|(k, v)| {
-                        if k == "layers" {
-                            let layers = match v {
-                                serde::Value::Map(lf) => serde::Value::Map(
-                                    lf.into_iter().filter(|(lk, _)| lk != "cxl").collect(),
-                                ),
-                                other => other,
-                            };
-                            (k, layers)
-                        } else {
-                            (k, v)
-                        }
-                    })
-                    .collect(),
-            ),
-            other => other,
-        };
-        let legacy_json = serde_json::to_string(&stripped).unwrap();
-        let back: SimResult = serde_json::from_str(&legacy_json).unwrap();
-        assert!(back.per_tenant.is_empty());
-        assert_eq!(back.layers.cxl, Default::default());
-        assert_eq!(back.exec_time, r.exec_time);
     }
 }

@@ -73,9 +73,10 @@ impl RunRequest {
 /// Wall-clock measurement of one *executed* simulation (memo hits recall the
 /// cached result and are deliberately not re-timed).
 ///
-/// `work_units` counts retired accesses — completed requests plus squashed
-/// re-issues — the same unit the engine's `max_steps` budget meters, so
-/// `units_per_sec` is comparable across variants and scales.
+/// `work_units` is [`SimResult::work_units`](crate::SimResult::work_units):
+/// retired accesses — completed requests plus squashed re-issues — the same
+/// unit the engine's `max_steps` budget meters, so `units_per_sec` is
+/// comparable across variants and scales.
 #[derive(Debug, Clone, Serialize)]
 pub struct RunTiming {
     /// Design variant of the run (e.g. `Base-CSSD`).
@@ -493,7 +494,7 @@ impl Runner {
         let wall = started.elapsed();
         self.runs_executed.fetch_add(1, Ordering::Relaxed);
         {
-            let work_units = result.requests.total() + result.squashed_accesses;
+            let work_units = result.work_units();
             let wall_nanos = wall.as_nanos() as u64;
             let units_per_sec = if wall_nanos == 0 {
                 0.0
@@ -640,7 +641,7 @@ mod tests {
         for (s, p) in seq.iter().zip(&par) {
             assert_eq!(s.exec_time, p.exec_time);
             assert_eq!(s.requests, p.requests);
-            assert_eq!(s.flash_pages_programmed, p.flash_pages_programmed);
+            assert_eq!(s.layers.flash, p.layers.flash);
             assert_eq!(s.context_switches, p.context_switches);
         }
     }

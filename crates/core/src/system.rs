@@ -20,14 +20,15 @@
 //! 4. [`retire`](SystemState::retire) — commit the core clock and detect
 //!    thread completion.
 //!
-//! Every access, squash and latency sample is attributed to the issuing
-//! thread's tenant ([`TenantMap`]) at the same points the global counters
-//! are bumped, so multi-tenancy is native to the pipeline rather than a
-//! post-processing pass: the per-tenant counters and the global counters
-//! are two views of one event stream, and the conservation audit ties them
-//! together. For a single-tenant source the pipeline performs exactly the
-//! operations of the old monolith in the same order — the golden-trace
-//! corpus pins that the refactor is behaviour-preserving bit for bit.
+//! Every instruction, access, squash and latency sample is counted against
+//! the issuing thread's tenant ([`TenantMap`]), so multi-tenancy is native
+//! to the pipeline rather than a post-processing pass. The run-wide figures
+//! of the [`SimResult`] are folds over the per-tenant counters, taken when
+//! the run closes; only the SSD access count the migration cadence reads
+//! is also kept run-wide. For a single-tenant source the pipeline
+//! performs exactly the operations of the old monolith in the same order —
+//! the golden-trace corpus pins that the refactor is behaviour-preserving
+//! bit for bit.
 //!
 //! Passes are sequenced by a discrete-event core ([`crate::event`]): each
 //! live core keeps one pending event in a monotone queue, idle cores jump
@@ -89,8 +90,8 @@ enum Pass {
 }
 
 /// Everything one simulation run owns: the simulated devices, the OS-side
-/// models, per-core execution state and every counter the run accumulates —
-/// global and per tenant.
+/// models, per-core execution state and every counter the run accumulates
+/// (per tenant, apart from the migration cadence's access count).
 pub struct SystemState {
     cfg: SimConfig,
     // Devices and OS models.
@@ -112,20 +113,14 @@ pub struct SystemState {
     boundedness: Vec<Boundedness>,
     execs: Vec<ThreadExecutor>,
     tenant_map: TenantMap,
-    // Global counters.
-    amat: AmatBreakdown,
-    requests: RequestBreakdown,
-    hist: LatencyHistogram,
-    instructions: u64,
     // Counts every SSD access, including squashed (context-switched) ones
     // that never reach the classified `requests` breakdown; the migration
     // cadence must advance on those too, otherwise a request total parked on
     // a multiple of the period would re-fire the policy on every access.
+    // Kept run-wide because the cadence reads it on every access.
     ssd_accesses: u64,
-    // Squashed accesses alone: the audit's requests-conservation invariant
-    // ties `classified SSD requests + squashed == ssd_accesses`.
-    squashed_accesses: u64,
-    // Per-tenant attribution, indexed by dense tenant id.
+    // Per-tenant attribution, indexed by dense tenant id: the only copy of
+    // the instruction, request, AMAT, latency and squash counters.
     per_tenant: Vec<TenantCounters>,
     // Work accounting: `units` counts retired work units (every unit pulled
     // from an executor and pushed through the access pipeline, squashed
@@ -243,12 +238,7 @@ impl SystemState {
             boundedness: vec![Boundedness::default(); cores],
             execs,
             tenant_map,
-            amat: AmatBreakdown::default(),
-            requests: RequestBreakdown::default(),
-            hist: LatencyHistogram::new(),
-            instructions: 0,
             ssd_accesses: 0,
-            squashed_accesses: 0,
             per_tenant,
             units: 0,
             max_units,
@@ -505,7 +495,6 @@ impl SystemState {
 
         // Compute burst.
         let compute = self.core_model.compute_time(unit.instructions);
-        self.instructions += unit.instructions;
         self.per_tenant[tenant].instructions += unit.instructions;
         self.boundedness[core].compute += compute;
         self.sched.account_runtime(tid, compute);
@@ -536,10 +525,6 @@ impl SystemState {
         self.boundedness[core].memory += stall;
         self.sched.account_runtime(tid, stall);
         let t = t + stall;
-        self.amat.host_dram += latency;
-        self.amat.accesses += 1;
-        self.requests.host += 1;
-        self.hist.record(latency);
         let counters = &mut self.per_tenant[tenant];
         counters.amat.host_dram += latency;
         counters.amat.accesses += 1;
@@ -611,22 +596,18 @@ impl SystemState {
         if !will_switch {
             // Squashed accesses are excluded; their replays are classified
             // when they retire (§VI-D).
-            let counters = &mut self.per_tenant[tenant];
+            let requests = &mut self.per_tenant[tenant].requests;
             if unit.access.kind.is_write() {
-                self.requests.ssd_write += 1;
-                counters.requests.ssd_write += 1;
+                requests.ssd_write += 1;
             } else if outcome.served_by == ServedBy::Flash {
-                self.requests.ssd_read_miss += 1;
-                counters.requests.ssd_read_miss += 1;
+                requests.ssd_read_miss += 1;
             } else {
-                self.requests.ssd_read_hit += 1;
-                counters.requests.ssd_read_hit += 1;
+                requests.ssd_read_hit += 1;
             }
         }
 
         if will_switch {
             // Long Delay Exception: squash, block, switch.
-            self.squashed_accesses += 1;
             let counters = &mut self.per_tenant[tenant];
             counters.squashed_accesses += 1;
             counters.context_switches += 1;
@@ -662,12 +643,6 @@ impl SystemState {
             self.sched.account_runtime(tid, stall);
             t += stall;
             let cxl = self.cfg.ssd.cxl_protocol_latency * 2;
-            self.amat.cxl_protocol += cxl;
-            self.amat.indexing += outcome.breakdown.indexing;
-            self.amat.ssd_dram += outcome.breakdown.ssd_dram;
-            self.amat.flash += outcome.breakdown.flash;
-            self.amat.accesses += 1;
-            self.hist.record(latency);
             let counters = &mut self.per_tenant[tenant];
             counters.amat.cxl_protocol += cxl;
             counters.amat.indexing += outcome.breakdown.indexing;
@@ -792,7 +767,7 @@ impl SystemState {
             write_log_appends: self.ssd.stats().write_log_appends,
             cxl_requests: self.port.stats().requests,
             ssd_accesses: self.ssd_accesses,
-            squashed_accesses: self.squashed_accesses,
+            squashed_accesses: self.per_tenant.iter().map(|t| t.squashed_accesses).sum(),
             context_switches: self.sched.stats().context_switches,
             per_tenant_accesses: self
                 .per_tenant
@@ -858,6 +833,17 @@ impl SystemState {
             tel.finish(final_sample)
         });
 
+        // The run-wide figures are folds over the per-tenant counters (the
+        // histogram merge is exact, so the result matches recording every
+        // sample into one histogram).
+        let mut amat = AmatBreakdown::default();
+        let mut requests = RequestBreakdown::default();
+        let mut latency_hist = LatencyHistogram::new();
+        for t in &self.per_tenant {
+            amat.merge(&t.amat);
+            requests.merge(&t.requests);
+            latency_hist.merge(&t.latency_hist);
+        }
         let result = SimResult {
             variant: self.cfg.variant,
             policy: self.cfg.policy,
@@ -865,27 +851,18 @@ impl SystemState {
             threads: self.cfg.threads,
             cores: self.cfg.cpu.cores,
             exec_time,
-            instructions: self.instructions,
+            instructions: self.per_tenant.iter().map(|t| t.instructions).sum(),
             boundedness: total_boundedness,
-            amat: self.amat,
-            requests: self.requests,
-            latency_hist: self.hist,
-            flash_pages_programmed: self.ssd.flash_stats().pages_programmed,
-            flash_pages_read: self.ssd.flash_stats().pages_read,
-            avg_flash_read_latency: self.ssd.flash_stats().avg_read_latency(),
-            write_amplification: self.ssd.ftl_stats().write_amplification(),
+            amat,
+            requests,
+            latency_hist,
             context_switches: self.sched.stats().context_switches,
-            pages_promoted: self.migration.stats().promotions,
-            pages_demoted: self.migration.stats().demotions,
-            compactions: self.ssd.stats().compactions,
             compaction_time,
             log_index_bytes: self.ssd.write_log_index_bytes().unwrap_or(0),
             flash_busy_time,
             flash_channels: self.cfg.ssd.geometry.channels,
-            gc_campaigns: self.ssd.ftl_stats().gc_campaigns,
             ssd_accesses: self.ssd_accesses,
-            squashed_accesses: self.squashed_accesses,
-            migration_runs: self.migration.stats().runs,
+            squashed_accesses: self.per_tenant.iter().map(|t| t.squashed_accesses).sum(),
             truncated: self.truncated,
             layers,
             per_tenant: self.per_tenant,

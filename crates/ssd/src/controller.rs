@@ -386,7 +386,7 @@ impl SsdController {
     /// Refreshes the tracker-memory gauge surfaced in
     /// [`SsdStats::tracked_pages`].
     fn note_tracked_pages(&mut self) {
-        self.stats.tracked_pages = Some(self.hotness.tracked_pages());
+        self.stats.tracked_pages = self.hotness.tracked_pages();
     }
 
     /// Per-page access count observed by the controller.

@@ -93,13 +93,10 @@ pub struct SsdStats {
     pub pages_promoted: u64,
     /// Dirty data written through to flash because the admission policy
     /// bypassed the page (zero under the default admit-all policy).
-    #[serde(default)]
     pub write_throughs: u64,
     /// Gauge: pages the hotness tracker currently holds state for (counters,
-    /// pending candidates, promoted marks). `None` in results pinned before
-    /// the tracker exposed it.
-    #[serde(default)]
-    pub tracked_pages: Option<u64>,
+    /// pending candidates, promoted marks); 0 before the first access.
+    pub tracked_pages: u64,
 }
 
 impl SsdStats {

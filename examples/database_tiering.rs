@@ -38,8 +38,8 @@ fn main() {
                 100.0 * r.requests.ssd_read_hit_fraction(),
                 100.0 * r.requests.ssd_read_miss_fraction(),
                 100.0 * r.requests.ssd_write_fraction(),
-                r.pages_promoted,
-                r.pages_demoted,
+                r.layers.migration.promotions,
+                r.layers.migration.demotions,
             );
         }
         println!();

@@ -30,14 +30,15 @@ fn main() {
         }
         let sweep = scale.with_ssd_dram(total - log, log);
         let r = Simulation::build(VariantKind::SkyByteFull, workload, &sweep).run();
-        let ref_w = *reference_writes.get_or_insert(r.flash_pages_programmed.max(1));
+        let writes = r.layers.flash.pages_programmed;
+        let ref_w = *reference_writes.get_or_insert(writes.max(1));
         let ref_t = *reference_time.get_or_insert(r.exec_time);
         println!(
             "  log {:>5} KiB: exec time {:>6.3}x, flash writes {:>6.3}x, compactions {:>4}",
             log_kib,
             r.exec_time.as_nanos() as f64 / ref_t.as_nanos() as f64,
-            r.flash_pages_programmed as f64 / ref_w as f64,
-            r.compactions,
+            writes as f64 / ref_w as f64,
+            r.layers.ssd.compactions,
         );
     }
     println!("  (the paper finds ~1/8 of the SSD DRAM is already enough — larger logs");

@@ -35,9 +35,9 @@ fn main() {
             r.variant.to_string(),
             r.exec_time.to_string(),
             r.amat.amat().to_string(),
-            r.flash_pages_programmed,
+            r.layers.flash.pages_programmed,
             r.context_switches,
-            r.pages_promoted,
+            r.layers.migration.promotions,
         );
     }
     println!();
@@ -51,7 +51,7 @@ fn main() {
     );
     println!(
         "Flash write-traffic reduction        : {:.2}x",
-        baseline.flash_pages_programmed.max(1) as f64
-            / skybyte.flash_pages_programmed.max(1) as f64
+        baseline.layers.flash.pages_programmed.max(1) as f64
+            / skybyte.layers.flash.pages_programmed.max(1) as f64
     );
 }

@@ -85,10 +85,7 @@ fn runner_results_match_direct_simulation() {
     let direct = Simulation::build(VariantKind::SkyByteFull, WorkloadKind::Ycsb, &scale).run();
     assert_eq!(via_runner.exec_time, direct.exec_time);
     assert_eq!(via_runner.requests, direct.requests);
-    assert_eq!(
-        via_runner.flash_pages_programmed,
-        direct.flash_pages_programmed
-    );
+    assert_eq!(via_runner.layers.flash, direct.layers.flash);
     assert_eq!(via_runner.context_switches, direct.context_switches);
 }
 

@@ -83,13 +83,13 @@ fn figure14_shape_full_design_recovers_most_of_the_gap() {
 #[test]
 fn figure18_shape_write_log_cuts_flash_write_traffic() {
     for workload in [WorkloadKind::Tpcc, WorkloadKind::Dlrm] {
-        let base = run(VariantKind::BaseCssd, workload);
-        let full = run(VariantKind::SkyByteFull, workload);
+        let base = run(VariantKind::BaseCssd, workload).layers.flash;
+        let full = run(VariantKind::SkyByteFull, workload).layers.flash;
         assert!(
-            (full.flash_pages_programmed as f64) < 0.9 * base.flash_pages_programmed.max(1) as f64,
+            (full.pages_programmed as f64) < 0.9 * base.pages_programmed.max(1) as f64,
             "{workload}: expected a clear write-traffic reduction ({} vs {})",
-            full.flash_pages_programmed,
-            base.flash_pages_programmed
+            full.pages_programmed,
+            base.pages_programmed
         );
     }
 }
@@ -119,7 +119,7 @@ fn accounting_is_consistent_across_layers() {
     // Latency histogram matches the AMAT population.
     assert_eq!(r.latency_hist.count(), r.amat.accesses);
     // Write amplification can never be below 1.
-    assert!(r.write_amplification >= 1.0);
+    assert!(r.layers.ftl.write_amplification() >= 1.0);
     // Boundedness accounts some busy time on every run.
     assert!(r.boundedness.total() > Nanos::ZERO);
     // Bandwidth utilisation is a fraction.
@@ -133,13 +133,14 @@ fn promotion_budget_is_respected_end_to_end() {
         .with_accesses_per_thread(500)
         .with_host_dram(8 * 4096); // only 8 promoted pages allowed
     let r = Simulation::build(VariantKind::SkyByteCP, WorkloadKind::Ycsb, &tight).run();
-    assert!(r.pages_promoted > 0, "promotion should still happen");
+    let m = r.layers.migration;
+    assert!(m.promotions > 0, "promotion should still happen");
     // Promotions beyond the budget force demotions.
     assert!(
-        r.pages_promoted <= r.pages_demoted + 8,
+        m.promotions <= m.demotions + 8,
         "resident promoted pages exceed the budget: promoted {} demoted {}",
-        r.pages_promoted,
-        r.pages_demoted
+        m.promotions,
+        m.demotions
     );
 }
 

@@ -105,7 +105,7 @@ fn every_migration_trigger_keeps_the_audit_clean() {
         report.assert_clean(&format!("migration {policy}"));
         assert!(!result.truncated);
         if policy == MigrationPolicyKind::Disabled {
-            assert_eq!(result.pages_promoted, 0);
+            assert_eq!(result.layers.migration.promotions, 0);
         }
     }
 }
@@ -158,11 +158,7 @@ fn hotness_trackers_expose_a_bounded_footprint() {
             ..PolicyConfig::default()
         };
         let result = run_with_policy(policy, WorkloadKind::Tpcc);
-        let tracked = result
-            .layers
-            .ssd
-            .tracked_pages
-            .unwrap_or_else(|| panic!("{hotness}: tracked_pages gauge missing"));
+        let tracked = result.layers.ssd.tracked_pages;
         // Every tracker's state must stay bounded by the pages it ever saw;
         // the windowed tracker additionally bounds itself by its window.
         assert!(

@@ -118,8 +118,9 @@ fn table3_shape_flash_read_latency_includes_queueing() {
     // and grows with queueing (Table III reports 3.3–25.7 µs).
     let cfg = scale().apply(SimConfig::default().with_variant(VariantKind::SkyByteWP));
     let r = run_with(cfg, WorkloadKind::BfsDense);
-    assert!(r.avg_flash_read_latency >= Nanos::from_micros(3));
-    assert!(r.avg_flash_read_latency < Nanos::from_millis(5));
+    let avg = r.layers.flash.avg_read_latency();
+    assert!(avg >= Nanos::from_micros(3));
+    assert!(avg < Nanos::from_millis(5));
 }
 
 #[test]
@@ -138,6 +139,6 @@ fn dram_only_ignores_ssd_knobs() {
         run_with(cfg, WorkloadKind::Radix)
     };
     assert_eq!(a.exec_time, b.exec_time);
-    assert_eq!(a.flash_pages_programmed, 0);
-    assert_eq!(b.flash_pages_programmed, 0);
+    assert_eq!(a.layers.flash.pages_programmed, 0);
+    assert_eq!(b.layers.flash.pages_programmed, 0);
 }
