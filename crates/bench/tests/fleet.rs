@@ -6,7 +6,9 @@
 use skybyte_sim::fleet::{fleet_population, FLEET_PLACEMENTS};
 use skybyte_sim::{audit_fleet, figure_table_named, run_fleet, FleetConfig};
 use skybyte_sim::{ExperimentScale, Runner};
-use skybyte_types::{PlacementPolicyKind, PolicyOverride, SimConfig, VariantKind};
+use skybyte_types::{
+    PlacementPolicyKind, PolicyOverride, RebalancePolicyKind, SchedPolicy, SimConfig, VariantKind,
+};
 
 /// The whole figure, exactly as `figures --fig fleet --audit` resolves it,
 /// must render byte-identically for any worker count: placement, rebalance
@@ -89,27 +91,33 @@ fn every_placement_policy_runs_a_clean_fleet() {
     }
 }
 
-/// The fleet dimensions ride the same `--policy` registry as the device
-/// dimensions, and applying them to a device config is a no-op — that
-/// no-op is what keeps single-device goldens (and the memo table) unaware
-/// of placement.
+/// The fleet dimensions resolve to `FleetConfig` knobs, never to device
+/// policies: `--policy` refuses their names, which is what keeps
+/// single-device goldens (and the memo table) unaware of placement.
 #[test]
 fn fleet_policy_names_resolve_and_leave_device_configs_untouched() {
-    let placement: PolicyOverride = "round-robin".parse().unwrap();
-    assert!(matches!(placement, PolicyOverride::Placement(_)));
-    let rebalance: PolicyOverride = "swap-worst".parse().unwrap();
-    assert!(matches!(rebalance, PolicyOverride::Rebalance(_)));
-    // "rr" still names the per-device OS scheduling policy.
-    let sched: PolicyOverride = "rr".parse().unwrap();
-    assert!(!matches!(sched, PolicyOverride::Placement(_)));
+    let mut fleet = FleetConfig::new(2, VariantKind::SkyByteFull, ExperimentScale::tiny());
+    fleet.placement = "round-robin".parse().unwrap();
+    fleet.rebalance = "swap-worst".parse().unwrap();
+    assert_eq!(fleet.placement, PlacementPolicyKind::RoundRobin);
+    assert_eq!(fleet.rebalance, RebalancePolicyKind::SwapWorst);
+    for name in ["round-robin", "swap-worst"] {
+        assert!(
+            name.parse::<PolicyOverride>().is_err(),
+            "'{name}' must not resolve as a device policy"
+        );
+    }
 
+    // "rr" still names the per-device OS scheduling policy, and touches
+    // nothing else of the device config.
     let base = SimConfig::default();
     let mut cfg = base.clone();
-    placement.apply(&mut cfg);
-    rebalance.apply(&mut cfg);
+    "rr".parse::<PolicyOverride>().unwrap().apply(&mut cfg);
+    assert_eq!(cfg.sched_policy, SchedPolicy::RoundRobin);
+    cfg.sched_policy = base.sched_policy;
     assert_eq!(
         format!("{base:?}"),
         format!("{cfg:?}"),
-        "fleet dimensions must not touch the device fingerprint"
+        "'rr' must change only the OS scheduling policy"
     );
 }

@@ -8,9 +8,7 @@
 //! stay clean unless explicitly updated in parallel with the log (W2 of
 //! Figure 11).
 
-use crate::policy::{
-    AdmissionPolicy, AdmissionPolicyImpl, EvictionPolicy, EvictionPolicyImpl, WayMeta,
-};
+use crate::policy::{self, WayMeta};
 use serde::{Deserialize, Serialize};
 use skybyte_types::policy::{AdmissionPolicyKind, EvictionPolicyKind};
 use skybyte_types::{CachelineIndex, Lpa, CACHELINES_PER_PAGE, PAGE_SIZE};
@@ -70,9 +68,10 @@ struct PageEntry {
 
 /// A set-associative, page-granular cache indexed by logical page address.
 ///
-/// Replacement and admission decisions are delegated to the policy seams of
-/// [`crate::policy`]; the defaults (pseudo-LRU, admit-all) reproduce the
-/// original hard-wired cache decision for decision.
+/// Replacement and admission are the cache's [`EvictionPolicyKind`] and
+/// [`AdmissionPolicyKind`], matched in [`crate::policy`]; the defaults
+/// (pseudo-LRU, admit-all) reproduce the original hard-wired cache decision
+/// for decision.
 ///
 /// # Example
 ///
@@ -94,8 +93,13 @@ pub struct DataCache {
     ways: usize,
     capacity_pages: usize,
     tick: u64,
-    eviction: EvictionPolicyImpl,
-    admission: AdmissionPolicyImpl,
+    eviction: EvictionPolicyKind,
+    admission: AdmissionPolicyKind,
+    /// CLOCK hand per set (only CLOCK moves them).
+    clock_hands: Vec<usize>,
+    /// Bypass-scan state: the last page offered for admission and the
+    /// length of the sequential run ending at it.
+    scan: (Option<Lpa>, u32),
     stats: DataCacheStats,
 }
 
@@ -141,20 +145,12 @@ impl DataCache {
             ways,
             capacity_pages: sets * ways,
             tick: 0,
-            eviction: EvictionPolicyImpl::new(eviction, sets, ways),
-            admission: AdmissionPolicyImpl::new(admission),
+            eviction,
+            admission,
+            clock_hands: vec![0; sets],
+            scan: (None, 0),
             stats: DataCacheStats::default(),
         }
-    }
-
-    /// The active eviction policy.
-    pub fn eviction_policy(&self) -> EvictionPolicyKind {
-        self.eviction.kind()
-    }
-
-    /// The active admission policy.
-    pub fn admission_policy(&self) -> AdmissionPolicyKind {
-        self.admission.kind()
     }
 
     fn set_of(&self, lpa: Lpa) -> usize {
@@ -171,7 +167,7 @@ impl DataCache {
         match found {
             Some(way) => {
                 self.meta[set][way].last_access = tick;
-                self.eviction.on_hit(set, way, &mut self.meta[set]);
+                policy::on_hit(self.eviction, &mut self.meta[set], way, self.ways);
                 self.sets[set][way].accessed_bitmap |= 1u64 << (cl as usize % CACHELINES_PER_PAGE);
                 self.stats.hits += 1;
                 true
@@ -202,17 +198,21 @@ impl DataCache {
         let set = self.set_of(lpa);
         if let Some(way) = self.sets[set].iter().position(|e| e.lpa == lpa) {
             self.meta[set][way].last_access = tick;
-            self.eviction.on_hit(set, way, &mut self.meta[set]);
+            policy::on_hit(self.eviction, &mut self.meta[set], way, self.ways);
             return None;
         }
-        if !self.admission.admit(lpa) {
+        if !policy::admit(self.admission, &mut self.scan, lpa) {
             self.stats.admission_bypasses += 1;
             return None;
         }
         self.stats.insertions += 1;
         let mut evicted = None;
         if self.sets[set].len() >= self.ways {
-            let victim_idx = self.eviction.victim(set, &mut self.meta[set]);
+            let victim_idx = policy::victim(
+                self.eviction,
+                &mut self.meta[set],
+                &mut self.clock_hands[set],
+            );
             let victim = self.sets[set].swap_remove(victim_idx);
             self.meta[set].swap_remove(victim_idx);
             self.stats.evictions += 1;
@@ -232,8 +232,6 @@ impl DataCache {
             accessed_bitmap: 0,
         });
         self.meta[set].push(WayMeta::inserted(tick));
-        let way = self.sets[set].len() - 1;
-        self.eviction.on_insert(set, way, &mut self.meta[set]);
         evicted
     }
 
@@ -420,8 +418,8 @@ mod tests {
     #[test]
     fn default_policies_are_pseudo_lru_admit_all() {
         let c = DataCache::new(4 * 4096, 4);
-        assert_eq!(c.eviction_policy(), EvictionPolicyKind::PseudoLru);
-        assert_eq!(c.admission_policy(), AdmissionPolicyKind::AdmitAll);
+        assert_eq!(c.eviction, EvictionPolicyKind::PseudoLru);
+        assert_eq!(c.admission, AdmissionPolicyKind::AdmitAll);
     }
 
     #[test]

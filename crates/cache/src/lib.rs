@@ -12,8 +12,9 @@
 //!   any cacheline and enumerates all logged cachelines of a page during
 //!   compaction;
 //! * a **page-granular read-write data cache** ([`DataCache`]) — pages fetched
-//!   from flash on read misses, set-associative with pluggable eviction and
-//!   admission policies ([`policy`], default pseudo-LRU / admit-all);
+//!   from flash on read misses, set-associative, with its eviction and
+//!   admission policy kinds matched in [`policy`] (default pseudo-LRU /
+//!   admit-all);
 //! * **log compaction** ([`CompactionPlan`]) — when a log fills up it is
 //!   frozen, writes continue in the other buffer, and the frozen log is
 //!   coalesced page-by-page and flushed to flash in the background;
@@ -57,5 +58,4 @@ pub use data_cache::{DataCache, DataCacheStats, EvictedPage};
 pub use log_index::{LogIndex, LogIndexStats};
 pub use mshr::{MshrFile, MshrOutcome};
 pub use partition::WriteLogPartitions;
-pub use policy::{AdmissionPolicy, EvictionPolicy};
 pub use write_log::{AppendOutcome, CompactionPlan, PageFlush, WriteLog, WriteLogStats};

@@ -1,30 +1,29 @@
-//! The eviction and admission seams of the data cache.
+//! The eviction and admission decisions of the data cache.
 //!
-//! [`DataCache`](crate::DataCache) delegates two decisions to pluggable
-//! policies:
+//! [`DataCache`](crate::DataCache) holds its policies as their kinds and
+//! this module matches on them:
 //!
-//! * [`EvictionPolicy`] — which way of a full set to evict. Policies operate
-//!   on per-way [`WayMeta`] replacement metadata the cache keeps in lockstep
-//!   with its entries; the cache itself stamps `last_access`/`inserted_at`
-//!   ticks so recency-based policies need no state of their own.
-//! * [`AdmissionPolicy`] — whether a missed page is admitted at all. A
-//!   bypassed page is served from the flash buffer without displacing
-//!   anything (the controller falls back to writing through for dirty data
-//!   on bypassed pages).
+//! * `on_hit` and `victim` decide which way of a full set to evict under an
+//!   [`EvictionPolicyKind`]. They work on per-way [`WayMeta`] replacement
+//!   metadata the cache keeps in lockstep with its entries; the cache itself
+//!   stamps `last_access`/`inserted_at` ticks, so recency-based policies need
+//!   no state of their own. CLOCK's per-set hands are a field of the cache.
+//! * `admit` decides under an [`AdmissionPolicyKind`] whether a missed page
+//!   is admitted at all. A bypassed page is served from the flash buffer
+//!   without displacing anything (the controller falls back to writing
+//!   through for dirty data on bypassed pages). Bypass-scan's sequential run
+//!   is a field of the cache.
 //!
-//! The concrete contenders are wrapped in the serializable
-//! [`EvictionPolicyImpl`] / [`AdmissionPolicyImpl`] enums so `DataCache`
-//! stays `Clone + Serialize`; both enums delegate every trait method.
 //! [`EvictionPolicyKind::PseudoLru`] and [`AdmissionPolicyKind::AdmitAll`]
-//! are the defaults and reproduce the pre-seam cache decision for decision.
+//! are the defaults and reproduce the original hard-wired cache decision for
+//! decision.
 
 use serde::{Deserialize, Serialize};
 use skybyte_types::policy::{AdmissionPolicyKind, EvictionPolicyKind};
 use skybyte_types::Lpa;
-use std::fmt;
 
-/// Number of consecutive sequential inserts after which
-/// [`BypassScanPolicy`] classifies the stream as a scan and stops admitting.
+/// Number of consecutive sequential inserts after which the bypass-scan
+/// admission policy classifies the stream as a scan and stops admitting.
 pub const SCAN_BYPASS_RUN: u32 = 8;
 
 /// Per-way replacement metadata, maintained by the cache in lockstep with
@@ -53,29 +52,6 @@ impl WayMeta {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Eviction
-// ---------------------------------------------------------------------------
-
-/// Picks eviction victims for a set-associative cache.
-///
-/// The cache stamps `meta[way].last_access` before calling [`on_hit`]
-/// (`EvictionPolicy::on_hit`), so policies only maintain the metadata they
-/// add on top of recency (reference bits, segment membership, hands).
-pub trait EvictionPolicy: fmt::Debug {
-    /// Which contender this is.
-    fn kind(&self) -> EvictionPolicyKind;
-
-    /// A cached page in `set` was hit (or re-inserted) at way `way`.
-    fn on_hit(&mut self, set: usize, way: usize, meta: &mut [WayMeta]);
-
-    /// A new page was inserted at `way` (always the last slot) of `set`.
-    fn on_insert(&mut self, set: usize, way: usize, meta: &mut [WayMeta]);
-
-    /// Picks the victim way of a full `set`. `meta` is never empty.
-    fn victim(&mut self, set: usize, meta: &mut [WayMeta]) -> usize;
-}
-
 /// Index of the way with the smallest `key`, first match winning ties —
 /// the same selection rule as the original `min_by_key` timestamp scan.
 fn min_way_by(meta: &[WayMeta], key: impl Fn(&WayMeta) -> u64) -> usize {
@@ -86,291 +62,96 @@ fn min_way_by(meta: &[WayMeta], key: impl Fn(&WayMeta) -> u64) -> usize {
         .expect("set not empty")
 }
 
-/// The original timestamp scan: evict the smallest `last_access` tick.
-/// This is the default and is decision-identical to the pre-seam cache.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct PseudoLruPolicy;
-
-impl EvictionPolicy for PseudoLruPolicy {
-    fn kind(&self) -> EvictionPolicyKind {
-        EvictionPolicyKind::PseudoLru
-    }
-    fn on_hit(&mut self, _set: usize, _way: usize, _meta: &mut [WayMeta]) {}
-    fn on_insert(&mut self, _set: usize, _way: usize, _meta: &mut [WayMeta]) {}
-    fn victim(&mut self, _set: usize, meta: &mut [WayMeta]) -> usize {
-        min_way_by(meta, |m| m.last_access)
-    }
-}
-
-/// True LRU over the exact recency order. Because the cache stamps every
-/// access with a unique tick, the recency order is total and this selects
-/// the same victims as [`PseudoLruPolicy`]; it exists as a separate seam
-/// implementation so approximate recency variants have an exact reference.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct TrueLruPolicy;
-
-impl EvictionPolicy for TrueLruPolicy {
-    fn kind(&self) -> EvictionPolicyKind {
-        EvictionPolicyKind::Lru
-    }
-    fn on_hit(&mut self, _set: usize, _way: usize, _meta: &mut [WayMeta]) {}
-    fn on_insert(&mut self, _set: usize, _way: usize, _meta: &mut [WayMeta]) {}
-    fn victim(&mut self, _set: usize, meta: &mut [WayMeta]) -> usize {
-        min_way_by(meta, |m| m.last_access)
-    }
-}
-
-/// CLOCK (second chance): a per-set hand sweeps the ways, clearing
-/// reference bits, and evicts the first unreferenced way it lands on.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ClockPolicy {
-    hands: Vec<usize>,
-}
-
-impl ClockPolicy {
-    /// A CLOCK policy for a cache with `sets` sets.
-    pub fn new(sets: usize) -> Self {
-        ClockPolicy {
-            hands: vec![0; sets.max(1)],
-        }
-    }
-}
-
-impl EvictionPolicy for ClockPolicy {
-    fn kind(&self) -> EvictionPolicyKind {
-        EvictionPolicyKind::Clock
-    }
-    fn on_hit(&mut self, _set: usize, way: usize, meta: &mut [WayMeta]) {
-        meta[way].referenced = true;
-    }
-    fn on_insert(&mut self, _set: usize, _way: usize, _meta: &mut [WayMeta]) {}
-    fn victim(&mut self, set: usize, meta: &mut [WayMeta]) -> usize {
-        let mut hand = self.hands[set] % meta.len();
-        // At most one full sweep clears every reference bit, so the second
-        // sweep is guaranteed to find a victim.
-        for _ in 0..2 * meta.len() {
-            if meta[hand].referenced {
-                meta[hand].referenced = false;
-                hand = (hand + 1) % meta.len();
-            } else {
-                self.hands[set] = (hand + 1) % meta.len();
-                return hand;
+/// A cached page of a set with `ways` ways was hit (or re-inserted) at
+/// `way`. The cache stamps `meta[way].last_access` first, so this only
+/// maintains what a policy adds on top of recency:
+///
+/// * CLOCK sets the way's reference bit;
+/// * 2Q promotes the way to the protected segment, capped at half the ways,
+///   demoting the coldest other protected way on overflow.
+pub(crate) fn on_hit(kind: EvictionPolicyKind, meta: &mut [WayMeta], way: usize, ways: usize) {
+    match kind {
+        EvictionPolicyKind::PseudoLru | EvictionPolicyKind::Fifo => {}
+        EvictionPolicyKind::Clock => meta[way].referenced = true,
+        EvictionPolicyKind::TwoQ => {
+            if meta[way].protected {
+                return;
             }
-        }
-        unreachable!("CLOCK sweep always finds an unreferenced way");
-    }
-}
-
-/// 2Q/SLRU: new pages are probationary; a re-reference promotes them to a
-/// protected segment capped at half the ways. Victims come from the
-/// probationary segment (LRU order) while it is non-empty.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct TwoQPolicy {
-    protected_cap: usize,
-}
-
-impl TwoQPolicy {
-    /// A 2Q policy for a cache with `ways` ways per set.
-    pub fn new(ways: usize) -> Self {
-        TwoQPolicy {
-            protected_cap: (ways / 2).max(1),
-        }
-    }
-}
-
-impl EvictionPolicy for TwoQPolicy {
-    fn kind(&self) -> EvictionPolicyKind {
-        EvictionPolicyKind::TwoQ
-    }
-    fn on_hit(&mut self, _set: usize, way: usize, meta: &mut [WayMeta]) {
-        if meta[way].protected {
-            return;
-        }
-        meta[way].protected = true;
-        let protected = meta.iter().filter(|m| m.protected).count();
-        if protected > self.protected_cap {
-            // Demote the coldest protected way (other than the one just
-            // promoted) back to probationary.
-            if let Some(demote) = meta
-                .iter()
-                .enumerate()
-                .filter(|&(i, m)| m.protected && i != way)
-                .min_by_key(|(_, m)| m.last_access)
-                .map(|(i, _)| i)
-            {
-                meta[demote].protected = false;
+            meta[way].protected = true;
+            let protected = meta.iter().filter(|m| m.protected).count();
+            if protected > (ways / 2).max(1) {
+                // Demote the coldest protected way (other than the one just
+                // promoted) back to probationary.
+                if let Some(demote) = meta
+                    .iter()
+                    .enumerate()
+                    .filter(|&(i, m)| m.protected && i != way)
+                    .min_by_key(|(_, m)| m.last_access)
+                    .map(|(i, _)| i)
+                {
+                    meta[demote].protected = false;
+                }
             }
         }
     }
-    fn on_insert(&mut self, _set: usize, _way: usize, _meta: &mut [WayMeta]) {}
-    fn victim(&mut self, _set: usize, meta: &mut [WayMeta]) -> usize {
-        meta.iter()
+}
+
+/// Picks the victim way of a full set. `meta` is never empty; `hand` is the
+/// set's CLOCK hand.
+///
+/// * pseudo-LRU evicts the smallest `last_access` tick (the default);
+/// * CLOCK sweeps from the hand, clearing reference bits, and evicts the
+///   first unreferenced way;
+/// * 2Q evicts the least recent probationary way, or the least recent way
+///   when every way is protected;
+/// * FIFO evicts the oldest-inserted way regardless of use.
+pub(crate) fn victim(kind: EvictionPolicyKind, meta: &mut [WayMeta], hand: &mut usize) -> usize {
+    match kind {
+        EvictionPolicyKind::PseudoLru => min_way_by(meta, |m| m.last_access),
+        EvictionPolicyKind::Clock => {
+            let mut at = *hand % meta.len();
+            // At most one full sweep clears every reference bit, so the
+            // second sweep is guaranteed to find a victim.
+            for _ in 0..2 * meta.len() {
+                if meta[at].referenced {
+                    meta[at].referenced = false;
+                    at = (at + 1) % meta.len();
+                } else {
+                    *hand = (at + 1) % meta.len();
+                    return at;
+                }
+            }
+            unreachable!("CLOCK sweep always finds an unreferenced way");
+        }
+        EvictionPolicyKind::TwoQ => meta
+            .iter()
             .enumerate()
             .filter(|(_, m)| !m.protected)
             .min_by_key(|(_, m)| m.last_access)
             .map(|(i, _)| i)
-            .unwrap_or_else(|| min_way_by(meta, |m| m.last_access))
+            .unwrap_or_else(|| min_way_by(meta, |m| m.last_access)),
+        EvictionPolicyKind::Fifo => min_way_by(meta, |m| m.inserted_at),
     }
 }
 
-/// FIFO: evict the oldest-inserted way regardless of use.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct FifoPolicy;
-
-impl EvictionPolicy for FifoPolicy {
-    fn kind(&self) -> EvictionPolicyKind {
-        EvictionPolicyKind::Fifo
-    }
-    fn on_hit(&mut self, _set: usize, _way: usize, _meta: &mut [WayMeta]) {}
-    fn on_insert(&mut self, _set: usize, _way: usize, _meta: &mut [WayMeta]) {}
-    fn victim(&mut self, _set: usize, meta: &mut [WayMeta]) -> usize {
-        min_way_by(meta, |m| m.inserted_at)
-    }
-}
-
-/// The serializable dispatch wrapper the cache stores; delegates every
-/// [`EvictionPolicy`] method to the selected contender.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub enum EvictionPolicyImpl {
-    /// See [`PseudoLruPolicy`].
-    PseudoLru(PseudoLruPolicy),
-    /// See [`TrueLruPolicy`].
-    Lru(TrueLruPolicy),
-    /// See [`ClockPolicy`].
-    Clock(ClockPolicy),
-    /// See [`TwoQPolicy`].
-    TwoQ(TwoQPolicy),
-    /// See [`FifoPolicy`].
-    Fifo(FifoPolicy),
-}
-
-impl EvictionPolicyImpl {
-    /// Constructs the contender selected by `kind` for a cache of
-    /// `sets` × `ways` geometry.
-    pub fn new(kind: EvictionPolicyKind, sets: usize, ways: usize) -> Self {
-        match kind {
-            EvictionPolicyKind::PseudoLru => EvictionPolicyImpl::PseudoLru(PseudoLruPolicy),
-            EvictionPolicyKind::Lru => EvictionPolicyImpl::Lru(TrueLruPolicy),
-            EvictionPolicyKind::Clock => EvictionPolicyImpl::Clock(ClockPolicy::new(sets)),
-            EvictionPolicyKind::TwoQ => EvictionPolicyImpl::TwoQ(TwoQPolicy::new(ways)),
-            EvictionPolicyKind::Fifo => EvictionPolicyImpl::Fifo(FifoPolicy),
-        }
-    }
-
-    fn as_dyn(&mut self) -> &mut dyn EvictionPolicy {
-        match self {
-            EvictionPolicyImpl::PseudoLru(p) => p,
-            EvictionPolicyImpl::Lru(p) => p,
-            EvictionPolicyImpl::Clock(p) => p,
-            EvictionPolicyImpl::TwoQ(p) => p,
-            EvictionPolicyImpl::Fifo(p) => p,
-        }
-    }
-}
-
-impl EvictionPolicy for EvictionPolicyImpl {
-    fn kind(&self) -> EvictionPolicyKind {
-        match self {
-            EvictionPolicyImpl::PseudoLru(p) => p.kind(),
-            EvictionPolicyImpl::Lru(p) => p.kind(),
-            EvictionPolicyImpl::Clock(p) => p.kind(),
-            EvictionPolicyImpl::TwoQ(p) => p.kind(),
-            EvictionPolicyImpl::Fifo(p) => p.kind(),
-        }
-    }
-    fn on_hit(&mut self, set: usize, way: usize, meta: &mut [WayMeta]) {
-        self.as_dyn().on_hit(set, way, meta);
-    }
-    fn on_insert(&mut self, set: usize, way: usize, meta: &mut [WayMeta]) {
-        self.as_dyn().on_insert(set, way, meta);
-    }
-    fn victim(&mut self, set: usize, meta: &mut [WayMeta]) -> usize {
-        self.as_dyn().victim(set, meta)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Admission
-// ---------------------------------------------------------------------------
-
-/// Decides whether a missed page is admitted into the cache at all.
-pub trait AdmissionPolicy: fmt::Debug {
-    /// Which contender this is.
-    fn kind(&self) -> AdmissionPolicyKind;
-
-    /// Whether the page about to be inserted should be admitted. Called
-    /// once per new-page insertion attempt, in stream order.
-    fn admit(&mut self, lpa: Lpa) -> bool;
-}
-
-/// Admit everything — the default, and the pre-seam behaviour.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct AdmitAllPolicy;
-
-impl AdmissionPolicy for AdmitAllPolicy {
-    fn kind(&self) -> AdmissionPolicyKind {
-        AdmissionPolicyKind::AdmitAll
-    }
-    fn admit(&mut self, _lpa: Lpa) -> bool {
-        true
-    }
-}
-
-/// Bypass sequential scans: once [`SCAN_BYPASS_RUN`] consecutive insertions
-/// target consecutive pages, further pages of the run are not admitted —
-/// a streaming read would flush the cache without re-referencing anything.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct BypassScanPolicy {
-    last: Option<Lpa>,
-    run: u32,
-}
-
-impl AdmissionPolicy for BypassScanPolicy {
-    fn kind(&self) -> AdmissionPolicyKind {
-        AdmissionPolicyKind::BypassScan
-    }
-    fn admit(&mut self, lpa: Lpa) -> bool {
-        self.run = match self.last {
-            Some(prev) if lpa.index() == prev.index().wrapping_add(1) => self.run + 1,
-            _ => 1,
-        };
-        self.last = Some(lpa);
-        self.run < SCAN_BYPASS_RUN
-    }
-}
-
-/// The serializable dispatch wrapper for admission contenders.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub enum AdmissionPolicyImpl {
-    /// See [`AdmitAllPolicy`].
-    AdmitAll(AdmitAllPolicy),
-    /// See [`BypassScanPolicy`].
-    BypassScan(BypassScanPolicy),
-}
-
-impl AdmissionPolicyImpl {
-    /// Constructs the contender selected by `kind`.
-    pub fn new(kind: AdmissionPolicyKind) -> Self {
-        match kind {
-            AdmissionPolicyKind::AdmitAll => AdmissionPolicyImpl::AdmitAll(AdmitAllPolicy),
-            AdmissionPolicyKind::BypassScan => {
-                AdmissionPolicyImpl::BypassScan(BypassScanPolicy::default())
-            }
-        }
-    }
-}
-
-impl AdmissionPolicy for AdmissionPolicyImpl {
-    fn kind(&self) -> AdmissionPolicyKind {
-        match self {
-            AdmissionPolicyImpl::AdmitAll(p) => p.kind(),
-            AdmissionPolicyImpl::BypassScan(p) => p.kind(),
-        }
-    }
-    fn admit(&mut self, lpa: Lpa) -> bool {
-        match self {
-            AdmissionPolicyImpl::AdmitAll(p) => p.admit(lpa),
-            AdmissionPolicyImpl::BypassScan(p) => p.admit(lpa),
+/// Whether the page about to be inserted is admitted. Called once per
+/// new-page insertion attempt, in stream order. `scan` is the last page
+/// offered and the length of the sequential run ending at it.
+///
+/// Bypass-scan stops admitting once [`SCAN_BYPASS_RUN`] consecutive
+/// offers target consecutive pages — a streaming read would flush the
+/// cache without re-referencing anything.
+pub(crate) fn admit(kind: AdmissionPolicyKind, scan: &mut (Option<Lpa>, u32), lpa: Lpa) -> bool {
+    match kind {
+        AdmissionPolicyKind::AdmitAll => true,
+        AdmissionPolicyKind::BypassScan => {
+            let (last, run) = scan;
+            *run = match *last {
+                Some(prev) if lpa.index() == prev.index().wrapping_add(1) => *run + 1,
+                _ => 1,
+            };
+            *last = Some(lpa);
+            *run < SCAN_BYPASS_RUN
         }
     }
 }
@@ -392,60 +173,57 @@ mod tests {
     }
 
     #[test]
-    fn pseudo_lru_and_true_lru_pick_the_oldest_tick() {
+    fn pseudo_lru_picks_the_oldest_tick() {
         let mut m = meta(&[(5, false, false), (2, false, false), (9, false, false)]);
-        assert_eq!(PseudoLruPolicy.victim(0, &mut m), 1);
-        assert_eq!(TrueLruPolicy.victim(0, &mut m), 1);
+        assert_eq!(victim(EvictionPolicyKind::PseudoLru, &mut m, &mut 0), 1);
     }
 
     #[test]
     fn clock_gives_referenced_ways_a_second_chance() {
-        let mut p = ClockPolicy::new(1);
+        let mut hand = 0;
         let mut m = meta(&[(1, true, false), (2, false, false), (3, true, false)]);
         // Hand starts at 0: way 0 is referenced (cleared, skipped), way 1 is
         // the victim.
-        assert_eq!(p.victim(0, &mut m), 1);
+        assert_eq!(victim(EvictionPolicyKind::Clock, &mut m, &mut hand), 1);
         assert!(!m[0].referenced, "sweep clears reference bits");
         // Hand resumes after the victim: way 2 cleared, wraps, evicts way 0.
         m[1] = WayMeta::inserted(4);
-        assert_eq!(p.victim(0, &mut m), 0);
+        assert_eq!(victim(EvictionPolicyKind::Clock, &mut m, &mut hand), 0);
     }
 
     #[test]
     fn clock_all_referenced_sweeps_then_evicts_at_hand() {
-        let mut p = ClockPolicy::new(1);
         let mut m = meta(&[(1, true, false), (2, true, false)]);
-        assert_eq!(p.victim(0, &mut m), 0);
+        assert_eq!(victim(EvictionPolicyKind::Clock, &mut m, &mut 0), 0);
     }
 
     #[test]
     fn two_q_protects_rereferenced_ways() {
-        let mut p = TwoQPolicy::new(4);
         let mut m = meta(&[
             (1, false, false),
             (2, false, false),
             (3, false, false),
             (4, false, false),
         ]);
-        p.on_hit(0, 0, &mut m);
+        on_hit(EvictionPolicyKind::TwoQ, &mut m, 0, 4);
         assert!(m[0].protected);
         // Victim comes from the probationary segment, not the protected way
         // 0 even though it has the oldest tick.
-        assert_eq!(p.victim(0, &mut m), 1);
+        assert_eq!(victim(EvictionPolicyKind::TwoQ, &mut m, &mut 0), 1);
     }
 
     #[test]
     fn two_q_caps_the_protected_segment() {
-        let mut p = TwoQPolicy::new(4); // cap = 2
+        // 4 ways: the protected cap is 2.
         let mut m = meta(&[
             (1, false, false),
             (2, false, false),
             (3, false, false),
             (4, false, false),
         ]);
-        p.on_hit(0, 0, &mut m);
-        p.on_hit(0, 1, &mut m);
-        p.on_hit(0, 2, &mut m);
+        on_hit(EvictionPolicyKind::TwoQ, &mut m, 0, 4);
+        on_hit(EvictionPolicyKind::TwoQ, &mut m, 1, 4);
+        on_hit(EvictionPolicyKind::TwoQ, &mut m, 2, 4);
         // Promoting way 2 overflows the cap; the coldest other protected way
         // (way 0) is demoted.
         assert_eq!(m.iter().filter(|w| w.protected).count(), 2);
@@ -455,46 +233,35 @@ mod tests {
 
     #[test]
     fn two_q_falls_back_when_everything_is_protected() {
-        let mut p = TwoQPolicy::new(2);
         let mut m = meta(&[(7, false, true), (3, false, true)]);
-        assert_eq!(p.victim(0, &mut m), 1);
+        assert_eq!(victim(EvictionPolicyKind::TwoQ, &mut m, &mut 0), 1);
     }
 
     #[test]
     fn fifo_ignores_recency() {
-        let mut p = FifoPolicy;
         let mut m = meta(&[(1, false, false), (2, false, false)]);
         m[0].last_access = 100; // heavily re-referenced, still first in
-        assert_eq!(p.victim(0, &mut m), 0);
+        assert_eq!(victim(EvictionPolicyKind::Fifo, &mut m, &mut 0), 0);
     }
 
     #[test]
     fn bypass_scan_admits_until_the_run_threshold() {
-        let mut p = BypassScanPolicy::default();
+        let mut scan = (None, 0);
+        let mut offer = |i: u64| admit(AdmissionPolicyKind::BypassScan, &mut scan, Lpa::new(i));
         for i in 0..SCAN_BYPASS_RUN as u64 - 1 {
-            assert!(p.admit(Lpa::new(i)), "page {i} of the run is admitted");
+            assert!(offer(i), "page {i} of the run is admitted");
         }
-        assert!(!p.admit(Lpa::new(SCAN_BYPASS_RUN as u64 - 1)));
-        assert!(!p.admit(Lpa::new(SCAN_BYPASS_RUN as u64)));
+        assert!(!offer(SCAN_BYPASS_RUN as u64 - 1));
+        assert!(!offer(SCAN_BYPASS_RUN as u64));
         // Breaking the run resets admission.
-        assert!(p.admit(Lpa::new(1000)));
+        assert!(offer(1000));
     }
 
     #[test]
     fn admit_all_always_admits() {
-        let mut p = AdmissionPolicyImpl::new(AdmissionPolicyKind::AdmitAll);
+        let mut scan = (None, 0);
         for i in 0..100 {
-            assert!(p.admit(Lpa::new(i)));
-        }
-    }
-
-    #[test]
-    fn impl_wrappers_report_their_kind() {
-        for kind in EvictionPolicyKind::ALL {
-            assert_eq!(EvictionPolicyImpl::new(kind, 4, 4).kind(), kind);
-        }
-        for kind in AdmissionPolicyKind::ALL {
-            assert_eq!(AdmissionPolicyImpl::new(kind).kind(), kind);
+            assert!(admit(AdmissionPolicyKind::AdmitAll, &mut scan, Lpa::new(i)));
         }
     }
 }

@@ -9,8 +9,8 @@
 //!
 //! 1. [`schedule`](SystemState::schedule) — ensure a thread runs on the
 //!    core whose event fired (or advance through idle time); which runnable
-//!    thread an empty core picks is the pluggable
-//!    [`TenantScheduler`](crate::tenant_sched::TenantScheduler) seam,
+//!    thread an empty core picks is the run's tenant-scheduling policy
+//!    (`TenantSchedKind`, matched in the `tenant_sched` module),
 //! 2. [`translate`](SystemState::translate) — compute burst, TLB walk and
 //!    page-table lookup,
 //! 3. [`host_access`](SystemState::host_access) /
@@ -41,7 +41,6 @@ use crate::event::EventQueue;
 use crate::metrics::{AmatBreakdown, LayerCounters, RequestBreakdown, SimResult, TenantCounters};
 use crate::migration::{MigrationContext, MigrationEngine};
 use crate::telemetry::{MetricsSample, Telemetry, TelemetryOutput, SAMPLER_CORE};
-use crate::tenant_sched::{tenant_scheduler, TenantScheduler, TenantView};
 use crate::thread_exec::ThreadExecutor;
 use skybyte_cache::WriteLogPartitions;
 use skybyte_cpu::{Boundedness, CoreTimingModel, HostDram};
@@ -100,7 +99,6 @@ pub struct SystemState {
     port: CxlPort,
     host_dram: HostDram,
     sched: Scheduler,
-    tenant_sched: Box<dyn TenantScheduler>,
     // Windowed per-tenant write-log append accounting, maintained only for
     // the `qos` tenant scheduler (None otherwise, so the default pipeline
     // carries no extra state).
@@ -220,7 +218,6 @@ impl SystemState {
             port,
             host_dram,
             sched,
-            tenant_sched: tenant_scheduler(cfg.policy.tenant_sched),
             log_partitions: (cfg.policy.tenant_sched == skybyte_types::TenantSchedKind::Qos).then(
                 || {
                     // One window per log fill: the log holds one 64-byte
@@ -445,17 +442,17 @@ impl SystemState {
     /// at least 100 ns per pass (and to the earliest blocked wake-up when
     /// one exists), with the idle time accounted in [`Boundedness::idle`].
     fn schedule(&mut self, core: usize, now: Nanos) -> Scheduled {
-        let view = TenantView {
-            map: &self.tenant_map,
-            counters: &self.per_tenant,
-            log_pressure: self.log_partitions.as_ref(),
-        };
         match self.sched.running_on(core as u32) {
             Some(t) => Scheduled::Run(t),
-            None => match self
-                .tenant_sched
-                .schedule_on(&mut self.sched, core as u32, now, &view)
-            {
+            None => match crate::tenant_sched::schedule_on(
+                self.cfg.policy.tenant_sched,
+                &mut self.sched,
+                core as u32,
+                now,
+                &self.tenant_map,
+                &self.per_tenant,
+                self.log_partitions.as_ref(),
+            ) {
                 Some(t) => Scheduled::Run(t),
                 None => match self.sched.next_wakeup() {
                     // Nothing runnable: idle until the next wake-up (never

@@ -1,7 +1,7 @@
 //! The CXL-SSD controller: request handling, compaction, GC coordination and
 //! promotion support.
 
-use crate::hotness::{HotnessPolicy, HotnessTracker};
+use crate::hotness::HotnessTracker;
 use crate::stats::{AccessBreakdown, ServedBy, SsdStats};
 use crate::trigger::ThresholdPolicy;
 use skybyte_cache::{DataCache, DataCacheStats, WriteLog, WriteLogStats};
@@ -378,7 +378,7 @@ impl SsdController {
     /// any (adaptive policy of §III-C).
     pub fn promotion_candidate(&mut self) -> Option<Lpa> {
         let cache = &self.data_cache;
-        let got = self.hotness.take_candidate(&mut |lpa| cache.contains(lpa));
+        let got = self.hotness.take_candidate(|lpa| cache.contains(lpa));
         self.note_tracked_pages();
         got
     }

@@ -3,306 +3,134 @@
 //! The SSD controller counts accesses to each logical page and nominates
 //! promotion candidates; SkyByte only promotes pages that are resident in
 //! the SSD DRAM data cache (the candidate hot pages are there by
-//! construction). *How* hotness is measured is a pluggable policy:
+//! construction). *How* hotness is measured is the tracker's
+//! [`HotnessPolicyKind`], matched in [`HotnessTracker::record_access`]:
 //!
-//! * [`HotPageTracker`] — the paper's design and the default: exact per-page
+//! * `threshold` — the paper's design and the default: exact per-page
 //!   counters with a fixed nomination threshold. Exactness costs memory —
-//!   one counter per distinct page ever touched (the [`tracked_pages`]
-//!   gauge in `SsdStats` makes that growth observable). Zero-count entries
-//!   are compacted away rather than stored.
-//! * [`DecayTracker`] — exponentially decayed frequency: counters are halved
-//!   every [`DECAY_PERIOD_ACCESSES`] recorded accesses and entries that
-//!   decay to zero are dropped, bounding memory on long traces while still
-//!   favouring sustained hotness over one-shot bursts.
-//! * [`TopKTracker`] — windowed top-k: pages are counted inside a fixed
-//!   window of [`TOPK_WINDOW_ACCESSES`] accesses and only the
-//!   [`TOPK_CANDIDATES`] hottest re-referenced pages of each window are
-//!   nominated; counts reset between windows, so memory is bounded by the
-//!   window size.
+//!   one counter per distinct page ever touched (the
+//!   [`tracked_pages`](HotnessTracker::tracked_pages) gauge in `SsdStats`
+//!   makes that growth observable). Zero-count entries are compacted away
+//!   rather than stored.
+//! * `decay` — exponentially decayed frequency: counters are halved every
+//!   [`DECAY_PERIOD_ACCESSES`] recorded accesses and entries that decay to
+//!   zero are dropped, bounding memory on long traces while still favouring
+//!   sustained hotness over one-shot bursts.
+//! * `topk` — windowed top-k: pages are counted inside a fixed window of
+//!   [`TOPK_WINDOW_ACCESSES`] accesses and only the [`TOPK_CANDIDATES`]
+//!   hottest re-referenced pages of each window are nominated; counts reset
+//!   between windows, so memory is bounded by the window size.
 //!
-//! All three implement [`HotnessPolicy`]; the controller stores the
-//! serializable [`HotnessTracker`] dispatch enum, built from
-//! [`HotnessPolicyKind`].
-//!
-//! [`tracked_pages`]: HotnessPolicy::tracked_pages
+//! Everything else — candidate hand-out, promotion marks and the footprint
+//! gauge — is shared by all three.
 
 use serde::{Deserialize, Serialize};
 use skybyte_types::policy::HotnessPolicyKind;
 use skybyte_types::{FastHashMap, FastHashSet, Lpa};
 use std::cmp::Reverse;
 
-use std::fmt;
-
-/// Recorded accesses between two count-halving rounds of [`DecayTracker`].
+/// Recorded accesses between two count-halving rounds of the `decay`
+/// policy.
 pub const DECAY_PERIOD_ACCESSES: u32 = 4096;
 
-/// Window length, in recorded accesses, of [`TopKTracker`].
+/// Window length, in recorded accesses, of the `topk` policy.
 pub const TOPK_WINDOW_ACCESSES: u32 = 1024;
 
-/// Number of candidates [`TopKTracker`] nominates per window.
+/// Number of candidates the `topk` policy nominates per window.
 pub const TOPK_CANDIDATES: usize = 16;
 
-/// The hotness seam of the SSD controller: decides which pages are
+/// The hotness tracker of the SSD controller: decides which pages are
 /// promotion candidates for adaptive migration.
-pub trait HotnessPolicy: fmt::Debug {
-    /// Which contender this is.
-    fn kind(&self) -> HotnessPolicyKind;
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct HotnessTracker {
+    kind: HotnessPolicyKind,
+    /// Nomination threshold (`threshold`, `decay`; unused by `topk`).
+    threshold: u32,
+    /// Recorded accesses since the last halving round (`decay`) or in the
+    /// current window (`topk`).
+    window: u32,
+    counts: FastHashMap<Lpa, u32>,
+    /// Pages nominated and not taken yet.
+    candidates: Vec<Lpa>,
+    promoted: FastHashSet<Lpa>,
+}
 
-    /// Records one access to `lpa`. Returns `true` if this access made the
+impl HotnessTracker {
+    /// A tracker measuring hotness by `kind` with the configured nomination
+    /// `threshold` (ignored by the windowed top-k policy, which ranks pages
+    /// instead of thresholding them).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a thresholded policy is given a zero `threshold`.
+    pub fn new(kind: HotnessPolicyKind, threshold: u32) -> Self {
+        assert!(
+            kind == HotnessPolicyKind::TopK || threshold > 0,
+            "hotness threshold must be at least 1"
+        );
+        HotnessTracker {
+            kind,
+            threshold,
+            window: 0,
+            counts: FastHashMap::default(),
+            candidates: Vec::new(),
+            promoted: FastHashSet::default(),
+        }
+    }
+
+    /// Records one access to `lpa`. Returns `true` if this access made a
     /// page a promotion candidate.
-    fn record_access(&mut self, lpa: Lpa) -> bool;
-
-    /// Current hotness count of a page (0 for untracked or promoted pages).
-    fn count(&self, lpa: Lpa) -> u32;
-
-    /// Takes the next promotion candidate, filtered by `eligible` (typically
-    /// "is the page still resident in the data cache"). Ineligible
-    /// candidates are dropped back to cold state so they can re-qualify.
-    fn take_candidate(&mut self, eligible: &mut dyn FnMut(Lpa) -> bool) -> Option<Lpa>;
-
-    /// Number of pending candidates.
-    fn pending_candidates(&self) -> usize;
-
-    /// Marks a page as promoted so it is no longer tracked.
-    fn mark_promoted(&mut self, lpa: Lpa);
-
-    /// Marks a page as demoted back to the SSD so it is tracked again.
-    fn mark_demoted(&mut self, lpa: Lpa);
-
-    /// Number of pages currently marked promoted.
-    fn promoted_count(&self) -> usize;
-
-    /// Number of pages the tracker currently holds state for (counters,
-    /// pending candidates and promoted marks) — the memory-growth gauge
-    /// surfaced as `SsdStats::tracked_pages`.
-    fn tracked_pages(&self) -> u64;
-}
-
-// ---------------------------------------------------------------------------
-// Threshold (default)
-// ---------------------------------------------------------------------------
-
-/// Exact per-page access counters with a fixed nomination threshold — the
-/// paper's controller design and the default hotness policy.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct HotPageTracker {
-    threshold: u32,
-    counts: FastHashMap<Lpa, u32>,
-    /// Pages that crossed the threshold and have not been taken yet.
-    candidates: Vec<Lpa>,
-    promoted: FastHashSet<Lpa>,
-}
-
-impl HotPageTracker {
-    /// Creates a tracker that nominates pages after `threshold` accesses.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threshold` is zero.
-    pub fn new(threshold: u32) -> Self {
-        assert!(threshold > 0, "hotness threshold must be at least 1");
-        HotPageTracker {
-            threshold,
-            counts: FastHashMap::default(),
-            candidates: Vec::new(),
-            promoted: FastHashSet::default(),
-        }
-    }
-}
-
-impl HotnessPolicy for HotPageTracker {
-    fn kind(&self) -> HotnessPolicyKind {
-        HotnessPolicyKind::Threshold
-    }
-
-    fn record_access(&mut self, lpa: Lpa) -> bool {
+    pub fn record_access(&mut self, lpa: Lpa) -> bool {
         if self.promoted.contains(&lpa) {
             return false;
         }
-        let count = self.counts.entry(lpa).or_insert(0);
-        *count += 1;
-        if *count == self.threshold {
-            self.candidates.push(lpa);
-            true
-        } else {
-            false
-        }
-    }
-
-    fn count(&self, lpa: Lpa) -> u32 {
-        self.counts.get(&lpa).copied().unwrap_or(0)
-    }
-
-    fn take_candidate(&mut self, eligible: &mut dyn FnMut(Lpa) -> bool) -> Option<Lpa> {
-        while let Some(lpa) = self.candidates.pop() {
-            if eligible(lpa) {
-                return Some(lpa);
+        match self.kind {
+            HotnessPolicyKind::Threshold => {
+                let count = self.counts.entry(lpa).or_insert(0);
+                *count += 1;
+                if *count == self.threshold {
+                    self.candidates.push(lpa);
+                    true
+                } else {
+                    false
+                }
             }
-            // Reset so the page can become a candidate again if it stays
-            // hot. A zero count and an absent entry are indistinguishable,
-            // so compact the entry away instead of storing the zero.
-            self.counts.remove(&lpa);
-        }
-        None
-    }
-
-    fn pending_candidates(&self) -> usize {
-        self.candidates.len()
-    }
-
-    fn mark_promoted(&mut self, lpa: Lpa) {
-        self.promoted.insert(lpa);
-        self.counts.remove(&lpa);
-        self.candidates.retain(|c| *c != lpa);
-    }
-
-    fn mark_demoted(&mut self, lpa: Lpa) {
-        self.promoted.remove(&lpa);
-        self.counts.remove(&lpa);
-    }
-
-    fn promoted_count(&self) -> usize {
-        self.promoted.len()
-    }
-
-    fn tracked_pages(&self) -> u64 {
-        (self.counts.len() + self.candidates.len() + self.promoted.len()) as u64
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Exponential decay
-// ---------------------------------------------------------------------------
-
-/// Exponentially decayed frequency counters: every
-/// [`DECAY_PERIOD_ACCESSES`] recorded accesses all counts are halved and
-/// zeroed entries dropped, so only pages with sustained traffic keep state.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct DecayTracker {
-    threshold: u32,
-    since_decay: u32,
-    counts: FastHashMap<Lpa, u32>,
-    candidates: Vec<Lpa>,
-    promoted: FastHashSet<Lpa>,
-}
-
-impl DecayTracker {
-    /// Creates a decaying tracker that nominates pages whose decayed count
-    /// reaches `threshold`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threshold` is zero.
-    pub fn new(threshold: u32) -> Self {
-        assert!(threshold > 0, "hotness threshold must be at least 1");
-        DecayTracker {
-            threshold,
-            since_decay: 0,
-            counts: FastHashMap::default(),
-            candidates: Vec::new(),
-            promoted: FastHashSet::default(),
-        }
-    }
-
-    fn decay(&mut self) {
-        self.counts.retain(|_, c| {
-            *c /= 2;
-            *c > 0
-        });
-    }
-}
-
-impl HotnessPolicy for DecayTracker {
-    fn kind(&self) -> HotnessPolicyKind {
-        HotnessPolicyKind::Decay
-    }
-
-    fn record_access(&mut self, lpa: Lpa) -> bool {
-        if self.promoted.contains(&lpa) {
-            return false;
-        }
-        self.since_decay += 1;
-        if self.since_decay >= DECAY_PERIOD_ACCESSES {
-            self.since_decay = 0;
-            self.decay();
-        }
-        let count = self.counts.entry(lpa).or_insert(0);
-        *count += 1;
-        // Halving can bring a page back below the threshold, so guard
-        // against duplicate nominations explicitly rather than relying on
-        // crossing the threshold exactly once.
-        if *count >= self.threshold && !self.candidates.contains(&lpa) {
-            self.candidates.push(lpa);
-            true
-        } else {
-            false
-        }
-    }
-
-    fn count(&self, lpa: Lpa) -> u32 {
-        self.counts.get(&lpa).copied().unwrap_or(0)
-    }
-
-    fn take_candidate(&mut self, eligible: &mut dyn FnMut(Lpa) -> bool) -> Option<Lpa> {
-        while let Some(lpa) = self.candidates.pop() {
-            if eligible(lpa) {
-                return Some(lpa);
+            HotnessPolicyKind::Decay => {
+                self.window += 1;
+                if self.window >= DECAY_PERIOD_ACCESSES {
+                    self.window = 0;
+                    self.counts.retain(|_, c| {
+                        *c /= 2;
+                        *c > 0
+                    });
+                }
+                let count = self.counts.entry(lpa).or_insert(0);
+                *count += 1;
+                // Halving can bring a page back below the threshold, so
+                // guard against duplicate nominations explicitly rather than
+                // relying on crossing the threshold exactly once.
+                if *count >= self.threshold && !self.candidates.contains(&lpa) {
+                    self.candidates.push(lpa);
+                    true
+                } else {
+                    false
+                }
             }
-            self.counts.remove(&lpa);
-        }
-        None
-    }
-
-    fn pending_candidates(&self) -> usize {
-        self.candidates.len()
-    }
-
-    fn mark_promoted(&mut self, lpa: Lpa) {
-        self.promoted.insert(lpa);
-        self.counts.remove(&lpa);
-        self.candidates.retain(|c| *c != lpa);
-    }
-
-    fn mark_demoted(&mut self, lpa: Lpa) {
-        self.promoted.remove(&lpa);
-        self.counts.remove(&lpa);
-    }
-
-    fn promoted_count(&self) -> usize {
-        self.promoted.len()
-    }
-
-    fn tracked_pages(&self) -> u64 {
-        (self.counts.len() + self.candidates.len() + self.promoted.len()) as u64
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Windowed top-k
-// ---------------------------------------------------------------------------
-
-/// Windowed top-k: counts accesses inside a fixed window and nominates the
-/// k hottest re-referenced pages when the window closes; counts reset
-/// between windows, so memory never exceeds one window's distinct pages.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct TopKTracker {
-    in_window: u32,
-    counts: FastHashMap<Lpa, u32>,
-    candidates: Vec<Lpa>,
-    promoted: FastHashSet<Lpa>,
-}
-
-impl TopKTracker {
-    /// Creates an empty windowed top-k tracker.
-    pub fn new() -> Self {
-        TopKTracker {
-            in_window: 0,
-            counts: FastHashMap::default(),
-            candidates: Vec::new(),
-            promoted: FastHashSet::default(),
+            HotnessPolicyKind::TopK => {
+                *self.counts.entry(lpa).or_insert(0) += 1;
+                self.window += 1;
+                if self.window >= TOPK_WINDOW_ACCESSES {
+                    self.window = 0;
+                    self.close_window()
+                } else {
+                    false
+                }
+            }
         }
     }
 
+    /// Closes a top-k window: nominates its [`TOPK_CANDIDATES`] hottest
+    /// re-referenced pages and resets every count.
     fn close_window(&mut self) -> bool {
         let mut hot: Vec<(Lpa, u32)> = self
             .counts
@@ -316,149 +144,60 @@ impl TopKTracker {
             .extend(hot.into_iter().take(TOPK_CANDIDATES).map(|(lpa, _)| lpa));
         self.candidates.len() > before
     }
-}
 
-impl Default for TopKTracker {
-    fn default() -> Self {
-        TopKTracker::new()
-    }
-}
-
-impl HotnessPolicy for TopKTracker {
-    fn kind(&self) -> HotnessPolicyKind {
-        HotnessPolicyKind::TopK
-    }
-
-    fn record_access(&mut self, lpa: Lpa) -> bool {
-        if self.promoted.contains(&lpa) {
-            return false;
-        }
-        *self.counts.entry(lpa).or_insert(0) += 1;
-        self.in_window += 1;
-        if self.in_window >= TOPK_WINDOW_ACCESSES {
-            self.in_window = 0;
-            self.close_window()
-        } else {
-            false
-        }
-    }
-
-    fn count(&self, lpa: Lpa) -> u32 {
+    /// Current hotness count of a page (0 for untracked or promoted pages).
+    pub fn count(&self, lpa: Lpa) -> u32 {
         self.counts.get(&lpa).copied().unwrap_or(0)
     }
 
-    fn take_candidate(&mut self, eligible: &mut dyn FnMut(Lpa) -> bool) -> Option<Lpa> {
+    /// Takes the next promotion candidate, filtered by `eligible` (typically
+    /// "is the page still resident in the data cache"). Ineligible
+    /// candidates are dropped back to cold state so they can re-qualify.
+    pub fn take_candidate(&mut self, mut eligible: impl FnMut(Lpa) -> bool) -> Option<Lpa> {
         while let Some(lpa) = self.candidates.pop() {
             if eligible(lpa) {
                 return Some(lpa);
             }
-            // Window counts were already reset; nothing else to clear.
+            // Reset so the page can become a candidate again if it stays
+            // hot. A zero count and an absent entry are indistinguishable,
+            // so compact the entry away instead of storing the zero. Top-k
+            // reset its counts when the window closed and keeps what the
+            // page gathered in the current window.
+            if self.kind != HotnessPolicyKind::TopK {
+                self.counts.remove(&lpa);
+            }
         }
         None
     }
 
-    fn pending_candidates(&self) -> usize {
+    /// Number of pending candidates.
+    pub fn pending_candidates(&self) -> usize {
         self.candidates.len()
     }
 
-    fn mark_promoted(&mut self, lpa: Lpa) {
+    /// Marks a page as promoted so it is no longer tracked.
+    pub fn mark_promoted(&mut self, lpa: Lpa) {
         self.promoted.insert(lpa);
         self.counts.remove(&lpa);
         self.candidates.retain(|c| *c != lpa);
     }
 
-    fn mark_demoted(&mut self, lpa: Lpa) {
+    /// Marks a page as demoted back to the SSD so it is tracked again.
+    pub fn mark_demoted(&mut self, lpa: Lpa) {
         self.promoted.remove(&lpa);
         self.counts.remove(&lpa);
     }
 
-    fn promoted_count(&self) -> usize {
+    /// Number of pages currently marked promoted.
+    pub fn promoted_count(&self) -> usize {
         self.promoted.len()
     }
 
-    fn tracked_pages(&self) -> u64 {
+    /// Number of pages the tracker currently holds state for (counters,
+    /// pending candidates and promoted marks) — the memory-growth gauge
+    /// surfaced as `SsdStats::tracked_pages`.
+    pub fn tracked_pages(&self) -> u64 {
         (self.counts.len() + self.candidates.len() + self.promoted.len()) as u64
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Dispatch
-// ---------------------------------------------------------------------------
-
-/// The serializable dispatch wrapper the controller stores; delegates every
-/// [`HotnessPolicy`] method to the selected contender.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub enum HotnessTracker {
-    /// See [`HotPageTracker`].
-    Threshold(HotPageTracker),
-    /// See [`DecayTracker`].
-    Decay(DecayTracker),
-    /// See [`TopKTracker`].
-    TopK(TopKTracker),
-}
-
-impl HotnessTracker {
-    /// Constructs the contender selected by `kind` with the configured
-    /// nomination `threshold` (ignored by the windowed top-k policy, which
-    /// ranks pages instead of thresholding them).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a thresholded contender is given a zero `threshold`.
-    pub fn new(kind: HotnessPolicyKind, threshold: u32) -> Self {
-        match kind {
-            HotnessPolicyKind::Threshold => {
-                HotnessTracker::Threshold(HotPageTracker::new(threshold))
-            }
-            HotnessPolicyKind::Decay => HotnessTracker::Decay(DecayTracker::new(threshold)),
-            HotnessPolicyKind::TopK => HotnessTracker::TopK(TopKTracker::new()),
-        }
-    }
-
-    fn as_dyn(&self) -> &dyn HotnessPolicy {
-        match self {
-            HotnessTracker::Threshold(t) => t,
-            HotnessTracker::Decay(t) => t,
-            HotnessTracker::TopK(t) => t,
-        }
-    }
-
-    fn as_dyn_mut(&mut self) -> &mut dyn HotnessPolicy {
-        match self {
-            HotnessTracker::Threshold(t) => t,
-            HotnessTracker::Decay(t) => t,
-            HotnessTracker::TopK(t) => t,
-        }
-    }
-}
-
-impl HotnessPolicy for HotnessTracker {
-    fn kind(&self) -> HotnessPolicyKind {
-        self.as_dyn().kind()
-    }
-    fn record_access(&mut self, lpa: Lpa) -> bool {
-        self.as_dyn_mut().record_access(lpa)
-    }
-    fn count(&self, lpa: Lpa) -> u32 {
-        self.as_dyn().count(lpa)
-    }
-    fn take_candidate(&mut self, eligible: &mut dyn FnMut(Lpa) -> bool) -> Option<Lpa> {
-        self.as_dyn_mut().take_candidate(eligible)
-    }
-    fn pending_candidates(&self) -> usize {
-        self.as_dyn().pending_candidates()
-    }
-    fn mark_promoted(&mut self, lpa: Lpa) {
-        self.as_dyn_mut().mark_promoted(lpa)
-    }
-    fn mark_demoted(&mut self, lpa: Lpa) {
-        self.as_dyn_mut().mark_demoted(lpa)
-    }
-    fn promoted_count(&self) -> usize {
-        self.as_dyn().promoted_count()
-    }
-    fn tracked_pages(&self) -> u64 {
-        self.as_dyn().tracked_pages()
     }
 }
 
@@ -468,7 +207,7 @@ mod tests {
 
     #[test]
     fn crosses_threshold_once() {
-        let mut t = HotPageTracker::new(3);
+        let mut t = HotnessTracker::new(HotnessPolicyKind::Threshold, 3);
         assert!(!t.record_access(Lpa::new(1)));
         assert!(!t.record_access(Lpa::new(1)));
         assert!(t.record_access(Lpa::new(1)));
@@ -480,7 +219,7 @@ mod tests {
 
     #[test]
     fn take_candidate_respects_eligibility() {
-        let mut t = HotPageTracker::new(1);
+        let mut t = HotnessTracker::new(HotnessPolicyKind::Threshold, 1);
         t.record_access(Lpa::new(1));
         t.record_access(Lpa::new(2));
         // Page 2 is not eligible (e.g. evicted from the data cache).
@@ -494,7 +233,7 @@ mod tests {
 
     #[test]
     fn promoted_pages_are_not_tracked() {
-        let mut t = HotPageTracker::new(2);
+        let mut t = HotnessTracker::new(HotnessPolicyKind::Threshold, 2);
         t.record_access(Lpa::new(5));
         t.mark_promoted(Lpa::new(5));
         assert_eq!(t.promoted_count(), 1);
@@ -509,7 +248,7 @@ mod tests {
 
     #[test]
     fn mark_promoted_clears_pending_candidacy() {
-        let mut t = HotPageTracker::new(1);
+        let mut t = HotnessTracker::new(HotnessPolicyKind::Threshold, 1);
         t.record_access(Lpa::new(9));
         assert_eq!(t.pending_candidates(), 1);
         t.mark_promoted(Lpa::new(9));
@@ -520,12 +259,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "threshold")]
     fn rejects_zero_threshold() {
-        let _ = HotPageTracker::new(0);
+        let _ = HotnessTracker::new(HotnessPolicyKind::Threshold, 0);
     }
 
     #[test]
     fn ineligible_candidates_are_compacted_away() {
-        let mut t = HotPageTracker::new(1);
+        let mut t = HotnessTracker::new(HotnessPolicyKind::Threshold, 1);
         t.record_access(Lpa::new(7));
         assert_eq!(t.take_candidate(&mut |_| false), None);
         // The reset entry is removed, not stored as an explicit zero …
@@ -537,7 +276,7 @@ mod tests {
 
     #[test]
     fn decay_halves_counts_and_drops_cold_entries() {
-        let mut t = DecayTracker::new(1000);
+        let mut t = HotnessTracker::new(HotnessPolicyKind::Decay, 1000);
         // One access each to many one-shot pages, then enough traffic to a
         // hot page to trigger a decay round.
         for i in 0..100u64 {
@@ -555,7 +294,7 @@ mod tests {
 
     #[test]
     fn decay_renominates_without_duplicates() {
-        let mut t = DecayTracker::new(2);
+        let mut t = HotnessTracker::new(HotnessPolicyKind::Decay, 2);
         assert!(!t.record_access(Lpa::new(1)));
         assert!(t.record_access(Lpa::new(1)));
         // Above-threshold accesses do not duplicate the pending candidacy.
@@ -565,7 +304,7 @@ mod tests {
 
     #[test]
     fn topk_nominates_the_hottest_pages_of_a_window() {
-        let mut t = TopKTracker::new();
+        let mut t = HotnessTracker::new(HotnessPolicyKind::TopK, 0);
         let mut nominated = false;
         for i in 0..TOPK_WINDOW_ACCESSES {
             // Concentrate traffic on pages 0..4, spread the rest widely.
@@ -586,7 +325,7 @@ mod tests {
 
     #[test]
     fn topk_memory_is_bounded_by_the_window() {
-        let mut t = TopKTracker::new();
+        let mut t = HotnessTracker::new(HotnessPolicyKind::TopK, 0);
         for i in 0..10 * TOPK_WINDOW_ACCESSES as u64 {
             t.record_access(Lpa::new(i)); // every page distinct
         }
@@ -594,10 +333,9 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_enum_reports_kind_and_delegates() {
+    fn every_kind_shares_the_promotion_bookkeeping() {
         for kind in HotnessPolicyKind::ALL {
             let mut t = HotnessTracker::new(kind, 2);
-            assert_eq!(t.kind(), kind);
             t.record_access(Lpa::new(1));
             t.mark_promoted(Lpa::new(9));
             assert_eq!(t.promoted_count(), 1);

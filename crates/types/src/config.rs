@@ -770,8 +770,8 @@ pub struct SimConfig {
     /// The named design variant this configuration corresponds to (for
     /// reporting); the boolean knobs above are authoritative.
     pub variant: VariantKind,
-    /// Pluggable policy selection for the seams lifted behind traits
-    /// (data-cache eviction/admission, hotness tracking, tenant scheduling).
+    /// Pluggable policy selection (data-cache eviction/admission, hotness
+    /// tracking, tenant scheduling), each a kind its owner matches on.
     /// The default reproduces the pre-policy-layer behaviour exactly.
     #[serde(default)]
     pub policy: PolicyConfig,

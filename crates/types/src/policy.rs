@@ -2,30 +2,34 @@
 //!
 //! SkyByte's wins all come from *policy* choices — what the SSD DRAM caches,
 //! which pages count as hot, when pages migrate, who gets scheduled. This
-//! module names those choices so they can be swept like any other knob:
+//! module names those choices so they can be swept like any other knob.
+//! Each `*Kind` enum *is* its policy: the component that owns the decision
+//! matches on the kind, and a contender's private state is a field of that
+//! component.
 //!
-//! * [`EvictionPolicyKind`] / [`AdmissionPolicyKind`] — the data-cache seam
-//!   (`skybyte_cache::DataCache`),
-//! * [`HotnessPolicyKind`] — the controller's hot-page tracking seam
-//!   (`skybyte_ssd`),
-//! * [`TenantSchedKind`] — the engine's tenant-aware scheduling hook,
-//! * [`PlacementPolicyKind`] / [`RebalancePolicyKind`] — the fleet layer's
-//!   tenant-placement and cross-device rebalance seams
-//!   (`skybyte_sim::fleet`),
-//! * plus the pre-existing [`MigrationPolicyKind`](crate::MigrationPolicyKind)
-//!   and [`SchedPolicy`](crate::SchedPolicy), which the unified name registry
-//!   ([`PolicyOverride`]) folds into the same `--policy <name>` namespace.
+//! * [`EvictionPolicyKind`] / [`AdmissionPolicyKind`] — matched by
+//!   `skybyte_cache::DataCache` (`skybyte_cache::policy`),
+//! * [`HotnessPolicyKind`] — matched by the controller's
+//!   `skybyte_ssd::HotnessTracker`,
+//! * [`TenantSchedKind`] — matched by the `tenant_sched` module of `skybyte_sim`,
+//! * [`MigrationPolicyKind`] — matched by `skybyte_sim::MigrationEngine`,
+//! * [`SchedPolicy`] — matched by the OS scheduler (`skybyte_os::Scheduler`).
 //!
-//! [`PolicyConfig`] is the serializable block inside
-//! [`SimConfig`](crate::SimConfig) that carries the four new dimensions. Its
-//! `Default` is exactly the behaviour the simulator had before the seams were
-//! lifted behind policies — the golden-trace corpus pins that equivalence bit
-//! for bit.
+//! These six device dimensions share one `--policy <name>` registry
+//! ([`PolicyOverride`]). The fleet layer's [`PlacementPolicyKind`] and
+//! [`RebalancePolicyKind`] are fields of `skybyte_sim::FleetConfig`, matched
+//! by `skybyte_sim::fleet`; they are not device policies, so the registry
+//! rejects their names.
 //!
-//! Every kind has a stable lowercase name (`Display`/`FromStr`), all names
-//! across all eight dimensions are distinct, and [`PolicyOverride::from_str`]
-//! rejects unknown names with the full valid list — one registry shared by
-//! every CLI that takes `--policy`.
+//! [`PolicyConfig`] is the serializable block inside [`SimConfig`] that
+//! carries the four dimensions without an older home. Its `Default` is
+//! exactly the behaviour the simulator had before policies were pluggable —
+//! the golden-trace corpus pins that equivalence bit for bit.
+//!
+//! Every kind has a stable name (`Display`/`FromStr`), all registry names
+//! are distinct, and [`PolicyOverride::from_str`] rejects unknown names with
+//! the full valid list — one registry shared by every CLI that takes
+//! `--policy`.
 
 use crate::config::{MigrationPolicyKind, SchedPolicy, SimConfig};
 use serde::{Deserialize, Serialize};
@@ -87,11 +91,6 @@ pub enum EvictionPolicyKind {
     /// last-access tick (first match wins on ties). The default.
     #[default]
     PseudoLru,
-    /// True LRU via an explicit recency ordering. With the simulator's exact
-    /// per-access ticks this selects the same victims as `PseudoLru` — it is
-    /// kept as a distinct implementation of the seam so approximate variants
-    /// can diverge from it.
-    Lru,
     /// CLOCK (second chance): a per-set hand sweeps entries, clearing
     /// reference bits until it finds an unreferenced victim.
     Clock,
@@ -105,9 +104,8 @@ pub enum EvictionPolicyKind {
 
 impl EvictionPolicyKind {
     /// Every eviction policy, in declaration order.
-    pub const ALL: [EvictionPolicyKind; 5] = [
+    pub const ALL: [EvictionPolicyKind; 4] = [
         EvictionPolicyKind::PseudoLru,
-        EvictionPolicyKind::Lru,
         EvictionPolicyKind::Clock,
         EvictionPolicyKind::TwoQ,
         EvictionPolicyKind::Fifo,
@@ -118,7 +116,6 @@ impl fmt::Display for EvictionPolicyKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
             EvictionPolicyKind::PseudoLru => "pseudo-lru",
-            EvictionPolicyKind::Lru => "lru",
             EvictionPolicyKind::Clock => "clock",
             EvictionPolicyKind::TwoQ => "2q",
             EvictionPolicyKind::Fifo => "fifo",
@@ -283,9 +280,10 @@ impl FromStr for TenantSchedKind {
 ///
 /// Placement is a *fleet-level* dimension: it decides which device a tenant's
 /// demand lands on, and only then does each device compile down to an
-/// ordinary single-device run. It therefore never appears in a device
-/// fingerprint — two placements that agree on a device's tenant composition
-/// share that device's memoized result.
+/// ordinary single-device run. It is a `FleetConfig` field, never part of a
+/// device's `SimConfig` (so not a `--policy` name) — two placements that
+/// agree on a device's tenant composition share that device's memoized
+/// result.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum PlacementPolicyKind {
     /// First-fit bin packing by footprint: scan devices in index order and
@@ -371,8 +369,8 @@ impl FromStr for RebalancePolicyKind {
 
 /// The pluggable-policy block of [`SimConfig`].
 ///
-/// Carries the four policy dimensions the redesign lifted behind seams. The
-/// two policy dimensions that predate the block keep their existing homes —
+/// Carries the four policy dimensions that have no older home. The two
+/// policy dimensions that predate the block keep their existing homes —
 /// the migration policy in [`MigrationConfig`](crate::MigrationConfig)
 /// `.policy` and the OS scheduling policy in `SimConfig::sched_policy` — and
 /// join the shared name registry through [`PolicyOverride`].
@@ -407,12 +405,12 @@ impl PolicyConfig {
 // ---------------------------------------------------------------------------
 
 /// One parsed `--policy <name>` override: a policy name resolved to the
-/// dimension it belongs to.
+/// device dimension it belongs to.
 ///
-/// This is the single name registry shared by every CLI: all eight policy
-/// dimensions' names live in one flat, case-insensitive namespace (they are
-/// pairwise distinct — a test pins that), so `figures --policy clock
-/// --policy decay --policy tpp` needs no per-dimension flags.
+/// This is the single name registry shared by every CLI: all six device
+/// policy dimensions' names live in one flat, case-insensitive namespace
+/// (they are pairwise distinct — a test pins that), so `figures --policy
+/// clock --policy decay --policy tpp` needs no per-dimension flags.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PolicyOverride {
     /// A data-cache eviction policy.
@@ -427,10 +425,6 @@ pub enum PolicyOverride {
     Migration(MigrationPolicyKind),
     /// An OS thread-scheduling policy.
     Sched(SchedPolicy),
-    /// A fleet tenant-placement policy.
-    Placement(PlacementPolicyKind),
-    /// A fleet rebalance policy.
-    Rebalance(RebalancePolicyKind),
 }
 
 impl PolicyOverride {
@@ -439,11 +433,7 @@ impl PolicyOverride {
     /// Note that, exactly like setting the field directly, an override can
     /// be inert for a given variant: a migration policy is only exercised
     /// when `promotion_enable` is set, and the tenant scheduler only matters
-    /// for multi-tenant runs. The two fleet dimensions (placement and
-    /// rebalance) live *above* the device — they are consumed by
-    /// `skybyte_sim::fleet` when compiling a `FleetConfig`, never by a
-    /// single-device `SimConfig`, so applying them here is a no-op by design
-    /// (a device fingerprint must not depend on where the fleet placed it).
+    /// for multi-tenant runs.
     pub fn apply(self, cfg: &mut SimConfig) {
         match self {
             PolicyOverride::Eviction(k) => cfg.policy.eviction = k,
@@ -452,7 +442,6 @@ impl PolicyOverride {
             PolicyOverride::TenantSched(k) => cfg.policy.tenant_sched = k,
             PolicyOverride::Migration(k) => cfg.migration.policy = k,
             PolicyOverride::Sched(k) => cfg.sched_policy = k,
-            PolicyOverride::Placement(_) | PolicyOverride::Rebalance(_) => {}
         }
     }
 
@@ -466,8 +455,6 @@ impl PolicyOverride {
         names.extend(TenantSchedKind::ALL.iter().map(|k| k.to_string()));
         names.extend(MigrationPolicyKind::ALL.iter().map(|k| k.to_string()));
         names.extend(SchedPolicy::ALL.iter().map(|k| k.to_string()));
-        names.extend(PlacementPolicyKind::ALL.iter().map(|k| k.to_string()));
-        names.extend(RebalancePolicyKind::ALL.iter().map(|k| k.to_string()));
         names
     }
 }
@@ -481,8 +468,6 @@ impl fmt::Display for PolicyOverride {
             PolicyOverride::TenantSched(k) => k.fmt(f),
             PolicyOverride::Migration(k) => k.fmt(f),
             PolicyOverride::Sched(k) => k.fmt(f),
-            PolicyOverride::Placement(k) => k.fmt(f),
-            PolicyOverride::Rebalance(k) => k.fmt(f),
         }
     }
 }
@@ -508,12 +493,6 @@ impl FromStr for PolicyOverride {
         }
         if let Some(k) = lookup(&SchedPolicy::ALL, s) {
             return Ok(PolicyOverride::Sched(k));
-        }
-        if let Some(k) = lookup(&PlacementPolicyKind::ALL, s) {
-            return Ok(PolicyOverride::Placement(k));
-        }
-        if let Some(k) = lookup(&RebalancePolicyKind::ALL, s) {
-            return Ok(PolicyOverride::Rebalance(k));
         }
         Err(format!(
             "unknown policy '{s}' (valid: {})",
@@ -602,19 +581,10 @@ mod tests {
 
     #[test]
     fn fleet_dimensions_parse_but_leave_device_config_untouched() {
-        // Placement and rebalance are fleet-level: they resolve through the
-        // registry, but applying them to a SimConfig must be a no-op so a
-        // device fingerprint never depends on where the fleet placed it.
-        let mut cfg = SimConfig::default();
-        let before = format!("{cfg:?}");
-        apply_policy_name(&mut cfg, "interference").unwrap();
-        apply_policy_name(&mut cfg, "swap-worst").unwrap();
-        assert_eq!(format!("{cfg:?}"), before);
-        assert_eq!(
-            "round-robin".parse::<PolicyOverride>().unwrap(),
-            PolicyOverride::Placement(PlacementPolicyKind::RoundRobin),
-            "'round-robin' (placement) must stay distinct from 'rr' (OS sched)"
-        );
+        // Placement and rebalance are FleetConfig fields, not device
+        // policies: their names parse only as their own kinds, and the
+        // device registry refuses them with the list of valid names, so a
+        // device config never changes under a fleet name.
         assert_eq!(
             "pin".parse::<RebalancePolicyKind>().unwrap(),
             RebalancePolicyKind::Pin
@@ -622,6 +592,24 @@ mod tests {
         assert!("first-fit".parse::<PlacementPolicyKind>().is_ok());
         assert!("nope".parse::<PlacementPolicyKind>().is_err());
         assert!("nope".parse::<RebalancePolicyKind>().is_err());
+        let fleet_names = PlacementPolicyKind::ALL
+            .iter()
+            .map(|k| k.to_string())
+            .chain(RebalancePolicyKind::ALL.iter().map(|k| k.to_string()));
+        for name in fleet_names {
+            let mut cfg = SimConfig::default();
+            let before = format!("{cfg:?}");
+            let err = apply_policy_name(&mut cfg, &name).unwrap_err();
+            assert!(err.contains(&format!("unknown policy '{name}'")), "{err}");
+            for valid in PolicyOverride::all_names() {
+                assert!(
+                    err.contains(&valid),
+                    "error for '{name}' must list '{valid}'"
+                );
+            }
+            assert_eq!(format!("{cfg:?}"), before, "'{name}' touched the config");
+        }
+        assert_eq!(PolicyOverride::all_names().len(), 19);
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //! 4. the controller must expose the hotness tracker's footprint
 //!    (`tracked_pages`), and the bounded trackers must actually bound it;
 //! 5. a proptest sweep keeps random policy points conserving off the grid
-//!    of the named experiments.
+//!    of the named experiments;
+//! 6. every non-default contender reproduces a pinned result, since the
+//!    golden corpus runs default policies only.
 
 use skybyte::sim::runner::RunRequest;
 use skybyte::sim::{ExperimentScale, SimResult, Simulation};
@@ -170,6 +172,62 @@ fn hotness_trackers_expose_a_bounded_footprint() {
             assert!(tracked <= 1024, "topk must stay within its window");
         }
     }
+}
+
+/// 64-bit FNV-1a over `bytes`.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Every non-default contender of the `--policy` registry, run as
+/// SkyByte-Full on the ycsb + tpcc (2 + 2 threads) co-location at tiny
+/// scale: `(name, exec_time in ns, FNV-1a of the serialised SimResult)`.
+const CONTENDER_PINS: [(&str, u64, u64); 13] = [
+    ("clock", 4895687, 0x2691dfdb16c4bfce),
+    ("2q", 4898870, 0xf3c6ea65b6479661),
+    ("fifo", 5150138, 0x40fe8e8fe9de7607),
+    ("bypass-scan", 4979425, 0x0a08bcd97de0d6d1),
+    ("decay", 4952789, 0x8db6e32b45e0eaec),
+    ("topk", 4839494, 0x2c3bb2bffc3abef2),
+    ("fair-share", 4979285, 0xcd4fc7fbe9be77de),
+    ("qos", 4979425, 0xb2605fd75a99bc75),
+    ("tpp", 5096143, 0x5d1599fcc592fb31),
+    ("astriflash", 5304454, 0x3b7d1bf0ffdf0c59),
+    ("disabled", 5304454, 0x6b32b1c24cc62709),
+    ("RR", 4920549, 0x1503b383a0753e63),
+    ("Random", 4907801, 0x9d9776c038ac88ee),
+];
+
+#[test]
+fn non_default_contenders_reproduce_their_pinned_results() {
+    let scale = ExperimentScale::tiny();
+    let drifted: Vec<String> = CONTENDER_PINS
+        .iter()
+        .filter_map(|&(name, exec_ns, digest)| {
+            let mut sim = Simulation::build_multi(
+                VariantKind::SkyByteFull,
+                &[(WorkloadKind::Ycsb, 2), (WorkloadKind::Tpcc, 2)],
+                &scale,
+            );
+            apply_policy_name(sim.config_mut(), name).unwrap();
+            let result = sim.run();
+            let json = serde_json::to_string(&result).expect("a SimResult serialises");
+            let got = (result.exec_time.as_nanos(), fnv1a64(json.as_bytes()));
+            (got != (exec_ns, digest)).then(|| {
+                format!(
+                    "{name}: exec_time {} ns, digest {:#018x} (pinned {exec_ns} ns, {digest:#018x})",
+                    got.0, got.1
+                )
+            })
+        })
+        .collect();
+    assert!(
+        drifted.is_empty(),
+        "contenders drifted:\n{}",
+        drifted.join("\n")
+    );
 }
 
 mod proptest_sweep {
