@@ -2,13 +2,12 @@
 //!
 //! These measure the data structures on the critical path of the SSD
 //! controller (write-log append/lookup/compaction, data-cache access, FTL
-//! writes under GC pressure, MSHR churn, scheduler picks, flash-queue
-//! estimation). They correspond to the FPGA prototype measurements of §V
-//! (index lookup latencies) and to the ablation knobs called out in
-//! DESIGN.md.
+//! writes under GC pressure, scheduler picks, flash-queue estimation).
+//! They correspond to the FPGA prototype measurements of §V (index lookup
+//! latencies) and to the ablation knobs called out in DESIGN.md.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use skybyte_cache::{DataCache, MshrFile, WriteLog};
+use skybyte_cache::{DataCache, WriteLog};
 use skybyte_flash::{FlashArray, FlashCommandKind};
 use skybyte_ftl::Ftl;
 use skybyte_os::{BlockReason, Scheduler};
@@ -120,20 +119,8 @@ fn bench_ftl_and_flash(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_mshr_and_scheduler(c: &mut Criterion) {
+fn bench_scheduler(c: &mut Criterion) {
     let mut g = group(c, "host_side");
-    g.bench_function("mshr_allocate_complete_4k", |b| {
-        b.iter(|| {
-            let mut mshrs: MshrFile<u64, u32> = MshrFile::new(1024);
-            for i in 0..4_000u64 {
-                mshrs.allocate(i % 512, i as u32);
-                if i % 3 == 0 {
-                    mshrs.complete(&(i % 512));
-                }
-            }
-            black_box(mshrs.occupancy())
-        })
-    });
     g.bench_function("cfs_schedule_yield_4k", |b| {
         b.iter(|| {
             let mut sched = Scheduler::new(SchedPolicy::Cfs, Nanos::from_micros(2), 1);
@@ -204,7 +191,7 @@ criterion_group!(
     bench_write_log,
     bench_data_cache,
     bench_ftl_and_flash,
-    bench_mshr_and_scheduler,
+    bench_scheduler,
     bench_ssd_controller
 );
 criterion_main!(components);

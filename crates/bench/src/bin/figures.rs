@@ -23,7 +23,7 @@
 //! Figures 1, 7, 8, 11, 12 and 13 are architecture diagrams without data
 //! series and are therefore not listed.
 
-use skybyte_bench::{figures_scale, harness_runner};
+use skybyte_bench::{figures_scale, harness_runner, parse_count, MAX_SAMPLE_US};
 use skybyte_sim::report::{figure_table_named, paper_table, render, DATA_FIGURES};
 use skybyte_sim::{chrome_trace_json, metrics_csv, ExperimentScale, TraceDrive};
 use skybyte_types::{Nanos, PolicyOverride, TelemetryConfig};
@@ -160,15 +160,8 @@ fn parse_args() -> Result<Options, String> {
             }
             "--sample-us" => {
                 i += 1;
-                let us = args
-                    .get(i)
-                    .ok_or("--sample-us requires a number")?
-                    .parse::<u64>()
-                    .map_err(|e| format!("invalid sample interval: {e}"))?;
-                if us == 0 {
-                    return Err("--sample-us must be at least 1".to_string());
-                }
-                opts.sample_us = us;
+                let us = args.get(i).ok_or("--sample-us requires a number")?;
+                opts.sample_us = parse_count("--sample-us", us, MAX_SAMPLE_US)?;
             }
             "--perf" => {
                 // An optional path may follow; anything starting with `--`

@@ -21,7 +21,7 @@
 //! replay reproduces the partition; single-tenant outputs stay at format
 //! version 1, byte-identical to earlier releases.
 
-use skybyte_bench::{figures_scale, variant_from_name};
+use skybyte_bench::{figures_scale, parse_count, variant_from_name, MAX_SAMPLE_US};
 use skybyte_sim::{
     chrome_trace_json, metrics_csv, ExperimentScale, PerfReport, RunTiming, SimResult, Simulation,
 };
@@ -145,11 +145,8 @@ fn cmd_record(args: &[String]) -> Result<(), String> {
                     .ok_or_else(|| format!("unknown scale '{name}' (tiny|bench|default)"))?;
             }
             "--threads" => {
-                let t = parse_u64(value(args, &mut i, "--threads")?, "thread count")?;
-                if t == 0 || t > u32::MAX as u64 {
-                    return Err("--threads must be between 1 and 2^32-1".into());
-                }
-                threads = Some(t as u32);
+                let t = value(args, &mut i, "--threads")?;
+                threads = Some(parse_count("--threads", t, u32::MAX.into())? as u32);
             }
             "--accesses" => {
                 accesses = Some(parse_u64(
@@ -238,11 +235,8 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
             "--metrics" => metrics = Some(PathBuf::from(value(args, &mut i, "--metrics")?)),
             "--timeline" => timeline = Some(PathBuf::from(value(args, &mut i, "--timeline")?)),
             "--sample-us" => {
-                let us = parse_u64(value(args, &mut i, "--sample-us")?, "sample interval")?;
-                if us == 0 {
-                    return Err("--sample-us must be at least 1".into());
-                }
-                sample_us = us;
+                let us = value(args, &mut i, "--sample-us")?;
+                sample_us = parse_count("--sample-us", us, MAX_SAMPLE_US)?;
             }
             "--perf" => {
                 // An optional path may follow; anything starting with `--`
@@ -505,7 +499,8 @@ fn cmd_mix(args: &[String]) -> Result<(), String> {
                 shift_stride = parse_u64(value(args, &mut i, "--shift-stride")?, "shift stride")?
             }
             "--loop" => {
-                loop_times = parse_u64(value(args, &mut i, "--loop")?, "loop count")? as u32
+                let n = value(args, &mut i, "--loop")?;
+                loop_times = parse_count("--loop", n, u32::MAX.into())? as u32;
             }
             flag if flag.starts_with("--") => return Err(format!("unknown mix argument '{flag}'")),
             input => inputs.push(parse_input(input)?),

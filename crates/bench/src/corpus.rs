@@ -505,8 +505,9 @@ fn pin_into_staging(
 }
 
 /// Replays every corpus pair and verifies it against its pinned golden,
-/// path by path ([`SimResult::diff_fields`]), plus the conservation audit. Output is identical for any
-/// `jobs` value.
+/// path by path ([`SimResult::diff_against_json`], so a golden key the
+/// result no longer has fails too), plus the conservation audit. Output is
+/// identical for any `jobs` value.
 pub fn verify(corpus: &Path, jobs: usize) -> Result<CorpusReport, String> {
     let entries = entries();
     let pairs: Vec<(usize, VariantKind)> = entries
@@ -541,8 +542,8 @@ pub fn verify(corpus: &Path, jobs: usize) -> Result<CorpusReport, String> {
                 continue;
             }
         };
-        let golden: SimResult = match serde_json::from_str(&golden_json) {
-            Ok(g) => g,
+        let diff = match result.diff_against_json(&golden_json) {
+            Ok(d) => d,
             Err(e) => {
                 failures.push(format!("{pair}: unparsable golden: {e}"));
                 continue;
@@ -552,7 +553,6 @@ pub fn verify(corpus: &Path, jobs: usize) -> Result<CorpusReport, String> {
         // golden and violates the audit yields a single combined record, so
         // the "N of M pairs diverged" headline counts pairs, not symptoms.
         let mut problems = Vec::new();
-        let diff = result.diff_fields(&golden);
         if !diff.is_empty() {
             let mut lines = format!("{} field(s) diverged from the golden:", diff.len());
             for d in &diff {

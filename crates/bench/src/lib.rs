@@ -52,6 +52,22 @@ pub fn harness_runner(jobs: Option<usize>) -> Runner {
     Runner::new(jobs.unwrap_or_else(default_parallelism))
 }
 
+/// The largest `--sample-us` value whose cadence in nanoseconds fits a
+/// `u64`.
+pub const MAX_SAMPLE_US: u64 = u64::MAX / 1_000;
+
+/// Parses the value of a numeric CLI flag that must lie in `1..=max`.
+///
+/// Anything else (not a number, 0, or above `max`) is a one-line error
+/// naming the flag, so a value the caller would overflow or truncate is
+/// refused instead of silently wrapped.
+pub fn parse_count(flag: &str, value: &str, max: u64) -> Result<u64, String> {
+    match value.parse::<u64>() {
+        Ok(n) if (1..=max).contains(&n) => Ok(n),
+        _ => Err(format!("{flag} must be between 1 and {max}, got '{value}'")),
+    }
+}
+
 /// Parses a design-variant name as printed by the paper (case-insensitive),
 /// e.g. `"SkyByte-Full"` or `"base-cssd"`.
 pub fn variant_from_name(name: &str) -> Option<VariantKind> {
@@ -145,6 +161,31 @@ mod tests {
     fn harness_runner_resolves_jobs() {
         assert_eq!(harness_runner(Some(3)).jobs(), 3);
         assert!(harness_runner(None).jobs() >= 1);
+    }
+
+    #[test]
+    fn counts_reject_zero_overflow_and_garbage() {
+        let loops = u64::from(u32::MAX);
+        assert_eq!(parse_count("--loop", "3", loops), Ok(3));
+        assert_eq!(parse_count("--loop", "4294967295", loops), Ok(loops));
+        assert_eq!(
+            parse_count("--sample-us", "18446744073709551", MAX_SAMPLE_US),
+            Ok(MAX_SAMPLE_US)
+        );
+        for (flag, value, max) in [
+            ("--loop", "0", loops),
+            ("--loop", "4294967299", loops),
+            ("--sample-us", "18446744073709552", MAX_SAMPLE_US),
+            ("--sample-us", "18446744073709551616", MAX_SAMPLE_US),
+            ("--sample-us", "-1", MAX_SAMPLE_US),
+            ("--sample-us", "ten", MAX_SAMPLE_US),
+            ("--sample-us", "", MAX_SAMPLE_US),
+        ] {
+            let err = parse_count(flag, value, max).unwrap_err();
+            assert!(err.starts_with(flag), "{err}");
+            assert!(err.contains(&format!("'{value}'")), "{err}");
+            assert!(!err.contains('\n'), "{err}");
+        }
     }
 
     #[test]

@@ -2,7 +2,6 @@
 
 use skybyte_bench::corpus::{entries, pin, pin_entries, verify, CORPUS_VARIANTS};
 use skybyte_sim::audit::audit_with_telemetry;
-use skybyte_sim::SimResult;
 use skybyte_types::{Nanos, TelemetryConfig};
 use std::path::PathBuf;
 
@@ -53,8 +52,7 @@ fn corpus_replays_bit_identically_with_telemetry_enabled() {
                 .expect("corpus replay with telemetry");
             let output = output.expect("telemetry was enabled");
             let golden_json = std::fs::read_to_string(entry.golden_path(&corpus, variant)).unwrap();
-            let golden: SimResult = serde_json::from_str(&golden_json).unwrap();
-            let diff = result.diff_fields(&golden);
+            let diff = result.diff_against_json(&golden_json).unwrap();
             assert!(
                 diff.is_empty(),
                 "{} under {variant}: telemetry perturbed the replay:\n{}",
@@ -144,6 +142,53 @@ fn verification_reports_the_divergent_fields() {
     assert!(
         failure.contains(entries()[0].name),
         "diff must name the pair: {failure}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn stale_and_missing_golden_keys_fail_with_their_path() {
+    // Copy the checked-in corpus, then give one golden a key the result
+    // schema does not have and take a key away from another. Each pair must
+    // fail and name the path, not be masked by parsing the golden into a
+    // `SimResult` first.
+    let dir = scratch("stale-keys");
+    for sub in ["traces", "golden"] {
+        std::fs::create_dir_all(dir.join(sub)).unwrap();
+        for f in std::fs::read_dir(repo_corpus().join(sub)).unwrap() {
+            let f = f.unwrap();
+            std::fs::copy(f.path(), dir.join(sub).join(f.file_name())).unwrap();
+        }
+    }
+    let tamper = |entry: usize, variant: usize, from: &str, to: &str| {
+        let path = entries()[entry].golden_path(&dir, CORPUS_VARIANTS[variant]);
+        let json = std::fs::read_to_string(&path).unwrap();
+        let tampered = json.replacen(from, to, 1);
+        assert_ne!(json, tampered, "tampering must change the golden");
+        std::fs::write(&path, tampered).unwrap();
+    };
+    tamper(
+        0,
+        1,
+        "\"migration\": {",
+        "\"migration\": {\"stale_counter\": 7, ",
+    );
+    tamper(1, 2, "\"tlb_shootdowns\": ", "\"retired_name\": ");
+    let report = verify(&dir, 2).unwrap();
+    assert_eq!(report.failures.len(), 2, "{}", report.render_failures());
+    let stale = &report.failures[0];
+    assert!(
+        stale.contains("layers.migration.stale_counter: expected 7, got absent"),
+        "{stale}"
+    );
+    let missing = &report.failures[1];
+    assert!(
+        missing.contains("layers.migration.tlb_shootdowns: expected absent, got "),
+        "{missing}"
+    );
+    assert!(
+        missing.contains("layers.migration.retired_name: expected "),
+        "{missing}"
     );
     std::fs::remove_dir_all(&dir).ok();
 }

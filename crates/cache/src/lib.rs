@@ -18,11 +18,13 @@
 //! * **log compaction** ([`CompactionPlan`]) — when a log fills up it is
 //!   frozen, writes continue in the other buffer, and the frozen log is
 //!   coalesced page-by-page and flushed to flash in the background;
-//! * **MSHRs** ([`MshrFile`]) — miss-status holding registers that merge
-//!   concurrent requests for the same in-flight flash page;
 //! * **per-tenant log partitions** ([`WriteLogPartitions`]) — windowed
 //!   append accounting per tenant, feeding the `qos` tenant scheduler so a
 //!   log-hungry neighbour can be deprioritised at placement time.
+//!
+//! Reads of a page whose flash fill is already in flight merge in the SSD
+//! controller's in-flight fill table, so the crate has no separate MSHR
+//! model.
 //!
 //! # Example
 //!
@@ -49,13 +51,11 @@
 
 mod data_cache;
 mod log_index;
-mod mshr;
 mod partition;
 pub mod policy;
 mod write_log;
 
 pub use data_cache::{DataCache, DataCacheStats, EvictedPage};
 pub use log_index::{LogIndex, LogIndexStats};
-pub use mshr::{MshrFile, MshrOutcome};
 pub use partition::WriteLogPartitions;
 pub use write_log::{AppendOutcome, CompactionPlan, PageFlush, WriteLog, WriteLogStats};

@@ -1008,11 +1008,6 @@ pub fn table2_parameters() -> ExperimentTable {
     let mut t = ExperimentTable::new("table-2", "Simulator parameters (defaults)", &["value"]);
     t.push("cpu.cores", vec![cfg.cpu.cores as f64]);
     t.push("cpu.rob_entries", vec![cfg.cpu.rob_entries as f64]);
-    t.push(
-        "llc.size_mib",
-        vec![cfg.cpu.llc.size_bytes as f64 / MIB as f64],
-    );
-    t.push("llc.mshrs", vec![cfg.cpu.llc.mshrs as f64]);
     t.push("tlb.entries", vec![cfg.cpu.tlb.entries as f64]);
     t.push(
         "tlb.miss_ns",

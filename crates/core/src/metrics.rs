@@ -339,18 +339,26 @@ impl SimResult {
         self.exec_time.as_nanos() as f64 / baseline.exec_time.as_nanos() as f64
     }
 
-    /// Path-by-path comparison against another result, returning one
-    /// `"path: expected X, got Y"` line per differing leaf of the serialised
-    /// form, e.g. `layers.flash.pages_read` or
+    /// Path-by-path comparison against a golden result kept as JSON text,
+    /// returning one `"path: expected X, got Y"` line per differing leaf,
+    /// e.g. `layers.flash.pages_read` or
     /// `per_tenant[1].latency_hist.buckets[7]` (see [`diff_values`]).
     ///
     /// This is the diff the golden-corpus verifier prints when a replayed
     /// trace no longer reproduces its pinned result: a plain `PartialEq`
     /// failure says *that* the numbers drifted, the path list says *where*.
-    /// It walks the serialised form, so every field is covered by
-    /// construction.
-    pub fn diff_fields(&self, golden: &SimResult) -> Vec<String> {
-        diff_values(&golden.serialize(), &self.serialize())
+    /// It walks this result's serialised form, so every field is covered by
+    /// construction. The golden is compared as parsed JSON, not as a
+    /// `SimResult`, so a key the schema no longer has is reported
+    /// (`layers.migration.stale_counter: expected 7, got absent`) instead of
+    /// being dropped by the parse.
+    ///
+    /// # Errors
+    ///
+    /// Returns the parse error if `golden_json` is not valid JSON.
+    pub fn diff_against_json(&self, golden_json: &str) -> Result<Vec<String>, serde_json::Error> {
+        let golden: Value = serde_json::from_str(golden_json)?;
+        Ok(diff_values(&golden, &self.serialize()))
     }
 }
 
@@ -420,6 +428,13 @@ pub fn geometric_mean(values: impl IntoIterator<Item = f64>) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Diffs `run` against `golden` the way the corpus verifier does: through
+    /// the golden's JSON text.
+    fn diff(run: &SimResult, golden: &SimResult) -> Vec<String> {
+        let json = serde_json::to_string(golden).unwrap();
+        run.diff_against_json(&json).unwrap()
+    }
 
     fn dummy(exec_ns: u64) -> SimResult {
         SimResult {
@@ -570,8 +585,8 @@ mod tests {
     #[test]
     fn identical_results_diff_empty() {
         let golden = dummy(1_000_000);
-        assert!(golden.diff_fields(&golden).is_empty());
-        assert!(golden.diff_fields(&golden.clone()).is_empty());
+        assert!(diff(&golden, &golden).is_empty());
+        assert!(diff(&golden, &golden.clone()).is_empty());
     }
 
     #[test]
@@ -583,7 +598,7 @@ mod tests {
         run.layers.flash.pages_read = 77;
         run.layers.cxl.requests = 42;
         assert_eq!(
-            run.diff_fields(&golden),
+            diff(&run, &golden),
             vec![
                 "exec_time: expected 1000000, got 1000005",
                 "requests.ssd_write: expected 20, got 21",
@@ -599,7 +614,7 @@ mod tests {
         let mut run = golden.clone();
         // 200 ns lands in bucket 7, [128, 256) ns.
         run.per_tenant[0].latency_hist.record(Nanos::new(200));
-        let diff = run.diff_fields(&golden);
+        let diff = diff(&run, &golden);
         assert!(
             diff.contains(&"per_tenant[0].latency_hist.buckets[7]: expected 0, got 1".to_string()),
             "{diff:?}"
@@ -630,7 +645,7 @@ mod tests {
         let golden = dummy(1_000_000);
         let mut extra = golden.clone();
         extra.per_tenant.push(extra.per_tenant[0].clone());
-        let diff = extra.diff_fields(&golden);
+        let diff = diff(&extra, &golden);
         assert_eq!(diff.len(), 1, "{diff:?}");
         assert!(diff[0].starts_with("per_tenant[1]: expected absent, got {"));
     }

@@ -1,15 +1,15 @@
 //! Page migration between the CXL-SSD and host DRAM (§III-C and §VI-H).
 //!
-//! The [`MigrationEngine`] owns the mechanism (PLB tracking, CXL page
-//! copies, PTE/TLB updates, budget-driven demotion) and matches on its
-//! [`MigrationPolicyKind`] for the decision of when and what to promote.
-//! The paper's promotion policies:
+//! The [`MigrationEngine`] owns the mechanism (CXL page copies, the host
+//! DRAM transfer, PTE/TLB updates, budget-driven demotion) and matches on
+//! its [`MigrationPolicyKind`] for the decision of when and what to
+//! promote. A migration completes within the call that starts it, so no
+//! access can meet a page in flight and the paper's Promotion Look-aside
+//! Buffer is not modelled. The paper's promotion policies:
 //!
 //! * `adaptive` (SkyByte): the SSD controller tracks per-page access
 //!   counts and nominates hot, cache-resident pages; the OS copies them into
-//!   its promotion pool, updates the PTE and shoots down the TLB entry. The
-//!   Promotion Look-aside Buffer keeps concurrent accesses consistent while
-//!   the copy is in flight.
+//!   its promotion pool, updates the PTE and shoots down the TLB entry.
 //! * `tpp` (SkyByte-CT / -WCT): the OS samples accesses periodically and
 //!   promotes pages touched at least twice in a window — less accurate than
 //!   the controller's exact counters. The sampler, with its per-period
@@ -24,7 +24,7 @@
 
 use serde::{Deserialize, Serialize};
 use skybyte_cpu::HostDram;
-use skybyte_cxl::{CxlPort, PromotionLookasideBuffer};
+use skybyte_cxl::CxlPort;
 use skybyte_os::{HostMemoryPool, PageTable, PoolDecision, Tlb, TppSampler};
 use skybyte_ssd::SsdController;
 use skybyte_types::{Lpa, MigrationPolicyKind, Nanos, PageNumber, SimConfig, PAGE_SIZE};
@@ -38,7 +38,11 @@ pub struct MigrationStats {
     pub promotions: u64,
     /// Pages evicted from host DRAM back to the SSD.
     pub demotions: u64,
-    /// Promotions skipped because the PLB was full.
+    /// Promotions skipped because the Promotion Look-aside Buffer was full.
+    /// Always 0: a promotion completes within one call, so the buffer the
+    /// paper sizes is never modelled and never fills. The field stays only
+    /// because removing it changes the serialised `SimResult`, which needs a
+    /// full re-pin of the golden corpus.
     pub plb_stalls: u64,
     /// TLB shootdowns issued for PTE updates.
     pub tlb_shootdowns: u64,
@@ -67,8 +71,6 @@ pub struct MigrationEngine {
     /// `tpp` policy feeds or reads it.
     tpp: TppSampler,
     pool: HostMemoryPool,
-    plb: PromotionLookasideBuffer,
-    page_copy_overhead: Nanos,
     stats: MigrationStats,
 }
 
@@ -85,8 +87,6 @@ impl MigrationEngine {
             policy,
             tpp: TppSampler::new(&cfg.migration),
             pool: HostMemoryPool::new(cfg.host_dram.promotion_capacity_bytes),
-            plb: PromotionLookasideBuffer::new(cfg.migration.plb_entries.max(1)),
-            page_copy_overhead: cfg.migration.page_copy_latency,
             stats: MigrationStats::default(),
         }
     }
@@ -163,10 +163,6 @@ impl MigrationEngine {
         if self.pool.contains(lpa) {
             return None;
         }
-        if self.plb.is_full() {
-            self.stats.plb_stalls += 1;
-            return None;
-        }
         // Make room, evicting cold pages back to the SSD as needed.
         let frame = loop {
             match self.pool.promote(lpa) {
@@ -181,23 +177,17 @@ impl MigrationEngine {
             }
         };
 
-        // Track the in-flight copy in the PLB, copy the page over the CXL
-        // link into host DRAM, then finalise PTE/TLB state.
+        // Copy the page over the CXL link into host DRAM, then finalise
+        // PTE/TLB state. The copies occupy the link and the DRAM channels,
+        // but no thread waits for them: the promotion completes here.
         let source = PageNumber(lpa.index());
-        let _ = self.plb.begin(source, frame);
         let copy_arrival = ctx.port.deliver_payload(now, PAGE_SIZE as u64);
-        let copy_done = ctx.host_dram.transfer(copy_arrival, PAGE_SIZE as u64);
-        for cl in 0..64u8 {
-            self.plb.mark_migrated(source, cl);
-        }
-        self.plb.complete(source);
-
+        ctx.host_dram.transfer(copy_arrival, PAGE_SIZE as u64);
         ctx.ssd.promote_page(lpa);
         ctx.page_table.promote(source, frame);
         ctx.tlb.shootdown(source);
         self.stats.tlb_shootdowns += 1;
         self.stats.promotions += 1;
-        let _ = copy_done + self.page_copy_overhead;
         Some(lpa)
     }
 
@@ -330,6 +320,49 @@ mod tests {
         let got = engine.on_demand_fill(Lpa::new(9), Nanos::ZERO, &mut ctx);
         assert_eq!(got, Some(Lpa::new(9)));
         assert!(engine.is_promoted(Lpa::new(9)));
+    }
+
+    #[test]
+    fn each_page_copy_is_one_page_payload_and_one_shootdown() {
+        let (mut cfg, _) = test_setup(VariantKind::AstriFlashCxl, 1);
+        cfg.migration.policy = MigrationPolicyKind::AstriFlash;
+        let mut ssd = SsdController::new(&cfg);
+        let mut engine = MigrationEngine::new(&cfg);
+        let mut pt = PageTable::new();
+        let mut tlb = Tlb::new(64, Nanos::new(100));
+        let mut port = CxlPort::new(Nanos::new(40), 16 << 30);
+        let mut dram = HostDram::new(&cfg.host_dram);
+        ssd.precondition([Lpa::new(1), Lpa::new(2)]);
+        let page = PAGE_SIZE as u64;
+
+        // A promotion: one port response carrying the page, one shootdown.
+        let mut ctx = full_ctx(&mut ssd, &mut pt, &mut tlb, &mut port, &mut dram);
+        assert_eq!(
+            engine.on_demand_fill(Lpa::new(1), Nanos::ZERO, &mut ctx),
+            Some(Lpa::new(1))
+        );
+        assert_eq!(port.stats().responses, 1);
+        assert_eq!(port.stats().payload_bytes, page);
+        assert_eq!(engine.stats().tlb_shootdowns, 1);
+
+        // The one-page budget is full, so the next promotion first demotes
+        // page 1: each copy adds the same again.
+        let mut ctx = full_ctx(&mut ssd, &mut pt, &mut tlb, &mut port, &mut dram);
+        assert_eq!(
+            engine.on_demand_fill(Lpa::new(2), Nanos::from_micros(1), &mut ctx),
+            Some(Lpa::new(2))
+        );
+        assert_eq!(engine.stats().demotions, 1);
+        assert_eq!(engine.stats().promotions, 2);
+        assert_eq!(port.stats().responses, 3);
+        assert_eq!(port.stats().payload_bytes, 3 * page);
+        assert_eq!(engine.stats().tlb_shootdowns, 3);
+        // Page copies are responses, never host requests, and nothing
+        // stalls.
+        assert_eq!(port.stats().requests, 0);
+        assert_eq!(engine.stats().plb_stalls, 0);
+        assert!(pt.translate(PageNumber(2)).is_host());
+        assert!(!pt.translate(PageNumber(1)).is_host());
     }
 
     #[test]

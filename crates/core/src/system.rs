@@ -398,11 +398,10 @@ impl SystemState {
     /// unfinished is running elsewhere), so until the state change that
     /// triggered this call, the reference loop could do nothing with the
     /// parked core except hop it: each hop advances its clock by
-    /// [`IDLE_HOP`], charges the hop to idle boundedness, and counts an
-    /// idle pick. A hop with pre-hop clock `t` precedes the pass iff
-    /// `t < pass_time`, or `t == pass_time` and the parked core's index is
-    /// lower (the scan picks the first minimal clock), which gives the
-    /// closed-form hop count below.
+    /// [`IDLE_HOP`] and charges the hop to idle boundedness. A hop with
+    /// pre-hop clock `t` precedes the pass iff `t < pass_time`, or
+    /// `t == pass_time` and the parked core's index is lower (the scan picks
+    /// the first minimal clock), which gives the closed-form hop count below.
     fn unpark(&mut self, pass_time: Nanos, pass_core: usize, queue: Option<&mut EventQueue>) {
         let hop = IDLE_HOP.as_nanos();
         let mut queue = queue;
@@ -427,7 +426,6 @@ impl SystemState {
                 let advance = IDLE_HOP * hops;
                 self.core_clock[core] += advance;
                 self.boundedness[core].idle += advance;
-                self.sched.record_idle_picks(hops);
             }
             if let Some(q) = queue.as_deref_mut() {
                 q.push(self.core_clock[core], core as u32);

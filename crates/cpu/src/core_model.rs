@@ -1,4 +1,4 @@
-//! The MLP-limited core timing model and boundedness accounting.
+//! The ROB-overlap core timing model and boundedness accounting.
 //!
 //! Following the paper's methodology (§II-C), a cycle is *bounded by memory*
 //! if nothing but memory operations is in flight during it, and *bounded by
@@ -17,7 +17,6 @@ pub struct CoreTimingModel {
     freq: Freq,
     base_ipc: f64,
     rob_entries: u32,
-    mem_op_fraction: f64,
 }
 
 impl CoreTimingModel {
@@ -32,7 +31,6 @@ impl CoreTimingModel {
             freq: cfg.freq,
             base_ipc: cfg.base_ipc,
             rob_entries: cfg.rob_entries,
-            mem_op_fraction: cfg.mem_op_fraction,
         }
     }
 
@@ -58,21 +56,6 @@ impl CoreTimingModel {
     /// of the given latency.
     pub fn effective_stall(&self, latency: Nanos) -> Nanos {
         latency.saturating_sub(self.overlap_window())
-    }
-
-    /// Maximum number of independent off-chip misses the core can keep in
-    /// flight, limited by the ROB size and the fraction of instructions that
-    /// are memory operations. This bounds how well a single thread can
-    /// saturate the CXL link (the "35 vs 750 outstanding requests" argument
-    /// of §II-C).
-    pub fn mlp_limit(&self, llc_mpki: f64) -> u32 {
-        if llc_mpki <= 0.0 {
-            return 1;
-        }
-        // Instructions between consecutive LLC misses.
-        let inst_per_miss = 1000.0 / llc_mpki;
-        let window_misses = (self.rob_entries as f64 / inst_per_miss).floor() as u32;
-        window_misses.clamp(1, (self.rob_entries as f64 * self.mem_op_fraction) as u32)
     }
 
     /// The clock frequency.
@@ -175,19 +158,6 @@ mod tests {
             Nanos::new(3000 - 32)
         );
         assert_eq!(m.effective_stall(Nanos::new(10)), Nanos::ZERO);
-    }
-
-    #[test]
-    fn mlp_limit_bounds() {
-        let m = model();
-        // Dense-miss workload (bfs-dense: 122.9 MPKI): many misses in window.
-        let dense = m.mlp_limit(122.9);
-        // Sparse-miss workload (tpcc: 1.0 MPKI): one miss per window.
-        let sparse = m.mlp_limit(1.0);
-        assert!(dense > sparse);
-        assert_eq!(sparse, 1);
-        assert!(dense <= (256.0 * 0.3) as u32);
-        assert_eq!(m.mlp_limit(0.0), 1);
     }
 
     #[test]

@@ -3,15 +3,6 @@
 use serde::{Deserialize, Serialize};
 use skybyte_types::{HostDramConfig, Nanos, CACHELINE_SIZE};
 
-/// Traffic statistics of the host memory controller.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct HostDramStats {
-    /// Cacheline accesses served.
-    pub accesses: u64,
-    /// Bytes moved.
-    pub bytes: u64,
-}
-
 /// A bandwidth- and latency-constrained host DRAM model.
 ///
 /// Each access pays the configured access latency; sustained throughput is
@@ -23,8 +14,6 @@ pub struct HostDram {
     access_latency: Nanos,
     bandwidth_bps: u64,
     busy_until: Nanos,
-    busy_time: Nanos,
-    stats: HostDramStats,
 }
 
 impl HostDram {
@@ -34,8 +23,6 @@ impl HostDram {
             access_latency: cfg.timing.access_latency,
             bandwidth_bps: cfg.timing.total_bandwidth_bps(),
             busy_until: Nanos::ZERO,
-            busy_time: Nanos::ZERO,
-            stats: HostDramStats::default(),
         }
     }
 
@@ -47,34 +34,18 @@ impl HostDram {
 
     /// Serves a bulk transfer of `bytes` (page-migration copies).
     pub fn transfer(&mut self, now: Nanos, bytes: u64) -> Nanos {
-        self.stats.accesses += 1;
-        self.stats.bytes += bytes;
         let serialisation_ns = ((bytes as f64) * 1e9 / self.bandwidth_bps as f64)
             .ceil()
             .max(1.0) as u64;
         let serialisation = Nanos::new(serialisation_ns);
         let start = now.max(self.busy_until.saturating_sub(self.access_latency));
         self.busy_until = start + serialisation + self.access_latency;
-        self.busy_time += serialisation;
         start + self.access_latency
     }
 
     /// The fixed access latency.
     pub fn access_latency(&self) -> Nanos {
         self.access_latency
-    }
-
-    /// Fraction of `[0, now]` the channels spent transferring data.
-    pub fn utilisation(&self, now: Nanos) -> f64 {
-        if now == Nanos::ZERO {
-            return 0.0;
-        }
-        (self.busy_time.as_nanos() as f64 / now.as_nanos() as f64).min(1.0)
-    }
-
-    /// Traffic statistics.
-    pub fn stats(&self) -> &HostDramStats {
-        &self.stats
     }
 }
 
@@ -87,8 +58,6 @@ mod tests {
         let mut dram = HostDram::new(&HostDramConfig::default());
         assert_eq!(dram.access(Nanos::ZERO), Nanos::new(70));
         assert_eq!(dram.access_latency(), Nanos::new(70));
-        assert_eq!(dram.stats().accesses, 1);
-        assert_eq!(dram.stats().bytes, 64);
     }
 
     #[test]
@@ -108,12 +77,13 @@ mod tests {
         let a = dram.transfer(Nanos::ZERO, 4096);
         let b = dram.transfer(Nanos::ZERO, 4096);
         assert!(b > a);
-        assert!(dram.utilisation(b) > 0.5);
     }
 
     #[test]
     fn utilisation_zero_at_start() {
-        let dram = HostDram::new(&HostDramConfig::default());
-        assert_eq!(dram.utilisation(Nanos::ZERO), 0.0);
+        // A fresh model has no busy horizon: even a page-sized transfer at
+        // time zero pays only the access latency.
+        let mut dram = HostDram::new(&HostDramConfig::default());
+        assert_eq!(dram.transfer(Nanos::ZERO, 4096), Nanos::new(70));
     }
 }

@@ -1,14 +1,14 @@
-//! Host CPU substrate: cache hierarchy, host DRAM and core timing model.
+//! Host CPU substrate: host DRAM and core timing model.
 //!
 //! The SkyByte paper evaluates with MacSim, a cycle-accurate multi-core
 //! simulator. Its conclusions, however, are driven by off-chip memory
 //! behaviour: Figure 4 shows that the studied workloads spend 62.9–99.8 % of
 //! their cycles bounded by memory even on host DRAM. This crate therefore
-//! provides a *memory-level-parallelism (MLP) limited* core model instead of
-//! a full pipeline model:
+//! provides a core model that only bounds how much off-chip latency the
+//! out-of-order window hides, instead of a full pipeline model. The on-chip
+//! cache hierarchy is not simulated: each workload's Table I LLC MPKI sets
+//! how many instructions run between two off-chip accesses.
 //!
-//! * [`CacheHierarchy`] — per-core L1/L2 and a shared LLC with MSHRs
-//!   (Table II sizes), filtering which accesses go off-chip;
 //! * [`HostDram`] — DDR5 latency/bandwidth model for accesses that stay in
 //!   host memory (and for promoted pages);
 //! * [`CoreTimingModel`] — converts instruction counts to time and bounds how
@@ -39,8 +39,6 @@
 
 mod core_model;
 mod dram;
-mod hierarchy;
 
 pub use core_model::{Boundedness, CoreTimingModel};
-pub use dram::{HostDram, HostDramStats};
-pub use hierarchy::{CacheHierarchy, CacheLevel, HitLevel};
+pub use dram::HostDram;

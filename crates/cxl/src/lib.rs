@@ -8,23 +8,18 @@
 //! this opcode, and the host turns it into a *Long Delay Exception* that lets
 //! the OS context-switch the blocked thread (Figure 7).
 //!
-//! This crate provides:
+//! This crate provides [`port`], the link/protocol timing model (40 ns
+//! protocol latency, PCIe 5.0 ×4 bandwidth) and its traffic counters.
 //!
-//! * [`message`] — message and opcode types with bit-exact NDR encoding,
-//! * [`port`] — the link/protocol timing model (40 ns protocol latency,
-//!   PCIe 5.0 ×4 bandwidth) and per-transaction tag allocation,
-//! * [`plb`] — the Promotion Look-aside Buffer in the host bridge that keeps
-//!   reads/writes consistent while a page migrates between the SSD and host
-//!   DRAM (§III-C), including the two-level variant for 2 MiB huge pages
-//!   (§IV).
+//! Messages are not modelled flit by flit. The `SkyByte-Delay` response is
+//! the controller's `SsdAccessOutcome::delay_hint` flag. The Promotion
+//! Look-aside Buffer of §III-C is not modelled either: a page promotion
+//! completes within one step of the simulation, so no access can meet a page
+//! in flight.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod message;
-pub mod plb;
 pub mod port;
 
-pub use message::{CxlRequest, CxlResponse, MemOpcode, NdrOpcode, Tag};
-pub use plb::{HugePagePlb, PlbEntry, PromotionLookasideBuffer, WriteRoute};
-pub use port::{CxlPort, CxlPortStats, TagAllocator};
+pub use port::{CxlPort, CxlPortStats};

@@ -1,6 +1,5 @@
-//! CXL link and protocol timing, plus transaction-tag allocation.
+//! CXL link and protocol timing.
 
-use crate::message::Tag;
 use serde::{Deserialize, Serialize};
 use skybyte_types::{Nanos, CACHELINE_SIZE};
 
@@ -39,7 +38,6 @@ pub struct CxlPort {
     protocol_latency: Nanos,
     bandwidth_bps: u64,
     busy_until: Nanos,
-    busy_time: Nanos,
     stats: CxlPortStats,
 }
 
@@ -56,7 +54,6 @@ impl CxlPort {
             protocol_latency,
             bandwidth_bps,
             busy_until: Nanos::ZERO,
-            busy_time: Nanos::ZERO,
             stats: CxlPortStats::default(),
         }
     }
@@ -106,23 +103,6 @@ impl CxlPort {
         self.occupy(now, bytes)
     }
 
-    /// Fraction of wall-clock time `[0, now]` the link spent transferring
-    /// payloads (bandwidth utilisation, the line series of Figure 15).
-    pub fn utilisation(&self, now: Nanos) -> f64 {
-        if now == Nanos::ZERO {
-            return 0.0;
-        }
-        (self.busy_time.as_nanos() as f64 / now.as_nanos() as f64).min(1.0)
-    }
-
-    /// Bytes per second actually moved over `[0, now]`.
-    pub fn achieved_bandwidth_bps(&self, now: Nanos) -> f64 {
-        if now == Nanos::ZERO {
-            return 0.0;
-        }
-        self.stats.payload_bytes as f64 * 1e9 / now.as_nanos() as f64
-    }
-
     /// Traffic statistics.
     pub fn stats(&self) -> &CxlPortStats {
         &self.stats
@@ -133,49 +113,7 @@ impl CxlPort {
         let start = now.max(self.busy_until);
         let done = start + serialisation;
         self.busy_until = done;
-        self.busy_time += serialisation;
         done + self.protocol_latency
-    }
-}
-
-/// Allocates 16-bit CXL.mem transaction tags, recycling released tags.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct TagAllocator {
-    next: u16,
-    free: Vec<Tag>,
-    outstanding: u32,
-}
-
-impl TagAllocator {
-    /// Creates an allocator with no tags outstanding.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Allocates a tag; returns `None` if all 65 536 tags are in flight.
-    pub fn allocate(&mut self) -> Option<Tag> {
-        if let Some(t) = self.free.pop() {
-            self.outstanding += 1;
-            return Some(t);
-        }
-        if self.outstanding > u32::from(u16::MAX) {
-            return None;
-        }
-        let t = self.next;
-        self.next = self.next.wrapping_add(1);
-        self.outstanding += 1;
-        Some(t)
-    }
-
-    /// Releases a tag for reuse.
-    pub fn release(&mut self, tag: Tag) {
-        self.outstanding = self.outstanding.saturating_sub(1);
-        self.free.push(tag);
-    }
-
-    /// Number of tags currently in flight.
-    pub fn outstanding(&self) -> u32 {
-        self.outstanding
     }
 }
 
@@ -215,45 +153,17 @@ mod tests {
         let a = port.deliver_payload(Nanos::ZERO, 4096);
         let b = port.deliver_payload(Nanos::ZERO, 4096);
         assert!(b > a, "second transfer must wait for the first");
-        assert!(port.utilisation(b) > 0.5);
-        assert!(port.achieved_bandwidth_bps(b) > 0.0);
     }
 
     #[test]
     fn zero_payload_has_zero_serialisation() {
         let port = CxlPort::new(Nanos::new(40), 16 << 30);
         assert_eq!(port.transfer_time(0), Nanos::ZERO);
-        assert_eq!(port.utilisation(Nanos::ZERO), 0.0);
-        assert_eq!(port.achieved_bandwidth_bps(Nanos::ZERO), 0.0);
     }
 
     #[test]
     #[should_panic(expected = "bandwidth")]
     fn rejects_zero_bandwidth() {
         let _ = CxlPort::new(Nanos::new(40), 0);
-    }
-
-    #[test]
-    fn tag_allocation_recycles() {
-        let mut tags = TagAllocator::new();
-        let a = tags.allocate().unwrap();
-        let b = tags.allocate().unwrap();
-        assert_ne!(a, b);
-        assert_eq!(tags.outstanding(), 2);
-        tags.release(a);
-        assert_eq!(tags.outstanding(), 1);
-        let c = tags.allocate().unwrap();
-        assert_eq!(c, a, "released tags are reused");
-    }
-
-    #[test]
-    fn tag_exhaustion_returns_none() {
-        let mut tags = TagAllocator::new();
-        for _ in 0..=u16::MAX as u32 {
-            assert!(tags.allocate().is_some());
-        }
-        assert!(tags.allocate().is_none());
-        tags.release(0);
-        assert!(tags.allocate().is_some());
     }
 }

@@ -20,10 +20,6 @@ use std::collections::{BinaryHeap, HashMap};
 pub struct SchedStats {
     /// Context switches performed (thread yielded and another picked).
     pub context_switches: u64,
-    /// Total time charged for context-switch overhead.
-    pub context_switch_time: Nanos,
-    /// Number of times a core asked for work and found no runnable thread.
-    pub idle_picks: u64,
 }
 
 /// The run queue plus per-thread bookkeeping.
@@ -150,8 +146,7 @@ impl Scheduler {
     }
 
     /// Picks the next thread to run on `core` according to the policy and
-    /// marks it running. Returns `None` (and counts an idle pick) if no
-    /// thread is runnable.
+    /// marks it running. Returns `None` if no thread is runnable.
     pub fn schedule_on(&mut self, core: u32, now: Nanos) -> Option<ThreadId> {
         self.unblock_expired(now);
         let candidate = self.pick_next(&mut |_| true);
@@ -177,17 +172,10 @@ impl Scheduler {
     }
 
     fn commit_pick(&mut self, core: u32, candidate: Option<ThreadId>) -> Option<ThreadId> {
-        match candidate {
-            Some(id) => {
-                self.threads[id.0 as usize].state = ThreadState::Running { core };
-                self.running.insert(core, id);
-                Some(id)
-            }
-            None => {
-                self.stats.idle_picks += 1;
-                None
-            }
-        }
+        let id = candidate?;
+        self.threads[id.0 as usize].state = ThreadState::Running { core };
+        self.running.insert(core, id);
+        Some(id)
     }
 
     /// Handles the Long Delay Exception (or a voluntary yield) of the thread
@@ -219,7 +207,6 @@ impl Scheduler {
             t.rr_seq = self.rr_counter;
         }
         self.stats.context_switches += 1;
-        self.stats.context_switch_time += self.cs_overhead;
         Some(id)
     }
 
@@ -249,13 +236,6 @@ impl Scheduler {
             _ => {}
         }
         self.threads[id.0 as usize].state = ThreadState::Finished;
-    }
-
-    /// Records `n` idle picks without going through a schedule call — used
-    /// by the event-driven engine when it coalesces a parked core's pending
-    /// 1 µs idle iterations into one batched advance.
-    pub fn record_idle_picks(&mut self, n: u64) {
-        self.stats.idle_picks += n;
     }
 
     /// Scheduler statistics.
@@ -326,7 +306,6 @@ mod tests {
         let second = s.schedule_on(1, Nanos::ZERO).unwrap();
         assert_ne!(first, second);
         assert!(s.schedule_on(2, Nanos::ZERO).is_none());
-        assert_eq!(s.stats().idle_picks, 1);
     }
 
     #[test]
@@ -395,7 +374,6 @@ mod tests {
         // After it, the thread runs again.
         assert_eq!(s.schedule_on(0, wake), Some(a));
         assert_eq!(s.stats().context_switches, 1);
-        assert_eq!(s.stats().context_switch_time, Nanos::from_micros(2));
         assert_eq!(s.thread(a).switches, 1);
     }
 
@@ -427,11 +405,10 @@ mod tests {
         assert_eq!(fallback, a);
         // A filtered pick is not a context switch.
         assert_eq!(s.stats().context_switches, 0);
-        // Nothing runnable at all still counts an idle pick.
+        // Nothing runnable at all leaves the core idle.
         assert!(s
             .schedule_on_filtered(2, Nanos::ZERO, &mut |_| true)
             .is_none());
-        assert_eq!(s.stats().idle_picks, 1);
     }
 
     #[test]

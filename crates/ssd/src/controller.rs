@@ -46,7 +46,6 @@ pub struct SsdController {
     trigger: ThresholdPolicy,
 
     device_triggered_ctx_swt: bool,
-    prefetch_enable: bool,
     dram_latency: Nanos,
     log_index_latency: Nanos,
     cache_index_latency: Nanos,
@@ -110,7 +109,6 @@ impl SsdController {
             hotness: HotnessTracker::new(cfg.policy.hotness, cfg.migration.hotness_threshold),
             trigger: ThresholdPolicy::new(cfg.cs_threshold),
             device_triggered_ctx_swt: cfg.device_triggered_ctx_swt,
-            prefetch_enable: true,
             dram_latency: ssd.dram.timing.access_latency,
             log_index_latency: ssd.dram.write_log_index_latency,
             cache_index_latency: ssd.dram.data_cache_index_latency,
@@ -615,9 +613,6 @@ impl SsdController {
     /// Simple next-page prefetcher (one of the Base-CSSD optimisations the
     /// paper's baseline incorporates).
     fn maybe_prefetch(&mut self, lpa: Lpa, at: Nanos) {
-        if !self.prefetch_enable {
-            return;
-        }
         let next = Lpa::new(lpa.index() + 1);
         if next.index() >= self.logical_pages
             || self.data_cache.contains(next)

@@ -32,31 +32,6 @@ pub const GIB: u64 = 1 << 30;
 // CPU
 // ---------------------------------------------------------------------------
 
-/// Configuration of one level of the host cache hierarchy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CacheLevelConfig {
-    /// Capacity in bytes.
-    pub size_bytes: u64,
-    /// Associativity (number of ways).
-    pub ways: u32,
-    /// Number of miss-status holding registers.
-    pub mshrs: u32,
-    /// Hit latency contributed by this level.
-    pub hit_latency: Nanos,
-}
-
-impl CacheLevelConfig {
-    /// Number of 64-byte cachelines this level can hold.
-    pub fn capacity_lines(&self) -> u64 {
-        self.size_bytes / crate::addr::CACHELINE_SIZE as u64
-    }
-
-    /// Number of sets for the given associativity.
-    pub fn sets(&self) -> u64 {
-        (self.capacity_lines() / self.ways as u64).max(1)
-    }
-}
-
 /// Configuration of the data TLB shared by the simulated cores (modelled as
 /// fully associative with LRU replacement).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -78,6 +53,10 @@ impl Default for TlbConfig {
 }
 
 /// Host CPU configuration (Table II, "CPU" block).
+///
+/// The on-chip caches are not simulated: each workload's Table I LLC MPKI
+/// sets how many instructions run between two off-chip accesses, so Table
+/// II's L1/L2/LLC sizes have no field here.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CpuConfig {
     /// Number of physical cores.
@@ -87,18 +66,8 @@ pub struct CpuConfig {
     /// Reorder-buffer entries per core; bounds how much latency the core can
     /// hide with out-of-order execution.
     pub rob_entries: u32,
-    /// Per-core L1 data cache.
-    pub l1d: CacheLevelConfig,
-    /// Per-core L2 cache.
-    pub l2: CacheLevelConfig,
-    /// Shared last-level cache.
-    pub llc: CacheLevelConfig,
     /// Data TLB backing the page-table walks of off-chip accesses.
     pub tlb: TlbConfig,
-    /// Fraction of a thread's issued instructions that are memory operations
-    /// reaching the L1 (used to convert between instruction counts and
-    /// memory-access counts when deriving MLP from the ROB size).
-    pub mem_op_fraction: f64,
     /// Nominal instructions per cycle for the non-memory portion of the
     /// workload.
     pub base_ipc: f64,
@@ -110,26 +79,7 @@ impl Default for CpuConfig {
             cores: 8,
             freq: Freq::from_ghz(4.0),
             rob_entries: 256,
-            l1d: CacheLevelConfig {
-                size_bytes: 32 * KIB,
-                ways: 8,
-                mshrs: 8,
-                hit_latency: Nanos::new(1),
-            },
-            l2: CacheLevelConfig {
-                size_bytes: 512 * KIB,
-                ways: 32,
-                mshrs: 128,
-                hit_latency: Nanos::new(4),
-            },
-            llc: CacheLevelConfig {
-                size_bytes: 16 * MIB,
-                ways: 16,
-                mshrs: 1024,
-                hit_latency: Nanos::new(12),
-            },
             tlb: TlbConfig::default(),
-            mem_op_fraction: 0.3,
             base_ipc: 2.0,
         }
     }
@@ -511,12 +461,6 @@ pub struct MigrationConfig {
     /// Access count above which a page becomes a promotion candidate
     /// (adaptive policy).
     pub hotness_threshold: u32,
-    /// Number of entries in the Promotion Look-aside Buffer in the host
-    /// bridge (64 in the paper).
-    pub plb_entries: u32,
-    /// Cost of copying one 4 KiB page between SSD DRAM and host DRAM over the
-    /// CXL link, including interrupt and PTE/TLB update overheads.
-    pub page_copy_latency: Nanos,
     /// Sampling period of the TPP-style policy.
     pub tpp_sample_period: Nanos,
     /// Number of promotions allowed per sampling period for the TPP policy.
@@ -528,8 +472,6 @@ impl Default for MigrationConfig {
         MigrationConfig {
             policy: MigrationPolicyKind::Adaptive,
             hotness_threshold: 32,
-            plb_entries: 64,
-            page_copy_latency: Nanos::from_micros(2),
             tpp_sample_period: Nanos::from_millis(1),
             tpp_promotions_per_period: 64,
         }
@@ -893,9 +835,9 @@ impl SimConfig {
     /// # Errors
     ///
     /// Returns a [`ConfigError`] describing the first violated invariant:
-    /// zero cores/threads, empty caches, a write log that does not hold at
-    /// least one page worth of cachelines, GC thresholds outside `(0, 1]`,
-    /// or zero-latency flash.
+    /// zero cores/threads, an empty TLB or SSD data cache, a write log that
+    /// does not hold at least one page worth of cachelines, GC thresholds
+    /// outside `(0, 1]`, or zero-latency flash.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.cpu.cores == 0 {
             return Err(ConfigError::new("cpu.cores must be at least 1"));
@@ -905,25 +847,6 @@ impl SimConfig {
         }
         if self.cpu.base_ipc <= 0.0 {
             return Err(ConfigError::new("cpu.base_ipc must be positive"));
-        }
-        if !(0.0..=1.0).contains(&self.cpu.mem_op_fraction) {
-            return Err(ConfigError::new("cpu.mem_op_fraction must be in [0, 1]"));
-        }
-        for (name, lvl) in [
-            ("l1d", &self.cpu.l1d),
-            ("l2", &self.cpu.l2),
-            ("llc", &self.cpu.llc),
-        ] {
-            if lvl.size_bytes == 0 || lvl.ways == 0 {
-                return Err(ConfigError::new(format!(
-                    "cache level {name} must have nonzero size and ways"
-                )));
-            }
-            if lvl.capacity_lines() < lvl.ways as u64 {
-                return Err(ConfigError::new(format!(
-                    "cache level {name} smaller than one set"
-                )));
-            }
         }
         if self.cpu.tlb.entries == 0 {
             return Err(ConfigError::new("cpu.tlb.entries must be at least 1"));
@@ -953,11 +876,6 @@ impl SimConfig {
         {
             return Err(ConfigError::new("flash latencies must be nonzero"));
         }
-        if self.migration.plb_entries == 0 && self.promotion_enable {
-            return Err(ConfigError::new(
-                "promotion requires at least one PLB entry",
-            ));
-        }
         if self.telemetry.enabled && self.telemetry.sample_interval == Nanos::ZERO {
             return Err(ConfigError::new(
                 "telemetry sample interval must be nonzero when telemetry is enabled",
@@ -976,8 +894,6 @@ mod tests {
         let cfg = SimConfig::default();
         assert_eq!(cfg.cpu.cores, 8);
         assert_eq!(cfg.cpu.rob_entries, 256);
-        assert_eq!(cfg.cpu.llc.size_bytes, 16 * MIB);
-        assert_eq!(cfg.cpu.llc.mshrs, 1024);
         assert_eq!(cfg.ssd.geometry.total_bytes(), 128 * GIB);
         assert_eq!(cfg.ssd.flash.read_latency, Nanos::from_micros(3));
         assert_eq!(cfg.ssd.flash.program_latency, Nanos::from_micros(100));
@@ -1159,10 +1075,6 @@ mod tests {
         assert!(cfg.validate().is_err());
 
         let mut cfg = SimConfig::default();
-        cfg.cpu.mem_op_fraction = 1.5;
-        assert!(cfg.validate().is_err());
-
-        let mut cfg = SimConfig::default();
         cfg.cpu.tlb.entries = 0;
         assert!(cfg.validate().is_err());
     }
@@ -1175,13 +1087,6 @@ mod tests {
         assert_eq!(SchedPolicy::Cfs.to_string(), "CFS");
         assert_eq!(NandKind::Ull.to_string(), "ULL");
         assert_eq!(MigrationPolicyKind::Tpp.to_string(), "tpp");
-    }
-
-    #[test]
-    fn cache_level_helpers() {
-        let llc = CpuConfig::default().llc;
-        assert_eq!(llc.capacity_lines(), 16 * MIB / 64);
-        assert_eq!(llc.sets(), llc.capacity_lines() / 16);
     }
 
     #[test]

@@ -55,9 +55,9 @@ pub mod prelude {
     };
     pub use crate::audit::{AuditReport, Violation};
     pub use crate::config::{
-        CacheLevelConfig, CpuConfig, DramTimingConfig, FlashTimingConfig, HostDramConfig,
-        MigrationConfig, MigrationPolicyKind, NandKind, SchedPolicy, SimConfig, SsdConfig,
-        SsdDramConfig, SsdGeometry, TelemetryConfig, TlbConfig, VariantKind,
+        CpuConfig, DramTimingConfig, FlashTimingConfig, HostDramConfig, MigrationConfig,
+        MigrationPolicyKind, NandKind, SchedPolicy, SimConfig, SsdConfig, SsdDramConfig,
+        SsdGeometry, TelemetryConfig, TlbConfig, VariantKind,
     };
     pub use crate::error::ConfigError;
     pub use crate::fasthash::{FastHashMap, FastHashSet, FxBuildHasher, FxHasher};
@@ -77,9 +77,9 @@ pub use addr::{
 };
 pub use audit::{AuditReport, Violation};
 pub use config::{
-    CacheLevelConfig, CpuConfig, DramTimingConfig, FlashTimingConfig, HostDramConfig,
-    MigrationConfig, MigrationPolicyKind, NandKind, SchedPolicy, SimConfig, SsdConfig,
-    SsdDramConfig, SsdGeometry, TelemetryConfig, TlbConfig, VariantKind, GIB, KIB, MIB,
+    CpuConfig, DramTimingConfig, FlashTimingConfig, HostDramConfig, MigrationConfig,
+    MigrationPolicyKind, NandKind, SchedPolicy, SimConfig, SsdConfig, SsdDramConfig, SsdGeometry,
+    TelemetryConfig, TlbConfig, VariantKind, GIB, KIB, MIB,
 };
 pub use error::ConfigError;
 pub use fasthash::{FastHashMap, FastHashSet, FxBuildHasher, FxHasher};
