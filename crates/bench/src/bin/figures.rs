@@ -23,10 +23,13 @@
 //! Figures 1, 7, 8, 11, 12 and 13 are architecture diagrams without data
 //! series and are therefore not listed.
 
-use skybyte_bench::{figures_scale, harness_runner, parse_count, MAX_SAMPLE_US};
+use skybyte_bench::{
+    flag_value, harness_runner, parse_count, parse_scale, perf_path, write_perf_report,
+    TelemetryFlags,
+};
 use skybyte_sim::report::{figure_table_named, paper_table, render, DATA_FIGURES};
-use skybyte_sim::{chrome_trace_json, metrics_csv, ExperimentScale, TraceDrive};
-use skybyte_types::{Nanos, PolicyOverride, TelemetryConfig};
+use skybyte_sim::{ExperimentScale, PerfReport, TraceDrive};
+use skybyte_types::PolicyOverride;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -47,15 +50,9 @@ struct Options {
     /// Policy names applied to every simulation (`--policy <name>`,
     /// repeatable), resolved through the unified registry.
     policies: Vec<PolicyOverride>,
-    /// Write the merged telemetry time series of every executed run as CSV
-    /// (`--metrics PATH`).
-    metrics: Option<PathBuf>,
-    /// Write the merged Chrome trace-event timeline of every executed run
-    /// (`--timeline PATH`).
-    timeline: Option<PathBuf>,
-    /// Telemetry sampling cadence in microseconds of simulated time
-    /// (`--sample-us N`, default 10).
-    sample_us: u64,
+    /// The merged telemetry exports of every executed run (`--metrics`,
+    /// `--timeline`, `--sample-us`).
+    telemetry: TelemetryFlags,
 }
 
 fn parse_args() -> Result<Options, String> {
@@ -70,9 +67,7 @@ fn parse_args() -> Result<Options, String> {
         audit: false,
         perf: None,
         policies: Vec::new(),
-        metrics: None,
-        timeline: None,
-        sample_us: 10,
+        telemetry: TelemetryFlags::default(),
     };
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -80,101 +75,41 @@ fn parse_args() -> Result<Options, String> {
         match args[i].as_str() {
             "--all" => opts.all = true,
             "--fig" | "--figure" => {
-                i += 1;
-                let name = args
-                    .get(i)
-                    .ok_or("--fig requires a number, 'mt', 'policy' or 'fleet'")?;
+                let name = flag_value(&args, &mut i, "--fig")?;
                 if name != "mt" && name != "policy" && name != "fleet" {
                     name.parse::<u32>()
                         .map_err(|e| format!("invalid figure number: {e}"))?;
                 }
-                opts.figures.push(name.clone());
+                opts.figures.push(name.to_string());
             }
-            "--policy" => {
-                i += 1;
-                let name = args.get(i).ok_or("--policy requires a policy name")?;
-                opts.policies.push(name.parse::<PolicyOverride>()?);
-            }
+            "--policy" => opts
+                .policies
+                .push(flag_value(&args, &mut i, "--policy")?.parse()?),
             "--table" => {
-                i += 1;
-                let n = args
-                    .get(i)
-                    .ok_or("--table requires a number")?
+                let n = flag_value(&args, &mut i, "--table")?
                     .parse::<u32>()
                     .map_err(|e| format!("invalid table number: {e}"))?;
                 opts.tables.push(n);
             }
-            "--scale" => {
-                i += 1;
-                let name = args.get(i).ok_or("--scale requires a name")?;
-                opts.scale = figures_scale(name)
-                    .ok_or_else(|| format!("unknown scale '{name}' (tiny|bench|default)"))?;
-            }
+            "--scale" => opts.scale = parse_scale(flag_value(&args, &mut i, "--scale")?)?,
             "--jobs" | "-j" => {
-                i += 1;
-                let n = args
-                    .get(i)
-                    .ok_or("--jobs requires a number")?
-                    .parse::<usize>()
-                    .map_err(|e| format!("invalid job count: {e}"))?;
-                if n == 0 {
-                    return Err("--jobs must be at least 1".to_string());
-                }
-                opts.jobs = Some(n);
+                let n = flag_value(&args, &mut i, "--jobs")?;
+                opts.jobs = Some(parse_count("--jobs", n, u32::MAX.into())? as usize);
             }
-            "--out" => {
-                i += 1;
-                let dir = args.get(i).ok_or("--out requires a directory")?;
-                opts.out = Some(PathBuf::from(dir));
-            }
-            "--record-dir" => {
-                i += 1;
-                let dir = args.get(i).ok_or("--record-dir requires a directory")?;
+            "--out" => opts.out = Some(PathBuf::from(flag_value(&args, &mut i, "--out")?)),
+            flag @ ("--record-dir" | "--replay-dir") => {
+                let dir = PathBuf::from(flag_value(&args, &mut i, flag)?);
                 if opts.drive != TraceDrive::Synthetic {
                     return Err("--record-dir and --replay-dir are mutually exclusive".into());
                 }
-                opts.drive = TraceDrive::Record {
-                    dir: PathBuf::from(dir),
-                };
-            }
-            "--replay-dir" => {
-                i += 1;
-                let dir = args.get(i).ok_or("--replay-dir requires a directory")?;
-                if opts.drive != TraceDrive::Synthetic {
-                    return Err("--record-dir and --replay-dir are mutually exclusive".into());
-                }
-                opts.drive = TraceDrive::Replay {
-                    dir: PathBuf::from(dir),
+                opts.drive = if flag == "--record-dir" {
+                    TraceDrive::Record { dir }
+                } else {
+                    TraceDrive::Replay { dir }
                 };
             }
             "--audit" => opts.audit = true,
-            "--metrics" => {
-                i += 1;
-                let path = args.get(i).ok_or("--metrics requires a path")?;
-                opts.metrics = Some(PathBuf::from(path));
-            }
-            "--timeline" => {
-                i += 1;
-                let path = args.get(i).ok_or("--timeline requires a path")?;
-                opts.timeline = Some(PathBuf::from(path));
-            }
-            "--sample-us" => {
-                i += 1;
-                let us = args.get(i).ok_or("--sample-us requires a number")?;
-                opts.sample_us = parse_count("--sample-us", us, MAX_SAMPLE_US)?;
-            }
-            "--perf" => {
-                // An optional path may follow; anything starting with `--`
-                // is the next flag, not a path.
-                let path = match args.get(i + 1) {
-                    Some(next) if !next.starts_with("--") => {
-                        i += 1;
-                        PathBuf::from(next)
-                    }
-                    _ => PathBuf::from("perf.json"),
-                };
-                opts.perf = Some(path);
-            }
+            "--perf" => opts.perf = Some(perf_path(&args, &mut i)),
             "--help" | "-h" => {
                 println!(
                     "usage: figures [--all] [--fig N|mt|policy|fleet]... [--table N]... \
@@ -206,6 +141,7 @@ fn parse_args() -> Result<Options, String> {
                 );
                 std::process::exit(0);
             }
+            _ if opts.telemetry.parse(&args, &mut i)? => {}
             other => return Err(format!("unknown argument '{other}'")),
         }
         i += 1;
@@ -258,13 +194,18 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
 }
 
 fn main() -> ExitCode {
-    let opts = match parse_args() {
-        Ok(o) => o,
+    match parse_args().and_then(run) {
+        Ok(code) => code,
         Err(e) => {
             eprintln!("error: {e}");
-            return ExitCode::FAILURE;
+            ExitCode::FAILURE
         }
-    };
+    }
+}
+
+/// Runs one invocation. `Err` is a one-line CLI error; a failed audit is
+/// reported here and returns [`ExitCode::FAILURE`].
+fn run(opts: Options) -> Result<ExitCode, String> {
     let (figures, tables) = if opts.all {
         // `--all` regenerates every paper figure plus the repository's own
         // multi-tenant experiments. Trace drives are single-tenant
@@ -285,19 +226,10 @@ fn main() -> ExitCode {
         (opts.figures.clone(), opts.tables.clone())
     };
     if let Some(dir) = &opts.out {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!(
-                "error: cannot create --out directory {}: {e}",
-                dir.display()
-            );
-            return ExitCode::FAILURE;
-        }
+        std::fs::create_dir_all(dir)
+            .map_err(|e| format!("cannot create --out directory {}: {e}", dir.display()))?;
     }
-    let telemetry = TelemetryConfig {
-        enabled: opts.metrics.is_some() || opts.timeline.is_some(),
-        sample_interval: Nanos::from_micros(opts.sample_us),
-        timeline: opts.timeline.is_some(),
-    };
+    let telemetry = opts.telemetry.config();
     let runner = harness_runner(opts.jobs)
         .with_drive(opts.drive.clone())
         .with_policy_overrides(opts.policies.clone())
@@ -313,15 +245,8 @@ fn main() -> ExitCode {
     }));
     std::panic::set_hook(default_hook);
     let exported = match outcome {
-        Ok(Ok(n)) => n,
-        Ok(Err(e)) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-        Err(payload) => {
-            eprintln!("error: {}", panic_message(payload.as_ref()));
-            return ExitCode::FAILURE;
-        }
+        Ok(exported) => exported?,
+        Err(payload) => return Err(panic_message(payload.as_ref()).to_string()),
     };
     eprintln!(
         "[figures] {} unique simulations on {} worker thread(s)",
@@ -345,80 +270,46 @@ fn main() -> ExitCode {
     }
     if telemetry.enabled {
         let outputs = runner.telemetry_outputs();
-        if let Some(path) = &opts.metrics {
-            let csv = metrics_csv(
-                outputs
-                    .iter()
-                    .map(|(label, o)| (label.as_str(), &o.metrics)),
-            );
-            if let Err(e) = std::fs::write(path, csv) {
-                eprintln!("error: cannot write --metrics CSV {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
+        opts.telemetry.write(&outputs)?;
+        let runs = outputs.len();
+        if let Some(path) = &opts.telemetry.metrics {
             eprintln!(
-                "[figures] metrics: {} run(s) sampled into {}",
-                outputs.len(),
+                "[figures] metrics: {runs} run(s) sampled into {}",
                 path.display()
             );
         }
-        if let Some(path) = &opts.timeline {
-            let json = chrome_trace_json(
-                outputs
-                    .iter()
-                    .map(|(label, o)| (label.as_str(), &o.timeline)),
-            );
-            if let Err(e) = std::fs::write(path, json) {
-                eprintln!(
-                    "error: cannot write --timeline JSON {}: {e}",
-                    path.display()
-                );
-                return ExitCode::FAILURE;
-            }
-            eprintln!(
-                "[figures] timeline: {} run(s) written to {} (open in Perfetto)",
-                outputs.len(),
-                path.display()
-            );
+        if let Some(path) = &opts.telemetry.timeline {
+            let path = path.display();
+            eprintln!("[figures] timeline: {runs} run(s) written to {path} (open in Perfetto)");
         }
     }
     if let Some(path) = &opts.perf {
-        let report = skybyte_sim::PerfReport::from_runner(&runner);
-        match serde_json::to_string_pretty(&report) {
-            Ok(json) => {
-                if let Err(e) = std::fs::write(path, json) {
-                    eprintln!("error: cannot write --perf report {}: {e}", path.display());
-                    return ExitCode::FAILURE;
-                }
-                for run in &report.runs {
-                    eprintln!(
-                        "[figures] perf: {}/{} — {:.3}s wall, {} work units \
-                         ({:.0} accesses/sec), p50/p99/p999 {}/{}/{} ns",
-                        run.variant,
-                        run.workload,
-                        run.wall_nanos as f64 / 1e9,
-                        run.work_units,
-                        run.units_per_sec,
-                        run.p50_ns,
-                        run.p99_ns,
-                        run.p999_ns
-                    );
-                }
-                eprintln!(
-                    "[figures] perf: {} work units in {:.3}s wall ({:.0} accesses/sec \
-                     aggregate) across {} run(s), {} memo hit(s); report written to {}",
-                    report.total_work_units,
-                    report.total_wall_nanos as f64 / 1e9,
-                    report.aggregate_units_per_sec,
-                    report.runs.len(),
-                    runner.memo_hits(),
-                    path.display()
-                );
-            }
-            Err(e) => {
-                eprintln!("error: cannot serialise --perf report: {e}");
-                return ExitCode::FAILURE;
-            }
+        let report = PerfReport::from_runner(&runner);
+        write_perf_report(path, &report)?;
+        for run in &report.runs {
+            eprintln!(
+                "[figures] perf: {}/{} — {:.3}s wall, {} work units \
+                 ({:.0} accesses/sec), p50/p99/p999 {}/{}/{} ns",
+                run.variant,
+                run.workload,
+                run.wall_nanos as f64 / 1e9,
+                run.work_units,
+                run.units_per_sec,
+                run.p50_ns,
+                run.p99_ns,
+                run.p999_ns
+            );
         }
+        eprintln!(
+            "[figures] perf: {} work units in {:.3}s wall ({:.0} accesses/sec \
+             aggregate) across {} run(s), {} memo hit(s); report written to {}",
+            report.total_work_units,
+            report.total_wall_nanos as f64 / 1e9,
+            report.aggregate_units_per_sec,
+            report.runs.len(),
+            runner.memo_hits(),
+            path.display()
+        );
     }
     if runner.truncated_runs() > 0 {
         eprintln!(
@@ -442,8 +333,8 @@ fn main() -> ExitCode {
                 "[figures] conservation audit FAILED for {} simulation(s)",
                 failures.len()
             );
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }

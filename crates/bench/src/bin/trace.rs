@@ -21,18 +21,20 @@
 //! replay reproduces the partition; single-tenant outputs stay at format
 //! version 1, byte-identical to earlier releases.
 
-use skybyte_bench::{figures_scale, parse_count, variant_from_name, MAX_SAMPLE_US};
-use skybyte_sim::{
-    chrome_trace_json, metrics_csv, ExperimentScale, PerfReport, RunTiming, SimResult, Simulation,
+use skybyte_bench::{
+    flag_value, parse_count, parse_scale, parse_workload, perf_path, replay_trace_file,
+    variant_from_name, write_perf_report, TelemetryFlags,
 };
+use skybyte_sim::{ExperimentScale, PerfReport, RunTiming, SimResult, Simulation};
 use skybyte_trace::{
-    record_to_file, BoxedSource, Concat, LoopN, Mix, Shift, Tenants, TraceFileSource, TraceHeader,
-    TraceReader, TraceSource, TraceStats, TraceWriter,
+    BoxedSource, Concat, LoopN, Mix, Shift, Tenants, TraceFileSource, TraceHeader, TraceReader,
+    TraceSource, TraceStats, TraceWriter,
 };
-use skybyte_types::{Nanos, PolicyOverride, SimConfig, TelemetryConfig, VariantKind};
-use skybyte_workloads::{WorkloadKind, WorkloadSource};
+use skybyte_types::{PolicyOverride, SimConfig, VariantKind};
+use skybyte_workloads::WorkloadKind;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::time::Instant;
 
 const USAGE: &str = "usage: trace <record|replay|stat|mix|verify-corpus> [options]
 
@@ -109,14 +111,6 @@ fn main() -> ExitCode {
     }
 }
 
-/// Pulls the value following a flag.
-fn value<'a>(args: &'a [String], i: &mut usize, flag: &str) -> Result<&'a str, String> {
-    *i += 1;
-    args.get(*i)
-        .map(|s| s.as_str())
-        .ok_or_else(|| format!("{flag} requires a value"))
-}
-
 fn parse_u64(s: &str, what: &str) -> Result<u64, String> {
     s.parse::<u64>().map_err(|e| format!("invalid {what}: {e}"))
 }
@@ -132,29 +126,19 @@ fn cmd_record(args: &[String]) -> Result<(), String> {
     while i < args.len() {
         match args[i].as_str() {
             "--workload" => {
-                let name = value(args, &mut i, "--workload")?;
-                workload = Some(
-                    WorkloadKind::from_name(name)
-                        .ok_or_else(|| format!("unknown workload '{name}'"))?,
-                );
+                workload = Some(parse_workload(flag_value(args, &mut i, "--workload")?)?)
             }
-            "--out" => out = Some(PathBuf::from(value(args, &mut i, "--out")?)),
-            "--scale" => {
-                let name = value(args, &mut i, "--scale")?;
-                scale = figures_scale(name)
-                    .ok_or_else(|| format!("unknown scale '{name}' (tiny|bench|default)"))?;
-            }
+            "--out" => out = Some(PathBuf::from(flag_value(args, &mut i, "--out")?)),
+            "--scale" => scale = parse_scale(flag_value(args, &mut i, "--scale")?)?,
             "--threads" => {
-                let t = value(args, &mut i, "--threads")?;
+                let t = flag_value(args, &mut i, "--threads")?;
                 threads = Some(parse_count("--threads", t, u32::MAX.into())? as u32);
             }
             "--accesses" => {
-                accesses = Some(parse_u64(
-                    value(args, &mut i, "--accesses")?,
-                    "access count",
-                )?)
+                let n = flag_value(args, &mut i, "--accesses")?;
+                accesses = Some(parse_u64(n, "access count")?);
             }
-            "--seed" => seed = Some(parse_u64(value(args, &mut i, "--seed")?, "seed")?),
+            "--seed" => seed = Some(parse_u64(flag_value(args, &mut i, "--seed")?, "seed")?),
             other => return Err(format!("unknown record argument '{other}'")),
         }
         i += 1;
@@ -167,28 +151,20 @@ fn cmd_record(args: &[String]) -> Result<(), String> {
     if let Some(s) = seed {
         scale.seed = s;
     }
-    // Mirror the engine's budget arithmetic exactly, so a standalone
-    // recording is interchangeable with a `figures --record-dir` one.
     let mut cfg = scale.apply(SimConfig::default());
     if let Some(t) = threads {
         cfg = cfg.with_threads(t);
     }
-    let sim = Simulation::with_config(cfg.clone(), workload, &scale);
-    let budget = sim.per_thread_budget();
-    let spec = scale.workload_spec(workload);
-    let mut source = WorkloadSource::new(&spec, cfg.threads, scale.seed);
-    let header = TraceHeader {
-        threads: cfg.threads,
-        footprint_bytes: spec.footprint_bytes,
-        seed: scale.seed,
-        source: source.identity(),
-        tenant_of_thread: None,
-    };
-    let written = record_to_file(&mut source, &out, &header, budget)
+    // The engine's own recorder, so a standalone recording is
+    // interchangeable with a `figures --record-dir` one.
+    let sim = Simulation::with_config(cfg, workload, &scale);
+    let written = sim
+        .record_trace_file(&out)
         .map_err(|e| format!("recording failed: {e}"))?;
     println!(
-        "recorded {written} records ({} thread(s) x {budget}) of {workload} to {}",
-        cfg.threads,
+        "recorded {written} records ({} thread(s) x {}) of {workload} to {}",
+        sim.config().threads,
+        sim.per_thread_budget(),
         out.display()
     );
     Ok(())
@@ -225,48 +201,23 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
     let mut scale = ExperimentScale::tiny();
     let mut policies: Vec<PolicyOverride> = Vec::new();
     let mut perf: Option<PathBuf> = None;
-    let mut metrics: Option<PathBuf> = None;
-    let mut timeline: Option<PathBuf> = None;
-    let mut sample_us: u64 = 10;
+    let mut telemetry = TelemetryFlags::default();
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--trace" => trace = Some(PathBuf::from(value(args, &mut i, "--trace")?)),
-            "--metrics" => metrics = Some(PathBuf::from(value(args, &mut i, "--metrics")?)),
-            "--timeline" => timeline = Some(PathBuf::from(value(args, &mut i, "--timeline")?)),
-            "--sample-us" => {
-                let us = value(args, &mut i, "--sample-us")?;
-                sample_us = parse_count("--sample-us", us, MAX_SAMPLE_US)?;
-            }
-            "--perf" => {
-                // An optional path may follow; anything starting with `--`
-                // is the next flag, not a path.
-                perf = Some(match args.get(i + 1) {
-                    Some(next) if !next.starts_with("--") => {
-                        i += 1;
-                        PathBuf::from(next)
-                    }
-                    _ => PathBuf::from("perf.json"),
-                });
-            }
-            "--policy" => policies.push(value(args, &mut i, "--policy")?.parse()?),
+            "--trace" => trace = Some(PathBuf::from(flag_value(args, &mut i, "--trace")?)),
+            "--perf" => perf = Some(perf_path(args, &mut i)),
+            "--policy" => policies.push(flag_value(args, &mut i, "--policy")?.parse()?),
             "--variant" => {
-                let name = value(args, &mut i, "--variant")?;
+                let name = flag_value(args, &mut i, "--variant")?;
                 variant =
                     variant_from_name(name).ok_or_else(|| format!("unknown variant '{name}'"))?;
             }
             "--workload" => {
-                let name = value(args, &mut i, "--workload")?;
-                workload = Some(
-                    WorkloadKind::from_name(name)
-                        .ok_or_else(|| format!("unknown workload '{name}'"))?,
-                );
+                workload = Some(parse_workload(flag_value(args, &mut i, "--workload")?)?)
             }
-            "--scale" => {
-                let name = value(args, &mut i, "--scale")?;
-                scale = figures_scale(name)
-                    .ok_or_else(|| format!("unknown scale '{name}' (tiny|bench|default)"))?;
-            }
+            "--scale" => scale = parse_scale(flag_value(args, &mut i, "--scale")?)?,
+            _ if telemetry.parse(args, &mut i)? => {}
             other => return Err(format!("unknown replay argument '{other}'")),
         }
         i += 1;
@@ -280,75 +231,41 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
     // The trace defines the footprint and thread count; the scale defines
     // the simulated device around it (shared with the golden corpus via
     // `replay_trace_file`, capacity guard included).
-    let telemetry = TelemetryConfig {
-        enabled: metrics.is_some() || timeline.is_some(),
-        sample_interval: Nanos::from_micros(sample_us),
-        timeline: timeline.is_some(),
-    };
-    let started = std::time::Instant::now();
-    let (result, telemetry_out) = skybyte_bench::replay_trace_file_with_telemetry(
-        &trace, &header, variant, workload, scale, &policies, telemetry,
+    let started = Instant::now();
+    let (result, output) = replay_trace_file(
+        &trace,
+        &header,
+        variant,
+        workload,
+        scale,
+        &policies,
+        telemetry.config(),
     )?;
     let wall = started.elapsed();
     println!("replayed {} as {variant} ({workload})", trace.display());
     print_summary(&result);
-    if let Some(output) = &telemetry_out {
-        let label = format!("{variant}/{workload}");
-        if let Some(path) = &metrics {
-            let csv = metrics_csv([(label.as_str(), &output.metrics)]);
-            std::fs::write(path, csv)
-                .map_err(|e| format!("cannot write --metrics CSV {}: {e}", path.display()))?;
-            println!(
-                "metrics: {} samples written to {}",
-                output.metrics.samples.len(),
-                path.display()
-            );
+    if let Some(output) = output {
+        let samples = output.metrics.samples.len();
+        let events = output.timeline.events().len();
+        telemetry.write(&[(format!("{variant}/{workload}"), output)])?;
+        if let Some(path) = &telemetry.metrics {
+            println!("metrics: {samples} samples written to {}", path.display());
         }
-        if let Some(path) = &timeline {
-            let tl = &output.timeline;
-            let json = chrome_trace_json([(label.as_str(), tl)]);
-            std::fs::write(path, json)
-                .map_err(|e| format!("cannot write --timeline JSON {}: {e}", path.display()))?;
+        if let Some(path) = &telemetry.timeline {
             println!(
-                "timeline: {} events written to {} (open in Perfetto / chrome://tracing)",
-                tl.events().len(),
+                "timeline: {events} events written to {} (open in Perfetto / chrome://tracing)",
                 path.display()
             );
         }
     }
     if let Some(path) = perf {
-        let work_units = result.work_units();
-        let wall_nanos = wall.as_nanos() as u64;
-        let units_per_sec = if wall_nanos == 0 {
-            0.0
-        } else {
-            work_units as f64 / (wall_nanos as f64 / 1e9)
-        };
-        let report = PerfReport {
-            jobs: 1,
-            runs: vec![RunTiming {
-                variant: variant.to_string(),
-                workload: workload.to_string(),
-                wall_nanos,
-                work_units,
-                simulated_nanos: result.exec_time.as_nanos(),
-                units_per_sec,
-                p50_ns: result.latency_hist.p50().as_nanos(),
-                p99_ns: result.latency_hist.p99().as_nanos(),
-                p999_ns: result.latency_hist.p999().as_nanos(),
-            }],
-            total_work_units: work_units,
-            total_wall_nanos: wall_nanos,
-            aggregate_units_per_sec: units_per_sec,
-        };
-        let json = serde_json::to_string_pretty(&report)
-            .map_err(|e| format!("cannot serialise --perf report: {e}"))?;
-        std::fs::write(&path, json)
-            .map_err(|e| format!("cannot write --perf report {}: {e}", path.display()))?;
+        let report = PerfReport::new(1, vec![RunTiming::new(variant, workload, wall, &result)]);
+        write_perf_report(&path, &report)?;
         println!(
-            "perf: {work_units} work units in {:.3}s wall ({units_per_sec:.0} accesses/sec); \
-             report written to {}",
-            wall_nanos as f64 / 1e9,
+            "perf: {} work units in {:.3}s wall ({:.0} accesses/sec); report written to {}",
+            report.total_work_units,
+            report.total_wall_nanos as f64 / 1e9,
+            report.aggregate_units_per_sec,
             path.display()
         );
     }
@@ -386,7 +303,7 @@ fn cmd_stat(args: &[String]) -> Result<(), String> {
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--trace" => trace = Some(PathBuf::from(value(args, &mut i, "--trace")?)),
+            "--trace" => trace = Some(PathBuf::from(flag_value(args, &mut i, "--trace")?)),
             other => return Err(format!("unknown stat argument '{other}'")),
         }
         i += 1;
@@ -409,17 +326,14 @@ fn cmd_verify_corpus(args: &[String]) -> Result<(), String> {
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--dir" => dir = PathBuf::from(value(args, &mut i, "--dir")?),
+            "--dir" => dir = PathBuf::from(flag_value(args, &mut i, "--dir")?),
             "--jobs" | "-j" => {
-                let n = parse_u64(value(args, &mut i, "--jobs")?, "job count")? as usize;
-                if n == 0 {
-                    return Err("--jobs must be at least 1".into());
-                }
-                jobs = n;
+                let n = flag_value(args, &mut i, "--jobs")?;
+                jobs = parse_count("--jobs", n, u32::MAX.into())? as usize;
             }
             "--pin" => pin = true,
-            "--entry" => entries_filter.push(value(args, &mut i, "--entry")?.to_string()),
-            "--diff-out" => diff_out = Some(PathBuf::from(value(args, &mut i, "--diff-out")?)),
+            "--entry" => entries_filter.push(flag_value(args, &mut i, "--entry")?.to_string()),
+            "--diff-out" => diff_out = Some(PathBuf::from(flag_value(args, &mut i, "--diff-out")?)),
             other => return Err(format!("unknown verify-corpus argument '{other}'")),
         }
         i += 1;
@@ -493,13 +407,14 @@ fn cmd_mix(args: &[String]) -> Result<(), String> {
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--out" => out = Some(PathBuf::from(value(args, &mut i, "--out")?)),
-            "--mode" => mode = value(args, &mut i, "--mode")?.to_string(),
+            "--out" => out = Some(PathBuf::from(flag_value(args, &mut i, "--out")?)),
+            "--mode" => mode = flag_value(args, &mut i, "--mode")?.to_string(),
             "--shift-stride" => {
-                shift_stride = parse_u64(value(args, &mut i, "--shift-stride")?, "shift stride")?
+                shift_stride =
+                    parse_u64(flag_value(args, &mut i, "--shift-stride")?, "shift stride")?
             }
             "--loop" => {
-                let n = value(args, &mut i, "--loop")?;
+                let n = flag_value(args, &mut i, "--loop")?;
                 loop_times = parse_count("--loop", n, u32::MAX.into())? as u32;
             }
             flag if flag.starts_with("--") => return Err(format!("unknown mix argument '{flag}'")),
@@ -521,8 +436,17 @@ fn cmd_mix(args: &[String]) -> Result<(), String> {
     for (idx, (path, weight)) in inputs.iter().enumerate() {
         let file = open_input(path)?;
         let header = file.header().clone();
-        let shift = shift_stride * idx as u64;
-        footprint = footprint.max(header.footprint_bytes.saturating_add(shift));
+        // Input `idx` moves up by `idx` strides; past the 64-bit address
+        // space it would wrap onto another input's pages.
+        let shift = shift_stride.checked_mul(idx as u64);
+        let end = shift.and_then(|s| header.footprint_bytes.checked_add(s));
+        let (Some(shift), Some(end)) = (shift, end) else {
+            return Err(format!(
+                "--shift-stride {shift_stride} moves input {} past the 64-bit address space",
+                idx + 1
+            ));
+        };
+        footprint = footprint.max(end);
         seed ^= header.seed.rotate_left(idx as u32);
         let mut source: BoxedSource = Box::new(file);
         if shift > 0 {

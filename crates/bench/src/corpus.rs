@@ -103,18 +103,8 @@ impl CorpusEntry {
             } => {
                 let scale = ExperimentScale::tiny().with_accesses_per_thread(*accesses_per_thread);
                 let cfg = scale.apply(SimConfig::default()).with_threads(*threads);
-                let sim = Simulation::with_config(cfg.clone(), *workload, &scale);
-                let budget = sim.per_thread_budget();
-                let spec = scale.workload_spec(*workload);
-                let mut source = WorkloadSource::new(&spec, cfg.threads, scale.seed);
-                let header = TraceHeader {
-                    threads: cfg.threads,
-                    footprint_bytes: spec.footprint_bytes,
-                    seed: scale.seed,
-                    source: source.identity(),
-                    tenant_of_thread: None,
-                };
-                record_to_file(&mut source, &path, &header, budget)
+                Simulation::with_config(cfg, *workload, &scale)
+                    .record_trace_file(&path)
                     .map_err(|e| format!("recording {}: {e}", self.name))?;
             }
             EntrySource::Crafted {
@@ -177,17 +167,11 @@ impl CorpusEntry {
     /// Replays this entry's trace under `variant` through the same
     /// replay-configuration path as `trace replay`
     /// ([`crate::replay_trace_file`]): tiny-scale device sized around the
-    /// trace's footprint, thread count from the header.
-    pub fn replay(&self, corpus: &Path, variant: VariantKind) -> Result<SimResult, String> {
-        self.replay_with_telemetry(corpus, variant, TelemetryConfig::default())
-            .map(|(result, _)| result)
-    }
-
-    /// [`replay`](Self::replay) with telemetry riding along. Telemetry is
-    /// observe-only, so the returned [`SimResult`] must stay bit-identical
-    /// to the pinned golden — `crates/bench/tests/corpus.rs` locks this for
-    /// every corpus pair.
-    pub fn replay_with_telemetry(
+    /// trace's footprint, thread count from the header, with `telemetry`
+    /// riding along. Telemetry is observe-only, so the [`SimResult`] must
+    /// equal the pinned golden either way — `crates/bench/tests/corpus.rs`
+    /// locks this for every corpus pair.
+    pub fn replay(
         &self,
         corpus: &Path,
         variant: VariantKind,
@@ -198,7 +182,7 @@ impl CorpusEntry {
             .map_err(|e| format!("{}: cannot open trace: {e}", self.name))?
             .header()
             .clone();
-        crate::replay_trace_file_with_telemetry(
+        crate::replay_trace_file(
             &path,
             &header,
             variant,
@@ -444,10 +428,10 @@ fn pin_into_staging(
         .collect();
     let results = run_indexed(pairs.len(), jobs, |i| {
         let (ei, variant) = pairs[i];
-        entries[ei].replay(staging, variant)
+        entries[ei].replay(staging, variant, TelemetryConfig::default())
     });
     for ((ei, variant), result) in pairs.iter().zip(results) {
-        let result = result?;
+        let (result, _) = result?;
         let entry = &entries[*ei];
         let report = audit(&result);
         if !report.is_clean() {
@@ -517,14 +501,14 @@ pub fn verify(corpus: &Path, jobs: usize) -> Result<CorpusReport, String> {
         .collect();
     let results = run_indexed(pairs.len(), jobs, |i| {
         let (ei, variant) = pairs[i];
-        entries[ei].replay(corpus, variant)
+        entries[ei].replay(corpus, variant, TelemetryConfig::default())
     });
     let mut failures = Vec::new();
     for ((ei, variant), result) in pairs.iter().zip(results) {
         let entry = &entries[*ei];
         let pair = format!("{} under {variant}", entry.name);
         let result = match result {
-            Ok(r) => r,
+            Ok((r, _)) => r,
             Err(e) => {
                 failures.push(format!("{pair}: {e}"));
                 continue;

@@ -10,11 +10,11 @@
 //!   replay the underlying workload traces;
 //! * `cargo run -p skybyte-bench --bin trace -- <record|replay|stat|mix>` —
 //!   the standalone trace toolbox over `.sbt` files (see `skybyte-trace`);
-//! * `cargo bench -p skybyte-bench` — Criterion benchmarks: one group per
-//!   headline evaluation figure (at a reduced scale so the suite finishes on
-//!   a laptop) plus microbenchmarks of the core data structures (write-log
-//!   append/lookup/compaction, FTL writes with GC, data-cache operations,
-//!   scheduler picks).
+//! * [`corpus`] — the golden-trace regression corpus behind
+//!   `trace verify-corpus`.
+//!
+//! The flags both binaries take are parsed and written here, once. The
+//! benchmark is the separate `perfbench/` workspace.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -22,26 +22,22 @@
 pub mod corpus;
 
 use skybyte_sim::runner::default_parallelism;
-use skybyte_sim::{ExperimentScale, Runner, SimResult, Simulation, TelemetryOutput};
+use skybyte_sim::{
+    chrome_trace_json, metrics_csv, ExperimentScale, PerfReport, Runner, SimResult, Simulation,
+    TelemetryOutput,
+};
 use skybyte_trace::TraceHeader;
-use skybyte_types::{PolicyOverride, SimConfig, TelemetryConfig, VariantKind};
+use skybyte_types::{Nanos, PolicyOverride, SimConfig, TelemetryConfig, VariantKind};
 use skybyte_workloads::WorkloadKind;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
-/// The scale used by the Criterion figure benchmarks: small enough that one
-/// simulation takes well under a second.
-pub fn bench_scale() -> ExperimentScale {
-    ExperimentScale::bench().with_accesses_per_thread(1_500)
-}
-
-/// The scale used by the `figures` binary by default (can be overridden with
-/// `--scale tiny|bench|default`).
-pub fn figures_scale(name: &str) -> Option<ExperimentScale> {
+/// Parses a `--scale` value: `tiny`, `bench` or `default` (alias `paper`).
+pub fn parse_scale(name: &str) -> Result<ExperimentScale, String> {
     match name {
-        "tiny" => Some(ExperimentScale::tiny()),
-        "bench" => Some(ExperimentScale::bench()),
-        "default" | "paper" => Some(ExperimentScale::default_scale()),
-        _ => None,
+        "tiny" => Ok(ExperimentScale::tiny()),
+        "bench" => Ok(ExperimentScale::bench()),
+        "default" | "paper" => Ok(ExperimentScale::default_scale()),
+        _ => Err(format!("unknown scale '{name}' (tiny|bench|default)")),
     }
 }
 
@@ -56,6 +52,14 @@ pub fn harness_runner(jobs: Option<usize>) -> Runner {
 /// `u64`.
 pub const MAX_SAMPLE_US: u64 = u64::MAX / 1_000;
 
+/// Takes the value following the flag at `args[*i]`, advancing `i` to it.
+pub fn flag_value<'a>(args: &'a [String], i: &mut usize, flag: &str) -> Result<&'a str, String> {
+    *i += 1;
+    args.get(*i)
+        .map(String::as_str)
+        .ok_or_else(|| format!("{flag} requires a value"))
+}
+
 /// Parses the value of a numeric CLI flag that must lie in `1..=max`.
 ///
 /// Anything else (not a number, 0, or above `max`) is a one-line error
@@ -65,6 +69,92 @@ pub fn parse_count(flag: &str, value: &str, max: u64) -> Result<u64, String> {
     match value.parse::<u64>() {
         Ok(n) if (1..=max).contains(&n) => Ok(n),
         _ => Err(format!("{flag} must be between 1 and {max}, got '{value}'")),
+    }
+}
+
+/// Parses a `--workload` value: a Table I workload name.
+pub fn parse_workload(name: &str) -> Result<WorkloadKind, String> {
+    WorkloadKind::from_name(name).ok_or_else(|| format!("unknown workload '{name}'"))
+}
+
+/// Parses `--perf [PATH]` at `args[*i]`: the report path is the next
+/// argument unless that is the next flag (it starts with `-`), and
+/// `perf.json` otherwise.
+pub fn perf_path(args: &[String], i: &mut usize) -> PathBuf {
+    match args.get(*i + 1) {
+        Some(next) if !next.starts_with('-') => {
+            *i += 1;
+            PathBuf::from(next)
+        }
+        _ => PathBuf::from("perf.json"),
+    }
+}
+
+/// Writes `report` to `path` as pretty-printed JSON (the `--perf` report).
+pub fn write_perf_report(path: &Path, report: &PerfReport) -> Result<(), String> {
+    let json = serde_json::to_string_pretty(report)
+        .map_err(|e| format!("cannot serialise --perf report: {e}"))?;
+    std::fs::write(path, json)
+        .map_err(|e| format!("cannot write --perf report {}: {e}", path.display()))
+}
+
+/// The telemetry flags `figures` and `trace replay` share.
+#[derive(Debug, Clone, Default)]
+pub struct TelemetryFlags {
+    /// `--metrics PATH`: write the sampled time series as CSV.
+    pub metrics: Option<PathBuf>,
+    /// `--timeline PATH`: write the Chrome trace-event timeline.
+    pub timeline: Option<PathBuf>,
+    /// `--sample-us N`: the sampling cadence in simulated microseconds
+    /// (10 when absent).
+    pub sample_us: Option<u64>,
+}
+
+impl TelemetryFlags {
+    /// Parses `args[*i]` (and its value) if it is one of the three telemetry
+    /// flags; returns whether it was.
+    pub fn parse(&mut self, args: &[String], i: &mut usize) -> Result<bool, String> {
+        let flag = args[*i].as_str();
+        match flag {
+            "--metrics" => self.metrics = Some(flag_value(args, i, flag)?.into()),
+            "--timeline" => self.timeline = Some(flag_value(args, i, flag)?.into()),
+            "--sample-us" => {
+                let us = flag_value(args, i, flag)?;
+                self.sample_us = Some(parse_count(flag, us, MAX_SAMPLE_US)?);
+            }
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// The telemetry configuration the flags select: capture is on when
+    /// either export was asked for.
+    pub fn config(&self) -> TelemetryConfig {
+        TelemetryConfig {
+            enabled: self.metrics.is_some() || self.timeline.is_some(),
+            sample_interval: Nanos::from_micros(self.sample_us.unwrap_or(10)),
+            timeline: self.timeline.is_some(),
+        }
+    }
+
+    /// Writes each requested export, merging `outputs` — one `(label,
+    /// output)` pair per run — into one CSV and one timeline.
+    pub fn write(&self, outputs: &[(String, TelemetryOutput)]) -> Result<(), String> {
+        if let Some(path) = &self.metrics {
+            let runs = outputs
+                .iter()
+                .map(|(label, o)| (label.as_str(), &o.metrics));
+            std::fs::write(path, metrics_csv(runs))
+                .map_err(|e| format!("cannot write --metrics CSV {}: {e}", path.display()))?;
+        }
+        if let Some(path) = &self.timeline {
+            let runs = outputs
+                .iter()
+                .map(|(label, o)| (label.as_str(), &o.timeline));
+            std::fs::write(path, chrome_trace_json(runs))
+                .map_err(|e| format!("cannot write --timeline JSON {}: {e}", path.display()))?;
+        }
+        Ok(())
     }
 }
 
@@ -80,7 +170,10 @@ pub fn variant_from_name(name: &str) -> Option<VariantKind> {
 /// `header`) defines the footprint, thread count and amount of work, `scale`
 /// defines the simulated device around it, `policies` selects off-default
 /// policies (empty for the pinned defaults — what the golden corpus passes),
-/// and `workload` is the label the result carries.
+/// and `workload` is the label the result carries. When
+/// `telemetry.enabled`, the returned [`TelemetryOutput`] carries the sampled
+/// metrics and (optionally) the timeline of the replay; telemetry is
+/// observe-only, so the [`SimResult`] is bit-identical either way.
 ///
 /// This is the single replay-configuration path shared by `trace replay` and
 /// the golden corpus ([`corpus`]), so the two can never drift apart. It
@@ -88,31 +181,6 @@ pub fn variant_from_name(name: &str) -> Option<VariantKind> {
 /// chosen device, and every built-in scale keeps footprint ≤ flash/2 for GC
 /// headroom — failing with a hint beats an FTL panic mid-simulation.
 pub fn replay_trace_file(
-    path: &Path,
-    header: &TraceHeader,
-    variant: VariantKind,
-    workload: WorkloadKind,
-    scale: ExperimentScale,
-    policies: &[PolicyOverride],
-) -> Result<SimResult, String> {
-    replay_trace_file_with_telemetry(
-        path,
-        header,
-        variant,
-        workload,
-        scale,
-        policies,
-        TelemetryConfig::default(),
-    )
-    .map(|(result, _)| result)
-}
-
-/// [`replay_trace_file`] with telemetry riding along: when
-/// `telemetry.enabled` the returned [`TelemetryOutput`] carries the sampled
-/// metrics and (optionally) the Chrome-trace timeline of the replay.
-/// Telemetry is observe-only, so the [`SimResult`] is bit-identical to the
-/// plain path — the golden corpus verifies against either.
-pub fn replay_trace_file_with_telemetry(
     path: &Path,
     header: &TraceHeader,
     variant: VariantKind,
@@ -137,8 +205,7 @@ pub fn replay_trace_file_with_telemetry(
     for p in policies {
         p.apply(&mut cfg);
     }
-    cfg = cfg.with_telemetry(telemetry);
-    Simulation::with_config(cfg, workload, &scale)
+    Simulation::with_config(cfg.with_telemetry(telemetry), workload, &scale)
         .run_trace_file_with_telemetry(path)
         .map_err(|e| format!("replay failed: {e}"))
 }
@@ -149,12 +216,11 @@ mod tests {
 
     #[test]
     fn scales_resolve_by_name() {
-        assert!(figures_scale("tiny").is_some());
-        assert!(figures_scale("bench").is_some());
-        assert!(figures_scale("default").is_some());
-        assert!(figures_scale("paper").is_some());
-        assert!(figures_scale("bogus").is_none());
-        assert!(bench_scale().accesses_per_thread <= 2_000);
+        assert!(parse_scale("tiny").is_ok());
+        assert!(parse_scale("bench").is_ok());
+        assert!(parse_scale("default").is_ok());
+        assert!(parse_scale("paper").is_ok());
+        assert!(parse_scale("bogus").is_err());
     }
 
     #[test]

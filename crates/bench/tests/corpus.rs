@@ -48,7 +48,7 @@ fn corpus_replays_bit_identically_with_telemetry_enabled() {
     for entry in entries() {
         for variant in CORPUS_VARIANTS {
             let (result, output) = entry
-                .replay_with_telemetry(&corpus, variant, telemetry)
+                .replay(&corpus, variant, telemetry)
                 .expect("corpus replay with telemetry");
             let output = output.expect("telemetry was enabled");
             let golden_json = std::fs::read_to_string(entry.golden_path(&corpus, variant)).unwrap();
@@ -101,17 +101,29 @@ fn pinning_is_byte_identical_across_job_counts() {
     let b = scratch("pin-j4");
     pin(&a, 1).unwrap();
     pin(&b, 4).unwrap();
-    for sub in ["traces", "golden"] {
-        let mut names: Vec<_> = std::fs::read_dir(a.join(sub))
+    let names_in = |dir: PathBuf| {
+        let mut names: Vec<_> = std::fs::read_dir(dir)
             .unwrap()
             .map(|e| e.unwrap().file_name())
             .collect();
         names.sort();
+        names
+    };
+    for sub in ["traces", "golden"] {
+        let names = names_in(a.join(sub));
         assert!(!names.is_empty());
+        // The fresh pin also reproduces the checked-in corpus, so a drift
+        // in the recording path cannot hide behind stored traces.
+        assert_eq!(names, names_in(repo_corpus().join(sub)), "{sub}/ file set");
         for name in names {
             let x = std::fs::read(a.join(sub).join(&name)).unwrap();
             let y = std::fs::read(b.join(sub).join(&name)).unwrap();
             assert_eq!(x, y, "{sub}/{name:?} differs between --jobs 1 and 4");
+            let checked_in = std::fs::read(repo_corpus().join(sub).join(&name)).unwrap();
+            assert_eq!(
+                x, checked_in,
+                "{sub}/{name:?} differs from the checked-in corpus"
+            );
         }
     }
     // And a freshly pinned corpus trivially verifies.

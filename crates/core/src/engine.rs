@@ -15,7 +15,8 @@ use crate::scale::ExperimentScale;
 use crate::system::SystemState;
 use crate::telemetry::TelemetryOutput;
 use skybyte_trace::{
-    BoxedSource, Record, Shift, Tenants, TraceError, TraceFileSource, TraceHeader, TraceWriter,
+    record_to_file, BoxedSource, Record, Shift, Tenants, TraceError, TraceFileSource, TraceHeader,
+    TraceWriter,
 };
 use skybyte_types::{SimConfig, TenantId, VariantKind, PAGE_SIZE};
 use skybyte_workloads::{TraceSource, WorkloadKind, WorkloadSource};
@@ -277,43 +278,12 @@ impl Simulation {
         &self,
     ) -> Result<(SimResult, Option<TelemetryOutput>), TraceError> {
         let budget = self.per_thread_budget();
-        if !self.tenants.is_empty() {
-            // Multi-tenant runs compose their source live; trace drives are
-            // per-stream concepts (record the tenants separately and stack
-            // them with `Tenants` / `trace mix` instead).
-            return match &self.drive {
-                TraceDrive::Synthetic => {
-                    let mut source = self.multi_source();
-                    Ok(self.run_loop_full(&mut source, budget))
-                }
-                TraceDrive::Record { .. } | TraceDrive::Replay { .. } => {
-                    Err(TraceError::Unsupported(
-                        "trace drives are single-tenant; record each tenant's \
-                         stream separately and compose them with `Tenants`",
-                    ))
-                }
-            };
-        }
-        let spec = self.scale.workload_spec(self.workload);
         match &self.drive {
-            TraceDrive::Synthetic => {
-                let mut source = WorkloadSource::new(&spec, self.cfg.threads, self.scale.seed);
-                Ok(self.run_loop_full(&mut source, budget))
-            }
+            TraceDrive::Synthetic => Ok(self.run_loop(self.live_source().as_mut(), budget)),
             TraceDrive::Record { dir } => {
+                let (source, header) = self.recorded_stream()?;
                 std::fs::create_dir_all(dir)?;
                 let name = self.trace_file_name();
-                let source = WorkloadSource::new(&spec, self.cfg.threads, self.scale.seed);
-                let header = TraceHeader {
-                    threads: self.cfg.threads,
-                    footprint_bytes: spec.footprint_bytes,
-                    seed: self.scale.seed,
-                    source: source.identity(),
-                    // Synthetic workload recordings are single-tenant;
-                    // omitting the table keeps the golden corpus at format
-                    // version 1, byte-identical to earlier releases.
-                    tenant_of_thread: None,
-                };
                 // Concurrent runner workers may record the same (workload,
                 // scale) stream for different variants; each writes a unique
                 // temp file whose deterministic content is renamed over the
@@ -321,32 +291,76 @@ impl Simulation {
                 let tmp = dir.join(format!(".{name}.{}.tmp", next_record_token()));
                 let writer = TraceWriter::create(&tmp, &header)?;
                 let mut tee = Record::new(source, writer);
-                let result = self.run_loop_full(&mut tee, budget);
+                let result = self.run_loop(&mut tee, budget);
                 tee.finish()?;
                 std::fs::rename(&tmp, dir.join(&name))?;
                 Ok(result)
             }
             TraceDrive::Replay { dir } => {
-                let path = dir.join(self.trace_file_name());
-                let mut source = TraceFileSource::open(&path)?;
-                self.check_stream_count(&source)?;
-                // The trace defines the work; the budget only caps it.
-                Ok(self.run_loop_full(&mut source, u64::MAX))
+                self.require_single_tenant()?;
+                self.run_trace_file_with_telemetry(&dir.join(self.trace_file_name()))
             }
         }
     }
 
-    /// The single place the "does the trace's stream count match the
-    /// configured thread count" precondition is enforced, shared by every
-    /// file-replay entry point.
-    fn check_stream_count(&self, source: &TraceFileSource) -> Result<(), TraceError> {
-        if source.threads() != self.cfg.threads {
-            return Err(TraceError::ThreadMismatch {
-                expected: self.cfg.threads,
-                got: source.threads(),
-            });
+    /// Trace drives and recordings are per-stream concepts: a multi-tenant
+    /// run composes its source live, so its tenants are recorded separately
+    /// and stacked with `Tenants` / `trace mix` instead.
+    fn require_single_tenant(&self) -> Result<(), TraceError> {
+        if self.tenants.is_empty() {
+            Ok(())
+        } else {
+            Err(TraceError::Unsupported(
+                "trace drives are single-tenant; record each tenant's \
+                 stream separately and compose them with `Tenants`",
+            ))
         }
-        Ok(())
+    }
+
+    /// The live stream a synthetic run consumes: the workload generator, or
+    /// a multi-tenant run's stacked tenants.
+    fn live_source(&self) -> BoxedSource {
+        if self.tenants.is_empty() {
+            Box::new(self.workload_source())
+        } else {
+            Box::new(self.multi_source())
+        }
+    }
+
+    /// The live synthetic stream of a single-tenant simulation.
+    fn workload_source(&self) -> WorkloadSource {
+        let spec = self.scale.workload_spec(self.workload);
+        WorkloadSource::new(&spec, self.cfg.threads, self.scale.seed)
+    }
+
+    /// The stream a recording captures and the `.sbt` header describing
+    /// it, shared by the [`TraceDrive::Record`] tee and
+    /// [`record_trace_file`](Self::record_trace_file).
+    fn recorded_stream(&self) -> Result<(WorkloadSource, TraceHeader), TraceError> {
+        self.require_single_tenant()?;
+        let source = self.workload_source();
+        let header = TraceHeader {
+            threads: self.cfg.threads,
+            footprint_bytes: self.scale.workload_spec(self.workload).footprint_bytes,
+            seed: self.scale.seed,
+            source: source.identity(),
+            // Synthetic workload recordings are single-tenant; omitting the
+            // table keeps the golden corpus at format version 1,
+            // byte-identical to earlier releases.
+            tenant_of_thread: None,
+        };
+        Ok((source, header))
+    }
+
+    /// Writes the stream this simulation would consume to the `.sbt` file at
+    /// `path`, without simulating: each thread's
+    /// [`per_thread_budget`](Self::per_thread_budget) records of the
+    /// synthetic workload, under the header a [`TraceDrive::Record`] run
+    /// writes, so replaying either recording reproduces the live run.
+    /// Returns the number of records written.
+    pub fn record_trace_file(&self, path: &Path) -> Result<u64, TraceError> {
+        let (mut source, header) = self.recorded_stream()?;
+        record_to_file(&mut source, path, &header, self.per_thread_budget())
     }
 
     /// Replays an explicit `.sbt` file (ignoring the drive), with the trace
@@ -359,14 +373,21 @@ impl Simulation {
 
     /// [`run_trace_file`](Self::run_trace_file), additionally returning the
     /// telemetry captured over the replay — `Some` exactly when
-    /// `config().telemetry.enabled` is set.
+    /// `config().telemetry.enabled` is set. Every file replay, the
+    /// [`TraceDrive::Replay`] drive included, goes through here.
     pub fn run_trace_file_with_telemetry(
         &self,
         path: &Path,
     ) -> Result<(SimResult, Option<TelemetryOutput>), TraceError> {
         let mut source = TraceFileSource::open(path)?;
-        self.check_stream_count(&source)?;
-        Ok(self.run_loop_full(&mut source, u64::MAX))
+        if source.threads() != self.cfg.threads {
+            return Err(TraceError::ThreadMismatch {
+                expected: self.cfg.threads,
+                got: source.threads(),
+            });
+        }
+        // The trace defines the work; no budget caps it.
+        Ok(self.run_loop(&mut source, u64::MAX))
     }
 
     /// Runs the simulation driven by an arbitrary [`TraceSource`] whose
@@ -383,7 +404,7 @@ impl Simulation {
         source: &mut dyn TraceSource,
         per_thread_budget: u64,
     ) -> SimResult {
-        self.run_loop(source, per_thread_budget)
+        self.run_loop(source, per_thread_budget).0
     }
 
     /// The result's workload label and the total footprint (in pages) the
@@ -406,14 +427,9 @@ impl Simulation {
     }
 
     /// Drives the [`SystemState`] access pipeline (`crate::system`) over
-    /// `source` to completion and assembles the result.
-    fn run_loop(&self, source: &mut dyn TraceSource, per_thread_budget: u64) -> SimResult {
-        self.run_loop_full(source, per_thread_budget).0
-    }
-
-    /// [`run_loop`](Self::run_loop), carrying the telemetry output (if
-    /// capture is enabled on the configuration) alongside the result.
-    fn run_loop_full(
+    /// `source` to completion and assembles the result, beside the telemetry
+    /// output when capture is enabled on the configuration.
+    fn run_loop(
         &self,
         source: &mut dyn TraceSource,
         per_thread_budget: u64,
@@ -421,7 +437,7 @@ impl Simulation {
         let (label, footprint_pages) = self.label_and_footprint_pages();
         let mut system = self.build_system(source, per_thread_budget, footprint_pages);
         system.run(source);
-        system.into_result_with_telemetry(&label)
+        system.into_result(&label)
     }
 
     /// Runs the synthetic workload through the legacy min-clock reference
@@ -432,17 +448,10 @@ impl Simulation {
     pub fn run_reference(&self) -> SimResult {
         let budget = self.per_thread_budget();
         let (label, footprint_pages) = self.label_and_footprint_pages();
-        if !self.tenants.is_empty() {
-            let mut source = self.multi_source();
-            let mut system = self.build_system(&mut source, budget, footprint_pages);
-            system.run_reference(&mut source);
-            return system.into_result(&label);
-        }
-        let spec = self.scale.workload_spec(self.workload);
-        let mut source = WorkloadSource::new(&spec, self.cfg.threads, self.scale.seed);
-        let mut system = self.build_system(&mut source, budget, footprint_pages);
-        system.run_reference(&mut source);
-        system.into_result(&label)
+        let mut source = self.live_source();
+        let mut system = self.build_system(source.as_mut(), budget, footprint_pages);
+        system.run_reference(source.as_mut());
+        system.into_result(&label).0
     }
 
     fn build_system(
@@ -732,6 +741,11 @@ mod tests {
                 Simulation::build_multi(VariantKind::BaseCssd, &tenants, &scale).with_drive(drive);
             assert!(matches!(sim.try_run(), Err(TraceError::Unsupported(_))));
         }
+        // The standalone recorder refuses too, before creating the file.
+        let path = std::env::temp_dir().join("skybyte-never-created.sbt");
+        let sim = Simulation::build_multi(VariantKind::BaseCssd, &tenants, &scale);
+        let refused = sim.record_trace_file(&path);
+        assert!(matches!(refused, Err(TraceError::Unsupported(_))) && !path.exists());
     }
 
     #[test]

@@ -22,9 +22,10 @@ use serde::Serialize;
 use skybyte_types::{PolicyOverride, SimConfig, TelemetryConfig, VariantKind};
 use skybyte_workloads::WorkloadKind;
 use std::collections::{HashMap, HashSet};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// One fully specified simulation run, identified by a deterministic
 /// fingerprint of its configuration, workload and scale.
@@ -116,24 +117,57 @@ pub struct PerfReport {
     pub aggregate_units_per_sec: f64,
 }
 
+impl RunTiming {
+    /// The timing of one run of `variant` on `workload` that took `wall` of
+    /// host time and produced `result`.
+    pub fn new(
+        variant: VariantKind,
+        workload: WorkloadKind,
+        wall: Duration,
+        result: &SimResult,
+    ) -> Self {
+        let work_units = result.work_units();
+        let wall_nanos = wall.as_nanos() as u64;
+        RunTiming {
+            variant: variant.to_string(),
+            workload: workload.to_string(),
+            wall_nanos,
+            work_units,
+            simulated_nanos: result.exec_time.as_nanos(),
+            units_per_sec: per_second(work_units, wall_nanos),
+            p50_ns: result.latency_hist.p50().as_nanos(),
+            p99_ns: result.latency_hist.p99().as_nanos(),
+            p999_ns: result.latency_hist.p999().as_nanos(),
+        }
+    }
+}
+
 impl PerfReport {
-    /// Summarises every run `runner` executed so far.
-    pub fn from_runner(runner: &Runner) -> Self {
-        let runs = runner.run_timings();
+    /// Summarises `runs`, executed on `jobs` worker threads.
+    pub fn new(jobs: usize, runs: Vec<RunTiming>) -> Self {
         let total_work_units: u64 = runs.iter().map(|t| t.work_units).sum();
         let total_wall_nanos: u64 = runs.iter().map(|t| t.wall_nanos).sum();
-        let aggregate_units_per_sec = if total_wall_nanos == 0 {
-            0.0
-        } else {
-            total_work_units as f64 / (total_wall_nanos as f64 / 1e9)
-        };
         PerfReport {
-            jobs: runner.jobs(),
+            jobs,
             runs,
             total_work_units,
             total_wall_nanos,
-            aggregate_units_per_sec,
+            aggregate_units_per_sec: per_second(total_work_units, total_wall_nanos),
         }
+    }
+
+    /// Summarises every run `runner` executed so far.
+    pub fn from_runner(runner: &Runner) -> Self {
+        Self::new(runner.jobs(), runner.run_timings())
+    }
+}
+
+/// `units` per second of `wall_nanos` (0 when no time passed).
+fn per_second(units: u64, wall_nanos: u64) -> f64 {
+    if wall_nanos == 0 {
+        0.0
+    } else {
+        units as f64 / (wall_nanos as f64 / 1e9)
     }
 }
 
@@ -323,11 +357,6 @@ impl Runner {
             .clone()
     }
 
-    /// Creates a runner sized to the host's available parallelism.
-    pub fn with_default_parallelism() -> Self {
-        Self::new(default_parallelism())
-    }
-
     /// The worker-pool size.
     pub fn jobs(&self) -> usize {
         self.jobs
@@ -386,41 +415,29 @@ impl Runner {
     /// # Panics
     ///
     /// Propagates a panic from any simulation this call executes (e.g. an
-    /// invalid configuration). A panicking run leaves its fingerprint
-    /// claimed, so the runner must be discarded afterwards — a concurrent
-    /// caller waiting on that fingerprint would block forever.
+    /// invalid configuration), after releasing every fingerprint the call
+    /// claimed but did not finish: a concurrent caller waiting on one of
+    /// them panics too, naming the run, and a later call re-runs it.
     pub fn run_all(&self, reqs: &[RunRequest]) -> Vec<Arc<SimResult>> {
-        // Decorate requests with this runner's policy overrides; the
-        // overrides mutate each request's configuration and therefore its
-        // fingerprint, keeping the memo table sound.
-        let with_policies: Vec<RunRequest>;
-        let reqs: &[RunRequest] = if self.policies.is_empty() {
+        // Decorate requests with this runner's policy overrides and trace
+        // drive; both land in each decorated fingerprint, keeping the memo
+        // table sound.
+        let plain = self.policies.is_empty() && self.drive == TraceDrive::Synthetic;
+        let decorated: Vec<RunRequest>;
+        let reqs: &[RunRequest] = if plain {
             reqs
         } else {
-            with_policies = reqs
+            decorated = reqs
                 .iter()
                 .map(|r| {
                     let mut sim = r.simulation().clone();
                     for p in &self.policies {
                         p.apply(sim.config_mut());
                     }
+                    if self.drive != TraceDrive::Synthetic {
+                        sim = sim.with_drive(self.drive.clone());
+                    }
                     RunRequest::from_simulation(sim)
-                })
-                .collect();
-            &with_policies
-        };
-        // Decorate requests with this runner's trace drive; the drive is in
-        // the decorated fingerprints, keeping the memo table sound.
-        let decorated: Vec<RunRequest>;
-        let reqs: &[RunRequest] = if self.drive == TraceDrive::Synthetic {
-            reqs
-        } else {
-            decorated = reqs
-                .iter()
-                .map(|r| {
-                    RunRequest::from_simulation(
-                        r.simulation().clone().with_drive(self.drive.clone()),
-                    )
                 })
                 .collect();
             &decorated
@@ -436,23 +453,36 @@ impl Runner {
                 })
                 .collect()
         };
-        if self.jobs == 1 || claimed.len() == 1 {
-            // Sequential path: run inline, in enumeration order.
-            for req in &claimed {
-                self.execute(req);
-            }
-        } else if !claimed.is_empty() {
-            let next = AtomicUsize::new(0);
-            let workers = self.jobs.min(claimed.len());
-            std::thread::scope(|s| {
-                for _ in 0..workers {
-                    s.spawn(|| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(req) = claimed.get(i) else { break };
-                        self.execute(req);
-                    });
+        let executed = catch_unwind(AssertUnwindSafe(|| {
+            if self.jobs == 1 || claimed.len() == 1 {
+                // Sequential path: run inline, in enumeration order.
+                for req in &claimed {
+                    self.execute(req);
                 }
-            });
+            } else if !claimed.is_empty() {
+                let next = AtomicUsize::new(0);
+                let workers = self.jobs.min(claimed.len());
+                std::thread::scope(|s| {
+                    for _ in 0..workers {
+                        s.spawn(|| loop {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            let Some(req) = claimed.get(i) else { break };
+                            self.execute(req);
+                        });
+                    }
+                });
+            }
+        }));
+        if let Err(panic) = executed {
+            // Release the claims no run finished (finished ones already left
+            // `in_flight`), so waiters stop waiting and later calls re-run.
+            let mut state = self.state.lock().expect("memo table poisoned");
+            for req in &claimed {
+                state.in_flight.remove(req.fingerprint());
+            }
+            drop(state);
+            self.finished.notify_all();
+            resume_unwind(panic);
         }
         // Collect in request order, waiting out any fingerprints a
         // concurrent caller claimed before we could.
@@ -466,6 +496,11 @@ impl Runner {
                     results.push(Arc::clone(hit));
                     break;
                 }
+                if !state.in_flight.contains(r.fingerprint()) {
+                    // Neither finished nor claimed: its run panicked.
+                    drop(state);
+                    panic!("simulation {} panicked in a concurrent call", label(r));
+                }
                 state = self
                     .finished
                     .wait(state)
@@ -477,45 +512,23 @@ impl Runner {
 
     /// Simulates one claimed request and publishes its result.
     fn execute(&self, req: &RunRequest) {
-        let started = Instant::now();
         // Telemetry is observe-only and excluded from fingerprints, so the
         // result published under this fingerprint is bit-identical whether
         // or not telemetry rode along with the execution.
-        let (result, telemetry) = if self.telemetry.enabled {
-            let mut sim = req.simulation().clone();
-            sim.config_mut().telemetry = self.telemetry;
-            let (result, telemetry) = sim
-                .try_run_with_telemetry()
-                .expect("trace drive failed during telemetry run");
-            (Arc::new(result), telemetry)
-        } else {
-            (Arc::new(req.simulation().run()), None)
-        };
+        let mut sim = req.simulation().clone();
+        sim.config_mut().telemetry = self.telemetry;
+        let started = Instant::now();
+        let (result, telemetry) = sim
+            .try_run_with_telemetry()
+            .unwrap_or_else(|e| panic!("trace drive failed: {e}"));
         let wall = started.elapsed();
+        let timing = RunTiming::new(sim.config().variant, sim.workload(), wall, &result);
+        let result = Arc::new(result);
         self.runs_executed.fetch_add(1, Ordering::Relaxed);
-        {
-            let work_units = result.work_units();
-            let wall_nanos = wall.as_nanos() as u64;
-            let units_per_sec = if wall_nanos == 0 {
-                0.0
-            } else {
-                work_units as f64 / (wall_nanos as f64 / 1e9)
-            };
-            self.timings
-                .lock()
-                .expect("timing log poisoned")
-                .push(RunTiming {
-                    variant: req.simulation().config().variant.to_string(),
-                    workload: req.simulation().workload().to_string(),
-                    wall_nanos,
-                    work_units,
-                    simulated_nanos: result.exec_time.as_nanos(),
-                    units_per_sec,
-                    p50_ns: result.latency_hist.p50().as_nanos(),
-                    p99_ns: result.latency_hist.p99().as_nanos(),
-                    p999_ns: result.latency_hist.p999().as_nanos(),
-                });
-        }
+        self.timings
+            .lock()
+            .expect("timing log poisoned")
+            .push(timing);
         if result.truncated {
             self.truncated_runs.fetch_add(1, Ordering::Relaxed);
         }
@@ -530,15 +543,10 @@ impl Runner {
             }
         }
         if let Some(output) = telemetry {
-            let label = format!(
-                "{}/{}",
-                req.simulation().config().variant,
-                req.simulation().workload()
-            );
             self.telemetry_outputs
                 .lock()
                 .expect("telemetry log poisoned")
-                .push((req.fingerprint().to_string(), label, output));
+                .push((req.fingerprint().to_string(), label(req), output));
         }
         let mut state = self.state.lock().expect("memo table poisoned");
         state.in_flight.remove(req.fingerprint());
@@ -548,10 +556,16 @@ impl Runner {
     }
 }
 
+/// The human-readable `variant/workload` name of a request.
+fn label(req: &RunRequest) -> String {
+    let sim = req.simulation();
+    format!("{}/{}", sim.config().variant, sim.workload())
+}
+
 impl Default for Runner {
     /// A runner sized to the host's available parallelism.
     fn default() -> Self {
-        Self::with_default_parallelism()
+        Self::new(default_parallelism())
     }
 }
 
@@ -725,6 +739,59 @@ mod tests {
         assert_eq!(Runner::new(7).jobs(), 7);
         assert!(Runner::default().jobs() >= 1);
         assert!(default_parallelism() >= 1);
+    }
+
+    #[test]
+    fn a_panicking_run_releases_its_claim() {
+        let runner = Arc::new(Runner::new(1));
+        let mut cfg = tiny().apply(SimConfig::default());
+        cfg.cpu.cores = 0; // fails validation, so the run panics
+        let bad = RunRequest::with_config(cfg, WorkloadKind::Ycsb, &tiny());
+        // Before the claim was released, the second call waited forever for
+        // the first's result.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let shared = Arc::clone(&runner);
+        let helper = std::thread::spawn(move || {
+            for _ in 0..2 {
+                let outcome = catch_unwind(AssertUnwindSafe(|| shared.run(&bad)));
+                tx.send(outcome.is_err()).unwrap();
+            }
+        });
+        for call in 1..=2 {
+            let panicked = rx.recv_timeout(Duration::from_secs(60));
+            assert_eq!(panicked, Ok(true), "call {call} must re-raise, not block");
+        }
+        helper.join().unwrap();
+        let ok = RunRequest::build(VariantKind::BaseCssd, WorkloadKind::Ycsb, &tiny());
+        assert!(runner.run(&ok).total_accesses() > 0);
+        assert_eq!(runner.runs_executed(), 1);
+    }
+
+    #[test]
+    fn a_waiter_on_a_released_claim_re_raises_naming_the_run() {
+        let runner = Arc::new(Runner::new(1));
+        let req = RunRequest::build(VariantKind::BaseCssd, WorkloadKind::Ycsb, &tiny());
+        // Stand in for a concurrent call that claims the run, then releases
+        // it unfinished as a panicking run does.
+        let claim = req.fingerprint().to_string();
+        runner.state.lock().unwrap().in_flight.insert(claim.clone());
+        let (tx, rx) = std::sync::mpsc::channel();
+        let shared = Arc::clone(&runner);
+        let waiter = std::thread::spawn(move || {
+            let outcome = catch_unwind(AssertUnwindSafe(|| shared.run(&req)));
+            tx.send(outcome.err().and_then(|p| p.downcast::<String>().ok()))
+                .unwrap();
+        });
+        // Once its request counts as served, the waiter is past claiming.
+        while runner.requests_served.load(Ordering::Relaxed) == 0 {
+            std::thread::yield_now();
+        }
+        runner.state.lock().unwrap().in_flight.remove(&claim);
+        runner.finished.notify_all();
+        let message = rx.recv_timeout(Duration::from_secs(60)).unwrap();
+        waiter.join().unwrap();
+        assert!(message.unwrap().contains("Base-CSSD/ycsb"));
+        assert_eq!(runner.runs_executed(), 0);
     }
 
     #[test]

@@ -774,19 +774,15 @@ impl SystemState {
 
     /// Closes the run: samples the busy-time windows, flushes all dirty
     /// device state, snapshots every layer's counters (including the CXL
-    /// port) and assembles the [`SimResult`] labelled `workload_label`.
-    pub(crate) fn into_result(self, workload_label: &str) -> SimResult {
-        self.into_result_with_telemetry(workload_label).0
-    }
-
-    /// [`into_result`](Self::into_result), additionally returning the
-    /// telemetry captured over the run (when enabled). The final cumulative
-    /// sample is taken at `exec_time` *after* the end-of-run flush, beside
-    /// the `layers` snapshot, so the `telemetry-final-agreement` audit
-    /// invariant can tie the two exactly. Telemetry never lives on the
-    /// [`SimResult`] itself — results stay bit-identical (and goldens
-    /// unchanged) whether or not capture was on.
-    pub(crate) fn into_result_with_telemetry(
+    /// port) and assembles the [`SimResult`] labelled `workload_label`,
+    /// beside the telemetry captured over the run (when enabled).
+    ///
+    /// The final cumulative telemetry sample is taken at `exec_time`
+    /// *after* the end-of-run flush, beside the `layers` snapshot, so the
+    /// `telemetry-final-agreement` audit invariant can tie the two exactly.
+    /// Telemetry never lives on the [`SimResult`] itself — results stay
+    /// bit-identical (and goldens unchanged) whether or not capture was on.
+    pub(crate) fn into_result(
         mut self,
         workload_label: &str,
     ) -> (SimResult, Option<TelemetryOutput>) {
@@ -1018,7 +1014,7 @@ mod tests {
             .with_cores(2);
         let mut sys = SystemState::new(&cfg, 7, &mut stacked, u64::MAX, 1024, 0.8, 1_000_000);
         sys.run(&mut stacked);
-        let r = sys.into_result("stacked");
+        let (r, _) = sys.into_result("stacked");
         assert_eq!(r.per_tenant.len(), 2);
         assert_eq!(r.per_tenant[0].tenant, TenantId(0));
         assert_eq!(r.per_tenant[1].tenant, TenantId(1));

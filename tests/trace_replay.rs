@@ -25,6 +25,7 @@ fn tiny() -> ExperimentScale {
 #[test]
 fn record_then_replay_is_bit_identical_across_workloads_and_variants() {
     let dir = scratch_dir("identity");
+    let standalone = scratch_dir("standalone");
     let scale = tiny();
     // Two workloads with very different stream shapes, and both a squash
     // happy variant (context switches re-issue accesses) and the plain
@@ -52,8 +53,21 @@ fn record_then_replay_is_bit_identical_across_workloads_and_variants() {
             live,
             "{workload:?}/{variant:?}: tee perturbed the run"
         );
+        // A standalone recording (what `trace record` writes) replays to
+        // the same result as the tee's.
+        let replay = TraceDrive::Replay {
+            dir: standalone.clone(),
+        };
+        sim.record_trace_file(&standalone.join(sim.trace_file_name()))
+            .unwrap();
+        let from_standalone = sim.clone().with_drive(replay).run();
+        assert_eq!(
+            from_standalone, live,
+            "{workload:?}/{variant:?}: standalone"
+        );
     }
     std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&standalone).ok();
 }
 
 #[test]
