@@ -30,6 +30,7 @@ use skybyte_bench::{
 use skybyte_sim::report::{figure_table_named, paper_table, render, DATA_FIGURES};
 use skybyte_sim::{ExperimentScale, PerfReport, TraceDrive};
 use skybyte_types::PolicyOverride;
+use std::collections::HashSet;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -118,19 +119,19 @@ fn parse_args() -> Result<Options, String> {
                      --fig mt           the multi-tenant interference experiment\n\
                      \u{20}                  (ycsb + tpcc co-located, per-tenant slowdown vs solo)\n\
                      --fig policy       the pluggable-policy ablation (eviction x hotness,\n\
-                     \u{20}                  plus admission and tenant-scheduling contenders)\n\
+                     \u{20}                  plus a fair-share tenant-scheduling row)\n\
                      --fig fleet        the multi-device fleet sweep (placement policy x\n\
                      \u{20}                  fleet size, per-tenant tail slowdown + fairness)\n\
                      --policy NAME      apply a policy to every simulation (repeatable;\n\
-                     \u{20}                  e.g. clock, 2q, bypass-scan, decay, topk,\n\
-                     \u{20}                  fair-share, tpp, rr — unified name registry)\n\
+                     \u{20}                  e.g. clock, 2q, decay, topk, fair-share,\n\
+                     \u{20}                  tpp, rr — unified name registry)\n\
                      --out DIR          also write each regenerated table as DIR/<id>.csv\n\
                      --record-dir DIR   tee every simulation's workload stream to .sbt traces\n\
                      --replay-dir DIR   drive the simulations from recorded .sbt traces\n\
                      --audit            run the cross-layer conservation audit on every\n\
                      \u{20}                  simulation and fail on any violated invariant\n\
                      --perf [PATH]      write a machine-readable engine-throughput report\n\
-                     \u{20}                  (per-run wall clock + accesses/sec; default perf.json)\n\
+                     \u{20}                  (per-run wall clock + work units/s; default perf.json)\n\
                      --metrics PATH     write the telemetry time series of every executed\n\
                      \u{20}                  simulation as one merged CSV (observe-only)\n\
                      --timeline PATH    write a merged Chrome trace-event timeline of every\n\
@@ -155,7 +156,7 @@ fn parse_args() -> Result<Options, String> {
 }
 
 /// Regenerates, prints and (optionally) CSV-exports every requested table
-/// and figure; returns the number of CSV files written.
+/// and figure, each once; returns the number of CSV files written.
 fn regenerate(
     runner: &skybyte_sim::Runner,
     opts: &Options,
@@ -163,11 +164,22 @@ fn regenerate(
     figures: Vec<String>,
 ) -> Result<usize, String> {
     let mut exported = 0usize;
+    let mut done = HashSet::new();
     let all = tables
         .into_iter()
         .map(|n| (n.to_string(), true))
         .chain(figures.into_iter().map(|n| (n, false)));
     for (n, is_table) in all {
+        // Figures 19 and 20 are one table (`figure-19-20`), and a name may
+        // be given twice: regenerate, print and export each table once.
+        let id = match (is_table, n.as_str()) {
+            (true, _) => format!("table-{n}"),
+            (false, "20") => "figure-19".to_string(),
+            (false, _) => format!("figure-{n}"),
+        };
+        if !done.insert(id) {
+            continue;
+        }
         let table = if is_table {
             paper_table(runner, n.parse().expect("table numbers"), &opts.scale)
         } else {
@@ -289,7 +301,7 @@ fn run(opts: Options) -> Result<ExitCode, String> {
         for run in &report.runs {
             eprintln!(
                 "[figures] perf: {}/{} — {:.3}s wall, {} work units \
-                 ({:.0} accesses/sec), p50/p99/p999 {}/{}/{} ns",
+                 ({:.0} units/s), p50/p99/p999 {}/{}/{} ns",
                 run.variant,
                 run.workload,
                 run.wall_nanos as f64 / 1e9,
@@ -301,7 +313,7 @@ fn run(opts: Options) -> Result<ExitCode, String> {
             );
         }
         eprintln!(
-            "[figures] perf: {} work units in {:.3}s wall ({:.0} accesses/sec \
+            "[figures] perf: {} work units in {:.3}s wall ({:.0} units/s \
              aggregate) across {} run(s), {} memo hit(s); report written to {}",
             report.total_work_units,
             report.total_wall_nanos as f64 / 1e9,

@@ -49,10 +49,10 @@ const USAGE: &str = "usage: trace <record|replay|stat|mix|verify-corpus> [option
       trace defines footprint, thread count and the amount of work; the
       scale defines the device. The workload label defaults to the one
       named in the trace's provenance header. --policy applies an
-      off-default policy (repeatable; e.g. clock, 2q, bypass-scan, decay,
-      topk, fair-share, tpp, rr — same name registry as `figures`).
+      off-default policy (repeatable; e.g. clock, 2q, decay, topk,
+      fair-share, tpp, rr — same name registry as `figures`).
       --perf additionally writes a machine-readable engine-throughput
-      report (wall clock + accesses/sec; default PATH: perf.json).
+      report (wall clock + work units/s; default PATH: perf.json).
       --metrics samples telemetry every --sample-us microseconds of
       simulated time (default 10) into a CSV time series; --timeline
       writes a Chrome trace-event JSON timeline (load it in Perfetto).
@@ -79,9 +79,11 @@ const USAGE: &str = "usage: trace <record|replay|stat|mix|verify-corpus> [option
       golden result, plus the cross-layer conservation audit. --pin
       re-records the traces and re-pins the goldens instead (byte-identical
       for any --jobs value); --entry restricts the pin to the named entries
-      (how new entries are added without rewriting existing goldens);
-      --diff-out additionally writes the field-level diff to FILE on
-      mismatch (what CI uploads as an artifact).";
+      (how new entries are added without rewriting existing goldens).
+      On mismatch it prints the field-level diff, then one summary line
+      per diverged path (indices collapsed to []): the number of pairs,
+      and `removed`, `added` or the largest relative change. --diff-out
+      additionally writes both to FILE (what CI uploads as an artifact).";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -262,7 +264,7 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
         let report = PerfReport::new(1, vec![RunTiming::new(variant, workload, wall, &result)]);
         write_perf_report(&path, &report)?;
         println!(
-            "perf: {} work units in {:.3}s wall ({:.0} accesses/sec); report written to {}",
+            "perf: {} work units in {:.3}s wall ({:.0} units/s); report written to {}",
             report.total_work_units,
             report.total_wall_nanos as f64 / 1e9,
             report.aggregate_units_per_sec,
@@ -365,7 +367,10 @@ fn cmd_verify_corpus(args: &[String]) -> Result<(), String> {
         );
         return Ok(());
     }
-    let rendered = report.render_failures();
+    let mut rendered = report.render_failures();
+    if !report.summary.is_empty() {
+        rendered = format!("{rendered}\n{}", report.render_summary());
+    }
     if let Some(path) = &diff_out {
         std::fs::write(path, rendered.clone() + "\n")
             .map_err(|e| format!("cannot write {}: {e}", path.display()))?;

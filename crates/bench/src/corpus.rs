@@ -23,6 +23,7 @@
 //! re-pinned, and the diff of the JSON files documents the change's impact.
 
 use skybyte_sim::audit::audit;
+use skybyte_sim::metrics::DiffSummary;
 use skybyte_sim::{ExperimentScale, SimResult, Simulation, TelemetryOutput};
 use skybyte_trace::{
     record_to_file, BoxedSource, Mix, Shift, TraceHeader, TraceRecord, TraceSource, TraceWriter,
@@ -297,8 +298,8 @@ pub fn entries() -> Vec<CorpusEntry> {
         },
         // A footprint at exactly half the tiny-scale flash capacity — the
         // largest footprint `trace replay` accepts — with strided page
-        // touches and a write share, so preconditioning + GC churn run at
-        // the capacity edge.
+        // touches and a write share. Even here the preconditioned pages stay
+        // below the GC threshold, so GC does not run.
         CorpusEntry {
             name: "capacity-edge",
             label: WorkloadKind::Bc,
@@ -328,6 +329,10 @@ pub struct CorpusReport {
     /// One failure record per mismatching pair: the pair's name followed by
     /// its field-level diff and/or audit violations, one line each.
     pub failures: Vec<String>,
+    /// One line per path that diverged from its golden, with array indices
+    /// collapsed to `[]`: how many pairs it moved in, and whether it was
+    /// removed, added or changed by how much ([`DiffSummary::lines`]).
+    pub summary: Vec<String>,
 }
 
 impl CorpusReport {
@@ -339,6 +344,19 @@ impl CorpusReport {
     /// Renders the failure list (empty string when clean).
     pub fn render_failures(&self) -> String {
         self.failures.join("\n")
+    }
+
+    /// Renders the per-path summary under a heading.
+    pub fn render_summary(&self) -> String {
+        let mut out = format!(
+            "{} path(s) diverged from the goldens (indices collapsed to []):",
+            self.summary.len()
+        );
+        for line in &self.summary {
+            out.push_str("\n  ");
+            out.push_str(line);
+        }
+        out
     }
 }
 
@@ -490,8 +508,8 @@ fn pin_into_staging(
 
 /// Replays every corpus pair and verifies it against its pinned golden,
 /// path by path ([`SimResult::diff_against_json`], so a golden key the
-/// result no longer has fails too), plus the conservation audit. Output is
-/// identical for any `jobs` value.
+/// result no longer has fails too), plus the conservation audit, and sums
+/// the diffs up per path. Output is identical for any `jobs` value.
 pub fn verify(corpus: &Path, jobs: usize) -> Result<CorpusReport, String> {
     let entries = entries();
     let pairs: Vec<(usize, VariantKind)> = entries
@@ -504,6 +522,7 @@ pub fn verify(corpus: &Path, jobs: usize) -> Result<CorpusReport, String> {
         entries[ei].replay(corpus, variant, TelemetryConfig::default())
     });
     let mut failures = Vec::new();
+    let mut summary = DiffSummary::default();
     for ((ei, variant), result) in pairs.iter().zip(results) {
         let entry = &entries[*ei];
         let pair = format!("{} under {variant}", entry.name);
@@ -540,10 +559,10 @@ pub fn verify(corpus: &Path, jobs: usize) -> Result<CorpusReport, String> {
         if !diff.is_empty() {
             let mut lines = format!("{} field(s) diverged from the golden:", diff.len());
             for d in &diff {
-                lines.push_str("\n  ");
-                lines.push_str(d);
+                lines.push_str(&format!("\n  {d}"));
             }
             problems.push(lines);
+            summary.add_pair(&diff);
         }
         let report = audit(&result);
         if !report.is_clean() {
@@ -556,6 +575,7 @@ pub fn verify(corpus: &Path, jobs: usize) -> Result<CorpusReport, String> {
     Ok(CorpusReport {
         pairs: pairs.len(),
         failures,
+        summary: summary.lines(),
     })
 }
 

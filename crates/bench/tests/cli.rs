@@ -48,3 +48,20 @@ fn perf_without_a_path_leaves_a_following_short_flag_alone() {
     assert!(!dir.join("-j").exists());
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn figures_19_and_20_are_one_table_printed_and_written_once() {
+    let dir = scratch("fig19-20");
+    let out = Command::new(env!("CARGO_BIN_EXE_figures"))
+        .args(["--fig", "19", "--fig", "20", "--scale", "tiny", "--out"])
+        .arg(&dir)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(stdout.matches("== figure-19-20").count(), 1, "{stdout}");
+    assert!(stderr.contains("wrote 1 CSV file(s)"), "{stderr}");
+    assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -1,8 +1,10 @@
 //! Integration tests of the golden-trace regression corpus.
 
+use serde::Value;
 use skybyte_bench::corpus::{entries, pin, pin_entries, verify, CORPUS_VARIANTS};
 use skybyte_sim::audit::audit_with_telemetry;
 use skybyte_types::{Nanos, TelemetryConfig};
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 fn scratch(tag: &str) -> PathBuf {
@@ -53,11 +55,12 @@ fn corpus_replays_bit_identically_with_telemetry_enabled() {
             let output = output.expect("telemetry was enabled");
             let golden_json = std::fs::read_to_string(entry.golden_path(&corpus, variant)).unwrap();
             let diff = result.diff_against_json(&golden_json).unwrap();
+            let lines: Vec<String> = diff.iter().map(ToString::to_string).collect();
             assert!(
                 diff.is_empty(),
                 "{} under {variant}: telemetry perturbed the replay:\n{}",
                 entry.name,
-                diff.join("\n")
+                lines.join("\n")
             );
             audit_with_telemetry(&result, Some(&output.final_sample))
                 .assert_clean(&format!("{} under {variant} with telemetry", entry.name));
@@ -218,4 +221,120 @@ fn missing_goldens_point_at_pin() {
         report.failures[0]
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn verification_sums_up_what_moved_per_path() {
+    let dir = scratch("summary");
+    pin(&dir, 2).unwrap();
+    // Take one key out of a golden, as if the schema had just gained it,
+    // and double one of its numbers, as if the engine had halved it.
+    let victim = entries()[1].golden_path(&dir, CORPUS_VARIANTS[2]);
+    let mut golden: Value =
+        serde_json::from_str(&std::fs::read_to_string(&victim).unwrap()).unwrap();
+    let Value::Map(fields) = &mut golden else {
+        panic!("a golden is a JSON object");
+    };
+    let before = fields.len();
+    fields.retain(|(k, _)| k != "context_switches");
+    assert_eq!(fields.len(), before - 1, "the golden must have the key");
+    let exec_time = &mut fields.iter_mut().find(|(k, _)| k == "exec_time").unwrap().1;
+    let Value::UInt(ns) = *exec_time else {
+        panic!("exec_time is an unsigned integer: {exec_time:?}");
+    };
+    *exec_time = Value::UInt(ns * 2);
+    std::fs::write(&victim, serde_json::to_string_pretty(&golden).unwrap()).unwrap();
+    let report = verify(&dir, 2).unwrap();
+    assert_eq!(
+        report.summary,
+        vec![
+            "context_switches: 1 pair(s), added",
+            "exec_time: 1 pair(s), largest relative change 5.000e-1",
+        ],
+        "{}",
+        report.render_failures()
+    );
+    assert!(report.render_summary().contains("2 path(s) diverged"));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Numeric and boolean leaves that are zero or false in every golden, with
+/// array indices collapsed to `[]`, in path order, each group under the
+/// reason it stays so. A path a golden starts to exercise must leave this
+/// list; a new always-zero path must join it with its reason.
+const ZERO_IN_EVERY_GOLDEN: [&str; 11] = [
+    // No golden fills the device up to the GC threshold.
+    "layers.flash.blocks_erased",
+    "layers.ftl.blocks_erased",
+    "layers.ftl.gc_campaigns",
+    "layers.ftl.gc_pages_read",
+    "layers.ftl.gc_pages_relocated",
+    // No golden exhausts the host-DRAM promotion budget.
+    "layers.migration.demotions",
+    // No golden appends while both log buffers are full (back-pressure),
+    // the only time an append overwrites an entry in place.
+    "layers.write_log.back_pressure_appends",
+    "layers.write_log.overwrites_in_place",
+    // Every golden's final flush drains the log.
+    "layers.write_log_resident_entries",
+    // Every golden is single-tenant: its one tenant is id 0.
+    "per_tenant[].tenant",
+    // No golden hits the engine step limit.
+    "truncated",
+];
+
+/// Records, for every numeric or boolean leaf under `path`, whether any
+/// value seen so far is nonzero or true.
+fn exercised_leaves(path: &str, value: &Value, out: &mut BTreeMap<String, bool>) {
+    let join = |key: &str| match path {
+        "" => key.to_string(),
+        _ => format!("{path}.{key}"),
+    };
+    let exercised = match value {
+        Value::Map(fields) => {
+            for (key, v) in fields {
+                exercised_leaves(&join(key), v, out);
+            }
+            return;
+        }
+        Value::Seq(items) => {
+            for v in items {
+                exercised_leaves(&format!("{path}[]"), v, out);
+            }
+            return;
+        }
+        Value::Bool(b) => *b,
+        Value::Int(n) => *n != 0,
+        Value::UInt(n) => *n != 0,
+        Value::Float(x) => *x != 0.0,
+        Value::Null | Value::Str(_) => return,
+    };
+    *out.entry(path.to_string()).or_default() |= exercised;
+}
+
+#[test]
+fn goldens_leave_only_the_listed_paths_at_zero() {
+    let mut leaves = BTreeMap::new();
+    let mut goldens = 0;
+    for f in std::fs::read_dir(repo_corpus().join("golden")).unwrap() {
+        let path = f.unwrap().path();
+        if path.extension().is_some_and(|x| x == "json") {
+            let golden: Value =
+                serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
+            exercised_leaves("", &golden, &mut leaves);
+            goldens += 1;
+        }
+    }
+    assert_eq!(goldens, entries().len() * CORPUS_VARIANTS.len());
+    let zero: Vec<&str> = leaves
+        .iter()
+        .filter(|(_, &exercised)| !exercised)
+        .map(|(path, _)| path.as_str())
+        .collect();
+    assert_eq!(
+        zero, ZERO_IN_EVERY_GOLDEN,
+        "the paths zero or false in every golden changed: a path a golden now \
+         exercises leaves ZERO_IN_EVERY_GOLDEN; a new always-zero path joins it \
+         with its reason"
+    );
 }

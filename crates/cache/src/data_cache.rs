@@ -10,7 +10,7 @@
 
 use crate::policy::{self, WayMeta};
 use serde::{Deserialize, Serialize};
-use skybyte_types::policy::{AdmissionPolicyKind, EvictionPolicyKind};
+use skybyte_types::policy::EvictionPolicyKind;
 use skybyte_types::{CachelineIndex, Lpa, CACHELINES_PER_PAGE, PAGE_SIZE};
 
 /// A page evicted from the data cache.
@@ -53,10 +53,6 @@ pub struct DataCacheStats {
     pub dirty_cachelines_evicted: u64,
     /// Total accessed cachelines observed at eviction time (Figure 5 style).
     pub accessed_cachelines_evicted: u64,
-    /// New-page insertions rejected by the admission policy (always zero
-    /// under the default admit-all policy).
-    #[serde(default)]
-    pub admission_bypasses: u64,
 }
 
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -68,10 +64,9 @@ struct PageEntry {
 
 /// A set-associative, page-granular cache indexed by logical page address.
 ///
-/// Replacement and admission are the cache's [`EvictionPolicyKind`] and
-/// [`AdmissionPolicyKind`], matched in [`crate::policy`]; the defaults
-/// (pseudo-LRU, admit-all) reproduce the original hard-wired cache decision
-/// for decision.
+/// Replacement is the cache's [`EvictionPolicyKind`], matched in
+/// [`crate::policy`]; the default (pseudo-LRU) reproduces the original
+/// hard-wired cache decision for decision. Every fetched page is admitted.
 ///
 /// # Example
 ///
@@ -94,43 +89,29 @@ pub struct DataCache {
     capacity_pages: usize,
     tick: u64,
     eviction: EvictionPolicyKind,
-    admission: AdmissionPolicyKind,
     /// CLOCK hand per set (only CLOCK moves them).
     clock_hands: Vec<usize>,
-    /// Bypass-scan state: the last page offered for admission and the
-    /// length of the sequential run ending at it.
-    scan: (Option<Lpa>, u32),
     stats: DataCacheStats,
 }
 
 impl DataCache {
     /// Creates a cache of `size_bytes` capacity with the given associativity
-    /// and the default policies (pseudo-LRU eviction, admit-all admission).
-    /// The number of sets is rounded down to at least one.
+    /// and the default (pseudo-LRU) eviction policy. The number of sets is
+    /// rounded down to at least one.
     ///
     /// # Panics
     ///
     /// Panics if the cache cannot hold at least one page or `ways == 0`.
     pub fn new(size_bytes: u64, ways: u32) -> Self {
-        Self::with_policies(
-            size_bytes,
-            ways,
-            EvictionPolicyKind::default(),
-            AdmissionPolicyKind::default(),
-        )
+        Self::with_policies(size_bytes, ways, EvictionPolicyKind::default())
     }
 
-    /// Creates a cache with explicit eviction and admission policies.
+    /// Creates a cache with an explicit eviction policy.
     ///
     /// # Panics
     ///
     /// Panics if the cache cannot hold at least one page or `ways == 0`.
-    pub fn with_policies(
-        size_bytes: u64,
-        ways: u32,
-        eviction: EvictionPolicyKind,
-        admission: AdmissionPolicyKind,
-    ) -> Self {
+    pub fn with_policies(size_bytes: u64, ways: u32, eviction: EvictionPolicyKind) -> Self {
         assert!(ways > 0, "associativity must be at least 1");
         let capacity_pages = (size_bytes / PAGE_SIZE as u64) as usize;
         assert!(
@@ -146,9 +127,7 @@ impl DataCache {
             capacity_pages: sets * ways,
             tick: 0,
             eviction,
-            admission,
             clock_hands: vec![0; sets],
-            scan: (None, 0),
             stats: DataCacheStats::default(),
         }
     }
@@ -189,9 +168,7 @@ impl DataCache {
     /// set is full. Returns the evicted page, if any.
     ///
     /// Inserting an already-cached page refreshes its replacement position
-    /// and returns `None`. A page the admission policy rejects is not
-    /// inserted (and nothing is evicted); rejections are counted in
-    /// [`DataCacheStats::admission_bypasses`].
+    /// and returns `None`.
     pub fn insert(&mut self, lpa: Lpa) -> Option<EvictedPage> {
         self.tick += 1;
         let tick = self.tick;
@@ -199,10 +176,6 @@ impl DataCache {
         if let Some(way) = self.sets[set].iter().position(|e| e.lpa == lpa) {
             self.meta[set][way].last_access = tick;
             policy::on_hit(self.eviction, &mut self.meta[set], way, self.ways);
-            return None;
-        }
-        if !policy::admit(self.admission, &mut self.scan, lpa) {
-            self.stats.admission_bypasses += 1;
             return None;
         }
         self.stats.insertions += 1;
@@ -419,18 +392,12 @@ mod tests {
     fn default_policies_are_pseudo_lru_admit_all() {
         let c = DataCache::new(4 * 4096, 4);
         assert_eq!(c.eviction, EvictionPolicyKind::PseudoLru);
-        assert_eq!(c.admission, AdmissionPolicyKind::AdmitAll);
     }
 
     #[test]
     fn clock_policy_spares_referenced_pages() {
         // 1 set, 2 ways, CLOCK.
-        let mut c = DataCache::with_policies(
-            2 * 4096,
-            2,
-            EvictionPolicyKind::Clock,
-            AdmissionPolicyKind::AdmitAll,
-        );
+        let mut c = DataCache::with_policies(2 * 4096, 2, EvictionPolicyKind::Clock);
         c.insert(Lpa::new(1));
         c.insert(Lpa::new(2));
         c.access(Lpa::new(1), 0); // sets page 1's reference bit
@@ -443,12 +410,7 @@ mod tests {
     fn two_q_policy_evicts_probationary_pages_first() {
         // 1 set, 4 ways, 2Q: page 1 is re-referenced (protected), the scan
         // pages 2..4 churn through the probationary segment.
-        let mut c = DataCache::with_policies(
-            4 * 4096,
-            4,
-            EvictionPolicyKind::TwoQ,
-            AdmissionPolicyKind::AdmitAll,
-        );
+        let mut c = DataCache::with_policies(4 * 4096, 4, EvictionPolicyKind::TwoQ);
         for i in 1..=4u64 {
             c.insert(Lpa::new(i));
         }
@@ -460,38 +422,12 @@ mod tests {
 
     #[test]
     fn fifo_policy_evicts_in_insertion_order() {
-        let mut c = DataCache::with_policies(
-            2 * 4096,
-            2,
-            EvictionPolicyKind::Fifo,
-            AdmissionPolicyKind::AdmitAll,
-        );
+        let mut c = DataCache::with_policies(2 * 4096, 2, EvictionPolicyKind::Fifo);
         c.insert(Lpa::new(1));
         c.insert(Lpa::new(2));
         c.access(Lpa::new(1), 0); // recency must not matter
         let e = c.insert(Lpa::new(3)).expect("eviction");
         assert_eq!(e.lpa, Lpa::new(1));
-    }
-
-    #[test]
-    fn bypass_scan_admission_rejects_long_sequential_runs() {
-        let mut c = DataCache::with_policies(
-            64 * 4096,
-            4,
-            EvictionPolicyKind::PseudoLru,
-            AdmissionPolicyKind::BypassScan,
-        );
-        for i in 0..32u64 {
-            c.insert(Lpa::new(i));
-        }
-        assert!(c.stats().admission_bypasses > 0);
-        assert!(
-            c.len() < 32,
-            "a long scan must not fully populate the cache"
-        );
-        // A non-sequential page is admitted again.
-        c.insert(Lpa::new(1000));
-        assert!(c.contains(Lpa::new(1000)));
     }
 
     proptest! {

@@ -12,9 +12,9 @@
 //!   any cacheline and enumerates all logged cachelines of a page during
 //!   compaction;
 //! * a **page-granular read-write data cache** ([`DataCache`]) — pages fetched
-//!   from flash on read misses, set-associative, with its eviction and
-//!   admission policy kinds matched in [`policy`] (default pseudo-LRU /
-//!   admit-all);
+//!   from flash on read misses, set-associative, admitting every fetched
+//!   page, with its eviction policy kind matched in [`policy`] (default
+//!   pseudo-LRU);
 //! * **log compaction** ([`CompactionPlan`]) — when a log fills up it is
 //!   frozen, writes continue in the other buffer, and the frozen log is
 //!   coalesced page-by-page and flushed to flash in the background;

@@ -1,30 +1,18 @@
-//! The eviction and admission decisions of the data cache.
+//! The eviction decision of the data cache.
 //!
-//! [`DataCache`](crate::DataCache) holds its policies as their kinds and
-//! this module matches on them:
+//! [`DataCache`](crate::DataCache) holds its [`EvictionPolicyKind`] and this
+//! module matches on it: `on_hit` and `victim` decide which way of a full
+//! set to evict. They work on per-way [`WayMeta`] replacement metadata the
+//! cache keeps in lockstep with its entries; the cache itself stamps
+//! `last_access`/`inserted_at` ticks, so recency-based policies need no
+//! state of their own. CLOCK's per-set hands are a field of the cache.
 //!
-//! * `on_hit` and `victim` decide which way of a full set to evict under an
-//!   [`EvictionPolicyKind`]. They work on per-way [`WayMeta`] replacement
-//!   metadata the cache keeps in lockstep with its entries; the cache itself
-//!   stamps `last_access`/`inserted_at` ticks, so recency-based policies need
-//!   no state of their own. CLOCK's per-set hands are a field of the cache.
-//! * `admit` decides under an [`AdmissionPolicyKind`] whether a missed page
-//!   is admitted at all. A bypassed page is served from the flash buffer
-//!   without displacing anything (the controller falls back to writing
-//!   through for dirty data on bypassed pages). Bypass-scan's sequential run
-//!   is a field of the cache.
-//!
-//! [`EvictionPolicyKind::PseudoLru`] and [`AdmissionPolicyKind::AdmitAll`]
-//! are the defaults and reproduce the original hard-wired cache decision for
-//! decision.
+//! The cache admits every page it fetches (§III-B), so admission is not a
+//! policy. [`EvictionPolicyKind::PseudoLru`] is the default and reproduces
+//! the original hard-wired cache decision for decision.
 
 use serde::{Deserialize, Serialize};
-use skybyte_types::policy::{AdmissionPolicyKind, EvictionPolicyKind};
-use skybyte_types::Lpa;
-
-/// Number of consecutive sequential inserts after which the bypass-scan
-/// admission policy classifies the stream as a scan and stops admitting.
-pub const SCAN_BYPASS_RUN: u32 = 8;
+use skybyte_types::policy::EvictionPolicyKind;
 
 /// Per-way replacement metadata, maintained by the cache in lockstep with
 /// its page entries and interpreted by the eviction policies.
@@ -134,28 +122,6 @@ pub(crate) fn victim(kind: EvictionPolicyKind, meta: &mut [WayMeta], hand: &mut 
     }
 }
 
-/// Whether the page about to be inserted is admitted. Called once per
-/// new-page insertion attempt, in stream order. `scan` is the last page
-/// offered and the length of the sequential run ending at it.
-///
-/// Bypass-scan stops admitting once [`SCAN_BYPASS_RUN`] consecutive
-/// offers target consecutive pages — a streaming read would flush the
-/// cache without re-referencing anything.
-pub(crate) fn admit(kind: AdmissionPolicyKind, scan: &mut (Option<Lpa>, u32), lpa: Lpa) -> bool {
-    match kind {
-        AdmissionPolicyKind::AdmitAll => true,
-        AdmissionPolicyKind::BypassScan => {
-            let (last, run) = scan;
-            *run = match *last {
-                Some(prev) if lpa.index() == prev.index().wrapping_add(1) => *run + 1,
-                _ => 1,
-            };
-            *last = Some(lpa);
-            *run < SCAN_BYPASS_RUN
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -242,26 +208,5 @@ mod tests {
         let mut m = meta(&[(1, false, false), (2, false, false)]);
         m[0].last_access = 100; // heavily re-referenced, still first in
         assert_eq!(victim(EvictionPolicyKind::Fifo, &mut m, &mut 0), 0);
-    }
-
-    #[test]
-    fn bypass_scan_admits_until_the_run_threshold() {
-        let mut scan = (None, 0);
-        let mut offer = |i: u64| admit(AdmissionPolicyKind::BypassScan, &mut scan, Lpa::new(i));
-        for i in 0..SCAN_BYPASS_RUN as u64 - 1 {
-            assert!(offer(i), "page {i} of the run is admitted");
-        }
-        assert!(!offer(SCAN_BYPASS_RUN as u64 - 1));
-        assert!(!offer(SCAN_BYPASS_RUN as u64));
-        // Breaking the run resets admission.
-        assert!(offer(1000));
-    }
-
-    #[test]
-    fn admit_all_always_admits() {
-        let mut scan = (None, 0);
-        for i in 0..100 {
-            assert!(admit(AdmissionPolicyKind::AdmitAll, &mut scan, Lpa::new(i)));
-        }
     }
 }

@@ -284,22 +284,6 @@ impl WriteLog {
                 .is_some_and(|f| f.index.contains_page(lpa))
     }
 
-    /// All logged cachelines of `lpa` (latest tokens), merged across both
-    /// buffers with the active buffer taking precedence. Used to bring a
-    /// freshly fetched page up to date (R3 of Figure 11).
-    pub fn page_updates(&self, lpa: Lpa) -> Vec<(CachelineIndex, u64)> {
-        let mut merged: std::collections::BTreeMap<CachelineIndex, u64> = Default::default();
-        if let Some(frozen) = &self.frozen {
-            for (cl, off) in frozen.index.page_entries(lpa) {
-                merged.insert(cl, frozen.entries[off as usize].token);
-            }
-        }
-        for (cl, off) in self.active.index.page_entries(lpa) {
-            merged.insert(cl, self.active.entries[off as usize].token);
-        }
-        merged.into_iter().collect()
-    }
-
     /// Whether the active buffer is full and a compaction should start.
     pub fn needs_compaction(&self) -> bool {
         self.active.is_full() && self.frozen.is_none()
@@ -457,8 +441,6 @@ mod tests {
         // New writes go to the new active buffer and take precedence.
         log.append(Lpa::new(9), 1, 222);
         assert_eq!(log.lookup(Lpa::new(9), 1), Some(222));
-        // page_updates merges both, newest first.
-        assert_eq!(log.page_updates(Lpa::new(9)), vec![(1, 222)]);
         log.finish_compaction();
         assert!(!log.compaction_in_progress());
         assert_eq!(log.lookup(Lpa::new(9), 1), Some(222));

@@ -26,8 +26,8 @@ use crate::runner::{RunRequest, Runner};
 use crate::scale::ExperimentScale;
 use serde::{Deserialize, Serialize};
 use skybyte_types::{
-    AdmissionPolicyKind, EvictionPolicyKind, HotnessPolicyKind, NandKind, Nanos, PolicyConfig,
-    SchedPolicy, SimConfig, TenantSchedKind, VariantKind, KIB, MIB,
+    EvictionPolicyKind, HotnessPolicyKind, NandKind, Nanos, PolicyConfig, SchedPolicy, SimConfig,
+    TenantSchedKind, VariantKind, KIB, MIB,
 };
 use skybyte_workloads::{page_locality_cdf, TraceGenerator, WorkloadKind};
 
@@ -912,9 +912,9 @@ fn policy_mt_request(policy: PolicyConfig, scale: &ExperimentScale) -> RunReques
 }
 
 /// Every row of the policy ablation: the full eviction × hotness cross
-/// product (default admission/scheduling), plus one row per off-default
-/// admission and tenant-scheduling contender. Public so CLIs and tests can
-/// enumerate what `figures --fig policy` sweeps.
+/// product (default tenant scheduling), plus a fair-share tenant-scheduling
+/// row. Public so CLIs and tests can enumerate what `figures --fig policy`
+/// sweeps.
 pub fn policy_ablation_rows() -> Vec<(String, PolicyConfig)> {
     let mut rows = Vec::new();
     for &eviction in &EvictionPolicyKind::ALL {
@@ -930,13 +930,6 @@ pub fn policy_ablation_rows() -> Vec<(String, PolicyConfig)> {
         }
     }
     rows.push((
-        "bypass-scan".to_string(),
-        PolicyConfig {
-            admission: AdmissionPolicyKind::BypassScan,
-            ..PolicyConfig::default()
-        },
-    ));
-    rows.push((
         "fair-share".to_string(),
         PolicyConfig {
             tenant_sched: TenantSchedKind::FairShare,
@@ -949,9 +942,8 @@ pub fn policy_ablation_rows() -> Vec<(String, PolicyConfig)> {
 /// Figure "policy" (beyond the paper): the pluggable-policy ablation.
 ///
 /// Sweeps the data-cache eviction × hot-page tracking cross product (plus a
-/// bypass-scan admission row and a fair-share tenant-scheduling row) over
-/// SkyByte-Full on ycsb, tpcc and the balanced ycsb + tpcc co-location, and
-/// reports execution time normalised per column to the default policy combo
+/// fair-share tenant-scheduling row) over SkyByte-Full on ycsb, tpcc and the
+/// balanced ycsb + tpcc co-location, and reports execution time normalised per column to the default policy combo
 /// (`pseudo-lru/threshold` — whose row is therefore all ones). Values above
 /// one mean the contender lost time against the shipped policies.
 pub fn fig_policy_ablation(runner: &Runner, scale: &ExperimentScale) -> ExperimentTable {

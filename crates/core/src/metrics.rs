@@ -6,6 +6,8 @@ use skybyte_cpu::Boundedness;
 use skybyte_cxl::CxlPortStats;
 use skybyte_ssd::{FlashStats, FtlStats, SsdStats, WriteLogStats};
 use skybyte_types::{LatencyHistogram, Nanos, PolicyConfig, RatioBreakdown, TenantId, VariantKind};
+use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
 
 /// Average-memory-access-time accounting in the five components of
 /// Figure 17: host DRAM, CXL protocol, SSD index lookup, SSD DRAM and flash.
@@ -215,8 +217,8 @@ pub struct LayerCounters {
 pub struct SimResult {
     /// The design variant simulated.
     pub variant: VariantKind,
-    /// The policy selection the run executed under (eviction, admission,
-    /// hotness, tenant scheduling) — surfaced so an ablation row is
+    /// The policy selection the run executed under (eviction, hotness,
+    /// tenant scheduling) — surfaced so an ablation row is
     /// self-describing and the audit can hold per policy.
     pub policy: PolicyConfig,
     /// Workload name (Table I).
@@ -340,8 +342,8 @@ impl SimResult {
     }
 
     /// Path-by-path comparison against a golden result kept as JSON text,
-    /// returning one `"path: expected X, got Y"` line per differing leaf,
-    /// e.g. `layers.flash.pages_read` or
+    /// returning one [`LeafDiff`] per differing leaf, which renders as
+    /// `"path: expected X, got Y"`, e.g. `layers.flash.pages_read` or
     /// `per_tenant[1].latency_hist.buckets[7]` (see [`diff_values`]).
     ///
     /// This is the diff the golden-corpus verifier prints when a replayed
@@ -356,30 +358,48 @@ impl SimResult {
     /// # Errors
     ///
     /// Returns the parse error if `golden_json` is not valid JSON.
-    pub fn diff_against_json(&self, golden_json: &str) -> Result<Vec<String>, serde_json::Error> {
+    pub fn diff_against_json(&self, golden_json: &str) -> Result<Vec<LeafDiff>, serde_json::Error> {
         let golden: Value = serde_json::from_str(golden_json)?;
         Ok(diff_values(&golden, &self.serialize()))
     }
 }
 
+/// One leaf at which two serialised values differ. `Display` renders it as
+/// `"path: expected X, got Y"`, with `X` and `Y` as JSON or `absent`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LeafDiff {
+    /// Where the values differ, e.g. `per_tenant[1].latency_hist.buckets[7]`.
+    pub path: String,
+    /// The expected leaf; `None` when only the other side has the path.
+    pub expected: Option<Value>,
+    /// The leaf found; `None` when only the expected side has the path.
+    pub got: Option<Value>,
+}
+
+impl fmt::Display for LeafDiff {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let render = |v: &Option<Value>| {
+            v.as_ref().map_or("absent".into(), |v| {
+                serde_json::to_string(v).unwrap_or_default()
+            })
+        };
+        let (expected, got) = (render(&self.expected), render(&self.got));
+        write!(f, "{}: expected {expected}, got {got}", self.path)
+    }
+}
+
 /// Compares two serialised values leaf by leaf and returns one
-/// `"path: expected X, got Y"` line per difference, with `X` and `Y`
-/// rendered as JSON. A map key or sequence element present on one side
-/// only is reported once, at its own path, as `absent` on the other.
-pub fn diff_values(expected: &Value, got: &Value) -> Vec<String> {
+/// [`LeafDiff`] per difference. A map key or sequence element present on
+/// one side only is reported once, at its own path, as absent on the other.
+pub fn diff_values(expected: &Value, got: &Value) -> Vec<LeafDiff> {
     let mut out = Vec::new();
     diff_at("", Some(expected), Some(got), &mut out);
     out
 }
 
-fn diff_at(path: &str, expected: Option<&Value>, got: Option<&Value>, out: &mut Vec<String>) {
+fn diff_at(path: &str, expected: Option<&Value>, got: Option<&Value>, out: &mut Vec<LeafDiff>) {
     fn lookup<'a>(map: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
         map.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-    }
-    fn render(v: Option<&Value>) -> String {
-        v.map_or("absent".into(), |v| {
-            serde_json::to_string(v).unwrap_or_default()
-        })
     }
     let field = |key: &str| match path {
         "" => key.to_string(),
@@ -399,11 +419,118 @@ fn diff_at(path: &str, expected: Option<&Value>, got: Option<&Value>, out: &mut 
                 diff_at(&format!("{path}[{i}]"), a.get(i), b.get(i), out);
             }
         }
-        _ if expected != got => {
-            let (expected, got) = (render(expected), render(got));
-            out.push(format!("{path}: expected {expected}, got {got}"));
-        }
+        _ if expected != got => out.push(LeafDiff {
+            path: path.to_string(),
+            expected: expected.cloned(),
+            got: got.cloned(),
+        }),
         _ => {}
+    }
+}
+
+/// `path` with every array index collapsed to `[]`.
+fn collapse_indices(path: &str) -> String {
+    let mut out = String::with_capacity(path.len());
+    let mut in_index = false;
+    for c in path.chars() {
+        match c {
+            '[' => in_index = true,
+            ']' => {
+                in_index = false;
+                out.push_str("[]");
+            }
+            _ if !in_index => out.push(c),
+            _ => {}
+        }
+    }
+    out
+}
+
+/// What the diffs of many result pairs moved, path by path, with array
+/// indices collapsed to `[]`: the roll-up `trace verify-corpus` prints
+/// after its per-pair diffs, which shows at a glance whether a re-pin only
+/// adds and removes keys or moves values too.
+#[derive(Debug, Default)]
+pub struct DiffSummary {
+    paths: BTreeMap<String, PathMoves>,
+}
+
+/// How one collapsed path moved across the pairs added to a [`DiffSummary`].
+#[derive(Debug, Default)]
+struct PathMoves {
+    pairs: usize,
+    removed: bool,
+    added: bool,
+    /// Largest `|got - expected| / |expected|` over numeric leaves whose
+    /// expected value is nonzero.
+    max_relative: Option<f64>,
+    from_zero: bool,
+    /// A leaf changed other than from one number to another.
+    non_numeric: bool,
+}
+
+impl DiffSummary {
+    /// Adds one pair's diff: each collapsed path it touches counts the pair
+    /// once, however many of its indices moved.
+    pub fn add_pair(&mut self, diff: &[LeafDiff]) {
+        fn number(v: &Value) -> Option<f64> {
+            match *v {
+                Value::Int(n) => Some(n as f64),
+                Value::UInt(n) => Some(n as f64),
+                Value::Float(x) => Some(x),
+                _ => None,
+            }
+        }
+        let mut touched = BTreeSet::new();
+        for d in diff {
+            let path = collapse_indices(&d.path);
+            let moves = self.paths.entry(path.clone()).or_default();
+            if touched.insert(path) {
+                moves.pairs += 1;
+            }
+            match (&d.expected, &d.got) {
+                (Some(_), None) => moves.removed = true,
+                (None, Some(_)) => moves.added = true,
+                (Some(e), Some(g)) => match (number(e), number(g)) {
+                    (Some(0.0), Some(_)) => moves.from_zero = true,
+                    (Some(e), Some(g)) => {
+                        let relative = ((g - e) / e).abs();
+                        moves.max_relative = Some(moves.max_relative.unwrap_or(0.0).max(relative));
+                    }
+                    _ => moves.non_numeric = true,
+                },
+                (None, None) => {}
+            }
+        }
+    }
+
+    /// One line per diverged path, in path order:
+    /// `PATH: N pair(s), WHAT`, where `WHAT` is `removed`, `added`, the
+    /// largest relative change, `from 0` or `changed`, comma-separated when
+    /// a path moved in more than one way.
+    pub fn lines(&self) -> Vec<String> {
+        self.paths
+            .iter()
+            .map(|(path, m)| {
+                let mut what = Vec::new();
+                if m.removed {
+                    what.push("removed".to_string());
+                }
+                if m.added {
+                    what.push("added".to_string());
+                }
+                if let Some(r) = m.max_relative {
+                    what.push(format!("largest relative change {r:.3e}"));
+                }
+                if m.from_zero {
+                    what.push("from 0".to_string());
+                }
+                if m.non_numeric {
+                    what.push("changed".to_string());
+                }
+                format!("{path}: {} pair(s), {}", m.pairs, what.join(", "))
+            })
+            .collect()
     }
 }
 
@@ -433,7 +560,11 @@ mod tests {
     /// the golden's JSON text.
     fn diff(run: &SimResult, golden: &SimResult) -> Vec<String> {
         let json = serde_json::to_string(golden).unwrap();
-        run.diff_against_json(&json).unwrap()
+        lines(run.diff_against_json(&json).unwrap())
+    }
+
+    fn lines(diff: Vec<LeafDiff>) -> Vec<String> {
+        diff.iter().map(ToString::to_string).collect()
     }
 
     fn dummy(exec_ns: u64) -> SimResult {
@@ -635,7 +766,7 @@ mod tests {
             ("added".to_string(), Value::Seq(vec![Value::UInt(3)])),
         ]);
         assert_eq!(
-            diff_values(&expected, &got),
+            lines(diff_values(&expected, &got)),
             vec![
                 "dropped: expected 2, got absent",
                 "added: expected absent, got [3]"
@@ -655,14 +786,48 @@ mod tests {
         let at = |waf: f64| Value::Map(vec![("waf".to_string(), Value::Float(waf))]);
         assert!(diff_values(&at(1.25), &at(1.25)).is_empty());
         assert_eq!(
-            diff_values(&at(1.25), &at(2.0)),
+            lines(diff_values(&at(1.25), &at(2.0))),
             vec!["waf: expected 1.25, got 2.0"]
         );
         // A float never equals an integer of the same magnitude.
         let int = Value::Map(vec![("waf".to_string(), Value::UInt(2))]);
         assert_eq!(
-            diff_values(&at(2.0), &int),
+            lines(diff_values(&at(2.0), &int)),
             vec!["waf: expected 2.0, got 2"]
+        );
+    }
+
+    #[test]
+    fn diff_summary_collapses_indices_and_counts_pairs() {
+        let map = |fields: &[(&str, Value)]| {
+            Value::Map(
+                fields
+                    .iter()
+                    .map(|(k, v)| (k.to_string(), v.clone()))
+                    .collect(),
+            )
+        };
+        let seq = |xs: &[u64]| Value::Seq(xs.iter().map(|&x| Value::UInt(x)).collect());
+        let mut summary = DiffSummary::default();
+        // Pair 1: two buckets move from 0 and one grows by half; exec_time
+        // grows by a quarter.
+        summary.add_pair(&diff_values(
+            &map(&[("exec_time", Value::UInt(4)), ("buckets", seq(&[0, 0, 2]))]),
+            &map(&[("exec_time", Value::UInt(5)), ("buckets", seq(&[1, 1, 3]))]),
+        ));
+        // Pair 2: exec_time halves, one key goes and another appears.
+        summary.add_pair(&diff_values(
+            &map(&[("exec_time", Value::UInt(4)), ("stale", Value::UInt(3))]),
+            &map(&[("exec_time", Value::UInt(2)), ("fresh", Value::Bool(true))]),
+        ));
+        assert_eq!(
+            summary.lines(),
+            vec![
+                "buckets[]: 1 pair(s), largest relative change 5.000e-1, from 0",
+                "exec_time: 2 pair(s), largest relative change 5.000e-1",
+                "fresh: 1 pair(s), added",
+                "stale: 1 pair(s), removed",
+            ]
         );
     }
 

@@ -38,12 +38,6 @@ pub struct MigrationStats {
     pub promotions: u64,
     /// Pages evicted from host DRAM back to the SSD.
     pub demotions: u64,
-    /// Promotions skipped because the Promotion Look-aside Buffer was full.
-    /// Always 0: a promotion completes within one call, so the buffer the
-    /// paper sizes is never modelled and never fills. The field stays only
-    /// because removing it changes the serialised `SimResult`, which needs a
-    /// full re-pin of the golden corpus.
-    pub plb_stalls: u64,
     /// TLB shootdowns issued for PTE updates.
     pub tlb_shootdowns: u64,
 }
@@ -76,12 +70,13 @@ pub struct MigrationEngine {
 
 impl MigrationEngine {
     /// Creates the engine for the configuration's migration policy and host
-    /// DRAM promotion budget.
+    /// DRAM promotion budget. A variant that does not migrate keeps the
+    /// engine disabled whatever `cfg.migration.policy` says.
     pub fn new(cfg: &SimConfig) -> Self {
-        let policy = if cfg.promotion_enable {
-            cfg.migration.policy
-        } else {
+        let policy = if cfg.variant.migration_policy() == MigrationPolicyKind::Disabled {
             MigrationPolicyKind::Disabled
+        } else {
+            cfg.migration.policy
         };
         MigrationEngine {
             policy,
@@ -357,10 +352,8 @@ mod tests {
         assert_eq!(port.stats().responses, 3);
         assert_eq!(port.stats().payload_bytes, 3 * page);
         assert_eq!(engine.stats().tlb_shootdowns, 3);
-        // Page copies are responses, never host requests, and nothing
-        // stalls.
+        // Page copies are responses, never host requests.
         assert_eq!(port.stats().requests, 0);
-        assert_eq!(engine.stats().plb_stalls, 0);
         assert!(pt.translate(PageNumber(2)).is_host());
         assert!(!pt.translate(PageNumber(1)).is_host());
     }

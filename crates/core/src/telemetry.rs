@@ -451,11 +451,6 @@ impl Telemetry {
         &self.cfg
     }
 
-    /// Whether span/instant capture is on (the sampler is always on).
-    pub fn timeline_on(&self) -> bool {
-        self.cfg.timeline
-    }
-
     /// Records one metrics sample, deriving its windowed hit rate from the
     /// cumulative hit/miss counters of the previous sample.
     pub fn record_sample(&mut self, mut sample: MetricsSample) {

@@ -167,11 +167,6 @@ impl Ftl {
         self.blocks.free_fraction()
     }
 
-    /// Access to block-level state (for tests and detailed reporting).
-    pub fn block_manager(&self) -> &BlockManager {
-        &self.blocks
-    }
-
     fn maybe_gc(&mut self, now: Nanos, flash: &mut FlashArray) -> Option<GcReport> {
         // GC starts when the device utilisation exceeds the threshold
         // (80 % in Table II) or the free-block reserve (one block per channel,

@@ -45,7 +45,8 @@ pub struct SsdController {
     hotness: HotnessTracker,
     trigger: ThresholdPolicy,
 
-    device_triggered_ctx_swt: bool,
+    /// Whether the variant answers slow reads with `SkyByte-Delay` hints.
+    context_switch: bool,
     dram_latency: Nanos,
     log_index_latency: Nanos,
     cache_index_latency: Nanos,
@@ -68,8 +69,8 @@ pub struct SsdController {
 
 impl SsdController {
     /// Builds a controller from the simulator configuration. The write log is
-    /// instantiated only when `cfg.write_log_enable` is set (SkyByte-W and
-    /// derived variants); otherwise the controller behaves as the Base-CSSD
+    /// instantiated only when the variant has one (SkyByte-W and derived
+    /// variants); otherwise the controller behaves as the Base-CSSD
     /// page-granular design.
     ///
     /// # Panics
@@ -79,7 +80,7 @@ impl SsdController {
     pub fn new(cfg: &SimConfig) -> Self {
         cfg.validate().expect("invalid simulator configuration");
         let ssd = &cfg.ssd;
-        let write_log = if cfg.write_log_enable {
+        let write_log = if cfg.variant.write_log() {
             Some(WriteLog::new(
                 ssd.dram.write_log_bytes,
                 ssd.dram.index_resize_load_factor,
@@ -89,7 +90,7 @@ impl SsdController {
         };
         // When the write log is disabled its DRAM budget goes to the data
         // cache so every variant uses the same total SSD DRAM (§VI-A).
-        let cache_bytes = if cfg.write_log_enable {
+        let cache_bytes = if write_log.is_some() {
             ssd.dram.data_cache_bytes
         } else {
             ssd.dram.data_cache_bytes + ssd.dram.write_log_bytes
@@ -104,11 +105,10 @@ impl SsdController {
                 cache_bytes,
                 ssd.dram.data_cache_ways,
                 cfg.policy.eviction,
-                cfg.policy.admission,
             ),
             hotness: HotnessTracker::new(cfg.policy.hotness, cfg.migration.hotness_threshold),
             trigger: ThresholdPolicy::new(cfg.cs_threshold),
-            device_triggered_ctx_swt: cfg.device_triggered_ctx_swt,
+            context_switch: cfg.variant.context_switch(),
             dram_latency: ssd.dram.timing.access_latency,
             log_index_latency: ssd.dram.write_log_index_latency,
             cache_index_latency: ssd.dram.data_cache_index_latency,
@@ -201,7 +201,7 @@ impl SsdController {
         self.maybe_prefetch(lpa, flash_ready);
 
         let ready_at = flash_ready + self.dram_latency;
-        let delay_hint = self.device_triggered_ctx_swt && decision.trigger;
+        let delay_hint = self.context_switch && decision.trigger;
         if delay_hint {
             self.stats.delay_hints += 1;
         }
@@ -303,11 +303,7 @@ impl SsdController {
         if !self.ftl.is_mapped(lpa) {
             // First touch of the page: materialise it in the cache.
             self.insert_page_into_cache(lpa, t_indexed);
-            if !self.data_cache.mark_dirty(lpa, cl) {
-                // The admission policy bypassed the page; the write cannot
-                // be buffered, so it goes straight to flash.
-                self.write_through(lpa, t_indexed);
-            }
+            self.data_cache.mark_dirty(lpa, cl);
             return SsdAccessOutcome {
                 ready_at: t_indexed + self.dram_latency,
                 served_by: ServedBy::ZeroFill,
@@ -327,11 +323,9 @@ impl SsdController {
             .should_context_switch(lpa, now, &self.ftl, &self.flash);
         let flash_ready = self.fetch_page(lpa, t_indexed);
         self.insert_page_into_cache(lpa, flash_ready);
-        if !self.data_cache.mark_dirty(lpa, cl) {
-            self.write_through(lpa, flash_ready);
-        }
+        self.data_cache.mark_dirty(lpa, cl);
 
-        let delay_hint = self.device_triggered_ctx_swt && decision.trigger;
+        let delay_hint = self.context_switch && decision.trigger;
         if delay_hint {
             self.stats.delay_hints += 1;
         }
@@ -407,17 +401,10 @@ impl SsdController {
         self.compaction_active_until
     }
 
-    /// Pre-populates the FTL mapping with the given logical pages
-    /// (§VI-A preconditioning so GC triggers during measurement).
+    /// Pre-populates the FTL mapping with the given logical pages (§VI-A
+    /// preconditioning).
     pub fn precondition<I: IntoIterator<Item = Lpa>>(&mut self, lpas: I) {
         self.ftl.precondition(lpas);
-    }
-
-    /// Evaluates the context-switch trigger policy for a prospective read of
-    /// `lpa` without performing the access.
-    pub fn evaluate_trigger(&self, lpa: Lpa, now: Nanos) -> crate::trigger::TriggerDecision {
-        self.trigger
-            .should_context_switch(lpa, now, &self.ftl, &self.flash)
     }
 
     /// Controller statistics.
@@ -600,14 +587,6 @@ impl SsdController {
         }
         // State-wise merge of logged cachelines into the cached page: the log
         // remains authoritative, so nothing further to track here.
-    }
-
-    /// Writes a whole page through to flash because the data cache's
-    /// admission policy bypassed it and the dirty cacheline has nowhere else
-    /// to live. Never taken under the default admit-all policy.
-    fn write_through(&mut self, lpa: Lpa, at: Nanos) {
-        self.stats.write_throughs += 1;
-        self.ftl.write_page(lpa, at, &mut self.flash);
     }
 
     /// Simple next-page prefetcher (one of the Base-CSSD optimisations the
@@ -955,16 +934,5 @@ mod tests {
         let raw = cfg.ssd.geometry.total_pages();
         assert!(ssd.logical_pages() < raw);
         assert!(ssd.logical_pages() > raw * 9 / 10 - 1);
-    }
-
-    #[test]
-    fn evaluate_trigger_matches_handle_read_decision() {
-        let cfg = small_cfg(VariantKind::SkyByteFull);
-        let mut ssd = SsdController::new(&cfg);
-        ssd.precondition([Lpa::new(11)]);
-        let d = ssd.evaluate_trigger(Lpa::new(11), Nanos::ZERO);
-        assert!(d.trigger);
-        let out = ssd.handle_read(Lpa::new(11), 0, Nanos::ZERO);
-        assert!(out.delay_hint);
     }
 }

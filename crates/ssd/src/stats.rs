@@ -91,9 +91,6 @@ pub struct SsdStats {
     /// Pages removed from the SSD caches because they were promoted to host
     /// DRAM.
     pub pages_promoted: u64,
-    /// Dirty data written through to flash because the admission policy
-    /// bypassed the page (zero under the default admit-all policy).
-    pub write_throughs: u64,
     /// Gauge: pages the hotness tracker currently holds state for (counters,
     /// pending candidates, promoted marks); 0 before the first access.
     pub tracked_pages: u64,

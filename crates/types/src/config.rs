@@ -6,9 +6,9 @@
 //!
 //! | artifact knob | field |
 //! |---|---|
-//! | `promotion_enable` | [`SimConfig::promotion_enable`] |
-//! | `write_log_enable` | [`SimConfig::write_log_enable`] |
-//! | `device_triggered_ctx_swt` | [`SimConfig::device_triggered_ctx_swt`] |
+//! | `promotion_enable` | [`VariantKind::migration_policy`] of [`SimConfig::variant`] (not `disabled`) |
+//! | `write_log_enable` | [`VariantKind::write_log`] of [`SimConfig::variant`] |
+//! | `device_triggered_ctx_swt` | [`VariantKind::context_switch`] of [`SimConfig::variant`] |
 //! | `cs_threshold` | [`SimConfig::cs_threshold`] |
 //! | `ssd_cache_size_byte` | [`SsdDramConfig::data_cache_bytes`] |
 //! | `ssd_cache_way` | [`SsdDramConfig::data_cache_ways`] |
@@ -268,11 +268,6 @@ impl SsdGeometry {
     pub fn total_bytes(&self) -> u64 {
         self.total_pages() * self.page_size_bytes as u64
     }
-
-    /// Number of planes ("LUNs") that can operate independently.
-    pub fn total_planes(&self) -> u64 {
-        self.total_blocks() / self.blocks_per_plane as u64
-    }
 }
 
 impl Default for SsdGeometry {
@@ -343,8 +338,6 @@ impl Default for SsdDramConfig {
 pub struct SsdConfig {
     /// Flash array organisation.
     pub geometry: SsdGeometry,
-    /// NAND family used (determines default `flash` timing).
-    pub nand_kind: NandKind,
     /// NAND timing parameters.
     pub flash: FlashTimingConfig,
     /// SSD-internal DRAM configuration.
@@ -370,7 +363,6 @@ impl Default for SsdConfig {
     fn default() -> Self {
         SsdConfig {
             geometry: SsdGeometry::default(),
-            nand_kind: NandKind::Ull,
             flash: FlashTimingConfig::default(),
             dram: SsdDramConfig::default(),
             cxl_protocol_latency: Nanos::new(40),
@@ -383,9 +375,8 @@ impl Default for SsdConfig {
 }
 
 impl SsdConfig {
-    /// Replaces the NAND family and updates the timing accordingly.
+    /// Sets the flash timing to that of a NAND family (Table IV).
     pub fn with_nand(mut self, kind: NandKind) -> Self {
-        self.nand_kind = kind;
         self.flash = FlashTimingConfig::for_kind(kind);
         self
     }
@@ -676,8 +667,8 @@ impl fmt::Debug for TelemetryConfig {
 ///     .with_threads(24)
 ///     .with_cs_threshold(Nanos::from_micros(2));
 /// cfg.validate().unwrap();
-/// assert!(cfg.write_log_enable);
-/// assert!(cfg.device_triggered_ctx_swt);
+/// assert!(cfg.variant.write_log());
+/// assert!(cfg.variant.context_switch());
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SimConfig {
@@ -693,27 +684,17 @@ pub struct SimConfig {
     pub sched_policy: SchedPolicy,
     /// Number of application threads to run.
     pub threads: u32,
-    /// Enable adaptive page promotion (artifact knob `promotion_enable`).
-    pub promotion_enable: bool,
-    /// Enable the cacheline-granular write log (artifact knob
-    /// `write_log_enable`).
-    pub write_log_enable: bool,
-    /// Enable SSD-triggered coordinated context switches (artifact knob
-    /// `device_triggered_ctx_swt`).
-    pub device_triggered_ctx_swt: bool,
     /// Context-switch trigger threshold (artifact knob `cs_threshold`,
     /// 2 µs in Table II).
     pub cs_threshold: Nanos,
     /// Cost of one context switch on the host CPU (2 µs in Table II).
     pub context_switch_overhead: Nanos,
-    /// Place all data in host DRAM regardless of footprint (the DRAM-Only
-    /// ideal configuration; artifact flag `-d`).
-    pub infinite_host_dram: bool,
-    /// The named design variant this configuration corresponds to (for
-    /// reporting); the boolean knobs above are authoritative.
+    /// The named design variant: which of the write log, the coordinated
+    /// context switch, page migration and the DRAM-Only placement (artifact
+    /// flag `-d`) are on. Set through [`SimConfig::with_variant`].
     pub variant: VariantKind,
-    /// Pluggable policy selection (data-cache eviction/admission, hotness
-    /// tracking, tenant scheduling), each a kind its owner matches on.
+    /// Pluggable policy selection (data-cache eviction, hotness tracking,
+    /// tenant scheduling), each a kind its owner matches on.
     /// The default reproduces the pre-policy-layer behaviour exactly.
     #[serde(default)]
     pub policy: PolicyConfig,
@@ -733,12 +714,8 @@ impl Default for SimConfig {
             migration: MigrationConfig::default(),
             sched_policy: SchedPolicy::Cfs,
             threads: 8,
-            promotion_enable: false,
-            write_log_enable: false,
-            device_triggered_ctx_swt: false,
             cs_threshold: Nanos::from_micros(2),
             context_switch_overhead: Nanos::from_micros(2),
-            infinite_host_dram: false,
             variant: VariantKind::BaseCssd,
             policy: PolicyConfig::default(),
             telemetry: TelemetryConfig::default(),
@@ -749,15 +726,12 @@ impl Default for SimConfig {
 impl SimConfig {
     /// Configures all knobs to match one of the paper's named design variants.
     ///
-    /// Context-switch-enabled variants default to 24 threads on 8 cores and
+    /// Sets the variant, its migration policy and its thread count:
+    /// context-switch-enabled variants default to 24 threads on 8 cores and
     /// the others to 8 threads, following §VI-A.
     pub fn with_variant(mut self, variant: VariantKind) -> Self {
         self.variant = variant;
-        self.write_log_enable = variant.write_log();
-        self.device_triggered_ctx_swt = variant.context_switch();
         self.migration.policy = variant.migration_policy();
-        self.promotion_enable = variant.migration_policy() != MigrationPolicyKind::Disabled;
-        self.infinite_host_dram = variant.dram_only();
         self.threads = if variant.context_switch() {
             self.cpu.cores * 3
         } else {
@@ -1016,12 +990,12 @@ mod tests {
     fn with_variant_sets_thread_count() {
         let full = SimConfig::default().with_variant(VariantKind::SkyByteFull);
         assert_eq!(full.threads, 24);
-        assert!(full.write_log_enable && full.device_triggered_ctx_swt && full.promotion_enable);
+        assert_eq!(full.variant, VariantKind::SkyByteFull);
+        assert_eq!(full.migration.policy, MigrationPolicyKind::Adaptive);
         let wp = SimConfig::default().with_variant(VariantKind::SkyByteWP);
         assert_eq!(wp.threads, 8);
-        assert!(!wp.device_triggered_ctx_swt);
         let dram = SimConfig::default().with_variant(VariantKind::DramOnly);
-        assert!(dram.infinite_host_dram);
+        assert_eq!(dram.migration.policy, MigrationPolicyKind::Disabled);
     }
 
     #[test]
@@ -1043,7 +1017,6 @@ mod tests {
         assert_eq!(cfg.ssd.dram.data_cache_bytes, 128 * MIB);
         assert_eq!(cfg.ssd.dram.write_log_bytes, 8 * MIB);
         assert_eq!(cfg.host_dram.promotion_capacity_bytes, GIB);
-        assert_eq!(cfg.ssd.nand_kind, NandKind::Slc);
         assert_eq!(cfg.ssd.flash.read_latency, Nanos::from_micros(25));
         assert_eq!(cfg.cpu.tlb.entries, 64);
         assert_eq!(cfg.cpu.tlb.miss_latency, Nanos::new(120));

@@ -12,9 +12,11 @@
 //!   model, the CXL port and the SSD controller.
 //! * [`config`] — the full simulator configuration mirroring Table II of the
 //!   SkyByte paper, including every knob exposed by the original artifact
-//!   (`promotion_enable`, `write_log_enable`, `device_triggered_ctx_swt`,
-//!   `cs_threshold`, `ssd_cache_size_byte`, `host_dram_size_byte`,
-//!   `t_policy`, …).
+//!   (`cs_threshold`, `ssd_cache_size_byte`, `host_dram_size_byte`,
+//!   `t_policy`, …). The artifact's `promotion_enable`, `write_log_enable`
+//!   and `device_triggered_ctx_swt` switches are the
+//!   [`VariantKind::migration_policy`], [`VariantKind::write_log`] and
+//!   [`VariantKind::context_switch`] of the configuration's `variant`.
 //! * [`stats`] — latency histograms and counters used to build the paper's
 //!   figures (latency distributions, AMAT breakdowns, boundedness).
 //!
@@ -62,8 +64,8 @@ pub mod prelude {
     pub use crate::error::ConfigError;
     pub use crate::fasthash::{FastHashMap, FastHashSet, FxBuildHasher, FxHasher};
     pub use crate::policy::{
-        apply_policy_name, AdmissionPolicyKind, EvictionPolicyKind, HotnessPolicyKind,
-        PlacementPolicyKind, PolicyConfig, PolicyOverride, RebalancePolicyKind, TenantSchedKind,
+        apply_policy_name, EvictionPolicyKind, HotnessPolicyKind, PlacementPolicyKind,
+        PolicyConfig, PolicyOverride, RebalancePolicyKind, TenantSchedKind,
     };
     pub use crate::stats::{Counter, LatencyHistogram, RatioBreakdown};
     pub use crate::tenant::{TenantId, TenantMap};
@@ -84,8 +86,8 @@ pub use config::{
 pub use error::ConfigError;
 pub use fasthash::{FastHashMap, FastHashSet, FxBuildHasher, FxHasher};
 pub use policy::{
-    apply_policy_name, AdmissionPolicyKind, EvictionPolicyKind, HotnessPolicyKind,
-    PlacementPolicyKind, PolicyConfig, PolicyOverride, RebalancePolicyKind, TenantSchedKind,
+    apply_policy_name, EvictionPolicyKind, HotnessPolicyKind, PlacementPolicyKind, PolicyConfig,
+    PolicyOverride, RebalancePolicyKind, TenantSchedKind,
 };
 pub use stats::{Counter, LatencyHistogram, RatioBreakdown};
 pub use tenant::{TenantId, TenantMap};

@@ -7,22 +7,22 @@
 //! matches on the kind, and a contender's private state is a field of that
 //! component.
 //!
-//! * [`EvictionPolicyKind`] / [`AdmissionPolicyKind`] — matched by
-//!   `skybyte_cache::DataCache` (`skybyte_cache::policy`),
+//! * [`EvictionPolicyKind`] — matched by `skybyte_cache::DataCache`
+//!   (`skybyte_cache::policy`),
 //! * [`HotnessPolicyKind`] — matched by the controller's
 //!   `skybyte_ssd::HotnessTracker`,
 //! * [`TenantSchedKind`] — matched by the `tenant_sched` module of `skybyte_sim`,
 //! * [`MigrationPolicyKind`] — matched by `skybyte_sim::MigrationEngine`,
 //! * [`SchedPolicy`] — matched by the OS scheduler (`skybyte_os::Scheduler`).
 //!
-//! These six device dimensions share one `--policy <name>` registry
+//! These five device dimensions share one `--policy <name>` registry
 //! ([`PolicyOverride`]). The fleet layer's [`PlacementPolicyKind`] and
 //! [`RebalancePolicyKind`] are fields of `skybyte_sim::FleetConfig`, matched
 //! by `skybyte_sim::fleet`; they are not device policies, so the registry
 //! rejects their names.
 //!
 //! [`PolicyConfig`] is the serializable block inside [`SimConfig`] that
-//! carries the four dimensions without an older home. Its `Default` is
+//! carries the three dimensions without an older home. Its `Default` is
 //! exactly the behaviour the simulator had before policies were pluggable —
 //! the golden-trace corpus pins that equivalence bit for bit.
 //!
@@ -128,47 +128,6 @@ impl FromStr for EvictionPolicyKind {
     type Err = String;
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         lookup(&Self::ALL, s).ok_or_else(|| format!("unknown eviction policy '{s}'"))
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Data-cache admission
-// ---------------------------------------------------------------------------
-
-/// Whether a page fetched from flash is admitted into the data cache.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum AdmissionPolicyKind {
-    /// Admit every fetched page (the default, and the only behaviour the
-    /// cache had before the seam existed).
-    #[default]
-    AdmitAll,
-    /// Bypass pages that arrive as part of a long sequential scan: streaming
-    /// reads would flush the cache without ever re-referencing the pages.
-    BypassScan,
-}
-
-impl AdmissionPolicyKind {
-    /// Every admission policy, in declaration order.
-    pub const ALL: [AdmissionPolicyKind; 2] = [
-        AdmissionPolicyKind::AdmitAll,
-        AdmissionPolicyKind::BypassScan,
-    ];
-}
-
-impl fmt::Display for AdmissionPolicyKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            AdmissionPolicyKind::AdmitAll => "admit-all",
-            AdmissionPolicyKind::BypassScan => "bypass-scan",
-        };
-        f.write_str(s)
-    }
-}
-
-impl FromStr for AdmissionPolicyKind {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        lookup(&Self::ALL, s).ok_or_else(|| format!("unknown admission policy '{s}'"))
     }
 }
 
@@ -369,7 +328,7 @@ impl FromStr for RebalancePolicyKind {
 
 /// The pluggable-policy block of [`SimConfig`].
 ///
-/// Carries the four policy dimensions that have no older home. The two
+/// Carries the three policy dimensions that have no older home. The two
 /// policy dimensions that predate the block keep their existing homes —
 /// the migration policy in [`MigrationConfig`](crate::MigrationConfig)
 /// `.policy` and the OS scheduling policy in `SimConfig::sched_policy` — and
@@ -382,9 +341,6 @@ pub struct PolicyConfig {
     /// Data-cache eviction policy.
     #[serde(default)]
     pub eviction: EvictionPolicyKind,
-    /// Data-cache admission policy.
-    #[serde(default)]
-    pub admission: AdmissionPolicyKind,
     /// Controller hot-page tracking policy.
     #[serde(default)]
     pub hotness: HotnessPolicyKind,
@@ -407,7 +363,7 @@ impl PolicyConfig {
 /// One parsed `--policy <name>` override: a policy name resolved to the
 /// device dimension it belongs to.
 ///
-/// This is the single name registry shared by every CLI: all six device
+/// This is the single name registry shared by every CLI: all five device
 /// policy dimensions' names live in one flat, case-insensitive namespace
 /// (they are pairwise distinct — a test pins that), so `figures --policy
 /// clock --policy decay --policy tpp` needs no per-dimension flags.
@@ -415,8 +371,6 @@ impl PolicyConfig {
 pub enum PolicyOverride {
     /// A data-cache eviction policy.
     Eviction(EvictionPolicyKind),
-    /// A data-cache admission policy.
-    Admission(AdmissionPolicyKind),
     /// A controller hotness policy.
     Hotness(HotnessPolicyKind),
     /// A tenant-scheduler hook.
@@ -432,12 +386,12 @@ impl PolicyOverride {
     ///
     /// Note that, exactly like setting the field directly, an override can
     /// be inert for a given variant: a migration policy is only exercised
-    /// when `promotion_enable` is set, and the tenant scheduler only matters
-    /// for multi-tenant runs.
+    /// by variants that migrate (`VariantKind::migration_policy` is not
+    /// `disabled`), and the tenant scheduler only matters for multi-tenant
+    /// runs.
     pub fn apply(self, cfg: &mut SimConfig) {
         match self {
             PolicyOverride::Eviction(k) => cfg.policy.eviction = k,
-            PolicyOverride::Admission(k) => cfg.policy.admission = k,
             PolicyOverride::Hotness(k) => cfg.policy.hotness = k,
             PolicyOverride::TenantSched(k) => cfg.policy.tenant_sched = k,
             PolicyOverride::Migration(k) => cfg.migration.policy = k,
@@ -450,7 +404,6 @@ impl PolicyOverride {
     pub fn all_names() -> Vec<String> {
         let mut names: Vec<String> = Vec::new();
         names.extend(EvictionPolicyKind::ALL.iter().map(|k| k.to_string()));
-        names.extend(AdmissionPolicyKind::ALL.iter().map(|k| k.to_string()));
         names.extend(HotnessPolicyKind::ALL.iter().map(|k| k.to_string()));
         names.extend(TenantSchedKind::ALL.iter().map(|k| k.to_string()));
         names.extend(MigrationPolicyKind::ALL.iter().map(|k| k.to_string()));
@@ -463,7 +416,6 @@ impl fmt::Display for PolicyOverride {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             PolicyOverride::Eviction(k) => k.fmt(f),
-            PolicyOverride::Admission(k) => k.fmt(f),
             PolicyOverride::Hotness(k) => k.fmt(f),
             PolicyOverride::TenantSched(k) => k.fmt(f),
             PolicyOverride::Migration(k) => k.fmt(f),
@@ -478,9 +430,6 @@ impl FromStr for PolicyOverride {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         if let Some(k) = lookup(&EvictionPolicyKind::ALL, s) {
             return Ok(PolicyOverride::Eviction(k));
-        }
-        if let Some(k) = lookup(&AdmissionPolicyKind::ALL, s) {
-            return Ok(PolicyOverride::Admission(k));
         }
         if let Some(k) = lookup(&HotnessPolicyKind::ALL, s) {
             return Ok(PolicyOverride::Hotness(k));
@@ -522,7 +471,6 @@ mod tests {
     fn default_policy_config_is_the_pre_redesign_behaviour() {
         let p = PolicyConfig::default();
         assert_eq!(p.eviction, EvictionPolicyKind::PseudoLru);
-        assert_eq!(p.admission, AdmissionPolicyKind::AdmitAll);
         assert_eq!(p.hotness, HotnessPolicyKind::Threshold);
         assert_eq!(p.tenant_sched, TenantSchedKind::Passthrough);
         assert!(p.is_default());
@@ -565,13 +513,11 @@ mod tests {
     fn overrides_apply_to_the_right_config_field() {
         let mut cfg = SimConfig::default();
         apply_policy_name(&mut cfg, "clock").unwrap();
-        apply_policy_name(&mut cfg, "bypass-scan").unwrap();
         apply_policy_name(&mut cfg, "decay").unwrap();
         apply_policy_name(&mut cfg, "fair-share").unwrap();
         apply_policy_name(&mut cfg, "tpp").unwrap();
         apply_policy_name(&mut cfg, "rr").unwrap();
         assert_eq!(cfg.policy.eviction, EvictionPolicyKind::Clock);
-        assert_eq!(cfg.policy.admission, AdmissionPolicyKind::BypassScan);
         assert_eq!(cfg.policy.hotness, HotnessPolicyKind::Decay);
         assert_eq!(cfg.policy.tenant_sched, TenantSchedKind::FairShare);
         assert_eq!(cfg.migration.policy, MigrationPolicyKind::Tpp);
@@ -609,14 +555,13 @@ mod tests {
             }
             assert_eq!(format!("{cfg:?}"), before, "'{name}' touched the config");
         }
-        assert_eq!(PolicyOverride::all_names().len(), 19);
+        assert_eq!(PolicyOverride::all_names().len(), 17);
     }
 
     #[test]
     fn policy_config_serde_round_trip() {
         let p = PolicyConfig {
             eviction: EvictionPolicyKind::TwoQ,
-            admission: AdmissionPolicyKind::BypassScan,
             hotness: HotnessPolicyKind::TopK,
             tenant_sched: TenantSchedKind::FairShare,
         };

@@ -73,12 +73,6 @@ impl Nanos {
         self.0 as f64 / 1_000.0
     }
 
-    /// Value in milliseconds, as a float (for reporting).
-    #[inline]
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1_000_000.0
-    }
-
     /// Saturating subtraction: returns `ZERO` instead of underflowing.
     ///
     /// Use this only where an earlier-than-`rhs` value is *expected* (e.g.
@@ -251,16 +245,6 @@ impl Freq {
     /// Creates a frequency from gigahertz.
     pub fn from_ghz(ghz: f64) -> Self {
         Self::from_hz(ghz * 1e9)
-    }
-
-    /// Creates a frequency from megahertz.
-    pub fn from_mhz(mhz: f64) -> Self {
-        Self::from_hz(mhz * 1e6)
-    }
-
-    /// Frequency in hertz.
-    pub fn as_hz(self) -> f64 {
-        self.hz
     }
 
     /// Frequency in gigahertz.

@@ -3,9 +3,9 @@
 //! 1. the default `PolicyConfig` must reproduce the pre-redesign simulator
 //!    bit for bit (the golden corpus pins the same equivalence against
 //!    recorded traces; this pins it against the live generators);
-//! 2. every contender in the zoo — eviction × hotness, the bypass-scan
-//!    admission policy, the fair-share tenant scheduler, every migration
-//!    trigger — must keep the cross-layer conservation audit clean;
+//! 2. every contender in the zoo — eviction × hotness, the fair-share
+//!    tenant scheduler, every migration trigger — must keep the cross-layer
+//!    conservation audit clean;
 //! 3. policy choices must partition the runner's memo table: off-default
 //!    overrides change the request fingerprint, defaults do not;
 //! 4. the controller must expose the hotness tracker's footprint
@@ -18,8 +18,8 @@
 use skybyte::sim::runner::RunRequest;
 use skybyte::sim::{ExperimentScale, SimResult, Simulation};
 use skybyte::types::{
-    apply_policy_name, AdmissionPolicyKind, EvictionPolicyKind, HotnessPolicyKind,
-    MigrationPolicyKind, PolicyConfig, PolicyOverride, SimConfig, TenantSchedKind, VariantKind,
+    apply_policy_name, EvictionPolicyKind, HotnessPolicyKind, MigrationPolicyKind, PolicyConfig,
+    PolicyOverride, SimConfig, TenantSchedKind, VariantKind,
 };
 use skybyte::workloads::WorkloadKind;
 
@@ -46,7 +46,6 @@ fn explicit_defaults_match_an_untouched_config_bit_for_bit() {
         let mut explicit_cfg = cfg.clone();
         explicit_cfg.policy = PolicyConfig {
             eviction: EvictionPolicyKind::PseudoLru,
-            admission: AdmissionPolicyKind::AdmitAll,
             hotness: HotnessPolicyKind::Threshold,
             tenant_sched: TenantSchedKind::Passthrough,
         };
@@ -81,20 +80,6 @@ fn every_eviction_and_hotness_contender_keeps_the_audit_clean() {
             assert_eq!(result.policy.hotness, hotness);
         }
     }
-}
-
-#[test]
-fn admission_bypass_is_audit_clean_and_visible_in_the_stats() {
-    let policy = PolicyConfig {
-        admission: AdmissionPolicyKind::BypassScan,
-        ..PolicyConfig::default()
-    };
-    let scale = tiny();
-    let mut cfg = scale.apply(SimConfig::default().with_variant(VariantKind::SkyByteFull));
-    cfg.policy = policy;
-    let (result, report) = Simulation::with_config(cfg, WorkloadKind::Ycsb, &scale).audit();
-    report.assert_clean("bypass-scan");
-    assert_eq!(result.policy.admission, AdmissionPolicyKind::BypassScan);
 }
 
 #[test]
@@ -184,20 +169,19 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 /// Every non-default contender of the `--policy` registry, run as
 /// SkyByte-Full on the ycsb + tpcc (2 + 2 threads) co-location at tiny
 /// scale: `(name, exec_time in ns, FNV-1a of the serialised SimResult)`.
-const CONTENDER_PINS: [(&str, u64, u64); 13] = [
-    ("clock", 4895687, 0x2691dfdb16c4bfce),
-    ("2q", 4898870, 0xf3c6ea65b6479661),
-    ("fifo", 5150138, 0x40fe8e8fe9de7607),
-    ("bypass-scan", 4979425, 0x0a08bcd97de0d6d1),
-    ("decay", 4952789, 0x8db6e32b45e0eaec),
-    ("topk", 4839494, 0x2c3bb2bffc3abef2),
-    ("fair-share", 4979285, 0xcd4fc7fbe9be77de),
-    ("qos", 4979425, 0xb2605fd75a99bc75),
-    ("tpp", 5096143, 0x5d1599fcc592fb31),
-    ("astriflash", 5304454, 0x3b7d1bf0ffdf0c59),
-    ("disabled", 5304454, 0x6b32b1c24cc62709),
-    ("RR", 4920549, 0x1503b383a0753e63),
-    ("Random", 4907801, 0x9d9776c038ac88ee),
+const CONTENDER_PINS: [(&str, u64, u64); 12] = [
+    ("clock", 4895687, 0xe23b0b4dd8a050db),
+    ("2q", 4898870, 0xe2e464392ac36f16),
+    ("fifo", 5150138, 0xa73d1058415b1f4c),
+    ("decay", 4952789, 0x4fd93504cb1a9c5b),
+    ("topk", 4839494, 0xdcf39c17a1754c57),
+    ("fair-share", 4979285, 0xed31990b164f0743),
+    ("qos", 4979425, 0x83bff53b3ab64b46),
+    ("tpp", 5096143, 0x2d9f442f248055f6),
+    ("astriflash", 5304454, 0xb4cedad3c3dff366),
+    ("disabled", 5304454, 0xa72d3c8de914e6ee),
+    ("RR", 4920549, 0xd8c66d238e65afc6),
+    ("Random", 4907801, 0xa0b1487d5b7cc34d),
 ];
 
 #[test]
@@ -237,13 +221,12 @@ mod proptest_sweep {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(10))]
 
-        /// Random policy points conserve: any eviction × admission × hotness
-        /// × tenant-scheduler × migration combination (folded into one
+        /// Random policy points conserve: any eviction × hotness ×
+        /// tenant-scheduler × migration combination (folded into one
         /// mixed-radix index), across variants, workloads and thread counts.
         #[test]
         fn random_policy_points_conserve(
             combo in 0usize..(EvictionPolicyKind::ALL.len()
-                * AdmissionPolicyKind::ALL.len()
                 * HotnessPolicyKind::ALL.len()
                 * TenantSchedKind::ALL.len()
                 * MigrationPolicyKind::ALL.len()),
@@ -267,7 +250,6 @@ mod proptest_sweep {
             };
             cfg.policy = PolicyConfig {
                 eviction: EvictionPolicyKind::ALL[digit(EvictionPolicyKind::ALL.len())],
-                admission: AdmissionPolicyKind::ALL[digit(AdmissionPolicyKind::ALL.len())],
                 hotness: HotnessPolicyKind::ALL[digit(HotnessPolicyKind::ALL.len())],
                 tenant_sched: TenantSchedKind::ALL[digit(TenantSchedKind::ALL.len())],
             };
