@@ -440,10 +440,12 @@ impl Simulation {
         system.into_result(&label)
     }
 
-    /// Runs the synthetic workload through the legacy min-clock reference
-    /// loop instead of the event-driven engine. The two are property-tested
-    /// to produce identical results; this exists so those tests (and anyone
-    /// auditing the event engine) can drive the executable specification.
+    /// Runs the synthetic workload through the min-clock reference scan
+    /// instead of the event queue: each step runs a pass on the unparked
+    /// core with the lowest clock, under the same park and wake rules. The
+    /// two are property-tested to produce identical results; this exists so
+    /// those tests (and anyone auditing the event engine) can drive the
+    /// executable specification.
     #[doc(hidden)]
     pub fn run_reference(&self) -> SimResult {
         let budget = self.per_thread_budget();

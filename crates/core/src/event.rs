@@ -1,14 +1,13 @@
 //! The discrete-event queue at the heart of the engine.
 //!
-//! The engine used to advance by scanning every core's clock with
-//! `min_by_key` once per work unit and letting idle cores crawl forward in
-//! bounded 1 µs increments. [`EventQueue`] replaces that scan: each core has
-//! (at most) one outstanding *next-activity* event, and the run loop simply
-//! pops the earliest one. Ties are broken deterministically on
-//! `(time, core, seq)` — first by timestamp, then by core index (matching
-//! the old scan's "first minimal clock wins" rule bit for bit), and finally
-//! by a monotonically increasing sequence number so re-armed events of the
-//! same core retire in insertion order.
+//! Each unparked core has exactly one outstanding *next-activity* event,
+//! and the run loop pops the earliest one instead of scanning every core's
+//! clock; a parked core has none until a pass's scheduler activity re-arms
+//! it. Ties are broken deterministically on `(time, core, seq)` — first by
+//! timestamp, then by core index (matching the reference scan's "first
+//! minimal clock wins" rule bit for bit), and finally by a monotonically
+//! increasing sequence number so re-armed events of the same core retire in
+//! insertion order.
 
 use skybyte_types::Nanos;
 use std::cmp::Reverse;

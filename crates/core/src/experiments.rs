@@ -549,10 +549,13 @@ pub fn fig19_20_write_log_sweep(runner: &Runner, scale: &ExperimentScale) -> Exp
     // Sizes expressed as fractions of the (scaled) total SSD DRAM, mirroring
     // the paper's 0.5 MB – 256 MB sweep against 512 MB of SSD DRAM.
     let total = scale.ssd_data_cache_bytes + scale.write_log_bytes;
-    let log_sizes: Vec<u64> = [1u64, 2, 4, 8, 16, 32, 64, 128]
+    let mut log_sizes: Vec<u64> = [1u64, 2, 4, 8, 16, 32, 64, 128]
         .iter()
         .map(|d| (total / 512 * d).max(16 * KIB))
         .collect();
+    // At small scales the smallest sizes clamp to the 16 KiB floor; the
+    // sizes are non-decreasing, so the repeats are adjacent.
+    log_sizes.dedup();
     let mut columns = Vec::new();
     for s in &log_sizes {
         columns.push(format!("time_log_{}k", s / KIB));
@@ -816,7 +819,7 @@ pub(crate) fn mt_solo_twin(
 ///
 /// For every variant × scenario, the co-located tenants run together on one
 /// device via [`Simulation::build_multi`], and each tenant additionally runs
-/// **solo** as its exact twin ([`mt_solo_twin`]: same footprint slice,
+/// **solo** as its exact twin (`mt_solo_twin`: same footprint slice,
 /// thread count, seed and per-thread work budget), so any delta is
 /// interference rather than stream or work-size variance. The table
 /// reports, per `(variant, scenario, tenant)` row:

@@ -1,10 +1,10 @@
 //! The fleet layer: many devices, pluggable tenant placement.
 //!
 //! SkyByte's deployment setting is pooled CXL-SSD capacity, so above the
-//! single-device [`Simulation`](crate::engine::Simulation) sits a *fleet*: a
-//! rack of `N` identical devices and a population of tenant demands that the
-//! fleet's [`PlacementPolicyKind`] assigns to devices. Each placed device
-//! then compiles down to an ordinary multi-tenant [`RunRequest`] (via
+//! single-device [`Simulation`] sits a *fleet*: a rack of `N` identical
+//! devices and a population of tenant demands that the fleet's
+//! [`PlacementPolicyKind`] assigns to devices. Each placed device then
+//! compiles down to an ordinary multi-tenant [`RunRequest`] (via
 //! [`Simulation::build_multi`]), which makes the fleet embarrassingly
 //! parallel under the existing memoizing [`Runner`]:
 //!

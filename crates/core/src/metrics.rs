@@ -478,6 +478,9 @@ impl DiffSummary {
                 Value::Int(n) => Some(n as f64),
                 Value::UInt(n) => Some(n as f64),
                 Value::Float(x) => Some(x),
+                // `u128` leaves (`latency_hist.total_ns`) serialise as
+                // integer strings.
+                Value::Str(ref s) => s.parse::<i128>().ok().map(|n| n as f64),
                 _ => None,
             }
         }
@@ -808,12 +811,22 @@ mod tests {
             )
         };
         let seq = |xs: &[u64]| Value::Seq(xs.iter().map(|&x| Value::UInt(x)).collect());
+        let int_str = |n: &str| Value::Str(n.to_string());
         let mut summary = DiffSummary::default();
         // Pair 1: two buckets move from 0 and one grows by half; exec_time
-        // grows by a quarter.
+        // grows by a quarter; a `u128` leaf, serialised as an integer
+        // string, grows by half.
         summary.add_pair(&diff_values(
-            &map(&[("exec_time", Value::UInt(4)), ("buckets", seq(&[0, 0, 2]))]),
-            &map(&[("exec_time", Value::UInt(5)), ("buckets", seq(&[1, 1, 3]))]),
+            &map(&[
+                ("exec_time", Value::UInt(4)),
+                ("buckets", seq(&[0, 0, 2])),
+                ("total_ns", int_str("100")),
+            ]),
+            &map(&[
+                ("exec_time", Value::UInt(5)),
+                ("buckets", seq(&[1, 1, 3])),
+                ("total_ns", int_str("150")),
+            ]),
         ));
         // Pair 2: exec_time halves, one key goes and another appears.
         summary.add_pair(&diff_values(
@@ -827,6 +840,7 @@ mod tests {
                 "exec_time: 2 pair(s), largest relative change 5.000e-1",
                 "fresh: 1 pair(s), added",
                 "stale: 1 pair(s), removed",
+                "total_ns: 1 pair(s), largest relative change 5.000e-1",
             ]
         );
     }

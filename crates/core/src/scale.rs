@@ -68,7 +68,8 @@ impl ExperimentScale {
         }
     }
 
-    /// A smaller scale for Criterion benchmarks (seconds per data point).
+    /// A smaller scale for quick sweeps (`--scale bench`, the `figures`
+    /// default) and the examples: seconds per data point.
     pub fn bench() -> Self {
         ExperimentScale {
             footprint_bytes: 64 * MIB,

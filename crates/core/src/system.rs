@@ -7,35 +7,32 @@
 //! migration engine, per-core clocks and boundedness) plus all run counters
 //! — and a pipeline of composable steps executed once per work unit:
 //!
-//! 1. [`schedule`](SystemState::schedule) — ensure a thread runs on the
-//!    core whose event fired (or advance through idle time); which runnable
-//!    thread an empty core picks is the run's tenant-scheduling policy
+//! 1. `schedule` — ensure a thread runs on the core whose event fired, or
+//!    idle the core to the next wake-up, or park it; which runnable thread
+//!    an empty core picks is the run's tenant-scheduling policy
 //!    (`TenantSchedKind`, matched in the `tenant_sched` module),
-//! 2. [`translate`](SystemState::translate) — compute burst, TLB walk and
-//!    page-table lookup,
-//! 3. [`host_access`](SystemState::host_access) /
-//!    [`ssd_access`](SystemState::ssd_access) — resolve the access in host
-//!    DRAM or across the CXL port (squashing it on a `SkyByte-Delay`
-//!    exception), with background migration between accesses,
-//! 4. [`retire`](SystemState::retire) — commit the core clock and detect
-//!    thread completion.
+//! 2. `translate` — compute burst, TLB walk and page-table lookup,
+//! 3. `host_access` / `ssd_access` — resolve the access in host DRAM or
+//!    across the CXL port (squashing it on a `SkyByte-Delay` exception),
+//!    with background migration between accesses,
+//! 4. `retire` — commit the core clock and detect thread completion.
 //!
 //! Every instruction, access, squash and latency sample is counted against
 //! the issuing thread's tenant ([`TenantMap`]), so multi-tenancy is native
 //! to the pipeline rather than a post-processing pass. The run-wide figures
 //! of the [`SimResult`] are folds over the per-tenant counters, taken when
 //! the run closes; only the SSD access count the migration cadence reads
-//! is also kept run-wide. For a single-tenant source the pipeline
-//! performs exactly the operations of the old monolith in the same order —
-//! the golden-trace corpus pins that the refactor is behaviour-preserving
-//! bit for bit.
+//! is also kept run-wide.
 //!
 //! Passes are sequenced by a discrete-event core ([`crate::event`]): each
-//! live core keeps one pending event in a monotone queue, idle cores jump
-//! straight to their next wake-up, and cores with no possible wake-up park
-//! until scheduler activity elsewhere revives them. The legacy per-step
-//! min-clock scan survives as [`SystemState::run_reference`], the
-//! executable specification the event engine is property-tested against.
+//! unparked core keeps one pending event in a monotone queue, and a core
+//! with nothing runnable jumps straight to the next blocked thread's
+//! wake-up. A core with nothing runnable and nothing blocked parks at its
+//! clock; the next pass whose yield or thread finish changes scheduler
+//! state moves it to that pass's start time and charges the gap to idle.
+//! A hidden min-clock scan over the unparked cores, `run_reference`,
+//! applies the same rules and is the executable specification the event
+//! engine is property-tested against.
 
 use crate::event::EventQueue;
 use crate::metrics::{AmatBreakdown, LayerCounters, RequestBreakdown, SimResult, TenantCounters};
@@ -55,12 +52,6 @@ use skybyte_workloads::{TraceSource, WorkUnit};
 /// can bound `migration_runs` per access window.
 pub const MIGRATION_PERIOD_ACCESSES: u64 = 64;
 
-/// The idle fallback quantum: with no pending wake-up at all, an idle core
-/// advances its clock in bounded hops of this size (1 µs), exactly as the
-/// legacy min-clock loop did. The event engine coalesces runs of such hops
-/// — see [`SystemState::unpark`] — but the per-hop accounting is identical.
-const IDLE_HOP: Nanos = Nanos::from_micros(1);
-
 /// The outcome of the scheduling step for one core.
 enum Scheduled {
     /// A thread runs on the core.
@@ -68,21 +59,19 @@ enum Scheduled {
     /// No thread was runnable; the core idled forward to the next pending
     /// wake-up (its new clock value).
     Idle,
-    /// No thread was runnable and no wake-up is pending anywhere: the core
-    /// advanced one bounded [`IDLE_HOP`] and should be parked — every
-    /// unfinished thread is running on some other core, so only another
-    /// core's scheduler activity can make this one useful again.
+    /// No thread was runnable and none is blocked: every unfinished thread
+    /// runs on another core, so only another core's scheduler activity can
+    /// make this one useful again. The core parked at its clock.
     Park,
 }
 
 /// What one pipeline pass did, telling the event loop how to re-arm the
 /// core's next event.
 enum Pass {
-    /// The core ran (or finished) a thread; its clock is now this value.
+    /// The core ran, finished a thread or idled to a known wake-up; its
+    /// clock is now this value.
     Advance(Nanos),
-    /// The core idled to a known wake-up; its clock is now this value.
-    Idle(Nanos),
-    /// The core took one idle hop into the void and parked (no re-arm).
+    /// The core parked at its clock (no re-arm).
     Parked,
     /// The work-unit budget is exhausted: stop the run as truncated.
     Truncated,
@@ -254,18 +243,20 @@ impl SystemState {
     /// budget trips, which sets the `truncated` flag on the eventual
     /// result).
     ///
-    /// This is the discrete-event loop: each live core has exactly one
+    /// This is the discrete-event loop: each unparked core has exactly one
     /// pending event — the instant it next becomes actionable — in a
     /// monotone [`EventQueue`] keyed `(time, core, seq)`. Popping the
-    /// earliest event is the same pick the old per-step `min_by_key` clock
-    /// scan made (lowest clock, lowest core index on ties), so the
-    /// schedule order — and therefore every counter, including the
-    /// golden-corpus-pinned ones — is bit-identical to
-    /// [`SystemState::run_reference`]. Cores with nothing to do and no
-    /// pending wake-up are *parked* (their event removed) instead of
-    /// re-queued for 1 µs crawl hops; the hops they would have taken are
-    /// applied in one closed-form batch when scheduler activity on another
-    /// core wakes them — see [`SystemState::unpark`].
+    /// earliest event is the pick [`SystemState::run_reference`]'s
+    /// min-clock scan makes (lowest clock, lowest core index on ties), so
+    /// the two loops run the same passes in the same order. A core with
+    /// nothing runnable and nothing blocked *parks* at its clock (no event);
+    /// when a pass's yield or thread finish changes scheduler state, every
+    /// parked core's clock jumps to that pass's start time, the gap is
+    /// charged to idle, and the core is re-armed there — see
+    /// [`SystemState::unpark`]. A parked core therefore never runs past the
+    /// last thread's finish; the `tenant-finish-bounded` audit invariant
+    /// checks that `exec_time` is that finish. A truncated run leaves
+    /// parked cores where they parked.
     pub(crate) fn run(&mut self, source: &mut dyn TraceSource) {
         let mut queue = EventQueue::new();
         for c in 0..self.core_clock.len() {
@@ -284,7 +275,6 @@ impl SystemState {
         if let Some(interval) = sample_interval {
             queue.push(interval, SAMPLER_CORE);
         }
-        let mut last = (Nanos::ZERO, 0usize);
         while !self.sched.all_finished() {
             let ev = queue
                 .pop()
@@ -306,56 +296,42 @@ impl SystemState {
             }
             let core = ev.core as usize;
             debug_assert_eq!(ev.time, self.core_clock[core]);
-            last = (ev.time, core);
             match self.pass(core, ev.time, source) {
-                Pass::Advance(next) | Pass::Idle(next) => {
+                Pass::Advance(next) => {
                     queue.push(next, ev.core);
                 }
-                Pass::Parked => {
-                    self.parked[core] = true;
-                    self.parked_count += 1;
-                }
+                Pass::Parked => {}
                 Pass::Truncated => {
                     self.truncated = true;
                     break;
                 }
             }
-            if self.sched_dirty {
-                self.sched_dirty = false;
-                if self.parked_count > 0 {
-                    self.unpark(ev.time, core, Some(&mut queue));
-                }
+            if std::mem::take(&mut self.sched_dirty) {
+                self.unpark(ev.time, Some(&mut queue));
             }
-        }
-        // A truncated exit can leave cores parked with idle hops still
-        // pending (the reference interleaving performed every hop that
-        // precedes the final pass); settle them so clocks and idle
-        // boundedness match the reference bit for bit.
-        if self.parked_count > 0 {
-            self.unpark(last.0, last.1, None);
         }
     }
 
-    /// The legacy engine: scan every core's clock per iteration, advance the
-    /// laggard, and let idle cores crawl in bounded hops. Kept as the
-    /// executable specification the event-driven [`SystemState::run`] is
-    /// property-tested against — both share [`SystemState::pass`], so what
-    /// this pins is exactly the event ordering (queue + parking vs. scan +
-    /// per-tick hops).
+    /// The executable specification the event-driven [`SystemState::run`]
+    /// is property-tested against: each step scans the unparked cores'
+    /// clocks and runs a pass on the lowest (lowest index on ties), with
+    /// the same park and wake rules. Both loops share
+    /// [`SystemState::pass`] and [`SystemState::unpark`], so what this pins
+    /// is exactly the event queue's ordering.
     pub(crate) fn run_reference(&mut self, source: &mut dyn TraceSource) {
         while !self.sched.all_finished() {
             let core = (0..self.core_clock.len())
+                .filter(|&c| !self.parked[c])
                 .min_by_key(|&c| self.core_clock[c])
-                .expect("at least one core");
+                .expect("every core parked with unfinished threads");
             let now = self.core_clock[core];
-            match self.pass(core, now, source) {
-                Pass::Truncated => {
-                    self.truncated = true;
-                    break;
-                }
-                Pass::Advance(_) | Pass::Idle(_) | Pass::Parked => {}
+            if let Pass::Truncated = self.pass(core, now, source) {
+                self.truncated = true;
+                break;
             }
-            self.sched_dirty = false;
+            if std::mem::take(&mut self.sched_dirty) {
+                self.unpark(now, None);
+            }
         }
     }
 
@@ -364,7 +340,7 @@ impl SystemState {
     fn pass(&mut self, core: usize, now: Nanos, source: &mut dyn TraceSource) -> Pass {
         let tid = match self.schedule(core, now) {
             Scheduled::Run(tid) => tid,
-            Scheduled::Idle => return Pass::Idle(self.core_clock[core]),
+            Scheduled::Idle => return Pass::Advance(self.core_clock[core]),
             Scheduled::Park => return Pass::Parked,
         };
 
@@ -393,55 +369,28 @@ impl SystemState {
         Pass::Advance(t)
     }
 
-    /// Wakes every parked core after scheduler activity during the pass
-    /// that ran on `pass_core` at `pass_time`, applying — in one batch —
-    /// the 1 µs idle hops the legacy loop interleaved before that pass.
-    ///
-    /// A core parks only when no thread is runnable or blocked (everything
-    /// unfinished is running elsewhere), so until the state change that
-    /// triggered this call, the reference loop could do nothing with the
-    /// parked core except hop it: each hop advances its clock by
-    /// [`IDLE_HOP`] and charges the hop to idle boundedness. A hop with
-    /// pre-hop clock `t` precedes the pass iff `t < pass_time`, or
-    /// `t == pass_time` and the parked core's index is lower (the scan picks
-    /// the first minimal clock), which gives the closed-form hop count below.
-    fn unpark(&mut self, pass_time: Nanos, pass_core: usize, queue: Option<&mut EventQueue>) {
-        let hop = IDLE_HOP.as_nanos();
-        let mut queue = queue;
+    /// Wakes every parked core after a pass that started at `pass_time`
+    /// changed scheduler state (a yield or a thread finish): each parked
+    /// core's clock jumps to `pass_time`, the gap is charged to its idle
+    /// boundedness, and the event loop re-arms it at `pass_time`.
+    fn unpark(&mut self, pass_time: Nanos, mut queue: Option<&mut EventQueue>) {
         for core in 0..self.parked.len() {
             if !self.parked[core] {
                 continue;
             }
             self.parked[core] = false;
             self.parked_count -= 1;
-            let clock = self.core_clock[core];
-            let hops = if clock > pass_time {
-                0
-            } else {
-                let d = pass_time.since(clock).as_nanos();
-                if !d.is_multiple_of(hop) {
-                    d / hop + 1
-                } else {
-                    d / hop + u64::from(core < pass_core)
-                }
-            };
-            if hops > 0 {
-                let advance = IDLE_HOP * hops;
-                self.core_clock[core] += advance;
-                self.boundedness[core].idle += advance;
-            }
+            self.boundedness[core].idle += pass_time.since(self.core_clock[core]);
+            self.core_clock[core] = pass_time;
             if let Some(q) = queue.as_deref_mut() {
-                q.push(self.core_clock[core], core as u32);
+                q.push(pass_time, core as u32);
             }
         }
     }
 
-    /// Scheduling step: make sure a thread runs on `core`, or idle the core
-    /// forward to the next wake-up.
-    ///
-    /// A fully blocked core cannot spin: the idle advance moves its clock by
-    /// at least 100 ns per pass (and to the earliest blocked wake-up when
-    /// one exists), with the idle time accounted in [`Boundedness::idle`].
+    /// Scheduling step: make sure a thread runs on `core`, idle the core
+    /// forward to the next wake-up, or park it at its clock when nothing is
+    /// blocked either.
     fn schedule(&mut self, core: usize, now: Nanos) -> Scheduled {
         match self.sched.running_on(core as u32) {
             Some(t) => Scheduled::Run(t),
@@ -456,8 +405,10 @@ impl SystemState {
             ) {
                 Some(t) => Scheduled::Run(t),
                 None => match self.sched.next_wakeup() {
-                    // Nothing runnable: idle until the next wake-up (never
-                    // less than the 100 ns minimum step, the spin guard).
+                    // Nothing runnable: idle until the next wake-up, which
+                    // is always later than `now` (scheduling unblocked every
+                    // expired one), but by at least the modelled 100 ns
+                    // minimum idle step. Results depend on that floor.
                     Some(w) => {
                         let wake = w.max(now + Nanos::new(100));
                         self.boundedness[core].idle += wake - now;
@@ -465,13 +416,12 @@ impl SystemState {
                         Scheduled::Idle
                     }
                     // Nothing runnable and nothing blocked either — every
-                    // unfinished thread runs on another core. Take one
-                    // bounded fallback hop (the legacy idle crawl quantum)
-                    // and tell the engine to park this core.
+                    // unfinished thread runs on another core. Park here
+                    // until another core's scheduler activity wakes this
+                    // one (see `unpark`).
                     None => {
-                        let wake = now + IDLE_HOP;
-                        self.boundedness[core].idle += wake - now;
-                        self.core_clock[core] = wake;
+                        self.parked[core] = true;
+                        self.parked_count += 1;
                         Scheduled::Park
                     }
                 },
@@ -714,8 +664,8 @@ impl SystemState {
     /// experiments).
     fn finish_thread(&mut self, tid: ThreadId, at: Nanos) {
         self.sched.finish_thread(tid);
-        // Scheduler state changed: a finish can end the run (or free the
-        // last obstacle to it), so parked cores must be settled.
+        // Scheduler state changed: a finish can end the run, so parked
+        // cores wake at this pass's start time and account idle up to it.
         self.sched_dirty = true;
         let counters = &mut self.per_tenant[self.tenant_map.tenant_of(tid.0).index()];
         counters.finish_time = counters.finish_time.max(at);
@@ -907,42 +857,32 @@ mod tests {
     }
 
     #[test]
-    fn idle_core_with_no_wakeup_falls_back_to_a_bounded_advance() {
-        // Two threads, one core: finish neither, just block both without a
-        // wake-up in the past. With no blocked thread at all (all finished
-        // is handled by the loop), next_wakeup() is None and the core must
-        // still advance by the 1 µs fallback instead of spinning.
-        let mut source = VecSource::new(
-            "idle2",
-            vec![
-                vec![TraceRecord::read(5, 0)],
-                vec![TraceRecord::read(5, 64)],
-            ],
-        );
-        let cfg = tiny_cfg(2, 1);
+    fn idle_core_with_nothing_blocked_parks_at_its_clock_until_woken() {
+        // One thread, two cores: while the thread runs on core 0, core 1 has
+        // nothing runnable and nothing blocked, so it parks where it is.
+        let mut source = VecSource::new("park", vec![vec![TraceRecord::read(5, 0)]]);
+        let cfg = tiny_cfg(1, 2);
         let mut sys = build(&cfg, &mut source, u64::MAX);
-        // Exhaust both threads' runnability by blocking them.
-        for _ in 0..2 {
-            let _ = sys.sched.schedule_on(0, Nanos::ZERO).expect("runnable");
-            sys.sched.yield_current(
-                0,
-                Nanos::ZERO,
-                Nanos::from_secs(1),
-                BlockReason::LongSsdAccess,
-            );
-        }
-        let now = Nanos::ZERO;
-        assert!(matches!(sys.schedule(0, now), Scheduled::Idle));
-        // The advance lands on the earliest wake-up (1 s), clamped below by
-        // the 100 ns minimum step.
-        assert_eq!(sys.core_clock[0], Nanos::from_secs(1));
-        assert!(sys.boundedness[0].idle >= Nanos::new(100));
+        assert!(matches!(sys.schedule(0, Nanos::ZERO), Scheduled::Run(_)));
+        let clock = Nanos::new(300);
+        sys.core_clock[1] = clock;
+        assert!(matches!(sys.schedule(1, clock), Scheduled::Park));
+        assert_eq!(sys.core_clock[1], clock);
+        assert_eq!(sys.boundedness[1].idle, Nanos::ZERO);
+        assert_eq!(sys.parked_count, 1);
+        // A later pass's scheduler activity wakes it at that pass's time,
+        // charging exactly the gap to idle.
+        let t = Nanos::from_micros(2);
+        sys.unpark(t, None);
+        assert_eq!(sys.core_clock[1], t);
+        assert_eq!(sys.boundedness[1].idle, t - clock);
+        assert_eq!(sys.parked_count, 0);
     }
 
     #[test]
     fn idle_advance_is_never_smaller_than_the_minimum_step() {
-        // A wake-up in the immediate past must not produce a zero-width
-        // idle advance (the spin guard).
+        // A wake-up in the immediate past must not produce an idle advance
+        // below the modelled 100 ns minimum idle step.
         let mut source = VecSource::new("spin", vec![vec![TraceRecord::read(5, 0)]]);
         let cfg = tiny_cfg(1, 1);
         let mut sys = build(&cfg, &mut source, u64::MAX);
@@ -1046,11 +986,12 @@ mod tests {
     #[test]
     fn parked_cores_match_the_reference_engine_bit_for_bit() {
         // More cores than threads: whenever the sole thread is running,
-        // every other core has nothing runnable and no wake-up to sleep to.
-        // The reference loop crawls those cores forward in 1 µs hops; the
-        // event engine parks them and settles the hops in closed form. The
-        // results — including idle boundedness and exec time, which see
-        // every individual hop — must agree exactly.
+        // every other core has nothing runnable and no wake-up to sleep to,
+        // so both loops park it. The reference scan skips parked cores; the
+        // event engine drops their events. Each wakes them at the pass that
+        // yields or finishes the thread. The results — including idle
+        // boundedness and exec time, which see every park and wake — must
+        // agree exactly.
         let scale = crate::scale::ExperimentScale::tiny().with_accesses_per_thread(300);
         for variant in [VariantKind::BaseCssd, VariantKind::SkyByteFull] {
             let cfg = scale
@@ -1075,7 +1016,7 @@ mod tests {
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(12))]
-            // The event-driven engine and the legacy min-clock reference
+            // The event-driven engine and the min-clock reference scan
             // must agree on the complete result — every counter, clock and
             // histogram bucket — across random design points: this is what
             // pins that the queue + parking machinery reorders nothing

@@ -3,8 +3,9 @@
 //! The FTL sits between the logical page space exported over CXL and the
 //! physical NAND array modelled by [`skybyte_flash`]. It provides:
 //!
-//! * a **page-level mapping table** from logical page addresses ([`Lpa`]) to
-//!   physical page addresses ([`Ppa`]) with out-of-place updates,
+//! * a **page-level mapping table** from logical page addresses
+//!   ([`Lpa`](skybyte_types::Lpa)) to physical page addresses
+//!   ([`Ppa`](skybyte_types::Ppa)) with out-of-place updates,
 //! * **block management**: free-block pools per plane, write striping across
 //!   channels, valid-page accounting,
 //! * **garbage collection**: a greedy (min-valid-pages) victim selector that

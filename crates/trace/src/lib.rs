@@ -3,9 +3,9 @@
 //! The SkyByte artifact replays PIN instruction traces of real applications;
 //! this crate is the reproduction's equivalent ingestion layer. It defines
 //!
-//! * the **`.sbt` binary trace format** ([`format`]): a compact, versioned,
-//!   self-describing container — a provenance header followed by per-thread
-//!   streams of varint + zigzag delta-encoded `(timestamp-delta,
+//! * the **`.sbt` binary trace format** ([`format`](mod@format)): a compact,
+//!   versioned, self-describing container — a provenance header followed by
+//!   per-thread streams of varint + zigzag delta-encoded `(timestamp-delta,
 //!   address-delta, op, size)` records,
 //! * **streaming I/O** with O(1) memory: [`TraceWriter`], the all-stream
 //!   [`TraceReader`], the single-stream [`ThreadReader`], and a

@@ -202,6 +202,11 @@ fn corrupting_tenant_counters_fires_exactly_the_matching_invariant() {
     assert_fires_exactly(&r, "tenant-finish-bounded", |b| {
         b.per_tenant[0].finish_time = b.exec_time + Nanos::new(1);
     });
+    // An untruncated run ends when its last thread finishes: a run that
+    // reports a later exec_time overstates it.
+    assert_fires_exactly(&r, "tenant-finish-bounded", |b| {
+        b.per_tenant[0].finish_time = b.exec_time - Nanos::new(1);
+    });
 }
 
 #[test]

@@ -177,10 +177,10 @@ const CONTENDER_PINS: [(&str, u64, u64); 12] = [
     ("topk", 4839494, 0xdcf39c17a1754c57),
     ("fair-share", 4979285, 0xed31990b164f0743),
     ("qos", 4979425, 0x83bff53b3ab64b46),
-    ("tpp", 5096143, 0x2d9f442f248055f6),
+    ("tpp", 5096143, 0xe754a48861070b2f),
     ("astriflash", 5304454, 0xb4cedad3c3dff366),
     ("disabled", 5304454, 0xa72d3c8de914e6ee),
-    ("RR", 4920549, 0xd8c66d238e65afc6),
+    ("RR", 4920549, 0x5dc7c6e631a85c02),
     ("Random", 4907801, 0xa0b1487d5b7cc34d),
 ];
 
