@@ -64,7 +64,7 @@ pub use runner::{PerfReport, RunRequest, RunTiming, Runner};
 pub use scale::ExperimentScale;
 pub use system::SystemState;
 pub use telemetry::{
-    chrome_trace_json, metrics_csv, MetricsLog, MetricsSample, Telemetry, TelemetryOutput,
-    Timeline, TimelineEvent,
+    chrome_trace_json, metrics_csv, EventKind, MetricsLog, MetricsSample, Telemetry,
+    TelemetryOutput, Timeline, TimelineEvent,
 };
 pub use thread_exec::ThreadExecutor;

@@ -13,9 +13,9 @@
 //!   simulated-time cadence;
 //! * a **span/instant layer** — pipeline hooks record per-core
 //!   thread-execution slices, flash command service windows, compaction/GC
-//!   windows, migrations and context switches into a [`Timeline`] that
-//!   renders as Chrome trace-event JSON (loadable in Perfetto or
-//!   `chrome://tracing`).
+//!   windows, migrations and context switches as fixed-size
+//!   [`TimelineEvent`]s into a [`Timeline`] that renders as Chrome
+//!   trace-event JSON (loadable in Perfetto or `chrome://tracing`).
 //!
 //! Telemetry is strictly **observe-only**: the sampler handler reads state
 //! but never mutates it, every hook fires on values the pipeline already
@@ -28,9 +28,8 @@
 //! a memoised run that was *served from* the memo table executed without
 //! telemetry injected and therefore produces no telemetry output.
 
-use serde::{Serialize, Value};
 use skybyte_types::{Nanos, TelemetryConfig};
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 /// The sentinel "core" id carried by the periodic sampler's event. Larger
 /// than any real core index, so at an equal timestamp the sampler observes
@@ -40,7 +39,7 @@ pub const SAMPLER_CORE: u32 = u32::MAX;
 /// One row of the periodic metrics time series: instantaneous gauges
 /// (queue depths, occupancy, core states) plus the cumulative counters the
 /// final-sample agreement invariant ties against `SimResult.layers`.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MetricsSample {
     /// Simulated instant the sample was taken.
     pub time: Nanos,
@@ -102,7 +101,7 @@ pub struct MetricsSample {
 }
 
 /// The periodic-sampler time series of one run.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MetricsLog {
     /// Number of flash channels (fixes the CSV column count).
     pub channels: usize,
@@ -125,11 +124,6 @@ impl MetricsLog {
     /// The final cumulative sample (the last row), if any was recorded.
     pub fn final_sample(&self) -> Option<&MetricsSample> {
         self.samples.last()
-    }
-
-    /// Serialises the whole log as JSON.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("metrics log serialises")
     }
 }
 
@@ -225,38 +219,65 @@ where
     out
 }
 
-/// One event on the span/instant timeline. Times are simulated nanoseconds;
-/// the Chrome renderer converts to the trace-event format's microseconds.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TimelineEvent {
-    /// A complete slice (`ph: "X"`) on a track.
-    Span {
-        /// Display name of the slice.
-        name: String,
-        /// Trace-event category.
-        cat: &'static str,
-        /// Track (chrome `tid`) the slice belongs to.
-        track: u32,
-        /// Slice start.
-        start: Nanos,
-        /// Slice end (`>= start`).
-        end: Nanos,
-        /// Numeric arguments shown in the event details pane.
-        args: Vec<(&'static str, u64)>,
+/// What one timeline event records: one arm per pipeline hook. The
+/// renderer derives each arm's name, category, phase and argument keys.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EventKind {
+    /// A thread-execution slice on a core track (`T<tid>`).
+    Thread {
+        /// The thread that ran.
+        tid: u32,
     },
-    /// An instant marker (`ph: "i"`) on a track.
-    Instant {
-        /// Display name of the marker.
-        name: String,
-        /// Trace-event category.
-        cat: &'static str,
-        /// Track (chrome `tid`) the marker belongs to.
-        track: u32,
-        /// The instant.
-        time: Nanos,
-        /// Numeric arguments shown in the event details pane.
-        args: Vec<(&'static str, u64)>,
+    /// A device-triggered context switch on a core track (an instant).
+    ContextSwitch {
+        /// The thread switched out.
+        tid: u32,
+        /// When the thread is due to wake.
+        wake: Nanos,
     },
+    /// A flash command service window with its latency breakdown.
+    Flash {
+        /// A program (`flash-write`) rather than a read (`flash-read`).
+        write: bool,
+        /// Indexing component of the latency.
+        indexing: Nanos,
+        /// SSD-DRAM component of the latency.
+        ssd_dram: Nanos,
+        /// Flash-array component of the latency.
+        flash: Nanos,
+    },
+    /// A write-log compaction window.
+    Compaction {
+        /// Compactions the triggering access started.
+        compactions: u64,
+    },
+    /// Garbage-collection campaigns triggered at one access (an instant).
+    GcCampaign {
+        /// Campaigns the triggering access started.
+        campaigns: u64,
+    },
+    /// A migration-policy invocation that moved pages (an instant).
+    Migration {
+        /// Pages promoted to host DRAM.
+        promoted: u64,
+        /// Pages demoted back to the SSD.
+        demoted: u64,
+    },
+}
+
+/// One event on the span/instant timeline: a fixed-size record with no
+/// heap data. Times are simulated nanoseconds; the Chrome renderer
+/// converts to the trace-event format's microseconds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TimelineEvent {
+    /// What happened.
+    pub kind: EventKind,
+    /// Track (chrome `tid`) the event belongs to.
+    pub track: u32,
+    /// Start of the span, or the instant.
+    pub start: Nanos,
+    /// End of the span (`>= start`); equal to `start` for an instant.
+    pub end: Nanos,
 }
 
 /// The span/instant event timeline of one run.
@@ -299,101 +320,119 @@ impl Timeline {
     fn track_migration(&self) -> u32 {
         self.cores + 2
     }
+
+    fn push(&mut self, kind: EventKind, track: u32, start: Nanos, end: Nanos) {
+        self.events.push(TimelineEvent {
+            kind,
+            track,
+            start,
+            end,
+        });
+    }
+
+    /// Closes a core's thread-execution slice onto its track.
+    fn push_slice(&mut self, core: usize, slice: OpenSlice) {
+        let kind = EventKind::Thread { tid: slice.tid };
+        self.push(kind, core as u32, slice.start, slice.end);
+    }
 }
 
 fn micros(t: Nanos) -> f64 {
     t.as_nanos() as f64 / 1000.0
 }
 
-/// Builds a JSON object [`Value`] from `(key, value)` pairs.
-fn obj<const N: usize>(fields: [(&str, Value); N]) -> Value {
-    Value::Map(fields.map(|(k, v)| (k.to_string(), v)).into())
+/// Writes one event object and its trailing comma: a complete slice
+/// (`"ph":"X"`) or a thread-scoped instant (`"ph":"i"`). Times use `{:?}`,
+/// the shortest round-trip form, which is how `serde_json` writes a float.
+fn write_event(out: &mut String, pid: usize, ev: &TimelineEvent) {
+    let (tid, ts) = (ev.track, micros(ev.start));
+    let dur = micros(ev.end.since(ev.start));
+    let _ = match ev.kind {
+        EventKind::Thread { tid: thread } => write!(
+            out,
+            r#"{{"name":"T{thread}","cat":"thread","ph":"X","pid":{pid},"tid":{tid},"ts":{ts:?},"dur":{dur:?},"args":{{"thread":{thread}}}}},"#
+        ),
+        EventKind::ContextSwitch { tid: thread, wake } => write!(
+            out,
+            r#"{{"name":"context-switch","cat":"sched","ph":"i","s":"t","pid":{pid},"tid":{tid},"ts":{ts:?},"args":{{"thread":{thread},"wake_ns":{}}}}},"#,
+            wake.as_nanos()
+        ),
+        EventKind::Flash {
+            write,
+            indexing,
+            ssd_dram,
+            flash,
+        } => write!(
+            out,
+            r#"{{"name":"flash-{}","cat":"flash","ph":"X","pid":{pid},"tid":{tid},"ts":{ts:?},"dur":{dur:?},"args":{{"indexing_ns":{},"ssd_dram_ns":{},"flash_ns":{}}}}},"#,
+            if write { "write" } else { "read" },
+            indexing.as_nanos(),
+            ssd_dram.as_nanos(),
+            flash.as_nanos()
+        ),
+        EventKind::Compaction { compactions } => write!(
+            out,
+            r#"{{"name":"compaction","cat":"device","ph":"X","pid":{pid},"tid":{tid},"ts":{ts:?},"dur":{dur:?},"args":{{"compactions":{compactions}}}}},"#
+        ),
+        EventKind::GcCampaign { campaigns } => write!(
+            out,
+            r#"{{"name":"gc-campaign","cat":"device","ph":"i","s":"t","pid":{pid},"tid":{tid},"ts":{ts:?},"args":{{"campaigns":{campaigns}}}}},"#
+        ),
+        EventKind::Migration { promoted, demoted } => write!(
+            out,
+            r#"{{"name":"migration","cat":"migration","ph":"i","s":"t","pid":{pid},"tid":{tid},"ts":{ts:?},"args":{{"promoted":{promoted},"demoted":{demoted}}}}},"#
+        ),
+    };
 }
 
-fn args_value(args: &[(&'static str, u64)]) -> Value {
-    Value::Map(
-        args.iter()
-            .map(|&(k, v)| (k.to_string(), Value::UInt(v)))
-            .collect(),
-    )
-}
-
-fn metadata_event(name: &str, pid: u32, tid: u32, value: &str) -> Value {
-    obj([
-        ("name", Value::Str(name.to_string())),
-        ("ph", Value::Str("M".to_string())),
-        ("pid", Value::UInt(u64::from(pid))),
-        ("tid", Value::UInt(u64::from(tid))),
-        ("args", obj([("name", Value::Str(value.to_string()))])),
-    ])
+/// Writes one `M` metadata event naming a process or track, and its
+/// trailing comma. `value` must render as a JSON string literal.
+fn write_metadata(out: &mut String, name: &str, pid: usize, tid: u32, value: impl fmt::Display) {
+    let _ = write!(
+        out,
+        r#"{{"name":"{name}","ph":"M","pid":{pid},"tid":{tid},"args":{{"name":{value}}}}},"#
+    );
 }
 
 /// Renders one or more labelled timelines as a Chrome trace-event JSON
 /// document (an array of event objects, loadable in Perfetto or
 /// `chrome://tracing`). Each run becomes one process (`pid`), named by its
 /// label via `process_name` metadata; tracks get `thread_name` metadata.
+/// Events are written straight into the returned string.
 pub fn chrome_trace_json<'a, I>(runs: I) -> String
 where
     I: IntoIterator<Item = (&'a str, &'a Timeline)>,
 {
-    let mut events: Vec<Value> = Vec::new();
+    let mut out = String::from("[");
     for (pid, (label, timeline)) in runs.into_iter().enumerate() {
-        let pid = pid as u32;
-        events.push(metadata_event("process_name", pid, 0, label));
+        let label = serde_json::to_string(label).expect("a label serialises");
+        write_metadata(&mut out, "process_name", pid, 0, label);
         for core in 0..timeline.cores() {
-            events.push(metadata_event(
+            write_metadata(
+                &mut out,
                 "thread_name",
                 pid,
                 core,
-                &format!("core {core}"),
-            ));
+                format_args!(r#""core {core}""#),
+            );
         }
         for (track, name) in [
-            (timeline.track_flash(), "flash"),
-            (timeline.track_compaction(), "compaction/gc"),
-            (timeline.track_migration(), "migration"),
+            (timeline.track_flash(), r#""flash""#),
+            (timeline.track_compaction(), r#""compaction/gc""#),
+            (timeline.track_migration(), r#""migration""#),
         ] {
-            events.push(metadata_event("thread_name", pid, track, name));
+            write_metadata(&mut out, "thread_name", pid, track, name);
         }
         for ev in timeline.events() {
-            events.push(match ev {
-                TimelineEvent::Span {
-                    name,
-                    cat,
-                    track,
-                    start,
-                    end,
-                    args,
-                } => obj([
-                    ("name", Value::Str(name.clone())),
-                    ("cat", Value::Str((*cat).to_string())),
-                    ("ph", Value::Str("X".to_string())),
-                    ("pid", Value::UInt(u64::from(pid))),
-                    ("tid", Value::UInt(u64::from(*track))),
-                    ("ts", Value::Float(micros(*start))),
-                    ("dur", Value::Float(micros(end.since(*start)))),
-                    ("args", args_value(args)),
-                ]),
-                TimelineEvent::Instant {
-                    name,
-                    cat,
-                    track,
-                    time,
-                    args,
-                } => obj([
-                    ("name", Value::Str(name.clone())),
-                    ("cat", Value::Str((*cat).to_string())),
-                    ("ph", Value::Str("i".to_string())),
-                    ("s", Value::Str("t".to_string())),
-                    ("pid", Value::UInt(u64::from(pid))),
-                    ("tid", Value::UInt(u64::from(*track))),
-                    ("ts", Value::Float(micros(*time))),
-                    ("args", args_value(args)),
-                ]),
-            });
+            write_event(&mut out, pid, ev);
         }
     }
-    serde_json::to_string(&Value::Seq(events)).expect("timeline serialises")
+    // Every object ends in a comma; the last one gives way to the bracket.
+    if out.len() > 1 {
+        out.pop();
+    }
+    out.push(']');
+    out
 }
 
 /// Everything telemetry captured over one run.
@@ -477,11 +516,9 @@ impl Telemetry {
                 slice.end = end;
             }
             ref mut open => {
-                if let Some(slice) = open.take() {
-                    let ev = slice_event(core as u32, slice);
-                    self.timeline.events.push(ev);
+                if let Some(slice) = open.replace(OpenSlice { tid, start, end }) {
+                    self.timeline.push_slice(core, slice);
                 }
-                *open = Some(OpenSlice { tid, start, end });
             }
         }
     }
@@ -493,16 +530,10 @@ impl Telemetry {
         }
         // The switch also ends the thread's execution slice.
         if let Some(slice) = self.open[core].take() {
-            let ev = slice_event(core as u32, slice);
-            self.timeline.events.push(ev);
+            self.timeline.push_slice(core, slice);
         }
-        self.timeline.events.push(TimelineEvent::Instant {
-            name: "context-switch".to_string(),
-            cat: "sched",
-            track: core as u32,
-            time,
-            args: vec![("thread", u64::from(tid)), ("wake_ns", wake.as_nanos())],
-        });
+        let kind = EventKind::ContextSwitch { tid, wake };
+        self.timeline.push(kind, core as u32, time, time);
     }
 
     /// Records a flash command service window `[arrival, done]` with its
@@ -519,19 +550,14 @@ impl Telemetry {
         if !self.cfg.timeline || done < arrival {
             return;
         }
+        let kind = EventKind::Flash {
+            write,
+            indexing,
+            ssd_dram,
+            flash,
+        };
         let track = self.timeline.track_flash();
-        self.timeline.events.push(TimelineEvent::Span {
-            name: if write { "flash-write" } else { "flash-read" }.to_string(),
-            cat: "flash",
-            track,
-            start: arrival,
-            end: done,
-            args: vec![
-                ("indexing_ns", indexing.as_nanos()),
-                ("ssd_dram_ns", ssd_dram.as_nanos()),
-                ("flash_ns", flash.as_nanos()),
-            ],
-        });
+        self.timeline.push(kind, track, arrival, done);
     }
 
     /// Records a write-log compaction window `[start, until]`.
@@ -540,14 +566,8 @@ impl Telemetry {
             return;
         }
         let track = self.timeline.track_compaction();
-        self.timeline.events.push(TimelineEvent::Span {
-            name: "compaction".to_string(),
-            cat: "device",
-            track,
-            start,
-            end: until,
-            args: vec![("compactions", compactions)],
-        });
+        self.timeline
+            .push(EventKind::Compaction { compactions }, track, start, until);
     }
 
     /// Marks one or more garbage-collection campaigns triggered at `time`.
@@ -556,13 +576,8 @@ impl Telemetry {
             return;
         }
         let track = self.timeline.track_compaction();
-        self.timeline.events.push(TimelineEvent::Instant {
-            name: "gc-campaign".to_string(),
-            cat: "device",
-            track,
-            time,
-            args: vec![("campaigns", campaigns)],
-        });
+        self.timeline
+            .push(EventKind::GcCampaign { campaigns }, track, time, time);
     }
 
     /// Marks a migration-policy invocation at `time` that moved pages.
@@ -570,14 +585,9 @@ impl Telemetry {
         if !self.cfg.timeline {
             return;
         }
+        let kind = EventKind::Migration { promoted, demoted };
         let track = self.timeline.track_migration();
-        self.timeline.events.push(TimelineEvent::Instant {
-            name: "migration".to_string(),
-            cat: "migration",
-            track,
-            time,
-            args: vec![("promoted", promoted), ("demoted", demoted)],
-        });
+        self.timeline.push(kind, track, time, time);
     }
 
     /// Closes the run: flushes open slices, records the final cumulative
@@ -586,8 +596,7 @@ impl Telemetry {
     pub fn finish(mut self, final_sample: MetricsSample) -> TelemetryOutput {
         for core in 0..self.open.len() {
             if let Some(slice) = self.open[core].take() {
-                let ev = slice_event(core as u32, slice);
-                self.timeline.events.push(ev);
+                self.timeline.push_slice(core, slice);
             }
         }
         self.record_sample(final_sample);
@@ -605,20 +614,10 @@ impl Telemetry {
     }
 }
 
-fn slice_event(track: u32, slice: OpenSlice) -> TimelineEvent {
-    TimelineEvent::Span {
-        name: format!("T{}", slice.tid),
-        cat: "thread",
-        track,
-        start: slice.start,
-        end: slice.end,
-        args: vec![("thread", u64::from(slice.tid))],
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::Value;
 
     fn sample(time: u64, hits: u64, misses: u64) -> MetricsSample {
         MetricsSample {
@@ -691,10 +690,7 @@ mod tests {
             .timeline
             .events()
             .iter()
-            .filter_map(|e| match e {
-                TimelineEvent::Span { start, end, .. } => Some((*start, *end)),
-                TimelineEvent::Instant { .. } => None,
-            })
+            .map(|e| (e.start, e.end))
             .collect();
         assert_eq!(
             spans,
@@ -707,6 +703,8 @@ mod tests {
 
     #[test]
     fn chrome_json_is_a_wellformed_event_array() {
+        // One event of every kind, times that exercise the float format
+        // (fractions of a microsecond, and past 1e16 µs the exponent form).
         let mut tel = recorder();
         tel.thread_pass(0, 1, Nanos::new(0), Nanos::new(1_000));
         tel.context_switch(0, Nanos::new(1_000), 1, Nanos::new(9_000));
@@ -718,8 +716,57 @@ mod tests {
             Nanos::new(50),
             Nanos::new(3_000),
         );
-        let out = tel.finish(sample(2_000, 0, 0));
-        let json = chrome_trace_json([("run-a", &out.timeline)]);
+        tel.flash_window(
+            true,
+            Nanos::new(1_234),
+            Nanos::new(1_235_801),
+            Nanos::new(20),
+            Nanos::new(30),
+            Nanos::new(1_234_517),
+        );
+        tel.compaction_window(Nanos::new(2_000), Nanos::new(4_567), 3);
+        tel.gc_campaign(Nanos::new(4_567), 2);
+        tel.migration_event(Nanos::new(5_001), 4, 1);
+        tel.thread_pass(
+            1,
+            2,
+            Nanos::new(500),
+            Nanos::new(12_345_678_901_234_567_890),
+        );
+        let a = tel.finish(sample(2_000, 0, 0));
+        let mut tel = Telemetry::new(recorder().cfg, 1, 1, 1);
+        tel.thread_pass(0, 3, Nanos::new(7), Nanos::new(8));
+        let b = tel.finish(sample(8, 0, 0));
+        let quoted = r#"say "hi" \ bye"#;
+        let json = chrome_trace_json([("run-a", &a.timeline), (quoted, &b.timeline)]);
+        // The bytes the `serde_json::Value` renderer wrote before events
+        // were rendered directly.
+        let expected = concat!(
+            r#"["#,
+            r#"{"name":"process_name","ph":"M","pid":0,"tid":0,"args":{"name":"run-a"}},"#,
+            r#"{"name":"thread_name","ph":"M","pid":0,"tid":0,"args":{"name":"core 0"}},"#,
+            r#"{"name":"thread_name","ph":"M","pid":0,"tid":1,"args":{"name":"core 1"}},"#,
+            r#"{"name":"thread_name","ph":"M","pid":0,"tid":2,"args":{"name":"flash"}},"#,
+            r#"{"name":"thread_name","ph":"M","pid":0,"tid":3,"args":{"name":"compaction/gc"}},"#,
+            r#"{"name":"thread_name","ph":"M","pid":0,"tid":4,"args":{"name":"migration"}},"#,
+            r#"{"name":"T1","cat":"thread","ph":"X","pid":0,"tid":0,"ts":0.0,"dur":1.0,"args":{"thread":1}},"#,
+            r#"{"name":"context-switch","cat":"sched","ph":"i","s":"t","pid":0,"tid":0,"ts":1.0,"args":{"thread":1,"wake_ns":9000}},"#,
+            r#"{"name":"flash-read","cat":"flash","ph":"X","pid":0,"tid":2,"ts":0.1,"dur":3.0,"args":{"indexing_ns":50,"ssd_dram_ns":50,"flash_ns":3000}},"#,
+            r#"{"name":"flash-write","cat":"flash","ph":"X","pid":0,"tid":2,"ts":1.234,"dur":1234.567,"args":{"indexing_ns":20,"ssd_dram_ns":30,"flash_ns":1234517}},"#,
+            r#"{"name":"compaction","cat":"device","ph":"X","pid":0,"tid":3,"ts":2.0,"dur":2.567,"args":{"compactions":3}},"#,
+            r#"{"name":"gc-campaign","cat":"device","ph":"i","s":"t","pid":0,"tid":3,"ts":4.567,"args":{"campaigns":2}},"#,
+            r#"{"name":"migration","cat":"migration","ph":"i","s":"t","pid":0,"tid":4,"ts":5.001,"args":{"promoted":4,"demoted":1}},"#,
+            r#"{"name":"T2","cat":"thread","ph":"X","pid":0,"tid":1,"ts":0.5,"dur":1.2345678901234568e16,"args":{"thread":2}},"#,
+            r#"{"name":"process_name","ph":"M","pid":1,"tid":0,"args":{"name":"say \"hi\" \\ bye"}},"#,
+            r#"{"name":"thread_name","ph":"M","pid":1,"tid":0,"args":{"name":"core 0"}},"#,
+            r#"{"name":"thread_name","ph":"M","pid":1,"tid":1,"args":{"name":"flash"}},"#,
+            r#"{"name":"thread_name","ph":"M","pid":1,"tid":2,"args":{"name":"compaction/gc"}},"#,
+            r#"{"name":"thread_name","ph":"M","pid":1,"tid":3,"args":{"name":"migration"}},"#,
+            r#"{"name":"T3","cat":"thread","ph":"X","pid":1,"tid":0,"ts":0.007,"dur":0.001,"args":{"thread":3}}"#,
+            r#"]"#,
+        );
+        assert_eq!(json, expected);
+        assert_eq!(chrome_trace_json([]), "[]");
         let parsed: Value = serde_json::from_str(&json).unwrap();
         let events = match &parsed {
             Value::Seq(events) => events,
@@ -732,7 +779,7 @@ mod tests {
                 _ => None,
             }
         };
-        let mut saw_process_name = false;
+        let mut process_names = Vec::new();
         for ev in events {
             let ph = match get(ev, "ph") {
                 Some(Value::Str(s)) => s,
@@ -747,14 +794,14 @@ mod tests {
             if ph == "X" {
                 assert!(matches!(get(ev, "dur"), Some(Value::Float(_))));
             }
-            // The process is named after the run label.
+            // Each process is named after its run label.
             if get(ev, "name") == Some(Value::Str("process_name".to_string())) {
                 let args = get(ev, "args").expect("metadata args");
-                assert_eq!(get(&args, "name"), Some(Value::Str("run-a".to_string())));
-                saw_process_name = true;
+                process_names.push(get(&args, "name"));
             }
         }
-        assert!(saw_process_name);
+        let label = |s: &str| Some(Value::Str(s.to_string()));
+        assert_eq!(process_names, [label("run-a"), label(quoted)]);
     }
 
     #[test]
