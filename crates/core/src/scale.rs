@@ -10,7 +10,8 @@
 //! * SSD DRAM : write log (7 : 1 by default),
 //! * host promotion budget : SSD DRAM (4 : 1),
 //! * flash geometry scaled so the footprint occupies a comparable fraction
-//!   of the device and garbage collection still triggers.
+//!   of the device (at most half of it, so garbage collection does not
+//!   trigger at any shipped scale).
 //!
 //! The absolute numbers therefore differ from the paper, but the relative
 //! behaviour (speed-ups, crossovers, traffic reductions) is preserved, which
@@ -36,7 +37,8 @@ pub struct ExperimentScale {
     /// Scaled flash geometry.
     pub geometry: SsdGeometry,
     /// Fraction of the footprint preconditioned into the FTL before the run
-    /// (so GC can trigger, §VI-A).
+    /// (§VI-A), so reads of those pages go to flash instead of being
+    /// zero-filled.
     pub precondition_fraction: f64,
     /// RNG seed for workload generation and the Random scheduler.
     pub seed: u64,

@@ -17,6 +17,10 @@ pub struct FlashArray {
     geometry: SsdGeometry,
     timing: FlashTimingConfig,
     channels: Vec<ChannelQueue>,
+    /// Earliest completion over every channel's in-flight commands
+    /// (`Nanos::MAX` when all are idle): until then a retire has nothing to
+    /// do on any channel.
+    earliest_completion: Nanos,
     stats: FlashStats,
 }
 
@@ -37,6 +41,7 @@ impl FlashArray {
             channels: (0..geometry.channels)
                 .map(|_| ChannelQueue::new())
                 .collect(),
+            earliest_completion: Nanos::MAX,
             stats: FlashStats::default(),
         }
     }
@@ -71,6 +76,7 @@ impl FlashArray {
             self.channels.len()
         );
         let cmd = self.channels[ch].submit(kind, ppa, now, &self.timing);
+        self.earliest_completion = self.earliest_completion.min(cmd.completes_at);
         match kind {
             FlashCommandKind::Read => {
                 self.stats.pages_read += 1;
@@ -85,13 +91,18 @@ impl FlashArray {
         cmd
     }
 
-    /// Retires completed commands on every channel up to time `now`.
-    pub fn retire_completed(&mut self, now: Nanos) -> Vec<FlashCommand> {
-        let mut out = Vec::new();
-        for ch in &mut self.channels {
-            out.extend(ch.retire_completed(now));
+    /// Retires completed commands on every channel up to time `now`. O(1)
+    /// when no command anywhere has completed by `now`.
+    pub fn retire_completed(&mut self, now: Nanos) {
+        if now < self.earliest_completion {
+            return;
         }
-        out
+        let mut earliest = Nanos::MAX;
+        for ch in &mut self.channels {
+            ch.retire_completed(now);
+            earliest = earliest.min(ch.earliest_completion());
+        }
+        self.earliest_completion = earliest;
     }
 
     /// Queue counters of the channel that `ppa` maps to — the input to the
@@ -105,17 +116,6 @@ impl FlashArray {
     pub fn estimate_read_latency(&self, ppa: Ppa) -> Nanos {
         self.channel_counters(ppa)
             .estimate_read_latency(&self.timing)
-    }
-
-    /// The channel with the shortest backlog at time `now`; used by log
-    /// compaction to spread page flushes across channels.
-    pub fn least_busy_channel(&self) -> u16 {
-        self.channels
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, q)| q.busy_until())
-            .map(|(i, _)| i as u16)
-            .expect("at least one channel")
     }
 
     /// Aggregate busy time across all channels (for bandwidth utilisation).
@@ -132,19 +132,6 @@ impl FlashArray {
             .iter()
             .map(|c| c.busy_time_within(horizon))
             .sum()
-    }
-
-    /// Time at which every channel is idle.
-    pub fn all_idle_at(&self) -> Nanos {
-        self.channels
-            .iter()
-            .map(|c| c.busy_until())
-            .fold(Nanos::ZERO, Nanos::max)
-    }
-
-    /// Whether every channel queue is empty.
-    pub fn is_idle(&self) -> bool {
-        self.channels.iter().all(ChannelQueue::is_idle)
     }
 
     /// Traffic statistics accumulated so far.
@@ -262,36 +249,38 @@ mod tests {
     }
 
     #[test]
-    fn least_busy_channel_prefers_idle() {
+    fn retire_is_gated_on_the_earliest_completion() {
         let mut arr = small_array();
-        arr.submit(
-            FlashCommandKind::Erase,
+        let (a, b, c) = (
             Ppa::new(0, 0, 0, 0, 0, 0),
-            Nanos::ZERO,
-        );
-        arr.submit(
-            FlashCommandKind::Program,
             Ppa::new(1, 0, 0, 0, 0, 0),
-            Nanos::ZERO,
+            Ppa::new(2, 0, 0, 0, 0, 0),
         );
-        let ch = arr.least_busy_channel();
-        assert!(ch == 2 || ch == 3, "expected an idle channel, got {ch}");
-    }
+        let t1 = arr.submit(FlashCommandKind::Read, a, Nanos::ZERO);
+        let t2 = arr.submit(FlashCommandKind::Program, b, Nanos::ZERO);
+        assert!(t1 < t2);
+        let (before_a, before_b) = (arr.channel_counters(a), arr.channel_counters(b));
 
-    #[test]
-    fn idle_tracking() {
-        let mut arr = small_array();
-        assert!(arr.is_idle());
-        arr.submit(
-            FlashCommandKind::Read,
-            Ppa::new(0, 0, 0, 0, 0, 0),
-            Nanos::ZERO,
-        );
-        assert!(!arr.is_idle());
-        assert_eq!(arr.all_idle_at(), Nanos::from_micros(3));
-        arr.retire_completed(Nanos::from_micros(3));
-        assert!(arr.is_idle());
-        assert_eq!(arr.total_busy_time(), Nanos::from_micros(3));
+        // Before the earliest completion a retire changes no channel.
+        arr.retire_completed(t1 - Nanos::new(1));
+        assert_eq!(arr.channel_counters(a), before_a);
+        assert_eq!(arr.channel_counters(b), before_b);
+
+        // At it, only the first channel drains.
+        arr.retire_completed(t1);
+        assert_eq!(arr.channel_counters(a).total(), 0);
+        assert_eq!(arr.channel_counters(b), before_b);
+
+        // A later submit completing before t2 lowers the gate again, and a
+        // retire at its completion drains exactly it.
+        let t3 = arr.submit(FlashCommandKind::Read, c, t1);
+        assert!(t3 < t2);
+        assert_eq!(arr.channel_counters(c).reads, 1);
+        arr.retire_completed(t3);
+        assert_eq!(arr.channel_counters(c).total(), 0);
+        assert_eq!(arr.channel_counters(b), before_b);
+        arr.retire_completed(t2);
+        assert_eq!(arr.channel_depths(), vec![0; 4]);
     }
 
     #[test]

@@ -60,15 +60,11 @@ pub struct ChannelQueue {
     /// In-flight reads in submission order. Each read waits for every earlier
     /// read (`read_busy_until` only grows), so completion times are monotone
     /// within this queue and retirement is a pop-front loop.
-    inflight_reads: VecDeque<(u64, FlashCommand)>,
+    inflight_reads: VecDeque<FlashCommand>,
     /// In-flight programs/erases in submission order. They serialise behind
     /// all previously accepted work (`busy_until` is non-decreasing), so this
-    /// queue is completion-monotone too. The `u64` on both queues is a
-    /// submission sequence number used to break completion-time ties exactly
-    /// as a stable sort over one combined submission-ordered queue would.
-    inflight_writes: VecDeque<(u64, FlashCommand)>,
-    /// Next submission sequence number.
-    seq: u64,
+    /// queue is completion-monotone too.
+    inflight_writes: VecDeque<FlashCommand>,
     /// Time at which the channel finishes its last accepted command.
     busy_until: Nanos,
     /// Time at which the last accepted *read* completes (the priority lane).
@@ -137,77 +133,46 @@ impl ChannelQueue {
             completes_at,
         };
         self.earliest_completion = self.earliest_completion.min(completes_at);
-        let seq = self.seq;
-        self.seq += 1;
         match kind {
-            FlashCommandKind::Read => self.inflight_reads.push_back((seq, cmd)),
+            FlashCommandKind::Read => self.inflight_reads.push_back(cmd),
             FlashCommandKind::Program | FlashCommandKind::Erase => {
-                self.inflight_writes.push_back((seq, cmd))
+                self.inflight_writes.push_back(cmd)
             }
         }
         cmd
     }
 
-    /// Earliest completion among the in-flight queues (`Nanos::MAX` when
-    /// idle). Both queues are completion-monotone, so only the fronts matter.
-    fn next_completion(&self) -> Nanos {
-        let r = self
-            .inflight_reads
-            .front()
-            .map_or(Nanos::MAX, |&(_, c)| c.completes_at);
-        let w = self
-            .inflight_writes
-            .front()
-            .map_or(Nanos::MAX, |&(_, c)| c.completes_at);
-        r.min(w)
+    /// Earliest completion among in-flight commands (`Nanos::MAX` when
+    /// idle).
+    pub(crate) fn earliest_completion(&self) -> Nanos {
+        self.earliest_completion
     }
 
     /// Retires every command that has completed by `now`, updating the queue
-    /// counters, and returns the retired commands in completion order.
+    /// counters, and returns how many it retired.
     ///
-    /// Because reads overtake programs/erases, completion times are not
-    /// monotone in submission order; every completed command is retired, not
-    /// just a completed prefix.
-    pub fn retire_completed(&mut self, now: Nanos) -> Vec<FlashCommand> {
+    /// Reads overtake programs/erases, so the completed commands are not a
+    /// prefix of the submission order; each of the two completion-monotone
+    /// queues holds them as its prefix, which is what gets popped.
+    pub fn retire_completed(&mut self, now: Nanos) -> usize {
         // Fast path: this runs on every SSD access; skip the pops when the
         // earliest outstanding completion is still in the future.
         if now < self.earliest_completion {
-            return Vec::new();
+            return 0;
         }
-        // Both queues are completion-monotone, so every completed command sits
-        // at a front; merging the fronts by (completion, submission seq)
-        // reproduces the completion order a stable sort over one combined
-        // submission-ordered queue would give.
-        let mut done = Vec::new();
-        loop {
-            let r = self
-                .inflight_reads
-                .front()
-                .filter(|&&(_, c)| c.completes_at <= now);
-            let w = self
-                .inflight_writes
-                .front()
-                .filter(|&&(_, c)| c.completes_at <= now);
-            let take_read = match (r, w) {
-                (Some(&(rs, rc)), Some(&(ws, wc))) => (rc.completes_at, rs) < (wc.completes_at, ws),
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => break,
-            };
-            let (_, cmd) = if take_read {
-                self.inflight_reads.pop_front().expect("front checked")
-            } else {
-                self.inflight_writes.pop_front().expect("front checked")
-            };
-            match cmd.kind {
-                FlashCommandKind::Read => self.counters.reads -= 1,
-                FlashCommandKind::Program => self.counters.writes -= 1,
-                FlashCommandKind::Erase => self.counters.erases -= 1,
+        let before = self.depth();
+        for queue in [&mut self.inflight_reads, &mut self.inflight_writes] {
+            while let Some(cmd) = queue.pop_front_if(|c| c.completes_at <= now) {
+                match cmd.kind {
+                    FlashCommandKind::Read => self.counters.reads -= 1,
+                    FlashCommandKind::Program => self.counters.writes -= 1,
+                    FlashCommandKind::Erase => self.counters.erases -= 1,
+                }
             }
-            done.push(cmd);
         }
-        self.earliest_completion = self.next_completion();
-        done
+        let front = |q: &VecDeque<FlashCommand>| q.front().map_or(Nanos::MAX, |c| c.completes_at);
+        self.earliest_completion = front(&self.inflight_reads).min(front(&self.inflight_writes));
+        before - self.depth()
     }
 
     /// Current per-kind counters of queued/in-service commands.
@@ -245,11 +210,6 @@ impl ChannelQueue {
     pub fn busy_time_within(&self, horizon: Nanos) -> Nanos {
         let overhang = self.busy_until.saturating_sub(horizon);
         self.busy_time.saturating_sub(overhang)
-    }
-
-    /// Whether no commands are outstanding.
-    pub fn is_idle(&self) -> bool {
-        self.inflight_reads.is_empty() && self.inflight_writes.is_empty()
     }
 }
 
@@ -298,16 +258,13 @@ mod tests {
         assert_eq!(q.counters().total(), 3);
 
         // After tR the read is done.
-        let retired = q.retire_completed(Nanos::from_micros(3));
-        assert_eq!(retired.len(), 1);
-        assert_eq!(retired[0].kind, FlashCommandKind::Read);
+        assert_eq!(q.retire_completed(Nanos::from_micros(3)), 1);
         assert_eq!(q.counters().reads, 0);
         assert_eq!(q.counters().total(), 2);
 
         // Far in the future everything drains.
-        let retired = q.retire_completed(Nanos::from_secs(1));
-        assert_eq!(retired.len(), 2);
-        assert!(q.is_idle());
+        assert_eq!(q.retire_completed(Nanos::from_secs(1)), 2);
+        assert_eq!(q.depth(), 0);
         assert_eq!(q.counters().total(), 0);
     }
 

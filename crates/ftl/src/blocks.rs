@@ -74,6 +74,8 @@ pub struct BlockManager {
     /// Round-robin pointer used to pick the next channel for a host write.
     next_channel: u32,
     free_count: u64,
+    /// Sum of `valid_pages` over all blocks, kept so `utilisation` is O(1).
+    valid_count: u64,
 }
 
 impl BlockManager {
@@ -95,6 +97,7 @@ impl BlockManager {
             open_blocks: vec![None; geometry.channels as usize],
             next_channel: 0,
             free_count: total_blocks,
+            valid_count: 0,
         }
     }
 
@@ -106,11 +109,6 @@ impl BlockManager {
     /// Number of blocks currently free (erased and unallocated).
     pub fn free_blocks(&self) -> u64 {
         self.free_count
-    }
-
-    /// Fraction of blocks that are free.
-    pub fn free_fraction(&self) -> f64 {
-        self.free_count as f64 / self.blocks.len() as f64
     }
 
     /// The channel that owns a block.
@@ -176,9 +174,8 @@ impl BlockManager {
     }
 
     /// Allocates the next physical page on a specific channel (used by GC to
-    /// relocate pages within their original channel, and by compaction to
-    /// target the least busy channel). Returns `None` if that channel has no
-    /// free space.
+    /// relocate pages within their original channel). Returns `None` if that
+    /// channel has no free space.
     pub fn allocate_on_channel(&mut self, channel: usize, lpa: Lpa) -> Option<(Ppa, BlockId)> {
         // Ensure there is an open block.
         if self.open_blocks[channel].is_none() {
@@ -195,6 +192,7 @@ impl BlockManager {
         let page = info.write_ptr;
         info.write_ptr += 1;
         info.valid_pages += 1;
+        self.valid_count += 1;
         debug_assert_eq!(info.contents.len() as u32, page);
         info.contents.push(Some(lpa));
         if info.write_ptr >= pages_per_block {
@@ -211,7 +209,8 @@ impl BlockManager {
         let info = &mut self.blocks[blk.0 as usize];
         if let Some(slot) = info.contents.get_mut(ppa.page as usize) {
             if slot.take().is_some() {
-                info.valid_pages = info.valid_pages.saturating_sub(1);
+                info.valid_pages -= 1;
+                self.valid_count -= 1;
             }
         }
     }
@@ -291,15 +290,14 @@ impl BlockManager {
     /// data; this is the device utilisation compared against the GC
     /// threshold.
     pub fn utilisation(&self) -> f64 {
-        let total_pages = self.geometry.total_pages();
-        let valid: u64 = self.blocks.iter().map(|b| b.valid_pages as u64).sum();
-        valid as f64 / total_pages as f64
+        self.valid_count as f64 / self.geometry.total_pages() as f64
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn small_geometry() -> SsdGeometry {
         SsdGeometry {
@@ -416,5 +414,40 @@ mod tests {
         // Allocate just one page: its block is open, not full.
         mgr.allocate_page(Lpa::new(0)).unwrap();
         assert!(mgr.select_gc_victims(4).is_empty());
+    }
+
+    proptest! {
+        /// The running valid-page total behind `utilisation` equals the sum
+        /// of every block's valid pages after any sequence of allocations,
+        /// invalidations (repeated ones included) and erases of dead full
+        /// blocks.
+        #[test]
+        fn prop_utilisation_is_the_sum_of_valid_pages(ops in proptest::collection::vec((0u8..3, 0u64..64), 1..300)) {
+            let mut mgr = BlockManager::new(small_geometry());
+            let total_pages = small_geometry().total_pages();
+            let mut written: Vec<Ppa> = Vec::new();
+            for (op, arg) in ops {
+                match op {
+                    0 => {
+                        if let Some((ppa, _)) = mgr.allocate_page(Lpa::new(arg)) {
+                            written.push(ppa);
+                        }
+                    }
+                    1 if !written.is_empty() => {
+                        mgr.invalidate(written[arg as usize % written.len()]);
+                    }
+                    _ => {
+                        let blk = BlockId(arg % mgr.total_blocks());
+                        if mgr.state(blk) == BlockState::Full && mgr.valid_pages(blk) == 0 {
+                            mgr.erase_block(blk);
+                        }
+                    }
+                }
+                let valid: u64 = (0..mgr.total_blocks())
+                    .map(|b| u64::from(mgr.valid_pages(BlockId(b))))
+                    .sum();
+                prop_assert_eq!(mgr.utilisation(), valid as f64 / total_pages as f64);
+            }
+        }
     }
 }

@@ -5,7 +5,7 @@ use crate::blocks::{BlockId, BlockManager};
 use crate::stats::FtlStats;
 use serde::{Deserialize, Serialize};
 use skybyte_flash::{FlashArray, FlashCommandKind};
-use skybyte_types::{FastHashMap, Lpa, Nanos, Ppa, SsdConfig};
+use skybyte_types::{Lpa, Nanos, Ppa, SsdConfig};
 
 /// Result of a host page write issued through the FTL.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,7 +34,11 @@ pub struct GcReport {
 /// See the crate-level documentation for an end-to-end example.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Ftl {
-    mapping: FastHashMap<Lpa, Ppa>,
+    /// Logical → physical map indexed by `Lpa::index()`, grown on demand to
+    /// the highest LPA mapped; `None` for a page never written.
+    mapping: Vec<Option<Ppa>>,
+    /// Number of `Some` entries in `mapping`.
+    mapped: u64,
     blocks: BlockManager,
     channels: u64,
     gc_threshold: f64,
@@ -47,7 +51,8 @@ impl Ftl {
     /// Creates an FTL for the given SSD configuration with an empty mapping.
     pub fn new(cfg: &SsdConfig) -> Self {
         Ftl {
-            mapping: FastHashMap::default(),
+            mapping: Vec::new(),
+            mapped: 0,
             blocks: BlockManager::new(cfg.geometry),
             channels: cfg.geometry.channels as u64,
             gc_threshold: cfg.gc_threshold,
@@ -60,17 +65,28 @@ impl Ftl {
     /// Translates a logical page to its current physical location, or `None`
     /// if the page has never been written.
     pub fn translate(&self, lpa: Lpa) -> Option<Ppa> {
-        self.mapping.get(&lpa).copied()
+        self.mapping.get(lpa.index() as usize).copied().flatten()
     }
 
     /// Whether the logical page has a physical mapping.
     pub fn is_mapped(&self, lpa: Lpa) -> bool {
-        self.mapping.contains_key(&lpa)
+        self.translate(lpa).is_some()
     }
 
     /// Number of mapped logical pages.
     pub fn mapped_pages(&self) -> u64 {
-        self.mapping.len() as u64
+        self.mapped
+    }
+
+    /// Points `lpa` at `ppa`, growing the map to cover it.
+    fn map(&mut self, lpa: Lpa, ppa: Ppa) {
+        let i = lpa.index() as usize;
+        if i >= self.mapping.len() {
+            self.mapping.resize(i + 1, None);
+        }
+        if self.mapping[i].replace(ppa).is_none() {
+            self.mapped += 1;
+        }
     }
 
     /// Reads a logical page from flash.
@@ -96,7 +112,9 @@ impl Ftl {
     /// threshold this cannot happen unless the logical footprint exceeds the
     /// usable capacity.
     pub fn write_page(&mut self, lpa: Lpa, now: Nanos, flash: &mut FlashArray) -> WriteOutcome {
-        if let Some(old) = self.mapping.remove(&lpa) {
+        // The stale entry is replaced below; GC cannot read it meanwhile,
+        // since the invalidated page is no block's live content.
+        if let Some(old) = self.translate(lpa) {
             self.blocks.invalidate(old);
         }
 
@@ -111,7 +129,7 @@ impl Ftl {
             }
         };
         let completes_at = flash.submit(FlashCommandKind::Program, ppa, now);
-        self.mapping.insert(lpa, ppa);
+        self.map(lpa, ppa);
         self.stats.host_pages_written += 1;
         self.stats.flash_pages_programmed += 1;
 
@@ -124,18 +142,16 @@ impl Ftl {
     }
 
     /// Pre-populates the mapping table with `lpas` without issuing flash
-    /// commands or accounting statistics. Used to precondition the SSD so
-    /// that garbage collection triggers during the measured run (§VI-A).
+    /// commands or accounting statistics. Used to precondition the SSD
+    /// (§VI-A), so reads of these pages go to flash instead of being served
+    /// as zero-filled never-written pages.
     pub fn precondition<I: IntoIterator<Item = Lpa>>(&mut self, lpas: I) {
         for lpa in lpas {
-            if self.mapping.contains_key(&lpa) {
+            if self.is_mapped(lpa) {
                 continue;
             }
-            if let Some(old) = self.mapping.remove(&lpa) {
-                self.blocks.invalidate(old);
-            }
             if let Some((ppa, _)) = self.blocks.allocate_page(lpa) {
-                self.mapping.insert(lpa, ppa);
+                self.map(lpa, ppa);
             } else {
                 break;
             }
@@ -160,11 +176,6 @@ impl Ftl {
     /// Device utilisation (fraction of physical pages holding live data).
     pub fn utilisation(&self) -> f64 {
         self.blocks.utilisation()
-    }
-
-    /// Fraction of erase blocks that are free.
-    pub fn free_block_fraction(&self) -> f64 {
-        self.blocks.free_fraction()
     }
 
     fn maybe_gc(&mut self, now: Nanos, flash: &mut FlashArray) -> Option<GcReport> {
@@ -241,7 +252,7 @@ impl Ftl {
             };
             let prog_done = flash.submit(FlashCommandKind::Program, dest_ppa, read_done);
             self.blocks.invalidate(src);
-            self.mapping.insert(lpa, dest_ppa);
+            self.map(lpa, dest_ppa);
             self.stats.gc_pages_read += 1;
             self.stats.gc_pages_relocated += 1;
             self.stats.flash_pages_programmed += 1;
@@ -373,15 +384,48 @@ mod tests {
     }
 
     #[test]
-    fn utilisation_and_free_fraction_track_writes() {
+    fn utilisation_tracks_writes_not_overwrites() {
         let (mut ftl, mut flash) = setup();
         assert_eq!(ftl.utilisation(), 0.0);
-        let before = ftl.free_block_fraction();
         for i in 0..16u64 {
             ftl.write_page(Lpa::new(i), Nanos::ZERO, &mut flash);
         }
-        assert!(ftl.utilisation() > 0.0);
-        assert!(ftl.free_block_fraction() < before);
+        assert_eq!(ftl.utilisation(), 16.0 / 128.0);
+        // An overwrite moves the page; the live-page count stays the same.
+        ftl.write_page(Lpa::new(3), Nanos::ZERO, &mut flash);
+        assert_eq!(ftl.utilisation(), 16.0 / 128.0);
+    }
+
+    #[test]
+    fn mapped_pages_counts_distinct_lpas() {
+        let (mut ftl, mut flash) = setup();
+        ftl.precondition((0..8).map(Lpa::new));
+        assert_eq!(ftl.mapped_pages(), 8);
+        // Preconditioning mapped pages again maps nothing new.
+        ftl.precondition((4..12).map(Lpa::new));
+        assert_eq!(ftl.mapped_pages(), 12);
+        ftl.write_page(Lpa::new(5), Nanos::ZERO, &mut flash);
+        ftl.write_page(Lpa::new(5), Nanos::ZERO, &mut flash);
+        assert_eq!(ftl.mapped_pages(), 12);
+        ftl.write_page(Lpa::new(40), Nanos::ZERO, &mut flash);
+        assert_eq!(ftl.mapped_pages(), 13);
+    }
+
+    #[test]
+    fn the_map_grows_to_a_far_lpa_on_first_write() {
+        let (mut ftl, mut flash) = setup();
+        ftl.write_page(Lpa::new(2), Nanos::ZERO, &mut flash);
+        assert_eq!(ftl.translate(Lpa::new(10_000)), None);
+        assert!(!ftl.is_mapped(Lpa::new(u64::MAX)));
+        let out = ftl.write_page(Lpa::new(10_000), Nanos::ZERO, &mut flash);
+        assert_eq!(ftl.translate(Lpa::new(10_000)), Some(out.ppa));
+        assert!(ftl.is_mapped(Lpa::new(2)));
+        let below: Vec<u64> = (0..10_000u64)
+            .filter(|&i| ftl.is_mapped(Lpa::new(i)))
+            .collect();
+        assert_eq!(below, vec![2]);
+        assert_eq!(ftl.translate(Lpa::new(10_001)), None);
+        assert_eq!(ftl.mapped_pages(), 2);
     }
 
     #[test]
