@@ -10,10 +10,10 @@
 //! shared across figures (e.g. the Base-CSSD run of each workload) are
 //! simulated exactly once per harness invocation.
 //!
-//! The `skybyte-bench` crate prints these tables (`cargo run -p
-//! skybyte-bench --bin figures -- --jobs N`) and wraps them in Criterion
-//! benchmarks; `EXPERIMENTS.md` records the measured values next to the
-//! paper's numbers.
+//! The `skybyte-bench` crate's `figures` binary prints these tables
+//! (`cargo run -p skybyte-bench --bin figures -- --jobs N`, and `--out DIR`
+//! writes them as CSV). `ROADMAP.md` tabulates the default-scale values next
+//! to the paper's headline numbers.
 //!
 //! The absolute magnitudes differ from the paper (scaled-down devices and
 //! synthetic traces, see [`crate::scale`]), but each experiment preserves the

@@ -15,8 +15,9 @@
 //! * `AstriFlash-CXL` — the AstriFlash comparison point (§VI-H).
 //!
 //! The [`experiments`] module regenerates every table and figure of the
-//! evaluation section; see `EXPERIMENTS.md` at the repository root for the
-//! mapping.
+//! evaluation section, and `skybyte-bench`'s `figures` binary prints them;
+//! `ROADMAP.md` tabulates the default-scale values next to the paper's
+//! headline numbers.
 //!
 //! # Quick start
 //!

@@ -15,7 +15,8 @@
 //!
 //! The absolute numbers therefore differ from the paper, but the relative
 //! behaviour (speed-ups, crossovers, traffic reductions) is preserved, which
-//! is what `EXPERIMENTS.md` compares.
+//! is what the `figures` binary's tables compare; `ROADMAP.md` tabulates the
+//! default-scale values next to the paper's headline numbers.
 
 use serde::{Deserialize, Serialize};
 use skybyte_types::{SimConfig, SsdGeometry, KIB, MIB};

@@ -16,6 +16,7 @@ use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 use serde::{Deserialize, Serialize};
 use skybyte_types::{AccessKind, MemAccess, VirtAddr, CACHELINES_PER_PAGE, PAGE_SIZE};
+use std::sync::Arc;
 
 /// One unit of work: compute, then a single off-chip memory access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -31,8 +32,19 @@ pub struct WorkUnit {
 pub struct TraceGenerator {
     spec: WorkloadSpec,
     rng: ChaCha12Rng,
-    hot_pages: u64,
-    hot_zipf: Zipf,
+    /// The hot set's Zipf table, shared read-only by every thread of a
+    /// [`WorkloadSource`](crate::WorkloadSource).
+    hot_zipf: Arc<Zipf>,
+    /// Pages between consecutive Zipf ranks: 1 unless the hot set is larger
+    /// than the table.
+    hot_stride: u64,
+    /// Spec-derived per-record constants, computed once: the mean burst
+    /// length, the cachelines each page exposes, and the write and hot-set
+    /// probabilities handed to `gen_bool`.
+    instructions_per_miss: u64,
+    coverage_cls: u32,
+    write_ratio: f64,
+    hot_access_fraction: f64,
     /// Private cold partition of this thread: [cold_start, cold_start + cold_len).
     cold_start: u64,
     cold_len: u64,
@@ -40,7 +52,6 @@ pub struct TraceGenerator {
     cursor_page: u64,
     /// Cachelines still to touch on the cursor page before advancing.
     cursor_remaining: u32,
-    units_generated: u64,
 }
 
 impl TraceGenerator {
@@ -53,46 +64,67 @@ impl TraceGenerator {
     /// [`WorkUnit`] stream** on every construction: the generator's only
     /// state is a [`ChaCha12Rng`] seeded from `seed ^ f(thread)` plus
     /// counters derived from the spec, and no global or ambient state is
-    /// consulted. This is the contract that makes trace recording/replay
-    /// bit-exact and the memoizing parallel runner sound — harness output
-    /// is identical across `--jobs` values because each thread's stream
-    /// never depends on who pulls it or when
-    /// (`generator_stream_is_a_pure_function_of_its_inputs` locks this).
+    /// consulted. The hot set's Zipf table is a pure function of the spec
+    /// and is only ever read, so sharing one table among the threads of a
+    /// [`WorkloadSource`](crate::WorkloadSource) changes no stream. This is
+    /// the contract that makes trace recording/replay bit-exact and the
+    /// memoizing parallel runner sound — harness output is identical across
+    /// `--jobs` values because each thread's stream never depends on who
+    /// pulls it or when (`generator_stream_is_a_pure_function_of_its_inputs`
+    /// locks this).
     ///
     /// # Panics
     ///
     /// Panics if `threads` is zero or `thread >= threads`.
     pub fn new(spec: &WorkloadSpec, thread: u32, threads: u32, seed: u64) -> Self {
+        Self::with_hot_table(spec, thread, threads, seed, Self::hot_table(spec))
+    }
+
+    /// The hot set's Zipf table for `spec`, which every thread of a workload
+    /// shares.
+    pub(crate) fn hot_table(spec: &WorkloadSpec) -> Arc<Zipf> {
+        // The Zipf table is capped to keep setup cheap for huge hot sets; the
+        // cap is far above the scaled experiment sizes.
+        let zipf_n = hot_pages(spec).min(1 << 20);
+        Arc::new(Zipf::new(zipf_n, spec.zipf_exponent.max(0.0)))
+    }
+
+    /// [`Self::new`] over a hot-set table already built by
+    /// [`Self::hot_table`] for the same spec.
+    pub(crate) fn with_hot_table(
+        spec: &WorkloadSpec,
+        thread: u32,
+        threads: u32,
+        seed: u64,
+        hot_zipf: Arc<Zipf>,
+    ) -> Self {
         assert!(threads > 0, "at least one thread required");
         assert!(thread < threads, "thread index out of range");
         let total_pages = spec.footprint_pages();
-        let hot_pages = ((total_pages as f64 * spec.hot_page_fraction) as u64).max(1);
+        let hot_pages = hot_pages(spec);
         let cold_pages = total_pages.saturating_sub(hot_pages).max(1);
         let per_thread = (cold_pages / threads as u64).max(1);
         let cold_start = hot_pages + per_thread * thread as u64;
-        // The Zipf table is capped to keep setup cheap for huge hot sets; the
-        // cap is far above the scaled experiment sizes.
-        let zipf_n = hot_pages.min(1 << 20);
         let mut rng =
             ChaCha12Rng::seed_from_u64(seed ^ (thread as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let coverage_cls = Self::coverage_cachelines(spec);
+        let coverage_cls = coverage_cachelines(spec);
         let cursor_page = cold_start + rng.gen_range(0..per_thread);
+        // Spread ranks over the hot region if it is larger than the table.
+        let hot_stride = hot_pages / hot_zipf.n();
         TraceGenerator {
             spec: *spec,
             rng,
-            hot_pages,
-            hot_zipf: Zipf::new(zipf_n, spec.zipf_exponent.max(0.0)),
+            hot_zipf,
+            hot_stride,
+            instructions_per_miss: spec.instructions_per_miss(),
+            coverage_cls,
+            write_ratio: spec.write_ratio.clamp(0.0, 1.0),
+            hot_access_fraction: spec.hot_access_fraction.clamp(0.0, 1.0),
             cold_start,
             cold_len: per_thread,
             cursor_page,
             cursor_remaining: coverage_cls,
-            units_generated: 0,
         }
-    }
-
-    fn coverage_cachelines(spec: &WorkloadSpec) -> u32 {
-        ((CACHELINES_PER_PAGE as f64 * spec.page_cacheline_coverage).round() as u32)
-            .clamp(1, CACHELINES_PER_PAGE as u32)
     }
 
     /// The workload spec driving this generator.
@@ -100,15 +132,15 @@ impl TraceGenerator {
         &self.spec
     }
 
-    /// Number of work units generated so far.
-    pub fn units_generated(&self) -> u64 {
-        self.units_generated
+    /// The hot-set table this generator draws from.
+    #[cfg(test)]
+    pub(crate) fn hot_zipf(&self) -> &Arc<Zipf> {
+        &self.hot_zipf
     }
 
     /// Produces the next work unit.
     pub fn next_unit(&mut self) -> WorkUnit {
-        self.units_generated += 1;
-        let base = self.spec.instructions_per_miss();
+        let base = self.instructions_per_miss;
         // ±50 % jitter around the MPKI-derived mean keeps bursts irregular
         // while preserving the average.
         let instructions = if base <= 1 {
@@ -116,7 +148,7 @@ impl TraceGenerator {
         } else {
             self.rng.gen_range(base / 2..=base + base / 2)
         };
-        let is_write = self.rng.gen_bool(self.spec.write_ratio.clamp(0.0, 1.0));
+        let is_write = self.rng.gen_bool(self.write_ratio);
         let (page, cl) = self.pick_location(is_write);
         let addr = VirtAddr::new(page * PAGE_SIZE as u64 + cl as u64 * 64);
         WorkUnit {
@@ -138,26 +170,18 @@ impl TraceGenerator {
     }
 
     fn pick_location(&mut self, is_write: bool) -> (u64, u8) {
-        let hot = self
-            .rng
-            .gen_bool(self.spec.hot_access_fraction.clamp(0.0, 1.0));
+        let hot = self.rng.gen_bool(self.hot_access_fraction);
         let page = if hot {
             self.pick_hot_page()
         } else {
             self.pick_cold_page(is_write)
         };
-        let cl = self.pick_cacheline(page, is_write);
+        let cl = self.pick_cacheline(page);
         (page, cl)
     }
 
     fn pick_hot_page(&mut self) -> u64 {
-        let rank = self.hot_zipf.sample(&mut self.rng);
-        // Spread ranks over the hot region if it is larger than the table.
-        if self.hot_pages > self.hot_zipf.n() {
-            rank * (self.hot_pages / self.hot_zipf.n()).max(1)
-        } else {
-            rank
-        }
+        self.hot_zipf.sample(&mut self.rng) * self.hot_stride
     }
 
     fn pick_cold_page(&mut self, is_write: bool) -> u64 {
@@ -172,7 +196,7 @@ impl TraceGenerator {
                     };
                     self.cursor_page = self.cold_start
                         + (self.cursor_page - self.cold_start + step) % self.cold_len;
-                    self.cursor_remaining = Self::coverage_cachelines(&self.spec);
+                    self.cursor_remaining = self.coverage_cls;
                 }
                 self.cursor_remaining -= 1;
                 self.cursor_page
@@ -187,15 +211,25 @@ impl TraceGenerator {
         }
     }
 
-    fn pick_cacheline(&mut self, page: u64, _is_write: bool) -> u8 {
-        let coverage = Self::coverage_cachelines(&self.spec);
-        // Each page exposes only `coverage` cachelines, starting at a
+    fn pick_cacheline(&mut self, page: u64) -> u8 {
+        // Each page exposes only `coverage_cls` cachelines, starting at a
         // page-dependent offset, so the per-page coverage CDF of Figures 5–6
         // is reproduced by construction.
         let offset = (page.wrapping_mul(0x9E37_79B9) % CACHELINES_PER_PAGE as u64) as u32;
-        let pick = self.rng.gen_range(0..coverage);
+        let pick = self.rng.gen_range(0..self.coverage_cls);
         ((offset + pick) % CACHELINES_PER_PAGE as u32) as u8
     }
+}
+
+/// Pages in `spec`'s hot set.
+fn hot_pages(spec: &WorkloadSpec) -> u64 {
+    ((spec.footprint_pages() as f64 * spec.hot_page_fraction) as u64).max(1)
+}
+
+/// Cachelines each page exposes (Figures 5–6's per-page coverage).
+fn coverage_cachelines(spec: &WorkloadSpec) -> u32 {
+    ((CACHELINES_PER_PAGE as f64 * spec.page_cacheline_coverage).round() as u32)
+        .clamp(1, CACHELINES_PER_PAGE as u32)
 }
 
 impl Iterator for TraceGenerator {
@@ -229,7 +263,6 @@ mod tests {
                 );
                 assert!(u.instructions >= 1);
             }
-            assert_eq!(g.units_generated(), 2_000);
         }
     }
 
@@ -313,7 +346,7 @@ mod tests {
     #[test]
     fn hot_set_is_shared_cold_sets_are_private() {
         let spec = scaled(WorkloadKind::Bc);
-        let hot_pages = ((spec.footprint_pages() as f64 * spec.hot_page_fraction) as u64).max(1);
+        let hot_pages = hot_pages(&spec);
         let pages_of = |thread| {
             let mut g = TraceGenerator::new(&spec, thread, 4, 5);
             g.generate(5_000)

@@ -4,8 +4,10 @@
 
 use crate::generator::{TraceGenerator, WorkUnit};
 use crate::spec::WorkloadSpec;
+use crate::zipf::Zipf;
 use skybyte_trace::{TraceError, TraceRecord, TraceSource};
 use skybyte_types::{TenantId, CACHELINE_SIZE};
+use std::sync::Arc;
 
 impl From<WorkUnit> for TraceRecord {
     /// A work unit is one cacheline-sized access after a compute gap.
@@ -58,14 +60,18 @@ impl TraceSource for TraceGenerator {
 /// deterministic [`TraceGenerator`] per thread, all derived from the same
 /// `(spec, threads, seed)` tuple that [`TraceGenerator::new`] documents.
 ///
+/// The threads share one read-only hot-set Zipf table, built once here.
+///
 /// The source is unbounded (generators never end); consumers bound it with
 /// their own budget, and [`TraceSource::reset_thread`] rebuilds one thread's
-/// generator from scratch, which makes the source loopable.
+/// generator from scratch over the same table, which makes the source
+/// loopable.
 #[derive(Debug, Clone)]
 pub struct WorkloadSource {
     spec: WorkloadSpec,
     seed: u64,
     tenant: TenantId,
+    hot_zipf: Arc<Zipf>,
     generators: Vec<TraceGenerator>,
 }
 
@@ -77,13 +83,15 @@ impl WorkloadSource {
     /// Panics if `threads` is zero.
     pub fn new(spec: &WorkloadSpec, threads: u32, seed: u64) -> Self {
         assert!(threads > 0, "at least one thread required");
+        let hot_zipf = TraceGenerator::hot_table(spec);
         let generators = (0..threads)
-            .map(|t| TraceGenerator::new(spec, t, threads, seed))
+            .map(|t| TraceGenerator::with_hot_table(spec, t, threads, seed, Arc::clone(&hot_zipf)))
             .collect();
         WorkloadSource {
             spec: *spec,
             seed,
             tenant: TenantId::ZERO,
+            hot_zipf,
             generators,
         }
     }
@@ -140,7 +148,13 @@ impl TraceSource for WorkloadSource {
         let threads = self.threads();
         match self.generators.get_mut(thread as usize) {
             Some(generator) => {
-                *generator = TraceGenerator::new(&self.spec, thread, threads, self.seed);
+                *generator = TraceGenerator::with_hot_table(
+                    &self.spec,
+                    thread,
+                    threads,
+                    self.seed,
+                    Arc::clone(&self.hot_zipf),
+                );
                 Ok(true)
             }
             None => Err(TraceError::ThreadOutOfRange {
@@ -213,6 +227,24 @@ mod tests {
         assert_eq!(source.next_record(0).unwrap().unwrap(), first_t0);
         // Thread 1 was not rewound.
         assert_ne!(source.next_record(1).unwrap().unwrap(), second_t1);
+    }
+
+    #[test]
+    fn threads_share_one_hot_table_across_resets() {
+        let spec = spec();
+        let mut source = WorkloadSource::new(&spec, 4, 9);
+        let shares_one_table = |source: &WorkloadSource| {
+            source
+                .generators
+                .iter()
+                .all(|g| Arc::ptr_eq(g.hot_zipf(), &source.hot_zipf))
+        };
+        assert!(shares_one_table(&source));
+        let _ = source.next_record(2).unwrap();
+        assert!(source.reset_thread(2).unwrap());
+        assert!(shares_one_table(&source));
+        // The source and its four generators hold the only references.
+        assert_eq!(Arc::strong_count(&source.hot_zipf), 5);
     }
 
     #[test]
