@@ -2,15 +2,18 @@
 //!
 //! Every [`SimResult`] carries the engine's own counters and a raw
 //! [`LayerCounters`](crate::metrics::LayerCounters) snapshot of each device
-//! layer. Each figure has exactly one owner — the run-wide request, AMAT,
+//! layer. Each reported figure has one owner: the run-wide request, AMAT,
 //! latency, instruction and squash counters are sums over `per_tenant`, and
-//! the device figures live in `layers` only — so no invariant merely checks
-//! that two copies agree. This module ties independently counted figures
-//! together with **named invariants**: conservation laws that must hold for
-//! *every* run of *every* variant on *every* workload. A violated invariant
-//! means an accounting bug somewhere in the stack, and the report names it,
-//! so a refactor that silently drifts a counter fails loudly instead of
-//! quietly changing a figure.
+//! the device figures live in `layers` only. This module ties independently
+//! counted figures together with **named invariants**: conservation laws
+//! that must hold for *every* run of *every* variant on *every* workload. A
+//! violated invariant means an accounting bug somewhere in the stack, and
+//! the report names it, so a refactor that silently drifts a counter fails
+//! loudly instead of quietly changing a figure. Two invariants do compare
+//! two counts of one event: `write-log-append-agreement` compares the
+//! controller's and the write log's count of each append, and
+//! `migration-agreement` the controller's and the migration engine's count
+//! of each promotion.
 //!
 //! The invariants (stable names, what tests and CI grep for):
 //!

@@ -277,6 +277,10 @@ impl Simulation {
     pub fn try_run_with_telemetry(
         &self,
     ) -> Result<(SimResult, Option<TelemetryOutput>), TraceError> {
+        // Validate before the per-thread budget divides by the thread count.
+        self.cfg
+            .validate()
+            .expect("invalid simulation configuration");
         let budget = self.per_thread_budget();
         match &self.drive {
             TraceDrive::Synthetic => Ok(self.run_loop(self.live_source().as_mut(), budget)),
@@ -748,6 +752,16 @@ mod tests {
         let sim = Simulation::build_multi(VariantKind::BaseCssd, &tenants, &scale);
         let refused = sim.record_trace_file(&path);
         assert!(matches!(refused, Err(TraceError::Unsupported(_))) && !path.exists());
+    }
+
+    #[test]
+    #[should_panic(expected = "threads must be at least 1")]
+    fn a_zero_thread_run_reports_its_config_error() {
+        // The per-thread budget divides by the thread count, so the run must
+        // validate first rather than divide by zero.
+        let scale = ExperimentScale::tiny();
+        let cfg = scale.apply(SimConfig::default()).with_threads(0);
+        Simulation::with_config(cfg, WorkloadKind::Ycsb, &scale).run();
     }
 
     #[test]

@@ -5,7 +5,7 @@ use serde::{Deserialize, Serialize, Value};
 use skybyte_cpu::Boundedness;
 use skybyte_cxl::CxlPortStats;
 use skybyte_ssd::{FlashStats, FtlStats, SsdStats, WriteLogStats};
-use skybyte_types::{LatencyHistogram, Nanos, PolicyConfig, RatioBreakdown, TenantId, VariantKind};
+use skybyte_types::{LatencyHistogram, Nanos, PolicyConfig, TenantId, VariantKind};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -51,17 +51,6 @@ impl AmatBreakdown {
         } else {
             self.total() / self.accesses
         }
-    }
-
-    /// The component fractions as a named breakdown (Figure 17b).
-    pub fn fractions(&self) -> RatioBreakdown {
-        let mut b = RatioBreakdown::new();
-        b.add("host_dram", self.host_dram.as_nanos() as f64);
-        b.add("cxl_protocol", self.cxl_protocol.as_nanos() as f64);
-        b.add("indexing", self.indexing.as_nanos() as f64);
-        b.add("ssd_dram", self.ssd_dram.as_nanos() as f64);
-        b.add("flash", self.flash.as_nanos() as f64);
-        b
     }
 }
 
@@ -629,7 +618,7 @@ mod tests {
         };
         assert_eq!(a.total(), Nanos::new(1000));
         assert_eq!(a.amat(), Nanos::new(100));
-        assert!((a.fractions().fraction("flash") - 0.6).abs() < 1e-9);
+        assert_eq!(a.flash * 10, a.total() * 6);
         assert_eq!(AmatBreakdown::default().amat(), Nanos::ZERO);
     }
 

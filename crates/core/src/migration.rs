@@ -213,7 +213,6 @@ mod tests {
             planes_per_die: 1,
             blocks_per_plane: 32,
             pages_per_block: 32,
-            page_size_bytes: 4096,
         };
         cfg.ssd.dram.data_cache_bytes = MIB;
         cfg.ssd.dram.write_log_bytes = 64 * KIB;

@@ -76,7 +76,7 @@ impl RunRequest {
 ///
 /// `work_units` is [`SimResult::work_units`](crate::SimResult::work_units):
 /// retired accesses — completed requests plus squashed re-issues — the same
-/// unit the engine's `max_steps` budget meters, so `units_per_sec` is
+/// unit the engine's `max_units` truncation guard meters, so `units_per_sec` is
 /// comparable across variants and scales.
 #[derive(Debug, Clone, Serialize)]
 pub struct RunTiming {

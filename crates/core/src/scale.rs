@@ -64,7 +64,6 @@ impl ExperimentScale {
                 planes_per_die: 1,
                 blocks_per_plane: 128,
                 pages_per_block: 64,
-                page_size_bytes: 4096,
             },
             precondition_fraction: 0.9,
             seed: 0x5B5B_2025,
@@ -87,7 +86,6 @@ impl ExperimentScale {
                 planes_per_die: 1,
                 blocks_per_plane: 64,
                 pages_per_block: 64,
-                page_size_bytes: 4096,
             },
             precondition_fraction: 0.9,
             seed: 0x5B5B_2025,
@@ -109,7 +107,6 @@ impl ExperimentScale {
                 planes_per_die: 1,
                 blocks_per_plane: 32,
                 pages_per_block: 32,
-                page_size_bytes: 4096,
             },
             precondition_fraction: 0.8,
             seed: 7,

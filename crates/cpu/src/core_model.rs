@@ -8,7 +8,7 @@
 //! memory access the out-of-order window cannot hide is memory-bounded.
 
 use serde::{Deserialize, Serialize};
-use skybyte_types::{CpuConfig, Freq, Nanos, RatioBreakdown};
+use skybyte_types::{CpuConfig, Freq, Nanos};
 
 /// Converts instruction counts to time and bounds how much off-chip latency
 /// the out-of-order engine can overlap with useful work.
@@ -118,15 +118,6 @@ impl Boundedness {
         self.context_switch += other.context_switch;
         self.idle += other.idle;
     }
-
-    /// Converts to the named breakdown used by the figure printers.
-    pub fn to_breakdown(&self) -> RatioBreakdown {
-        let mut b = RatioBreakdown::new();
-        b.add("compute", self.compute.as_nanos() as f64);
-        b.add("memory", self.memory.as_nanos() as f64);
-        b.add("context_switch", self.context_switch.as_nanos() as f64);
-        b
-    }
 }
 
 #[cfg(test)]
@@ -171,8 +162,7 @@ mod tests {
         let total = b.memory_fraction() + b.compute_fraction() + b.context_switch_fraction();
         assert!((total - 1.0).abs() < 1e-9);
         assert_eq!(b.total(), Nanos::new(1123));
-        let breakdown = b.to_breakdown();
-        assert!((breakdown.fraction("memory") - 0.7).abs() < 1e-9);
+        assert!((b.memory_fraction() - 0.7).abs() < 1e-9);
     }
 
     #[test]

@@ -6,7 +6,7 @@ use skybyte_types::{HostDramConfig, Nanos, CACHELINE_SIZE};
 /// A bandwidth- and latency-constrained host DRAM model.
 ///
 /// Each access pays the configured access latency; sustained throughput is
-/// capped by the aggregate channel bandwidth, modelled with a single
+/// capped by the bandwidth summed over all channels, modelled with a single
 /// busy-until horizon (requests arriving faster than the channels can drain
 /// queue up).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -20,8 +20,8 @@ impl HostDram {
     /// Creates the model from the host DRAM configuration.
     pub fn new(cfg: &HostDramConfig) -> Self {
         HostDram {
-            access_latency: cfg.timing.access_latency,
-            bandwidth_bps: cfg.timing.total_bandwidth_bps(),
+            access_latency: cfg.access_latency,
+            bandwidth_bps: cfg.bandwidth_bps,
             busy_until: Nanos::ZERO,
         }
     }
@@ -70,9 +70,10 @@ mod tests {
 
     #[test]
     fn saturating_bandwidth_queues_requests() {
-        let mut cfg = HostDramConfig::default();
-        cfg.timing.channel_bandwidth_bps = 1 << 20; // 1 MiB/s: trivially saturated
-        cfg.timing.channels = 1;
+        let cfg = HostDramConfig {
+            bandwidth_bps: 1 << 20, // 1 MiB/s: trivially saturated
+            ..HostDramConfig::default()
+        };
         let mut dram = HostDram::new(&cfg);
         let a = dram.transfer(Nanos::ZERO, 4096);
         let b = dram.transfer(Nanos::ZERO, 4096);

@@ -165,7 +165,6 @@ mod tests {
             planes_per_die: 1,
             blocks_per_plane: 8,
             pages_per_block: 16,
-            page_size_bytes: 4096,
         };
         FlashArray::new(geometry, FlashTimingConfig::for_kind(NandKind::Ull))
     }

@@ -307,7 +307,6 @@ mod tests {
             planes_per_die: 1,
             blocks_per_plane: 4,
             pages_per_block: 4,
-            page_size_bytes: 4096,
         }
     }
 

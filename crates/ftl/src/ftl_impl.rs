@@ -286,7 +286,6 @@ mod tests {
                 planes_per_die: 1,
                 blocks_per_plane: 8,
                 pages_per_block: 8,
-                page_size_bytes: 4096,
             },
             gc_blocks_per_campaign: 19660,
             ..SsdConfig::default()

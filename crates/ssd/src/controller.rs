@@ -50,7 +50,6 @@ pub struct SsdController {
     dram_latency: Nanos,
     log_index_latency: Nanos,
     cache_index_latency: Nanos,
-    mshr_capacity: usize,
     logical_pages: u64,
 
     /// Page fetches currently in flight: LPA → time the page lands in DRAM.
@@ -109,10 +108,9 @@ impl SsdController {
             hotness: HotnessTracker::new(cfg.policy.hotness, cfg.migration.hotness_threshold),
             trigger: ThresholdPolicy::new(cfg.cs_threshold),
             context_switch: cfg.variant.context_switch(),
-            dram_latency: ssd.dram.timing.access_latency,
+            dram_latency: ssd.dram.access_latency,
             log_index_latency: ssd.dram.write_log_index_latency,
             cache_index_latency: ssd.dram.data_cache_index_latency,
-            mshr_capacity: ssd.dram.mshrs as usize,
             logical_pages,
             inflight_fills: FastHashMap::default(),
             earliest_fill_done: Nanos::MAX,
@@ -557,18 +555,7 @@ impl SsdController {
                 return ready;
             }
         }
-        // Respect the controller MSHR capacity: when full, the new fetch
-        // waits for the earliest outstanding fill to complete.
-        let mut start = now;
-        if self.inflight_fills.len() >= self.mshr_capacity {
-            if let Some(&earliest) = self.inflight_fills.values().min() {
-                start = start.max(earliest);
-            }
-        }
-        let ready = self
-            .ftl
-            .read_page(lpa, start, &mut self.flash)
-            .unwrap_or(start);
+        let ready = self.ftl.read_page(lpa, now, &mut self.flash).unwrap_or(now);
         self.inflight_fills.insert(lpa, ready);
         self.earliest_fill_done = self.earliest_fill_done.min(ready);
         ready
@@ -672,7 +659,6 @@ mod tests {
             planes_per_die: 1,
             blocks_per_plane: 32,
             pages_per_block: 32,
-            page_size_bytes: 4096,
         };
         cfg.ssd.dram.data_cache_bytes = MIB;
         cfg.ssd.dram.write_log_bytes = 64 * 1024;
@@ -924,7 +910,7 @@ mod tests {
     }
 
     fn ssd_dram(cfg: &SimConfig) -> Nanos {
-        cfg.ssd.dram.timing.access_latency
+        cfg.ssd.dram.access_latency
     }
 
     #[test]

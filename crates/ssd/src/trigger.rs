@@ -82,7 +82,6 @@ mod tests {
                 planes_per_die: 1,
                 blocks_per_plane: 8,
                 pages_per_block: 8,
-                page_size_bytes: 4096,
             },
             ..SsdConfig::default()
         };

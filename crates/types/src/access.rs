@@ -37,16 +37,6 @@ impl fmt::Display for AccessKind {
     }
 }
 
-/// Which physical memory served (or will serve) an access, as classified by
-/// the OS memory map.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum MemTarget {
-    /// The access targets host DRAM (including pages promoted from the SSD).
-    HostDram,
-    /// The access targets the CXL-SSD's host-managed device memory window.
-    CxlSsd,
-}
-
 /// A single off-chip memory access as produced by a workload trace.
 ///
 /// Workload generators emit cacheline-granular virtual addresses plus the

@@ -15,6 +15,7 @@
 //! | `host_dram_size_byte` | [`HostDramConfig::promotion_capacity_bytes`] |
 //! | `t_policy` | [`SimConfig::sched_policy`] |
 
+use crate::addr::PAGE_SIZE;
 use crate::error::ConfigError;
 use crate::policy::PolicyConfig;
 use crate::time::{Freq, Nanos};
@@ -89,48 +90,15 @@ impl Default for CpuConfig {
 // Host DRAM
 // ---------------------------------------------------------------------------
 
-/// DRAM timing model (used both for host DDR5 and SSD-internal LPDDR4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DramTimingConfig {
-    /// Average access latency for one cacheline.
-    pub access_latency: Nanos,
-    /// Number of channels (bandwidth scaling).
-    pub channels: u32,
-    /// Peak bandwidth per channel in bytes per second.
-    pub channel_bandwidth_bps: u64,
-}
-
-impl DramTimingConfig {
-    /// DDR5-4800, 8 channels (host memory in Table II). ~70 ns loaded latency.
-    pub fn ddr5_host() -> Self {
-        DramTimingConfig {
-            access_latency: Nanos::new(70),
-            channels: 8,
-            channel_bandwidth_bps: 32 * GIB,
-        }
-    }
-
-    /// LPDDR4-3200, 2 channels (SSD-internal DRAM in Table II).
-    pub fn lpddr4_ssd() -> Self {
-        DramTimingConfig {
-            access_latency: Nanos::new(90),
-            channels: 2,
-            channel_bandwidth_bps: 12 * GIB,
-        }
-    }
-
-    /// Aggregate peak bandwidth across all channels.
-    pub fn total_bandwidth_bps(&self) -> u64 {
-        self.channel_bandwidth_bps * self.channels as u64
-    }
-}
-
-/// Host DRAM configuration, including the budget for pages promoted from the
-/// CXL-SSD (§III-C).
+/// Host DRAM configuration (DDR5-4800, 8 channels, in Table II), including
+/// the budget for pages promoted from the CXL-SSD (§III-C).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HostDramConfig {
-    /// Timing of the host DDR5 memory.
-    pub timing: DramTimingConfig,
+    /// Average access latency for one cacheline (~70 ns loaded latency).
+    pub access_latency: Nanos,
+    /// Peak bandwidth summed over all channels, in bytes per second
+    /// (8 channels of 32 GiB/s).
+    pub bandwidth_bps: u64,
     /// Maximum total size of pages promoted from the SSD to host DRAM
     /// (2 GiB in Table II). Artifact knob `host_dram_size_byte`.
     pub promotion_capacity_bytes: u64,
@@ -139,7 +107,8 @@ pub struct HostDramConfig {
 impl Default for HostDramConfig {
     fn default() -> Self {
         HostDramConfig {
-            timing: DramTimingConfig::ddr5_host(),
+            access_latency: Nanos::new(70),
+            bandwidth_bps: 8 * 32 * GIB,
             promotion_capacity_bytes: 2 * GIB,
         }
     }
@@ -238,10 +207,8 @@ pub struct SsdGeometry {
     pub planes_per_die: u32,
     /// Blocks per plane.
     pub blocks_per_plane: u32,
-    /// Pages per block.
+    /// Pages per block. Every page holds [`PAGE_SIZE`] bytes.
     pub pages_per_block: u32,
-    /// Page size in bytes.
-    pub page_size_bytes: u32,
 }
 
 impl SsdGeometry {
@@ -266,7 +233,7 @@ impl SsdGeometry {
 
     /// Total raw capacity in bytes.
     pub fn total_bytes(&self) -> u64 {
-        self.total_pages() * self.page_size_bytes as u64
+        self.total_pages() * PAGE_SIZE as u64
     }
 }
 
@@ -281,7 +248,6 @@ impl Default for SsdGeometry {
             planes_per_die: 1,
             blocks_per_plane: 128,
             pages_per_block: 256,
-            page_size_bytes: 4096,
         }
     }
 }
@@ -289,8 +255,8 @@ impl Default for SsdGeometry {
 /// Configuration of the SSD-internal DRAM (write log + data cache).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SsdDramConfig {
-    /// DRAM timing of the SSD-internal memory.
-    pub timing: DramTimingConfig,
+    /// Latency of one access to the SSD-internal LPDDR4-3200 memory (90 ns).
+    pub access_latency: Nanos,
     /// Size of the page-granular read-write data cache, in bytes
     /// (448 MiB by default: 512 MiB SSD DRAM minus the 64 MiB write log).
     pub data_cache_bytes: u64,
@@ -298,8 +264,6 @@ pub struct SsdDramConfig {
     pub data_cache_ways: u32,
     /// Size of the cacheline-granular write log, in bytes (64 MiB default).
     pub write_log_bytes: u64,
-    /// Number of MSHRs in the SSD controller tracking in-flight flash reads.
-    pub mshrs: u32,
     /// Average lookup latency of the write-log index (72 ns measured on the
     /// paper's FPGA prototype).
     pub write_log_index_latency: Nanos,
@@ -321,11 +285,10 @@ impl SsdDramConfig {
 impl Default for SsdDramConfig {
     fn default() -> Self {
         SsdDramConfig {
-            timing: DramTimingConfig::lpddr4_ssd(),
+            access_latency: Nanos::new(90),
             data_cache_bytes: 448 * MIB,
             data_cache_ways: 16,
             write_log_bytes: 64 * MIB,
-            mshrs: 2048,
             write_log_index_latency: Nanos::new(72),
             data_cache_index_latency: Nanos::new(49),
             index_resize_load_factor: 0.75,
@@ -810,8 +773,8 @@ impl SimConfig {
     ///
     /// Returns a [`ConfigError`] describing the first violated invariant:
     /// zero cores/threads, an empty TLB or SSD data cache, a write log that
-    /// does not hold at least one page worth of cachelines, GC thresholds
-    /// outside `(0, 1]`, or zero-latency flash.
+    /// does not hold at least one page worth of cachelines, a GC threshold or
+    /// write-log index load factor outside `(0, 1]`, or zero-latency flash.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.cpu.cores == 0 {
             return Err(ConfigError::new("cpu.cores must be at least 1"));
@@ -828,19 +791,22 @@ impl SimConfig {
         if self.ssd.geometry.total_pages() == 0 {
             return Err(ConfigError::new("ssd geometry has zero pages"));
         }
-        if self.ssd.geometry.page_size_bytes as usize != crate::addr::PAGE_SIZE {
-            return Err(ConfigError::new("only 4 KiB flash pages are supported"));
-        }
-        if self.ssd.dram.write_log_bytes < crate::addr::PAGE_SIZE as u64 {
+        if self.ssd.dram.write_log_bytes < PAGE_SIZE as u64 {
             return Err(ConfigError::new(
                 "write log must hold at least one page worth of cachelines",
             ));
         }
-        if self.ssd.dram.data_cache_bytes < crate::addr::PAGE_SIZE as u64 {
+        if self.ssd.dram.data_cache_bytes < PAGE_SIZE as u64 {
             return Err(ConfigError::new("data cache must hold at least one page"));
         }
         if !(0.0 < self.ssd.gc_threshold && self.ssd.gc_threshold <= 1.0) {
             return Err(ConfigError::new("gc_threshold must be in (0, 1]"));
+        }
+        let load_factor = self.ssd.dram.index_resize_load_factor;
+        if !(0.0 < load_factor && load_factor <= 1.0) {
+            return Err(ConfigError::new(
+                "index_resize_load_factor must be in (0, 1]",
+            ));
         }
         if !(0.0..0.5).contains(&self.ssd.overprovisioning) {
             return Err(ConfigError::new("overprovisioning must be in [0, 0.5)"));
@@ -1044,7 +1010,7 @@ mod tests {
         assert!(cfg.validate().is_err());
 
         let mut cfg = SimConfig::default();
-        cfg.ssd.geometry.page_size_bytes = 8192;
+        cfg.ssd.dram.index_resize_load_factor = 1.125;
         assert!(cfg.validate().is_err());
 
         let mut cfg = SimConfig::default();
@@ -1064,11 +1030,12 @@ mod tests {
 
     #[test]
     fn dram_timing_presets() {
-        let host = DramTimingConfig::ddr5_host();
-        assert_eq!(host.channels, 8);
-        assert!(host.total_bandwidth_bps() > host.channel_bandwidth_bps);
-        let ssd = DramTimingConfig::lpddr4_ssd();
-        assert_eq!(ssd.channels, 2);
+        // DDR5-4800 host memory: 8 channels of 32 GiB/s behind ~70 ns.
+        let host = HostDramConfig::default();
+        assert_eq!(host.access_latency, Nanos::new(70));
+        assert_eq!(host.bandwidth_bps, 8 * 32 * GIB);
+        // LPDDR4 SSD-internal memory.
+        assert_eq!(SsdDramConfig::default().access_latency, Nanos::new(90));
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //!   and `device_triggered_ctx_swt` switches are the
 //!   [`VariantKind::migration_policy`], [`VariantKind::write_log`] and
 //!   [`VariantKind::context_switch`] of the configuration's `variant`.
-//! * [`stats`] — latency histograms and counters used to build the paper's
-//!   figures (latency distributions, AMAT breakdowns, boundedness).
+//! * [`stats`] — the latency histogram behind the paper's latency
+//!   distributions and the reported AMAT and percentiles.
 //!
 //! # Example
 //!
@@ -50,16 +50,16 @@ pub mod time;
 
 /// Convenient glob import of the most frequently used items.
 pub mod prelude {
-    pub use crate::access::{AccessKind, MemAccess, MemTarget};
+    pub use crate::access::{AccessKind, MemAccess};
     pub use crate::addr::{
         CachelineIndex, Lpa, PageNumber, PhysAddr, Ppa, VirtAddr, CACHELINES_PER_PAGE,
         CACHELINE_SIZE, PAGE_SIZE,
     };
     pub use crate::audit::{AuditReport, Violation};
     pub use crate::config::{
-        CpuConfig, DramTimingConfig, FlashTimingConfig, HostDramConfig, MigrationConfig,
-        MigrationPolicyKind, NandKind, SchedPolicy, SimConfig, SsdConfig, SsdDramConfig,
-        SsdGeometry, TelemetryConfig, TlbConfig, VariantKind,
+        CpuConfig, FlashTimingConfig, HostDramConfig, MigrationConfig, MigrationPolicyKind,
+        NandKind, SchedPolicy, SimConfig, SsdConfig, SsdDramConfig, SsdGeometry, TelemetryConfig,
+        TlbConfig, VariantKind,
     };
     pub use crate::error::ConfigError;
     pub use crate::fasthash::{FastHashMap, FastHashSet, FxBuildHasher, FxHasher};
@@ -67,21 +67,21 @@ pub mod prelude {
         apply_policy_name, EvictionPolicyKind, HotnessPolicyKind, PlacementPolicyKind,
         PolicyConfig, PolicyOverride, RebalancePolicyKind, TenantSchedKind,
     };
-    pub use crate::stats::{Counter, LatencyHistogram, RatioBreakdown};
+    pub use crate::stats::LatencyHistogram;
     pub use crate::tenant::{TenantId, TenantMap};
     pub use crate::time::{Freq, Nanos};
 }
 
-pub use access::{AccessKind, MemAccess, MemTarget};
+pub use access::{AccessKind, MemAccess};
 pub use addr::{
     CachelineIndex, Lpa, PageNumber, PhysAddr, Ppa, VirtAddr, CACHELINES_PER_PAGE, CACHELINE_SIZE,
     PAGE_SIZE,
 };
 pub use audit::{AuditReport, Violation};
 pub use config::{
-    CpuConfig, DramTimingConfig, FlashTimingConfig, HostDramConfig, MigrationConfig,
-    MigrationPolicyKind, NandKind, SchedPolicy, SimConfig, SsdConfig, SsdDramConfig, SsdGeometry,
-    TelemetryConfig, TlbConfig, VariantKind, GIB, KIB, MIB,
+    CpuConfig, FlashTimingConfig, HostDramConfig, MigrationConfig, MigrationPolicyKind, NandKind,
+    SchedPolicy, SimConfig, SsdConfig, SsdDramConfig, SsdGeometry, TelemetryConfig, TlbConfig,
+    VariantKind, GIB, KIB, MIB,
 };
 pub use error::ConfigError;
 pub use fasthash::{FastHashMap, FastHashSet, FxBuildHasher, FxHasher};
@@ -89,6 +89,6 @@ pub use policy::{
     apply_policy_name, EvictionPolicyKind, HotnessPolicyKind, PlacementPolicyKind, PolicyConfig,
     PolicyOverride, RebalancePolicyKind, TenantSchedKind,
 };
-pub use stats::{Counter, LatencyHistogram, RatioBreakdown};
+pub use stats::LatencyHistogram;
 pub use tenant::{TenantId, TenantMap};
 pub use time::{Freq, Nanos};

@@ -1,60 +1,9 @@
-//! Statistics primitives used to build the paper's figures.
-//!
-//! * [`Counter`] — a named monotonically increasing event counter.
-//! * [`LatencyHistogram`] — log-scale latency histogram, used for the latency
-//!   distribution plots (Figure 3) and average/percentile reporting.
-//! * [`RatioBreakdown`] — a named set of parts reported as fractions of the
-//!   total (used for boundedness, AMAT and request breakdowns).
+//! The latency histogram every run records its completed memory accesses
+//! into: [`LatencyHistogram`], with log-scale buckets, behind the latency
+//! distribution of Figure 3 and the reported mean and percentiles.
 
 use crate::time::Nanos;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
-use std::fmt;
-
-/// A simple monotonically increasing event counter.
-///
-/// # Example
-///
-/// ```
-/// use skybyte_types::Counter;
-/// let mut c = Counter::default();
-/// c.add(3);
-/// c.incr();
-/// assert_eq!(c.get(), 4);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Creates a counter starting at zero.
-    pub const fn new() -> Self {
-        Counter(0)
-    }
-
-    /// Adds `n` events.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Adds one event.
-    #[inline]
-    pub fn incr(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Current count.
-    #[inline]
-    pub const fn get(self) -> u64 {
-        self.0
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
 
 /// A latency histogram with logarithmic buckets (powers of two nanoseconds).
 ///
@@ -233,81 +182,9 @@ impl LatencyHistogram {
     }
 }
 
-/// A named breakdown of a quantity into parts, reported as fractions.
-///
-/// Used for the memory/compute boundedness of Figure 4, the request breakdown
-/// of Figure 16 and the AMAT component breakdown of Figure 17.
-///
-/// # Example
-///
-/// ```
-/// use skybyte_types::RatioBreakdown;
-/// let mut b = RatioBreakdown::new();
-/// b.add("memory", 750.0);
-/// b.add("compute", 250.0);
-/// assert!((b.fraction("memory") - 0.75).abs() < 1e-9);
-/// assert_eq!(b.total(), 1000.0);
-/// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct RatioBreakdown {
-    parts: BTreeMap<String, f64>,
-}
-
-impl RatioBreakdown {
-    /// Creates an empty breakdown.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds `value` to the named part (creating it if needed).
-    pub fn add(&mut self, part: &str, value: f64) {
-        *self.parts.entry(part.to_string()).or_insert(0.0) += value;
-    }
-
-    /// Absolute value of a part (0 if absent).
-    pub fn value(&self, part: &str) -> f64 {
-        self.parts.get(part).copied().unwrap_or(0.0)
-    }
-
-    /// Sum over all parts.
-    pub fn total(&self) -> f64 {
-        self.parts.values().sum()
-    }
-
-    /// Fraction of the total contributed by a part (0 if the total is 0).
-    pub fn fraction(&self, part: &str) -> f64 {
-        let total = self.total();
-        if total == 0.0 {
-            0.0
-        } else {
-            self.value(part) / total
-        }
-    }
-
-    /// Iterates over `(name, value)` pairs in name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, f64)> {
-        self.parts.iter().map(|(k, v)| (k.as_str(), *v))
-    }
-
-    /// Names of all parts.
-    pub fn parts(&self) -> impl Iterator<Item = &str> {
-        self.parts.keys().map(String::as_str)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_basics() {
-        let mut c = Counter::new();
-        assert_eq!(c.get(), 0);
-        c.incr();
-        c.add(9);
-        assert_eq!(c.get(), 10);
-        assert_eq!(c.to_string(), "10");
-    }
 
     #[test]
     fn histogram_mean_min_max() {
@@ -419,28 +296,5 @@ mod tests {
     fn histogram_rejects_bad_quantile() {
         let h = LatencyHistogram::new();
         let _ = h.percentile(1.5);
-    }
-
-    #[test]
-    fn breakdown_fractions() {
-        let mut b = RatioBreakdown::new();
-        b.add("flash", 900.0);
-        b.add("dram", 100.0);
-        b.add("flash", 100.0);
-        assert_eq!(b.total(), 1100.0);
-        assert!((b.fraction("flash") - 1000.0 / 1100.0).abs() < 1e-12);
-        assert_eq!(b.value("missing"), 0.0);
-        assert_eq!(b.fraction("missing"), 0.0);
-        let parts: Vec<_> = b.parts().collect();
-        assert_eq!(parts, vec!["dram", "flash"]);
-        let total_from_iter: f64 = b.iter().map(|(_, v)| v).sum();
-        assert_eq!(total_from_iter, b.total());
-    }
-
-    #[test]
-    fn breakdown_empty_total_is_zero() {
-        let b = RatioBreakdown::new();
-        assert_eq!(b.total(), 0.0);
-        assert_eq!(b.fraction("x"), 0.0);
     }
 }

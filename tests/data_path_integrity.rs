@@ -15,7 +15,6 @@ fn controller(variant: VariantKind) -> SsdController {
         planes_per_die: 1,
         blocks_per_plane: 32,
         pages_per_block: 32,
-        page_size_bytes: 4096,
     };
     cfg.ssd.dram.data_cache_bytes = MIB;
     cfg.ssd.dram.write_log_bytes = 128 * KIB;
@@ -118,7 +117,6 @@ fn gc_keeps_serving_reads_correctly_under_heavy_overwrite() {
         planes_per_die: 1,
         blocks_per_plane: 8,
         pages_per_block: 16,
-        page_size_bytes: 4096,
     };
     cfg.ssd.dram.data_cache_bytes = 256 * KIB;
     cfg.ssd.dram.write_log_bytes = 64 * KIB;

@@ -2,7 +2,7 @@
 //! parameters, so an accidental change to the published configuration fails
 //! fast instead of silently skewing every experiment.
 
-use skybyte_types::{Nanos, SchedPolicy, SimConfig, GIB, MIB};
+use skybyte_types::{Nanos, SchedPolicy, SimConfig, GIB, MIB, PAGE_SIZE};
 
 #[test]
 fn default_config_matches_table_2() {
@@ -13,8 +13,10 @@ fn default_config_matches_table_2() {
     assert_eq!(cfg.cpu.freq.as_ghz(), 4.0);
     assert_eq!(cfg.cpu.rob_entries, 256);
 
-    // Host memory: DDR5 at ~70 ns loaded latency, 2 GiB promotion budget.
-    assert_eq!(cfg.host_dram.timing.access_latency, Nanos::new(70));
+    // Host memory: DDR5-4800 at ~70 ns loaded latency over 8 channels of
+    // 32 GiB/s, 2 GiB promotion budget.
+    assert_eq!(cfg.host_dram.access_latency, Nanos::new(70));
+    assert_eq!(cfg.host_dram.bandwidth_bps, 8 * 32 * GIB);
     assert_eq!(cfg.host_dram.promotion_capacity_bytes, 2 * GIB);
 
     // Data TLB: 1536 entries, 30 ns page-walk penalty per miss.
@@ -32,11 +34,13 @@ fn default_config_matches_table_2() {
     // Geometry: 16 channels × 8 chips × 8 dies × 128 blocks × 256 pages
     // × 4 KiB = 128 GiB raw capacity.
     assert_eq!(cfg.ssd.geometry.channels, 16);
-    assert_eq!(cfg.ssd.geometry.page_size_bytes, 4096);
+    assert_eq!(PAGE_SIZE, 4096);
     assert_eq!(cfg.ssd.geometry.total_bytes(), 128 * GIB);
 
-    // SSD-internal DRAM: 512 MiB total, split 448 MiB data cache + 64 MiB
-    // write log; index latencies from the FPGA prototype measurements (§V).
+    // SSD-internal DRAM: 512 MiB of LPDDR4 at 90 ns, split 448 MiB data
+    // cache + 64 MiB write log; index latencies from the FPGA prototype
+    // measurements (§V).
+    assert_eq!(cfg.ssd.dram.access_latency, Nanos::new(90));
     assert_eq!(cfg.ssd.dram.data_cache_bytes, 448 * MIB);
     assert_eq!(cfg.ssd.dram.write_log_bytes, 64 * MIB);
     assert_eq!(cfg.ssd.dram.total_bytes(), 512 * MIB);
