@@ -386,19 +386,15 @@ fn run_indexed<T: Send>(count: usize, jobs: usize, f: impl Fn(usize) -> T + Sync
         .collect()
 }
 
-/// Re-records every corpus trace and re-pins every golden result under
-/// `corpus`. Deterministic: the produced bytes are identical for any `jobs`
-/// value, so running this twice (or on two machines) yields a clean
-/// `git diff`.
-pub fn pin(corpus: &Path, jobs: usize) -> Result<usize, String> {
-    pin_entries(corpus, jobs, None)
-}
-
-/// Like [`pin`], restricted to the entries named in `only` (every entry
-/// when `None`). A filtered pin is how *new* entries are added without
-/// rewriting the existing goldens. A change to the `SimResult` schema is
-/// not such a case: the verifier reads every golden under the current
-/// schema, so a schema change means a full [`pin`].
+/// Re-records the corpus traces and re-pins the golden results under
+/// `corpus` for the entries named in `only` (every entry when `None`).
+/// Deterministic: the produced bytes are identical for any `jobs` value, so
+/// running this twice (or on two machines) yields a clean `git diff`.
+///
+/// A filtered pin is how *new* entries are added without rewriting the
+/// existing goldens. A change to the `SimResult` schema is not such a case:
+/// the verifier reads every golden under the current schema, so a schema
+/// change means a full pin (`only` = `None`).
 pub fn pin_entries(corpus: &Path, jobs: usize, only: Option<&[String]>) -> Result<usize, String> {
     // Record, replay and validate everything in a scratch root first: a
     // generator change that fails replay or violates an audit invariant must

@@ -73,3 +73,111 @@ fn figures_19_and_20_are_one_table_printed_and_written_once() {
     assert_eq!(unique.len(), header.len(), "repeated column in {header:?}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Asserts that `out` is an orderly failure: a non-zero exit status rather
+/// than death by a signal (such as the abort of a failed allocation), with
+/// `problem` named on stderr.
+fn assert_fails_naming(out: &std::process::Output, problem: &str) {
+    let err = String::from_utf8_lossy(&out.stderr);
+    let code = out.status.code();
+    assert!(
+        code.is_some_and(|c| c != 0),
+        "status {:?}: {err}",
+        out.status
+    );
+    assert!(err.contains(problem), "{err}");
+}
+
+#[test]
+fn a_header_declaring_u32_max_threads_is_rejected_before_allocating() {
+    use skybyte_trace::{FORMAT_VERSION, MAGIC};
+    fn varint(mut v: u64, out: &mut Vec<u8>) {
+        while v >= 0x80 {
+            out.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        out.push(v as u8);
+    }
+    let dir = scratch("threads");
+    let path = dir.join("threads.sbt");
+    let mut bytes = MAGIC.to_vec();
+    for field in [FORMAT_VERSION as u64, u32::MAX as u64, 1 << 20, 0, 0] {
+        // version, threads, footprint, seed, empty source identity
+        varint(field, &mut bytes);
+    }
+    std::fs::write(&path, bytes).unwrap();
+    for args in [
+        &["stat", "--trace"][..],
+        &["replay", "--scale", "tiny", "--workload", "ycsb", "--trace"][..],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_trace"))
+            .args(args)
+            .arg(&path)
+            .output()
+            .unwrap();
+        assert_fails_naming(&out, "thread count out of range");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn replay_rejects_a_record_far_past_the_footprint() {
+    use skybyte_trace::{TraceHeader, TraceRecord, TraceWriter};
+    let dir = scratch("far-record");
+    let path = dir.join("far.sbt");
+    let header = TraceHeader {
+        threads: 1,
+        footprint_bytes: 1 << 20,
+        seed: 0,
+        source: "crafted".into(),
+        tenant_of_thread: None,
+    };
+    let mut writer = TraceWriter::create(&path, &header).unwrap();
+    for record in [
+        TraceRecord::read(10, 0),
+        TraceRecord::write(10, 4096),
+        TraceRecord::write(10, 1 << 62),
+        TraceRecord::read(10, 64),
+    ] {
+        writer.push(0, &record).unwrap();
+    }
+    writer.finish().unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_trace"))
+        .args(["replay", "--scale", "tiny", "--workload", "ycsb", "--trace"])
+        .arg(&path)
+        .output()
+        .unwrap();
+    assert_fails_naming(&out, "record address lies past the header's footprint");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_shifted_stack_of_a_corpus_trace_still_replays() {
+    // The compositor raises the footprint to cover every shifted input, so
+    // its own output passes replay's footprint bound.
+    let dir = scratch("stack");
+    let input = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../corpus/traces/hot-page.sbt");
+    let mixed = dir.join("stacked.sbt");
+    let out = Command::new(env!("CARGO_BIN_EXE_trace"))
+        .args(["mix", "--mode", "stack", "--shift-stride", "4096", "--out"])
+        .arg(&mixed)
+        .args([&input, &input])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let out = Command::new(env!("CARGO_BIN_EXE_trace"))
+        .args(["replay", "--scale", "tiny", "--workload", "ycsb", "--trace"])
+        .arg(&mixed)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -1,7 +1,7 @@
 //! Integration tests of the golden-trace regression corpus.
 
 use serde::Value;
-use skybyte_bench::corpus::{entries, pin, pin_entries, verify, CORPUS_VARIANTS};
+use skybyte_bench::corpus::{entries, pin_entries, verify, CORPUS_VARIANTS};
 use skybyte_sim::audit::audit_with_telemetry;
 use skybyte_types::{Nanos, TelemetryConfig};
 use std::collections::BTreeMap;
@@ -71,7 +71,7 @@ fn corpus_replays_bit_identically_with_telemetry_enabled() {
 #[test]
 fn filtered_pin_writes_only_the_named_entries() {
     let full = scratch("pin-full");
-    pin(&full, 2).unwrap();
+    pin_entries(&full, 2, None).unwrap();
     let filtered = scratch("pin-one");
     pin_entries(&filtered, 2, Some(&["hot-page".to_string()])).unwrap();
     // Only hot-page's trace and goldens exist in the filtered pin…
@@ -102,8 +102,8 @@ fn filtered_pin_writes_only_the_named_entries() {
 fn pinning_is_byte_identical_across_job_counts() {
     let a = scratch("pin-j1");
     let b = scratch("pin-j4");
-    pin(&a, 1).unwrap();
-    pin(&b, 4).unwrap();
+    pin_entries(&a, 1, None).unwrap();
+    pin_entries(&b, 4, None).unwrap();
     let names_in = |dir: PathBuf| {
         let mut names: Vec<_> = std::fs::read_dir(dir)
             .unwrap()
@@ -139,7 +139,7 @@ fn pinning_is_byte_identical_across_job_counts() {
 #[test]
 fn verification_reports_the_divergent_fields() {
     let dir = scratch("tamper");
-    pin(&dir, 2).unwrap();
+    pin_entries(&dir, 2, None).unwrap();
     // Tamper with one golden's exec_time: the diff must name the field and
     // only that pair may fail.
     let victim = entries()[0].golden_path(&dir, CORPUS_VARIANTS[0]);
@@ -211,7 +211,7 @@ fn stale_and_missing_golden_keys_fail_with_their_path() {
 #[test]
 fn missing_goldens_point_at_pin() {
     let dir = scratch("missing");
-    pin(&dir, 2).unwrap();
+    pin_entries(&dir, 2, None).unwrap();
     std::fs::remove_file(entries()[1].golden_path(&dir, CORPUS_VARIANTS[1])).unwrap();
     let report = verify(&dir, 2).unwrap();
     assert_eq!(report.failures.len(), 1);
@@ -226,7 +226,7 @@ fn missing_goldens_point_at_pin() {
 #[test]
 fn verification_sums_up_what_moved_per_path() {
     let dir = scratch("summary");
-    pin(&dir, 2).unwrap();
+    pin_entries(&dir, 2, None).unwrap();
     // Take one key out of a golden, as if the schema had just gained it,
     // and double one of its numbers, as if the engine had halved it.
     let victim = entries()[1].golden_path(&dir, CORPUS_VARIANTS[2]);

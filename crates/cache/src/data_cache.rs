@@ -28,11 +28,6 @@ impl EvictedPage {
     pub fn is_dirty(&self) -> bool {
         self.dirty_bitmap != 0
     }
-
-    /// Number of dirty cachelines in the evicted page.
-    pub fn dirty_count(&self) -> u32 {
-        self.dirty_bitmap.count_ones()
-    }
 }
 
 /// Hit/miss statistics of the data cache.
@@ -86,7 +81,6 @@ pub struct DataCache {
     /// Per-way replacement metadata, kept in lockstep with `sets`.
     meta: Vec<Vec<WayMeta>>,
     ways: usize,
-    capacity_pages: usize,
     tick: u64,
     eviction: EvictionPolicyKind,
     /// CLOCK hand per set (only CLOCK moves them).
@@ -124,7 +118,6 @@ impl DataCache {
             sets: vec![Vec::with_capacity(ways); sets],
             meta: vec![Vec::with_capacity(ways); sets],
             ways,
-            capacity_pages: sets * ways,
             tick: 0,
             eviction,
             clock_hands: vec![0; sets],
@@ -256,21 +249,6 @@ impl DataCache {
         })
     }
 
-    /// Number of cached pages.
-    pub fn len(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Maximum number of pages the cache can hold.
-    pub fn capacity_pages(&self) -> usize {
-        self.capacity_pages
-    }
-
     /// Hit/miss statistics.
     pub fn stats(&self) -> &DataCacheStats {
         &self.stats
@@ -290,6 +268,14 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    fn len(c: &DataCache) -> usize {
+        c.sets.iter().map(Vec::len).sum()
+    }
+
+    fn capacity_pages(c: &DataCache) -> usize {
+        c.sets.len() * c.ways
+    }
+
     #[test]
     fn insert_and_access() {
         let mut c = DataCache::new(4 * 4096, 4);
@@ -298,8 +284,8 @@ mod tests {
         assert!(c.access(Lpa::new(1), 5));
         assert_eq!(c.stats().hits, 1);
         assert_eq!(c.stats().misses, 1);
-        assert_eq!(c.len(), 1);
-        assert_eq!(c.capacity_pages(), 4);
+        assert_eq!(len(&c), 1);
+        assert_eq!(capacity_pages(&c), 4);
     }
 
     #[test]
@@ -339,7 +325,7 @@ mod tests {
         c.mark_dirty(Lpa::new(1), 1);
         let e = c.insert(Lpa::new(2)).unwrap();
         assert!(e.is_dirty());
-        assert_eq!(e.dirty_count(), 2);
+        assert_eq!(e.dirty_bitmap.count_ones(), 2);
         assert_eq!(c.stats().dirty_evictions, 1);
         assert_eq!(c.stats().dirty_cachelines_evicted, 2);
     }
@@ -372,7 +358,7 @@ mod tests {
         let mut c = DataCache::new(8 * 4096, 2);
         for i in 0..100u64 {
             c.insert(Lpa::new(i));
-            assert!(c.len() <= c.capacity_pages());
+            assert!(len(&c) <= capacity_pages(&c));
         }
     }
 
@@ -442,9 +428,9 @@ mod tests {
                     1 => { c.access(Lpa::new(page), (page % 64) as u8); }
                     _ => { c.remove(Lpa::new(page)); }
                 }
-                prop_assert!(c.len() <= c.capacity_pages());
+                prop_assert!(len(&c) <= capacity_pages(&c));
                 let cached = c.cached_pages();
-                prop_assert_eq!(cached.len(), c.len());
+                prop_assert_eq!(cached.len(), len(&c));
                 for lpa in cached {
                     prop_assert!(c.contains(lpa));
                 }

@@ -56,6 +56,6 @@ pub mod policy;
 mod write_log;
 
 pub use data_cache::{DataCache, DataCacheStats, EvictedPage};
-pub use log_index::{LogIndex, LogIndexStats};
+pub use log_index::LogIndex;
 pub use partition::WriteLogPartitions;
 pub use write_log::{AppendOutcome, CompactionPlan, PageFlush, WriteLog, WriteLogStats};

@@ -53,26 +53,11 @@ impl SecondLevelTable {
     }
 }
 
-/// Memory-footprint statistics of the index (paper §III-B).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct LogIndexStats {
-    /// Number of pages tracked (first-level entries).
-    pub pages: u64,
-    /// Number of cachelines tracked (second-level entries in use).
-    pub cachelines: u64,
-    /// Total allocated second-level slots (≥ `cachelines` due to power-of-two
-    /// sizing).
-    pub allocated_slots: u64,
-    /// Number of second-level table resize (doubling) events.
-    pub resizes: u64,
-}
-
 /// The two-level hash index mapping `(LPA, cacheline)` to a log offset.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct LogIndex {
     first_level: FastHashMap<Lpa, SecondLevelTable>,
     load_factor: f64,
-    resizes: u64,
 }
 
 impl LogIndex {
@@ -89,7 +74,6 @@ impl LogIndex {
         LogIndex {
             first_level: FastHashMap::default(),
             load_factor,
-            resizes: 0,
         }
     }
 
@@ -97,15 +81,10 @@ impl LogIndex {
     /// replacing any previous record for the same cacheline.
     pub fn insert(&mut self, lpa: Lpa, cl: CachelineIndex, log_offset: u32) {
         debug_assert!((cl as usize) < CACHELINES_PER_PAGE);
-        let table = self
-            .first_level
+        self.first_level
             .entry(lpa)
-            .or_insert_with(SecondLevelTable::new);
-        let before = table.allocated_slots;
-        table.insert(cl, log_offset, self.load_factor);
-        if table.allocated_slots > before {
-            self.resizes += 1;
-        }
+            .or_insert_with(SecondLevelTable::new)
+            .insert(cl, log_offset, self.load_factor);
     }
 
     /// Log offset of the latest copy of `(lpa, cl)`, if logged.
@@ -114,11 +93,6 @@ impl LogIndex {
             .get(&lpa)
             .and_then(|t| t.entries.get(&cl))
             .copied()
-    }
-
-    /// Whether any cacheline of `lpa` is logged.
-    pub fn contains_page(&self, lpa: Lpa) -> bool {
-        self.first_level.contains_key(&lpa)
     }
 
     /// All logged cachelines of `lpa` as `(cacheline, log_offset)` pairs,
@@ -134,15 +108,6 @@ impl LogIndex {
         v
     }
 
-    /// A bitmap of the logged cachelines of `lpa` (bit *i* set ⇔ cacheline
-    /// *i* is in the log).
-    pub fn page_bitmap(&self, lpa: Lpa) -> u64 {
-        self.first_level
-            .get(&lpa)
-            .map(|t| t.entries.keys().fold(0u64, |m, &c| m | (1u64 << c)))
-            .unwrap_or(0)
-    }
-
     /// Iterates over all tracked pages (first-level traversal, compaction
     /// step L1 of Figure 13).
     pub fn pages(&self) -> impl Iterator<Item = Lpa> + '_ {
@@ -155,24 +120,9 @@ impl LogIndex {
         self.first_level.remove(&lpa).is_some()
     }
 
-    /// Removes all entries.
-    pub fn clear(&mut self) {
-        self.first_level.clear();
-    }
-
-    /// Number of tracked pages.
-    pub fn page_count(&self) -> usize {
-        self.first_level.len()
-    }
-
     /// Number of tracked cachelines.
     pub fn cacheline_count(&self) -> usize {
         self.first_level.values().map(|t| t.entries.len()).sum()
-    }
-
-    /// Whether the index is empty.
-    pub fn is_empty(&self) -> bool {
-        self.first_level.is_empty()
     }
 
     /// Memory footprint of the index structures using the paper's entry
@@ -186,20 +136,6 @@ impl LogIndex {
             .map(|t| t.allocated_slots as u64 * SECOND_LEVEL_SLOT_BYTES)
             .sum();
         first + second
-    }
-
-    /// Footprint statistics.
-    pub fn stats(&self) -> LogIndexStats {
-        LogIndexStats {
-            pages: self.first_level.len() as u64,
-            cachelines: self.cacheline_count() as u64,
-            allocated_slots: self
-                .first_level
-                .values()
-                .map(|t| t.allocated_slots as u64)
-                .sum(),
-            resizes: self.resizes,
-        }
     }
 }
 
@@ -224,7 +160,7 @@ mod tests {
         idx.insert(Lpa::new(1), 3, 200);
         assert_eq!(idx.lookup(Lpa::new(1), 3), Some(200));
         assert_eq!(idx.cacheline_count(), 1);
-        assert_eq!(idx.page_count(), 1);
+        assert_eq!(idx.first_level.len(), 1);
     }
 
     #[test]
@@ -235,9 +171,7 @@ mod tests {
         idx.insert(Lpa::new(7), 63, 3);
         let entries = idx.page_entries(Lpa::new(7));
         assert_eq!(entries, vec![(2, 2), (9, 1), (63, 3)]);
-        let bitmap = idx.page_bitmap(Lpa::new(7));
-        assert_eq!(bitmap, (1 << 2) | (1 << 9) | (1 << 63));
-        assert_eq!(idx.page_bitmap(Lpa::new(8)), 0);
+        assert!(idx.page_entries(Lpa::new(8)).is_empty());
     }
 
     #[test]
@@ -247,10 +181,10 @@ mod tests {
         for cl in 0..16u8 {
             idx.insert(Lpa::new(1), cl, cl as u32);
         }
-        let stats = idx.stats();
-        assert!(stats.resizes >= 2, "expected at least two doublings");
-        assert!(stats.allocated_slots >= 16);
-        assert_eq!(stats.cachelines, 16);
+        let table = &idx.first_level[&Lpa::new(1)];
+        // At least two doublings from the initial four slots.
+        assert!(table.allocated_slots >= 4 * SECOND_LEVEL_INITIAL_SLOTS);
+        assert_eq!(idx.cacheline_count(), 16);
     }
 
     #[test]
@@ -277,10 +211,10 @@ mod tests {
         idx.insert(Lpa::new(2), 0, 1);
         assert!(idx.remove_page(Lpa::new(1)));
         assert!(!idx.remove_page(Lpa::new(1)));
-        assert!(!idx.contains_page(Lpa::new(1)));
-        assert!(idx.contains_page(Lpa::new(2)));
-        idx.clear();
-        assert!(idx.is_empty());
+        assert!(!idx.first_level.contains_key(&Lpa::new(1)));
+        assert!(idx.first_level.contains_key(&Lpa::new(2)));
+        assert!(idx.remove_page(Lpa::new(2)));
+        assert!(idx.first_level.is_empty());
         assert_eq!(idx.memory_bytes(), 0);
     }
 

@@ -46,11 +46,6 @@ impl WriteLogPartitions {
         self.appends.len()
     }
 
-    /// The decay window in appends.
-    pub fn window(&self) -> u64 {
-        self.window
-    }
-
     /// A tenant's even share of the window.
     pub fn quota(&self) -> u64 {
         self.window / self.appends.len() as u64
@@ -70,24 +65,9 @@ impl WriteLogPartitions {
         }
     }
 
-    /// Windowed appends per tenant.
-    pub fn appends(&self) -> &[u64] {
-        &self.appends
-    }
-
-    /// Sum of the windowed appends.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
     /// Whether `tenant`'s windowed appends exceed its even share.
     pub fn over_quota(&self, tenant: usize) -> bool {
         self.appends[tenant] > self.quota()
-    }
-
-    /// Fraction of the window currently accounted (`0.0..1.0`).
-    pub fn fill_fraction(&self) -> f64 {
-        self.total as f64 / self.window as f64
     }
 }
 
@@ -104,9 +84,9 @@ mod tests {
         for _ in 0..4 {
             p.note_append(2);
         }
-        assert_eq!(p.appends(), &[10, 0, 4]);
-        assert_eq!(p.total(), 14);
-        assert_eq!(p.total(), p.appends().iter().sum::<u64>());
+        assert_eq!(p.appends, [10, 0, 4]);
+        assert_eq!(p.total, 14);
+        assert_eq!(p.total, p.appends.iter().sum::<u64>());
     }
 
     #[test]
@@ -129,15 +109,15 @@ mod tests {
         p.note_append(1);
         // The 10th append trips the decay: (9, 1) -> (4, 0).
         p.note_append(0);
-        assert_eq!(p.appends(), &[4, 0]);
-        assert_eq!(p.total(), p.appends().iter().sum::<u64>());
-        assert!(p.fill_fraction() < 1.0);
+        assert_eq!(p.appends, [4, 0]);
+        assert_eq!(p.total, p.appends.iter().sum::<u64>());
+        assert!(p.total < p.window);
     }
 
     #[test]
     fn window_is_clamped_to_give_everyone_a_quota() {
         let p = WriteLogPartitions::new(8, 0);
-        assert_eq!(p.window(), 8);
+        assert_eq!(p.window, 8);
         assert_eq!(p.quota(), 1);
     }
 }

@@ -57,16 +57,6 @@ impl CompactionPlan {
     pub fn page_count(&self) -> usize {
         self.pages.len()
     }
-
-    /// Total number of distinct dirty cachelines across all pages.
-    pub fn cacheline_count(&self) -> usize {
-        self.pages.iter().map(|p| p.cachelines.len()).sum()
-    }
-
-    /// Whether there is nothing to flush.
-    pub fn is_empty(&self) -> bool {
-        self.pages.is_empty()
-    }
 }
 
 /// The latest dirty cachelines of one logical page, to be merged and flushed.
@@ -76,15 +66,6 @@ pub struct PageFlush {
     pub lpa: Lpa,
     /// `(cacheline offset, latest token)` pairs, sorted by offset.
     pub cachelines: Vec<(CachelineIndex, u64)>,
-}
-
-impl PageFlush {
-    /// Bitmap of dirty cachelines in this page.
-    pub fn dirty_bitmap(&self) -> u64 {
-        self.cachelines
-            .iter()
-            .fold(0u64, |m, (c, _)| m | (1u64 << c))
-    }
 }
 
 /// Counters describing write-log activity.
@@ -268,27 +249,6 @@ impl WriteLog {
         result
     }
 
-    /// Latest logged token without recording hit/miss statistics.
-    pub fn peek(&self, lpa: Lpa, cl: CachelineIndex) -> Option<u64> {
-        self.active
-            .lookup(lpa, cl)
-            .or_else(|| self.frozen.as_ref().and_then(|f| f.lookup(lpa, cl)))
-    }
-
-    /// Whether any cacheline of `lpa` is present in either buffer.
-    pub fn contains_page(&self, lpa: Lpa) -> bool {
-        self.active.index.contains_page(lpa)
-            || self
-                .frozen
-                .as_ref()
-                .is_some_and(|f| f.index.contains_page(lpa))
-    }
-
-    /// Whether the active buffer is full and a compaction should start.
-    pub fn needs_compaction(&self) -> bool {
-        self.active.is_full() && self.frozen.is_none()
-    }
-
     /// Whether a frozen buffer is being compacted.
     pub fn compaction_in_progress(&self) -> bool {
         self.frozen.is_some()
@@ -323,24 +283,9 @@ impl WriteLog {
         }
     }
 
-    /// Number of entries in the active buffer.
-    pub fn len(&self) -> usize {
-        self.active.entries.len()
-    }
-
-    /// Whether the active buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.active.entries.is_empty()
-    }
-
     /// Capacity of one buffer, in entries.
     pub fn capacity(&self) -> usize {
         self.capacity_entries
-    }
-
-    /// Fill fraction of the active buffer.
-    pub fn utilisation(&self) -> f64 {
-        self.active.entries.len() as f64 / self.capacity_entries as f64
     }
 
     /// Memory used by the index structures of both buffers (paper §III-B
@@ -385,6 +330,18 @@ mod tests {
         WriteLog::new(2048, 0.75)
     }
 
+    /// Latest logged token without recording hit/miss statistics.
+    fn peek(log: &WriteLog, lpa: Lpa, cl: CachelineIndex) -> Option<u64> {
+        log.active
+            .lookup(lpa, cl)
+            .or_else(|| log.frozen.as_ref().and_then(|f| f.lookup(lpa, cl)))
+    }
+
+    /// Distinct dirty cachelines across all pages of a plan.
+    fn plan_cachelines(plan: &CompactionPlan) -> usize {
+        plan.pages.iter().map(|p| p.cachelines.len()).sum()
+    }
+
     #[test]
     fn append_then_lookup() {
         let mut log = small_log();
@@ -396,8 +353,8 @@ mod tests {
         assert_eq!(log.lookup(Lpa::new(2), 2), None);
         assert_eq!(log.stats().hits, 2);
         assert_eq!(log.stats().misses, 2);
-        assert!(log.contains_page(Lpa::new(1)));
-        assert!(!log.contains_page(Lpa::new(2)));
+        assert_eq!(log.active.index.page_entries(Lpa::new(1)).len(), 2);
+        assert!(log.active.index.page_entries(Lpa::new(2)).is_empty());
     }
 
     #[test]
@@ -420,14 +377,12 @@ mod tests {
         log.append(Lpa::new(2), 7, 20);
         let plan = log.start_compaction().expect("plan");
         assert_eq!(plan.page_count(), 2);
-        assert_eq!(plan.cacheline_count(), 3);
+        assert_eq!(plan_cachelines(&plan), 3);
         assert_eq!(plan.dropped_stale_entries, 2);
         let p1 = &plan.pages[0];
         assert_eq!(p1.lpa, Lpa::new(1));
         assert_eq!(p1.cachelines, vec![(0, 3), (5, 10)]);
-        assert_eq!(p1.dirty_bitmap(), 0b10_0001);
         assert_eq!(plan.pages[1].cachelines, vec![(7, 20)]);
-        assert!(!plan.is_empty());
     }
 
     #[test]
@@ -456,13 +411,13 @@ mod tests {
             saw_full |= out.log_full;
         }
         assert!(saw_full, "append must signal when the buffer fills");
-        assert!(log.needs_compaction());
+        assert!(log.active.is_full() && !log.compaction_in_progress());
         let plan = log.start_compaction().unwrap();
         assert_eq!(plan.page_count(), cap);
         // While compacting, we can keep appending into the fresh buffer.
         let out = log.append(Lpa::new(999), 0, 7);
         assert!(!out.back_pressure);
-        assert_eq!(log.len(), 1);
+        assert_eq!(log.resident_entries(), 1);
     }
 
     #[test]
@@ -479,7 +434,7 @@ mod tests {
         // Both buffers are now full and compaction has not finished.
         let out = log.append(Lpa::new(2000), 0, 42);
         assert!(out.back_pressure);
-        assert_eq!(log.peek(Lpa::new(2000), 0), Some(42));
+        assert_eq!(peek(&log, Lpa::new(2000), 0), Some(42));
         assert!(log.stats().back_pressure_appends >= 1);
     }
 
@@ -489,18 +444,17 @@ mod tests {
         log.append(Lpa::new(3), 1, 1);
         log.append(Lpa::new(4), 1, 2);
         log.invalidate_page(Lpa::new(3));
-        assert_eq!(log.peek(Lpa::new(3), 1), None);
-        assert_eq!(log.peek(Lpa::new(4), 1), Some(2));
+        assert_eq!(peek(&log, Lpa::new(3), 1), None);
+        assert_eq!(peek(&log, Lpa::new(4), 1), Some(2));
     }
 
     #[test]
     fn utilisation_and_index_memory() {
         let mut log = small_log();
-        assert_eq!(log.utilisation(), 0.0);
+        assert_eq!(log.resident_entries(), 0);
         log.append(Lpa::new(1), 1, 1);
-        assert!(log.utilisation() > 0.0);
         assert!(log.index_memory_bytes() >= 32);
-        assert!(!log.is_empty() && log.len() == 1);
+        assert_eq!(log.resident_entries(), 1);
     }
 
     #[test]
@@ -537,7 +491,7 @@ mod tests {
         assert_eq!(log.stats().entries_retired_live, 2);
         assert_eq!(log.stats().entries_retired_stale, 2);
         assert_eq!(
-            plan.cacheline_count() as u64,
+            plan_cachelines(&plan) as u64,
             log.stats().entries_retired_live
         );
         assert_conserved(&log);
@@ -611,12 +565,12 @@ mod tests {
                         // drop them from the model only if they were not re-written —
                         // the semantics is that they are now on flash. For this
                         // property we only check entries still present in the log.
-                        model.retain(|(p, c), _| log.peek(Lpa::new(*p), *c).is_some());
+                        model.retain(|(p, c), _| peek(&log, Lpa::new(*p), *c).is_some());
                     }
                 }
             }
             for ((page, cl), token) in &model {
-                prop_assert_eq!(log.peek(Lpa::new(*page), *cl), Some(*token));
+                prop_assert_eq!(peek(&log, Lpa::new(*page), *cl), Some(*token));
             }
         }
 

@@ -50,14 +50,14 @@
 //! # Example
 //!
 //! ```
-//! use skybyte_sim::{ExperimentScale, Simulation};
+//! use skybyte_sim::{audit::audit, ExperimentScale, Simulation};
 //! use skybyte_types::VariantKind;
 //! use skybyte_workloads::WorkloadKind;
 //!
 //! let scale = ExperimentScale::tiny().with_accesses_per_thread(50);
-//! let (result, report) =
-//!     Simulation::build(VariantKind::SkyByteFull, WorkloadKind::Ycsb, &scale).audit();
-//! report.assert_clean(&format!("{} on {}", result.variant, result.workload));
+//! let sim = Simulation::build(VariantKind::SkyByteFull, WorkloadKind::Ycsb, &scale);
+//! let result = sim.run();
+//! audit(&result).assert_clean(&format!("{} on {}", result.variant, result.workload));
 //! ```
 
 use crate::engine::MIGRATION_PERIOD_ACCESSES;

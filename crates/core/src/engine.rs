@@ -139,12 +139,6 @@ impl Simulation {
         }
     }
 
-    /// The co-located `(workload, threads)` tenants of a multi-tenant
-    /// simulation (empty for single-tenant runs).
-    pub fn tenants(&self) -> &[(WorkloadKind, u32)] {
-        &self.tenants
-    }
-
     /// Bytes of footprint each tenant of a multi-tenant run owns: the
     /// scaled footprint divided evenly, page-aligned, at least one page.
     pub fn tenant_slice_bytes(&self) -> u64 {
@@ -182,11 +176,6 @@ impl Simulation {
     pub fn with_drive(mut self, drive: TraceDrive) -> Self {
         self.drive = drive;
         self
-    }
-
-    /// The trace drive of this simulation.
-    pub fn drive(&self) -> &TraceDrive {
-        &self.drive
     }
 
     /// The simulator configuration.
@@ -242,22 +231,6 @@ impl Simulation {
     pub fn run(&self) -> SimResult {
         self.try_run()
             .unwrap_or_else(|e| panic!("trace drive failed: {e}"))
-    }
-
-    /// Runs the simulation and evaluates the cross-layer conservation audit
-    /// ([`crate::audit`]) against its result. A dirty report means a counter
-    /// stopped conserving somewhere in the stack — the report names the
-    /// violated invariants.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`run`](Self::run); the audit
-    /// itself never panics (callers decide whether a violation is fatal via
-    /// [`skybyte_types::AuditReport::assert_clean`]).
-    pub fn audit(&self) -> (SimResult, skybyte_types::AuditReport) {
-        let result = self.run();
-        let report = crate::audit::audit(&result);
-        (result, report)
     }
 
     /// Runs the simulation, materialising the trace source described by the
@@ -448,10 +421,9 @@ impl Simulation {
     /// instead of the event queue: each step runs a pass on the unparked
     /// core with the lowest clock, under the same park and wake rules. The
     /// two are property-tested to produce identical results; this exists so
-    /// those tests (and anyone auditing the event engine) can drive the
-    /// executable specification.
-    #[doc(hidden)]
-    pub fn run_reference(&self) -> SimResult {
+    /// those tests can drive the executable specification.
+    #[cfg(test)]
+    pub(crate) fn run_reference(&self) -> SimResult {
         let budget = self.per_thread_budget();
         let (label, footprint_pages) = self.label_and_footprint_pages();
         let mut source = self.live_source();
@@ -614,7 +586,9 @@ mod tests {
         // A 1-entry TLB with a huge walk penalty must slow execution down
         // versus the Table II default.
         let default_cfg = scale.apply(SimConfig::default().with_variant(VariantKind::BaseCssd));
-        let tiny_tlb_cfg = default_cfg.clone().with_tlb(1, Nanos::from_micros(5));
+        let mut tiny_tlb_cfg = default_cfg.clone();
+        tiny_tlb_cfg.cpu.tlb.entries = 1;
+        tiny_tlb_cfg.cpu.tlb.miss_latency = Nanos::from_micros(5);
         let fast = Simulation::with_config(default_cfg, WorkloadKind::Ycsb, &scale).run();
         let slow = Simulation::with_config(tiny_tlb_cfg, WorkloadKind::Ycsb, &scale).run();
         assert!(
@@ -695,7 +669,7 @@ mod tests {
             &scale,
         );
         assert_eq!(sim.config().threads, 8);
-        assert_eq!(sim.tenants().len(), 2);
+        assert_eq!(sim.tenants.len(), 2);
         // Each tenant owns a page-aligned slice of the scaled footprint.
         let slice = sim.tenant_slice_bytes();
         assert_eq!(slice % skybyte_types::PAGE_SIZE as u64, 0);
@@ -707,13 +681,13 @@ mod tests {
         assert_eq!(r.per_tenant[1].tenant, TenantId(1));
         for t in &r.per_tenant {
             assert_eq!(t.threads, 4);
-            assert!(t.accesses() > 0);
+            assert!(t.requests.total() > 0);
             assert!(t.finish_time > skybyte_types::Nanos::ZERO);
             assert!(t.finish_time <= r.exec_time);
         }
         // Attribution partitions the global counters.
         assert_eq!(
-            r.per_tenant.iter().map(|t| t.accesses()).sum::<u64>(),
+            r.per_tenant.iter().map(|t| t.requests.total()).sum::<u64>(),
             r.requests.total()
         );
         assert_eq!(
@@ -761,6 +735,27 @@ mod tests {
         // validate first rather than divide by zero.
         let scale = ExperimentScale::tiny();
         let cfg = scale.apply(SimConfig::default()).with_threads(0);
+        Simulation::with_config(cfg, WorkloadKind::Ycsb, &scale).run();
+    }
+
+    #[test]
+    #[should_panic(expected = "migration.tpp_sample_period must be nonzero")]
+    fn a_zero_tpp_period_run_reports_its_config_error() {
+        // A zero sampling period would roll the TPP window forever.
+        let scale = ExperimentScale::tiny().with_accesses_per_thread(200);
+        let mut cfg = scale.apply(SimConfig::default().with_variant(VariantKind::SkyByteWCT));
+        cfg.migration.tpp_sample_period = Nanos::ZERO;
+        Simulation::with_config(cfg, WorkloadKind::Ycsb, &scale).run();
+    }
+
+    #[test]
+    #[should_panic(expected = "migration.hotness_threshold must be at least 1")]
+    fn a_zero_hotness_threshold_run_reports_its_config_error() {
+        // The hotness tracker cannot nominate pages below a zero threshold;
+        // the run must name the knob instead of tripping the tracker.
+        let scale = ExperimentScale::tiny().with_accesses_per_thread(200);
+        let mut cfg = scale.apply(SimConfig::default().with_variant(VariantKind::SkyByteFull));
+        cfg.migration.hotness_threshold = 0;
         Simulation::with_config(cfg, WorkloadKind::Ycsb, &scale).run();
     }
 
@@ -814,9 +809,9 @@ mod tests {
         let mut cfg = scale.apply(
             SimConfig::default()
                 .with_variant(VariantKind::SkyByteFull)
-                .with_threads(4)
-                .with_cores(2),
+                .with_threads(4),
         );
+        cfg.cpu.cores = 2;
         cfg.cs_threshold = Nanos::from_micros(80);
         let sim = Simulation::with_config(cfg, WorkloadKind::Radix, &scale);
         let r = sim.run();

@@ -59,16 +59,6 @@ impl EventQueue {
             .pop()
             .map(|Reverse((time, core, seq))| Event { time, core, seq })
     }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -136,10 +126,10 @@ mod tests {
         let a = q.push(Nanos::new(1), 0);
         let b = q.push(Nanos::new(1), 0);
         assert!(b > a);
-        assert_eq!(q.len(), 2);
+        assert_eq!(q.heap.len(), 2);
         assert_eq!(q.pop().unwrap().seq, a);
         assert_eq!(q.pop().unwrap().seq, b);
-        assert!(q.is_empty());
+        assert!(q.heap.is_empty());
     }
 
     /// Heap's algorithm, collecting every permutation of `idx[..k]`.

@@ -151,11 +151,6 @@ pub struct TenantCounters {
 }
 
 impl TenantCounters {
-    /// Total classified accesses of this tenant.
-    pub fn accesses(&self) -> u64 {
-        self.requests.total()
-    }
-
     /// The tenant's completion time relative to a solo (uncontended) run of
     /// the same tenant — the per-tenant slowdown an interference experiment
     /// reports. Values above 1 mean co-location cost the tenant time.
@@ -287,14 +282,6 @@ impl SimResult {
             return 0.0;
         }
         self.total_accesses() as f64 * 1e9 / self.exec_time.as_nanos() as f64
-    }
-
-    /// Instructions per second.
-    pub fn throughput_instructions_per_sec(&self) -> f64 {
-        if self.exec_time == Nanos::ZERO {
-            return 0.0;
-        }
-        self.instructions as f64 * 1e9 / self.exec_time.as_nanos() as f64
     }
 
     /// Average flash-channel utilisation over the run (the Figure 15 line
@@ -645,7 +632,6 @@ mod tests {
         assert!((fast.speedup_over(&slow) - 4.0).abs() < 1e-9);
         assert!((slow.normalized_exec_time(&fast) - 4.0).abs() < 1e-9);
         assert!(fast.throughput_accesses_per_sec() > slow.throughput_accesses_per_sec());
-        assert!(fast.throughput_instructions_per_sec() > 0.0);
         let util = fast.ssd_bandwidth_utilisation();
         assert!(util > 0.1 && util <= 0.2, "util {util}");
         assert_eq!(fast.total_accesses(), 100);
@@ -846,6 +832,6 @@ mod tests {
         };
         assert!((contended.slowdown_over(&solo) - 2.5).abs() < 1e-12);
         assert_eq!(solo.slowdown_over(&TenantCounters::default()), 0.0);
-        assert_eq!(solo.accesses(), 0);
+        assert_eq!(solo.requests.total(), 0);
     }
 }

@@ -86,24 +86,9 @@ impl MigrationEngine {
         }
     }
 
-    /// The active policy.
-    pub fn policy(&self) -> MigrationPolicyKind {
-        self.policy
-    }
-
     /// Whether any migration happens at all.
     pub fn enabled(&self) -> bool {
         self.policy != MigrationPolicyKind::Disabled
-    }
-
-    /// Whether `lpa` currently resides in host DRAM.
-    pub fn is_promoted(&self, lpa: Lpa) -> bool {
-        self.pool.contains(lpa)
-    }
-
-    /// Number of pages currently promoted.
-    pub fn promoted_pages(&self) -> u64 {
-        self.pool.resident_pages()
     }
 
     /// Records an access to a promoted page (maintains the active/inactive
@@ -204,6 +189,14 @@ mod tests {
     use super::*;
     use skybyte_types::{SsdGeometry, VariantKind, KIB, MIB};
 
+    /// Whether the page table places virtual page `page` in host DRAM.
+    fn is_host(pt: &PageTable, page: u64) -> bool {
+        matches!(
+            pt.translate(PageNumber(page)),
+            skybyte_os::PagePlacement::HostDram(_)
+        )
+    }
+
     fn test_setup(variant: VariantKind, host_pages: u64) -> (SimConfig, SsdController) {
         let mut cfg = SimConfig::default().with_variant(variant);
         cfg.ssd.geometry = SsdGeometry {
@@ -258,10 +251,9 @@ mod tests {
         let mut ctx = full_ctx(&mut ssd, &mut pt, &mut tlb, &mut port, &mut dram);
         let promoted = engine.run(now, &mut ctx);
         assert_eq!(promoted, Some(Lpa::new(5)));
-        assert!(engine.is_promoted(Lpa::new(5)));
+        assert!(engine.pool.contains(Lpa::new(5)));
         assert_eq!(engine.stats().promotions, 1);
-        assert!(pt.translate(PageNumber(5)).is_host());
-        assert_eq!(engine.promoted_pages(), 1);
+        assert!(is_host(&pt, 5));
         // Running again finds no new candidate.
         let mut ctx = full_ctx(&mut ssd, &mut pt, &mut tlb, &mut port, &mut dram);
         assert_eq!(engine.run(now, &mut ctx), None);
@@ -289,7 +281,8 @@ mod tests {
         }
         assert!(engine.stats().promotions >= 3);
         assert!(engine.stats().demotions >= 1, "budget must force demotions");
-        assert!(engine.promoted_pages() <= 2);
+        let resident = (0..4).filter(|&p| engine.pool.contains(Lpa::new(p)));
+        assert!(resident.count() <= 2);
         assert!(engine.stats().tlb_shootdowns >= 4);
     }
 
@@ -299,7 +292,7 @@ mod tests {
         cfg.migration.policy = MigrationPolicyKind::AstriFlash;
         let mut ssd = SsdController::new(&cfg);
         let mut engine = MigrationEngine::new(&cfg);
-        assert_eq!(engine.policy(), MigrationPolicyKind::AstriFlash);
+        assert_eq!(engine.policy, MigrationPolicyKind::AstriFlash);
         let mut pt = PageTable::new();
         let mut tlb = Tlb::new(64, Nanos::new(100));
         let mut port = CxlPort::new(Nanos::new(40), 16 << 30);
@@ -313,7 +306,7 @@ mod tests {
         let mut ctx = full_ctx(&mut ssd, &mut pt, &mut tlb, &mut port, &mut dram);
         let got = engine.on_demand_fill(Lpa::new(9), Nanos::ZERO, &mut ctx);
         assert_eq!(got, Some(Lpa::new(9)));
-        assert!(engine.is_promoted(Lpa::new(9)));
+        assert!(engine.pool.contains(Lpa::new(9)));
     }
 
     #[test]
@@ -353,8 +346,8 @@ mod tests {
         assert_eq!(engine.stats().tlb_shootdowns, 3);
         // Page copies are responses, never host requests.
         assert_eq!(port.stats().requests, 0);
-        assert!(pt.translate(PageNumber(2)).is_host());
-        assert!(!pt.translate(PageNumber(1)).is_host());
+        assert!(is_host(&pt, 2));
+        assert!(!is_host(&pt, 1));
     }
 
     #[test]
@@ -381,7 +374,7 @@ mod tests {
         cfg.migration.tpp_sample_period = Nanos::from_micros(10);
         let mut ssd = SsdController::new(&cfg);
         let mut engine = MigrationEngine::new(&cfg);
-        assert_eq!(engine.policy(), MigrationPolicyKind::Tpp);
+        assert_eq!(engine.policy, MigrationPolicyKind::Tpp);
         let mut pt = PageTable::new();
         let mut tlb = Tlb::new(64, Nanos::new(100));
         let mut port = CxlPort::new(Nanos::new(40), 16 << 30);

@@ -197,10 +197,10 @@ pub fn default_parallelism() -> usize {
 /// let scale = ExperimentScale::tiny().with_accesses_per_thread(50);
 /// let runner = Runner::new(2);
 /// let req = RunRequest::build(VariantKind::BaseCssd, WorkloadKind::Ycsb, &scale);
-/// let a = runner.run(&req);
-/// let b = runner.run(&req); // memo hit: no second simulation
+/// let a = runner.run_all(&[req.clone()]);
+/// let b = runner.run_all(&[req]); // memo hit: no second simulation
 /// assert_eq!(runner.runs_executed(), 1);
-/// assert_eq!(a.exec_time, b.exec_time);
+/// assert_eq!(a[0].exec_time, b[0].exec_time);
 /// ```
 #[derive(Debug)]
 pub struct Runner {
@@ -293,11 +293,6 @@ impl Runner {
         self
     }
 
-    /// The policy overrides applied to this runner's requests.
-    pub fn policy_overrides(&self) -> &[PolicyOverride] {
-        &self.policies
-    }
-
     /// Returns this runner with the conservation audit enabled (or not):
     /// every *executed* simulation (memo hits are already-audited results)
     /// is checked against [`crate::audit`], and any violation is recorded
@@ -321,11 +316,6 @@ impl Runner {
     pub fn with_telemetry(mut self, telemetry: TelemetryConfig) -> Self {
         self.telemetry = telemetry;
         self
-    }
-
-    /// The telemetry settings applied to this runner's executed requests.
-    pub fn telemetry(&self) -> TelemetryConfig {
-        self.telemetry
     }
 
     /// Telemetry captured from every *executed* run so far, as
@@ -390,18 +380,6 @@ impl Runner {
     /// entries.
     pub fn run_timings(&self) -> Vec<RunTiming> {
         self.timings.lock().expect("timing log poisoned").clone()
-    }
-
-    /// Number of distinct results currently memoized.
-    pub fn memoized_results(&self) -> usize {
-        self.state.lock().expect("memo table poisoned").done.len()
-    }
-
-    /// Runs (or recalls) a single request.
-    pub fn run(&self, req: &RunRequest) -> Arc<SimResult> {
-        self.run_all(std::slice::from_ref(req))
-            .pop()
-            .expect("one result per request")
     }
 
     /// Runs a batch of requests, returning one result per request in order.
@@ -574,6 +552,18 @@ mod tests {
     use super::*;
     use skybyte_types::Nanos;
 
+    impl Runner {
+        /// Runs (or recalls) a single request.
+        fn run(&self, req: &RunRequest) -> Arc<SimResult> {
+            self.run_all(std::slice::from_ref(req)).remove(0)
+        }
+
+        /// Number of distinct results currently memoized.
+        fn memoized_results(&self) -> usize {
+            self.state.lock().expect("memo table poisoned").done.len()
+        }
+    }
+
     fn tiny() -> ExperimentScale {
         ExperimentScale::tiny().with_accesses_per_thread(100)
     }
@@ -717,7 +707,7 @@ mod tests {
         let plain = Runner::new(1);
         let clocked = Runner::new(1)
             .with_policy_overrides(vec![PolicyOverride::Eviction(EvictionPolicyKind::Clock)]);
-        assert_eq!(clocked.policy_overrides().len(), 1);
+        assert_eq!(clocked.policies.len(), 1);
         let a = plain.run(&req);
         let b = clocked.run(&req);
         // The override lands in the executed configuration and the result.

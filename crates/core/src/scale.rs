@@ -118,12 +118,6 @@ impl ExperimentScale {
         self.geometry.total_bytes()
     }
 
-    /// The footprint : SSD-DRAM ratio of this scale (the paper's workloads
-    /// sit between 16:1 and 32:1 against the 512 MiB cache).
-    pub fn footprint_to_dram_ratio(&self) -> f64 {
-        self.footprint_bytes as f64 / (self.ssd_data_cache_bytes + self.write_log_bytes) as f64
-    }
-
     /// Applies the scaled sizes to a simulator configuration.
     pub fn apply(&self, mut cfg: SimConfig) -> SimConfig {
         cfg.ssd.geometry = self.geometry;
@@ -179,7 +173,8 @@ mod tests {
     fn default_scale_preserves_paper_ratios() {
         let s = ExperimentScale::default_scale();
         // footprint : SSD DRAM = 16 : 1 — inside the paper's 1:16–1:32 band.
-        assert!((s.footprint_to_dram_ratio() - 16.0).abs() < 0.5);
+        let dram = s.ssd_data_cache_bytes + s.write_log_bytes;
+        assert!((s.footprint_bytes as f64 / dram as f64 - 16.0).abs() < 0.5);
         // Write log is 1/8 of the SSD DRAM, as in Table II (64 MB of 512 MB).
         assert!((s.ssd_data_cache_bytes / s.write_log_bytes) == 7);
         // Host promotion budget is 4x the SSD DRAM, as in §VI-A.

@@ -30,7 +30,7 @@
 //! wake-up. A core with nothing runnable and nothing blocked parks at its
 //! clock; the next pass whose yield or thread finish changes scheduler
 //! state moves it to that pass's start time and charges the gap to idle.
-//! A hidden min-clock scan over the unparked cores, `run_reference`,
+//! A test-only min-clock scan over the unparked cores, `run_reference`,
 //! applies the same rules and is the executable specification the event
 //! engine is property-tested against.
 
@@ -246,7 +246,7 @@ impl SystemState {
     /// This is the discrete-event loop: each unparked core has exactly one
     /// pending event — the instant it next becomes actionable — in a
     /// monotone [`EventQueue`] keyed `(time, core, seq)`. Popping the
-    /// earliest event is the pick [`SystemState::run_reference`]'s
+    /// earliest event is the pick `SystemState::run_reference`'s
     /// min-clock scan makes (lowest clock, lowest core index on ties), so
     /// the two loops run the same passes in the same order. A core with
     /// nothing runnable and nothing blocked *parks* at its clock (no event);
@@ -318,6 +318,7 @@ impl SystemState {
     /// the same park and wake rules. Both loops share
     /// [`SystemState::pass`] and [`SystemState::unpark`], so what this pins
     /// is exactly the event queue's ordering.
+    #[cfg(test)]
     pub(crate) fn run_reference(&mut self, source: &mut dyn TraceSource) {
         while !self.sched.all_finished() {
             let core = (0..self.core_clock.len())
@@ -824,10 +825,11 @@ mod tests {
 
     fn tiny_cfg(threads: u32, cores: u32) -> SimConfig {
         let scale = crate::scale::ExperimentScale::tiny();
-        scale
+        let mut cfg = scale
             .apply(SimConfig::default().with_variant(VariantKind::SkyByteC))
-            .with_threads(threads)
-            .with_cores(cores)
+            .with_threads(threads);
+        cfg.cpu.cores = cores;
+        cfg
     }
 
     fn build(cfg: &SimConfig, source: &mut dyn TraceSource, budget: u64) -> SystemState {
@@ -916,10 +918,10 @@ mod tests {
         // accesses; while the thread is blocked the core has nothing to run
         // and must account genuine idle time (not spin the step counter).
         let scale = crate::scale::ExperimentScale::tiny().with_accesses_per_thread(100);
-        let cfg = scale
+        let mut cfg = scale
             .apply(SimConfig::default().with_variant(VariantKind::SkyByteC))
-            .with_threads(1)
-            .with_cores(1);
+            .with_threads(1);
+        cfg.cpu.cores = 1;
         let sim = crate::engine::Simulation::with_config(
             cfg,
             skybyte_workloads::WorkloadKind::Srad,
@@ -951,10 +953,10 @@ mod tests {
         ));
         let mut stacked = Tenants::new(vec![a, b]);
         let scale = crate::scale::ExperimentScale::tiny();
-        let cfg = scale
+        let mut cfg = scale
             .apply(SimConfig::default().with_variant(VariantKind::BaseCssd))
-            .with_threads(2)
-            .with_cores(2);
+            .with_threads(2);
+        cfg.cpu.cores = 2;
         let mut sys = SystemState::new(&cfg, 7, &mut stacked, u64::MAX, 1024, 0.8, 1_000_000);
         sys.run(&mut stacked);
         let (r, _) = sys.into_result("stacked");
@@ -962,8 +964,8 @@ mod tests {
         assert_eq!(r.per_tenant[0].tenant, TenantId(0));
         assert_eq!(r.per_tenant[1].tenant, TenantId(1));
         assert_eq!(r.per_tenant[0].threads, 1);
-        assert_eq!(r.per_tenant[0].accesses(), 40);
-        assert_eq!(r.per_tenant[1].accesses(), 10);
+        assert_eq!(r.per_tenant[0].requests.total(), 40);
+        assert_eq!(r.per_tenant[1].requests.total(), 10);
         // Tenant 0 only reads, tenant 1 only writes.
         assert_eq!(r.per_tenant[0].requests.ssd_write, 0);
         assert_eq!(
@@ -972,7 +974,7 @@ mod tests {
         );
         // Sums close against the global counters.
         assert_eq!(
-            r.per_tenant.iter().map(|t| t.accesses()).sum::<u64>(),
+            r.per_tenant.iter().map(|t| t.requests.total()).sum::<u64>(),
             r.requests.total()
         );
         assert_eq!(
@@ -994,10 +996,10 @@ mod tests {
         // agree exactly.
         let scale = crate::scale::ExperimentScale::tiny().with_accesses_per_thread(300);
         for variant in [VariantKind::BaseCssd, VariantKind::SkyByteFull] {
-            let cfg = scale
+            let mut cfg = scale
                 .apply(SimConfig::default().with_variant(variant))
-                .with_threads(1)
-                .with_cores(4);
+                .with_threads(1);
+            cfg.cpu.cores = 4;
             let workload = skybyte_workloads::WorkloadKind::Ycsb;
             let event = crate::engine::Simulation::with_config(cfg.clone(), workload, &scale).run();
             let reference =
@@ -1044,10 +1046,10 @@ mod tests {
                 let mut scale =
                     crate::scale::ExperimentScale::tiny().with_accesses_per_thread(120);
                 scale.seed = seed;
-                let cfg = scale
+                let mut cfg = scale
                     .apply(SimConfig::default().with_variant(variant))
-                    .with_threads(threads)
-                    .with_cores(cores);
+                    .with_threads(threads);
+                cfg.cpu.cores = cores;
                 let event = crate::engine::Simulation::with_config(cfg.clone(), workload, &scale)
                     .run();
                 let reference = crate::engine::Simulation::with_config(cfg, workload, &scale)

@@ -120,11 +120,6 @@ impl MetricsLog {
             samples: Vec::new(),
         }
     }
-
-    /// The final cumulative sample (the last row), if any was recorded.
-    pub fn final_sample(&self) -> Option<&MetricsSample> {
-        self.samples.last()
-    }
 }
 
 /// Writes the header row of the metrics CSV for the given column dimensions.
@@ -675,7 +670,7 @@ mod tests {
             .collect();
         assert_eq!(rates, vec![0.8, 0.0, 1.0]);
         assert_eq!(out.final_sample.time, Nanos::new(30));
-        assert_eq!(out.metrics.final_sample(), Some(&out.final_sample));
+        assert_eq!(out.metrics.samples.last(), Some(&out.final_sample));
     }
 
     #[test]

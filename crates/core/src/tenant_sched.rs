@@ -93,7 +93,7 @@ mod tests {
 
     #[test]
     fn passthrough_matches_plain_scheduler() {
-        let map = TenantMap::single(4);
+        let map = TenantMap::from_fn(4, |_| TenantId::ZERO);
         let counters = vec![TenantCounters::default()];
         let mut a = rr_with_threads(4);
         let mut b = rr_with_threads(4);

@@ -28,7 +28,6 @@ pub struct ThreadExecutor {
     pending: Option<WorkUnit>,
     /// The next unit of the stream, pulled one step ahead.
     prefetched: Option<WorkUnit>,
-    reissues: u64,
 }
 
 impl ThreadExecutor {
@@ -46,7 +45,6 @@ impl ThreadExecutor {
             issued: 0,
             pending: None,
             prefetched: None,
-            reissues: 0,
         };
         if budget > 0 {
             exec.prefetch(source);
@@ -85,7 +83,6 @@ impl ThreadExecutor {
     /// part is zeroed: it has already been accounted.
     pub fn push_back(&mut self, unit: WorkUnit) {
         debug_assert!(self.pending.is_none(), "only one access can be pending");
-        self.reissues += 1;
         self.pending = Some(WorkUnit {
             instructions: 0,
             access: unit.access,
@@ -96,26 +93,6 @@ impl ThreadExecutor {
     /// for finite sources, thanks to the one-unit prefetch.
     pub fn is_finished(&self) -> bool {
         self.pending.is_none() && self.prefetched.is_none()
-    }
-
-    /// Completed fraction of the work budget (1.0 once the stream ended,
-    /// even if a finite source ended before the budget).
-    pub fn progress(&self) -> f64 {
-        if self.budget == 0 || self.is_finished() {
-            1.0
-        } else {
-            self.issued as f64 / self.budget as f64
-        }
-    }
-
-    /// Number of accesses re-issued after context switches.
-    pub fn reissues(&self) -> u64 {
-        self.reissues
-    }
-
-    /// Number of work units issued from the source.
-    pub fn issued(&self) -> u64 {
-        self.issued
     }
 }
 
@@ -139,8 +116,7 @@ mod tests {
         }
         assert_eq!(count, 5);
         assert!(e.is_finished());
-        assert_eq!(e.progress(), 1.0);
-        assert_eq!(e.issued(), 5);
+        assert_eq!(e.issued, 5);
     }
 
     #[test]
@@ -158,7 +134,6 @@ mod tests {
         }
         assert_eq!(count, 4);
         assert!(e.is_finished());
-        assert_eq!(e.progress(), 1.0);
     }
 
     #[test]
@@ -170,7 +145,6 @@ mod tests {
         let reissued = e.next_unit(&mut s).unwrap();
         assert_eq!(reissued.access, first.access);
         assert_eq!(reissued.instructions, 0);
-        assert_eq!(e.reissues(), 1);
         // The re-issue does not consume budget.
         let mut remaining = 0;
         while e.next_unit(&mut s).is_some() {
@@ -211,6 +185,5 @@ mod tests {
         let mut e = ThreadExecutor::new(0, 0, &mut s);
         assert!(e.next_unit(&mut s).is_none());
         assert!(e.is_finished());
-        assert_eq!(e.progress(), 1.0);
     }
 }

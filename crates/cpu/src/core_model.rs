@@ -57,11 +57,6 @@ impl CoreTimingModel {
     pub fn effective_stall(&self, latency: Nanos) -> Nanos {
         latency.saturating_sub(self.overlap_window())
     }
-
-    /// The clock frequency.
-    pub fn freq(&self) -> Freq {
-        self.freq
-    }
 }
 
 /// Accumulates the memory/compute/context-switch time breakdown of one core
@@ -91,15 +86,6 @@ impl Boundedness {
             return 0.0;
         }
         self.memory.as_nanos() as f64 / busy.as_nanos() as f64
-    }
-
-    /// Fraction of non-idle time bounded by compute.
-    pub fn compute_fraction(&self) -> f64 {
-        let busy = self.compute + self.memory + self.context_switch;
-        if busy == Nanos::ZERO {
-            return 0.0;
-        }
-        self.compute.as_nanos() as f64 / busy.as_nanos() as f64
     }
 
     /// Fraction of non-idle time spent context switching.
@@ -159,8 +145,9 @@ mod tests {
             context_switch: Nanos::new(50),
             idle: Nanos::new(123),
         };
-        let total = b.memory_fraction() + b.compute_fraction() + b.context_switch_fraction();
-        assert!((total - 1.0).abs() < 1e-9);
+        // Compute takes the rest of the busy time: 250 of 1000 ns.
+        let non_compute = b.memory_fraction() + b.context_switch_fraction();
+        assert!((non_compute - 0.75).abs() < 1e-9);
         assert_eq!(b.total(), Nanos::new(1123));
         assert!((b.memory_fraction() - 0.7).abs() < 1e-9);
     }
@@ -169,7 +156,6 @@ mod tests {
     fn boundedness_empty_is_zero() {
         let b = Boundedness::default();
         assert_eq!(b.memory_fraction(), 0.0);
-        assert_eq!(b.compute_fraction(), 0.0);
         assert_eq!(b.context_switch_fraction(), 0.0);
     }
 

@@ -42,11 +42,6 @@ impl HostDram {
         self.busy_until = start + serialisation + self.access_latency;
         start + self.access_latency
     }
-
-    /// The fixed access latency.
-    pub fn access_latency(&self) -> Nanos {
-        self.access_latency
-    }
 }
 
 #[cfg(test)]
@@ -57,7 +52,7 @@ mod tests {
     fn single_access_pays_latency() {
         let mut dram = HostDram::new(&HostDramConfig::default());
         assert_eq!(dram.access(Nanos::ZERO), Nanos::new(70));
-        assert_eq!(dram.access_latency(), Nanos::new(70));
+        assert_eq!(dram.access_latency, Nanos::new(70));
     }
 
     #[test]

@@ -58,11 +58,6 @@ impl CxlPort {
         }
     }
 
-    /// The fixed protocol latency added to each transaction.
-    pub fn protocol_latency(&self) -> Nanos {
-        self.protocol_latency
-    }
-
     /// Serialisation time of `bytes` on the link.
     pub fn transfer_time(&self, bytes: u64) -> Nanos {
         if bytes == 0 {

@@ -14,7 +14,6 @@ use skybyte_types::{FlashTimingConfig, Nanos, Ppa, SsdGeometry};
 /// flushing coalesced pages (§III-B).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FlashArray {
-    geometry: SsdGeometry,
     timing: FlashTimingConfig,
     channels: Vec<ChannelQueue>,
     /// Earliest completion over every channel's in-flight commands
@@ -36,7 +35,6 @@ impl FlashArray {
             "flash array needs at least 1 channel"
         );
         FlashArray {
-            geometry,
             timing,
             channels: (0..geometry.channels)
                 .map(|_| ChannelQueue::new())
@@ -44,11 +42,6 @@ impl FlashArray {
             earliest_completion: Nanos::MAX,
             stats: FlashStats::default(),
         }
-    }
-
-    /// The flash geometry this array models.
-    pub fn geometry(&self) -> &SsdGeometry {
-        &self.geometry
     }
 
     /// The NAND timing parameters in use.
@@ -118,11 +111,6 @@ impl FlashArray {
             .estimate_read_latency(&self.timing)
     }
 
-    /// Aggregate busy time across all channels (for bandwidth utilisation).
-    pub fn total_busy_time(&self) -> Nanos {
-        self.channels.iter().map(|c| c.busy_time()).sum()
-    }
-
     /// Aggregate busy time attributable to the window `[0, horizon]` (see
     /// [`ChannelQueue::busy_time_within`]). Bounded by
     /// `horizon * channel_count` by construction, which the cross-layer
@@ -137,11 +125,6 @@ impl FlashArray {
     /// Traffic statistics accumulated so far.
     pub fn stats(&self) -> &FlashStats {
         &self.stats
-    }
-
-    /// Number of channels.
-    pub fn channel_count(&self) -> usize {
-        self.channels.len()
     }
 
     /// Per-channel queue depths (commands accepted but not yet retired),
@@ -173,8 +156,8 @@ mod tests {
     fn default_geometry_matches_table2() {
         let cfg = SsdConfig::default();
         let arr = FlashArray::new(cfg.geometry, cfg.flash);
-        assert_eq!(arr.channel_count(), 16);
-        assert_eq!(arr.geometry().total_bytes(), 128 << 30);
+        assert_eq!(arr.channels.len(), 16);
+        assert_eq!(cfg.geometry.total_bytes(), 128 << 30);
     }
 
     #[test]
@@ -225,7 +208,7 @@ mod tests {
         assert_eq!(s.pages_programmed, 1);
         assert_eq!(s.blocks_erased, 1);
         assert_eq!(s.avg_read_latency(), Nanos::from_micros(3));
-        assert_eq!(s.avg_program_latency(), Nanos::from_micros(100));
+        assert_eq!(s.total_program_latency, Nanos::from_micros(100));
     }
 
     #[test]
@@ -267,7 +250,7 @@ mod tests {
 
         // At it, only the first channel drains.
         arr.retire_completed(t1);
-        assert_eq!(arr.channel_counters(a).total(), 0);
+        assert_eq!(arr.channel_counters(a), QueueCounters::default());
         assert_eq!(arr.channel_counters(b), before_b);
 
         // A later submit completing before t2 lowers the gate again, and a
@@ -276,7 +259,7 @@ mod tests {
         assert!(t3 < t2);
         assert_eq!(arr.channel_counters(c).reads, 1);
         arr.retire_completed(t3);
-        assert_eq!(arr.channel_counters(c).total(), 0);
+        assert_eq!(arr.channel_counters(c), QueueCounters::default());
         assert_eq!(arr.channel_counters(b), before_b);
         arr.retire_completed(t2);
         assert_eq!(arr.channel_depths(), vec![0; 4]);

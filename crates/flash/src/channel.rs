@@ -34,11 +34,6 @@ pub struct QueueCounters {
 }
 
 impl QueueCounters {
-    /// Total number of commands outstanding.
-    pub fn total(&self) -> u32 {
-        self.reads + self.writes + self.erases
-    }
-
     /// Implements line 5–6 of Algorithm 1: the estimated latency of a *new*
     /// read arriving behind the queued work.
     ///
@@ -185,21 +180,9 @@ impl ChannelQueue {
         self.inflight_reads.len() + self.inflight_writes.len()
     }
 
-    /// Time at which the channel becomes idle given everything submitted so
-    /// far.
-    pub fn busy_until(&self) -> Nanos {
-        self.busy_until
-    }
-
-    /// Total time this channel has spent (or is committed to spend) servicing
-    /// commands.
-    pub fn busy_time(&self) -> Nanos {
-        self.busy_time
-    }
-
     /// Busy time attributable to the window `[0, horizon]`.
     ///
-    /// [`busy_time`](Self::busy_time) charges the full service time of every
+    /// The running `busy_time` total charges the full service time of every
     /// accepted command, including work committed beyond `horizon` (a backlog
     /// still draining when the measured run ends). Because the channel works
     /// without gaps while backlogged, the service committed past `horizon` is
@@ -244,7 +227,7 @@ mod tests {
         let late = Nanos::from_micros(50);
         let b = q.submit(FlashCommandKind::Read, Ppa::default(), late, &t);
         assert_eq!(b.starts_at, late);
-        assert_eq!(b.queueing_delay(), Nanos::ZERO);
+        assert_eq!(b.starts_at, b.submitted_at);
         assert!(a.completes_at < b.starts_at);
     }
 
@@ -255,17 +238,24 @@ mod tests {
         q.submit(FlashCommandKind::Read, Ppa::default(), Nanos::ZERO, &t);
         q.submit(FlashCommandKind::Program, Ppa::default(), Nanos::ZERO, &t);
         q.submit(FlashCommandKind::Erase, Ppa::default(), Nanos::ZERO, &t);
-        assert_eq!(q.counters().total(), 3);
+        assert_eq!(
+            q.counters(),
+            QueueCounters {
+                reads: 1,
+                writes: 1,
+                erases: 1
+            }
+        );
 
         // After tR the read is done.
         assert_eq!(q.retire_completed(Nanos::from_micros(3)), 1);
         assert_eq!(q.counters().reads, 0);
-        assert_eq!(q.counters().total(), 2);
+        assert_eq!(q.counters().writes + q.counters().erases, 2);
 
         // Far in the future everything drains.
         assert_eq!(q.retire_completed(Nanos::from_secs(1)), 2);
         assert_eq!(q.depth(), 0);
-        assert_eq!(q.counters().total(), 0);
+        assert_eq!(q.counters(), QueueCounters::default());
     }
 
     #[test]
@@ -293,8 +283,8 @@ mod tests {
             Nanos::from_micros(500),
             &t,
         );
-        assert_eq!(q.busy_time(), Nanos::from_micros(103));
-        assert_eq!(q.busy_until(), Nanos::from_micros(600));
+        assert_eq!(q.busy_time, Nanos::from_micros(103));
+        assert_eq!(q.busy_until, Nanos::from_micros(600));
     }
 
     #[test]
@@ -305,7 +295,7 @@ mod tests {
         q.submit(FlashCommandKind::Program, Ppa::default(), Nanos::ZERO, &t);
         // Another queues behind it: 100..200us.
         q.submit(FlashCommandKind::Program, Ppa::default(), Nanos::ZERO, &t);
-        assert_eq!(q.busy_time(), Nanos::from_micros(200));
+        assert_eq!(q.busy_time, Nanos::from_micros(200));
         // A horizon mid-way through the second program only counts the part
         // of the committed service that falls inside the window.
         assert_eq!(

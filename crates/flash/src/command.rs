@@ -53,11 +53,6 @@ pub struct FlashCommand {
 }
 
 impl FlashCommand {
-    /// Time spent waiting in the queue before service began.
-    pub fn queueing_delay(&self) -> Nanos {
-        self.starts_at.saturating_sub(self.submitted_at)
-    }
-
     /// Total latency from submission to completion.
     pub fn total_latency(&self) -> Nanos {
         self.completes_at.saturating_sub(self.submitted_at)
@@ -92,7 +87,6 @@ mod tests {
             starts_at: Nanos::new(250),
             completes_at: Nanos::new(3_250),
         };
-        assert_eq!(c.queueing_delay(), Nanos::new(150));
         assert_eq!(c.total_latency(), Nanos::new(3_150));
     }
 

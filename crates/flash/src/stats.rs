@@ -1,7 +1,7 @@
 //! Aggregate flash-array statistics.
 
 use serde::{Deserialize, Serialize};
-use skybyte_types::{Nanos, PAGE_SIZE};
+use skybyte_types::Nanos;
 
 /// Counters describing all traffic that has reached the flash chips.
 ///
@@ -23,31 +23,12 @@ pub struct FlashStats {
 }
 
 impl FlashStats {
-    /// Bytes written to the flash chips so far.
-    pub fn bytes_programmed(&self) -> u64 {
-        self.pages_programmed * PAGE_SIZE as u64
-    }
-
-    /// Bytes read from the flash chips so far.
-    pub fn bytes_read(&self) -> u64 {
-        self.pages_read * PAGE_SIZE as u64
-    }
-
     /// Average end-to-end flash read latency (Table III of the paper).
     pub fn avg_read_latency(&self) -> Nanos {
         if self.pages_read == 0 {
             Nanos::ZERO
         } else {
             self.total_read_latency / self.pages_read
-        }
-    }
-
-    /// Average end-to-end flash program latency.
-    pub fn avg_program_latency(&self) -> Nanos {
-        if self.pages_programmed == 0 {
-            Nanos::ZERO
-        } else {
-            self.total_program_latency / self.pages_programmed
         }
     }
 }
@@ -57,21 +38,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn byte_conversions() {
-        let s = FlashStats {
-            pages_read: 3,
-            pages_programmed: 2,
-            ..Default::default()
-        };
-        assert_eq!(s.bytes_read(), 3 * 4096);
-        assert_eq!(s.bytes_programmed(), 2 * 4096);
-    }
-
-    #[test]
     fn averages_handle_zero() {
         let s = FlashStats::default();
         assert_eq!(s.avg_read_latency(), Nanos::ZERO);
-        assert_eq!(s.avg_program_latency(), Nanos::ZERO);
     }
 
     #[test]
@@ -84,6 +53,5 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(s.avg_read_latency(), Nanos::from_micros(5));
-        assert_eq!(s.avg_program_latency(), Nanos::from_micros(150));
     }
 }

@@ -42,8 +42,6 @@ struct BlockInfo {
     /// are programmed sequentially, so the vector's length always equals
     /// `write_ptr` and lookups are direct indexing instead of hashing.
     contents: Vec<Option<Lpa>>,
-    /// Number of times this block has been erased (wear).
-    erase_count: u32,
 }
 
 impl BlockInfo {
@@ -53,7 +51,6 @@ impl BlockInfo {
             write_ptr: 0,
             valid_pages: 0,
             contents: Vec::new(),
-            erase_count: 0,
         }
     }
 }
@@ -220,16 +217,6 @@ impl BlockManager {
         self.blocks[block.0 as usize].valid_pages
     }
 
-    /// State of a block.
-    pub fn state(&self, block: BlockId) -> BlockState {
-        self.blocks[block.0 as usize].state
-    }
-
-    /// Erase count (wear) of a block.
-    pub fn erase_count(&self, block: BlockId) -> u32 {
-        self.blocks[block.0 as usize].erase_count
-    }
-
     /// The live logical pages stored in a block, as `(page_offset, lpa)`
     /// pairs, sorted by page offset. Used by GC to relocate victims.
     pub fn live_contents(&self, block: BlockId) -> Vec<(u32, Lpa)> {
@@ -259,8 +246,8 @@ impl BlockManager {
             .collect()
     }
 
-    /// Erases a block: all residual contents are dropped, the erase counter
-    /// is incremented and the block returns to the free pool of its channel.
+    /// Erases a block: all residual contents are dropped and the block
+    /// returns to the free pool of its channel.
     ///
     /// # Panics
     ///
@@ -281,7 +268,6 @@ impl BlockManager {
         info.state = BlockState::Free;
         info.write_ptr = 0;
         info.contents.clear();
-        info.erase_count += 1;
         self.free_lists[channel].push_back(block);
         self.free_count += 1;
     }
@@ -365,11 +351,10 @@ mod tests {
         assert_eq!(victims, vec![victim_block]);
         // The block must be Full before erase (4 pages per block / 8 allocs
         // across 2 channels means it is full).
-        assert_eq!(mgr.state(victim_block), BlockState::Full);
+        assert_eq!(mgr.blocks[victim_block.0 as usize].state, BlockState::Full);
         let free_before = mgr.free_blocks();
         mgr.erase_block(victim_block);
-        assert_eq!(mgr.state(victim_block), BlockState::Free);
-        assert_eq!(mgr.erase_count(victim_block), 1);
+        assert_eq!(mgr.blocks[victim_block.0 as usize].state, BlockState::Free);
         assert_eq!(mgr.free_blocks(), free_before + 1);
     }
 
@@ -437,7 +422,9 @@ mod tests {
                     }
                     _ => {
                         let blk = BlockId(arg % mgr.total_blocks());
-                        if mgr.state(blk) == BlockState::Full && mgr.valid_pages(blk) == 0 {
+                        if mgr.blocks[blk.0 as usize].state == BlockState::Full
+                            && mgr.valid_pages(blk) == 0
+                        {
                             mgr.erase_block(blk);
                         }
                     }

@@ -37,8 +37,6 @@ pub struct Ftl {
     /// Logical → physical map indexed by `Lpa::index()`, grown on demand to
     /// the highest LPA mapped; `None` for a page never written.
     mapping: Vec<Option<Ppa>>,
-    /// Number of `Some` entries in `mapping`.
-    mapped: u64,
     blocks: BlockManager,
     channels: u64,
     gc_threshold: f64,
@@ -52,7 +50,6 @@ impl Ftl {
     pub fn new(cfg: &SsdConfig) -> Self {
         Ftl {
             mapping: Vec::new(),
-            mapped: 0,
             blocks: BlockManager::new(cfg.geometry),
             channels: cfg.geometry.channels as u64,
             gc_threshold: cfg.gc_threshold,
@@ -73,20 +70,13 @@ impl Ftl {
         self.translate(lpa).is_some()
     }
 
-    /// Number of mapped logical pages.
-    pub fn mapped_pages(&self) -> u64 {
-        self.mapped
-    }
-
     /// Points `lpa` at `ppa`, growing the map to cover it.
     fn map(&mut self, lpa: Lpa, ppa: Ppa) {
         let i = lpa.index() as usize;
         if i >= self.mapping.len() {
             self.mapping.resize(i + 1, None);
         }
-        if self.mapping[i].replace(ppa).is_none() {
-            self.mapped += 1;
-        }
+        self.mapping[i] = Some(ppa);
     }
 
     /// Reads a logical page from flash.
@@ -163,19 +153,9 @@ impl Ftl {
         now < self.gc_active_until
     }
 
-    /// Time at which the most recent GC campaign finishes.
-    pub fn gc_active_until(&self) -> Nanos {
-        self.gc_active_until
-    }
-
     /// FTL statistics (write amplification, GC activity).
     pub fn stats(&self) -> &FtlStats {
         &self.stats
-    }
-
-    /// Device utilisation (fraction of physical pages holding live data).
-    pub fn utilisation(&self) -> f64 {
-        self.blocks.utilisation()
     }
 
     fn maybe_gc(&mut self, now: Nanos, flash: &mut FlashArray) -> Option<GcReport> {
@@ -292,6 +272,10 @@ mod tests {
         }
     }
 
+    fn mapped_pages(ftl: &Ftl) -> usize {
+        ftl.mapping.iter().filter(|ppa| ppa.is_some()).count()
+    }
+
     fn setup() -> (Ftl, FlashArray) {
         let cfg = tiny_cfg();
         let flash = FlashArray::new(cfg.geometry, FlashTimingConfig::for_kind(NandKind::Ull));
@@ -309,7 +293,7 @@ mod tests {
         assert_eq!(ftl.translate(Lpa::new(3)), Some(out.ppa));
         let done = ftl.read_page(Lpa::new(3), out.completes_at, &mut flash);
         assert!(done.is_some());
-        assert_eq!(ftl.mapped_pages(), 1);
+        assert_eq!(mapped_pages(&ftl), 1);
     }
 
     #[test]
@@ -319,7 +303,7 @@ mod tests {
         let second = ftl.write_page(Lpa::new(1), Nanos::from_micros(200), &mut flash);
         assert_ne!(first.ppa, second.ppa, "updates must go to a new page");
         assert_eq!(ftl.translate(Lpa::new(1)), Some(second.ppa));
-        assert_eq!(ftl.mapped_pages(), 1);
+        assert_eq!(mapped_pages(&ftl), 1);
         assert_eq!(ftl.stats().host_pages_written, 2);
     }
 
@@ -349,7 +333,7 @@ mod tests {
             let ppa = ftl.translate(Lpa::new(i)).expect("page lost by GC");
             assert!(seen.insert(ppa), "two LPAs map to the same PPA");
         }
-        assert_eq!(ftl.mapped_pages(), 32);
+        assert_eq!(mapped_pages(&ftl), 32);
     }
 
     #[test]
@@ -364,50 +348,50 @@ mod tests {
                     saw_gc = true;
                     assert!(gc.blocks_erased > 0);
                     assert!(gc.completes_at >= now);
-                    assert!(ftl.gc_active_until() >= gc.completes_at);
+                    assert!(ftl.gc_active_until >= gc.completes_at);
                 }
                 now += Nanos::from_micros(5);
             }
         }
         assert!(saw_gc);
-        assert!(ftl.gc_active(Nanos::ZERO) || ftl.gc_active_until() > Nanos::ZERO);
+        assert!(ftl.gc_active(Nanos::ZERO) || ftl.gc_active_until > Nanos::ZERO);
     }
 
     #[test]
     fn precondition_maps_without_stats() {
         let (mut ftl, _flash) = setup();
         ftl.precondition((0..64).map(Lpa::new));
-        assert_eq!(ftl.mapped_pages(), 64);
+        assert_eq!(mapped_pages(&ftl), 64);
         assert_eq!(ftl.stats().host_pages_written, 0);
-        assert!(ftl.utilisation() > 0.49);
+        assert!(ftl.blocks.utilisation() > 0.49);
     }
 
     #[test]
     fn utilisation_tracks_writes_not_overwrites() {
         let (mut ftl, mut flash) = setup();
-        assert_eq!(ftl.utilisation(), 0.0);
+        assert_eq!(ftl.blocks.utilisation(), 0.0);
         for i in 0..16u64 {
             ftl.write_page(Lpa::new(i), Nanos::ZERO, &mut flash);
         }
-        assert_eq!(ftl.utilisation(), 16.0 / 128.0);
+        assert_eq!(ftl.blocks.utilisation(), 16.0 / 128.0);
         // An overwrite moves the page; the live-page count stays the same.
         ftl.write_page(Lpa::new(3), Nanos::ZERO, &mut flash);
-        assert_eq!(ftl.utilisation(), 16.0 / 128.0);
+        assert_eq!(ftl.blocks.utilisation(), 16.0 / 128.0);
     }
 
     #[test]
     fn mapped_pages_counts_distinct_lpas() {
         let (mut ftl, mut flash) = setup();
         ftl.precondition((0..8).map(Lpa::new));
-        assert_eq!(ftl.mapped_pages(), 8);
+        assert_eq!(mapped_pages(&ftl), 8);
         // Preconditioning mapped pages again maps nothing new.
         ftl.precondition((4..12).map(Lpa::new));
-        assert_eq!(ftl.mapped_pages(), 12);
+        assert_eq!(mapped_pages(&ftl), 12);
         ftl.write_page(Lpa::new(5), Nanos::ZERO, &mut flash);
         ftl.write_page(Lpa::new(5), Nanos::ZERO, &mut flash);
-        assert_eq!(ftl.mapped_pages(), 12);
+        assert_eq!(mapped_pages(&ftl), 12);
         ftl.write_page(Lpa::new(40), Nanos::ZERO, &mut flash);
-        assert_eq!(ftl.mapped_pages(), 13);
+        assert_eq!(mapped_pages(&ftl), 13);
     }
 
     #[test]
@@ -424,7 +408,7 @@ mod tests {
             .collect();
         assert_eq!(below, vec![2]);
         assert_eq!(ftl.translate(Lpa::new(10_001)), None);
-        assert_eq!(ftl.mapped_pages(), 2);
+        assert_eq!(mapped_pages(&ftl), 2);
     }
 
     #[test]

@@ -33,8 +33,6 @@ pub struct HostMemoryPool {
     active: VecDeque<Lpa>,
     /// Not recently used pages, candidates for eviction (oldest at front).
     inactive: VecDeque<Lpa>,
-    promotions: u64,
-    evictions: u64,
 }
 
 impl HostMemoryPool {
@@ -47,29 +45,12 @@ impl HostMemoryPool {
             resident: FastHashMap::default(),
             active: VecDeque::new(),
             inactive: VecDeque::new(),
-            promotions: 0,
-            evictions: 0,
         }
-    }
-
-    /// Maximum number of promoted pages.
-    pub fn capacity_pages(&self) -> u64 {
-        self.capacity_pages
-    }
-
-    /// Number of pages currently promoted.
-    pub fn resident_pages(&self) -> u64 {
-        self.resident.len() as u64
     }
 
     /// Whether `lpa` is currently promoted.
     pub fn contains(&self, lpa: Lpa) -> bool {
         self.resident.contains_key(&lpa)
-    }
-
-    /// The host frame holding `lpa`, if promoted.
-    pub fn host_page_of(&self, lpa: Lpa) -> Option<PageNumber> {
-        self.resident.get(&lpa).copied()
     }
 
     /// Tries to allocate a host frame for promoting `lpa`.
@@ -97,7 +78,6 @@ impl HostMemoryPool {
         });
         self.resident.insert(lpa, frame);
         self.inactive.push_back(lpa);
-        self.promotions += 1;
         PoolDecision::Allocated(frame)
     }
 
@@ -124,7 +104,6 @@ impl HostMemoryPool {
         self.active.retain(|l| *l != lpa);
         self.inactive.retain(|l| *l != lpa);
         self.free_frames.push(frame);
-        self.evictions += 1;
         Some(frame)
     }
 
@@ -143,16 +122,6 @@ impl HostMemoryPool {
         }
         self.inactive.front().copied()
     }
-
-    /// Number of promotions performed.
-    pub fn promotions(&self) -> u64 {
-        self.promotions
-    }
-
-    /// Number of evictions performed.
-    pub fn evictions(&self) -> u64 {
-        self.evictions
-    }
 }
 
 #[cfg(test)]
@@ -166,12 +135,12 @@ mod tests {
     #[test]
     fn promote_until_full_then_reclaim() {
         let mut p = pool(2);
-        assert_eq!(p.capacity_pages(), 2);
+        assert_eq!(p.capacity_pages, 2);
         let a = p.promote(Lpa::new(1));
         let b = p.promote(Lpa::new(2));
         assert!(matches!(a, PoolDecision::Allocated(_)));
         assert!(matches!(b, PoolDecision::Allocated(_)));
-        assert_eq!(p.resident_pages(), 2);
+        assert_eq!(p.resident.len(), 2);
         // Third promotion requires evicting the coldest page (LPA 1, never
         // re-touched).
         match p.promote(Lpa::new(3)) {
@@ -183,8 +152,9 @@ mod tests {
             PoolDecision::Allocated(frame) => assert_eq!(frame, freed),
             other => panic!("expected allocation, got {other:?}"),
         }
-        assert_eq!(p.promotions(), 3);
-        assert_eq!(p.evictions(), 1);
+        assert_eq!(p.resident.len(), 2);
+        assert!(!p.contains(Lpa::new(1)));
+        assert!(p.contains(Lpa::new(2)) && p.contains(Lpa::new(3)));
     }
 
     #[test]
@@ -223,8 +193,8 @@ mod tests {
             PoolDecision::Allocated(f) => assert_eq!(f, first),
             _ => panic!("resident page should stay allocated"),
         }
-        assert_eq!(p.resident_pages(), 1);
-        assert_eq!(p.host_page_of(Lpa::new(5)), Some(first));
+        assert_eq!(p.resident.len(), 1);
+        assert_eq!(p.resident.get(&Lpa::new(5)), Some(&first));
         assert!(p.contains(Lpa::new(5)));
     }
 
@@ -242,6 +212,6 @@ mod tests {
             p.promote(Lpa::new(1)),
             PoolDecision::NeedsEviction(_)
         ));
-        assert_eq!(p.resident_pages(), 0);
+        assert_eq!(p.resident.len(), 0);
     }
 }

@@ -72,23 +72,9 @@ impl Scheduler {
         id
     }
 
-    /// The scheduling policy in use.
-    pub fn policy(&self) -> SchedPolicy {
-        self.policy
-    }
-
     /// The per-switch overhead charged to the core.
     pub fn context_switch_overhead(&self) -> Nanos {
         self.cs_overhead
-    }
-
-    /// Immutable access to a thread's control block.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the thread id was not produced by [`Scheduler::spawn`].
-    pub fn thread(&self, id: ThreadId) -> &ThreadControlBlock {
-        &self.threads[id.0 as usize]
     }
 
     /// Number of threads that have not finished.
@@ -380,7 +366,7 @@ mod tests {
         // After it, the thread runs again.
         assert_eq!(s.schedule_on(0, wake), Some(a));
         assert_eq!(s.stats().context_switches, 1);
-        assert_eq!(s.thread(a).switches, 1);
+        assert_eq!(s.threads[a.0 as usize].switches, 1);
     }
 
     #[test]

@@ -74,16 +74,6 @@ impl TppSampler {
     pub fn take_candidate(&mut self) -> Option<Lpa> {
         self.candidates.pop()
     }
-
-    /// Number of candidates waiting to be promoted.
-    pub fn pending_candidates(&self) -> usize {
-        self.candidates.len()
-    }
-
-    /// Number of completed sampling windows.
-    pub fn windows(&self) -> u64 {
-        self.windows
-    }
 }
 
 #[cfg(test)]
@@ -106,9 +96,9 @@ mod tests {
         for i in 0..20u64 {
             s.record_access(Lpa::new(0), Nanos::new(i * 1000));
         }
-        assert_eq!(s.pending_candidates(), 0, "no candidates mid-window");
+        assert_eq!(s.candidates.len(), 0, "no candidates mid-window");
         s.roll_window(Nanos::from_micros(200));
-        assert!(s.windows() >= 1);
+        assert!(s.windows >= 1);
         assert_eq!(s.take_candidate(), Some(Lpa::new(0)));
         assert_eq!(s.take_candidate(), None);
     }
@@ -118,7 +108,7 @@ mod tests {
         let mut s = sampler();
         s.record_access(Lpa::new(0), Nanos::new(10));
         s.roll_window(Nanos::from_micros(200));
-        assert_eq!(s.pending_candidates(), 0);
+        assert_eq!(s.candidates.len(), 0);
     }
 
     #[test]
@@ -131,11 +121,7 @@ mod tests {
             }
         }
         s.roll_window(Nanos::from_micros(150));
-        assert_eq!(
-            s.pending_candidates(),
-            4,
-            "bounded by promotions_per_period"
-        );
+        assert_eq!(s.candidates.len(), 4, "bounded by promotions_per_period");
     }
 
     #[test]
@@ -147,6 +133,6 @@ mod tests {
             s.record_access(Lpa::new(3), Nanos::new(i * 100));
         }
         s.roll_window(Nanos::from_micros(200));
-        assert_eq!(s.pending_candidates(), 0);
+        assert_eq!(s.candidates.len(), 0);
     }
 }

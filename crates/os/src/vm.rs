@@ -20,13 +20,6 @@ pub enum PagePlacement {
     CxlSsd(Lpa),
 }
 
-impl PagePlacement {
-    /// Whether the page is in host DRAM.
-    pub fn is_host(&self) -> bool {
-        matches!(self, PagePlacement::HostDram(_))
-    }
-}
-
 /// The OS page table for the simulated workload address space.
 ///
 /// By default every virtual page is identity-mapped into the CXL-SSD
@@ -36,8 +29,6 @@ impl PagePlacement {
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct PageTable {
     overrides: FastHashMap<PageNumber, PagePlacement>,
-    promoted_pages: u64,
-    updates: u64,
 }
 
 impl PageTable {
@@ -65,10 +56,6 @@ impl PageTable {
         let old = self.translate(vpage);
         self.overrides
             .insert(vpage, PagePlacement::HostDram(host_page));
-        if !old.is_host() {
-            self.promoted_pages += 1;
-        }
-        self.updates += 1;
         old
     }
 
@@ -77,25 +64,11 @@ impl PageTable {
     pub fn demote(&mut self, vpage: PageNumber, lpa: Lpa) -> PagePlacement {
         let old = self.translate(vpage);
         self.overrides.insert(vpage, PagePlacement::CxlSsd(lpa));
-        if old.is_host() {
-            self.promoted_pages = self.promoted_pages.saturating_sub(1);
-        }
-        self.updates += 1;
         old
-    }
-
-    /// Number of virtual pages currently placed in host DRAM.
-    pub fn promoted_pages(&self) -> u64 {
-        self.promoted_pages
-    }
-
-    /// Number of PTE updates performed (promotions + demotions).
-    pub fn pte_updates(&self) -> u64 {
-        self.updates
     }
 }
 
-/// A fully-associative LRU TLB with shootdown accounting.
+/// A fully-associative LRU TLB with shootdowns.
 ///
 /// Recency is a strict total order (`tick` increments on every access), so
 /// LRU selection does not depend on storage order. Entries map page →
@@ -113,9 +86,6 @@ pub struct Tlb {
     entries: FastHashMap<PageNumber, u64>,
     access_log: VecDeque<(u64, PageNumber)>,
     tick: u64,
-    hits: u64,
-    misses: u64,
-    shootdowns: u64,
     miss_penalty: Nanos,
 }
 
@@ -133,9 +103,6 @@ impl Tlb {
             entries: FastHashMap::with_capacity_and_hasher(capacity, Default::default()),
             access_log: VecDeque::with_capacity(capacity),
             tick: 0,
-            hits: 0,
-            misses: 0,
-            shootdowns: 0,
             miss_penalty,
         }
     }
@@ -150,10 +117,8 @@ impl Tlb {
         if let Some(t) = self.entries.get_mut(&vpage) {
             *t = tick;
             self.access_log.push_back((tick, vpage));
-            self.hits += 1;
             return Nanos::ZERO;
         }
-        self.misses += 1;
         if self.entries.len() >= self.capacity {
             // Pop log records until one still names a page's most recent
             // access; that page is the true LRU victim.
@@ -183,26 +148,22 @@ impl Tlb {
     /// Invalidates the entry for `vpage` (TLB shootdown after a migration).
     /// Returns `true` if an entry was present.
     pub fn shootdown(&mut self, vpage: PageNumber) -> bool {
-        self.shootdowns += 1;
         // The page's log records become stale and are skipped (or compacted)
         // lazily.
         self.entries.remove(&vpage).is_some()
-    }
-
-    /// (hits, misses) counters.
-    pub fn hit_miss(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-
-    /// Number of shootdowns received.
-    pub fn shootdowns(&self) -> u64 {
-        self.shootdowns
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn promoted_pages(pt: &PageTable) -> usize {
+        pt.overrides
+            .values()
+            .filter(|p| matches!(p, PagePlacement::HostDram(_)))
+            .count()
+    }
 
     #[test]
     fn default_mapping_is_identity_into_ssd() {
@@ -211,8 +172,11 @@ mod tests {
             pt.translate(PageNumber(42)),
             PagePlacement::CxlSsd(Lpa::new(42))
         );
-        assert!(!pt.translate(PageNumber(42)).is_host());
-        assert_eq!(pt.promoted_pages(), 0);
+        assert!(!matches!(
+            pt.translate(PageNumber(42)),
+            PagePlacement::HostDram(_)
+        ));
+        assert_eq!(promoted_pages(&pt), 0);
     }
 
     #[test]
@@ -224,14 +188,13 @@ mod tests {
             pt.translate(PageNumber(1)),
             PagePlacement::HostDram(PageNumber(1000))
         );
-        assert_eq!(pt.promoted_pages(), 1);
+        assert_eq!(promoted_pages(&pt), 1);
         // Promoting an already-promoted page does not double count.
         pt.promote(PageNumber(1), PageNumber(1001));
-        assert_eq!(pt.promoted_pages(), 1);
+        assert_eq!(promoted_pages(&pt), 1);
         let old = pt.demote(PageNumber(1), Lpa::new(1));
-        assert!(old.is_host());
-        assert_eq!(pt.promoted_pages(), 0);
-        assert_eq!(pt.pte_updates(), 3);
+        assert!(matches!(old, PagePlacement::HostDram(_)));
+        assert_eq!(promoted_pages(&pt), 0);
     }
 
     #[test]
@@ -243,9 +206,9 @@ mod tests {
         // Touch 1 so 2 is LRU, then insert 3: 2 evicted.
         tlb.access(PageNumber(1));
         tlb.access(PageNumber(3));
+        assert!(tlb.entries.contains_key(&PageNumber(1)));
+        assert!(!tlb.entries.contains_key(&PageNumber(2)));
         assert_eq!(tlb.access(PageNumber(2)), Nanos::new(100));
-        let (hits, misses) = tlb.hit_miss();
-        assert!(hits >= 2 && misses >= 3);
     }
 
     #[test]
@@ -254,7 +217,6 @@ mod tests {
         tlb.access(PageNumber(9));
         assert!(tlb.shootdown(PageNumber(9)));
         assert!(!tlb.shootdown(PageNumber(9)));
-        assert_eq!(tlb.shootdowns(), 2);
         assert_eq!(tlb.access(PageNumber(9)), Nanos::new(50));
     }
 

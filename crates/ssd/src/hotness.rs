@@ -145,11 +145,6 @@ impl HotnessTracker {
         self.candidates.len() > before
     }
 
-    /// Current hotness count of a page (0 for untracked or promoted pages).
-    pub fn count(&self, lpa: Lpa) -> u32 {
-        self.counts.get(&lpa).copied().unwrap_or(0)
-    }
-
     /// Takes the next promotion candidate, filtered by `eligible` (typically
     /// "is the page still resident in the data cache"). Ineligible
     /// candidates are dropped back to cold state so they can re-qualify.
@@ -170,11 +165,6 @@ impl HotnessTracker {
         None
     }
 
-    /// Number of pending candidates.
-    pub fn pending_candidates(&self) -> usize {
-        self.candidates.len()
-    }
-
     /// Marks a page as promoted so it is no longer tracked.
     pub fn mark_promoted(&mut self, lpa: Lpa) {
         self.promoted.insert(lpa);
@@ -186,11 +176,6 @@ impl HotnessTracker {
     pub fn mark_demoted(&mut self, lpa: Lpa) {
         self.promoted.remove(&lpa);
         self.counts.remove(&lpa);
-    }
-
-    /// Number of pages currently marked promoted.
-    pub fn promoted_count(&self) -> usize {
-        self.promoted.len()
     }
 
     /// Number of pages the tracker currently holds state for (counters,
@@ -205,6 +190,11 @@ impl HotnessTracker {
 mod tests {
     use super::*;
 
+    /// Current hotness count of a page (0 for untracked or promoted pages).
+    fn count(t: &HotnessTracker, lpa: Lpa) -> u32 {
+        t.counts.get(&lpa).copied().unwrap_or(0)
+    }
+
     #[test]
     fn crosses_threshold_once() {
         let mut t = HotnessTracker::new(HotnessPolicyKind::Threshold, 3);
@@ -213,8 +203,8 @@ mod tests {
         assert!(t.record_access(Lpa::new(1)));
         // Further accesses do not re-nominate.
         assert!(!t.record_access(Lpa::new(1)));
-        assert_eq!(t.count(Lpa::new(1)), 4);
-        assert_eq!(t.pending_candidates(), 1);
+        assert_eq!(count(&t, Lpa::new(1)), 4);
+        assert_eq!(t.candidates.len(), 1);
     }
 
     #[test]
@@ -225,9 +215,9 @@ mod tests {
         // Page 2 is not eligible (e.g. evicted from the data cache).
         let got = t.take_candidate(&mut |lpa| lpa == Lpa::new(1));
         assert_eq!(got, Some(Lpa::new(1)));
-        assert_eq!(t.pending_candidates(), 0);
+        assert_eq!(t.candidates.len(), 0);
         // Page 2 was reset, not lost: it can re-qualify.
-        assert_eq!(t.count(Lpa::new(2)), 0);
+        assert_eq!(count(&t, Lpa::new(2)), 0);
         assert!(t.record_access(Lpa::new(2)));
     }
 
@@ -236,12 +226,12 @@ mod tests {
         let mut t = HotnessTracker::new(HotnessPolicyKind::Threshold, 2);
         t.record_access(Lpa::new(5));
         t.mark_promoted(Lpa::new(5));
-        assert_eq!(t.promoted_count(), 1);
+        assert_eq!(t.promoted.len(), 1);
         assert!(!t.record_access(Lpa::new(5)));
-        assert_eq!(t.count(Lpa::new(5)), 0);
+        assert_eq!(count(&t, Lpa::new(5)), 0);
         // After demotion the page is tracked again.
         t.mark_demoted(Lpa::new(5));
-        assert_eq!(t.promoted_count(), 0);
+        assert_eq!(t.promoted.len(), 0);
         assert!(!t.record_access(Lpa::new(5)));
         assert!(t.record_access(Lpa::new(5)));
     }
@@ -250,9 +240,9 @@ mod tests {
     fn mark_promoted_clears_pending_candidacy() {
         let mut t = HotnessTracker::new(HotnessPolicyKind::Threshold, 1);
         t.record_access(Lpa::new(9));
-        assert_eq!(t.pending_candidates(), 1);
+        assert_eq!(t.candidates.len(), 1);
         t.mark_promoted(Lpa::new(9));
-        assert_eq!(t.pending_candidates(), 0);
+        assert_eq!(t.candidates.len(), 0);
         assert_eq!(t.take_candidate(&mut |_| true), None);
     }
 
@@ -270,7 +260,7 @@ mod tests {
         // The reset entry is removed, not stored as an explicit zero …
         assert_eq!(t.tracked_pages(), 0);
         // … which is observationally identical to a zero count.
-        assert_eq!(t.count(Lpa::new(7)), 0);
+        assert_eq!(count(&t, Lpa::new(7)), 0);
         assert!(t.record_access(Lpa::new(7)));
     }
 
@@ -287,8 +277,8 @@ mod tests {
         }
         // The one-shot pages decayed to zero and were dropped; the hot page
         // survives with a halved count.
-        assert_eq!(t.count(Lpa::new(5)), 0);
-        assert!(t.count(Lpa::new(777)) > 0);
+        assert_eq!(count(&t, Lpa::new(5)), 0);
+        assert!(count(&t, Lpa::new(777)) > 0);
         assert!(t.tracked_pages() < 100);
     }
 
@@ -299,7 +289,7 @@ mod tests {
         assert!(t.record_access(Lpa::new(1)));
         // Above-threshold accesses do not duplicate the pending candidacy.
         assert!(!t.record_access(Lpa::new(1)));
-        assert_eq!(t.pending_candidates(), 1);
+        assert_eq!(t.candidates.len(), 1);
     }
 
     #[test]
@@ -316,11 +306,11 @@ mod tests {
             nominated |= t.record_access(lpa);
         }
         assert!(nominated, "closing the window nominates candidates");
-        assert!(t.pending_candidates() <= TOPK_CANDIDATES);
+        assert!(t.candidates.len() <= TOPK_CANDIDATES);
         let got = t.take_candidate(&mut |_| true).expect("candidate");
         assert!(got.index() < 4, "only re-referenced hot pages qualify");
         // Counts reset between windows: memory stays bounded.
-        assert_eq!(t.count(Lpa::new(0)), 0);
+        assert_eq!(count(&t, Lpa::new(0)), 0);
     }
 
     #[test]
@@ -338,10 +328,10 @@ mod tests {
             let mut t = HotnessTracker::new(kind, 2);
             t.record_access(Lpa::new(1));
             t.mark_promoted(Lpa::new(9));
-            assert_eq!(t.promoted_count(), 1);
+            assert_eq!(t.promoted.len(), 1);
             assert!(t.tracked_pages() >= 1);
             t.mark_demoted(Lpa::new(9));
-            assert_eq!(t.promoted_count(), 0);
+            assert_eq!(t.promoted.len(), 0);
         }
     }
 }

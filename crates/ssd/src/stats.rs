@@ -42,13 +42,6 @@ pub struct AccessBreakdown {
     pub flash: Nanos,
 }
 
-impl AccessBreakdown {
-    /// Total device-side latency of the access.
-    pub fn total(&self) -> Nanos {
-        self.indexing + self.ssd_dram + self.flash
-    }
-}
-
 /// Aggregate counters of the SSD controller.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SsdStats {
@@ -96,66 +89,9 @@ pub struct SsdStats {
     pub tracked_pages: u64,
 }
 
-impl SsdStats {
-    /// Total accesses received.
-    pub fn total_accesses(&self) -> u64 {
-        self.reads + self.writes
-    }
-
-    /// Fraction of reads that hit in SSD DRAM (log or cache).
-    pub fn read_hit_rate(&self) -> f64 {
-        if self.reads == 0 {
-            return 0.0;
-        }
-        (self.read_log_hits + self.read_cache_hits + self.read_zero_fills) as f64
-            / self.reads as f64
-    }
-
-    /// Average compaction busy time per campaign. Because
-    /// [`compaction_time`](Self::compaction_time) is a union measure, this
-    /// under-reports the true per-campaign duration when campaigns overlap —
-    /// it answers "how much device-busy time did a campaign cost on
-    /// average", not "how long did a campaign run".
-    pub fn avg_compaction_time(&self) -> Nanos {
-        if self.compactions == 0 {
-            Nanos::ZERO
-        } else {
-            self.compaction_time / self.compactions
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn breakdown_total() {
-        let b = AccessBreakdown {
-            indexing: Nanos::new(72),
-            ssd_dram: Nanos::new(90),
-            flash: Nanos::from_micros(3),
-        };
-        assert_eq!(b.total(), Nanos::new(3162));
-    }
-
-    #[test]
-    fn hit_rate_and_averages() {
-        let mut s = SsdStats::default();
-        assert_eq!(s.read_hit_rate(), 0.0);
-        assert_eq!(s.avg_compaction_time(), Nanos::ZERO);
-        s.reads = 10;
-        s.read_log_hits = 3;
-        s.read_cache_hits = 4;
-        s.read_zero_fills = 1;
-        s.read_flash_misses = 2;
-        assert!((s.read_hit_rate() - 0.8).abs() < 1e-12);
-        s.compactions = 2;
-        s.compaction_time = Nanos::from_micros(300);
-        assert_eq!(s.avg_compaction_time(), Nanos::from_micros(150));
-        s.writes = 5;
-        assert_eq!(s.total_accesses(), 15);
-    }
 
     #[test]
     fn served_by_display() {

@@ -69,6 +69,12 @@ const CHUNK_RECORDS: u64 = 512;
 /// larger as corrupt.
 pub const MAX_SOURCE_IDENTITY_BYTES: usize = 4096;
 
+/// Maximum number of thread streams a header may declare. Readers allocate
+/// per-thread state from the declared count before any record is read, so
+/// the reader rejects larger counts as corrupt instead of allocating for
+/// them, and the writer refuses to produce such a file.
+pub const MAX_THREADS: u32 = 65_536;
+
 /// Truncates `s` to at most [`MAX_SOURCE_IDENTITY_BYTES`] on a UTF-8
 /// boundary.
 fn clip_identity(s: &str) -> &str {
@@ -85,7 +91,7 @@ fn clip_identity(s: &str) -> &str {
 /// The self-describing provenance header of an `.sbt` file.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceHeader {
-    /// Number of per-thread streams in the file.
+    /// Number of per-thread streams in the file, 1 to [`MAX_THREADS`].
     pub threads: u32,
     /// Footprint of the traced workload in bytes (provenance; compositors
     /// propagate the maximum of their inputs).
@@ -107,6 +113,9 @@ impl TraceHeader {
     /// [`MAX_SOURCE_IDENTITY_BYTES`] are truncated so the file stays
     /// readable (the reader rejects longer ones as corrupt).
     fn write_to<W: Write>(&self, out: &mut W) -> Result<(), TraceError> {
+        if self.threads == 0 || self.threads > MAX_THREADS {
+            return Err(TraceError::Corrupt("thread count out of range"));
+        }
         let source = clip_identity(&self.source);
         let version = if self.tenant_of_thread.is_some() {
             TENANT_FORMAT_VERSION
@@ -157,7 +166,7 @@ impl TraceHeader {
             return Err(TraceError::UnsupportedVersion(version));
         }
         let threads = varint::read_u64(input)?;
-        if threads == 0 || threads > u32::MAX as u64 {
+        if threads == 0 || threads > MAX_THREADS as u64 {
             return Err(TraceError::Corrupt("thread count out of range"));
         }
         let footprint_bytes = varint::read_u64(input)?;
@@ -394,7 +403,6 @@ pub struct TraceReader<R: Read> {
     last_addr: Vec<u64>,
     /// `(thread, records remaining)` of the chunk being decoded.
     current: Option<(u32, u64)>,
-    records_read: u64,
 }
 
 impl<R: Read> TraceReader<R> {
@@ -407,18 +415,12 @@ impl<R: Read> TraceReader<R> {
             last_addr: vec![0; threads as usize],
             header,
             current: None,
-            records_read: 0,
         })
     }
 
     /// The file's provenance header.
     pub fn header(&self) -> &TraceHeader {
         &self.header
-    }
-
-    /// Records decoded so far.
-    pub fn records_read(&self) -> u64 {
-        self.records_read
     }
 
     /// The next `(thread, record)` pair, or `None` at clean EOF.
@@ -434,7 +436,6 @@ impl<R: Read> TraceReader<R> {
                     .decoder
                     .read_record(&mut self.last_addr[thread as usize])?;
                 self.current = Some((thread, remaining - 1));
-                self.records_read += 1;
                 return Ok(Some((thread, record)));
             }
             match self.decoder.next_chunk()? {
@@ -698,6 +699,38 @@ mod tests {
             w.push(2, &TraceRecord::read(0, 0)),
             Err(TraceError::ThreadOutOfRange { .. })
         ));
+    }
+
+    #[test]
+    fn header_thread_counts_above_the_bound_are_corrupt() {
+        let declaring = |threads: u64| {
+            let mut bytes = Vec::new();
+            bytes.extend_from_slice(&MAGIC);
+            varint::write_u64(&mut bytes, FORMAT_VERSION as u64).unwrap();
+            varint::write_u64(&mut bytes, threads).unwrap();
+            varint::write_u64(&mut bytes, 1).unwrap(); // footprint
+            varint::write_u64(&mut bytes, 0).unwrap(); // seed
+            varint::write_u64(&mut bytes, 0).unwrap(); // empty source
+            bytes
+        };
+        // A reader allocates per-thread state from the declared count, so
+        // an oversized count must fail before that allocation.
+        for threads in [MAX_THREADS as u64 + 1, 4_000_000_000, u32::MAX as u64] {
+            assert!(matches!(
+                TraceReader::new(declaring(threads).as_slice()),
+                Err(TraceError::Corrupt("thread count out of range"))
+            ));
+        }
+        let at_bound = declaring(MAX_THREADS as u64);
+        let reader = TraceReader::new(at_bound.as_slice()).unwrap();
+        assert_eq!(reader.header().threads, MAX_THREADS);
+        // The writer refuses to produce a file the reader would reject.
+        for threads in [0, MAX_THREADS + 1] {
+            assert!(matches!(
+                TraceWriter::new(Vec::new(), &header(threads)),
+                Err(TraceError::Corrupt("thread count out of range"))
+            ));
+        }
     }
 
     #[test]

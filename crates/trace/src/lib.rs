@@ -61,7 +61,7 @@ pub use compose::{BoxedSource, Concat, LoopN, Mix, Shift, Tenants};
 pub use error::TraceError;
 pub use format::{
     ThreadReader, TraceHeader, TraceReader, TraceWriter, FORMAT_VERSION, MAGIC,
-    MAX_SOURCE_IDENTITY_BYTES, TENANT_FORMAT_VERSION,
+    MAX_SOURCE_IDENTITY_BYTES, MAX_THREADS, TENANT_FORMAT_VERSION,
 };
 pub use record::TraceRecord;
 pub use source::{record_to_file, Record, TraceFileSource, TraceSource, VecSource};

@@ -88,11 +88,6 @@ impl<S: TraceSource, W: Write> Record<S, W> {
         Record { inner, writer }
     }
 
-    /// Records pushed to the writer so far.
-    pub fn records_written(&self) -> u64 {
-        self.writer.records_written()
-    }
-
     /// Flushes the writer and returns the inner source.
     pub fn finish(self) -> Result<S, TraceError> {
         self.writer.finish()?;
@@ -137,6 +132,12 @@ impl<S: TraceSource, W: Write + std::fmt::Debug> TraceSource for Record<S, W> {
 /// thread→tenant table in the header, and replay reports each stream's
 /// recorded tenant — so a mix recorded from [`crate::compose::Tenants`]
 /// replays with the same tenant partition it was simulated with.
+///
+/// Replay rejects a record whose address lies at or past the header's
+/// `footprint_bytes` as [`TraceError::Corrupt`]: the simulated device is
+/// sized from the footprint, and its FTL map grows to the highest page
+/// written, so one stray address could otherwise ask for more memory than
+/// the host has.
 #[derive(Debug)]
 pub struct TraceFileSource {
     path: PathBuf,
@@ -162,11 +163,6 @@ impl TraceFileSource {
     pub fn header(&self) -> &TraceHeader {
         &self.header
     }
-
-    /// The path being replayed.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
 }
 
 impl TraceSource for TraceFileSource {
@@ -186,12 +182,20 @@ impl TraceSource for TraceFileSource {
     }
 
     fn next_record(&mut self, thread: u32) -> Result<Option<TraceRecord>, TraceError> {
-        match self.cursors.get_mut(thread as usize) {
-            Some(cursor) => cursor.next(),
-            None => Err(TraceError::ThreadOutOfRange {
-                threads: self.header.threads,
-                requested: thread,
-            }),
+        let record = match self.cursors.get_mut(thread as usize) {
+            Some(cursor) => cursor.next()?,
+            None => {
+                return Err(TraceError::ThreadOutOfRange {
+                    threads: self.header.threads,
+                    requested: thread,
+                })
+            }
+        };
+        match record {
+            Some(r) if r.addr() >= self.header.footprint_bytes => Err(TraceError::Corrupt(
+                "record address lies past the header's footprint",
+            )),
+            record => Ok(record),
         }
     }
 
@@ -340,6 +344,31 @@ mod tests {
     }
 
     #[test]
+    fn replay_rejects_records_past_the_footprint() {
+        let path = tmp_path("past-footprint");
+        let header = TraceHeader {
+            threads: 1,
+            footprint_bytes: 1 << 20,
+            seed: 0,
+            source: "vec:far".into(),
+            tenant_of_thread: None,
+        };
+        let last_inside = TraceRecord::read(1, (1 << 20) - 64);
+        let stream = vec![last_inside, TraceRecord::write(1, 1 << 20)];
+        let mut source = VecSource::new("far", vec![stream]);
+        record_to_file(&mut source, &path, &header, u64::MAX).unwrap();
+        let mut replay = TraceFileSource::open(&path).unwrap();
+        assert_eq!(replay.next_record(0).unwrap(), Some(last_inside));
+        assert!(matches!(
+            replay.next_record(0),
+            Err(TraceError::Corrupt(
+                "record address lies past the header's footprint"
+            ))
+        ));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn record_tee_then_file_replay_is_identical() {
         let path = tmp_path("tee");
         let streams = vec![records(700, 0), records(650, 1 << 20)];
@@ -366,7 +395,7 @@ mod tests {
                 break;
             }
         }
-        assert_eq!(tee.records_written(), 1350);
+        assert_eq!(tee.writer.records_written(), 1350);
         tee.finish().unwrap();
         assert_eq!(pulled, streams);
 

@@ -41,12 +41,6 @@ impl PageNumber {
     pub const fn index(self) -> u64 {
         self.0
     }
-
-    /// Returns the byte address of the first byte of this page.
-    #[inline]
-    pub const fn base_address(self) -> u64 {
-        self.0 * PAGE_SIZE as u64
-    }
 }
 
 impl fmt::Display for PageNumber {
@@ -107,21 +101,6 @@ macro_rules! byte_addr_type {
             #[inline]
             pub const fn page_aligned(self) -> Self {
                 Self(self.0 - self.0 % PAGE_SIZE as u64)
-            }
-
-            /// Builds an address from a page number and a byte offset within
-            /// the page.
-            ///
-            /// # Panics
-            ///
-            /// Panics if `offset >= PAGE_SIZE`.
-            #[inline]
-            pub fn from_page_and_offset(page: PageNumber, offset: u64) -> Self {
-                assert!(
-                    (offset as usize) < PAGE_SIZE,
-                    "page offset {offset} out of range"
-                );
-                Self(page.base_address() + offset)
             }
 
             /// Returns the address advanced by `bytes`.
@@ -268,20 +247,6 @@ mod tests {
         assert_eq!(a.cacheline_in_page(), 2);
         assert_eq!(a.cacheline_aligned().as_u64() % 64, 0);
         assert_eq!(a.page_aligned().as_u64(), 3 * 4096);
-    }
-
-    #[test]
-    fn from_page_and_offset_round_trips() {
-        let p = PageNumber(42);
-        let a = PhysAddr::from_page_and_offset(p, 100);
-        assert_eq!(a.page(), p);
-        assert_eq!(a.page_offset(), 100);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn from_page_and_offset_rejects_large_offset() {
-        let _ = VirtAddr::from_page_and_offset(PageNumber(1), PAGE_SIZE as u64);
     }
 
     #[test]

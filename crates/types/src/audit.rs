@@ -21,8 +21,8 @@
 //!     "1 picked + 1 bought != 3 in the basket".into()
 //! });
 //! assert!(!report.is_clean());
-//! assert_eq!(report.violated_names(), vec!["oranges-conserved"]);
 //! assert_eq!(report.checked(), 2);
+//! assert!(report.to_string().contains("[oranges-conserved] 1 picked"));
 //! ```
 
 use serde::{Deserialize, Serialize};
@@ -82,39 +82,9 @@ impl AuditReport {
         self.checked.len()
     }
 
-    /// Names of every invariant evaluated, in order.
-    pub fn checked_names(&self) -> Vec<&str> {
-        self.checked.iter().map(String::as_str).collect()
-    }
-
     /// Whether every checked invariant held.
     pub fn is_clean(&self) -> bool {
         self.violations.is_empty()
-    }
-
-    /// The violations, in evaluation order.
-    pub fn violations(&self) -> &[Violation] {
-        &self.violations
-    }
-
-    /// Names of the violated invariants, in evaluation order.
-    pub fn violated_names(&self) -> Vec<&str> {
-        self.violations
-            .iter()
-            .map(|v| v.invariant.as_str())
-            .collect()
-    }
-
-    /// Whether the named invariant was checked and found violated.
-    pub fn violated(&self, invariant: &str) -> bool {
-        self.violations.iter().any(|v| v.invariant == invariant)
-    }
-
-    /// Merges another report into this one (used when auditing a batch of
-    /// runs).
-    pub fn merge(&mut self, other: AuditReport) {
-        self.checked.extend(other.checked);
-        self.violations.extend(other.violations);
     }
 
     /// Panics with every violated invariant's name and detail if the report
@@ -159,8 +129,8 @@ mod tests {
         r.check("a", true, || unreachable!("detail must be lazy"));
         assert!(r.is_clean());
         assert_eq!(r.checked(), 1);
-        assert_eq!(r.checked_names(), vec!["a"]);
-        assert!(r.violated_names().is_empty());
+        assert_eq!(r.checked, vec!["a"]);
+        assert!(r.violations.is_empty());
         r.assert_clean("test run");
         assert!(r.to_string().contains("audit clean (1 invariants checked)"));
     }
@@ -171,9 +141,8 @@ mod tests {
         r.check("pages-conserved", false, || "3 + 4 != 8".to_string());
         r.check("time-monotone", true, || unreachable!());
         assert!(!r.is_clean());
-        assert!(r.violated("pages-conserved"));
-        assert!(!r.violated("time-monotone"));
-        assert_eq!(r.violated_names(), vec!["pages-conserved"]);
+        let violated: Vec<&str> = r.violations.iter().map(|v| v.invariant.as_str()).collect();
+        assert_eq!(violated, vec!["pages-conserved"]);
         let rendered = r.to_string();
         assert!(rendered.contains("[pages-conserved] 3 + 4 != 8"));
         assert!(rendered.contains("1 of 2"));
@@ -185,17 +154,6 @@ mod tests {
         let mut r = AuditReport::new();
         r.check("pages-conserved", false, || "counts diverged".to_string());
         r.assert_clean("unit test");
-    }
-
-    #[test]
-    fn merge_combines_checks_and_violations() {
-        let mut a = AuditReport::new();
-        a.check("x", true, || unreachable!());
-        let mut b = AuditReport::new();
-        b.check("y", false, || "bad".to_string());
-        a.merge(b);
-        assert_eq!(a.checked(), 2);
-        assert!(a.violated("y"));
     }
 
     #[test]

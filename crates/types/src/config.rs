@@ -275,13 +275,6 @@ pub struct SsdDramConfig {
     pub index_resize_load_factor: f64,
 }
 
-impl SsdDramConfig {
-    /// Total SSD DRAM devoted to caching (write log + data cache).
-    pub fn total_bytes(&self) -> u64 {
-        self.data_cache_bytes + self.write_log_bytes
-    }
-}
-
 impl Default for SsdDramConfig {
     fn default() -> Self {
         SsdDramConfig {
@@ -625,10 +618,10 @@ impl fmt::Debug for TelemetryConfig {
 /// ```
 /// use skybyte_types::prelude::*;
 ///
-/// let cfg = SimConfig::default()
+/// let mut cfg = SimConfig::default()
 ///     .with_variant(VariantKind::SkyByteFull)
-///     .with_threads(24)
-///     .with_cs_threshold(Nanos::from_micros(2));
+///     .with_threads(24);
+/// cfg.cs_threshold = Nanos::from_micros(2);
 /// cfg.validate().unwrap();
 /// assert!(cfg.variant.write_log());
 /// assert!(cfg.variant.context_switch());
@@ -709,55 +702,9 @@ impl SimConfig {
         self
     }
 
-    /// Sets the context-switch trigger threshold (artifact knob `cs_threshold`).
-    pub fn with_cs_threshold(mut self, threshold: Nanos) -> Self {
-        self.cs_threshold = threshold;
-        self
-    }
-
-    /// Sets the thread scheduling policy (artifact knob `t_policy`).
-    pub fn with_sched_policy(mut self, policy: SchedPolicy) -> Self {
-        self.sched_policy = policy;
-        self
-    }
-
-    /// Sets the SSD DRAM data-cache size (artifact knob `ssd_cache_size_byte`).
-    pub fn with_ssd_cache_size(mut self, bytes: u64) -> Self {
-        self.ssd.dram.data_cache_bytes = bytes;
-        self
-    }
-
-    /// Sets the write-log size.
-    pub fn with_write_log_size(mut self, bytes: u64) -> Self {
-        self.ssd.dram.write_log_bytes = bytes;
-        self
-    }
-
-    /// Sets the host DRAM promotion budget (artifact knob
-    /// `host_dram_size_byte`).
-    pub fn with_host_dram_size(mut self, bytes: u64) -> Self {
-        self.host_dram.promotion_capacity_bytes = bytes;
-        self
-    }
-
     /// Sets the NAND flash family (Table IV) and its timing.
     pub fn with_nand(mut self, kind: NandKind) -> Self {
         self.ssd = self.ssd.with_nand(kind);
-        self
-    }
-
-    /// Sets the number of simulated cores.
-    pub fn with_cores(mut self, cores: u32) -> Self {
-        self.cpu.cores = cores;
-        self
-    }
-
-    /// Sets the TLB geometry (entry count and per-miss walk penalty).
-    pub fn with_tlb(mut self, entries: u32, miss_latency: Nanos) -> Self {
-        self.cpu.tlb = TlbConfig {
-            entries,
-            miss_latency,
-        };
         self
     }
 
@@ -774,7 +721,8 @@ impl SimConfig {
     /// Returns a [`ConfigError`] describing the first violated invariant:
     /// zero cores/threads, an empty TLB or SSD data cache, a write log that
     /// does not hold at least one page worth of cachelines, a GC threshold or
-    /// write-log index load factor outside `(0, 1]`, or zero-latency flash.
+    /// write-log index load factor outside `(0, 1]`, zero-latency flash, or
+    /// a zero hotness threshold or TPP sampling period.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.cpu.cores == 0 {
             return Err(ConfigError::new("cpu.cores must be at least 1"));
@@ -815,6 +763,16 @@ impl SimConfig {
             || self.ssd.flash.program_latency == Nanos::ZERO
         {
             return Err(ConfigError::new("flash latencies must be nonzero"));
+        }
+        if self.migration.hotness_threshold == 0 {
+            return Err(ConfigError::new(
+                "migration.hotness_threshold must be at least 1",
+            ));
+        }
+        if self.migration.tpp_sample_period == Nanos::ZERO {
+            return Err(ConfigError::new(
+                "migration.tpp_sample_period must be nonzero",
+            ));
         }
         if self.telemetry.enabled && self.telemetry.sample_interval == Nanos::ZERO {
             return Err(ConfigError::new(
@@ -968,24 +926,9 @@ mod tests {
     fn builder_setters() {
         let cfg = SimConfig::default()
             .with_threads(16)
-            .with_cores(4)
-            .with_cs_threshold(Nanos::from_micros(10))
-            .with_sched_policy(SchedPolicy::RoundRobin)
-            .with_ssd_cache_size(128 * MIB)
-            .with_write_log_size(8 * MIB)
-            .with_host_dram_size(GIB)
-            .with_nand(NandKind::Slc)
-            .with_tlb(64, Nanos::new(120));
+            .with_nand(NandKind::Slc);
         assert_eq!(cfg.threads, 16);
-        assert_eq!(cfg.cpu.cores, 4);
-        assert_eq!(cfg.cs_threshold, Nanos::from_micros(10));
-        assert_eq!(cfg.sched_policy, SchedPolicy::RoundRobin);
-        assert_eq!(cfg.ssd.dram.data_cache_bytes, 128 * MIB);
-        assert_eq!(cfg.ssd.dram.write_log_bytes, 8 * MIB);
-        assert_eq!(cfg.host_dram.promotion_capacity_bytes, GIB);
         assert_eq!(cfg.ssd.flash.read_latency, Nanos::from_micros(25));
-        assert_eq!(cfg.cpu.tlb.entries, 64);
-        assert_eq!(cfg.cpu.tlb.miss_latency, Nanos::new(120));
         cfg.validate().unwrap();
     }
 
@@ -1016,6 +959,16 @@ mod tests {
         let mut cfg = SimConfig::default();
         cfg.cpu.tlb.entries = 0;
         assert!(cfg.validate().is_err());
+
+        let mut cfg = SimConfig::default();
+        cfg.migration.hotness_threshold = 0;
+        let err = cfg.validate().unwrap_err().to_string();
+        assert!(err.contains("hotness_threshold"), "{err}");
+
+        let mut cfg = SimConfig::default();
+        cfg.migration.tpp_sample_period = Nanos::ZERO;
+        let err = cfg.validate().unwrap_err().to_string();
+        assert!(err.contains("tpp_sample_period"), "{err}");
     }
 
     #[test]

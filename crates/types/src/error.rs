@@ -20,11 +20,6 @@ impl ConfigError {
             message: message.into(),
         }
     }
-
-    /// The human-readable reason the configuration was rejected.
-    pub fn message(&self) -> &str {
-        &self.message
-    }
 }
 
 impl fmt::Display for ConfigError {
@@ -42,8 +37,11 @@ mod tests {
     #[test]
     fn display_includes_message() {
         let e = ConfigError::new("write log larger than SSD DRAM");
-        assert!(e.to_string().contains("write log larger than SSD DRAM"));
-        assert_eq!(e.message(), "write log larger than SSD DRAM");
+        assert_eq!(e.message, "write log larger than SSD DRAM");
+        assert_eq!(
+            e.to_string(),
+            "invalid configuration: write log larger than SSD DRAM"
+        );
     }
 
     #[test]

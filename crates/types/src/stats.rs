@@ -101,11 +101,6 @@ impl LatencyHistogram {
         }
     }
 
-    /// Sum of all recorded latencies.
-    pub fn total(&self) -> Nanos {
-        Nanos::new(self.total_ns.min(u64::MAX as u128) as u64)
-    }
-
     /// Approximate latency at the given quantile `q` in `[0, 1]`, using the
     /// upper edge of the histogram bucket containing that quantile.
     ///
@@ -145,24 +140,6 @@ impl LatencyHistogram {
         self.percentile(0.999)
     }
 
-    /// Returns `(bucket_upper_bound_ns, cumulative_fraction)` pairs describing
-    /// the CDF of the distribution — the data series plotted in Figure 3.
-    pub fn cdf(&self) -> Vec<(u64, f64)> {
-        let mut out = Vec::new();
-        if self.count == 0 {
-            return out;
-        }
-        let mut seen = 0u64;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            if n == 0 {
-                continue;
-            }
-            seen += n;
-            out.push(((1u64 << (i + 1).min(63)), seen as f64 / self.count as f64));
-        }
-        out
-    }
-
     /// Merges another histogram into this one.
     pub fn merge(&mut self, other: &LatencyHistogram) {
         if self.buckets.is_empty() {
@@ -195,7 +172,7 @@ mod tests {
         assert_eq!(h.mean(), Nanos::new(200));
         assert_eq!(h.min(), Nanos::new(100));
         assert_eq!(h.max(), Nanos::new(300));
-        assert_eq!(h.total(), Nanos::new(400));
+        assert_eq!(h.total_ns, 400);
     }
 
     #[test]
@@ -232,7 +209,6 @@ mod tests {
         assert_eq!(h.mean(), Nanos::ZERO);
         assert_eq!(h.min(), Nanos::ZERO);
         assert_eq!(h.percentile(0.99), Nanos::ZERO);
-        assert!(h.cdf().is_empty());
     }
 
     #[test]
@@ -259,23 +235,6 @@ mod tests {
         assert_eq!(h.p999(), h.percentile(0.999));
         assert!(h.p50() <= h.p99() && h.p99() <= h.p999());
         assert!(h.p999() <= Nanos::new(h.max().as_nanos().next_power_of_two()));
-    }
-
-    #[test]
-    fn histogram_cdf_reaches_one() {
-        let mut h = LatencyHistogram::new();
-        for v in [50u64, 100, 5_000, 3_000_000] {
-            h.record(Nanos::new(v));
-        }
-        let cdf = h.cdf();
-        assert!(!cdf.is_empty());
-        let last = cdf.last().unwrap();
-        assert!((last.1 - 1.0).abs() < 1e-9);
-        // monotonically nondecreasing
-        for w in cdf.windows(2) {
-            assert!(w[0].0 < w[1].0);
-            assert!(w[0].1 <= w[1].1);
-        }
     }
 
     #[test]

@@ -48,16 +48,6 @@ pub struct TenantMap {
 }
 
 impl TenantMap {
-    /// A map assigning every one of `threads` streams to [`TenantId::ZERO`]
-    /// (the single-tenant default).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is zero.
-    pub fn single(threads: u32) -> Self {
-        Self::from_fn(threads, |_| TenantId::ZERO)
-    }
-
     /// Builds the map by asking `f` for each thread's tenant.
     ///
     /// # Panics
@@ -68,11 +58,6 @@ impl TenantMap {
         TenantMap {
             tenants: (0..threads).map(f).collect(),
         }
-    }
-
-    /// Number of threads covered by the map.
-    pub fn threads(&self) -> u32 {
-        self.tenants.len() as u32
     }
 
     /// The tenant of `thread`.
@@ -97,14 +82,6 @@ impl TenantMap {
     pub fn threads_of(&self, tenant: TenantId) -> u32 {
         self.tenants.iter().filter(|&&t| t == tenant).count() as u32
     }
-
-    /// Iterates `(thread, tenant)` pairs in thread order.
-    pub fn iter(&self) -> impl Iterator<Item = (u32, TenantId)> + '_ {
-        self.tenants
-            .iter()
-            .enumerate()
-            .map(|(t, &id)| (t as u32, id))
-    }
 }
 
 #[cfg(test)]
@@ -120,8 +97,8 @@ mod tests {
 
     #[test]
     fn single_maps_every_thread_to_tenant_zero() {
-        let m = TenantMap::single(4);
-        assert_eq!(m.threads(), 4);
+        let m = TenantMap::from_fn(4, |_| TenantId::ZERO);
+        assert_eq!(m.tenants.len(), 4);
         assert_eq!(m.tenant_count(), 1);
         for t in 0..4 {
             assert_eq!(m.tenant_of(t), TenantId::ZERO);
@@ -136,15 +113,14 @@ mod tests {
         assert_eq!(m.tenant_count(), 2);
         assert_eq!(m.threads_of(TenantId(0)), 2);
         assert_eq!(m.threads_of(TenantId(1)), 3);
-        let pairs: Vec<_> = m.iter().collect();
-        assert_eq!(pairs[0], (0, TenantId(0)));
-        assert_eq!(pairs[4], (4, TenantId(1)));
+        assert_eq!(m.tenant_of(0), TenantId(0));
+        assert_eq!(m.tenant_of(4), TenantId(1));
     }
 
     #[test]
     #[should_panic(expected = "at least one thread")]
     fn zero_threads_is_rejected() {
-        let _ = TenantMap::single(0);
+        let _ = TenantMap::from_fn(0, |_| TenantId::ZERO);
     }
 
     #[test]

@@ -103,30 +103,6 @@ impl Nanos {
         Nanos(self.0 - earlier.0)
     }
 
-    /// Saturating addition, clamping at [`Nanos::MAX`].
-    #[inline]
-    pub fn saturating_add(self, rhs: Nanos) -> Nanos {
-        Nanos(self.0.saturating_add(rhs.0))
-    }
-
-    /// Checked addition.
-    #[inline]
-    pub fn checked_add(self, rhs: Nanos) -> Option<Nanos> {
-        self.0.checked_add(rhs.0).map(Nanos)
-    }
-
-    /// The larger of two times.
-    #[inline]
-    pub fn max(self, other: Nanos) -> Nanos {
-        Nanos(self.0.max(other.0))
-    }
-
-    /// The smaller of two times.
-    #[inline]
-    pub fn min(self, other: Nanos) -> Nanos {
-        Nanos(self.0.min(other.0))
-    }
-
     /// Multiplies the duration by an integer factor.
     #[inline]
     pub fn scaled(self, factor: u64) -> Nanos {
@@ -224,7 +200,6 @@ impl From<Nanos> for u64 {
 /// assert_eq!(f.cycles_to_nanos(4), Nanos::new(1));
 /// // rounding is upwards so work is never lost
 /// assert_eq!(f.cycles_to_nanos(1), Nanos::new(1));
-/// assert_eq!(f.nanos_to_cycles(Nanos::new(10)), 40);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Freq {
@@ -247,11 +222,6 @@ impl Freq {
         Self::from_hz(ghz * 1e9)
     }
 
-    /// Frequency in gigahertz.
-    pub fn as_ghz(self) -> f64 {
-        self.hz / 1e9
-    }
-
     /// Converts a cycle count to simulated time, rounding up to at least 1 ns
     /// for any non-zero cycle count.
     pub fn cycles_to_nanos(self, cycles: u64) -> Nanos {
@@ -260,11 +230,6 @@ impl Freq {
         }
         let ns = (cycles as f64) * 1e9 / self.hz;
         Nanos::new(ns.ceil().max(1.0) as u64)
-    }
-
-    /// Converts a duration to a cycle count (rounded down).
-    pub fn nanos_to_cycles(self, t: Nanos) -> u64 {
-        ((t.as_nanos() as f64) * self.hz / 1e9).floor() as u64
     }
 }
 
@@ -295,7 +260,6 @@ mod tests {
         assert_eq!(a * 3, Nanos::new(300));
         assert_eq!(a / 4, Nanos::new(25));
         assert_eq!(b.saturating_sub(a), Nanos::ZERO);
-        assert_eq!(Nanos::MAX.saturating_add(a), Nanos::MAX);
         let mut c = a;
         c += b;
         assert_eq!(c, Nanos::new(140));
@@ -337,7 +301,6 @@ mod tests {
     fn freq_round_trip() {
         let f = Freq::from_ghz(4.0);
         assert_eq!(f.cycles_to_nanos(400), Nanos::new(100));
-        assert_eq!(f.nanos_to_cycles(Nanos::new(100)), 400);
         assert_eq!(f.cycles_to_nanos(0), Nanos::ZERO);
         // sub-nanosecond work is rounded up to 1ns
         assert_eq!(f.cycles_to_nanos(1), Nanos::new(1));

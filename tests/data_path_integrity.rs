@@ -164,7 +164,9 @@ proptest! {
                 ssd.handle_read(Lpa::new(page), cl, now)
             };
             prop_assert!(out.ready_at >= now, "response before request");
-            prop_assert!(out.breakdown.total() <= out.ready_at.saturating_sub(now) + Nanos::from_micros(1));
+            let b = out.breakdown;
+            let device = b.indexing + b.ssd_dram + b.flash;
+            prop_assert!(device <= out.ready_at.saturating_sub(now) + Nanos::from_micros(1));
             if out.delay_hint {
                 prop_assert!(out.estimated_ready_at >= now);
             }

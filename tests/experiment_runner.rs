@@ -73,7 +73,6 @@ fn memoization_eliminates_duplicate_baseline_runs() {
         unique,
         "figure 18 must not re-run any simulation figure 14 already did"
     );
-    assert_eq!(runner.memoized_results() as u64, unique);
 }
 
 #[test]
@@ -81,7 +80,7 @@ fn runner_results_match_direct_simulation() {
     let scale = tiny();
     let runner = Runner::new(3);
     let req = RunRequest::build(VariantKind::SkyByteFull, WorkloadKind::Ycsb, &scale);
-    let via_runner = runner.run(&req);
+    let via_runner = runner.run_all(&[req]).remove(0);
     let direct = Simulation::build(VariantKind::SkyByteFull, WorkloadKind::Ycsb, &scale).run();
     assert_eq!(via_runner.exec_time, direct.exec_time);
     assert_eq!(via_runner.requests, direct.requests);

@@ -15,6 +15,7 @@
 //! 6. every non-default contender reproduces a pinned result, since the
 //!    golden corpus runs default policies only.
 
+use skybyte::sim::audit::audit;
 use skybyte::sim::runner::RunRequest;
 use skybyte::sim::{ExperimentScale, SimResult, Simulation};
 use skybyte::types::{
@@ -71,7 +72,8 @@ fn every_eviction_and_hotness_contender_keeps_the_audit_clean() {
             let scale = tiny();
             let mut cfg = scale.apply(SimConfig::default().with_variant(VariantKind::SkyByteFull));
             cfg.policy = policy;
-            let (result, report) = Simulation::with_config(cfg, WorkloadKind::Tpcc, &scale).audit();
+            let result = Simulation::with_config(cfg, WorkloadKind::Tpcc, &scale).run();
+            let report = audit(&result);
             report.assert_clean(&format!("{eviction}/{hotness}"));
             assert!(!result.truncated);
             // The chosen policy must be visible in the result so audits and
@@ -88,7 +90,8 @@ fn every_migration_trigger_keeps_the_audit_clean() {
     for policy in MigrationPolicyKind::ALL {
         let mut cfg = scale.apply(SimConfig::default().with_variant(VariantKind::SkyByteFull));
         cfg.migration.policy = policy;
-        let (result, report) = Simulation::with_config(cfg, WorkloadKind::Tpcc, &scale).audit();
+        let result = Simulation::with_config(cfg, WorkloadKind::Tpcc, &scale).run();
+        let report = audit(&result);
         report.assert_clean(&format!("migration {policy}"));
         assert!(!result.truncated);
         if policy == MigrationPolicyKind::Disabled {
@@ -106,14 +109,15 @@ fn fair_share_tenant_scheduling_conserves_and_serves_every_tenant() {
         &scale,
     );
     sim.config_mut().policy.tenant_sched = TenantSchedKind::FairShare;
-    let (result, report) = sim.audit();
+    let result = sim.run();
+    let report = audit(&result);
     report.assert_clean("fair-share on ycsb+tpcc");
     assert_eq!(result.policy.tenant_sched, TenantSchedKind::FairShare);
     assert_eq!(result.per_tenant.len(), 2);
     // Work conserving: throttling preference must never starve a tenant.
     for t in &result.per_tenant {
         assert!(
-            t.accesses() > 0,
+            t.requests.total() > 0,
             "tenant {} starved under fair-share",
             t.tenant
         );
@@ -256,7 +260,8 @@ mod proptest_sweep {
             cfg.migration.policy = MigrationPolicyKind::ALL[digit(MigrationPolicyKind::ALL.len())];
             let policy = cfg.policy;
             let sim = Simulation::with_config(cfg, workload, &scale);
-            let (result, report) = sim.audit();
+            let result = sim.run();
+            let report = audit(&result);
             prop_assert!(
                 report.is_clean(),
                 "{variant} on {workload:?} with {policy:?} (threads {threads}, seed {seed}):\n{report}"

@@ -25,9 +25,8 @@ fn figure10_shape_scheduling_policies_perform_similarly() {
         SchedPolicy::Random,
         SchedPolicy::Cfs,
     ] {
-        let cfg = scale()
-            .apply(SimConfig::default().with_variant(VariantKind::SkyByteFull))
-            .with_sched_policy(policy);
+        let mut cfg = scale().apply(SimConfig::default().with_variant(VariantKind::SkyByteFull));
+        cfg.sched_policy = policy;
         let r = run_with(cfg, workload);
         assert!(r.context_switches > 0, "{policy}: no context switches");
         times.push(r.exec_time.as_nanos() as f64);

@@ -2,7 +2,7 @@
 //! parameters, so an accidental change to the published configuration fails
 //! fast instead of silently skewing every experiment.
 
-use skybyte_types::{Nanos, SchedPolicy, SimConfig, GIB, MIB, PAGE_SIZE};
+use skybyte_types::{Freq, Nanos, SchedPolicy, SimConfig, GIB, MIB, PAGE_SIZE};
 
 #[test]
 fn default_config_matches_table_2() {
@@ -10,7 +10,7 @@ fn default_config_matches_table_2() {
 
     // Host CPU: 8 out-of-order cores at 4 GHz with a 256-entry ROB.
     assert_eq!(cfg.cpu.cores, 8);
-    assert_eq!(cfg.cpu.freq.as_ghz(), 4.0);
+    assert_eq!(cfg.cpu.freq, Freq::from_ghz(4.0));
     assert_eq!(cfg.cpu.rob_entries, 256);
 
     // Host memory: DDR5-4800 at ~70 ns loaded latency over 8 channels of
@@ -43,7 +43,10 @@ fn default_config_matches_table_2() {
     assert_eq!(cfg.ssd.dram.access_latency, Nanos::new(90));
     assert_eq!(cfg.ssd.dram.data_cache_bytes, 448 * MIB);
     assert_eq!(cfg.ssd.dram.write_log_bytes, 64 * MIB);
-    assert_eq!(cfg.ssd.dram.total_bytes(), 512 * MIB);
+    assert_eq!(
+        cfg.ssd.dram.data_cache_bytes + cfg.ssd.dram.write_log_bytes,
+        512 * MIB
+    );
     assert_eq!(cfg.ssd.dram.write_log_index_latency, Nanos::new(72));
     assert_eq!(cfg.ssd.dram.data_cache_index_latency, Nanos::new(49));
 

@@ -141,22 +141,24 @@ fn final_sample_ties_to_the_layer_counters() {
 
     // The invariant is only emitted when telemetry actually ran…
     let plain = audit(&result);
-    assert!(!plain.checked_names().contains(&"telemetry-final-agreement"));
     let absent = audit_with_telemetry(&result, None);
     assert_eq!(plain.checked(), absent.checked());
 
     // …and a real run's final sample agrees with the layers snapshot.
     let report = audit_with_telemetry(&result, Some(&output.final_sample));
-    assert!(report
-        .checked_names()
-        .contains(&"telemetry-final-agreement"));
+    assert_eq!(report.checked(), plain.checked() + 1);
     report.assert_clean("SkyByte-Full on ycsb with telemetry");
 
     // Corrupting the sample fires exactly the new invariant.
     let mut bad = output.final_sample.clone();
     bad.flash_pages_programmed += 1;
     let report = audit_with_telemetry(&result, Some(&bad));
-    assert_eq!(report.violated_names(), vec!["telemetry-final-agreement"]);
+    let rendered = report.to_string();
+    assert!(rendered.starts_with("audit violated 1 of"), "{rendered}");
+    assert!(
+        rendered.contains("  [telemetry-final-agreement] "),
+        "{rendered}"
+    );
 }
 
 #[test]
@@ -164,8 +166,8 @@ fn memoization_counts_telemetry_free_hits() {
     let scale = tiny();
     let runner = Runner::new(1).with_telemetry(telemetry_on());
     let req = RunRequest::build(VariantKind::BaseCssd, WorkloadKind::Ycsb, &scale);
-    runner.run(&req);
-    runner.run(&req);
+    runner.run_all(std::slice::from_ref(&req));
+    runner.run_all(&[req]);
     assert_eq!(runner.runs_executed(), 1);
     assert_eq!(runner.memo_hits(), 1);
     // Memo hits recall the cached result without re-executing, so only the
