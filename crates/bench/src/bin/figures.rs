@@ -20,25 +20,25 @@
 //! the simulations from those traces instead of the live generators —
 //! replayed output is bit-identical to the recorded run.
 //!
-//! Figures 1, 7, 8, 11, 12 and 13 are architecture diagrams without data
-//! series and are therefore not listed.
+//! `--fig` and `--table` take the names of `skybyte_sim::report::EXPERIMENTS`
+//! (figures 1, 7, 8, 11, 12 and 13 are architecture diagrams without data
+//! series and are therefore not listed); an unknown name is an error that
+//! lists the valid ones.
 
 use skybyte_bench::{
     flag_value, harness_runner, parse_count, parse_scale, perf_path, write_perf_report,
     TelemetryFlags,
 };
-use skybyte_sim::report::{figure_table_named, paper_table, render, DATA_FIGURES};
+use skybyte_sim::report::{find, render, Kind, EXPERIMENTS};
 use skybyte_sim::{ExperimentScale, PerfReport, TraceDrive};
 use skybyte_types::PolicyOverride;
-use std::collections::HashSet;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 struct Options {
-    /// Requested figures: paper figure numbers (`"14"`) or named
-    /// repository experiments (`"mt"`, `"policy"`).
-    figures: Vec<String>,
-    tables: Vec<u32>,
+    /// Requested figures and tables, as positions in [`EXPERIMENTS`].
+    figures: Vec<usize>,
+    tables: Vec<usize>,
     scale: ExperimentScale,
     all: bool,
     jobs: Option<usize>,
@@ -75,23 +75,15 @@ fn parse_args() -> Result<Options, String> {
     while i < args.len() {
         match args[i].as_str() {
             "--all" => opts.all = true,
-            "--fig" | "--figure" => {
-                let name = flag_value(&args, &mut i, "--fig")?;
-                if name != "mt" && name != "policy" && name != "fleet" {
-                    name.parse::<u32>()
-                        .map_err(|e| format!("invalid figure number: {e}"))?;
-                }
-                opts.figures.push(name.to_string());
-            }
+            "--fig" | "--figure" => opts
+                .figures
+                .push(find(Kind::Figure, flag_value(&args, &mut i, "--fig")?)?),
             "--policy" => opts
                 .policies
                 .push(flag_value(&args, &mut i, "--policy")?.parse()?),
-            "--table" => {
-                let n = flag_value(&args, &mut i, "--table")?
-                    .parse::<u32>()
-                    .map_err(|e| format!("invalid table number: {e}"))?;
-                opts.tables.push(n);
-            }
+            "--table" => opts
+                .tables
+                .push(find(Kind::Table, flag_value(&args, &mut i, "--table")?)?),
             "--scale" => opts.scale = parse_scale(flag_value(&args, &mut i, "--scale")?)?,
             "--jobs" | "-j" => {
                 let n = flag_value(&args, &mut i, "--jobs")?;
@@ -149,42 +141,28 @@ fn parse_args() -> Result<Options, String> {
     }
     if !opts.all && opts.figures.is_empty() && opts.tables.is_empty() {
         // Default: the headline results.
-        opts.figures = vec!["14".into(), "18".into()];
-        opts.tables = vec![1, 3];
+        opts.figures = vec![find(Kind::Figure, "14")?, find(Kind::Figure, "18")?];
+        opts.tables = vec![find(Kind::Table, "1")?, find(Kind::Table, "3")?];
     }
     Ok(opts)
 }
 
-/// Regenerates, prints and (optionally) CSV-exports every requested table
-/// and figure, each once; returns the number of CSV files written.
+/// Regenerates, prints and (optionally) CSV-exports each listed
+/// [`EXPERIMENTS`] entry once, in order; returns the number of CSV files
+/// written.
 fn regenerate(
     runner: &skybyte_sim::Runner,
     opts: &Options,
-    tables: Vec<u32>,
-    figures: Vec<String>,
+    selected: &[usize],
 ) -> Result<usize, String> {
     let mut exported = 0usize;
-    let mut done = HashSet::new();
-    let all = tables
-        .into_iter()
-        .map(|n| (n.to_string(), true))
-        .chain(figures.into_iter().map(|n| (n, false)));
-    for (n, is_table) in all {
-        // Figures 19 and 20 are one table (`figure-19-20`), and a name may
-        // be given twice: regenerate, print and export each table once.
-        let id = match (is_table, n.as_str()) {
-            (true, _) => format!("table-{n}"),
-            (false, "20") => "figure-19".to_string(),
-            (false, _) => format!("figure-{n}"),
-        };
-        if !done.insert(id) {
+    let mut done = vec![false; EXPERIMENTS.len()];
+    for &i in selected {
+        // Figures 19 and 20 are one entry, and a name may be given twice.
+        if std::mem::replace(&mut done[i], true) {
             continue;
         }
-        let table = if is_table {
-            paper_table(runner, n.parse().expect("table numbers"), &opts.scale)
-        } else {
-            figure_table_named(runner, &n, &opts.scale)?
-        };
+        let table = (EXPERIMENTS[i].build)(runner, &opts.scale);
         println!("{}", render(&table));
         if let Some(dir) = &opts.out {
             let path = dir.join(format!("{}.csv", table.id));
@@ -218,24 +196,21 @@ fn main() -> ExitCode {
 /// Runs one invocation. `Err` is a one-line CLI error; a failed audit is
 /// reported here and returns [`ExitCode::FAILURE`].
 fn run(opts: Options) -> Result<ExitCode, String> {
-    let (figures, tables) = if opts.all {
-        // `--all` regenerates every paper figure plus the repository's own
-        // multi-tenant experiments. Trace drives are single-tenant
+    let selected: Vec<usize> = if opts.all {
+        // `--all` regenerates every entry. Trace drives are single-tenant
         // (multi-tenant runs compose their sources live), so recording or
-        // replaying `--all` skips them.
-        let mut figs: Vec<String> = DATA_FIGURES.iter().map(|n| n.to_string()).collect();
-        if opts.drive == TraceDrive::Synthetic {
-            figs.push("mt".into());
-            figs.push("policy".into());
-            figs.push("fleet".into());
-        } else {
+        // replaying `--all` skips the multi-tenant experiments.
+        let synthetic = opts.drive == TraceDrive::Synthetic;
+        if !synthetic {
             eprintln!(
                 "[figures] note: skipping figures mt/policy/fleet under --record-dir/--replay-dir"
             );
         }
-        (figs, vec![1, 2, 3, 4])
+        (0..EXPERIMENTS.len())
+            .filter(|&i| synthetic || !EXPERIMENTS[i].multi_tenant)
+            .collect()
     } else {
-        (opts.figures.clone(), opts.tables.clone())
+        opts.tables.iter().chain(&opts.figures).copied().collect()
     };
     if let Some(dir) = &opts.out {
         std::fs::create_dir_all(dir)
@@ -247,13 +222,13 @@ fn run(opts: Options) -> Result<ExitCode, String> {
         .with_policy_overrides(opts.policies.clone())
         .with_audit(opts.audit)
         .with_telemetry(telemetry);
-    // Harness panics (a missing trace under --replay-dir, an invalid figure
-    // number) should read as CLI errors, not backtraces: silence the hook,
+    // Harness panics (a missing trace under --replay-dir, an invalid
+    // configuration) should read as CLI errors, not backtraces: silence the hook,
     // catch the unwind, and report the payload on the binary's error path.
     let default_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        regenerate(&runner, &opts, tables, figures)
+        regenerate(&runner, &opts, &selected)
     }));
     std::panic::set_hook(default_hook);
     let exported = match outcome {

@@ -24,6 +24,7 @@
 
 use skybyte_sim::audit::audit;
 use skybyte_sim::metrics::DiffSummary;
+use skybyte_sim::runner::parallel_map;
 use skybyte_sim::{ExperimentScale, SimResult, Simulation, TelemetryOutput};
 use skybyte_trace::{
     record_to_file, BoxedSource, Mix, Shift, TraceHeader, TraceRecord, TraceSource, TraceWriter,
@@ -31,8 +32,6 @@ use skybyte_trace::{
 use skybyte_types::{SimConfig, TelemetryConfig, VariantKind, KIB, MIB, PAGE_SIZE};
 use skybyte_workloads::{WorkloadKind, WorkloadSource};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// The design variants every corpus trace is replayed under: the baseline,
 /// the full design, and the write-log-only ablation (page-granular vs
@@ -360,32 +359,6 @@ impl CorpusReport {
     }
 }
 
-/// Runs `f(index)` for `count` indices on `jobs` worker threads, collecting
-/// results in index order (so the output is identical for any job count).
-fn run_indexed<T: Send>(count: usize, jobs: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    let slots: Mutex<Vec<Option<T>>> = Mutex::new((0..count).map(|_| None).collect());
-    let next = AtomicUsize::new(0);
-    let workers = jobs.max(1).min(count.max(1));
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= count {
-                    break;
-                }
-                let out = f(i);
-                slots.lock().expect("slot lock")[i] = Some(out);
-            });
-        }
-    });
-    slots
-        .into_inner()
-        .expect("slot lock")
-        .into_iter()
-        .map(|s| s.expect("every index filled"))
-        .collect()
-}
-
 /// Re-records the corpus traces and re-pins the golden results under
 /// `corpus` for the entries named in `only` (every entry when `None`).
 /// Deterministic: the produced bytes are identical for any `jobs` value, so
@@ -440,8 +413,7 @@ fn pin_into_staging(
         .enumerate()
         .flat_map(|(i, _)| CORPUS_VARIANTS.map(|v| (i, v)))
         .collect();
-    let results = run_indexed(pairs.len(), jobs, |i| {
-        let (ei, variant) = pairs[i];
+    let results = parallel_map(jobs, &pairs, |&(ei, variant)| {
         entries[ei].replay(staging, variant, TelemetryConfig::default())
     });
     for ((ei, variant), result) in pairs.iter().zip(results) {
@@ -513,8 +485,7 @@ pub fn verify(corpus: &Path, jobs: usize) -> Result<CorpusReport, String> {
         .enumerate()
         .flat_map(|(i, _)| CORPUS_VARIANTS.map(|v| (i, v)))
         .collect();
-    let results = run_indexed(pairs.len(), jobs, |i| {
-        let (ei, variant) = pairs[i];
+    let results = parallel_map(jobs, &pairs, |&(ei, variant)| {
         entries[ei].replay(corpus, variant, TelemetryConfig::default())
     });
     let mut failures = Vec::new();
@@ -638,13 +609,5 @@ mod tests {
         let err = pin_entries(&dir, 1, Some(&["bogus".to_string()])).unwrap_err();
         assert!(err.contains("no corpus entry named 'bogus'"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn run_indexed_preserves_order_for_any_job_count() {
-        for jobs in [1, 3, 8] {
-            let out = run_indexed(10, jobs, |i| i * i);
-            assert_eq!(out, (0..10).map(|i| i * i).collect::<Vec<_>>());
-        }
     }
 }

@@ -148,7 +148,93 @@ fn replay_rejects_a_record_far_past_the_footprint() {
         .output()
         .unwrap();
     assert_fails_naming(&out, "record address lies past the header's footprint");
+    // An orderly error, not a panic in the middle of the run.
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_wide_trace_replays_through_one_file_handle() {
+    use skybyte_trace::{TraceHeader, TraceWriter};
+    // Replay once opened one file handle per declared stream. Under a
+    // descriptor limit of 256, a 4,096-stream header shows whether it
+    // still does, on any host.
+    let dir = scratch("wide");
+    let path = dir.join("wide.sbt");
+    let header = TraceHeader {
+        threads: 4096,
+        footprint_bytes: 1 << 20,
+        seed: 0,
+        source: "crafted".into(),
+        tenant_of_thread: None,
+    };
+    TraceWriter::create(&path, &header)
+        .unwrap()
+        .finish()
+        .unwrap();
+    let out = Command::new("sh")
+        .arg("-c")
+        .arg("ulimit -n 256 && exec \"$0\" replay --scale tiny --workload ycsb --trace \"$1\"")
+        .arg(env!("CARGO_BIN_EXE_trace"))
+        .arg(&path)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_failed_run_names_its_cause_under_any_job_count() {
+    let dir = scratch("no-traces");
+    for jobs in ["1", "2"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_figures"))
+            .args([
+                "--fig",
+                "14",
+                "--scale",
+                "tiny",
+                "--jobs",
+                jobs,
+                "--replay-dir",
+            ])
+            .arg(dir.join("absent"))
+            .output()
+            .unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "--jobs {jobs}: {err}");
+        assert!(
+            err.starts_with("error: trace drive failed: trace I/O error:"),
+            "--jobs {jobs}: {err}"
+        );
+        assert_eq!(err.trim_end().lines().count(), 1, "--jobs {jobs}: {err}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn unknown_figure_and_table_names_list_the_valid_ones() {
+    for (flag, name, valid) in [
+        ("--fig", "7", "(valid: 2, 3, 4, 5, 6, 9, 10, 14,"),
+        ("--fig", "bogus", "mt, policy, fleet)"),
+        ("--table", "9", "(valid: 1, 2, 3, 4)"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_figures"))
+            .args([flag, name, "--scale", "tiny"])
+            .output()
+            .unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{flag} {name}: {err}");
+        assert_eq!(err.trim_end().lines().count(), 1, "{flag} {name}: {err}");
+        assert!(err.contains(valid), "{flag} {name}: {err}");
+        // Rejected while parsing, before any simulation prints a table.
+        assert!(out.stdout.is_empty(), "{flag} {name}");
+    }
 }
 
 #[test]

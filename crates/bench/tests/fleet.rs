@@ -4,7 +4,8 @@
 //! inside `skybyte-sim`.
 
 use skybyte_sim::fleet::{fleet_population, FLEET_PLACEMENTS};
-use skybyte_sim::{audit_fleet, figure_table_named, run_fleet, FleetConfig};
+use skybyte_sim::report::{find, Kind, EXPERIMENTS};
+use skybyte_sim::{audit_fleet, run_fleet, FleetConfig};
 use skybyte_sim::{ExperimentScale, Runner};
 use skybyte_types::{
     PlacementPolicyKind, PolicyOverride, RebalancePolicyKind, SchedPolicy, SimConfig, VariantKind,
@@ -17,14 +18,10 @@ use skybyte_types::{
 #[test]
 fn fleet_figure_is_byte_identical_across_job_counts() {
     let scale = ExperimentScale::tiny();
+    let fleet = &EXPERIMENTS[find(Kind::Figure, "fleet").expect("'fleet' is a registered figure")];
     let csvs: Vec<String> = [1usize, 4]
         .into_iter()
-        .map(|jobs| {
-            let runner = Runner::new(jobs).with_audit(true);
-            figure_table_named(&runner, "fleet", &scale)
-                .expect("'fleet' is a registered figure name")
-                .to_csv()
-        })
+        .map(|jobs| (fleet.build)(&Runner::new(jobs).with_audit(true), &scale).to_csv())
         .collect();
     assert_eq!(csvs[0], csvs[1], "--jobs must not change the table");
     let header = csvs[0].lines().next().unwrap();

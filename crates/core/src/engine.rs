@@ -234,7 +234,8 @@ impl Simulation {
     }
 
     /// Runs the simulation, materialising the trace source described by the
-    /// drive: live generation, generation teed to disk, or file replay.
+    /// drive: live generation, generation teed to disk, or file replay. A
+    /// trace that fails mid-run (I/O error or corruption) returns its error.
     ///
     /// # Panics
     ///
@@ -256,7 +257,7 @@ impl Simulation {
             .expect("invalid simulation configuration");
         let budget = self.per_thread_budget();
         match &self.drive {
-            TraceDrive::Synthetic => Ok(self.run_loop(self.live_source().as_mut(), budget)),
+            TraceDrive::Synthetic => self.run_loop(self.live_source().as_mut(), budget),
             TraceDrive::Record { dir } => {
                 let (source, header) = self.recorded_stream()?;
                 std::fs::create_dir_all(dir)?;
@@ -268,7 +269,7 @@ impl Simulation {
                 let tmp = dir.join(format!(".{name}.{}.tmp", next_record_token()));
                 let writer = TraceWriter::create(&tmp, &header)?;
                 let mut tee = Record::new(source, writer);
-                let result = self.run_loop(&mut tee, budget);
+                let result = self.run_loop(&mut tee, budget)?;
                 tee.finish()?;
                 std::fs::rename(&tmp, dir.join(&name))?;
                 Ok(result)
@@ -364,7 +365,7 @@ impl Simulation {
             });
         }
         // The trace defines the work; no budget caps it.
-        Ok(self.run_loop(&mut source, u64::MAX))
+        self.run_loop(&mut source, u64::MAX)
     }
 
     /// Runs the simulation driven by an arbitrary [`TraceSource`] whose
@@ -381,7 +382,9 @@ impl Simulation {
         source: &mut dyn TraceSource,
         per_thread_budget: u64,
     ) -> SimResult {
-        self.run_loop(source, per_thread_budget).0
+        self.run_loop(source, per_thread_budget)
+            .unwrap_or_else(|e| panic!("trace source failed: {e}"))
+            .0
     }
 
     /// The result's workload label and the total footprint (in pages) the
@@ -405,16 +408,17 @@ impl Simulation {
 
     /// Drives the [`SystemState`] access pipeline (`crate::system`) over
     /// `source` to completion and assembles the result, beside the telemetry
-    /// output when capture is enabled on the configuration.
+    /// output when capture is enabled on the configuration. A source failure
+    /// ends the run with its error.
     fn run_loop(
         &self,
         source: &mut dyn TraceSource,
         per_thread_budget: u64,
-    ) -> (SimResult, Option<TelemetryOutput>) {
+    ) -> Result<(SimResult, Option<TelemetryOutput>), TraceError> {
         let (label, footprint_pages) = self.label_and_footprint_pages();
-        let mut system = self.build_system(source, per_thread_budget, footprint_pages);
-        system.run(source);
-        system.into_result(&label)
+        let mut system = self.build_system(source, per_thread_budget, footprint_pages)?;
+        system.run(source)?;
+        Ok(system.into_result(&label))
     }
 
     /// Runs the synthetic workload through the min-clock reference scan
@@ -427,8 +431,12 @@ impl Simulation {
         let budget = self.per_thread_budget();
         let (label, footprint_pages) = self.label_and_footprint_pages();
         let mut source = self.live_source();
-        let mut system = self.build_system(source.as_mut(), budget, footprint_pages);
-        system.run_reference(source.as_mut());
+        let mut system = self
+            .build_system(source.as_mut(), budget, footprint_pages)
+            .expect("live sources do not fail");
+        system
+            .run_reference(source.as_mut())
+            .expect("live sources do not fail");
         system.into_result(&label).0
     }
 
@@ -437,7 +445,7 @@ impl Simulation {
         source: &mut dyn TraceSource,
         per_thread_budget: u64,
         footprint_pages: u64,
-    ) -> SystemState {
+    ) -> Result<SystemState, TraceError> {
         // The truncation guard counts retired work units (idle iterations
         // are free in the event engine and deliberately don't count): the
         // budgeted accesses of every thread, a 64x allowance for squashed
@@ -635,6 +643,42 @@ mod tests {
             sim.try_run(),
             Err(skybyte_trace::TraceError::Io(_))
         ));
+    }
+
+    #[test]
+    fn a_trace_that_fails_mid_run_is_a_typed_error() {
+        use skybyte_trace::{TraceHeader, TraceRecord, TraceWriter};
+        let dir = std::env::temp_dir().join(format!("skybyte-far-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("far.sbt");
+        let header = TraceHeader {
+            threads: 1,
+            footprint_bytes: 1 << 20,
+            seed: 0,
+            source: "crafted".into(),
+            tenant_of_thread: None,
+        };
+        let mut writer = TraceWriter::create(&path, &header).unwrap();
+        // The third record lies far past the footprint: the executor meets
+        // it while prefetching, after the run has started.
+        for record in [
+            TraceRecord::read(10, 0),
+            TraceRecord::write(10, 4096),
+            TraceRecord::write(10, 1 << 62),
+        ] {
+            writer.push(0, &record).unwrap();
+        }
+        writer.finish().unwrap();
+        let scale = ExperimentScale::tiny();
+        let cfg = scale.apply(SimConfig::default()).with_threads(1);
+        let sim = Simulation::with_config(cfg, WorkloadKind::Ycsb, &scale);
+        assert!(matches!(
+            sim.run_trace_file(&path),
+            Err(TraceError::Corrupt(
+                "record address lies past the header's footprint"
+            ))
+        ));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -4,13 +4,15 @@
 //! runs it needs up front as [`RunRequest`]s, hands the batch to a
 //! [`Runner`] — which executes unique runs once on its worker pool and
 //! serves repeats from its memo table — and assembles an [`ExperimentTable`]
-//! whose rows/columns correspond to the series plotted in the paper. Because
+//! whose rows/columns correspond to the series plotted in the paper. Most
+//! lay their runs out as a grid, one request per (row, column) cell. Because
 //! every simulation is deterministic, the tables are bit-identical whether
 //! the runner is sequential (`Runner::new(1)`) or parallel, and baselines
 //! shared across figures (e.g. the Base-CSSD run of each workload) are
 //! simulated exactly once per harness invocation.
 //!
-//! The `skybyte-bench` crate's `figures` binary prints these tables
+//! [`crate::report::EXPERIMENTS`] lists every table and figure by the name
+//! the `skybyte-bench` crate's `figures` binary takes
 //! (`cargo run -p skybyte-bench --bin figures -- --jobs N`, and `--out DIR`
 //! writes them as CSV). `ROADMAP.md` tabulates the default-scale values next
 //! to the paper's headline numbers.
@@ -21,7 +23,7 @@
 //! crossovers are.
 
 use crate::engine::Simulation;
-use crate::metrics::geometric_mean;
+use crate::metrics::{geometric_mean, SimResult};
 use crate::runner::{RunRequest, Runner};
 use crate::scale::ExperimentScale;
 use serde::{Deserialize, Serialize};
@@ -30,6 +32,7 @@ use skybyte_types::{
     TenantSchedKind, VariantKind, KIB, MIB,
 };
 use skybyte_workloads::{page_locality_cdf, TraceGenerator, WorkloadKind};
+use std::sync::Arc;
 
 /// A generic result table: one labelled row per entity (workload, variant,
 /// parameter value) and one named column per measured series.
@@ -46,11 +49,15 @@ pub struct ExperimentTable {
 }
 
 impl ExperimentTable {
-    pub(crate) fn new(id: &str, title: &str, columns: &[&str]) -> Self {
+    pub(crate) fn new<C: ToString>(
+        id: &str,
+        title: &str,
+        columns: impl IntoIterator<Item = C>,
+    ) -> Self {
         ExperimentTable {
             id: id.to_string(),
             title: title.to_string(),
-            columns: columns.iter().map(|s| s.to_string()).collect(),
+            columns: columns.into_iter().map(|c| c.to_string()).collect(),
             rows: Vec::new(),
         }
     }
@@ -58,6 +65,15 @@ impl ExperimentTable {
     pub(crate) fn push(&mut self, label: impl Into<String>, values: Vec<f64>) {
         debug_assert_eq!(values.len(), self.columns.len());
         self.rows.push((label.into(), values));
+    }
+
+    /// Appends the `geo.mean` row: each column's geometric mean over the
+    /// rows so far.
+    fn push_geo_mean(&mut self) {
+        let means = (0..self.columns.len())
+            .map(|j| geometric_mean(self.rows.iter().map(|(_, values)| values[j])))
+            .collect();
+        self.push("geo.mean", means);
     }
 
     /// Renders the table as RFC 4180-style CSV: a `label` header column
@@ -105,6 +121,62 @@ fn req(variant: VariantKind, workload: WorkloadKind, scale: &ExperimentScale) ->
     RunRequest::build(variant, workload, scale)
 }
 
+/// The default configuration of `variant` at `scale`: what
+/// [`RunRequest::build`] runs, ready for a sweep to change one knob.
+fn config(variant: VariantKind, scale: &ExperimentScale) -> SimConfig {
+    scale.apply(SimConfig::default().with_variant(variant))
+}
+
+/// Runs one request per (row, column) cell as a single batch, row-major,
+/// and returns each row's results.
+fn run_grid<R, C>(
+    runner: &Runner,
+    rows: &[R],
+    columns: &[C],
+    cell: impl Fn(&R, &C) -> RunRequest,
+) -> Vec<Vec<Arc<SimResult>>> {
+    let cell = &cell;
+    let runs: Vec<RunRequest> = rows
+        .iter()
+        .flat_map(|r| columns.iter().map(move |c| cell(r, c)))
+        .collect();
+    let results = runner.run_all(&runs);
+    results.chunks(columns.len()).map(<[_]>::to_vec).collect()
+}
+
+/// `metric` of `cell` divided by `metric` of `reference`, the reference
+/// floored at 1 so that a zero reference (a run that programs no flash
+/// page, say) still gives a finite ratio.
+fn ratio(metric: fn(&SimResult) -> f64, cell: &SimResult, reference: &SimResult) -> f64 {
+    metric(cell) / metric(reference).max(1.0)
+}
+
+/// A run's execution time in ns, the metric most figures normalise.
+fn exec_ns(r: &SimResult) -> f64 {
+    r.exec_time.as_nanos() as f64
+}
+
+/// A table with one row per workload and one column per variant: `metric`
+/// of each variant normalised to the first variant's.
+fn variants_normalised(
+    runner: &Runner,
+    scale: &ExperimentScale,
+    id: &str,
+    title: &str,
+    variants: &[VariantKind],
+    metric: fn(&SimResult) -> f64,
+) -> ExperimentTable {
+    let mut t = ExperimentTable::new(id, title, variants);
+    let grid = run_grid(runner, &ALL_WORKLOADS, variants, |&w, &v| req(v, w, scale));
+    for (w, row) in ALL_WORKLOADS.iter().zip(&grid) {
+        t.push(
+            w.name(),
+            row.iter().map(|r| ratio(metric, r, &row[0])).collect(),
+        );
+    }
+    t
+}
+
 // ---------------------------------------------------------------------------
 // Motivation figures (§II-C)
 // ---------------------------------------------------------------------------
@@ -115,17 +187,15 @@ pub fn fig02_dram_vs_cssd(runner: &Runner, scale: &ExperimentScale) -> Experimen
     let mut t = ExperimentTable::new(
         "figure-02",
         "Execution time: DRAM vs baseline CXL-SSD (normalised to DRAM)",
-        &["dram", "baseline_cxl_ssd"],
+        ["dram", "baseline_cxl_ssd"],
     );
-    let mut runs = Vec::new();
-    for w in ALL_WORKLOADS {
-        runs.push(req(VariantKind::DramOnly, w, scale));
-        runs.push(req(VariantKind::BaseCssd, w, scale));
-    }
-    let results = runner.run_all(&runs);
-    for (w, pair) in ALL_WORKLOADS.iter().zip(results.chunks(2)) {
-        let (dram, cssd) = (&pair[0], &pair[1]);
-        t.push(w.name(), vec![1.0, cssd.normalized_exec_time(dram)]);
+    let variants = [VariantKind::DramOnly, VariantKind::BaseCssd];
+    let grid = run_grid(runner, &ALL_WORKLOADS, &variants, |&w, &v| req(v, w, scale));
+    for (w, row) in ALL_WORKLOADS.iter().zip(&grid) {
+        t.push(
+            w.name(),
+            row.iter().map(|r| ratio(exec_ns, r, &row[0])).collect(),
+        );
     }
     t
 }
@@ -136,33 +206,23 @@ pub fn fig03_latency_distribution(runner: &Runner, scale: &ExperimentScale) -> E
     let mut t = ExperimentTable::new(
         "figure-03",
         "Memory latency distribution (ns): DRAM vs CXL-SSD",
-        &["p50", "p90", "p99", "p999", "max"],
+        ["p50", "p90", "p99", "p999", "max"],
     );
     let series = [
         ("dram", VariantKind::DramOnly),
         ("cssd", VariantKind::BaseCssd),
     ];
-    let mut runs = Vec::new();
-    for w in REPRESENTATIVE_WORKLOADS {
-        for (_, variant) in series {
-            runs.push(req(variant, w, scale));
-        }
-    }
-    let results = runner.run_all(&runs);
-    let mut results = results.iter();
-    for w in REPRESENTATIVE_WORKLOADS {
-        for (label, _) in series {
-            let r = results.next().expect("one result per workload/series");
+    let grid = run_grid(runner, &REPRESENTATIVE_WORKLOADS, &series, |&w, &(_, v)| {
+        req(v, w, scale)
+    });
+    for (w, row) in REPRESENTATIVE_WORKLOADS.iter().zip(&grid) {
+        for ((label, _), r) in series.iter().zip(row) {
             let h = &r.latency_hist;
             t.push(
                 format!("{}/{label}", w.name()),
-                vec![
-                    h.p50().as_nanos() as f64,
-                    h.percentile(0.9).as_nanos() as f64,
-                    h.p99().as_nanos() as f64,
-                    h.p999().as_nanos() as f64,
-                    h.max().as_nanos() as f64,
-                ],
+                [h.p50(), h.percentile(0.9), h.p99(), h.p999(), h.max()]
+                    .map(|p| p.as_nanos() as f64)
+                    .to_vec(),
             );
         }
     }
@@ -175,21 +235,16 @@ pub fn fig04_boundedness(runner: &Runner, scale: &ExperimentScale) -> Experiment
     let mut t = ExperimentTable::new(
         "figure-04",
         "Memory-bounded fraction of execution time",
-        &["dram_memory_bound", "cssd_memory_bound"],
+        ["dram_memory_bound", "cssd_memory_bound"],
     );
-    let mut runs = Vec::new();
-    for w in ALL_WORKLOADS {
-        runs.push(req(VariantKind::DramOnly, w, scale));
-        runs.push(req(VariantKind::BaseCssd, w, scale));
-    }
-    let results = runner.run_all(&runs);
-    for (w, pair) in ALL_WORKLOADS.iter().zip(results.chunks(2)) {
+    let variants = [VariantKind::DramOnly, VariantKind::BaseCssd];
+    let grid = run_grid(runner, &ALL_WORKLOADS, &variants, |&w, &v| req(v, w, scale));
+    for (w, row) in ALL_WORKLOADS.iter().zip(&grid) {
         t.push(
             w.name(),
-            vec![
-                pair[0].boundedness.memory_fraction(),
-                pair[1].boundedness.memory_fraction(),
-            ],
+            row.iter()
+                .map(|r| r.boundedness.memory_fraction())
+                .collect(),
         );
     }
     t
@@ -210,7 +265,7 @@ pub fn fig05_06_locality_cdf(scale: &ExperimentScale, write: bool) -> Experiment
     let mut t = ExperimentTable::new(
         id,
         title,
-        &[
+        [
             "pages_le_25pct",
             "pages_le_40pct",
             "pages_le_75pct",
@@ -249,33 +304,25 @@ pub fn fig05_06_locality_cdf(scale: &ExperimentScale, write: bool) -> Experiment
 /// threshold (2–80 µs), normalised to the 2 µs default.
 pub fn fig09_threshold_sweep(runner: &Runner, scale: &ExperimentScale) -> ExperimentTable {
     let thresholds_us = [2u64, 10, 20, 40, 60, 80];
-    let columns: Vec<String> = thresholds_us.iter().map(|t| format!("{t}us")).collect();
-    let col_refs: Vec<&str> = columns.iter().map(String::as_str).collect();
     let mut t = ExperimentTable::new(
         "figure-09",
         "Execution time vs context-switch trigger threshold (normalised to 2us)",
-        &col_refs,
+        thresholds_us.map(|t| format!("{t}us")),
     );
-    let mut runs = Vec::new();
-    for w in REPRESENTATIVE_WORKLOADS {
-        for &threshold in &thresholds_us {
-            let mut cfg = scale.apply(SimConfig::default().with_variant(VariantKind::SkyByteFull));
-            cfg.cs_threshold = Nanos::from_micros(threshold);
-            runs.push(RunRequest::with_config(cfg, w, scale));
-        }
-    }
-    let results = runner.run_all(&runs);
-    for (w, chunk) in REPRESENTATIVE_WORKLOADS
-        .iter()
-        .zip(results.chunks(thresholds_us.len()))
-    {
-        let baseline = chunk[0].exec_time;
+    let grid = run_grid(
+        runner,
+        &REPRESENTATIVE_WORKLOADS,
+        &thresholds_us,
+        |&w, &us| {
+            let mut cfg = config(VariantKind::SkyByteFull, scale);
+            cfg.cs_threshold = Nanos::from_micros(us);
+            RunRequest::with_config(cfg, w, scale)
+        },
+    );
+    for (w, row) in REPRESENTATIVE_WORKLOADS.iter().zip(&grid) {
         t.push(
             w.name(),
-            chunk
-                .iter()
-                .map(|x| x.exec_time.as_nanos() as f64 / baseline.as_nanos() as f64)
-                .collect(),
+            row.iter().map(|r| ratio(exec_ns, r, &row[0])).collect(),
         );
     }
     t
@@ -287,7 +334,7 @@ pub fn fig10_sched_policies(runner: &Runner, scale: &ExperimentScale) -> Experim
     let mut t = ExperimentTable::new(
         "figure-10",
         "Scheduling policy comparison (normalised execution time / CS fraction)",
-        &["rr", "random", "cfs", "cfs_cs_fraction"],
+        ["rr", "random", "cfs", "cfs_cs_fraction"],
     );
     let workloads = [
         WorkloadKind::Bc,
@@ -300,31 +347,15 @@ pub fn fig10_sched_policies(runner: &Runner, scale: &ExperimentScale) -> Experim
         SchedPolicy::Random,
         SchedPolicy::Cfs,
     ];
-    let mut runs = Vec::new();
-    for w in workloads {
-        for policy in policies {
-            let mut cfg = scale.apply(SimConfig::default().with_variant(VariantKind::SkyByteFull));
-            cfg.sched_policy = policy;
-            runs.push(RunRequest::with_config(cfg, w, scale));
-        }
-    }
-    let results = runner.run_all(&runs);
-    for (w, chunk) in workloads.iter().zip(results.chunks(policies.len())) {
-        let times: Vec<f64> = chunk
-            .iter()
-            .map(|r| r.exec_time.as_nanos() as f64)
-            .collect();
-        let cfs_cs_fraction = chunk[2].boundedness.context_switch_fraction();
-        let baseline = times[0];
-        t.push(
-            w.name(),
-            vec![
-                times[0] / baseline,
-                times[1] / baseline,
-                times[2] / baseline,
-                cfs_cs_fraction,
-            ],
-        );
+    let grid = run_grid(runner, &workloads, &policies, |&w, &policy| {
+        let mut cfg = config(VariantKind::SkyByteFull, scale);
+        cfg.sched_policy = policy;
+        RunRequest::with_config(cfg, w, scale)
+    });
+    for (w, row) in workloads.iter().zip(&grid) {
+        let mut values: Vec<f64> = row.iter().map(|r| ratio(exec_ns, r, &row[0])).collect();
+        values.push(row[2].boundedness.context_switch_fraction());
+        t.push(w.name(), values);
     }
     t
 }
@@ -336,40 +367,16 @@ pub fn fig10_sched_policies(runner: &Runner, scale: &ExperimentScale) -> Experim
 /// Figure 14: the main ablation — execution time of every SkyByte variant
 /// normalised to Base-CSSD (lower is better), with a geometric-mean row.
 pub fn fig14_main_ablation(runner: &Runner, scale: &ExperimentScale) -> ExperimentTable {
-    let variants = VariantKind::MAIN_ABLATION;
-    let names: Vec<String> = variants.iter().map(|v| v.to_string()).collect();
-    let col_refs: Vec<&str> = names.iter().map(String::as_str).collect();
-    let mut t = ExperimentTable::new(
+    // MAIN_ABLATION[0] is Base-CSSD, the normalisation baseline.
+    let mut t = variants_normalised(
+        runner,
+        scale,
         "figure-14",
         "Execution time normalised to Base-CSSD (lower is better)",
-        &col_refs,
+        &VariantKind::MAIN_ABLATION,
+        exec_ns,
     );
-    let mut runs = Vec::new();
-    for w in ALL_WORKLOADS {
-        for &v in &variants {
-            runs.push(req(v, w, scale));
-        }
-    }
-    let results = runner.run_all(&runs);
-    let mut per_variant_ratios: Vec<Vec<f64>> = vec![Vec::new(); variants.len()];
-    for (w, chunk) in ALL_WORKLOADS.iter().zip(results.chunks(variants.len())) {
-        // MAIN_ABLATION[0] is Base-CSSD, the normalisation baseline.
-        let base = &chunk[0];
-        let mut row = Vec::new();
-        for (i, r) in chunk.iter().enumerate() {
-            let ratio = r.normalized_exec_time(base);
-            per_variant_ratios[i].push(ratio);
-            row.push(ratio);
-        }
-        t.push(w.name(), row);
-    }
-    t.push(
-        "geo.mean",
-        per_variant_ratios
-            .iter()
-            .map(|v| geometric_mean(v.iter().copied()))
-            .collect(),
-    );
+    t.push_geo_mean();
     t
 }
 
@@ -377,45 +384,35 @@ pub fn fig14_main_ablation(runner: &Runner, scale: &ExperimentScale) -> Experime
 /// thread count grows, normalised to SkyByte-WP with 8 threads.
 pub fn fig15_thread_scaling(runner: &Runner, scale: &ExperimentScale) -> ExperimentTable {
     let thread_counts = [8u32, 16, 24, 32, 40, 48];
-    let mut columns: Vec<String> = thread_counts
+    let columns = thread_counts
         .iter()
         .map(|t| format!("throughput_{t}t"))
-        .collect();
-    columns.push("bandwidth_util_24t".to_string());
-    let col_refs: Vec<&str> = columns.iter().map(String::as_str).collect();
+        .chain(["bandwidth_util_24t".to_string()]);
     let mut t = ExperimentTable::new(
         "figure-15",
         "Throughput vs thread count (normalised to SkyByte-WP, 8 threads)",
-        &col_refs,
+        columns,
     );
-    let mut runs = Vec::new();
-    for w in ALL_WORKLOADS {
-        runs.push(req(VariantKind::SkyByteWP, w, scale));
-        for &threads in &thread_counts {
-            let cfg = scale
-                .apply(SimConfig::default().with_variant(VariantKind::SkyByteFull))
-                .with_threads(threads);
-            runs.push(RunRequest::with_config(cfg, w, scale));
-        }
-    }
-    let results = runner.run_all(&runs);
-    for (w, chunk) in ALL_WORKLOADS
-        .iter()
-        .zip(results.chunks(1 + thread_counts.len()))
-    {
-        let base_tp = chunk[0]
-            .throughput_accesses_per_sec()
-            .max(f64::MIN_POSITIVE);
-        let mut row = Vec::new();
-        let mut util_24 = 0.0;
-        for (&threads, r) in thread_counts.iter().zip(&chunk[1..]) {
-            if threads == 24 {
-                util_24 = r.ssd_bandwidth_utilisation();
-            }
-            row.push(r.throughput_accesses_per_sec() / base_tp);
-        }
-        row.push(util_24);
-        t.push(w.name(), row);
+    // The SkyByte-WP reference, then SkyByte-Full at each thread count.
+    let configs: Vec<SimConfig> = std::iter::once(config(VariantKind::SkyByteWP, scale))
+        .chain(
+            thread_counts
+                .iter()
+                .map(|&n| config(VariantKind::SkyByteFull, scale).with_threads(n)),
+        )
+        .collect();
+    let grid = run_grid(runner, &ALL_WORKLOADS, &configs, |&w, cfg| {
+        RunRequest::with_config(cfg.clone(), w, scale)
+    });
+    for (w, row) in ALL_WORKLOADS.iter().zip(&grid) {
+        let base_tp = row[0].throughput_accesses_per_sec().max(f64::MIN_POSITIVE);
+        let mut values: Vec<f64> = row[1..]
+            .iter()
+            .map(|r| r.throughput_accesses_per_sec() / base_tp)
+            .collect();
+        // Column 3 is SkyByte-Full with 24 threads.
+        values.push(row[3].ssd_bandwidth_utilisation());
+        t.push(w.name(), values);
     }
     t
 }
@@ -426,21 +423,23 @@ pub fn fig16_request_breakdown(runner: &Runner, scale: &ExperimentScale) -> Expe
     let mut t = ExperimentTable::new(
         "figure-16",
         "Memory request breakdown of SkyByte-WP",
-        &["host", "ssd_read_hit", "ssd_read_miss", "ssd_write"],
+        ["host", "ssd_read_hit", "ssd_read_miss", "ssd_write"],
     );
-    let runs: Vec<RunRequest> = ALL_WORKLOADS
-        .iter()
-        .map(|&w| req(VariantKind::SkyByteWP, w, scale))
-        .collect();
-    let results = runner.run_all(&runs);
-    for (w, r) in ALL_WORKLOADS.iter().zip(&results) {
+    let grid = run_grid(
+        runner,
+        &ALL_WORKLOADS,
+        &[VariantKind::SkyByteWP],
+        |&w, &v| req(v, w, scale),
+    );
+    for (w, row) in ALL_WORKLOADS.iter().zip(&grid) {
+        let r = &row[0].requests;
         t.push(
             w.name(),
             vec![
-                r.requests.host_fraction(),
-                r.requests.ssd_read_hit_fraction(),
-                r.requests.ssd_read_miss_fraction(),
-                r.requests.ssd_write_fraction(),
+                r.host_fraction(),
+                r.ssd_read_hit_fraction(),
+                r.ssd_read_miss_fraction(),
+                r.ssd_write_fraction(),
             ],
         );
     }
@@ -452,77 +451,47 @@ pub fn fig16_request_breakdown(runner: &Runner, scale: &ExperimentScale) -> Expe
 /// 2 µs threshold SkyByte-Full switches on every flash read, so its AMAT has
 /// no flash component.
 pub fn fig17_amat(runner: &Runner, scale: &ExperimentScale) -> ExperimentTable {
-    let variants = [
-        VariantKind::BaseCssd,
-        VariantKind::SkyByteP,
-        VariantKind::SkyByteW,
-        VariantKind::SkyByteWP,
-        VariantKind::SkyByteFull,
-        VariantKind::DramOnly,
-    ];
-    let names: Vec<String> = variants.iter().map(|v| v.to_string()).collect();
-    let col_refs: Vec<&str> = names.iter().map(String::as_str).collect();
-    let mut t = ExperimentTable::new("figure-17", "AMAT normalised to Base-CSSD", &col_refs);
-    let mut runs = Vec::new();
-    for w in ALL_WORKLOADS {
-        for &v in &variants {
-            runs.push(req(v, w, scale));
-        }
-    }
-    let results = runner.run_all(&runs);
-    for (w, chunk) in ALL_WORKLOADS.iter().zip(results.chunks(variants.len())) {
-        let base_amat = chunk[0].amat.amat().as_nanos().max(1) as f64;
-        let row = chunk
-            .iter()
-            .map(|r| r.amat.amat().as_nanos() as f64 / base_amat)
-            .collect();
-        t.push(w.name(), row);
-    }
-    t
+    variants_normalised(
+        runner,
+        scale,
+        "figure-17",
+        "AMAT normalised to Base-CSSD",
+        &[
+            VariantKind::BaseCssd,
+            VariantKind::SkyByteP,
+            VariantKind::SkyByteW,
+            VariantKind::SkyByteWP,
+            VariantKind::SkyByteFull,
+            VariantKind::DramOnly,
+        ],
+        |r| r.amat.amat().as_nanos() as f64,
+    )
 }
 
 /// Figure 18: flash write traffic of each variant, normalised to Base-CSSD
 /// (the paper reports a 23.08× average reduction for the full design).
 pub fn fig18_write_traffic(runner: &Runner, scale: &ExperimentScale) -> ExperimentTable {
-    let variants = [
-        VariantKind::BaseCssd,
-        VariantKind::SkyByteP,
-        VariantKind::SkyByteC,
-        VariantKind::SkyByteW,
-        VariantKind::SkyByteCP,
-        VariantKind::SkyByteWP,
-        VariantKind::SkyByteFull,
-    ];
-    let names: Vec<String> = variants.iter().map(|v| v.to_string()).collect();
-    let col_refs: Vec<&str> = names.iter().map(String::as_str).collect();
-    let mut t = ExperimentTable::new(
+    variants_normalised(
+        runner,
+        scale,
         "figure-18",
         "Flash write traffic normalised to Base-CSSD (lower is better)",
-        &col_refs,
-    );
-    let mut runs = Vec::new();
-    for w in ALL_WORKLOADS {
-        for &v in &variants {
-            runs.push(req(v, w, scale));
-        }
-    }
-    let results = runner.run_all(&runs);
-    for (w, chunk) in ALL_WORKLOADS.iter().zip(results.chunks(variants.len())) {
-        let base_writes = chunk[0].layers.flash.pages_programmed.max(1) as f64;
-        t.push(
-            w.name(),
-            chunk
-                .iter()
-                .map(|r| r.layers.flash.pages_programmed as f64 / base_writes)
-                .collect(),
-        );
-    }
-    t
+        &[
+            VariantKind::BaseCssd,
+            VariantKind::SkyByteP,
+            VariantKind::SkyByteC,
+            VariantKind::SkyByteW,
+            VariantKind::SkyByteCP,
+            VariantKind::SkyByteWP,
+            VariantKind::SkyByteFull,
+        ],
+        |r| r.layers.flash.pages_programmed as f64,
+    )
 }
 
 /// Figures 19 and 20: sensitivity of SkyByte-Full to the write-log size; the
 /// returned table carries both normalised execution time and normalised
-/// flash write traffic per size.
+/// flash write traffic per size, each normalised to the largest log.
 pub fn fig19_20_write_log_sweep(runner: &Runner, scale: &ExperimentScale) -> ExperimentTable {
     // Sizes expressed as fractions of the (scaled) total SSD DRAM, mirroring
     // the paper's 0.5 MB – 256 MB sweep against 512 MB of SSD DRAM.
@@ -534,41 +503,31 @@ pub fn fig19_20_write_log_sweep(runner: &Runner, scale: &ExperimentScale) -> Exp
     // At small scales the smallest sizes clamp to the 16 KiB floor; the
     // sizes are non-decreasing, so the repeats are adjacent.
     log_sizes.dedup();
-    let mut columns = Vec::new();
-    for s in &log_sizes {
-        columns.push(format!("time_log_{}k", s / KIB));
-    }
-    for s in &log_sizes {
-        columns.push(format!("traffic_log_{}k", s / KIB));
-    }
-    let col_refs: Vec<&str> = columns.iter().map(String::as_str).collect();
+    let columns = ["time", "traffic"].iter().flat_map(|kind| {
+        log_sizes
+            .iter()
+            .map(move |s| format!("{kind}_log_{}k", s / KIB))
+    });
     let mut t = ExperimentTable::new(
         "figure-19-20",
         "Write-log size sweep: normalised execution time and flash write traffic",
-        &col_refs,
+        columns,
     );
-    let mut runs = Vec::new();
-    for w in ALL_WORKLOADS {
-        for &log in &log_sizes {
-            let sweep_scale = scale.with_ssd_dram(total - log, log);
-            runs.push(req(VariantKind::SkyByteFull, w, &sweep_scale));
-        }
-    }
-    let results = runner.run_all(&runs);
-    for (w, chunk) in ALL_WORKLOADS.iter().zip(results.chunks(log_sizes.len())) {
-        let times: Vec<f64> = chunk
+    let grid = run_grid(runner, &ALL_WORKLOADS, &log_sizes, |&w, &log| {
+        req(
+            VariantKind::SkyByteFull,
+            w,
+            &scale.with_ssd_dram(total - log, log),
+        )
+    });
+    let pages: fn(&SimResult) -> f64 = |r| r.layers.flash.pages_programmed as f64;
+    for (w, row) in ALL_WORKLOADS.iter().zip(&grid) {
+        let largest = row.last().expect("at least one log size");
+        let values = [exec_ns, pages]
             .iter()
-            .map(|r| r.exec_time.as_nanos() as f64)
+            .flat_map(|&metric| row.iter().map(move |r| ratio(metric, r, largest)))
             .collect();
-        let traffic: Vec<f64> = chunk
-            .iter()
-            .map(|r| r.layers.flash.pages_programmed as f64)
-            .collect();
-        let t0 = times.last().copied().unwrap_or(1.0).max(1.0);
-        let w0 = traffic.last().copied().unwrap_or(1.0).max(1.0);
-        let mut row: Vec<f64> = times.iter().map(|x| x / t0).collect();
-        row.extend(traffic.iter().map(|x| x / w0));
-        t.push(w.name(), row);
+        t.push(w.name(), values);
     }
     t
 }
@@ -584,46 +543,37 @@ pub fn fig21_dram_size_sweep(runner: &Runner, scale: &ExperimentScale) -> Experi
         VariantKind::SkyByteWP,
         VariantKind::SkyByteFull,
     ];
-    let mut columns = Vec::new();
-    for v in &variants {
-        for f in &factors {
-            columns.push(format!("{v}@{f}x"));
-        }
-    }
-    let col_refs: Vec<&str> = columns.iter().map(String::as_str).collect();
     let mut t = ExperimentTable::new(
         "figure-21",
         "Execution time vs SSD DRAM size (normalised to SkyByte-Full at 1x)",
-        &col_refs,
+        variants
+            .iter()
+            .flat_map(|v| factors.iter().map(move |f| format!("{v}@{f}x"))),
     );
     let total_default = scale.ssd_data_cache_bytes + scale.write_log_bytes;
-    let mut runs = Vec::new();
-    for w in ALL_WORKLOADS {
-        // Reference: SkyByte-Full at the default size.
-        runs.push(req(VariantKind::SkyByteFull, w, scale));
-        for &v in &variants {
-            for &f in &factors {
-                let total = ((total_default as f64) * f) as u64;
-                // Keep the 1:7 log:cache ratio and scale the host budget 4:1,
-                // as in §VI-F.
-                let log = (total / 8).max(16 * KIB);
-                let cache = (total - log).max(64 * KIB);
-                let sweep_scale = scale
-                    .with_ssd_dram(cache, log)
-                    .with_host_dram(4 * total.max(MIB));
-                runs.push(req(v, w, &sweep_scale));
-            }
+    // The reference (SkyByte-Full at the default size), then every variant
+    // at every size.
+    let mut columns = vec![(VariantKind::SkyByteFull, *scale)];
+    for &v in &variants {
+        for &f in &factors {
+            let total = ((total_default as f64) * f) as u64;
+            // Keep the 1:7 log:cache ratio and scale the host budget 4:1,
+            // as in §VI-F.
+            let log = (total / 8).max(16 * KIB);
+            let cache = (total - log).max(64 * KIB);
+            let sweep_scale = scale
+                .with_ssd_dram(cache, log)
+                .with_host_dram(4 * total.max(MIB));
+            columns.push((v, sweep_scale));
         }
     }
-    let results = runner.run_all(&runs);
-    let per_workload = 1 + variants.len() * factors.len();
-    for (w, chunk) in ALL_WORKLOADS.iter().zip(results.chunks(per_workload)) {
-        let reference = chunk[0].exec_time.as_nanos() as f64;
+    let grid = run_grid(runner, &ALL_WORKLOADS, &columns, |&w, (v, s)| req(*v, w, s));
+    for (w, row) in ALL_WORKLOADS.iter().zip(&grid) {
         t.push(
             w.name(),
-            chunk[1..]
+            row[1..]
                 .iter()
-                .map(|r| r.exec_time.as_nanos() as f64 / reference.max(1.0))
+                .map(|r| ratio(exec_ns, r, &row[0]))
                 .collect(),
         );
     }
@@ -633,49 +583,39 @@ pub fn fig21_dram_size_sweep(runner: &Runner, scale: &ExperimentScale) -> Experi
 /// Figure 22: sensitivity to the flash technology (Table IV), with the
 /// thread count of SkyByte-Full varied, normalised to SkyByte-P on ULL.
 pub fn fig22_flash_latency_sweep(runner: &Runner, scale: &ExperimentScale) -> ExperimentTable {
-    let kinds = NandKind::ALL;
-    let configs: Vec<(String, VariantKind, u32)> = vec![
-        ("SkyByte-P".into(), VariantKind::SkyByteP, 8),
-        ("SkyByte-W".into(), VariantKind::SkyByteW, 8),
-        ("SkyByte-WP".into(), VariantKind::SkyByteWP, 8),
-        ("SkyByte-Full-16".into(), VariantKind::SkyByteFull, 16),
-        ("SkyByte-Full-24".into(), VariantKind::SkyByteFull, 24),
-        ("SkyByte-Full-32".into(), VariantKind::SkyByteFull, 32),
+    let designs = [
+        ("SkyByte-P", VariantKind::SkyByteP, 8),
+        ("SkyByte-W", VariantKind::SkyByteW, 8),
+        ("SkyByte-WP", VariantKind::SkyByteWP, 8),
+        ("SkyByte-Full-16", VariantKind::SkyByteFull, 16),
+        ("SkyByte-Full-24", VariantKind::SkyByteFull, 24),
+        ("SkyByte-Full-32", VariantKind::SkyByteFull, 32),
     ];
-    let mut columns = Vec::new();
-    for k in &kinds {
-        for (name, _, _) in &configs {
-            columns.push(format!("{k}/{name}"));
+    let mut labels = Vec::new();
+    let mut configs = Vec::new();
+    for kind in NandKind::ALL {
+        for (name, variant, threads) in designs {
+            labels.push(format!("{kind}/{name}"));
+            configs.push(
+                scale
+                    .apply(SimConfig::default().with_variant(variant).with_nand(kind))
+                    .with_threads(threads),
+            );
         }
     }
-    let col_refs: Vec<&str> = columns.iter().map(String::as_str).collect();
     let mut t = ExperimentTable::new(
         "figure-22",
         "Execution time vs flash technology (normalised to SkyByte-P on ULL)",
-        &col_refs,
+        labels,
     );
-    let mut runs = Vec::new();
-    for w in ALL_WORKLOADS {
-        for kind in kinds {
-            for (_, variant, threads) in &configs {
-                let cfg = scale
-                    .apply(SimConfig::default().with_variant(*variant).with_nand(kind))
-                    .with_threads(*threads);
-                runs.push(RunRequest::with_config(cfg, w, scale));
-            }
-        }
-    }
-    let results = runner.run_all(&runs);
-    let per_workload = kinds.len() * configs.len();
-    for (w, chunk) in ALL_WORKLOADS.iter().zip(results.chunks(per_workload)) {
-        // The first run of the chunk is SkyByte-P on ULL, the reference.
-        let reference = (chunk[0].exec_time.as_nanos() as f64).max(1.0);
+    let grid = run_grid(runner, &ALL_WORKLOADS, &configs, |&w, cfg| {
+        RunRequest::with_config(cfg.clone(), w, scale)
+    });
+    // Column 0 is SkyByte-P on ULL, the reference.
+    for (w, row) in ALL_WORKLOADS.iter().zip(&grid) {
         t.push(
             w.name(),
-            chunk
-                .iter()
-                .map(|r| r.exec_time.as_nanos() as f64 / reference)
-                .collect(),
+            row.iter().map(|r| ratio(exec_ns, r, &row[0])).collect(),
         );
     }
     t
@@ -684,44 +624,16 @@ pub fn fig22_flash_latency_sweep(runner: &Runner, scale: &ExperimentScale) -> Ex
 /// Figure 23: comparison of page-migration mechanisms, normalised to
 /// SkyByte-C, with a geometric-mean row.
 pub fn fig23_migration_mechanisms(runner: &Runner, scale: &ExperimentScale) -> ExperimentTable {
-    let variants = VariantKind::MIGRATION_COMPARISON;
-    let names: Vec<String> = variants.iter().map(|v| v.to_string()).collect();
-    let col_refs: Vec<&str> = names.iter().map(String::as_str).collect();
-    let mut t = ExperimentTable::new(
+    // MIGRATION_COMPARISON[0] is SkyByte-C, the normalisation reference.
+    let mut t = variants_normalised(
+        runner,
+        scale,
         "figure-23",
         "Page-migration mechanisms: execution time normalised to SkyByte-C",
-        &col_refs,
+        &VariantKind::MIGRATION_COMPARISON,
+        exec_ns,
     );
-    let mut runs = Vec::new();
-    for w in ALL_WORKLOADS {
-        for &v in &variants {
-            runs.push(req(v, w, scale));
-        }
-    }
-    let results = runner.run_all(&runs);
-    let mut per_variant: Vec<Vec<f64>> = vec![Vec::new(); variants.len()];
-    for (w, chunk) in ALL_WORKLOADS.iter().zip(results.chunks(variants.len())) {
-        // MIGRATION_COMPARISON[0] is SkyByte-C, the normalisation reference.
-        let reference = &chunk[0];
-        let mut row = Vec::new();
-        for (i, r) in chunk.iter().enumerate() {
-            let ratio = if i == 0 {
-                1.0
-            } else {
-                r.normalized_exec_time(reference)
-            };
-            per_variant[i].push(ratio);
-            row.push(ratio);
-        }
-        t.push(w.name(), row);
-    }
-    t.push(
-        "geo.mean",
-        per_variant
-            .iter()
-            .map(|v| geometric_mean(v.iter().copied()))
-            .collect(),
-    );
+    t.push_geo_mean();
     t
 }
 
@@ -776,15 +688,14 @@ pub const MT_VARIANTS: [VariantKind; 2] = [VariantKind::BaseCssd, VariantKind::S
 /// `accesses_per_thread` by the tenant's share of the co-located thread
 /// count (exact for the scenario set used here; `.max(1)` guards tiny
 /// budgets).
-pub(crate) fn mt_solo_twin(
+fn mt_solo_twin(
     variant: VariantKind,
     tenants: &[(WorkloadKind, u32)],
     i: usize,
-    workload: WorkloadKind,
-    threads: u32,
     slice: u64,
     scale: &ExperimentScale,
 ) -> Simulation {
+    let (workload, threads) = tenants[i];
     let total: u32 = tenants.iter().map(|&(_, t)| t).sum();
     let apt = (scale.accesses_per_thread * threads as u64 / total as u64).max(1);
     let mut solo_scale = scale.with_footprint(slice).with_accesses_per_thread(apt);
@@ -792,13 +703,29 @@ pub(crate) fn mt_solo_twin(
     Simulation::build_multi(variant, &[(workload, threads)], &solo_scale)
 }
 
+/// The requests of one co-location: `tenants` running together on one
+/// device, then each tenant's solo twin (`mt_solo_twin`: same footprint
+/// slice, thread count, seed and per-thread work budget) in tenant order.
+pub(crate) fn colocation_requests(
+    variant: VariantKind,
+    tenants: &[(WorkloadKind, u32)],
+    scale: &ExperimentScale,
+) -> Vec<RunRequest> {
+    let co = Simulation::build_multi(variant, tenants, scale);
+    let slice = co.tenant_slice_bytes();
+    let twins = (0..tenants.len())
+        .map(|i| RunRequest::from_simulation(mt_solo_twin(variant, tenants, i, slice, scale)));
+    std::iter::once(RunRequest::from_simulation(co))
+        .chain(twins)
+        .collect()
+}
+
 /// Figure "mt" (beyond the paper): per-tenant interference when several
 /// applications share one device.
 ///
 /// For every variant × scenario, the co-located tenants run together on one
 /// device via [`Simulation::build_multi`], and each tenant additionally runs
-/// **solo** as its exact twin (`mt_solo_twin`: same footprint slice,
-/// thread count, seed and per-thread work budget), so any delta is
+/// **solo** as its exact twin (`colocation_requests`), so any delta is
 /// interference rather than stream or work-size variance. The table
 /// reports, per `(variant, scenario, tenant)` row:
 ///
@@ -815,21 +742,12 @@ pub fn fig_mt_interference(runner: &Runner, scale: &ExperimentScale) -> Experime
     let mut t = ExperimentTable::new(
         "figure-mt",
         "Multi-tenant interference: per-tenant slowdown vs solo (ycsb + tpcc)",
-        &["threads", "slowdown", "amat_ratio", "ssd_share"],
+        ["threads", "slowdown", "amat_ratio", "ssd_share"],
     );
-    // Enumerate every run up front: the co-located run of each scenario,
-    // followed by one solo run per tenant on the same footprint slice,
-    // seeded so the solo stream is bit-identical to the co-located one.
     let mut runs = Vec::new();
     for &variant in &MT_VARIANTS {
         for (_, tenants) in &scenarios {
-            let co = Simulation::build_multi(variant, tenants, scale);
-            let slice = co.tenant_slice_bytes();
-            runs.push(RunRequest::from_simulation(co));
-            for (i, &(workload, threads)) in tenants.iter().enumerate() {
-                let solo = mt_solo_twin(variant, tenants, i, workload, threads, slice, scale);
-                runs.push(RunRequest::from_simulation(solo));
-            }
+            runs.extend(colocation_requests(variant, tenants, scale));
         }
     }
     let results = runner.run_all(&runs);
@@ -866,31 +784,10 @@ pub fn fig_mt_interference(runner: &Runner, scale: &ExperimentScale) -> Experime
 // Policy ablation (the pluggable-policy zoo)
 // ---------------------------------------------------------------------------
 
-/// The single-tenant workload columns of the policy ablation.
-const POLICY_WORKLOADS: [WorkloadKind; 2] = [WorkloadKind::Ycsb, WorkloadKind::Tpcc];
-
 /// The tenant mix of the ablation's `mt` column (the balanced ycsb + tpcc
 /// scenario of [`mt_scenarios`]).
 const POLICY_MT_TENANTS: [(WorkloadKind, u32); 2] =
     [(WorkloadKind::Ycsb, 4), (WorkloadKind::Tpcc, 4)];
-
-/// A single-tenant SkyByte-Full request running under `policy`.
-fn policy_request(
-    policy: PolicyConfig,
-    workload: WorkloadKind,
-    scale: &ExperimentScale,
-) -> RunRequest {
-    let mut cfg = scale.apply(SimConfig::default().with_variant(VariantKind::SkyByteFull));
-    cfg.policy = policy;
-    RunRequest::with_config(cfg, workload, scale)
-}
-
-/// The co-located ycsb + tpcc request running under `policy`.
-fn policy_mt_request(policy: PolicyConfig, scale: &ExperimentScale) -> RunRequest {
-    let mut sim = Simulation::build_multi(VariantKind::SkyByteFull, &POLICY_MT_TENANTS, scale);
-    sim.config_mut().policy = policy;
-    RunRequest::from_simulation(sim)
-}
 
 /// Every row of the policy ablation: the full eviction × hotness cross
 /// product (default tenant scheduling), plus a fair-share tenant-scheduling
@@ -924,30 +821,34 @@ pub fn policy_ablation_rows() -> Vec<(String, PolicyConfig)> {
 ///
 /// Sweeps the data-cache eviction × hot-page tracking cross product (plus a
 /// fair-share tenant-scheduling row) over SkyByte-Full on ycsb, tpcc and the
-/// balanced ycsb + tpcc co-location, and reports execution time normalised per column to the default policy combo
-/// (`pseudo-lru/threshold` — whose row is therefore all ones). Values above
-/// one mean the contender lost time against the shipped policies.
+/// balanced ycsb + tpcc co-location, and reports execution time normalised
+/// per column to the default policy combo (`pseudo-lru/threshold` — whose
+/// row is therefore all ones). Values above one mean the contender lost time
+/// against the shipped policies.
 pub fn fig_policy_ablation(runner: &Runner, scale: &ExperimentScale) -> ExperimentTable {
     let mut t = ExperimentTable::new(
         "figure-policy",
         "Policy ablation: execution time normalised to the default policies (SkyByte-Full)",
-        &["ycsb", "tpcc", "mt"],
+        ["ycsb", "tpcc", "mt"],
     );
     let rows = policy_ablation_rows();
-    let mut runs = Vec::new();
-    for (_, policy) in &rows {
-        for &workload in &POLICY_WORKLOADS {
-            runs.push(policy_request(*policy, workload, scale));
-        }
-        runs.push(policy_mt_request(*policy, scale));
-    }
-    let results = runner.run_all(&runs);
+    // The single-tenant columns, then the co-located one (`None`).
+    let columns = [Some(WorkloadKind::Ycsb), Some(WorkloadKind::Tpcc), None];
+    let grid = run_grid(runner, &rows, &columns, |(_, policy), column| {
+        let mut sim = match *column {
+            Some(w) => Simulation::with_config(config(VariantKind::SkyByteFull, scale), w, scale),
+            None => Simulation::build_multi(VariantKind::SkyByteFull, &POLICY_MT_TENANTS, scale),
+        };
+        sim.config_mut().policy = *policy;
+        RunRequest::from_simulation(sim)
+    });
     // Row 0 is the default combo: the per-column baseline.
-    let per_row = POLICY_WORKLOADS.len() + 1;
     debug_assert!(rows[0].1.is_default());
-    for (i, (label, _)) in rows.iter().enumerate() {
-        let values = (0..per_row)
-            .map(|j| results[i * per_row + j].normalized_exec_time(&results[j]))
+    for ((label, _), row) in rows.iter().zip(&grid) {
+        let values = row
+            .iter()
+            .zip(&grid[0])
+            .map(|(r, base)| ratio(exec_ns, r, base))
             .collect();
         t.push(label.clone(), values);
     }
@@ -963,7 +864,7 @@ pub fn table1_workloads() -> ExperimentTable {
     let mut t = ExperimentTable::new(
         "table-1",
         "Benchmark characteristics",
-        &["footprint_gib", "write_ratio", "llc_mpki"],
+        ["footprint_gib", "write_ratio", "llc_mpki"],
     );
     for (name, footprint, write_ratio, mpki) in skybyte_workloads::table1_characteristics() {
         t.push(
@@ -978,7 +879,7 @@ pub fn table1_workloads() -> ExperimentTable {
 /// knobs; the full structure is `SimConfig::default()`).
 pub fn table2_parameters() -> ExperimentTable {
     let cfg = SimConfig::default();
-    let mut t = ExperimentTable::new("table-2", "Simulator parameters (defaults)", &["value"]);
+    let mut t = ExperimentTable::new("table-2", "Simulator parameters (defaults)", ["value"]);
     t.push("cpu.cores", vec![cfg.cpu.cores as f64]);
     t.push("cpu.rob_entries", vec![cfg.cpu.rob_entries as f64]);
     t.push("tlb.entries", vec![cfg.cpu.tlb.entries as f64]);
@@ -1033,17 +934,18 @@ pub fn table3_flash_read_latency(runner: &Runner, scale: &ExperimentScale) -> Ex
     let mut t = ExperimentTable::new(
         "table-3",
         "Average flash read latency of SkyByte-WP (us)",
-        &["avg_flash_read_us"],
+        ["avg_flash_read_us"],
     );
-    let runs: Vec<RunRequest> = ALL_WORKLOADS
-        .iter()
-        .map(|&w| req(VariantKind::SkyByteWP, w, scale))
-        .collect();
-    let results = runner.run_all(&runs);
-    for (w, r) in ALL_WORKLOADS.iter().zip(&results) {
+    let grid = run_grid(
+        runner,
+        &ALL_WORKLOADS,
+        &[VariantKind::SkyByteWP],
+        |&w, &v| req(v, w, scale),
+    );
+    for (w, row) in ALL_WORKLOADS.iter().zip(&grid) {
         t.push(
             w.name(),
-            vec![r.layers.flash.avg_read_latency().as_micros_f64()],
+            vec![row[0].layers.flash.avg_read_latency().as_micros_f64()],
         );
     }
     t
@@ -1054,7 +956,7 @@ pub fn table4_nand_parameters() -> ExperimentTable {
     let mut t = ExperimentTable::new(
         "table-4",
         "NAND flash parameters (us)",
-        &["read_us", "program_us", "erase_us"],
+        ["read_us", "program_us", "erase_us"],
     );
     for kind in NandKind::ALL {
         let timing = skybyte_types::FlashTimingConfig::for_kind(kind);
@@ -1223,17 +1125,8 @@ mod tests {
         let co = Simulation::build_multi(VariantKind::SkyByteFull, &tenants, &scale);
         let slice = co.tenant_slice_bytes();
         let co = co.run();
-        for (i, &(workload, threads)) in tenants.iter().enumerate() {
-            let solo = mt_solo_twin(
-                VariantKind::SkyByteFull,
-                &tenants,
-                i,
-                workload,
-                threads,
-                slice,
-                &scale,
-            )
-            .run();
+        for i in 0..tenants.len() {
+            let solo = mt_solo_twin(VariantKind::SkyByteFull, &tenants, i, slice, &scale).run();
             let twin = &solo.per_tenant[0];
             let mine = &co.per_tenant[i];
             assert_eq!(twin.instructions, mine.instructions, "tenant {i}");
@@ -1262,7 +1155,7 @@ mod tests {
 
     #[test]
     fn experiment_table_lookup_helpers() {
-        let mut t = ExperimentTable::new("x", "y", &["a", "b"]);
+        let mut t = ExperimentTable::new("x", "y", ["a", "b"]);
         t.push("row", vec![1.0, 2.0]);
         assert_eq!(t.value("row", "b"), Some(2.0));
         assert_eq!(t.value("row", "c"), None);

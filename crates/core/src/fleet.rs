@@ -1,12 +1,14 @@
 //! The fleet layer: many devices, pluggable tenant placement.
 //!
 //! SkyByte's deployment setting is pooled CXL-SSD capacity, so above the
-//! single-device [`Simulation`] sits a *fleet*: a rack of `N` identical
-//! devices and a population of tenant demands that the fleet's
-//! [`PlacementPolicyKind`] assigns to devices. Each placed device then
-//! compiles down to an ordinary multi-tenant [`RunRequest`] (via
-//! [`Simulation::build_multi`]), which makes the fleet embarrassingly
-//! parallel under the existing memoizing [`Runner`]:
+//! single-device [`Simulation`](crate::Simulation) sits a *fleet*: a rack
+//! of `N` identical devices and a population of tenant demands that the
+//! fleet's [`PlacementPolicyKind`] assigns to devices. Each placed device
+//! then compiles down to an ordinary multi-tenant
+//! [`RunRequest`](crate::RunRequest) (via
+//! [`Simulation::build_multi`](crate::Simulation::build_multi)), which
+//! makes the fleet embarrassingly parallel under the existing memoizing
+//! [`Runner`]:
 //!
 //! * devices run concurrently on the runner's worker pool,
 //! * two devices (or two whole placements) that agree on a tenant
@@ -25,10 +27,9 @@
 //! [`audit_fleet`] checks the per-device results against the placement with
 //! four `fleet-*` invariants, mirroring the per-device audit.
 
-use crate::engine::Simulation;
-use crate::experiments::{mt_solo_twin, ExperimentTable};
+use crate::experiments::{colocation_requests, ExperimentTable};
 use crate::metrics::SimResult;
-use crate::runner::{RunRequest, Runner};
+use crate::runner::Runner;
 use crate::scale::ExperimentScale;
 use serde::{Deserialize, Serialize};
 use skybyte_types::{AuditReport, PlacementPolicyKind, RebalancePolicyKind, VariantKind};
@@ -344,7 +345,7 @@ impl FleetResult {
 
 /// The per-device tenant compositions implied by an assignment: for each
 /// device, the global tenant indices placed on it, ascending.
-pub fn device_groups(assignment: &[usize], devices: usize) -> Vec<Vec<usize>> {
+fn device_groups(assignment: &[usize], devices: usize) -> Vec<Vec<usize>> {
     let mut groups = vec![Vec::new(); devices];
     for (t, &d) in assignment.iter().enumerate() {
         groups[d].push(t);
@@ -357,7 +358,7 @@ pub fn device_groups(assignment: &[usize], devices: usize) -> Vec<Vec<usize>> {
 /// antagonist, divided by its uncontended solo twin. One probe pair runs per
 /// *distinct* workload (memoized across tenants and across fleets on the
 /// same runner).
-pub fn interference_scores(runner: &Runner, cfg: &FleetConfig) -> Vec<f64> {
+fn interference_scores(runner: &Runner, cfg: &FleetConfig) -> Vec<f64> {
     let mut uniq: Vec<WorkloadKind> = Vec::new();
     for t in &cfg.tenants {
         if !uniq.contains(&t.workload) {
@@ -366,19 +367,14 @@ pub fn interference_scores(runner: &Runner, cfg: &FleetConfig) -> Vec<f64> {
     }
     let mut runs = Vec::new();
     for &w in &uniq {
+        // The co-located pair and the probed tenant's twin; the
+        // antagonist's twin is not needed.
         let pair = [(w, 1), (WorkloadKind::Tpcc, 1)];
-        let co = Simulation::build_multi(cfg.variant, &pair, &cfg.scale);
-        let slice = co.tenant_slice_bytes();
-        runs.push(RunRequest::from_simulation(co));
-        runs.push(RunRequest::from_simulation(mt_solo_twin(
-            cfg.variant,
-            &pair,
-            0,
-            w,
-            1,
-            slice,
-            &cfg.scale,
-        )));
+        runs.extend(
+            colocation_requests(cfg.variant, &pair, &cfg.scale)
+                .into_iter()
+                .take(2),
+        );
     }
     let results = runner.run_all(&runs);
     let score_of = |w: WorkloadKind| {
@@ -391,7 +387,7 @@ pub fn interference_scores(runner: &Runner, cfg: &FleetConfig) -> Vec<f64> {
 }
 
 /// Runs one round: compiles each non-empty device down to a multi-tenant
-/// [`RunRequest`] plus one solo twin per placed tenant, executes the whole
+/// run request plus one solo twin per placed tenant, executes the whole
 /// batch through the runner (parallel, memoized), and reads back per-tenant
 /// slowdowns.
 fn run_round(runner: &Runner, cfg: &FleetConfig, assignment: &[usize]) -> FleetResult {
@@ -400,39 +396,22 @@ fn run_round(runner: &Runner, cfg: &FleetConfig, assignment: &[usize]) -> FleetR
     // run first, then that device's solo twins) so results map back
     // positionally and output is byte-identical at any parallelism.
     let mut runs = Vec::new();
-    let mut compositions: Vec<Vec<(WorkloadKind, u32)>> = Vec::with_capacity(cfg.devices);
-    for group in &groups {
+    for group in groups.iter().filter(|g| !g.is_empty()) {
         let composition: Vec<(WorkloadKind, u32)> = group
             .iter()
             .map(|&t| (cfg.tenants[t].workload, cfg.tenants[t].threads))
             .collect();
-        if !composition.is_empty() {
-            let co = Simulation::build_multi(cfg.variant, &composition, &cfg.scale);
-            let slice = co.tenant_slice_bytes();
-            runs.push(RunRequest::from_simulation(co));
-            for (slot, &(workload, threads)) in composition.iter().enumerate() {
-                runs.push(RunRequest::from_simulation(mt_solo_twin(
-                    cfg.variant,
-                    &composition,
-                    slot,
-                    workload,
-                    threads,
-                    slice,
-                    &cfg.scale,
-                )));
-            }
-        }
-        compositions.push(composition);
+        runs.extend(colocation_requests(cfg.variant, &composition, &cfg.scale));
     }
     let results = runner.run_all(&runs);
     let mut results = results.iter();
 
     let mut devices = Vec::with_capacity(cfg.devices);
     let mut slowdowns = vec![0.0; cfg.tenants.len()];
-    for (d, group) in groups.iter().enumerate() {
-        if compositions[d].is_empty() {
+    for group in &groups {
+        if group.is_empty() {
             devices.push(DeviceOutcome {
-                tenants: group.clone(),
+                tenants: Vec::new(),
                 result: None,
             });
             continue;
@@ -637,11 +616,11 @@ pub fn fleet_population(
 /// a device's composition share its simulation through the runner's memo
 /// table; with `--audit`, every fleet is checked against the `fleet-*`
 /// invariants.
-pub fn fig_fleet(runner: &Runner, scale: &ExperimentScale) -> ExperimentTable {
+pub(crate) fn fig_fleet(runner: &Runner, scale: &ExperimentScale) -> ExperimentTable {
     let mut t = ExperimentTable::new(
         "figure-fleet",
         "Fleet sweep: per-tenant tail slowdown and fairness by placement policy",
-        &[
+        [
             "devices",
             "tenants",
             "p50_slowdown",

@@ -15,7 +15,8 @@
 //! * `AstriFlash-CXL` — the AstriFlash comparison point (§VI-H).
 //!
 //! The [`experiments`] module regenerates every table and figure of the
-//! evaluation section, and `skybyte-bench`'s `figures` binary prints them;
+//! evaluation section, [`report::EXPERIMENTS`] lists them by name, and
+//! `skybyte-bench`'s `figures` binary prints them;
 //! `ROADMAP.md` tabulates the default-scale values next to the paper's
 //! headline numbers.
 //!
@@ -54,13 +55,9 @@ pub mod thread_exec;
 
 pub use engine::{Simulation, TraceDrive};
 pub use event::{Event, EventQueue};
-pub use fleet::{
-    audit_fleet, device_groups, fig_fleet, interference_scores, run_fleet, DeviceOutcome,
-    FleetConfig, FleetResult, TenantDemand,
-};
+pub use fleet::{audit_fleet, run_fleet, DeviceOutcome, FleetConfig, FleetResult, TenantDemand};
 pub use metrics::{AmatBreakdown, LayerCounters, RequestBreakdown, SimResult, TenantCounters};
 pub use migration::MigrationEngine;
-pub use report::{figure_table, figure_table_named, paper_table, render_figure, render_table};
 pub use runner::{PerfReport, RunRequest, RunTiming, Runner};
 pub use scale::ExperimentScale;
 pub use system::SystemState;

@@ -6,9 +6,10 @@
 //! normalised figure re-needs the Base-CSSD run of each workload).
 //! [`Simulation::run`] takes `&self`, so the runs are embarrassingly
 //! parallel. The [`Runner`] executes batches of [`RunRequest`]s on a scoped
-//! worker pool ([`std::thread::scope`]) and memoizes each unique
-//! (config, workload, scale) triple, so a given simulation is executed
-//! exactly once per harness invocation no matter how many figures ask for it.
+//! worker pool ([`parallel_map`], which the golden corpus shares) and
+//! memoizes each unique (config, workload, scale) triple, so a given
+//! simulation is executed exactly once per harness invocation no matter how
+//! many figures ask for it.
 //!
 //! Because every simulation is deterministic, the runner's output is
 //! bit-identical to the sequential path regardless of the number of worker
@@ -24,7 +25,7 @@ use skybyte_workloads::WorkloadKind;
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// One fully specified simulation run, identified by a deterministic
@@ -182,9 +183,11 @@ pub fn default_parallelism() -> usize {
 ///
 /// With `jobs == 1` the runner executes every pending request inline on the
 /// calling thread (the sequential path); with `jobs > 1` pending requests are
-/// drained from a shared queue by scoped worker threads. Either way each
-/// unique fingerprint is simulated at most once and the cached
-/// [`SimResult`]s are shared via [`Arc`].
+/// drained from a shared queue by scoped worker threads ([`parallel_map`]).
+/// Either way each unique fingerprint is simulated at most once and the
+/// cached [`SimResult`]s are shared via [`Arc`]. Batches are meant to come
+/// from one thread: two concurrent `run_all` calls may both execute a run
+/// neither has memoized yet.
 ///
 /// # Example
 ///
@@ -227,10 +230,8 @@ pub struct Runner {
     /// cached [`SimResult`] without re-executing, so they contribute no
     /// telemetry output.
     telemetry: TelemetryConfig,
-    state: Mutex<MemoState>,
-    /// Signalled whenever a run completes, waking callers blocked on a
-    /// fingerprint claimed by a concurrent `run_all`.
-    finished: Condvar,
+    /// Result of every executed run, keyed by fingerprint.
+    memo: Mutex<HashMap<String, Arc<SimResult>>>,
     runs_executed: AtomicU64,
     truncated_runs: AtomicU64,
     /// Requests served across every `run_all` call (executions + memo
@@ -245,14 +246,6 @@ pub struct Runner {
     telemetry_outputs: Mutex<Vec<(String, String, TelemetryOutput)>>,
 }
 
-/// Memoized results plus the fingerprints currently being simulated, so that
-/// concurrent callers never execute the same run twice.
-#[derive(Debug, Default)]
-struct MemoState {
-    done: HashMap<String, Arc<SimResult>>,
-    in_flight: HashSet<String>,
-}
-
 impl Runner {
     /// Creates a runner with `jobs` worker threads (clamped to at least 1).
     pub fn new(jobs: usize) -> Self {
@@ -262,8 +255,7 @@ impl Runner {
             policies: Vec::new(),
             audit: false,
             telemetry: TelemetryConfig::default(),
-            state: Mutex::new(MemoState::default()),
-            finished: Condvar::new(),
+            memo: Mutex::new(HashMap::new()),
             runs_executed: AtomicU64::new(0),
             truncated_runs: AtomicU64::new(0),
             requests_served: AtomicU64::new(0),
@@ -384,18 +376,16 @@ impl Runner {
 
     /// Runs a batch of requests, returning one result per request in order.
     ///
-    /// Duplicate fingerprints within the batch, fingerprints already
-    /// memoized by earlier batches, and fingerprints claimed by a
-    /// concurrently running batch are simulated only once; the runs this
-    /// call claims are spread across the worker pool, and results claimed
-    /// elsewhere are awaited.
+    /// Duplicate fingerprints within the batch and fingerprints already
+    /// memoized by earlier batches are simulated only once; the rest run
+    /// on the worker pool ([`parallel_map`]), in request order when
+    /// `jobs == 1`.
     ///
     /// # Panics
     ///
-    /// Propagates a panic from any simulation this call executes (e.g. an
-    /// invalid configuration), after releasing every fingerprint the call
-    /// claimed but did not finish: a concurrent caller waiting on one of
-    /// them panics too, naming the run, and a later call re-runs it.
+    /// Re-raises the panic of a simulation this call executes (e.g. an
+    /// invalid configuration) with its own message. Runs that finished
+    /// stay memoized; the failed one is not, so a later call runs it again.
     pub fn run_all(&self, reqs: &[RunRequest]) -> Vec<Arc<SimResult>> {
         // Decorate requests with this runner's policy overrides and trace
         // drive; both land in each decorated fingerprint, keeping the memo
@@ -420,75 +410,24 @@ impl Runner {
                 .collect();
             &decorated
         };
-        // Claim every fingerprint that is neither memoized nor already being
-        // simulated by a concurrent caller.
-        let claimed: Vec<&RunRequest> = {
-            let mut state = self.state.lock().expect("memo table poisoned");
+        // The first request of each fingerprint the memo table lacks.
+        let pending: Vec<&RunRequest> = {
+            let memo = self.memo.lock().expect("memo table poisoned");
+            let mut seen = HashSet::new();
             reqs.iter()
-                .filter(|r| {
-                    !state.done.contains_key(r.fingerprint())
-                        && state.in_flight.insert(r.fingerprint().to_string())
-                })
+                .filter(|r| !memo.contains_key(r.fingerprint()) && seen.insert(r.fingerprint()))
                 .collect()
         };
-        let executed = catch_unwind(AssertUnwindSafe(|| {
-            if self.jobs == 1 || claimed.len() == 1 {
-                // Sequential path: run inline, in enumeration order.
-                for req in &claimed {
-                    self.execute(req);
-                }
-            } else if !claimed.is_empty() {
-                let next = AtomicUsize::new(0);
-                let workers = self.jobs.min(claimed.len());
-                std::thread::scope(|s| {
-                    for _ in 0..workers {
-                        s.spawn(|| loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(req) = claimed.get(i) else { break };
-                            self.execute(req);
-                        });
-                    }
-                });
-            }
-        }));
-        if let Err(panic) = executed {
-            // Release the claims no run finished (finished ones already left
-            // `in_flight`), so waiters stop waiting and later calls re-run.
-            let mut state = self.state.lock().expect("memo table poisoned");
-            for req in &claimed {
-                state.in_flight.remove(req.fingerprint());
-            }
-            drop(state);
-            self.finished.notify_all();
-            resume_unwind(panic);
-        }
-        // Collect in request order, waiting out any fingerprints a
-        // concurrent caller claimed before we could.
+        parallel_map(self.jobs, &pending, |req| self.execute(req));
         self.requests_served
             .fetch_add(reqs.len() as u64, Ordering::Relaxed);
-        let mut results = Vec::with_capacity(reqs.len());
-        let mut state = self.state.lock().expect("memo table poisoned");
-        for r in reqs {
-            loop {
-                if let Some(hit) = state.done.get(r.fingerprint()) {
-                    results.push(Arc::clone(hit));
-                    break;
-                }
-                if !state.in_flight.contains(r.fingerprint()) {
-                    // Neither finished nor claimed: its run panicked.
-                    drop(state);
-                    panic!("simulation {} panicked in a concurrent call", label(r));
-                }
-                state = self
-                    .finished
-                    .wait(state)
-                    .expect("memo table poisoned while waiting");
-            }
-        }
-        results
+        let memo = self.memo.lock().expect("memo table poisoned");
+        reqs.iter()
+            .map(|r| Arc::clone(&memo[r.fingerprint()]))
+            .collect()
     }
 
-    /// Simulates one claimed request and publishes its result.
+    /// Simulates one request and memoizes its result.
     fn execute(&self, req: &RunRequest) {
         // Telemetry is observe-only and excluded from fingerprints, so the
         // result published under this fingerprint is bit-identical whether
@@ -526,12 +465,63 @@ impl Runner {
                 .expect("telemetry log poisoned")
                 .push((req.fingerprint().to_string(), label(req), output));
         }
-        let mut state = self.state.lock().expect("memo table poisoned");
-        state.in_flight.remove(req.fingerprint());
-        state.done.insert(req.fingerprint().to_string(), result);
-        drop(state);
-        self.finished.notify_all();
+        self.memo
+            .lock()
+            .expect("memo table poisoned")
+            .insert(req.fingerprint().to_string(), result);
     }
+}
+
+/// Maps `f` over `items` on up to `jobs` scoped worker threads and returns
+/// the outputs in item order, so the result is the same for any `jobs`.
+/// Runs inline, in item order, when one worker is enough.
+///
+/// # Panics
+///
+/// If `f` panics, no worker starts another item, and once all have stopped
+/// the panic is re-raised with its own payload (a bare
+/// [`std::thread::scope`] would replace it with its own message).
+pub fn parallel_map<T: Sync, U: Send>(
+    jobs: usize,
+    items: &[T],
+    f: impl Fn(&T) -> U + Sync,
+) -> Vec<U> {
+    let workers = jobs.min(items.len());
+    if workers <= 1 {
+        return items.iter().map(f).collect();
+    }
+    let next = AtomicUsize::new(0);
+    // A worker returns its (index, output) pairs, or the payload of the
+    // item that panicked.
+    let worker = || {
+        let mut out = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(i) else {
+                return Ok(out);
+            };
+            match catch_unwind(AssertUnwindSafe(|| f(item))) {
+                Ok(output) => out.push((i, output)),
+                Err(payload) => {
+                    next.store(items.len(), Ordering::Relaxed);
+                    return Err(payload);
+                }
+            }
+        }
+    };
+    let per_worker: Vec<_> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..workers).map(|_| s.spawn(worker)).collect();
+        let joined = handles.into_iter().map(|h| h.join());
+        joined
+            .map(|r| r.expect("worker panics are caught"))
+            .collect()
+    });
+    let mut outputs = Vec::with_capacity(items.len());
+    for out in per_worker {
+        outputs.extend(out.unwrap_or_else(|payload| resume_unwind(payload)));
+    }
+    outputs.sort_unstable_by_key(|&(i, _)| i);
+    outputs.into_iter().map(|(_, out)| out).collect()
 }
 
 /// The human-readable `variant/workload` name of a request.
@@ -560,7 +550,7 @@ mod tests {
 
         /// Number of distinct results currently memoized.
         fn memoized_results(&self) -> usize {
-            self.state.lock().expect("memo table poisoned").done.len()
+            self.memo.lock().expect("memo table poisoned").len()
         }
     }
 
@@ -651,29 +641,6 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_callers_share_exactly_one_execution() {
-        let scale = tiny();
-        let runner = Runner::new(2);
-        let reqs: Vec<RunRequest> = [WorkloadKind::Ycsb, WorkloadKind::Bc, WorkloadKind::Srad]
-            .iter()
-            .map(|&w| RunRequest::build(VariantKind::BaseCssd, w, &scale))
-            .collect();
-        // Four threads race the same batch through one shared runner: the
-        // in-flight claims must keep each unique run at exactly one
-        // execution, and every caller must still get all three results.
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    assert_eq!(runner.run_all(&reqs).len(), 3);
-                });
-            }
-        });
-        assert_eq!(runner.runs_executed(), 3);
-        assert_eq!(runner.memoized_results(), 3);
-        assert_eq!(runner.truncated_runs(), 0);
-    }
-
-    #[test]
     fn drives_partition_the_memo_table_and_replay_matches_recording() {
         let dir = std::env::temp_dir().join(format!("skybyte-runner-drive-{}", std::process::id()));
         let scale = tiny();
@@ -731,57 +698,48 @@ mod tests {
         assert!(default_parallelism() >= 1);
     }
 
-    #[test]
-    fn a_panicking_run_releases_its_claim() {
-        let runner = Arc::new(Runner::new(1));
+    /// A request that fails configuration validation, so its run panics.
+    fn invalid_request() -> RunRequest {
         let mut cfg = tiny().apply(SimConfig::default());
-        cfg.cpu.cores = 0; // fails validation, so the run panics
-        let bad = RunRequest::with_config(cfg, WorkloadKind::Ycsb, &tiny());
-        // Before the claim was released, the second call waited forever for
-        // the first's result.
-        let (tx, rx) = std::sync::mpsc::channel();
-        let shared = Arc::clone(&runner);
-        let helper = std::thread::spawn(move || {
-            for _ in 0..2 {
-                let outcome = catch_unwind(AssertUnwindSafe(|| shared.run(&bad)));
-                tx.send(outcome.is_err()).unwrap();
-            }
-        });
-        for call in 1..=2 {
-            let panicked = rx.recv_timeout(Duration::from_secs(60));
-            assert_eq!(panicked, Ok(true), "call {call} must re-raise, not block");
-        }
-        helper.join().unwrap();
-        let ok = RunRequest::build(VariantKind::BaseCssd, WorkloadKind::Ycsb, &tiny());
-        assert!(runner.run(&ok).total_accesses() > 0);
-        assert_eq!(runner.runs_executed(), 1);
+        cfg.cpu.cores = 0;
+        RunRequest::with_config(cfg, WorkloadKind::Ycsb, &tiny())
     }
 
     #[test]
-    fn a_waiter_on_a_released_claim_re_raises_naming_the_run() {
-        let runner = Arc::new(Runner::new(1));
-        let req = RunRequest::build(VariantKind::BaseCssd, WorkloadKind::Ycsb, &tiny());
-        // Stand in for a concurrent call that claims the run, then releases
-        // it unfinished as a panicking run does.
-        let claim = req.fingerprint().to_string();
-        runner.state.lock().unwrap().in_flight.insert(claim.clone());
-        let (tx, rx) = std::sync::mpsc::channel();
-        let shared = Arc::clone(&runner);
-        let waiter = std::thread::spawn(move || {
-            let outcome = catch_unwind(AssertUnwindSafe(|| shared.run(&req)));
-            tx.send(outcome.err().and_then(|p| p.downcast::<String>().ok()))
-                .unwrap();
-        });
-        // Once its request counts as served, the waiter is past claiming.
-        while runner.requests_served.load(Ordering::Relaxed) == 0 {
-            std::thread::yield_now();
+    fn a_panicking_run_releases_its_claim() {
+        let runner = Runner::new(1);
+        let bad = invalid_request();
+        // The failed run leaves nothing memoized: each call runs it again
+        // and re-raises.
+        for call in 1..=2 {
+            let outcome = catch_unwind(AssertUnwindSafe(|| runner.run(&bad)));
+            assert!(outcome.is_err(), "call {call} must re-raise");
         }
-        runner.state.lock().unwrap().in_flight.remove(&claim);
-        runner.finished.notify_all();
-        let message = rx.recv_timeout(Duration::from_secs(60)).unwrap();
-        waiter.join().unwrap();
-        assert!(message.unwrap().contains("Base-CSSD/ycsb"));
-        assert_eq!(runner.runs_executed(), 0);
+        let ok = RunRequest::build(VariantKind::BaseCssd, WorkloadKind::Ycsb, &tiny());
+        assert!(runner.run(&ok).total_accesses() > 0);
+        assert_eq!(runner.runs_executed(), 1);
+        assert_eq!(runner.memoized_results(), 1);
+    }
+
+    #[test]
+    fn a_failing_run_on_the_pool_names_its_cause() {
+        let runner = Runner::new(2);
+        let ok = RunRequest::build(VariantKind::BaseCssd, WorkloadKind::Ycsb, &tiny());
+        let payload = catch_unwind(AssertUnwindSafe(|| {
+            runner.run_all(&[ok, invalid_request()])
+        }))
+        .expect_err("the invalid run must panic");
+        let message = payload.downcast::<String>().expect("a formatted message");
+        assert!(message.contains("cpu.cores"), "{message}");
+    }
+
+    #[test]
+    fn parallel_map_preserves_order_for_any_job_count() {
+        for jobs in [1, 3, 8] {
+            let out = parallel_map(jobs, &(0..10).collect::<Vec<_>>(), |i| i * i);
+            assert_eq!(out, (0..10).map(|i| i * i).collect::<Vec<_>>());
+        }
+        assert!(parallel_map(4, &[] as &[u32], |i| *i).is_empty());
     }
 
     #[test]

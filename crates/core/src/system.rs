@@ -45,7 +45,7 @@ use skybyte_cxl::CxlPort;
 use skybyte_os::{BlockReason, PagePlacement, PageTable, Scheduler, ThreadId, Tlb};
 use skybyte_ssd::{ServedBy, SsdController};
 use skybyte_types::{LatencyHistogram, Lpa, Nanos, PageNumber, SimConfig, TenantMap};
-use skybyte_workloads::{TraceSource, WorkUnit};
+use skybyte_workloads::{TraceError, TraceSource, WorkUnit};
 
 /// How often (in SSD accesses, squashed or not) the background migration
 /// policy gets a chance to promote a page. Public so the conservation audit
@@ -75,6 +75,8 @@ enum Pass {
     Parked,
     /// The work-unit budget is exhausted: stop the run as truncated.
     Truncated,
+    /// The trace source failed: stop the run with its error.
+    Failed(TraceError),
 }
 
 /// Everything one simulation run owns: the simulated devices, the OS-side
@@ -144,7 +146,8 @@ impl SystemState {
     /// # Panics
     ///
     /// Panics if the configuration is invalid or the source's stream count
-    /// differs from `cfg.threads`.
+    /// differs from `cfg.threads`. A source that fails while the executors
+    /// prefetch their first units returns its error.
     pub(crate) fn new(
         cfg: &SimConfig,
         seed: u64,
@@ -153,7 +156,7 @@ impl SystemState {
         footprint_pages: u64,
         precondition_fraction: f64,
         max_units: u64,
-    ) -> Self {
+    ) -> Result<Self, TraceError> {
         cfg.validate().expect("invalid simulation configuration");
         assert_eq!(
             source.threads(),
@@ -172,9 +175,9 @@ impl SystemState {
         let tlb = Tlb::new(cfg.cpu.tlb.entries as usize, cfg.cpu.tlb.miss_latency);
         let migration = MigrationEngine::new(cfg);
         let tenant_map = source.tenant_map();
-        let execs: Vec<ThreadExecutor> = (0..threads)
+        let execs = (0..threads)
             .map(|t| ThreadExecutor::new(t, per_thread_budget, source))
-            .collect();
+            .collect::<Result<Vec<_>, _>>()?;
         for _ in 0..threads {
             sched.spawn();
         }
@@ -203,7 +206,7 @@ impl SystemState {
             )
         });
 
-        SystemState {
+        Ok(SystemState {
             cfg: cfg.clone(),
             core_model,
             ssd,
@@ -236,7 +239,7 @@ impl SystemState {
             parked_count: 0,
             sched_dirty: false,
             telemetry,
-        }
+        })
     }
 
     /// Runs the pipeline until every thread finished (or the work-unit
@@ -257,7 +260,7 @@ impl SystemState {
     /// last thread's finish; the `tenant-finish-bounded` audit invariant
     /// checks that `exec_time` is that finish. A truncated run leaves
     /// parked cores where they parked.
-    pub(crate) fn run(&mut self, source: &mut dyn TraceSource) {
+    pub(crate) fn run(&mut self, source: &mut dyn TraceSource) -> Result<(), TraceError> {
         let mut queue = EventQueue::new();
         for c in 0..self.core_clock.len() {
             queue.push(self.core_clock[c], c as u32);
@@ -305,11 +308,13 @@ impl SystemState {
                     self.truncated = true;
                     break;
                 }
+                Pass::Failed(e) => return Err(e),
             }
             if std::mem::take(&mut self.sched_dirty) {
                 self.unpark(ev.time, Some(&mut queue));
             }
         }
+        Ok(())
     }
 
     /// The executable specification the event-driven [`SystemState::run`]
@@ -319,21 +324,26 @@ impl SystemState {
     /// [`SystemState::pass`] and [`SystemState::unpark`], so what this pins
     /// is exactly the event queue's ordering.
     #[cfg(test)]
-    pub(crate) fn run_reference(&mut self, source: &mut dyn TraceSource) {
+    pub(crate) fn run_reference(&mut self, source: &mut dyn TraceSource) -> Result<(), TraceError> {
         while !self.sched.all_finished() {
             let core = (0..self.core_clock.len())
                 .filter(|&c| !self.parked[c])
                 .min_by_key(|&c| self.core_clock[c])
                 .expect("every core parked with unfinished threads");
             let now = self.core_clock[core];
-            if let Pass::Truncated = self.pass(core, now, source) {
-                self.truncated = true;
-                break;
+            match self.pass(core, now, source) {
+                Pass::Truncated => {
+                    self.truncated = true;
+                    break;
+                }
+                Pass::Failed(e) => return Err(e),
+                Pass::Advance(_) | Pass::Parked => {}
             }
             if std::mem::take(&mut self.sched_dirty) {
                 self.unpark(now, None);
             }
         }
+        Ok(())
     }
 
     /// One pipeline pass over `core` at time `now`: schedule, pull a unit,
@@ -346,11 +356,12 @@ impl SystemState {
         };
 
         let unit = match self.execs[tid.0 as usize].next_unit(source) {
-            Some(u) => u,
-            None => {
+            Ok(Some(u)) => u,
+            Ok(None) => {
                 self.finish_thread(tid, now);
                 return Pass::Advance(now);
             }
+            Err(e) => return Pass::Failed(e),
         };
 
         if self.units >= self.max_units {
@@ -833,7 +844,7 @@ mod tests {
     }
 
     fn build(cfg: &SimConfig, source: &mut dyn TraceSource, budget: u64) -> SystemState {
-        SystemState::new(cfg, 7, source, budget, 1024, 0.8, 1_000_000)
+        SystemState::new(cfg, 7, source, budget, 1024, 0.8, 1_000_000).unwrap()
     }
 
     #[test]
@@ -957,8 +968,9 @@ mod tests {
             .apply(SimConfig::default().with_variant(VariantKind::BaseCssd))
             .with_threads(2);
         cfg.cpu.cores = 2;
-        let mut sys = SystemState::new(&cfg, 7, &mut stacked, u64::MAX, 1024, 0.8, 1_000_000);
-        sys.run(&mut stacked);
+        let mut sys =
+            SystemState::new(&cfg, 7, &mut stacked, u64::MAX, 1024, 0.8, 1_000_000).unwrap();
+        sys.run(&mut stacked).unwrap();
         let (r, _) = sys.into_result("stacked");
         assert_eq!(r.per_tenant.len(), 2);
         assert_eq!(r.per_tenant[0].tenant, TenantId(0));

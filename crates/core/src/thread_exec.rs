@@ -14,8 +14,11 @@
 //! budget is spent), so the engine observes the same thread-completion
 //! instants — and therefore makes the same scheduling decisions — whether
 //! it runs live or from a recording.
+//!
+//! A source failure (an I/O error or corruption in a replayed trace) is
+//! returned as the source's [`TraceError`], for the engine to pass up.
 
-use skybyte_workloads::{TraceSource, WorkUnit};
+use skybyte_workloads::{TraceError, TraceSource, WorkUnit};
 
 /// The execution state of one thread: its stream position, its remaining
 /// work budget, and an optional access pending re-issue.
@@ -33,12 +36,7 @@ pub struct ThreadExecutor {
 impl ThreadExecutor {
     /// Creates the executor for stream `thread` of `source`, limited to
     /// `budget` work units, and prefetches the first unit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the source fails (I/O error or corruption in a replayed
-    /// trace).
-    pub fn new(thread: u32, budget: u64, source: &mut dyn TraceSource) -> Self {
+    pub fn new(thread: u32, budget: u64, source: &mut dyn TraceSource) -> Result<Self, TraceError> {
         let mut exec = ThreadExecutor {
             thread,
             budget,
@@ -47,36 +45,36 @@ impl ThreadExecutor {
             prefetched: None,
         };
         if budget > 0 {
-            exec.prefetch(source);
+            exec.prefetch(source)?;
         }
-        exec
+        Ok(exec)
     }
 
-    fn prefetch(&mut self, source: &mut dyn TraceSource) {
+    fn prefetch(&mut self, source: &mut dyn TraceSource) -> Result<(), TraceError> {
         debug_assert!(self.prefetched.is_none());
-        self.prefetched = source
-            .next_record(self.thread)
-            .unwrap_or_else(|e| panic!("trace source failed on thread {}: {e}", self.thread))
-            .map(WorkUnit::from);
+        self.prefetched = source.next_record(self.thread)?.map(WorkUnit::from);
+        Ok(())
     }
 
     /// The next work unit to execute, or `None` when the trace is finished.
     /// A pushed-back access is returned first (with zero compute, since the
-    /// compute burst before it already executed).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the source fails while prefetching the successor.
-    pub fn next_unit(&mut self, source: &mut dyn TraceSource) -> Option<WorkUnit> {
+    /// compute burst before it already executed). Fails if the source fails
+    /// while prefetching the successor.
+    pub fn next_unit(
+        &mut self,
+        source: &mut dyn TraceSource,
+    ) -> Result<Option<WorkUnit>, TraceError> {
         if let Some(p) = self.pending.take() {
-            return Some(p);
+            return Ok(Some(p));
         }
-        let unit = self.prefetched.take()?;
+        let Some(unit) = self.prefetched.take() else {
+            return Ok(None);
+        };
         self.issued += 1;
         if self.issued < self.budget {
-            self.prefetch(source);
+            self.prefetch(source)?;
         }
-        Some(unit)
+        Ok(Some(unit))
     }
 
     /// Pushes an access back for re-issue after a context switch. The compute
@@ -109,9 +107,9 @@ mod tests {
     #[test]
     fn budget_bounds_the_trace() {
         let mut s = source();
-        let mut e = ThreadExecutor::new(0, 5, &mut s);
+        let mut e = ThreadExecutor::new(0, 5, &mut s).unwrap();
         let mut count = 0;
-        while e.next_unit(&mut s).is_some() {
+        while e.next_unit(&mut s).unwrap().is_some() {
             count += 1;
         }
         assert_eq!(count, 5);
@@ -127,9 +125,9 @@ mod tests {
             .map(|_| live.next_record(0).unwrap().unwrap())
             .collect();
         let mut replay = skybyte_trace::VecSource::new("finite", vec![units]);
-        let mut e = ThreadExecutor::new(0, u64::MAX, &mut replay);
+        let mut e = ThreadExecutor::new(0, u64::MAX, &mut replay).unwrap();
         let mut count = 0;
-        while e.next_unit(&mut replay).is_some() {
+        while e.next_unit(&mut replay).unwrap().is_some() {
             count += 1;
         }
         assert_eq!(count, 4);
@@ -139,15 +137,15 @@ mod tests {
     #[test]
     fn push_back_reissues_the_same_access_without_compute() {
         let mut s = source();
-        let mut e = ThreadExecutor::new(0, 3, &mut s);
-        let first = e.next_unit(&mut s).unwrap();
+        let mut e = ThreadExecutor::new(0, 3, &mut s).unwrap();
+        let first = e.next_unit(&mut s).unwrap().unwrap();
         e.push_back(first);
-        let reissued = e.next_unit(&mut s).unwrap();
+        let reissued = e.next_unit(&mut s).unwrap().unwrap();
         assert_eq!(reissued.access, first.access);
         assert_eq!(reissued.instructions, 0);
         // The re-issue does not consume budget.
         let mut remaining = 0;
-        while e.next_unit(&mut s).is_some() {
+        while e.next_unit(&mut s).unwrap().is_some() {
             remaining += 1;
         }
         assert_eq!(remaining, 2);
@@ -156,13 +154,13 @@ mod tests {
     #[test]
     fn pending_access_defers_finish() {
         let mut s = source();
-        let mut e = ThreadExecutor::new(0, 1, &mut s);
-        let u = e.next_unit(&mut s).unwrap();
+        let mut e = ThreadExecutor::new(0, 1, &mut s).unwrap();
+        let u = e.next_unit(&mut s).unwrap().unwrap();
         assert!(e.is_finished());
         e.push_back(u);
         assert!(!e.is_finished());
-        assert!(e.next_unit(&mut s).is_some());
-        assert!(e.next_unit(&mut s).is_none());
+        assert!(e.next_unit(&mut s).unwrap().is_some());
+        assert!(e.next_unit(&mut s).unwrap().is_none());
         assert!(e.is_finished());
     }
 
@@ -171,19 +169,19 @@ mod tests {
         // The prefetch makes completion visible without an extra pull —
         // the property that keeps live and replayed scheduling identical.
         let mut s = source();
-        let mut e = ThreadExecutor::new(1, 2, &mut s);
+        let mut e = ThreadExecutor::new(1, 2, &mut s).unwrap();
         assert!(!e.is_finished());
-        let _ = e.next_unit(&mut s).unwrap();
+        let _ = e.next_unit(&mut s).unwrap().unwrap();
         assert!(!e.is_finished());
-        let _ = e.next_unit(&mut s).unwrap();
+        let _ = e.next_unit(&mut s).unwrap().unwrap();
         assert!(e.is_finished());
     }
 
     #[test]
     fn zero_budget_is_immediately_finished() {
         let mut s = source();
-        let mut e = ThreadExecutor::new(0, 0, &mut s);
-        assert!(e.next_unit(&mut s).is_none());
+        let mut e = ThreadExecutor::new(0, 0, &mut s).unwrap();
+        assert!(e.next_unit(&mut s).unwrap().is_none());
         assert!(e.is_finished());
     }
 }

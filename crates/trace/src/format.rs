@@ -38,7 +38,8 @@
 //! reader that filters a single thread can skip foreign chunks without
 //! decoding them. Both [`TraceWriter`] and the readers stream with O(1)
 //! memory: the writer buffers at most one chunk, the readers at most one
-//! record.
+//! record. Replay (`TraceFileSource`) reads the file into memory once and
+//! runs one [`ThreadReader`] per stream over those shared bytes.
 
 use crate::error::TraceError;
 use crate::record::TraceRecord;
@@ -147,7 +148,7 @@ impl TraceHeader {
     }
 
     /// Parses the header from the start of a stream.
-    fn read_from<R: Read>(input: &mut R) -> Result<Self, TraceError> {
+    pub(crate) fn read_from<R: Read>(input: &mut R) -> Result<Self, TraceError> {
         let mut magic = [0u8; 8];
         input.read_exact(&mut magic).map_err(|e| {
             if e.kind() == std::io::ErrorKind::UnexpectedEof {
@@ -456,8 +457,8 @@ impl TraceReader<BufReader<std::fs::File>> {
 
 /// Streaming reader filtered to **one** thread stream; chunks of other
 /// threads are skipped without decoding (their lengths are in the chunk
-/// headers). This is what per-thread replay uses — one cursor per thread,
-/// each with its own file handle, O(1) memory each.
+/// headers). This is what per-thread replay uses — one cursor per thread
+/// over the file's bytes, read once and shared, O(1) memory each.
 #[derive(Debug)]
 pub struct ThreadReader<R: Read> {
     decoder: Decoder<R>,
@@ -471,17 +472,20 @@ impl<R: Read> ThreadReader<R> {
     /// Wraps a fresh stream (header not yet consumed), filtering `thread`.
     pub fn new(mut input: R, thread: u32) -> Result<Self, TraceError> {
         let header = TraceHeader::read_from(&mut input)?;
-        if thread >= header.threads {
+        Self::after_header(input, header.threads, thread)
+    }
+
+    /// Filters `thread` from `input`, which is positioned just past a
+    /// header that declares `threads` streams.
+    pub(crate) fn after_header(input: R, threads: u32, thread: u32) -> Result<Self, TraceError> {
+        if thread >= threads {
             return Err(TraceError::ThreadOutOfRange {
-                threads: header.threads,
+                threads,
                 requested: thread,
             });
         }
         Ok(ThreadReader {
-            decoder: Decoder {
-                input,
-                threads: header.threads,
-            },
+            decoder: Decoder { input, threads },
             thread,
             last_addr: 0,
             remaining: 0,
@@ -502,14 +506,6 @@ impl<R: Read> ThreadReader<R> {
                 None => return Ok(None),
             }
         }
-    }
-}
-
-impl ThreadReader<BufReader<std::fs::File>> {
-    /// Opens `path` with an independent file handle filtered to `thread`.
-    pub fn open(path: &Path, thread: u32) -> Result<Self, TraceError> {
-        let file = std::fs::File::open(path)?;
-        Self::new(BufReader::new(file), thread)
     }
 }
 

@@ -3,11 +3,12 @@
 //! files, and compositions thereof ([`crate::compose`]).
 
 use crate::error::TraceError;
-use crate::format::{ThreadReader, TraceHeader, TraceReader, TraceWriter};
+use crate::format::{ThreadReader, TraceHeader, TraceWriter};
 use crate::record::TraceRecord;
 use skybyte_types::{TenantId, TenantMap};
-use std::io::{BufReader, Write};
+use std::io::{Cursor, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// A set of independent per-thread access streams.
 ///
@@ -122,9 +123,10 @@ impl<S: TraceSource, W: Write + std::fmt::Debug> TraceSource for Record<S, W> {
 
 /// Replays an `.sbt` file as a [`TraceSource`].
 ///
-/// Each thread gets its own [`ThreadReader`] over an independent file
-/// handle, so the engine can interleave threads in any order with O(1)
-/// memory per stream.
+/// The file is read once into memory, and each thread gets its own
+/// [`ThreadReader`] over a cursor into those shared bytes, so the engine can
+/// interleave threads in any order with O(1) extra memory per stream and
+/// one file handle however many streams the header declares.
 ///
 /// A version-1 `.sbt` file is tenant-agnostic (tenancy is a
 /// composition-time concept), so every replayed stream reports
@@ -142,21 +144,37 @@ impl<S: TraceSource, W: Write + std::fmt::Debug> TraceSource for Record<S, W> {
 pub struct TraceFileSource {
     path: PathBuf,
     header: TraceHeader,
-    cursors: Vec<ThreadReader<BufReader<std::fs::File>>>,
+    /// The whole file.
+    bytes: Arc<[u8]>,
+    /// Offset of the first chunk in `bytes`, just past the header.
+    records_start: u64,
+    cursors: Vec<ThreadReader<Cursor<Arc<[u8]>>>>,
 }
 
 impl TraceFileSource {
     /// Opens `path` for replay.
     pub fn open(path: &Path) -> Result<Self, TraceError> {
-        let header = TraceReader::open(path)?.header().clone();
-        let cursors = (0..header.threads)
-            .map(|t| ThreadReader::open(path, t))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(TraceFileSource {
+        let bytes: Arc<[u8]> = std::fs::read(path)?.into();
+        let mut input = Cursor::new(Arc::clone(&bytes));
+        let header = TraceHeader::read_from(&mut input)?;
+        let mut source = TraceFileSource {
             path: path.to_path_buf(),
             header,
-            cursors,
-        })
+            bytes,
+            records_start: input.position(),
+            cursors: Vec::new(),
+        };
+        source.cursors = (0..source.header.threads)
+            .map(|t| source.reader(t))
+            .collect::<Result<_, _>>()?;
+        Ok(source)
+    }
+
+    /// A reader of `thread`'s stream from its first record.
+    fn reader(&self, thread: u32) -> Result<ThreadReader<Cursor<Arc<[u8]>>>, TraceError> {
+        let mut input = Cursor::new(Arc::clone(&self.bytes));
+        input.set_position(self.records_start);
+        ThreadReader::after_header(input, self.header.threads, thread)
     }
 
     /// The file's provenance header.
@@ -200,13 +218,7 @@ impl TraceSource for TraceFileSource {
     }
 
     fn reset_thread(&mut self, thread: u32) -> Result<bool, TraceError> {
-        if thread >= self.header.threads {
-            return Err(TraceError::ThreadOutOfRange {
-                threads: self.header.threads,
-                requested: thread,
-            });
-        }
-        self.cursors[thread as usize] = ThreadReader::open(&self.path, thread)?;
+        self.cursors[thread as usize] = self.reader(thread)?;
         Ok(true)
     }
 
@@ -471,6 +483,34 @@ mod tests {
         assert_eq!(replay1.tenant_map().tenant_count(), 1);
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(&path1).ok();
+    }
+
+    #[test]
+    fn a_header_declaring_max_threads_replays_through_one_buffer() {
+        // One file handle per stream ran out of descriptors on hosts whose
+        // limit is below the declared thread count.
+        let path = tmp_path("max-threads");
+        let header = TraceHeader {
+            threads: crate::format::MAX_THREADS,
+            footprint_bytes: 1 << 20,
+            seed: 0,
+            source: "vec:wide".into(),
+            tenant_of_thread: None,
+        };
+        TraceWriter::create(&path, &header)
+            .unwrap()
+            .finish()
+            .unwrap();
+        let mut replay = TraceFileSource::open(&path).unwrap();
+        assert_eq!(replay.threads(), crate::format::MAX_THREADS);
+        let last = crate::format::MAX_THREADS - 1;
+        assert_eq!(replay.next_record(last).unwrap(), None);
+        assert!(replay.reset_thread(last).unwrap());
+        assert!(matches!(
+            replay.reset_thread(last + 1),
+            Err(TraceError::ThreadOutOfRange { .. })
+        ));
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

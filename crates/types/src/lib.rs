@@ -64,8 +64,8 @@ pub mod prelude {
     pub use crate::error::ConfigError;
     pub use crate::fasthash::{FastHashMap, FastHashSet, FxBuildHasher, FxHasher};
     pub use crate::policy::{
-        apply_policy_name, EvictionPolicyKind, HotnessPolicyKind, PlacementPolicyKind,
-        PolicyConfig, PolicyOverride, RebalancePolicyKind, TenantSchedKind,
+        EvictionPolicyKind, HotnessPolicyKind, PlacementPolicyKind, PolicyConfig, PolicyOverride,
+        RebalancePolicyKind, TenantSchedKind,
     };
     pub use crate::stats::LatencyHistogram;
     pub use crate::tenant::{TenantId, TenantMap};
@@ -86,8 +86,8 @@ pub use config::{
 pub use error::ConfigError;
 pub use fasthash::{FastHashMap, FastHashSet, FxBuildHasher, FxHasher};
 pub use policy::{
-    apply_policy_name, EvictionPolicyKind, HotnessPolicyKind, PlacementPolicyKind, PolicyConfig,
-    PolicyOverride, RebalancePolicyKind, TenantSchedKind,
+    EvictionPolicyKind, HotnessPolicyKind, PlacementPolicyKind, PolicyConfig, PolicyOverride,
+    RebalancePolicyKind, TenantSchedKind,
 };
 pub use stats::LatencyHistogram;
 pub use tenant::{TenantId, TenantMap};

@@ -450,19 +450,6 @@ impl FromStr for PolicyOverride {
     }
 }
 
-/// Applies a `--policy` name to the configuration, resolving it through the
-/// unified registry.
-///
-/// # Errors
-///
-/// Returns the registry's "unknown policy" message (including the full valid
-/// list) when `name` matches no dimension.
-pub fn apply_policy_name(cfg: &mut SimConfig, name: &str) -> Result<(), String> {
-    let over: PolicyOverride = name.parse()?;
-    over.apply(cfg);
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -512,17 +499,15 @@ mod tests {
     #[test]
     fn overrides_apply_to_the_right_config_field() {
         let mut cfg = SimConfig::default();
-        apply_policy_name(&mut cfg, "clock").unwrap();
-        apply_policy_name(&mut cfg, "decay").unwrap();
-        apply_policy_name(&mut cfg, "fair-share").unwrap();
-        apply_policy_name(&mut cfg, "tpp").unwrap();
-        apply_policy_name(&mut cfg, "rr").unwrap();
+        for name in ["clock", "decay", "fair-share", "tpp", "rr"] {
+            name.parse::<PolicyOverride>().unwrap().apply(&mut cfg);
+        }
         assert_eq!(cfg.policy.eviction, EvictionPolicyKind::Clock);
         assert_eq!(cfg.policy.hotness, HotnessPolicyKind::Decay);
         assert_eq!(cfg.policy.tenant_sched, TenantSchedKind::FairShare);
         assert_eq!(cfg.migration.policy, MigrationPolicyKind::Tpp);
         assert_eq!(cfg.sched_policy, SchedPolicy::RoundRobin);
-        assert!(apply_policy_name(&mut cfg, "nope").is_err());
+        assert!("nope".parse::<PolicyOverride>().is_err());
     }
 
     #[test]
@@ -545,7 +530,10 @@ mod tests {
         for name in fleet_names {
             let mut cfg = SimConfig::default();
             let before = format!("{cfg:?}");
-            let err = apply_policy_name(&mut cfg, &name).unwrap_err();
+            let err = name
+                .parse::<PolicyOverride>()
+                .map(|p| p.apply(&mut cfg))
+                .unwrap_err();
             assert!(err.contains(&format!("unknown policy '{name}'")), "{err}");
             for valid in PolicyOverride::all_names() {
                 assert!(

@@ -19,8 +19,8 @@ use skybyte::sim::audit::audit;
 use skybyte::sim::runner::RunRequest;
 use skybyte::sim::{ExperimentScale, SimResult, Simulation};
 use skybyte::types::{
-    apply_policy_name, EvictionPolicyKind, HotnessPolicyKind, MigrationPolicyKind, PolicyConfig,
-    PolicyOverride, SimConfig, TenantSchedKind, VariantKind,
+    EvictionPolicyKind, HotnessPolicyKind, MigrationPolicyKind, PolicyConfig, PolicyOverride,
+    SimConfig, TenantSchedKind, VariantKind,
 };
 use skybyte::workloads::WorkloadKind;
 
@@ -130,7 +130,9 @@ fn off_default_policies_partition_the_memo_table() {
     let base = RunRequest::build(VariantKind::SkyByteFull, WorkloadKind::Ycsb, &scale);
     for name in PolicyOverride::all_names() {
         let mut sim = base.simulation().clone();
-        apply_policy_name(sim.config_mut(), &name).unwrap();
+        name.parse::<PolicyOverride>()
+            .unwrap()
+            .apply(sim.config_mut());
         let changed = sim.config() != base.simulation().config();
         let req = RunRequest::from_simulation(sim);
         assert_eq!(
@@ -199,7 +201,7 @@ fn non_default_contenders_reproduce_their_pinned_results() {
                 &[(WorkloadKind::Ycsb, 2), (WorkloadKind::Tpcc, 2)],
                 &scale,
             );
-            apply_policy_name(sim.config_mut(), name).unwrap();
+            name.parse::<PolicyOverride>().unwrap().apply(sim.config_mut());
             let result = sim.run();
             let json = serde_json::to_string(&result).expect("a SimResult serialises");
             let got = (result.exec_time.as_nanos(), fnv1a64(json.as_bytes()));
