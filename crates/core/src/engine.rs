@@ -682,6 +682,33 @@ mod tests {
     }
 
     #[test]
+    fn a_custom_source_record_past_the_device_is_a_typed_error() {
+        use skybyte_trace::{TraceRecord, VecSource};
+        let scale = ExperimentScale::tiny();
+        let cfg = scale.apply(SimConfig::default()).with_threads(1);
+        let sim = Simulation::with_config(cfg, WorkloadKind::Ycsb, &scale);
+        let limit =
+            skybyte_ssd::SsdController::new(sim.config()).logical_pages() * PAGE_SIZE as u64;
+        let run = |addr: u64| {
+            let records = vec![TraceRecord::read(10, 0), TraceRecord::read(10, addr)];
+            let mut source = VecSource::new("far", vec![records]);
+            sim.run_loop(&mut source, u64::MAX)
+                .map(|(result, _)| result)
+        };
+        // The last page of the device is fine; the first page past it, or a
+        // read at 2^50 that page-indexed state would grow to, is not.
+        assert!(run(limit - PAGE_SIZE as u64).is_ok());
+        for addr in [limit, 1 << 50] {
+            assert!(matches!(
+                run(addr),
+                Err(TraceError::Corrupt(
+                    "record address lies past the device's logical capacity"
+                ))
+            ));
+        }
+    }
+
+    #[test]
     fn trace_file_names_cover_the_stream_inputs_only() {
         let scale = ExperimentScale::tiny();
         let a = Simulation::build(VariantKind::BaseCssd, WorkloadKind::Ycsb, &scale);

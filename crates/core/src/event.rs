@@ -3,61 +3,97 @@
 //! Each unparked core has exactly one outstanding *next-activity* event,
 //! and the run loop pops the earliest one instead of scanning every core's
 //! clock; a parked core has none until a pass's scheduler activity re-arms
-//! it. Ties are broken deterministically on `(time, core, seq)` — first by
-//! timestamp, then by core index (matching the reference scan's "first
-//! minimal clock wins" rule bit for bit), and finally by a monotonically
-//! increasing sequence number so re-armed events of the same core retire in
-//! insertion order.
+//! it. Because a core never holds two events, the queue is one slot per
+//! core plus one for the telemetry sampler, and a pop scans the slots for
+//! the lowest `(time, core)`: first by timestamp, then by core index
+//! (matching the reference scan's "first minimal clock wins" rule bit for
+//! bit), with the sampler after every core at an equal timestamp.
 
+use crate::telemetry::SAMPLER_CORE;
 use skybyte_types::Nanos;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// One scheduled engine activity: core `core` becomes actionable at `time`.
-///
-/// The `seq` number is assigned by the queue at push time and makes the pop
-/// order a total order even for events that agree on `(time, core)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Event {
+pub(crate) struct Event {
     /// Simulated instant at which the event fires.
-    pub time: Nanos,
-    /// The core the event belongs to.
-    pub core: u32,
-    /// Queue-assigned insertion sequence number (monotone across pushes).
-    pub seq: u64,
+    pub(crate) time: Nanos,
+    /// The core the event belongs to ([`SAMPLER_CORE`] for the sampler).
+    pub(crate) core: u32,
 }
 
-/// A monotone min-heap of [`Event`]s keyed on `(time, core, seq)`.
+/// At most one pending event per core and one for the sampler, popped in
+/// `(time, core)` order.
 ///
-/// "Monotone" is a property of how the engine uses it — events are only ever
-/// pushed at or after the time of the most recent pop — not something the
-/// queue enforces; the queue itself is a plain deterministic priority queue.
-#[derive(Debug, Default)]
-pub struct EventQueue {
-    heap: BinaryHeap<Reverse<(Nanos, u32, u64)>>,
-    next_seq: u64,
+/// Events are only ever pushed at or after the time of the most recent pop
+/// (the engine's use is monotone); the queue itself does not rely on it.
+#[derive(Debug)]
+pub(crate) struct EventQueue {
+    /// The pending event time of each core, then of the sampler; `EMPTY`
+    /// when it has none.
+    slots: Vec<Nanos>,
 }
+
+/// An empty slot. No event fires at the end of time.
+const EMPTY: Nanos = Nanos::MAX;
 
 impl EventQueue {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        Self::default()
+    /// Creates an empty queue for `cores` cores and the sampler.
+    pub(crate) fn new(cores: usize) -> Self {
+        EventQueue {
+            slots: vec![EMPTY; cores + 1],
+        }
     }
 
-    /// Schedules `core` to act at `time` and returns the sequence number the
-    /// event was tagged with.
-    pub fn push(&mut self, time: Nanos, core: u32) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Reverse((time, core, seq)));
-        seq
+    /// The slot of `core`: its index, or the last slot for the sampler.
+    fn slot(&self, core: u32) -> usize {
+        if core == SAMPLER_CORE {
+            self.slots.len() - 1
+        } else {
+            core as usize
+        }
     }
 
-    /// Pops the earliest event in `(time, core, seq)` order.
-    pub fn pop(&mut self) -> Option<Event> {
-        self.heap
-            .pop()
-            .map(|Reverse((time, core, seq))| Event { time, core, seq })
+    /// Schedules `core` to act at `time`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `core` is past the queue's cores. In debug builds, also if
+    /// `core` already has a pending event or `time` is `Nanos::MAX`.
+    pub(crate) fn push(&mut self, time: Nanos, core: u32) {
+        let slot = self.slot(core);
+        assert!(
+            core == SAMPLER_CORE || slot + 1 < self.slots.len(),
+            "core {core} is past the event queue's cores"
+        );
+        debug_assert!(time != EMPTY, "an event at the end of time never fires");
+        debug_assert!(
+            self.slots[slot] == EMPTY,
+            "core {core} already holds a pending event"
+        );
+        self.slots[slot] = time;
+    }
+
+    /// Pops the earliest event in `(time, core)` order, the sampler last
+    /// among equal timestamps.
+    pub(crate) fn pop(&mut self) -> Option<Event> {
+        // Strictly earlier only: the lowest slot wins a tie. Which slot is
+        // earliest is data-dependent, so select without branching.
+        let (mut slot, mut time) = (0, EMPTY);
+        for (s, &t) in self.slots.iter().enumerate() {
+            let earlier = t < time;
+            slot = std::hint::select_unpredictable(earlier, s, slot);
+            time = std::hint::select_unpredictable(earlier, t, time);
+        }
+        if time == EMPTY {
+            return None;
+        }
+        self.slots[slot] = EMPTY;
+        let core = if slot + 1 == self.slots.len() {
+            SAMPLER_CORE
+        } else {
+            slot as u32
+        };
+        Some(Event { time, core })
     }
 }
 
@@ -67,7 +103,7 @@ mod tests {
 
     #[test]
     fn pops_in_time_order() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::new(3);
         q.push(Nanos::new(30), 0);
         q.push(Nanos::new(10), 1);
         q.push(Nanos::new(20), 2);
@@ -76,60 +112,58 @@ mod tests {
     }
 
     #[test]
-    fn equal_timestamps_retire_in_core_then_seq_order_for_any_insertion_order() {
-        // Build every insertion order of four events that tie on the
-        // timestamp: two cores, and for core 1 two pushes whose relative
-        // insertion order (their seq) must be preserved.
+    fn equal_timestamps_retire_in_core_order_with_the_sampler_last_for_any_insertion_order() {
+        // Every insertion order of four events that tie on the timestamp:
+        // three cores and the sampler.
         let t = Nanos::new(500);
-        // (core, payload) — payload distinguishes the two core-1 pushes.
-        let events: [(u32, char); 4] = [(2, 'a'), (1, 'b'), (1, 'c'), (0, 'd')];
-        let permutations: Vec<Vec<usize>> = {
-            let mut perms = Vec::new();
-            let mut idx = [0usize, 1, 2, 3];
-            heap_permutations(&mut idx, 4, &mut perms);
-            perms
-        };
-        for perm in permutations {
-            let mut q = EventQueue::new();
-            // seq is assigned at push time, so track which payload got which
-            // seq in this insertion order.
-            let mut seq_of = std::collections::HashMap::new();
+        let cores: [u32; 4] = [2, SAMPLER_CORE, 0, 1];
+        let mut perms = Vec::new();
+        let mut idx = [0usize, 1, 2, 3];
+        heap_permutations(&mut idx, 4, &mut perms);
+        assert_eq!(perms.len(), 24);
+        for perm in perms {
+            let mut q = EventQueue::new(3);
             for &i in &perm {
-                let (core, payload) = events[i];
-                let seq = q.push(t, core);
-                seq_of.insert(seq, (core, payload));
+                q.push(t, cores[i]);
             }
-            let popped: Vec<(u32, u64)> = std::iter::from_fn(|| q.pop())
-                .map(|e| (e.core, e.seq))
-                .collect();
-            // Cores ascend; within a core, seq ascends.
-            let mut sorted = popped.clone();
-            sorted.sort();
+            let popped: Vec<u32> = std::iter::from_fn(|| q.pop()).map(|e| e.core).collect();
             assert_eq!(
-                popped, sorted,
+                popped,
+                vec![0, 1, 2, SAMPLER_CORE],
                 "insertion order {perm:?} broke the tie-break"
             );
-            // The two core-1 events retire in the order they were pushed
-            // (i.e. payload order follows seq order within the core).
-            let core1: Vec<u64> = popped
-                .iter()
-                .filter(|(c, _)| *c == 1)
-                .map(|&(_, s)| s)
-                .collect();
-            assert!(core1[0] < core1[1]);
         }
     }
 
     #[test]
-    fn seq_is_monotone_across_pushes() {
-        let mut q = EventQueue::new();
-        let a = q.push(Nanos::new(1), 0);
-        let b = q.push(Nanos::new(1), 0);
-        assert!(b > a);
-        assert_eq!(q.heap.len(), 2);
-        assert_eq!(q.pop().unwrap().seq, a);
-        assert_eq!(q.pop().unwrap().seq, b);
-        assert!(q.heap.is_empty());
+    fn a_core_rearms_its_slot_after_each_pop() {
+        let mut q = EventQueue::new(2);
+        q.push(Nanos::new(1), 0);
+        q.push(Nanos::new(4), SAMPLER_CORE);
+        assert_eq!(
+            q.pop(),
+            Some(Event {
+                time: Nanos::new(1),
+                core: 0
+            })
+        );
+        // The popped core may push again, to any time at or after the pop.
+        q.push(Nanos::new(4), 0);
+        q.push(Nanos::new(2), 1);
+        let order: Vec<(u64, u32)> = std::iter::from_fn(|| q.pop())
+            .map(|e| (e.time.as_nanos(), e.core))
+            .collect();
+        assert_eq!(order, vec![(2, 1), (4, 0), (4, SAMPLER_CORE)]);
+        assert!(q.slots.iter().all(|&slot| slot == EMPTY));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "already holds a pending event")]
+    fn a_core_never_holds_two_events() {
+        let mut q = EventQueue::new(2);
+        q.push(Nanos::new(1), 1);
+        q.push(Nanos::new(2), 1);
     }
 
     /// Heap's algorithm, collecting every permutation of `idx[..k]`.

@@ -40,7 +40,7 @@
 
 pub mod audit;
 pub mod engine;
-pub mod event;
+mod event;
 pub mod experiments;
 pub mod fleet;
 pub mod metrics;
@@ -54,7 +54,6 @@ mod tenant_sched;
 pub mod thread_exec;
 
 pub use engine::{Simulation, TraceDrive};
-pub use event::{Event, EventQueue};
 pub use fleet::{audit_fleet, run_fleet, DeviceOutcome, FleetConfig, FleetResult, TenantDemand};
 pub use metrics::{AmatBreakdown, LayerCounters, RequestBreakdown, SimResult, TenantCounters};
 pub use migration::MigrationEngine;

@@ -24,8 +24,8 @@
 //! the run closes; only the SSD access count the migration cadence reads
 //! is also kept run-wide.
 //!
-//! Passes are sequenced by a discrete-event core ([`crate::event`]): each
-//! unparked core keeps one pending event in a monotone queue, and a core
+//! Passes are sequenced by a discrete-event core (the `event` module): each
+//! unparked core keeps one pending event in a slot of its own, and a core
 //! with nothing runnable jumps straight to the next blocked thread's
 //! wake-up. A core with nothing runnable and nothing blocked parks at its
 //! clock; the next pass whose yield or thread finish changes scheduler
@@ -120,6 +120,12 @@ pub struct SystemState {
     units: u64,
     max_units: u64,
     truncated: bool,
+    // Pages a record may name: the device's logical capacity, or the
+    // workload footprint where a config sizes the device below it. Every
+    // page-indexed structure on the access path (TLB, hotness counts, FTL
+    // map) grows to the highest page it sees, so a record past this is
+    // corrupt input, not a huge allocation.
+    page_limit: u64,
     // Event-engine state: which cores are parked (removed from the event
     // queue because nothing can wake them until another core's scheduler
     // activity), and whether the current pass changed scheduler state
@@ -189,6 +195,7 @@ impl SystemState {
             ssd.precondition((0..precondition_pages).map(Lpa::new));
         }
 
+        let page_limit = ssd.logical_pages().max(footprint_pages);
         let per_tenant: Vec<TenantCounters> = (0..tenant_map.tenant_count())
             .map(|i| TenantCounters {
                 tenant: skybyte_types::TenantId(i as u32),
@@ -235,6 +242,7 @@ impl SystemState {
             units: 0,
             max_units,
             truncated: false,
+            page_limit,
             parked: vec![false; cores],
             parked_count: 0,
             sched_dirty: false,
@@ -247,8 +255,8 @@ impl SystemState {
     /// result).
     ///
     /// This is the discrete-event loop: each unparked core has exactly one
-    /// pending event — the instant it next becomes actionable — in a
-    /// monotone [`EventQueue`] keyed `(time, core, seq)`. Popping the
+    /// pending event — the instant it next becomes actionable — in its slot
+    /// of the `EventQueue`, popped in `(time, core)` order. Popping the
     /// earliest event is the pick `SystemState::run_reference`'s
     /// min-clock scan makes (lowest clock, lowest core index on ties), so
     /// the two loops run the same passes in the same order. A core with
@@ -261,15 +269,13 @@ impl SystemState {
     /// checks that `exec_time` is that finish. A truncated run leaves
     /// parked cores where they parked.
     pub(crate) fn run(&mut self, source: &mut dyn TraceSource) -> Result<(), TraceError> {
-        let mut queue = EventQueue::new();
+        let mut queue = EventQueue::new(self.core_clock.len());
         for c in 0..self.core_clock.len() {
             queue.push(self.core_clock[c], c as u32);
         }
-        // The telemetry sampler rides the same queue as a sentinel-core
-        // event re-armed at its cadence. It cannot reorder real events:
-        // each core has at most one pending event, so `(time, core)`
-        // already totally orders them, and the sentinel core id sorts
-        // after every real core at an equal timestamp — the sampler
+        // The telemetry sampler rides the same queue in a slot of its own,
+        // re-armed at its cadence. It cannot reorder real events: it pops
+        // after every real core at an equal timestamp, so the sampler
         // observes the state *after* all passes at that instant.
         let sample_interval = self
             .telemetry
@@ -363,6 +369,11 @@ impl SystemState {
             }
             Err(e) => return Pass::Failed(e),
         };
+        if unit.access.addr.page().index() >= self.page_limit {
+            return Pass::Failed(TraceError::Corrupt(
+                "record address lies past the device's logical capacity",
+            ));
+        }
 
         if self.units >= self.max_units {
             return Pass::Truncated;

@@ -31,9 +31,10 @@
 use skybyte_types::{Nanos, TelemetryConfig};
 use std::fmt::{self, Write as _};
 
-/// The sentinel "core" id carried by the periodic sampler's event. Larger
-/// than any real core index, so at an equal timestamp the sampler observes
-/// the state *after* every real core's pass at that instant.
+/// The sentinel "core" id carried by the periodic sampler's event. The
+/// event queue pops it after every real core's event at an equal
+/// timestamp, so the sampler observes the state *after* every real core's
+/// pass at that instant.
 pub const SAMPLER_CORE: u32 = u32::MAX;
 
 /// One row of the periodic metrics time series: instantaneous gauges
@@ -339,7 +340,7 @@ fn micros(t: Nanos) -> f64 {
 /// Writes one event object and its trailing comma: a complete slice
 /// (`"ph":"X"`) or a thread-scoped instant (`"ph":"i"`). Times use `{:?}`,
 /// the shortest round-trip form, which is how `serde_json` writes a float.
-fn write_event(out: &mut String, pid: usize, ev: &TimelineEvent) {
+fn write_event(out: &mut impl fmt::Write, pid: usize, ev: &TimelineEvent) {
     let (tid, ts) = (ev.track, micros(ev.start));
     let dur = micros(ev.end.since(ev.start));
     let _ = match ev.kind {
@@ -382,29 +383,65 @@ fn write_event(out: &mut String, pid: usize, ev: &TimelineEvent) {
 
 /// Writes one `M` metadata event naming a process or track, and its
 /// trailing comma. `value` must render as a JSON string literal.
-fn write_metadata(out: &mut String, name: &str, pid: usize, tid: u32, value: impl fmt::Display) {
+fn write_metadata(
+    out: &mut impl fmt::Write,
+    name: &str,
+    pid: usize,
+    tid: u32,
+    value: impl fmt::Display,
+) {
     let _ = write!(
         out,
         r#"{{"name":"{name}","ph":"M","pid":{pid},"tid":{tid},"args":{{"name":{value}}}}},"#
     );
 }
 
+/// Counts the bytes written to it, so a document can be measured before
+/// the string that holds it is allocated.
+struct ByteCount(usize);
+
+impl fmt::Write for ByteCount {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0 += s.len();
+        Ok(())
+    }
+}
+
 /// Renders one or more labelled timelines as a Chrome trace-event JSON
 /// document (an array of event objects, loadable in Perfetto or
 /// `chrome://tracing`). Each run becomes one process (`pid`), named by its
 /// label via `process_name` metadata; tracks get `thread_name` metadata.
-/// Events are written straight into the returned string.
+///
+/// The document is rendered twice: once into a byte counter, then into a
+/// string allocated at exactly that length, so the string (tens of MiB for
+/// a default-scale replay) is never copied by doubling and never larger
+/// than its contents.
 pub fn chrome_trace_json<'a, I>(runs: I) -> String
 where
     I: IntoIterator<Item = (&'a str, &'a Timeline)>,
 {
-    let mut out = String::from("[");
-    for (pid, (label, timeline)) in runs.into_iter().enumerate() {
+    let runs: Vec<(&str, &Timeline)> = runs.into_iter().collect();
+    let mut count = ByteCount(0);
+    write_runs(&mut count, &runs);
+    // Every object ends in a comma; the last one gives way to the bracket.
+    let mut out = String::with_capacity(count.0.max(1) + 1);
+    out.push('[');
+    write_runs(&mut out, &runs);
+    if out.len() > 1 {
+        out.pop();
+    }
+    out.push(']');
+    out
+}
+
+/// Writes every object of `runs`, each followed by a comma.
+fn write_runs(out: &mut impl fmt::Write, runs: &[(&str, &Timeline)]) {
+    for (pid, (label, timeline)) in runs.iter().enumerate() {
         let label = serde_json::to_string(label).expect("a label serialises");
-        write_metadata(&mut out, "process_name", pid, 0, label);
+        write_metadata(out, "process_name", pid, 0, label);
         for core in 0..timeline.cores() {
             write_metadata(
-                &mut out,
+                out,
                 "thread_name",
                 pid,
                 core,
@@ -416,18 +453,12 @@ where
             (timeline.track_compaction(), r#""compaction/gc""#),
             (timeline.track_migration(), r#""migration""#),
         ] {
-            write_metadata(&mut out, "thread_name", pid, track, name);
+            write_metadata(out, "thread_name", pid, track, name);
         }
         for ev in timeline.events() {
-            write_event(&mut out, pid, ev);
+            write_event(out, pid, ev);
         }
     }
-    // Every object ends in a comma; the last one gives way to the bracket.
-    if out.len() > 1 {
-        out.pop();
-    }
-    out.push(']');
-    out
 }
 
 /// Everything telemetry captured over one run.
@@ -761,7 +792,11 @@ mod tests {
             r#"]"#,
         );
         assert_eq!(json, expected);
-        assert_eq!(chrome_trace_json([]), "[]");
+        // Allocated once, at the document's exact length.
+        assert_eq!(json.capacity(), json.len());
+        let empty = chrome_trace_json([]);
+        assert_eq!(empty, "[]");
+        assert_eq!(empty.capacity(), empty.len());
         let parsed: Value = serde_json::from_str(&json).unwrap();
         let events = match &parsed {
             Value::Seq(events) => events,

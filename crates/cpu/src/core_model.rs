@@ -16,7 +16,12 @@ use skybyte_types::{CpuConfig, Freq, Nanos};
 pub struct CoreTimingModel {
     freq: Freq,
     base_ipc: f64,
-    rob_entries: u32,
+    /// The amount of latency the out-of-order window can hide behind one
+    /// off-chip access: the time to drain a full ROB at the base IPC
+    /// (256 entries / IPC 2 at 4 GHz ≈ 32 ns, far below flash latency, which
+    /// is exactly the motivation for coordinated context switches).
+    /// Computed once: every off-chip access reads it.
+    overlap: Nanos,
 }
 
 impl CoreTimingModel {
@@ -27,10 +32,11 @@ impl CoreTimingModel {
     /// Panics if the configuration has a non-positive IPC.
     pub fn new(cfg: &CpuConfig) -> Self {
         assert!(cfg.base_ipc > 0.0, "base IPC must be positive");
+        let rob_cycles = (cfg.rob_entries as f64 / cfg.base_ipc).ceil() as u64;
         CoreTimingModel {
             freq: cfg.freq,
             base_ipc: cfg.base_ipc,
-            rob_entries: cfg.rob_entries,
+            overlap: cfg.freq.cycles_to_nanos(rob_cycles),
         }
     }
 
@@ -43,19 +49,10 @@ impl CoreTimingModel {
         self.freq.cycles_to_nanos(cycles)
     }
 
-    /// The amount of latency the out-of-order window can hide behind one
-    /// off-chip access: the time to drain a full ROB at the base IPC
-    /// (256 entries / IPC 2 at 4 GHz ≈ 32 ns, far below flash latency, which
-    /// is exactly the motivation for coordinated context switches).
-    pub fn overlap_window(&self) -> Nanos {
-        let cycles = (self.rob_entries as f64 / self.base_ipc).ceil() as u64;
-        self.freq.cycles_to_nanos(cycles)
-    }
-
     /// The stall time actually exposed to the pipeline for an off-chip access
     /// of the given latency.
     pub fn effective_stall(&self, latency: Nanos) -> Nanos {
-        latency.saturating_sub(self.overlap_window())
+        latency.saturating_sub(self.overlap)
     }
 }
 
@@ -127,7 +124,7 @@ mod tests {
     fn overlap_window_matches_rob() {
         let m = model();
         // 256 / 2 = 128 cycles = 32 ns.
-        assert_eq!(m.overlap_window(), Nanos::new(32));
+        assert_eq!(m.overlap, Nanos::new(32));
         // Host DRAM (~70 ns) is partially hidden; flash (3 µs) is not.
         assert_eq!(m.effective_stall(Nanos::new(70)), Nanos::new(38));
         assert_eq!(

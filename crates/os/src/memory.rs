@@ -20,19 +20,46 @@ pub enum PoolDecision {
     NeedsEviction(Lpa),
 }
 
+/// Which reclamation list a resident page sits on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum List {
+    Active,
+    Inactive,
+}
+
+/// A promoted page: its host frame and its place on the reclamation lists.
+#[derive(Debug, Clone, Copy)]
+struct Resident {
+    frame: PageNumber,
+    list: List,
+    /// Stamp of the page's live record on `list`. Stamps are unique, so a
+    /// record is live exactly when it carries its page's stamp.
+    stamp: u64,
+}
+
 /// The bounded pool of host-DRAM frames holding promoted SSD pages, with
 /// active/inactive LRU lists for reclamation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// Both lists are lazy-deletion deques of `(stamp, page)` records: moving,
+/// refreshing or evicting a page only re-stamps or drops its `Resident`
+/// entry, and a record is live while it carries the page's current stamp. Stale records are skipped at the fronts and compacted away
+/// once they outnumber the live ones, so every operation is amortised O(1).
+/// The live records keep the order of lists that unlink a page in place.
+#[derive(Debug, Clone)]
 pub struct HostMemoryPool {
     capacity_pages: u64,
     next_frame: u64,
     free_frames: Vec<PageNumber>,
-    /// Promoted pages: SSD LPA → host frame.
-    resident: FastHashMap<Lpa, PageNumber>,
+    /// Promoted pages: SSD LPA → frame and list record.
+    resident: FastHashMap<Lpa, Resident>,
     /// Recently-used promoted pages (most recent at the back).
-    active: VecDeque<Lpa>,
+    active: VecDeque<(u64, Lpa)>,
     /// Not recently used pages, candidates for eviction (oldest at front).
-    inactive: VecDeque<Lpa>,
+    inactive: VecDeque<(u64, Lpa)>,
+    /// Live records on `active` and on `inactive`.
+    active_live: usize,
+    inactive_live: usize,
+    next_stamp: u64,
 }
 
 impl HostMemoryPool {
@@ -45,6 +72,9 @@ impl HostMemoryPool {
             resident: FastHashMap::default(),
             active: VecDeque::new(),
             inactive: VecDeque::new(),
+            active_live: 0,
+            inactive_live: 0,
+            next_stamp: 0,
         }
     }
 
@@ -60,8 +90,8 @@ impl HostMemoryPool {
     /// coldest resident page when the budget is full. Promoting a page that
     /// is already resident returns its existing frame.
     pub fn promote(&mut self, lpa: Lpa) -> PoolDecision {
-        if let Some(&frame) = self.resident.get(&lpa) {
-            return PoolDecision::Allocated(frame);
+        if let Some(r) = self.resident.get(&lpa) {
+            return PoolDecision::Allocated(r.frame);
         }
         if self.resident.len() as u64 >= self.capacity_pages {
             let victim = self.reclaim_candidate();
@@ -76,52 +106,115 @@ impl HostMemoryPool {
             self.next_frame += 1;
             f
         });
-        self.resident.insert(lpa, frame);
-        self.inactive.push_back(lpa);
+        let stamp = self.stamp();
+        self.resident.insert(
+            lpa,
+            Resident {
+                frame,
+                list: List::Inactive,
+                stamp,
+            },
+        );
+        self.inactive.push_back((stamp, lpa));
+        self.inactive_live += 1;
         PoolDecision::Allocated(frame)
     }
 
     /// Records an access to a promoted page: second touches move the page
     /// from the inactive to the active list, like the Linux workingset code.
     pub fn record_access(&mut self, lpa: Lpa) {
-        if !self.resident.contains_key(&lpa) {
+        let stamp = self.stamp();
+        let Some(r) = self.resident.get_mut(&lpa) else {
             return;
+        };
+        if r.list == List::Inactive {
+            r.list = List::Active;
+            self.inactive_live -= 1;
+            self.active_live += 1;
         }
-        if let Some(pos) = self.inactive.iter().position(|l| *l == lpa) {
-            self.inactive.remove(pos);
-            self.active.push_back(lpa);
-        } else if let Some(pos) = self.active.iter().position(|l| *l == lpa) {
-            // Refresh LRU position within the active list.
-            self.active.remove(pos);
-            self.active.push_back(lpa);
-        }
+        // Moved or refreshed, the page goes to the back of the active list;
+        // its older record goes stale.
+        r.stamp = stamp;
+        self.active.push_back((stamp, lpa));
+        self.compact();
     }
 
     /// Evicts a promoted page, freeing its frame. Returns the freed frame, or
     /// `None` if the page was not resident.
     pub fn evict(&mut self, lpa: Lpa) -> Option<PageNumber> {
-        let frame = self.resident.remove(&lpa)?;
-        self.active.retain(|l| *l != lpa);
-        self.inactive.retain(|l| *l != lpa);
-        self.free_frames.push(frame);
-        Some(frame)
+        let r = self.resident.remove(&lpa)?;
+        match r.list {
+            List::Active => self.active_live -= 1,
+            List::Inactive => self.inactive_live -= 1,
+        }
+        self.free_frames.push(r.frame);
+        self.compact();
+        Some(r.frame)
     }
 
     /// The page the reclamation policy would evict next: the oldest inactive
     /// page, falling back to the oldest active page (with active pages aged
     /// into the inactive list first, as in Linux).
     pub fn reclaim_candidate(&mut self) -> Option<Lpa> {
-        if self.inactive.is_empty() {
+        if self.inactive_live == 0 {
             // Age the active list: move the oldest half to inactive.
-            let n = self.active.len().div_ceil(2);
-            for _ in 0..n {
-                if let Some(l) = self.active.pop_front() {
-                    self.inactive.push_back(l);
-                }
+            let moved = self.active_live.div_ceil(2);
+            for _ in 0..moved {
+                let lpa = self.pop_live_active();
+                let stamp = self.stamp();
+                let r = self
+                    .resident
+                    .get_mut(&lpa)
+                    .expect("a live record is resident");
+                r.list = List::Inactive;
+                r.stamp = stamp;
+                self.inactive.push_back((stamp, lpa));
+            }
+            self.active_live -= moved;
+            self.inactive_live += moved;
+        }
+        while let Some(&record) = self.inactive.front() {
+            if is_live(&self.resident, record) {
+                return Some(record.1);
+            }
+            self.inactive.pop_front();
+        }
+        None
+    }
+
+    fn stamp(&mut self) -> u64 {
+        self.next_stamp += 1;
+        self.next_stamp - 1
+    }
+
+    /// Pops stale records off the active list's front, then its oldest live
+    /// page. The caller re-lists the page.
+    fn pop_live_active(&mut self) -> Lpa {
+        loop {
+            let record = self.active.pop_front().expect("live count covers the list");
+            if is_live(&self.resident, record) {
+                return record.1;
             }
         }
-        self.inactive.front().copied()
     }
+
+    /// Drops a list's stale records once they outnumber its live ones.
+    fn compact(&mut self) {
+        let resident = &self.resident;
+        for (records, live) in [
+            (&mut self.active, self.active_live),
+            (&mut self.inactive, self.inactive_live),
+        ] {
+            if records.len() > 2 * live + 16 {
+                records.retain(|&record| is_live(resident, record));
+            }
+        }
+    }
+}
+
+/// Whether `(stamp, lpa)` is the page's current record.
+fn is_live(resident: &FastHashMap<Lpa, Resident>, (stamp, lpa): (u64, Lpa)) -> bool {
+    resident.get(&lpa).is_some_and(|r| r.stamp == stamp)
 }
 
 #[cfg(test)]
@@ -194,7 +287,7 @@ mod tests {
             _ => panic!("resident page should stay allocated"),
         }
         assert_eq!(p.resident.len(), 1);
-        assert_eq!(p.resident.get(&Lpa::new(5)), Some(&first));
+        assert_eq!(p.resident.get(&Lpa::new(5)).map(|r| r.frame), Some(first));
         assert!(p.contains(Lpa::new(5)));
     }
 
@@ -203,6 +296,115 @@ mod tests {
         let mut p = pool(1);
         assert!(p.evict(Lpa::new(9)).is_none());
         p.record_access(Lpa::new(9)); // harmless on non-resident pages
+    }
+
+    /// Reference model for [`HostMemoryPool`]'s decisions: plain deques
+    /// searched with `position`/`remove` and `retain` on every touch and
+    /// eviction.
+    struct ReferencePool {
+        capacity_pages: u64,
+        next_frame: u64,
+        free_frames: Vec<PageNumber>,
+        resident: FastHashMap<Lpa, PageNumber>,
+        active: VecDeque<Lpa>,
+        inactive: VecDeque<Lpa>,
+    }
+
+    impl ReferencePool {
+        fn new(capacity_pages: u64) -> Self {
+            ReferencePool {
+                capacity_pages,
+                next_frame: 0,
+                free_frames: Vec::new(),
+                resident: FastHashMap::default(),
+                active: VecDeque::new(),
+                inactive: VecDeque::new(),
+            }
+        }
+
+        fn promote(&mut self, lpa: Lpa) -> PoolDecision {
+            if let Some(&frame) = self.resident.get(&lpa) {
+                return PoolDecision::Allocated(frame);
+            }
+            if self.resident.len() as u64 >= self.capacity_pages {
+                return PoolDecision::NeedsEviction(self.reclaim_candidate().unwrap_or(lpa));
+            }
+            let frame = self.free_frames.pop().unwrap_or_else(|| {
+                self.next_frame += 1;
+                PageNumber(self.next_frame - 1)
+            });
+            self.resident.insert(lpa, frame);
+            self.inactive.push_back(lpa);
+            PoolDecision::Allocated(frame)
+        }
+
+        fn record_access(&mut self, lpa: Lpa) {
+            if !self.resident.contains_key(&lpa) {
+                return;
+            }
+            if let Some(pos) = self.inactive.iter().position(|l| *l == lpa) {
+                self.inactive.remove(pos);
+                self.active.push_back(lpa);
+            } else if let Some(pos) = self.active.iter().position(|l| *l == lpa) {
+                self.active.remove(pos);
+                self.active.push_back(lpa);
+            }
+        }
+
+        fn evict(&mut self, lpa: Lpa) -> Option<PageNumber> {
+            let frame = self.resident.remove(&lpa)?;
+            self.active.retain(|l| *l != lpa);
+            self.inactive.retain(|l| *l != lpa);
+            self.free_frames.push(frame);
+            Some(frame)
+        }
+
+        fn reclaim_candidate(&mut self) -> Option<Lpa> {
+            if self.inactive.is_empty() {
+                for _ in 0..self.active.len().div_ceil(2) {
+                    if let Some(l) = self.active.pop_front() {
+                        self.inactive.push_back(l);
+                    }
+                }
+            }
+            self.inactive.front().copied()
+        }
+    }
+
+    #[test]
+    fn pool_matches_the_reference_model_on_random_sequences() {
+        use rand::Rng;
+        use rand_chacha::rand_core::SeedableRng;
+        for seed in 0..200u64 {
+            let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(seed);
+            let capacity = rng.gen_range(0..10u64);
+            let pages = rng.gen_range(1..2 * capacity + 4);
+            let mut p = pool(capacity);
+            let mut reference = ReferencePool::new(capacity);
+            for step in 0..600 {
+                let lpa = Lpa::new(rng.gen_range(0..pages));
+                let what = format!("seed {seed} step {step} page {lpa}");
+                match rng.gen_range(0..10u32) {
+                    0..=2 => assert_eq!(p.promote(lpa), reference.promote(lpa), "{what}"),
+                    3..=6 => {
+                        p.record_access(lpa);
+                        reference.record_access(lpa);
+                    }
+                    7 => assert_eq!(p.evict(lpa), reference.evict(lpa), "{what}"),
+                    _ => {
+                        let victim = p.reclaim_candidate();
+                        assert_eq!(victim, reference.reclaim_candidate(), "{what}");
+                        // Evicting the victim exercises the aged lists.
+                        if let Some(v) = victim.filter(|_| rng.gen_bool(0.5)) {
+                            assert_eq!(p.evict(v), reference.evict(v), "{what}");
+                        }
+                    }
+                }
+                assert_eq!(p.contains(lpa), reference.resident.contains_key(&lpa));
+                assert_eq!(p.active_live, reference.active.len(), "{what}");
+                assert_eq!(p.inactive_live, reference.inactive.len(), "{what}");
+            }
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@ use rand_chacha::ChaCha12Rng;
 use serde::{Deserialize, Serialize};
 use skybyte_types::{Nanos, SchedPolicy};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BTreeSet, BinaryHeap, VecDeque};
 
 /// Scheduler activity counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -43,6 +43,19 @@ pub struct Scheduler {
     // Reusable drain buffer for `unblock_expired`; kept on the struct so the
     // hot path does not allocate per call.
     expired_scratch: Vec<u32>,
+    // Threads not finished, and threads runnable, kept as counts so the
+    // engine's per-event `all_finished` check reads one integer.
+    unfinished: usize,
+    runnable: usize,
+    // CFS only: the runnable threads keyed `(vruntime, id)`, the policy's
+    // pick order. Exact: a thread is in it exactly while it is runnable.
+    cfs_queue: BTreeSet<(Nanos, u32)>,
+    // Round-robin only: `(rr_seq, id)` of each thread as it became
+    // runnable. `rr_seq` only grows, so the FIFO is sorted; an entry is
+    // stale once its thread left the runnable state (a later entry carries
+    // its new `rr_seq`) and is skipped, then dropped at the front or by a
+    // compaction once stale entries outnumber live ones.
+    rr_queue: VecDeque<(u64, u32)>,
 }
 
 impl Scheduler {
@@ -59,16 +72,19 @@ impl Scheduler {
             stats: SchedStats::default(),
             wakeups: BinaryHeap::new(),
             expired_scratch: Vec::new(),
+            unfinished: 0,
+            runnable: 0,
+            cfs_queue: BTreeSet::new(),
+            rr_queue: VecDeque::new(),
         }
     }
 
     /// Creates a new runnable thread and returns its id.
     pub fn spawn(&mut self) -> ThreadId {
         let id = ThreadId(self.threads.len() as u32);
-        let mut tcb = ThreadControlBlock::new(id);
-        self.rr_counter += 1;
-        tcb.rr_seq = self.rr_counter;
-        self.threads.push(tcb);
+        self.threads.push(ThreadControlBlock::new(id));
+        self.unfinished += 1;
+        self.make_runnable(id.0);
         id
     }
 
@@ -79,17 +95,17 @@ impl Scheduler {
 
     /// Number of threads that have not finished.
     pub fn unfinished_threads(&self) -> usize {
-        self.threads.iter().filter(|t| !t.is_finished()).count()
+        self.unfinished
     }
 
     /// Whether every thread has finished its trace.
     pub fn all_finished(&self) -> bool {
-        self.threads.iter().all(ThreadControlBlock::is_finished)
+        self.unfinished == 0
     }
 
     /// Number of runnable threads waiting for a core.
     pub fn runnable_count(&self) -> usize {
-        self.threads.iter().filter(|t| t.is_runnable()).count()
+        self.runnable
     }
 
     /// The thread currently running on `core`, if any.
@@ -118,11 +134,11 @@ impl Scheduler {
         }
         expired.sort_unstable();
         for idx in expired.iter().copied() {
-            let t = &mut self.threads[idx as usize];
-            debug_assert!(matches!(t.state, ThreadState::Blocked { .. }));
-            t.state = ThreadState::Runnable;
-            self.rr_counter += 1;
-            t.rr_seq = self.rr_counter;
+            debug_assert!(matches!(
+                self.threads[idx as usize].state,
+                ThreadState::Blocked { .. }
+            ));
+            self.make_runnable(idx);
         }
         self.expired_scratch = expired;
     }
@@ -161,6 +177,7 @@ impl Scheduler {
 
     fn commit_pick(&mut self, core: u32, candidate: Option<ThreadId>) -> Option<ThreadId> {
         let id = candidate?;
+        self.leave_runnable(id.0);
         self.threads[id.0 as usize].state = ThreadState::Running { core };
         let slot = core as usize;
         if slot >= self.running.len() {
@@ -194,9 +211,7 @@ impl Scheduler {
             };
             self.wakeups.push(Reverse((wake_at, id.0)));
         } else {
-            t.state = ThreadState::Runnable;
-            self.rr_counter += 1;
-            t.rr_seq = self.rr_counter;
+            self.make_runnable(id.0);
         }
         self.stats.context_switches += 1;
         Some(id)
@@ -205,12 +220,22 @@ impl Scheduler {
     /// Charges `delta` of received execution time to a thread (its CFS
     /// vruntime; all threads have equal weight).
     pub fn account_runtime(&mut self, id: ThreadId, delta: Nanos) {
-        self.threads[id.0 as usize].vruntime += delta;
+        let t = &mut self.threads[id.0 as usize];
+        if self.policy == SchedPolicy::Cfs && t.is_runnable() {
+            // Re-key the runnable thread's place in the CFS order.
+            self.cfs_queue.remove(&(t.vruntime, id.0));
+            t.vruntime += delta;
+            self.cfs_queue.insert((t.vruntime, id.0));
+        } else {
+            t.vruntime += delta;
+        }
     }
 
     /// Marks a thread as finished and frees its core if it was running.
     pub fn finish_thread(&mut self, id: ThreadId) {
         match self.threads[id.0 as usize].state {
+            ThreadState::Finished => return,
+            ThreadState::Runnable => self.leave_runnable(id.0),
             ThreadState::Running { core } => {
                 self.running[core as usize] = None;
             }
@@ -225,9 +250,9 @@ impl Scheduler {
                     .collect();
                 self.wakeups = BinaryHeap::from(keep);
             }
-            _ => {}
         }
         self.threads[id.0 as usize].state = ThreadState::Finished;
+        self.unfinished -= 1;
     }
 
     /// Scheduler statistics.
@@ -235,20 +260,63 @@ impl Scheduler {
         &self.stats
     }
 
+    /// Makes thread `idx` runnable with a fresh round-robin sequence
+    /// number and queues it for the policy's pick.
+    fn make_runnable(&mut self, idx: u32) {
+        self.rr_counter += 1;
+        let t = &mut self.threads[idx as usize];
+        t.state = ThreadState::Runnable;
+        t.rr_seq = self.rr_counter;
+        self.runnable += 1;
+        match self.policy {
+            SchedPolicy::RoundRobin => {
+                self.rr_queue.push_back((t.rr_seq, idx));
+                if self.rr_queue.len() > 2 * self.runnable + 16 {
+                    let threads = &self.threads;
+                    self.rr_queue.retain(|&entry| rr_live(threads, entry));
+                }
+            }
+            SchedPolicy::Cfs => {
+                self.cfs_queue.insert((t.vruntime, idx));
+            }
+            SchedPolicy::Random => {}
+        }
+    }
+
+    /// Takes runnable thread `idx` out of the policy's queue (a round-robin
+    /// entry goes stale once the caller changes the thread's state).
+    fn leave_runnable(&mut self, idx: u32) {
+        self.runnable -= 1;
+        if self.policy == SchedPolicy::Cfs {
+            let removed = self
+                .cfs_queue
+                .remove(&(self.threads[idx as usize].vruntime, idx));
+            debug_assert!(removed, "a runnable thread is queued");
+        }
+    }
+
     // Picks among runnable threads satisfying `allow` without materialising
-    // the candidate set: one (for Random, two) iterator pass(es) over the
-    // thread table, no per-call allocation. `allow` must be pure — the
-    // Random policy evaluates it once per thread per pass.
+    // the candidate set. Round-robin and CFS walk their queue in pick order
+    // to the first allowed thread; Random makes two passes over the thread
+    // table. `allow` must be pure — the Random policy evaluates it once per
+    // thread per pass.
     fn pick_next(&mut self, allow: &mut dyn FnMut(ThreadId) -> bool) -> Option<ThreadId> {
         match self.policy {
-            // `min_by_key` keeps the first minimum, i.e. the lowest thread
-            // index on equal keys — same tie-break as the old indexed scan.
-            SchedPolicy::RoundRobin => self
-                .threads
-                .iter()
-                .filter(|t| t.is_runnable() && allow(t.id))
-                .min_by_key(|t| t.rr_seq)
-                .map(|t| t.id),
+            // The lowest live `rr_seq` first: the FIFO is sorted by it.
+            SchedPolicy::RoundRobin => {
+                let threads = &self.threads;
+                while let Some(&entry) = self.rr_queue.front() {
+                    if rr_live(threads, entry) {
+                        break;
+                    }
+                    self.rr_queue.pop_front();
+                }
+                self.rr_queue
+                    .iter()
+                    .filter(|&&entry| rr_live(threads, entry))
+                    .map(|&(_, idx)| ThreadId(idx))
+                    .find(|&id| allow(id))
+            }
             SchedPolicy::Random => {
                 let count = self
                     .threads
@@ -267,14 +335,21 @@ impl Scheduler {
                     .nth(idx)
                     .map(|t| t.id)
             }
+            // The lowest `(vruntime, id)` first: the set's order.
             SchedPolicy::Cfs => self
-                .threads
+                .cfs_queue
                 .iter()
-                .filter(|t| t.is_runnable() && allow(t.id))
-                .min_by_key(|t| (t.vruntime, t.id.0))
-                .map(|t| t.id),
+                .map(|&(_, idx)| ThreadId(idx))
+                .find(|&id| allow(id)),
         }
     }
+}
+
+/// Whether a round-robin queue entry still names its thread's current
+/// runnable spell.
+fn rr_live(threads: &[ThreadControlBlock], (seq, idx): (u64, u32)) -> bool {
+    let t = &threads[idx as usize];
+    t.is_runnable() && t.rr_seq == seq
 }
 
 #[cfg(test)]
@@ -401,6 +476,213 @@ mod tests {
         assert!(s
             .schedule_on_filtered(2, Nanos::ZERO, &mut |_| true)
             .is_none());
+    }
+
+    /// Reference model for [`Scheduler`]'s picks: every pick,
+    /// `all_finished` and `runnable_count` scan the thread table.
+    struct ReferenceScheduler {
+        policy: SchedPolicy,
+        threads: Vec<ThreadControlBlock>,
+        running: Vec<Option<ThreadId>>,
+        rng: ChaCha12Rng,
+        rr_counter: u64,
+        wakeups: BinaryHeap<Reverse<(Nanos, u32)>>,
+    }
+
+    impl ReferenceScheduler {
+        fn new(policy: SchedPolicy, seed: u64) -> Self {
+            ReferenceScheduler {
+                policy,
+                threads: Vec::new(),
+                running: Vec::new(),
+                rng: ChaCha12Rng::seed_from_u64(seed),
+                rr_counter: 0,
+                wakeups: BinaryHeap::new(),
+            }
+        }
+
+        fn spawn(&mut self) -> ThreadId {
+            let id = ThreadId(self.threads.len() as u32);
+            let mut tcb = ThreadControlBlock::new(id);
+            self.rr_counter += 1;
+            tcb.rr_seq = self.rr_counter;
+            self.threads.push(tcb);
+            id
+        }
+
+        fn unblock_expired(&mut self, now: Nanos) {
+            let mut expired = Vec::new();
+            while let Some(&Reverse((until, idx))) = self.wakeups.peek() {
+                if until > now {
+                    break;
+                }
+                self.wakeups.pop();
+                expired.push(idx);
+            }
+            expired.sort_unstable();
+            for idx in expired {
+                let t = &mut self.threads[idx as usize];
+                t.state = ThreadState::Runnable;
+                self.rr_counter += 1;
+                t.rr_seq = self.rr_counter;
+            }
+        }
+
+        fn schedule_on_filtered(
+            &mut self,
+            core: u32,
+            now: Nanos,
+            allow: &mut dyn FnMut(ThreadId) -> bool,
+        ) -> Option<ThreadId> {
+            self.unblock_expired(now);
+            let id = self
+                .pick_next(allow)
+                .or_else(|| self.pick_next(&mut |_| true))?;
+            self.threads[id.0 as usize].state = ThreadState::Running { core };
+            if core as usize >= self.running.len() {
+                self.running.resize(core as usize + 1, None);
+            }
+            self.running[core as usize] = Some(id);
+            Some(id)
+        }
+
+        fn yield_current(&mut self, core: u32, now: Nanos, wake_at: Nanos) -> Option<ThreadId> {
+            let id = self.running.get_mut(core as usize)?.take()?;
+            let t = &mut self.threads[id.0 as usize];
+            t.switches += 1;
+            if wake_at > now {
+                t.state = ThreadState::Blocked {
+                    reason: BlockReason::Other,
+                    until: wake_at,
+                };
+                self.wakeups.push(Reverse((wake_at, id.0)));
+            } else {
+                t.state = ThreadState::Runnable;
+                self.rr_counter += 1;
+                t.rr_seq = self.rr_counter;
+            }
+            Some(id)
+        }
+
+        fn finish_thread(&mut self, id: ThreadId) {
+            match self.threads[id.0 as usize].state {
+                ThreadState::Running { core } => self.running[core as usize] = None,
+                ThreadState::Blocked { .. } => {
+                    let keep: Vec<_> = self
+                        .wakeups
+                        .drain()
+                        .filter(|&Reverse((_, idx))| idx != id.0)
+                        .collect();
+                    self.wakeups = BinaryHeap::from(keep);
+                }
+                _ => {}
+            }
+            self.threads[id.0 as usize].state = ThreadState::Finished;
+        }
+
+        fn pick_next(&mut self, allow: &mut dyn FnMut(ThreadId) -> bool) -> Option<ThreadId> {
+            match self.policy {
+                SchedPolicy::RoundRobin => self
+                    .threads
+                    .iter()
+                    .filter(|t| t.is_runnable() && allow(t.id))
+                    .min_by_key(|t| t.rr_seq)
+                    .map(|t| t.id),
+                SchedPolicy::Random => {
+                    let count = self
+                        .threads
+                        .iter()
+                        .filter(|t| t.is_runnable() && allow(t.id))
+                        .count();
+                    if count == 0 {
+                        return None;
+                    }
+                    let idx = self.rng.gen_range(0..count);
+                    self.threads
+                        .iter()
+                        .filter(|t| t.is_runnable() && allow(t.id))
+                        .nth(idx)
+                        .map(|t| t.id)
+                }
+                SchedPolicy::Cfs => self
+                    .threads
+                    .iter()
+                    .filter(|t| t.is_runnable() && allow(t.id))
+                    .min_by_key(|t| (t.vruntime, t.id.0))
+                    .map(|t| t.id),
+            }
+        }
+    }
+
+    #[test]
+    fn scheduler_matches_the_reference_scan_on_random_sequences() {
+        const CORES: u32 = 3;
+        for policy in [
+            SchedPolicy::RoundRobin,
+            SchedPolicy::Random,
+            SchedPolicy::Cfs,
+        ] {
+            for seed in 0..150u64 {
+                let mut rng = ChaCha12Rng::seed_from_u64(seed);
+                let mut s = Scheduler::new(policy, Nanos::ZERO, seed);
+                let mut r = ReferenceScheduler::new(policy, seed);
+                let mut now = Nanos::ZERO;
+                for step in 0..300 {
+                    let what = format!("{policy:?} seed {seed} step {step}");
+                    let threads = s.threads.len() as u32;
+                    let core = rng.gen_range(0..CORES);
+                    match rng.gen_range(0..10u32) {
+                        0 if threads < 12 => assert_eq!(s.spawn(), r.spawn(), "{what}"),
+                        1 | 2 => {
+                            let picked = r.schedule_on_filtered(core, now, &mut |_| true);
+                            assert_eq!(s.schedule_on(core, now), picked, "{what}");
+                        }
+                        3 | 4 => {
+                            // A pure filter: thread ids in one residue class.
+                            let (m, k) = (rng.gen_range(2..4u32), rng.gen_range(0..2u32));
+                            let mut allow = |id: ThreadId| id.0 % m == k;
+                            assert_eq!(
+                                s.schedule_on_filtered(core, now, &mut allow),
+                                r.schedule_on_filtered(core, now, &mut allow),
+                                "{what}"
+                            );
+                        }
+                        5 | 6 => {
+                            let wake = now + Nanos::new(rng.gen_range(0..6u64));
+                            assert_eq!(
+                                s.yield_current(core, now, wake, BlockReason::Other),
+                                r.yield_current(core, now, wake),
+                                "{what}"
+                            );
+                        }
+                        7 if threads > 0 => {
+                            let id = ThreadId(rng.gen_range(0..threads));
+                            let delta = Nanos::new(rng.gen_range(0..8u64));
+                            s.account_runtime(id, delta);
+                            r.threads[id.0 as usize].vruntime += delta;
+                        }
+                        8 if threads > 0 && rng.gen_range(0..4u32) == 0 => {
+                            let id = ThreadId(rng.gen_range(0..threads));
+                            s.finish_thread(id);
+                            r.finish_thread(id);
+                        }
+                        _ => now += Nanos::new(rng.gen_range(0..4u64)),
+                    }
+                    assert_eq!(s.threads, r.threads, "{what}");
+                    let runnable = r.threads.iter().filter(|t| t.is_runnable()).count();
+                    assert_eq!(s.runnable_count(), runnable, "{what}");
+                    let unfinished = r
+                        .threads
+                        .iter()
+                        .filter(|t| t.state != ThreadState::Finished)
+                        .count();
+                    assert_eq!(s.unfinished_threads(), unfinished, "{what}");
+                    assert_eq!(s.all_finished(), unfinished == 0, "{what}");
+                    let next = r.wakeups.peek().map(|&Reverse((until, _))| until);
+                    assert_eq!(s.next_wakeup(), next, "{what}");
+                }
+            }
+        }
     }
 
     #[test]

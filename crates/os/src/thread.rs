@@ -84,11 +84,6 @@ impl ThreadControlBlock {
     pub fn is_runnable(&self) -> bool {
         matches!(self.state, ThreadState::Runnable)
     }
-
-    /// Whether the thread has finished its trace.
-    pub fn is_finished(&self) -> bool {
-        matches!(self.state, ThreadState::Finished)
-    }
 }
 
 #[cfg(test)]
@@ -99,7 +94,7 @@ mod tests {
     fn new_thread_is_runnable() {
         let t = ThreadControlBlock::new(ThreadId(3));
         assert!(t.is_runnable());
-        assert!(!t.is_finished());
+        assert_ne!(t.state, ThreadState::Finished);
         assert_eq!(t.vruntime, Nanos::ZERO);
         assert_eq!(format!("{}", t.id), "T3");
     }
@@ -115,6 +110,6 @@ mod tests {
         };
         assert!(!t.is_runnable());
         t.state = ThreadState::Finished;
-        assert!(t.is_finished());
+        assert_eq!(t.state, ThreadState::Finished);
     }
 }

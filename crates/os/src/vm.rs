@@ -9,7 +9,6 @@
 
 use serde::{Deserialize, Serialize};
 use skybyte_types::{FastHashMap, Lpa, Nanos, PageNumber};
-use std::collections::VecDeque;
 
 /// Where a virtual page currently resides.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -68,24 +67,37 @@ impl PageTable {
     }
 }
 
+/// Marks an empty link or an unmapped page in the [`Tlb`]'s slot arrays.
+const NIL: u32 = u32::MAX;
+
+/// One TLB entry: its page and its neighbours in the recency list.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    page: PageNumber,
+    /// The next more recently used slot (`NIL` at the head).
+    newer: u32,
+    /// The next less recently used slot (`NIL` at the tail).
+    older: u32,
+}
+
 /// A fully-associative LRU TLB with shootdowns.
 ///
-/// Recency is a strict total order (`tick` increments on every access), so
-/// LRU selection does not depend on storage order. Entries map page →
-/// last-access tick, and recency is tracked with a lazy-deletion access log:
-/// every access appends `(tick, page)` to a deque, and eviction pops from
-/// the front, skipping records whose tick no longer matches the page's
-/// current tick (the page was re-accessed or shot down since). The log is
-/// compacted whenever stale records outnumber live ones, so both access and
-/// eviction are amortised O(1) — where the previous flat `Vec` paid an O(n)
-/// scan on every access. The observable hit/miss/eviction behaviour is
-/// identical.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// The live entries sit in `capacity` slots threaded on an intrusive
+/// recency list, most recent at the head. A page-indexed array, grown to
+/// the highest page seen, names each page's slot, so a lookup is one array
+/// read and a hit one relink. A miss on a full TLB reuses the tail slot:
+/// the victim is the least recently accessed live entry. A shootdown
+/// unlinks the page's slot and frees it for the next miss.
+#[derive(Debug, Clone)]
 pub struct Tlb {
     capacity: usize,
-    entries: FastHashMap<PageNumber, u64>,
-    access_log: VecDeque<(u64, PageNumber)>,
-    tick: u64,
+    /// Slot of each page's live entry (`NIL` when the page has none).
+    slot_of: Vec<u32>,
+    slots: Vec<Slot>,
+    /// Slots freed by shootdowns.
+    free: Vec<u32>,
+    head: u32,
+    tail: u32,
     miss_penalty: Nanos,
 }
 
@@ -100,9 +112,11 @@ impl Tlb {
         assert!(capacity > 0, "TLB needs at least one entry");
         Tlb {
             capacity,
-            entries: FastHashMap::with_capacity_and_hasher(capacity, Default::default()),
-            access_log: VecDeque::with_capacity(capacity),
-            tick: 0,
+            slot_of: Vec::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
+            head: NIL,
+            tail: NIL,
             miss_penalty,
         }
     }
@@ -111,52 +125,86 @@ impl Tlb {
     /// latency contributed by translation (zero on a hit, the walk penalty on
     /// a miss).
     pub fn access(&mut self, vpage: PageNumber) -> Nanos {
-        self.tick += 1;
-        let tick = self.tick;
-        self.maybe_compact_log();
-        if let Some(t) = self.entries.get_mut(&vpage) {
-            *t = tick;
-            self.access_log.push_back((tick, vpage));
-            return Nanos::ZERO;
-        }
-        if self.entries.len() >= self.capacity {
-            // Pop log records until one still names a page's most recent
-            // access; that page is the true LRU victim.
-            loop {
-                let (t, victim) = self.access_log.pop_front().expect("log covers all entries");
-                if self.entries.get(&victim) == Some(&t) {
-                    self.entries.remove(&victim);
-                    break;
+        let page = vpage.index() as usize;
+        if let Some(&slot) = self.slot_of.get(page) {
+            if slot != NIL {
+                if slot != self.head {
+                    self.unlink(slot);
+                    self.push_head(slot);
                 }
+                return Nanos::ZERO;
             }
+        } else {
+            self.slot_of.resize(page + 1, NIL);
         }
-        self.entries.insert(vpage, tick);
-        self.access_log.push_back((tick, vpage));
+        let slot = if self.slots.len() - self.free.len() >= self.capacity {
+            let victim = self.tail;
+            self.unlink(victim);
+            let evicted = self.slots[victim as usize].page;
+            self.slot_of[evicted.index() as usize] = NIL;
+            victim
+        } else if let Some(slot) = self.free.pop() {
+            slot
+        } else {
+            self.slots.push(Slot {
+                page: vpage,
+                newer: NIL,
+                older: NIL,
+            });
+            (self.slots.len() - 1) as u32
+        };
+        self.slots[slot as usize].page = vpage;
+        self.slot_of[page] = slot;
+        self.push_head(slot);
         self.miss_penalty
-    }
-
-    /// Drops stale access-log records once they outnumber live entries, so
-    /// the log stays O(capacity) without changing which records survive.
-    fn maybe_compact_log(&mut self) {
-        if self.access_log.len() >= 2 * self.entries.len().max(self.capacity) {
-            let entries = &self.entries;
-            self.access_log
-                .retain(|&(t, page)| entries.get(&page) == Some(&t));
-        }
     }
 
     /// Invalidates the entry for `vpage` (TLB shootdown after a migration).
     /// Returns `true` if an entry was present.
     pub fn shootdown(&mut self, vpage: PageNumber) -> bool {
-        // The page's log records become stale and are skipped (or compacted)
-        // lazily.
-        self.entries.remove(&vpage).is_some()
+        let page = vpage.index() as usize;
+        match self.slot_of.get(page) {
+            Some(&slot) if slot != NIL => {
+                self.unlink(slot);
+                self.slot_of[page] = NIL;
+                self.free.push(slot);
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Takes `slot` out of the recency list.
+    fn unlink(&mut self, slot: u32) {
+        let Slot { newer, older, .. } = self.slots[slot as usize];
+        match newer {
+            NIL => self.head = older,
+            n => self.slots[n as usize].older = older,
+        }
+        match older {
+            NIL => self.tail = newer,
+            o => self.slots[o as usize].newer = newer,
+        }
+    }
+
+    /// Links `slot` in as the most recently used entry.
+    fn push_head(&mut self, slot: u32) {
+        let old_head = self.head;
+        let s = &mut self.slots[slot as usize];
+        s.newer = NIL;
+        s.older = old_head;
+        match old_head {
+            NIL => self.tail = slot,
+            h => self.slots[h as usize].newer = slot,
+        }
+        self.head = slot;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::VecDeque;
 
     fn promoted_pages(pt: &PageTable) -> usize {
         pt.overrides
@@ -206,8 +254,8 @@ mod tests {
         // Touch 1 so 2 is LRU, then insert 3: 2 evicted.
         tlb.access(PageNumber(1));
         tlb.access(PageNumber(3));
-        assert!(tlb.entries.contains_key(&PageNumber(1)));
-        assert!(!tlb.entries.contains_key(&PageNumber(2)));
+        assert_ne!(tlb.slot_of[1], NIL);
+        assert_eq!(tlb.slot_of[2], NIL);
         assert_eq!(tlb.access(PageNumber(2)), Nanos::new(100));
     }
 
@@ -224,5 +272,88 @@ mod tests {
     #[should_panic(expected = "at least one entry")]
     fn tlb_rejects_zero_capacity() {
         let _ = Tlb::new(0, Nanos::ZERO);
+    }
+
+    /// Reference model for the slot-indexed [`Tlb`]: a page →
+    /// last-access-tick map with a lazy-deletion access log, the victim
+    /// being the entry with the oldest tick.
+    struct ReferenceTlb {
+        capacity: usize,
+        entries: FastHashMap<PageNumber, u64>,
+        access_log: VecDeque<(u64, PageNumber)>,
+        tick: u64,
+    }
+
+    impl ReferenceTlb {
+        fn new(capacity: usize) -> Self {
+            ReferenceTlb {
+                capacity,
+                entries: FastHashMap::default(),
+                access_log: VecDeque::new(),
+                tick: 0,
+            }
+        }
+
+        /// Whether the access hit.
+        fn access(&mut self, vpage: PageNumber) -> bool {
+            self.tick += 1;
+            let tick = self.tick;
+            if self.access_log.len() >= 2 * self.entries.len().max(self.capacity) {
+                let entries = &self.entries;
+                self.access_log
+                    .retain(|&(t, page)| entries.get(&page) == Some(&t));
+            }
+            if let Some(t) = self.entries.get_mut(&vpage) {
+                *t = tick;
+                self.access_log.push_back((tick, vpage));
+                return true;
+            }
+            if self.entries.len() >= self.capacity {
+                loop {
+                    let (t, victim) = self.access_log.pop_front().expect("log covers all entries");
+                    if self.entries.get(&victim) == Some(&t) {
+                        self.entries.remove(&victim);
+                        break;
+                    }
+                }
+            }
+            self.entries.insert(vpage, tick);
+            self.access_log.push_back((tick, vpage));
+            false
+        }
+
+        fn shootdown(&mut self, vpage: PageNumber) -> bool {
+            self.entries.remove(&vpage).is_some()
+        }
+    }
+
+    #[test]
+    fn tlb_matches_the_reference_model_on_random_sequences() {
+        use rand::Rng;
+        use rand_chacha::rand_core::SeedableRng;
+        for seed in 0..200u64 {
+            let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(seed);
+            let capacity = rng.gen_range(1..9usize);
+            let pages = rng.gen_range(1..3 * capacity as u64 + 2);
+            let mut tlb = Tlb::new(capacity, Nanos::new(7));
+            let mut reference = ReferenceTlb::new(capacity);
+            for step in 0..400 {
+                let page = PageNumber(rng.gen_range(0..pages));
+                if rng.gen_range(0..5u32) == 0 {
+                    assert_eq!(
+                        tlb.shootdown(page),
+                        reference.shootdown(page),
+                        "seed {seed} step {step}: shootdown of {page}"
+                    );
+                } else {
+                    let hit = tlb.access(page) == Nanos::ZERO;
+                    assert_eq!(
+                        hit,
+                        reference.access(page),
+                        "seed {seed} step {step}: access to {page}"
+                    );
+                }
+            }
+        }
     }
 }

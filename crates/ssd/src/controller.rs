@@ -7,7 +7,7 @@ use crate::trigger::ThresholdPolicy;
 use skybyte_cache::{DataCache, DataCacheStats, WriteLog, WriteLogStats};
 use skybyte_flash::{FlashArray, FlashStats};
 use skybyte_ftl::{Ftl, FtlStats};
-use skybyte_types::{CachelineIndex, FastHashMap, Lpa, Nanos, SimConfig};
+use skybyte_types::{CachelineIndex, Lpa, Nanos, SimConfig};
 
 /// Result of one cacheline access handled by the SSD controller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,6 +32,62 @@ pub struct SsdAccessOutcome {
     pub breakdown: AccessBreakdown,
 }
 
+/// Page fetches in flight: each page's `(page, time it lands in DRAM)`,
+/// at most one record per page. Few fills are live at once, so a flat
+/// vector beats a hash table whose `retain` walks every bucket it ever
+/// grew.
+#[derive(Debug, Clone)]
+struct InflightFills {
+    fills: Vec<(Lpa, Nanos)>,
+    /// Lower bound on the earliest completion in `fills` (`Nanos::MAX` when
+    /// empty). Lets `retire` skip the pass when no fill can have completed
+    /// yet; a stale-low bound only costs a no-op pass, never a missed
+    /// retirement.
+    earliest: Nanos,
+}
+
+impl InflightFills {
+    fn new() -> Self {
+        InflightFills {
+            fills: Vec::new(),
+            earliest: Nanos::MAX,
+        }
+    }
+
+    /// Drops the fills that landed by `now`, recomputing the earliest
+    /// completion in the same pass.
+    fn retire(&mut self, now: Nanos) {
+        if self.earliest > now {
+            return;
+        }
+        let mut earliest = Nanos::MAX;
+        self.fills.retain(|&(_, ready)| {
+            let live = ready > now;
+            if live {
+                earliest = earliest.min(ready);
+            }
+            live
+        });
+        self.earliest = earliest;
+    }
+
+    /// The index of the record of `lpa`: a fill in flight, or one that
+    /// landed and is not retired yet.
+    fn position(&self, lpa: Lpa) -> Option<usize> {
+        self.fills.iter().position(|&(l, _)| l == lpa)
+    }
+
+    /// Records a fill of `lpa` landing at `ready`: over the page's record at
+    /// `slot` (a re-fetch), or as a new record.
+    fn record(&mut self, slot: Option<usize>, lpa: Lpa, ready: Nanos) {
+        match slot {
+            Some(i) => self.fills[i].1 = ready,
+            None => self.fills.push((lpa, ready)),
+        }
+        self.earliest = self.earliest.min(ready);
+    }
+}
+
 /// The device-side half of SkyByte.
 ///
 /// See the crate-level documentation for an example and the paper's Figure 11
@@ -52,13 +108,8 @@ pub struct SsdController {
     cache_index_latency: Nanos,
     logical_pages: u64,
 
-    /// Page fetches currently in flight: LPA → time the page lands in DRAM.
-    inflight_fills: FastHashMap<Lpa, Nanos>,
-    /// Lower bound on the earliest completion in `inflight_fills`
-    /// (`Nanos::MAX` when empty). Lets `lazy_tick` skip the retire scan when
-    /// no fill can have completed yet; a stale-low bound only costs a no-op
-    /// scan, never a missed retirement.
-    earliest_fill_done: Nanos,
+    /// Page fetches currently in flight.
+    inflight_fills: InflightFills,
     /// Time at which the currently running log compaction finishes.
     compaction_active_until: Nanos,
     /// Monotonic version counter used as the write-log payload token.
@@ -112,8 +163,7 @@ impl SsdController {
             log_index_latency: ssd.dram.write_log_index_latency,
             cache_index_latency: ssd.dram.data_cache_index_latency,
             logical_pages,
-            inflight_fills: FastHashMap::default(),
-            earliest_fill_done: Nanos::MAX,
+            inflight_fills: InflightFills::new(),
             compaction_active_until: Nanos::ZERO,
             write_token: 0,
             stats: SsdStats::default(),
@@ -460,7 +510,7 @@ impl SsdController {
     /// Number of on-demand cache fills currently in flight (issued to flash
     /// but not yet landed in the data cache). A read-only telemetry probe.
     pub fn inflight_fill_count(&self) -> usize {
-        self.inflight_fills.len()
+        self.inflight_fills.fills.len()
     }
 
     /// Per-channel flash queue depths, indexed by channel. A read-only
@@ -513,15 +563,7 @@ impl SsdController {
     /// flash commands and recycle finished compactions / page fills.
     fn lazy_tick(&mut self, now: Nanos) {
         self.flash.retire_completed(now);
-        if self.earliest_fill_done <= now {
-            self.inflight_fills.retain(|_, ready| *ready > now);
-            self.earliest_fill_done = self
-                .inflight_fills
-                .values()
-                .min()
-                .copied()
-                .unwrap_or(Nanos::MAX);
-        }
+        self.inflight_fills.retire(now);
         if self.compaction_active_until <= now {
             if let Some(log) = &mut self.write_log {
                 if log.compaction_in_progress() {
@@ -535,14 +577,17 @@ impl SsdController {
     /// the same page (controller MSHR behaviour). Returns the time the page
     /// is in SSD DRAM.
     fn fetch_page(&mut self, lpa: Lpa, now: Nanos) -> Nanos {
-        if let Some(&ready) = self.inflight_fills.get(&lpa) {
+        // One scan finds the fill to merge with, or the landed one a
+        // re-fetch overwrites.
+        let slot = self.inflight_fills.position(lpa);
+        if let Some(i) = slot {
+            let ready = self.inflight_fills.fills[i].1;
             if ready > now {
                 return ready;
             }
         }
         let ready = self.ftl.read_page(lpa, now, &mut self.flash).unwrap_or(now);
-        self.inflight_fills.insert(lpa, ready);
-        self.earliest_fill_done = self.earliest_fill_done.min(ready);
+        self.inflight_fills.record(slot, lpa, ready);
         ready
     }
 
@@ -567,14 +612,13 @@ impl SsdController {
         let next = Lpa::new(lpa.index() + 1);
         if next.index() >= self.logical_pages
             || self.data_cache.contains(next)
-            || self.inflight_fills.contains_key(&next)
+            || self.inflight_fills.position(next).is_some()
             || !self.ftl.is_mapped(next)
         {
             return;
         }
         if let Some(ready) = self.ftl.read_page(next, at, &mut self.flash) {
-            self.inflight_fills.insert(next, ready);
-            self.earliest_fill_done = self.earliest_fill_done.min(ready);
+            self.inflight_fills.record(None, next, ready);
             self.insert_page_into_cache(next, ready);
             self.stats.prefetches += 1;
         }
@@ -903,5 +947,79 @@ mod tests {
         let raw = cfg.ssd.geometry.total_pages();
         assert!(ssd.logical_pages() < raw);
         assert!(ssd.logical_pages() > raw * 9 / 10 - 1);
+    }
+
+    /// Reference model for [`InflightFills`]: an LPA → ready map, retired
+    /// by `retain` and a second pass for the minimum.
+    struct ReferenceFills {
+        map: skybyte_types::FastHashMap<Lpa, Nanos>,
+        earliest: Nanos,
+    }
+
+    impl ReferenceFills {
+        fn retire(&mut self, now: Nanos) {
+            if self.earliest <= now {
+                self.map.retain(|_, ready| *ready > now);
+                self.earliest = self.map.values().min().copied().unwrap_or(Nanos::MAX);
+            }
+        }
+
+        fn pending(&self, lpa: Lpa, now: Nanos) -> Option<Nanos> {
+            self.map.get(&lpa).copied().filter(|&ready| ready > now)
+        }
+
+        fn insert(&mut self, lpa: Lpa, ready: Nanos) {
+            self.map.insert(lpa, ready);
+            self.earliest = self.earliest.min(ready);
+        }
+    }
+
+    #[test]
+    fn inflight_fills_match_the_reference_model_on_random_sequences() {
+        for seed in 1..=64u64 {
+            let mut rng = crate::TestRng::new(seed);
+            let mut below = |n: u64| rng.below(n);
+            let mut fills = InflightFills::new();
+            let mut reference = ReferenceFills {
+                map: Default::default(),
+                earliest: Nanos::MAX,
+            };
+            let mut now = Nanos::ZERO;
+            for step in 0..2000 {
+                let what = format!("seed {seed} step {step}");
+                let lpa = Lpa::new(below(24));
+                match below(4) {
+                    // A request: retire, then fetch (merge or re-fetch), as
+                    // `lazy_tick` and `fetch_page` do.
+                    0 | 1 => {
+                        fills.retire(now);
+                        reference.retire(now);
+                        assert_eq!(fills.earliest, reference.earliest, "{what}");
+                        let at = now + Nanos::new(below(3));
+                        let slot = fills.position(lpa);
+                        let merged = slot.map(|i| fills.fills[i].1).filter(|&r| r > at);
+                        assert_eq!(merged, reference.pending(lpa, at), "{what}");
+                        if merged.is_none() {
+                            let ready = at + Nanos::new(below(40));
+                            fills.record(slot, lpa, ready);
+                            reference.insert(lpa, ready);
+                        }
+                    }
+                    // A prefetch: skipped when the page has any record.
+                    2 => {
+                        let skip = fills.position(lpa).is_some();
+                        assert_eq!(skip, reference.map.contains_key(&lpa), "{what}");
+                        if !skip {
+                            let ready = now + Nanos::new(below(40));
+                            fills.record(None, lpa, ready);
+                            reference.insert(lpa, ready);
+                        }
+                    }
+                    _ => now += Nanos::new(below(8)),
+                }
+                assert_eq!(fills.fills.len(), reference.map.len(), "{what}");
+                assert_eq!(fills.earliest, reference.earliest, "{what}");
+            }
+        }
     }
 }

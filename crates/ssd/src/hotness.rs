@@ -8,25 +8,28 @@
 //!
 //! * `threshold` — the paper's design and the default: exact per-page
 //!   counters with a fixed nomination threshold. Exactness costs memory —
-//!   one counter per distinct page ever touched (the
+//!   one counter per page up to the highest page touched. The
 //!   [`tracked_pages`](HotnessTracker::tracked_pages) gauge in `SsdStats`
-//!   makes that growth observable). Zero-count entries are compacted away
-//!   rather than stored.
+//!   counts the pages with a nonzero counter (plus pending candidates and
+//!   promoted marks), so its growth stays observable.
 //! * `decay` — exponentially decayed frequency: counters are halved every
-//!   [`DECAY_PERIOD_ACCESSES`] recorded accesses and entries that decay to
-//!   zero are dropped, bounding memory on long traces while still favouring
-//!   sustained hotness over one-shot bursts.
+//!   [`DECAY_PERIOD_ACCESSES`] recorded accesses and pages that decay to
+//!   zero stop counting, bounding the gauge on long traces while still
+//!   favouring sustained hotness over one-shot bursts.
 //! * `topk` — windowed top-k: pages are counted inside a fixed window of
 //!   [`TOPK_WINDOW_ACCESSES`] accesses and only the [`TOPK_CANDIDATES`]
 //!   hottest re-referenced pages of each window are nominated; counts reset
-//!   between windows, so memory is bounded by the window size.
+//!   between windows, so the gauge is bounded by the window size.
 //!
 //! Everything else — candidate hand-out, promotion marks and the footprint
-//! gauge — is shared by all three.
+//! gauge — is shared by all three. Counters and marks are arrays indexed by
+//! page, so recording an access is an array update; `decay` and `topk`
+//! also list the pages they counted, so a halving round or a window close
+//! visits those pages only.
 
 use serde::{Deserialize, Serialize};
 use skybyte_types::policy::HotnessPolicyKind;
-use skybyte_types::{FastHashMap, FastHashSet, Lpa};
+use skybyte_types::Lpa;
 use std::cmp::Reverse;
 
 /// Recorded accesses between two count-halving rounds of the `decay`
@@ -39,6 +42,11 @@ pub const TOPK_WINDOW_ACCESSES: u32 = 1024;
 /// Number of candidates the `topk` policy nominates per window.
 pub const TOPK_CANDIDATES: usize = 16;
 
+/// `marks` bit: the page is promoted to host DRAM and not tracked.
+const PROMOTED: u8 = 1;
+/// `marks` bit: the page is on the `touched` list.
+const LISTED: u8 = 2;
+
 /// The hotness tracker of the SSD controller: decides which pages are
 /// promotion candidates for adaptive migration.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -49,10 +57,22 @@ pub struct HotnessTracker {
     /// Recorded accesses since the last halving round (`decay`) or in the
     /// current window (`topk`).
     window: u32,
-    counts: FastHashMap<Lpa, u32>,
+    /// Access count of each page (0 when untracked), indexed by page and
+    /// grown to the highest page seen.
+    counts: Vec<u32>,
+    /// `PROMOTED` and `LISTED` bits of each page, indexed like `counts`.
+    marks: Vec<u8>,
+    /// Pages with a nonzero count.
+    counted: usize,
+    /// Pages marked `PROMOTED`.
+    promoted: usize,
+    /// `decay` and `topk`: the pages counted since their last halving round
+    /// or window close, each once (`LISTED`). Every page with a nonzero
+    /// count is on it; a page whose count was reset since stays listed
+    /// with a zero count until the next round drops it.
+    touched: Vec<Lpa>,
     /// Pages nominated and not taken yet.
     candidates: Vec<Lpa>,
-    promoted: FastHashSet<Lpa>,
 }
 
 impl HotnessTracker {
@@ -72,23 +92,25 @@ impl HotnessTracker {
             kind,
             threshold,
             window: 0,
-            counts: FastHashMap::default(),
+            counts: Vec::new(),
+            marks: Vec::new(),
+            counted: 0,
+            promoted: 0,
+            touched: Vec::new(),
             candidates: Vec::new(),
-            promoted: FastHashSet::default(),
         }
     }
 
     /// Records one access to `lpa`. Returns `true` if this access made a
     /// page a promotion candidate.
     pub fn record_access(&mut self, lpa: Lpa) -> bool {
-        if self.promoted.contains(&lpa) {
+        let page = self.index(lpa);
+        if self.marks[page] & PROMOTED != 0 {
             return false;
         }
         match self.kind {
             HotnessPolicyKind::Threshold => {
-                let count = self.counts.entry(lpa).or_insert(0);
-                *count += 1;
-                if *count == self.threshold {
+                if self.bump(lpa, page) == self.threshold {
                     self.candidates.push(lpa);
                     true
                 } else {
@@ -99,17 +121,12 @@ impl HotnessTracker {
                 self.window += 1;
                 if self.window >= DECAY_PERIOD_ACCESSES {
                     self.window = 0;
-                    self.counts.retain(|_, c| {
-                        *c /= 2;
-                        *c > 0
-                    });
+                    self.halve();
                 }
-                let count = self.counts.entry(lpa).or_insert(0);
-                *count += 1;
                 // Halving can bring a page back below the threshold, so
                 // guard against duplicate nominations explicitly rather than
                 // relying on crossing the threshold exactly once.
-                if *count >= self.threshold && !self.candidates.contains(&lpa) {
+                if self.bump(lpa, page) >= self.threshold && !self.candidates.contains(&lpa) {
                     self.candidates.push(lpa);
                     true
                 } else {
@@ -117,7 +134,7 @@ impl HotnessTracker {
                 }
             }
             HotnessPolicyKind::TopK => {
-                *self.counts.entry(lpa).or_insert(0) += 1;
+                self.bump(lpa, page);
                 self.window += 1;
                 if self.window >= TOPK_WINDOW_ACCESSES {
                     self.window = 0;
@@ -129,14 +146,68 @@ impl HotnessTracker {
         }
     }
 
+    /// The array index of `lpa`, growing the page arrays to cover it.
+    fn index(&mut self, lpa: Lpa) -> usize {
+        let page = lpa.index() as usize;
+        if page >= self.counts.len() {
+            self.counts.resize(page + 1, 0);
+            self.marks.resize(page + 1, 0);
+        }
+        page
+    }
+
+    /// Adds one to the count of `lpa` (at `page`) and returns the new count.
+    /// `decay` and `topk` list a page when it starts counting.
+    fn bump(&mut self, lpa: Lpa, page: usize) -> u32 {
+        if self.counts[page] == 0 {
+            self.counted += 1;
+            if self.kind != HotnessPolicyKind::Threshold && self.marks[page] & LISTED == 0 {
+                self.marks[page] |= LISTED;
+                self.touched.push(lpa);
+            }
+        }
+        self.counts[page] += 1;
+        self.counts[page]
+    }
+
+    /// Resets the count of `lpa` to zero (a no-op for an untracked page).
+    fn reset(&mut self, lpa: Lpa) {
+        if let Some(count) = self.counts.get_mut(lpa.index() as usize) {
+            if *count > 0 {
+                *count = 0;
+                self.counted -= 1;
+            }
+        }
+    }
+
+    /// One `decay` round: halves every count, and unlists the pages whose
+    /// count reaches (or already was) zero.
+    fn halve(&mut self) {
+        let (counts, marks) = (&mut self.counts, &mut self.marks);
+        self.touched.retain(|lpa| {
+            let page = lpa.index() as usize;
+            counts[page] /= 2;
+            if counts[page] == 0 {
+                marks[page] &= !LISTED;
+            }
+            counts[page] > 0
+        });
+        self.counted = self.touched.len();
+    }
+
     /// Closes a top-k window: nominates its [`TOPK_CANDIDATES`] hottest
     /// re-referenced pages and resets every count.
     fn close_window(&mut self) -> bool {
-        let mut hot: Vec<(Lpa, u32)> = self
-            .counts
-            .drain()
-            .filter(|&(lpa, c)| c >= 2 && !self.candidates.contains(&lpa))
-            .collect();
+        let mut hot: Vec<(Lpa, u32)> = Vec::new();
+        for lpa in self.touched.drain(..) {
+            let page = lpa.index() as usize;
+            let count = std::mem::take(&mut self.counts[page]);
+            self.marks[page] &= !LISTED;
+            if count >= 2 && !self.candidates.contains(&lpa) {
+                hot.push((lpa, count));
+            }
+        }
+        self.counted = 0;
         // Deterministic order: hottest first, page index breaking ties.
         hot.sort_unstable_by_key(|&(lpa, c)| (Reverse(c), lpa.index()));
         let before = self.candidates.len();
@@ -154,12 +225,10 @@ impl HotnessTracker {
                 return Some(lpa);
             }
             // Reset so the page can become a candidate again if it stays
-            // hot. A zero count and an absent entry are indistinguishable,
-            // so compact the entry away instead of storing the zero. Top-k
-            // reset its counts when the window closed and keeps what the
-            // page gathered in the current window.
+            // hot. Top-k reset its counts when the window closed and keeps
+            // what the page gathered in the current window.
             if self.kind != HotnessPolicyKind::TopK {
-                self.counts.remove(&lpa);
+                self.reset(lpa);
             }
         }
         None
@@ -167,32 +236,43 @@ impl HotnessTracker {
 
     /// Marks a page as promoted so it is no longer tracked.
     pub fn mark_promoted(&mut self, lpa: Lpa) {
-        self.promoted.insert(lpa);
-        self.counts.remove(&lpa);
+        let page = self.index(lpa);
+        if self.marks[page] & PROMOTED == 0 {
+            self.marks[page] |= PROMOTED;
+            self.promoted += 1;
+        }
+        self.reset(lpa);
         self.candidates.retain(|c| *c != lpa);
     }
 
     /// Marks a page as demoted back to the SSD so it is tracked again.
     pub fn mark_demoted(&mut self, lpa: Lpa) {
-        self.promoted.remove(&lpa);
-        self.counts.remove(&lpa);
+        if let Some(marks) = self.marks.get_mut(lpa.index() as usize) {
+            if *marks & PROMOTED != 0 {
+                *marks &= !PROMOTED;
+                self.promoted -= 1;
+            }
+        }
+        self.reset(lpa);
     }
 
-    /// Number of pages the tracker currently holds state for (counters,
-    /// pending candidates and promoted marks) — the memory-growth gauge
-    /// surfaced as `SsdStats::tracked_pages`.
+    /// Number of pages the tracker currently holds state for (nonzero
+    /// counters, pending candidates and promoted marks) — the memory-growth
+    /// gauge surfaced as `SsdStats::tracked_pages`.
     pub fn tracked_pages(&self) -> u64 {
-        (self.counts.len() + self.candidates.len() + self.promoted.len()) as u64
+        (self.counted + self.candidates.len() + self.promoted) as u64
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use skybyte_types::FastHashMap;
+    use std::collections::HashSet;
 
     /// Current hotness count of a page (0 for untracked or promoted pages).
     fn count(t: &HotnessTracker, lpa: Lpa) -> u32 {
-        t.counts.get(&lpa).copied().unwrap_or(0)
+        t.counts.get(lpa.index() as usize).copied().unwrap_or(0)
     }
 
     #[test]
@@ -226,12 +306,12 @@ mod tests {
         let mut t = HotnessTracker::new(HotnessPolicyKind::Threshold, 2);
         t.record_access(Lpa::new(5));
         t.mark_promoted(Lpa::new(5));
-        assert_eq!(t.promoted.len(), 1);
+        assert_eq!(t.promoted, 1);
         assert!(!t.record_access(Lpa::new(5)));
         assert_eq!(count(&t, Lpa::new(5)), 0);
         // After demotion the page is tracked again.
         t.mark_demoted(Lpa::new(5));
-        assert_eq!(t.promoted.len(), 0);
+        assert_eq!(t.promoted, 0);
         assert!(!t.record_access(Lpa::new(5)));
         assert!(t.record_access(Lpa::new(5)));
     }
@@ -322,16 +402,179 @@ mod tests {
         assert!(t.tracked_pages() <= TOPK_WINDOW_ACCESSES as u64 + TOPK_CANDIDATES as u64);
     }
 
+    /// Reference model for [`HotnessTracker`]: a count map and a promoted
+    /// set, both keyed by page.
+    struct ReferenceTracker {
+        kind: HotnessPolicyKind,
+        threshold: u32,
+        window: u32,
+        counts: FastHashMap<Lpa, u32>,
+        candidates: Vec<Lpa>,
+        promoted: HashSet<Lpa>,
+    }
+
+    impl ReferenceTracker {
+        fn new(kind: HotnessPolicyKind, threshold: u32) -> Self {
+            ReferenceTracker {
+                kind,
+                threshold,
+                window: 0,
+                counts: FastHashMap::default(),
+                candidates: Vec::new(),
+                promoted: HashSet::new(),
+            }
+        }
+
+        fn record_access(&mut self, lpa: Lpa) -> bool {
+            if self.promoted.contains(&lpa) {
+                return false;
+            }
+            match self.kind {
+                HotnessPolicyKind::Threshold => {
+                    let count = self.counts.entry(lpa).or_insert(0);
+                    *count += 1;
+                    if *count == self.threshold {
+                        self.candidates.push(lpa);
+                        true
+                    } else {
+                        false
+                    }
+                }
+                HotnessPolicyKind::Decay => {
+                    self.window += 1;
+                    if self.window >= DECAY_PERIOD_ACCESSES {
+                        self.window = 0;
+                        self.counts.retain(|_, c| {
+                            *c /= 2;
+                            *c > 0
+                        });
+                    }
+                    let count = self.counts.entry(lpa).or_insert(0);
+                    *count += 1;
+                    if *count >= self.threshold && !self.candidates.contains(&lpa) {
+                        self.candidates.push(lpa);
+                        true
+                    } else {
+                        false
+                    }
+                }
+                HotnessPolicyKind::TopK => {
+                    *self.counts.entry(lpa).or_insert(0) += 1;
+                    self.window += 1;
+                    if self.window < TOPK_WINDOW_ACCESSES {
+                        return false;
+                    }
+                    self.window = 0;
+                    let mut hot: Vec<(Lpa, u32)> = self
+                        .counts
+                        .drain()
+                        .filter(|&(lpa, c)| c >= 2 && !self.candidates.contains(&lpa))
+                        .collect();
+                    hot.sort_unstable_by_key(|&(lpa, c)| (Reverse(c), lpa.index()));
+                    let before = self.candidates.len();
+                    self.candidates
+                        .extend(hot.into_iter().take(TOPK_CANDIDATES).map(|(lpa, _)| lpa));
+                    self.candidates.len() > before
+                }
+            }
+        }
+
+        fn take_candidate(&mut self, mut eligible: impl FnMut(Lpa) -> bool) -> Option<Lpa> {
+            while let Some(lpa) = self.candidates.pop() {
+                if eligible(lpa) {
+                    return Some(lpa);
+                }
+                if self.kind != HotnessPolicyKind::TopK {
+                    self.counts.remove(&lpa);
+                }
+            }
+            None
+        }
+
+        fn mark_promoted(&mut self, lpa: Lpa) {
+            self.promoted.insert(lpa);
+            self.counts.remove(&lpa);
+            self.candidates.retain(|c| *c != lpa);
+        }
+
+        fn mark_demoted(&mut self, lpa: Lpa) {
+            self.promoted.remove(&lpa);
+            self.counts.remove(&lpa);
+        }
+
+        fn tracked_pages(&self) -> u64 {
+            (self.counts.len() + self.candidates.len() + self.promoted.len()) as u64
+        }
+    }
+
+    #[test]
+    fn tracker_matches_the_reference_model_on_random_sequences() {
+        for kind in HotnessPolicyKind::ALL {
+            for seed in 1..=16u64 {
+                let mut rng = crate::TestRng::new(seed);
+                let threshold = 1 + rng.below(12) as u32;
+                let hot = 4 + rng.below(60);
+                // Percent of steps that take a candidate: where it is low,
+                // nominations pile up across top-k windows.
+                let take = rng.below(6);
+                let mut t = HotnessTracker::new(kind, threshold);
+                let mut r = ReferenceTracker::new(kind, threshold);
+                // Long enough for four `decay` rounds.
+                for step in 0..20_000 {
+                    // Mostly a small hot set; now and then a far page.
+                    let lpa = match rng.below(50) {
+                        0 => Lpa::new(1000 + rng.below(3000)),
+                        _ => Lpa::new(rng.below(hot)),
+                    };
+                    match rng.below(100) {
+                        op if op < take => {
+                            let salt = rng.below(3);
+                            let eligible = |l: Lpa| !(l.index() + salt).is_multiple_of(3);
+                            assert_eq!(
+                                t.take_candidate(eligible),
+                                r.take_candidate(eligible),
+                                "{kind:?} seed {seed} step {step}"
+                            );
+                        }
+                        op if op < take + 3 => {
+                            t.mark_promoted(lpa);
+                            r.mark_promoted(lpa);
+                        }
+                        op if op < take + 5 => {
+                            t.mark_demoted(lpa);
+                            r.mark_demoted(lpa);
+                        }
+                        _ => assert_eq!(
+                            t.record_access(lpa),
+                            r.record_access(lpa),
+                            "{kind:?} seed {seed} step {step}"
+                        ),
+                    }
+                    assert_eq!(
+                        t.candidates, r.candidates,
+                        "{kind:?} seed {seed} step {step}"
+                    );
+                    assert_eq!(
+                        t.tracked_pages(),
+                        r.tracked_pages(),
+                        "{kind:?} seed {seed} step {step}"
+                    );
+                    assert_eq!(count(&t, lpa), r.counts.get(&lpa).copied().unwrap_or(0));
+                }
+            }
+        }
+    }
+
     #[test]
     fn every_kind_shares_the_promotion_bookkeeping() {
         for kind in HotnessPolicyKind::ALL {
             let mut t = HotnessTracker::new(kind, 2);
             t.record_access(Lpa::new(1));
             t.mark_promoted(Lpa::new(9));
-            assert_eq!(t.promoted.len(), 1);
+            assert_eq!(t.promoted, 1);
             assert!(t.tracked_pages() >= 1);
             t.mark_demoted(Lpa::new(9));
-            assert_eq!(t.promoted.len(), 0);
+            assert_eq!(t.promoted, 0);
         }
     }
 }

@@ -63,3 +63,23 @@ pub use trigger::{ThresholdPolicy, TriggerDecision};
 pub use skybyte_cache::WriteLogStats;
 pub use skybyte_flash::FlashStats;
 pub use skybyte_ftl::FtlStats;
+
+/// A xorshift64* stream for the randomised reference-model tests (the crate
+/// has no RNG dependency).
+#[cfg(test)]
+struct TestRng(u64);
+
+#[cfg(test)]
+impl TestRng {
+    fn new(seed: u64) -> Self {
+        TestRng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1)
+    }
+
+    /// A draw from `0..n`.
+    fn below(&mut self, n: u64) -> u64 {
+        self.0 ^= self.0 >> 12;
+        self.0 ^= self.0 << 25;
+        self.0 ^= self.0 >> 27;
+        (self.0.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 32) % n
+    }
+}

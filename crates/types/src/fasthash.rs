@@ -21,9 +21,6 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// `HashMap` keyed with the deterministic [`FxHasher`].
 pub type FastHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 
-/// `HashSet` keyed with the deterministic [`FxHasher`].
-pub type FastHashSet<T> = std::collections::HashSet<T, FxBuildHasher>;
-
 /// Zero-sized, seedless builder for [`FxHasher`].
 pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 

@@ -62,7 +62,7 @@ pub mod prelude {
         TlbConfig, VariantKind,
     };
     pub use crate::error::ConfigError;
-    pub use crate::fasthash::{FastHashMap, FastHashSet, FxBuildHasher, FxHasher};
+    pub use crate::fasthash::{FastHashMap, FxBuildHasher, FxHasher};
     pub use crate::policy::{
         EvictionPolicyKind, HotnessPolicyKind, PlacementPolicyKind, PolicyConfig, PolicyOverride,
         RebalancePolicyKind, TenantSchedKind,
@@ -84,7 +84,7 @@ pub use config::{
     VariantKind, GIB, KIB, MIB,
 };
 pub use error::ConfigError;
-pub use fasthash::{FastHashMap, FastHashSet, FxBuildHasher, FxHasher};
+pub use fasthash::{FastHashMap, FxBuildHasher, FxHasher};
 pub use policy::{
     EvictionPolicyKind, HotnessPolicyKind, PlacementPolicyKind, PolicyConfig, PolicyOverride,
     RebalancePolicyKind, TenantSchedKind,
