@@ -138,7 +138,7 @@ fn cmd_record(args: &[String]) -> Result<(), String> {
             }
             "--accesses" => {
                 let n = flag_value(args, &mut i, "--accesses")?;
-                accesses = Some(parse_u64(n, "access count")?);
+                accesses = Some(parse_count("--accesses", n, u32::MAX.into())?);
             }
             "--seed" => seed = Some(parse_u64(flag_value(args, &mut i, "--seed")?, "seed")?),
             other => return Err(format!("unknown record argument '{other}'")),
@@ -384,16 +384,14 @@ fn cmd_verify_corpus(args: &[String]) -> Result<(), String> {
 }
 
 /// Parses `FILE[:WEIGHT]` (the weight defaults to 1).
-fn parse_input(spec: &str) -> Result<(PathBuf, u64), String> {
+fn parse_input(spec: &str) -> Result<(PathBuf, u32), String> {
     match spec.rsplit_once(':') {
         Some((path, weight))
             if weight.chars().all(|c| c.is_ascii_digit()) && !weight.is_empty() =>
         {
-            let w = parse_u64(weight, "mix weight")?;
-            if w == 0 {
-                return Err(format!("weight of '{path}' must be positive"));
-            }
-            Ok((PathBuf::from(path), w))
+            let what = format!("the weight of '{path}'");
+            let w = parse_count(&what, weight, u32::MAX.into())?;
+            Ok((PathBuf::from(path), w as u32))
         }
         _ => Ok((PathBuf::from(spec), 1)),
     }
@@ -408,7 +406,7 @@ fn cmd_mix(args: &[String]) -> Result<(), String> {
     let mut mode = "mix".to_string();
     let mut shift_stride: u64 = 0;
     let mut loop_times: u32 = 1;
-    let mut inputs: Vec<(PathBuf, u64)> = Vec::new();
+    let mut inputs: Vec<(PathBuf, u32)> = Vec::new();
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -435,7 +433,7 @@ fn cmd_mix(args: &[String]) -> Result<(), String> {
         return Err(format!("unknown --mode '{mode}' (mix|concat|stack)"));
     }
 
-    let mut sources: Vec<(BoxedSource, u64)> = Vec::new();
+    let mut sources: Vec<(BoxedSource, u32)> = Vec::new();
     let mut footprint = 0u64;
     let mut seed = 0u64;
     for (idx, (path, weight)) in inputs.iter().enumerate() {

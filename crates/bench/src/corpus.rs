@@ -318,6 +318,26 @@ pub fn entries() -> Vec<CorpusEntry> {
                 },
             },
         },
+        // Four threads each write 512 cachelines (cacheline `t` of 512
+        // consecutive pages) twice over. The 4,096 writes outrun the
+        // tiny-scale log's two 512-entry buffers while the first compaction
+        // is still flushing, so the write log appends under back-pressure
+        // and overwrites entries in place, and the run ends with entries
+        // still resident in the active buffer.
+        CorpusEntry {
+            name: "log-back-pressure",
+            label: WorkloadKind::Tpcc,
+            source: EntrySource::Crafted {
+                threads: 4,
+                footprint_bytes: 4 * MIB,
+                records_per_thread: 1024,
+                gen: |t, i| {
+                    let pages = 4 * MIB / PAGE_SIZE as u64;
+                    let page = (t as u64 * 256 + i % 512) % pages;
+                    TraceRecord::write(10, page * PAGE_SIZE as u64 + t as u64 * 64)
+                },
+            },
+        },
     ]
 }
 

@@ -31,6 +31,68 @@ fn mix_refuses_a_shift_stride_past_the_address_space() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Asserts that `out` exited 1 with exactly one line on stderr, an
+/// `error:` line that contains `names`.
+fn assert_one_error_line(out: &std::process::Output, names: &str) {
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert_eq!(err.trim_end().lines().count(), 1, "{err}");
+    assert!(err.starts_with("error: "), "{err}");
+    assert!(err.contains(names), "{err}");
+}
+
+#[test]
+fn mix_refuses_a_weight_its_credits_cannot_hold() {
+    let dir = scratch("weight");
+    let input =
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("../../corpus/traces/ycsb-one-thread.sbt");
+    // As an i64 credit u64::MAX is -1, which makes the live weight sum to 0
+    // and ends every thread at once; 2^32 is the first weight past the
+    // bound, and an input of weight 0 would never be picked.
+    for weight in ["18446744073709551615", "4294967296", "0"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_trace"))
+            .args(["mix", "--out"])
+            .arg(dir.join("mixed.sbt"))
+            .arg(format!("{}:{weight}", input.display()))
+            .arg(format!("{}:1", input.display()))
+            .output()
+            .unwrap();
+        let names = format!(
+            "the weight of '{}' must be between 1 and 4294967295, got '{weight}'",
+            input.display()
+        );
+        assert_one_error_line(&out, &names);
+        assert!(!dir.join("mixed.sbt").exists());
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn record_refuses_an_access_budget_that_would_wrap() {
+    let dir = scratch("accesses");
+    // 2^61 accesses times 8 cores wraps the per-thread budget to 0, which
+    // clamps to 1 record per thread, as 0 itself would.
+    for accesses in [
+        "2305843009213693952",
+        "18446744073709551615",
+        "4294967296",
+        "0",
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_trace"))
+            .args(["record", "--workload", "ycsb", "--scale", "tiny"])
+            .args(["--accesses", accesses, "--out"])
+            .arg(dir.join("recorded.sbt"))
+            .output()
+            .unwrap();
+        assert_one_error_line(
+            &out,
+            &format!("--accesses must be between 1 and 4294967295, got '{accesses}'"),
+        );
+        assert!(!dir.join("recorded.sbt").exists());
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn perf_without_a_path_leaves_a_following_short_flag_alone() {
     let dir = scratch("perf");

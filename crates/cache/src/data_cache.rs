@@ -9,12 +9,11 @@
 //! Figure 11).
 
 use crate::policy::{self, WayMeta};
-use serde::{Deserialize, Serialize};
 use skybyte_types::policy::EvictionPolicyKind;
 use skybyte_types::{CachelineIndex, Lpa, CACHELINES_PER_PAGE, PAGE_SIZE};
 
 /// A page evicted from the data cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EvictedPage {
     /// The evicted logical page.
     pub lpa: Lpa,
@@ -31,30 +30,18 @@ impl EvictedPage {
 }
 
 /// Hit/miss statistics of the data cache.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DataCacheStats {
     /// Lookups that hit.
     pub hits: u64,
     /// Lookups that missed.
     pub misses: u64,
-    /// Pages inserted.
-    pub insertions: u64,
-    /// Pages evicted.
-    pub evictions: u64,
-    /// Dirty pages evicted (requiring a flash write in page-granular mode).
-    pub dirty_evictions: u64,
-    /// Total dirty cachelines across all dirty evictions (for the Figure 6
-    /// style locality accounting).
-    pub dirty_cachelines_evicted: u64,
-    /// Total accessed cachelines observed at eviction time (Figure 5 style).
-    pub accessed_cachelines_evicted: u64,
 }
 
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 struct PageEntry {
     lpa: Lpa,
     dirty_bitmap: u64,
-    accessed_bitmap: u64,
 }
 
 /// A set-associative, page-granular cache indexed by logical page address.
@@ -75,7 +62,7 @@ struct PageEntry {
 /// cache.mark_dirty(Lpa::new(1), 3);
 /// assert_eq!(cache.dirty_bitmap(Lpa::new(1)), Some(1 << 3));
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DataCache {
     sets: Vec<Vec<PageEntry>>,
     /// Per-way replacement metadata, kept in lockstep with `sets`.
@@ -129,9 +116,10 @@ impl DataCache {
         (lpa.index() % self.sets.len() as u64) as usize
     }
 
-    /// Looks up a page, updating replacement state and recording the accessed
-    /// cacheline. Returns `true` on a hit.
-    pub fn access(&mut self, lpa: Lpa, cl: CachelineIndex) -> bool {
+    /// Looks up a page, updating replacement state. Returns `true` on a hit.
+    /// The cache is page-granular, so which cacheline the access wants does
+    /// not matter.
+    pub fn access(&mut self, lpa: Lpa, _cl: CachelineIndex) -> bool {
         self.tick += 1;
         let tick = self.tick;
         let set = self.set_of(lpa);
@@ -140,7 +128,6 @@ impl DataCache {
             Some(way) => {
                 self.meta[set][way].last_access = tick;
                 policy::on_hit(self.eviction, &mut self.meta[set], way, self.ways);
-                self.sets[set][way].accessed_bitmap |= 1u64 << (cl as usize % CACHELINES_PER_PAGE);
                 self.stats.hits += 1;
                 true
             }
@@ -171,7 +158,6 @@ impl DataCache {
             policy::on_hit(self.eviction, &mut self.meta[set], way, self.ways);
             return None;
         }
-        self.stats.insertions += 1;
         let mut evicted = None;
         if self.sets[set].len() >= self.ways {
             let victim_idx = policy::victim(
@@ -181,12 +167,6 @@ impl DataCache {
             );
             let victim = self.sets[set].swap_remove(victim_idx);
             self.meta[set].swap_remove(victim_idx);
-            self.stats.evictions += 1;
-            self.stats.accessed_cachelines_evicted += victim.accessed_bitmap.count_ones() as u64;
-            if victim.dirty_bitmap != 0 {
-                self.stats.dirty_evictions += 1;
-                self.stats.dirty_cachelines_evicted += victim.dirty_bitmap.count_ones() as u64;
-            }
             evicted = Some(EvictedPage {
                 lpa: victim.lpa,
                 dirty_bitmap: victim.dirty_bitmap,
@@ -195,7 +175,6 @@ impl DataCache {
         self.sets[set].push(PageEntry {
             lpa,
             dirty_bitmap: 0,
-            accessed_bitmap: 0,
         });
         self.meta[set].push(WayMeta::inserted(tick));
         evicted
@@ -207,9 +186,7 @@ impl DataCache {
     pub fn mark_dirty(&mut self, lpa: Lpa, cl: CachelineIndex) -> bool {
         let set = self.set_of(lpa);
         if let Some(e) = self.sets[set].iter_mut().find(|e| e.lpa == lpa) {
-            let bit = 1u64 << (cl as usize % CACHELINES_PER_PAGE);
-            e.dirty_bitmap |= bit;
-            e.accessed_bitmap |= bit;
+            e.dirty_bitmap |= 1u64 << (cl as usize % CACHELINES_PER_PAGE);
             true
         } else {
             false
@@ -324,10 +301,9 @@ mod tests {
         c.mark_dirty(Lpa::new(1), 0);
         c.mark_dirty(Lpa::new(1), 1);
         let e = c.insert(Lpa::new(2)).unwrap();
+        assert_eq!(e.lpa, Lpa::new(1));
         assert!(e.is_dirty());
-        assert_eq!(e.dirty_bitmap.count_ones(), 2);
-        assert_eq!(c.stats().dirty_evictions, 1);
-        assert_eq!(c.stats().dirty_cachelines_evicted, 2);
+        assert_eq!(e.dirty_bitmap, 0b11);
     }
 
     #[test]

@@ -13,7 +13,6 @@
 //! entry, 4 B per second-level slot), which is how we reproduce the "5.6 MB
 //! average index footprint" observation.
 
-use serde::{Deserialize, Serialize};
 use skybyte_types::{CachelineIndex, FastHashMap, Lpa, CACHELINES_PER_PAGE};
 
 /// Size of a first-level entry in bytes (8 B LPA + 8 B pointer).
@@ -24,7 +23,7 @@ const SECOND_LEVEL_SLOT_BYTES: u64 = 4;
 const SECOND_LEVEL_INITIAL_SLOTS: usize = 4;
 
 /// A second-level table: page offset → log offset, with on-demand doubling.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct SecondLevelTable {
     /// Allocated slot count (power of two, models the hash-table storage).
     allocated_slots: usize,
@@ -54,7 +53,7 @@ impl SecondLevelTable {
 }
 
 /// The two-level hash index mapping `(LPA, cacheline)` to a log offset.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LogIndex {
     first_level: FastHashMap<Lpa, SecondLevelTable>,
     load_factor: f64,

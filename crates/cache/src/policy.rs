@@ -11,12 +11,11 @@
 //! policy. [`EvictionPolicyKind::PseudoLru`] is the default and reproduces
 //! the original hard-wired cache decision for decision.
 
-use serde::{Deserialize, Serialize};
 use skybyte_types::policy::EvictionPolicyKind;
 
 /// Per-way replacement metadata, maintained by the cache in lockstep with
 /// its page entries and interpreted by the eviction policies.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct WayMeta {
     /// Tick of the last lookup hit or (re)insertion of this way.
     pub last_access: u64,

@@ -16,16 +16,8 @@ use crate::log_index::LogIndex;
 use serde::{Deserialize, Serialize};
 use skybyte_types::{CachelineIndex, Lpa, CACHELINE_SIZE};
 
-/// One logged cacheline write.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-struct LogEntry {
-    lpa: Lpa,
-    cl: CachelineIndex,
-    token: u64,
-}
-
 /// Result of appending a write to the log.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AppendOutcome {
     /// The active log buffer became full with this append; the caller should
     /// start a compaction ([`WriteLog::start_compaction`]).
@@ -43,13 +35,10 @@ pub struct AppendOutcome {
 /// the dirty lines are merged there and the cached page is flushed; otherwise
 /// the page is read from flash into the coalescing buffer, merged, and written
 /// back.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompactionPlan {
     /// Per-page flush descriptors, sorted by LPA.
     pub pages: Vec<PageFlush>,
-    /// Number of log entries that were superseded by newer writes and
-    /// therefore dropped without reaching flash (the write savings).
-    pub dropped_stale_entries: u64,
 }
 
 impl CompactionPlan {
@@ -60,7 +49,7 @@ impl CompactionPlan {
 }
 
 /// The latest dirty cachelines of one logical page, to be merged and flushed.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PageFlush {
     /// The logical page to flush.
     pub lpa: Lpa,
@@ -102,9 +91,12 @@ pub struct WriteLogStats {
 }
 
 /// One log buffer: a bounded append-only array plus its index.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct LogBuffer {
-    entries: Vec<LogEntry>,
+    /// The token of every cacheline write logged here, in append order. The
+    /// index maps each cacheline to the offset of its latest write, so the
+    /// entries need not name their cacheline.
+    entries: Vec<u64>,
     index: LogIndex,
     capacity: usize,
 }
@@ -124,7 +116,7 @@ impl LogBuffer {
 
     fn append(&mut self, lpa: Lpa, cl: CachelineIndex, token: u64) {
         let offset = self.entries.len() as u32;
-        self.entries.push(LogEntry { lpa, cl, token });
+        self.entries.push(token);
         self.index.insert(lpa, cl, offset);
     }
 
@@ -133,7 +125,7 @@ impl LogBuffer {
     /// entry was overwritten (false: a new entry was appended).
     fn overwrite_or_append(&mut self, lpa: Lpa, cl: CachelineIndex, token: u64) -> bool {
         if let Some(off) = self.index.lookup(lpa, cl) {
-            self.entries[off as usize].token = token;
+            self.entries[off as usize] = token;
             true
         } else {
             self.append(lpa, cl, token);
@@ -144,7 +136,7 @@ impl LogBuffer {
     fn lookup(&self, lpa: Lpa, cl: CachelineIndex) -> Option<u64> {
         self.index
             .lookup(lpa, cl)
-            .map(|off| self.entries[off as usize].token)
+            .map(|off| self.entries[off as usize])
     }
 
     fn plan(&self) -> CompactionPlan {
@@ -154,23 +146,19 @@ impl LogBuffer {
                 .index
                 .page_entries(lpa)
                 .into_iter()
-                .map(|(cl, off)| (cl, self.entries[off as usize].token))
+                .map(|(cl, off)| (cl, self.entries[off as usize]))
                 .collect();
             pages.push(PageFlush { lpa, cachelines });
         }
         pages.sort_unstable_by_key(|p| p.lpa);
-        let live: usize = pages.iter().map(|p| p.cachelines.len()).sum();
-        CompactionPlan {
-            dropped_stale_entries: (self.entries.len() - live) as u64,
-            pages,
-        }
+        CompactionPlan { pages }
     }
 }
 
 /// The double-buffered, cacheline-granular write log.
 ///
 /// See the crate-level documentation for an example.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WriteLog {
     active: LogBuffer,
     /// The frozen buffer currently being compacted, if any.
@@ -378,7 +366,7 @@ mod tests {
         let plan = log.start_compaction().expect("plan");
         assert_eq!(plan.page_count(), 2);
         assert_eq!(plan_cachelines(&plan), 3);
-        assert_eq!(plan.dropped_stale_entries, 2);
+        assert_eq!(log.stats().entries_retired_stale, 2);
         let p1 = &plan.pages[0];
         assert_eq!(p1.lpa, Lpa::new(1));
         assert_eq!(p1.cachelines, vec![(0, 3), (5, 10)]);
@@ -592,7 +580,7 @@ mod tests {
                 }
             }
             prop_assert_eq!(&from_plan, &model);
-            prop_assert_eq!(plan.dropped_stale_entries as usize, ops.len() - model.len());
+            prop_assert_eq!(log.stats().entries_retired_stale as usize, ops.len() - model.len());
         }
     }
 }

@@ -31,7 +31,6 @@ use crate::experiments::{colocation_requests, ExperimentTable};
 use crate::metrics::SimResult;
 use crate::runner::Runner;
 use crate::scale::ExperimentScale;
-use serde::{Deserialize, Serialize};
 use skybyte_types::{AuditReport, PlacementPolicyKind, RebalancePolicyKind, VariantKind};
 use skybyte_workloads::WorkloadKind;
 use std::sync::Arc;
@@ -42,7 +41,7 @@ use std::sync::Arc;
 
 /// One tenant's demand on the fleet: what it runs and how much device
 /// capacity it claims.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TenantDemand {
     /// The workload the tenant runs.
     pub workload: WorkloadKind,
@@ -56,7 +55,7 @@ pub struct TenantDemand {
 }
 
 /// A rack of identical devices plus the tenant population to place on it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetConfig {
     /// Number of identical devices in the fleet.
     pub devices: usize,

@@ -18,12 +18,11 @@
 //! is what the `figures` binary's tables compare; `ROADMAP.md` tabulates the
 //! default-scale values next to the paper's headline numbers.
 
-use serde::{Deserialize, Serialize};
 use skybyte_types::{SimConfig, SsdGeometry, KIB, MIB};
 use skybyte_workloads::{WorkloadKind, WorkloadSpec};
 
 /// Scaled-down sizes used by an experiment run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExperimentScale {
     /// Scaled workload footprint in bytes.
     pub footprint_bytes: u64,

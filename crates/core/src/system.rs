@@ -585,7 +585,9 @@ impl SystemState {
             let cs = self.cfg.context_switch_overhead;
             self.boundedness[core].context_switch += cs;
             self.execs[tid.0 as usize].push_back(unit);
-            let wake = outcome.ready_at.max(outcome.estimated_ready_at);
+            // The hint carries the fill's scheduled completion: the thread
+            // wakes when the data is in SSD DRAM.
+            let wake = outcome.ready_at;
             if let Some(tel) = self.telemetry.as_mut() {
                 tel.context_switch(core, t, tid.0, wake);
             }
@@ -787,7 +789,7 @@ impl SystemState {
         // dirty page and log entry has reached flash).
         let layers = LayerCounters {
             cxl: *self.port.stats(),
-            ssd: *self.ssd.stats(),
+            ssd: self.ssd.stats(),
             flash: *self.ssd.flash_stats(),
             ftl: *self.ssd.ftl_stats(),
             write_log: self.ssd.write_log_stats().copied(),

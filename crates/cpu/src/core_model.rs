@@ -12,7 +12,7 @@ use skybyte_types::{CpuConfig, Freq, Nanos};
 
 /// Converts instruction counts to time and bounds how much off-chip latency
 /// the out-of-order engine can overlap with useful work.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoreTimingModel {
     freq: Freq,
     base_ipc: f64,

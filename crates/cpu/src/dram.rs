@@ -1,6 +1,5 @@
 //! Host DRAM timing model (DDR5 in Table II).
 
-use serde::{Deserialize, Serialize};
 use skybyte_types::{HostDramConfig, Nanos, CACHELINE_SIZE};
 
 /// A bandwidth- and latency-constrained host DRAM model.
@@ -9,7 +8,7 @@ use skybyte_types::{HostDramConfig, Nanos, CACHELINE_SIZE};
 /// capped by the bandwidth summed over all channels, modelled with a single
 /// busy-until horizon (requests arriving faster than the channels can drain
 /// queue up).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HostDram {
     access_latency: Nanos,
     bandwidth_bps: u64,

@@ -33,7 +33,7 @@ pub struct CxlPortStats {
 /// let arrival = port.deliver_cacheline(Nanos::ZERO);
 /// assert!(arrival >= Nanos::new(40));
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CxlPort {
     protocol_latency: Nanos,
     bandwidth_bps: u64,

@@ -1,9 +1,8 @@
 //! The flash array: geometry plus one [`ChannelQueue`] per channel.
 
 use crate::channel::{ChannelQueue, QueueCounters};
-use crate::command::{FlashCommand, FlashCommandKind};
+use crate::command::FlashCommandKind;
 use crate::stats::FlashStats;
-use serde::{Deserialize, Serialize};
 use skybyte_types::{FlashTimingConfig, Nanos, Ppa, SsdGeometry};
 
 /// A timing model of the whole NAND flash array.
@@ -12,7 +11,7 @@ use skybyte_types::{FlashTimingConfig, Nanos, Ppa, SsdGeometry};
 /// the same channel are serialised; different channels proceed in parallel,
 /// which is how SkyByte's log compaction exploits channel parallelism when
 /// flushing coalesced pages (§III-B).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FlashArray {
     timing: FlashTimingConfig,
     channels: Vec<ChannelQueue>,
@@ -56,32 +55,26 @@ impl FlashArray {
     ///
     /// Panics if `ppa.channel` is outside the configured geometry.
     pub fn submit(&mut self, kind: FlashCommandKind, ppa: Ppa, now: Nanos) -> Nanos {
-        self.submit_command(kind, ppa, now).completes_at
-    }
-
-    /// Submits a command and returns the full [`FlashCommand`] record
-    /// (submission, start, completion times).
-    pub fn submit_command(&mut self, kind: FlashCommandKind, ppa: Ppa, now: Nanos) -> FlashCommand {
         let ch = ppa.channel as usize;
         assert!(
             ch < self.channels.len(),
             "channel {ch} out of range ({} channels)",
             self.channels.len()
         );
-        let cmd = self.channels[ch].submit(kind, ppa, now, &self.timing);
-        self.earliest_completion = self.earliest_completion.min(cmd.completes_at);
+        let completes_at = self.channels[ch].submit(kind, now, &self.timing);
+        self.earliest_completion = self.earliest_completion.min(completes_at);
         match kind {
             FlashCommandKind::Read => {
                 self.stats.pages_read += 1;
-                self.stats.total_read_latency += cmd.total_latency();
+                self.stats.total_read_latency += completes_at.since(now);
             }
             FlashCommandKind::Program => {
                 self.stats.pages_programmed += 1;
-                self.stats.total_program_latency += cmd.total_latency();
+                self.stats.total_program_latency += completes_at.since(now);
             }
             FlashCommandKind::Erase => self.stats.blocks_erased += 1,
         }
-        cmd
+        completes_at
     }
 
     /// Retires completed commands on every channel up to time `now`. O(1)

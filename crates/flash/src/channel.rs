@@ -3,27 +3,27 @@
 //! The paper's latency-estimation policy (Algorithm 1) inspects the number of
 //! queued reads, programs and erases on the channel a request maps to, and
 //! estimates the request's delay as the sum of the service times of everything
-//! ahead of it. [`ChannelQueue`] maintains exactly that state: the set of
-//! in-flight commands, the time the channel becomes idle, and per-kind
-//! counters of queued commands.
+//! ahead of it. [`ChannelQueue`] maintains exactly that state: the completion
+//! times of the in-flight commands, the time the channel becomes idle, and
+//! per-kind counters of queued commands.
 //!
-//! Service order is **read-prioritised**: reads serialise only behind other
+//! Service order is **read-prioritised**: a read waits only for earlier
 //! reads, while programs and erases queue behind all previously accepted
 //! work. This models the program/erase suspension that ultra-low-latency
-//! NAND (e.g. Z-NAND, Table II's default flash) provides, and it is what
-//! keeps the average flash read latency in the few-microsecond range of the
-//! paper's Table III even while background compaction or GC streams 100 µs
-//! programs to the same channel. Algorithm 1's estimate deliberately still
-//! counts queued programs/erases, making it a conservative upper bound —
-//! exactly the role it plays as the context-switch trigger heuristic.
+//! NAND (e.g. Z-NAND, Table II's default flash) provides, so a 100 µs
+//! program from compaction or GC never sits in front of a read. Reads still
+//! queue behind each other: at default scale SkyByte-WP's average flash read
+//! is 9.5–122 µs against tR = 3 µs, and ROADMAP direction 1 asks which reads
+//! queue. Algorithm 1's estimate deliberately still counts queued
+//! programs/erases, making it a conservative upper bound — exactly the role
+//! it plays as the context-switch trigger heuristic.
 
-use crate::command::{FlashCommand, FlashCommandKind};
-use serde::{Deserialize, Serialize};
-use skybyte_types::{FlashTimingConfig, Nanos, Ppa};
+use crate::command::FlashCommandKind;
+use skybyte_types::{FlashTimingConfig, Nanos};
 use std::collections::VecDeque;
 
 /// Counts of commands currently queued or in service on one channel.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueCounters {
     /// Queued/in-service page reads.
     pub reads: u32,
@@ -43,6 +43,15 @@ impl QueueCounters {
             + timing.program_latency.scaled(self.writes as u64)
             + timing.erase_latency.scaled(self.erases as u64)
     }
+
+    /// The counter of commands of `kind`.
+    fn of(&mut self, kind: FlashCommandKind) -> &mut u32 {
+        match kind {
+            FlashCommandKind::Read => &mut self.reads,
+            FlashCommandKind::Program => &mut self.writes,
+            FlashCommandKind::Erase => &mut self.erases,
+        }
+    }
 }
 
 /// A read-prioritised command queue for a single flash channel.
@@ -50,16 +59,17 @@ impl QueueCounters {
 /// Reads serialise behind previously accepted reads only (suspending any
 /// program/erase in service); programs and erases serialise behind all
 /// previously accepted work.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ChannelQueue {
-    /// In-flight reads in submission order. Each read waits for every earlier
-    /// read (`read_busy_until` only grows), so completion times are monotone
-    /// within this queue and retirement is a pop-front loop.
-    inflight_reads: VecDeque<FlashCommand>,
-    /// In-flight programs/erases in submission order. They serialise behind
-    /// all previously accepted work (`busy_until` is non-decreasing), so this
-    /// queue is completion-monotone too.
-    inflight_writes: VecDeque<FlashCommand>,
+    /// Completion times of the in-flight reads in submission order. Each read
+    /// waits for every earlier read (`read_busy_until` only grows), so they
+    /// are monotone and retirement is a pop-front loop.
+    inflight_reads: VecDeque<Nanos>,
+    /// `(completion time, kind)` of the in-flight programs/erases in
+    /// submission order. They serialise behind all previously accepted work
+    /// (`busy_until` is non-decreasing), so this queue is completion-monotone
+    /// too.
+    inflight_writes: VecDeque<(Nanos, FlashCommandKind)>,
     /// Time at which the channel finishes its last accepted command.
     busy_until: Nanos,
     /// Time at which the last accepted *read* completes (the priority lane).
@@ -79,25 +89,20 @@ impl ChannelQueue {
         Self::default()
     }
 
-    /// Submits a command at time `now` and returns the full command record,
-    /// including its completion time.
+    /// Submits a command at time `now` and returns its completion time.
     pub fn submit(
         &mut self,
         kind: FlashCommandKind,
-        target: Ppa,
         now: Nanos,
         timing: &FlashTimingConfig,
-    ) -> FlashCommand {
+    ) -> Nanos {
         let service = kind.latency(timing);
-        let starts_at = match kind {
+        let completes_at = match kind {
             // Reads pre-empt programs/erases (suspension) and wait only for
             // earlier reads.
-            FlashCommandKind::Read => now.max(self.read_busy_until),
-            FlashCommandKind::Program | FlashCommandKind::Erase => now.max(self.busy_until),
-        };
-        let completes_at = starts_at + service;
-        match kind {
             FlashCommandKind::Read => {
+                let starts_at = now.max(self.read_busy_until);
+                let completes_at = starts_at + service;
                 self.read_busy_until = completes_at;
                 // A read landing inside pending program/erase work suspends
                 // it: the channel loses the read's service time, so the
@@ -109,32 +114,20 @@ impl ChannelQueue {
                 } else {
                     completes_at
                 };
+                self.inflight_reads.push_back(completes_at);
+                completes_at
             }
             FlashCommandKind::Program | FlashCommandKind::Erase => {
+                let completes_at = now.max(self.busy_until) + service;
                 self.busy_until = completes_at;
+                self.inflight_writes.push_back((completes_at, kind));
+                completes_at
             }
-        }
-        self.busy_time += service;
-        match kind {
-            FlashCommandKind::Read => self.counters.reads += 1,
-            FlashCommandKind::Program => self.counters.writes += 1,
-            FlashCommandKind::Erase => self.counters.erases += 1,
-        }
-        let cmd = FlashCommand {
-            kind,
-            target,
-            submitted_at: now,
-            starts_at,
-            completes_at,
         };
+        *self.counters.of(kind) += 1;
+        self.busy_time += service;
         self.earliest_completion = self.earliest_completion.min(completes_at);
-        match kind {
-            FlashCommandKind::Read => self.inflight_reads.push_back(cmd),
-            FlashCommandKind::Program | FlashCommandKind::Erase => {
-                self.inflight_writes.push_back(cmd)
-            }
-        }
-        cmd
+        completes_at
     }
 
     /// Earliest completion among in-flight commands (`Nanos::MAX` when
@@ -156,17 +149,21 @@ impl ChannelQueue {
             return 0;
         }
         let before = self.depth();
-        for queue in [&mut self.inflight_reads, &mut self.inflight_writes] {
-            while let Some(cmd) = queue.pop_front_if(|c| c.completes_at <= now) {
-                match cmd.kind {
-                    FlashCommandKind::Read => self.counters.reads -= 1,
-                    FlashCommandKind::Program => self.counters.writes -= 1,
-                    FlashCommandKind::Erase => self.counters.erases -= 1,
-                }
-            }
+        while self
+            .inflight_reads
+            .pop_front_if(|done| *done <= now)
+            .is_some()
+        {
+            self.counters.reads -= 1;
         }
-        let front = |q: &VecDeque<FlashCommand>| q.front().map_or(Nanos::MAX, |c| c.completes_at);
-        self.earliest_completion = front(&self.inflight_reads).min(front(&self.inflight_writes));
+        while let Some((_, kind)) = self.inflight_writes.pop_front_if(|(done, _)| *done <= now) {
+            *self.counters.of(kind) -= 1;
+        }
+        let reads = self.inflight_reads.front().copied();
+        let writes = self.inflight_writes.front().map(|&(done, _)| done);
+        self.earliest_completion = reads
+            .unwrap_or(Nanos::MAX)
+            .min(writes.unwrap_or(Nanos::MAX));
         before - self.depth()
     }
 
@@ -209,11 +206,11 @@ mod tests {
     fn back_to_back_reads_serialise() {
         let mut q = ChannelQueue::new();
         let t = timing();
-        let a = q.submit(FlashCommandKind::Read, Ppa::default(), Nanos::ZERO, &t);
-        let b = q.submit(FlashCommandKind::Read, Ppa::default(), Nanos::ZERO, &t);
-        assert_eq!(a.completes_at, Nanos::from_micros(3));
-        assert_eq!(b.starts_at, a.completes_at);
-        assert_eq!(b.completes_at, Nanos::from_micros(6));
+        let a = q.submit(FlashCommandKind::Read, Nanos::ZERO, &t);
+        let b = q.submit(FlashCommandKind::Read, Nanos::ZERO, &t);
+        assert_eq!(a, Nanos::from_micros(3));
+        // The second read starts when the first completes.
+        assert_eq!(b, Nanos::from_micros(6));
         assert_eq!(q.depth(), 2);
         assert_eq!(q.counters().reads, 2);
     }
@@ -222,22 +219,21 @@ mod tests {
     fn idle_gap_resets_start_time() {
         let mut q = ChannelQueue::new();
         let t = timing();
-        let a = q.submit(FlashCommandKind::Read, Ppa::default(), Nanos::ZERO, &t);
+        let a = q.submit(FlashCommandKind::Read, Nanos::ZERO, &t);
         // Submit long after the first finished: starts immediately.
         let late = Nanos::from_micros(50);
-        let b = q.submit(FlashCommandKind::Read, Ppa::default(), late, &t);
-        assert_eq!(b.starts_at, late);
-        assert_eq!(b.starts_at, b.submitted_at);
-        assert!(a.completes_at < b.starts_at);
+        let b = q.submit(FlashCommandKind::Read, late, &t);
+        assert!(a < late);
+        assert_eq!(b, late + Nanos::from_micros(3));
     }
 
     #[test]
     fn retire_updates_counters() {
         let mut q = ChannelQueue::new();
         let t = timing();
-        q.submit(FlashCommandKind::Read, Ppa::default(), Nanos::ZERO, &t);
-        q.submit(FlashCommandKind::Program, Ppa::default(), Nanos::ZERO, &t);
-        q.submit(FlashCommandKind::Erase, Ppa::default(), Nanos::ZERO, &t);
+        q.submit(FlashCommandKind::Read, Nanos::ZERO, &t);
+        q.submit(FlashCommandKind::Program, Nanos::ZERO, &t);
+        q.submit(FlashCommandKind::Erase, Nanos::ZERO, &t);
         assert_eq!(
             q.counters(),
             QueueCounters {
@@ -276,13 +272,8 @@ mod tests {
     fn busy_time_accumulates_service_only() {
         let mut q = ChannelQueue::new();
         let t = timing();
-        q.submit(FlashCommandKind::Read, Ppa::default(), Nanos::ZERO, &t);
-        q.submit(
-            FlashCommandKind::Program,
-            Ppa::default(),
-            Nanos::from_micros(500),
-            &t,
-        );
+        q.submit(FlashCommandKind::Read, Nanos::ZERO, &t);
+        q.submit(FlashCommandKind::Program, Nanos::from_micros(500), &t);
         assert_eq!(q.busy_time, Nanos::from_micros(103));
         assert_eq!(q.busy_until, Nanos::from_micros(600));
     }
@@ -292,9 +283,9 @@ mod tests {
         let mut q = ChannelQueue::new();
         let t = timing();
         // A program committed at t=0 runs 0..100us.
-        q.submit(FlashCommandKind::Program, Ppa::default(), Nanos::ZERO, &t);
+        q.submit(FlashCommandKind::Program, Nanos::ZERO, &t);
         // Another queues behind it: 100..200us.
-        q.submit(FlashCommandKind::Program, Ppa::default(), Nanos::ZERO, &t);
+        q.submit(FlashCommandKind::Program, Nanos::ZERO, &t);
         assert_eq!(q.busy_time, Nanos::from_micros(200));
         // A horizon mid-way through the second program only counts the part
         // of the committed service that falls inside the window.
@@ -320,10 +311,9 @@ mod tests {
         // the interference signal the trigger policy keys on.
         let mut q = ChannelQueue::new();
         let t = timing();
-        q.submit(FlashCommandKind::Erase, Ppa::default(), Nanos::ZERO, &t);
-        let r = q.submit(FlashCommandKind::Read, Ppa::default(), Nanos::ZERO, &t);
-        assert_eq!(r.starts_at, Nanos::ZERO);
-        assert_eq!(r.total_latency(), Nanos::from_micros(3));
+        q.submit(FlashCommandKind::Erase, Nanos::ZERO, &t);
+        let r = q.submit(FlashCommandKind::Read, Nanos::ZERO, &t);
+        assert_eq!(r, Nanos::from_micros(3));
         // tR * (1 queued read + 1) + tBERS * 1 erase.
         assert_eq!(
             q.counters().estimate_read_latency(&t),
@@ -335,12 +325,12 @@ mod tests {
     fn reads_serialise_behind_reads_and_delay_later_programs() {
         let mut q = ChannelQueue::new();
         let t = timing();
-        let a = q.submit(FlashCommandKind::Read, Ppa::default(), Nanos::ZERO, &t);
-        let b = q.submit(FlashCommandKind::Read, Ppa::default(), Nanos::ZERO, &t);
-        assert_eq!(a.completes_at, Nanos::from_micros(3));
-        assert_eq!(b.starts_at, a.completes_at);
+        let a = q.submit(FlashCommandKind::Read, Nanos::ZERO, &t);
+        let b = q.submit(FlashCommandKind::Read, Nanos::ZERO, &t);
+        assert_eq!(a, Nanos::from_micros(3));
+        assert_eq!(b, Nanos::from_micros(6));
         // A program accepted afterwards waits for the channel, reads included.
-        let p = q.submit(FlashCommandKind::Program, Ppa::default(), Nanos::ZERO, &t);
-        assert_eq!(p.starts_at, b.completes_at);
+        let p = q.submit(FlashCommandKind::Program, Nanos::ZERO, &t);
+        assert_eq!(p, b + Nanos::from_micros(100));
     }
 }

@@ -1,11 +1,10 @@
-//! Flash command descriptors.
+//! The NAND operations a flash channel serves.
 
-use serde::{Deserialize, Serialize};
-use skybyte_types::{FlashTimingConfig, Nanos, Ppa};
+use skybyte_types::{FlashTimingConfig, Nanos};
 use std::fmt;
 
 /// The three NAND operations and their Table IV timings.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FlashCommandKind {
     /// Page read (tR).
     Read,
@@ -37,28 +36,6 @@ impl fmt::Display for FlashCommandKind {
     }
 }
 
-/// A flash command in flight: what, where, and when it will finish.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FlashCommand {
-    /// Operation type.
-    pub kind: FlashCommandKind,
-    /// Target physical page (for erases, the page field is ignored).
-    pub target: Ppa,
-    /// Time the command was submitted to the channel queue.
-    pub submitted_at: Nanos,
-    /// Time the command starts occupying the channel.
-    pub starts_at: Nanos,
-    /// Time the command completes.
-    pub completes_at: Nanos,
-}
-
-impl FlashCommand {
-    /// Total latency from submission to completion.
-    pub fn total_latency(&self) -> Nanos {
-        self.completes_at.saturating_sub(self.submitted_at)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -76,18 +53,6 @@ mod tests {
             FlashCommandKind::Erase.latency(&t),
             Nanos::from_micros(1000)
         );
-    }
-
-    #[test]
-    fn command_delays() {
-        let c = FlashCommand {
-            kind: FlashCommandKind::Read,
-            target: Ppa::default(),
-            submitted_at: Nanos::new(100),
-            starts_at: Nanos::new(250),
-            completes_at: Nanos::new(3_250),
-        };
-        assert_eq!(c.total_latency(), Nanos::new(3_150));
     }
 
     #[test]

@@ -37,5 +37,5 @@ mod stats;
 
 pub use array::FlashArray;
 pub use channel::{ChannelQueue, QueueCounters};
-pub use command::{FlashCommand, FlashCommandKind};
+pub use command::FlashCommandKind;
 pub use stats::FlashStats;

@@ -19,7 +19,7 @@ impl BlockId {
 }
 
 /// Lifecycle state of an erase block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BlockState {
     /// Erased and available for allocation.
     Free,
@@ -30,7 +30,7 @@ pub enum BlockState {
 }
 
 /// Per-block metadata tracked by the FTL.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct BlockInfo {
     state: BlockState,
     /// Next page offset to program in this block (valid while `Open`).
@@ -60,7 +60,7 @@ impl BlockInfo {
 ///
 /// Writes are striped round-robin across channels so that log compaction and
 /// GC can exploit channel parallelism.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BlockManager {
     geometry: SsdGeometry,
     blocks: Vec<BlockInfo>,

@@ -41,5 +41,5 @@ mod ftl_impl;
 mod stats;
 
 pub use blocks::{BlockId, BlockManager, BlockState};
-pub use ftl_impl::{Ftl, GcReport, WriteOutcome};
+pub use ftl_impl::{Ftl, WriteOutcome};
 pub use stats::FtlStats;

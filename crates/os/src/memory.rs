@@ -6,12 +6,11 @@
 //! tracked with active/inactive lists — evict it back to the SSD, and reuse
 //! its host frame (§III-C).
 
-use serde::{Deserialize, Serialize};
 use skybyte_types::{FastHashMap, Lpa, PageNumber, PAGE_SIZE};
 use std::collections::VecDeque;
 
 /// Result of asking the pool to make room for a new promotion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PoolDecision {
     /// A free host frame was available.
     Allocated(PageNumber),

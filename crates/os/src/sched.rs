@@ -10,13 +10,12 @@ use crate::thread::{BlockReason, ThreadControlBlock, ThreadId, ThreadState};
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha12Rng;
-use serde::{Deserialize, Serialize};
 use skybyte_types::{Nanos, SchedPolicy};
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap, VecDeque};
 
 /// Scheduler activity counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedStats {
     /// Context switches performed (thread yielded and another picked).
     pub context_switches: u64,
@@ -202,10 +201,8 @@ impl Scheduler {
         reason: BlockReason,
     ) -> Option<ThreadId> {
         let id = self.running.get_mut(core as usize)?.take()?;
-        let t = &mut self.threads[id.0 as usize];
-        t.switches += 1;
         if wake_at > now {
-            t.state = ThreadState::Blocked {
+            self.threads[id.0 as usize].state = ThreadState::Blocked {
                 reason,
                 until: wake_at,
             };
@@ -441,7 +438,6 @@ mod tests {
         // After it, the thread runs again.
         assert_eq!(s.schedule_on(0, wake), Some(a));
         assert_eq!(s.stats().context_switches, 1);
-        assert_eq!(s.threads[a.0 as usize].switches, 1);
     }
 
     #[test]
@@ -549,7 +545,6 @@ mod tests {
         fn yield_current(&mut self, core: u32, now: Nanos, wake_at: Nanos) -> Option<ThreadId> {
             let id = self.running.get_mut(core as usize)?.take()?;
             let t = &mut self.threads[id.0 as usize];
-            t.switches += 1;
             if wake_at > now {
                 t.state = ThreadState::Blocked {
                     reason: BlockReason::Other,

@@ -18,7 +18,7 @@ impl fmt::Display for ThreadId {
 }
 
 /// Why a thread is not currently runnable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BlockReason {
     /// Waiting for a long CXL-SSD access; the thread was context-switched
     /// away by the Long Delay Exception and becomes runnable when the SSD
@@ -32,7 +32,7 @@ pub enum BlockReason {
 }
 
 /// Lifecycle state of a thread.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ThreadState {
     /// Ready to run, sitting in the run queue.
     Runnable,
@@ -53,7 +53,7 @@ pub enum ThreadState {
 }
 
 /// Book-keeping for one thread.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThreadControlBlock {
     /// The thread identifier.
     pub id: ThreadId,
@@ -62,8 +62,6 @@ pub struct ThreadControlBlock {
     /// Total CPU time received (the CFS vruntime; all threads share the same
     /// weight, so vruntime equals received execution time).
     pub vruntime: Nanos,
-    /// Number of times this thread has been context-switched away.
-    pub switches: u64,
     /// Round-robin enqueue sequence number (used by the RR policy).
     pub(crate) rr_seq: u64,
 }
@@ -75,7 +73,6 @@ impl ThreadControlBlock {
             id,
             state: ThreadState::Runnable,
             vruntime: Nanos::ZERO,
-            switches: 0,
             rr_seq: 0,
         }
     }

@@ -8,12 +8,11 @@
 //! that behaviour: only accesses that fall inside the sampling window are
 //! observed, and a bounded number of promotions is allowed per window.
 
-use serde::{Deserialize, Serialize};
 use skybyte_types::{Lpa, MigrationConfig, Nanos};
 use std::collections::HashMap;
 
 /// Periodic-sampling hotness estimator.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TppSampler {
     period: Nanos,
     promotions_per_period: u32,

@@ -7,11 +7,10 @@
 //! invalidates the TLB entry, triggering a TLB shootdown on every core
 //! (modelled as a fixed cost counted by the simulator).
 
-use serde::{Deserialize, Serialize};
 use skybyte_types::{FastHashMap, Lpa, Nanos, PageNumber};
 
 /// Where a virtual page currently resides.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PagePlacement {
     /// The page has been promoted to host DRAM at the given host page.
     HostDram(PageNumber),
@@ -25,7 +24,7 @@ pub enum PagePlacement {
 /// (virtual page *n* → LPA *n*), which models the paper's setup where "all
 /// data are initially stored in CXL-SSD". Promotions and demotions update
 /// individual entries.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct PageTable {
     overrides: FastHashMap<PageNumber, PagePlacement>,
 }

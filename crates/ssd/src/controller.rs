@@ -3,7 +3,6 @@
 
 use crate::hotness::HotnessTracker;
 use crate::stats::{AccessBreakdown, ServedBy, SsdStats};
-use crate::trigger::ThresholdPolicy;
 use skybyte_cache::{DataCache, DataCacheStats, WriteLog, WriteLogStats};
 use skybyte_flash::{FlashArray, FlashStats};
 use skybyte_ftl::{Ftl, FtlStats};
@@ -18,17 +17,12 @@ pub struct SsdAccessOutcome {
     /// Which structure served the access.
     pub served_by: ServedBy,
     /// Whether the controller answers with the `SkyByte-Delay` NDR opcode
-    /// instead of making the host wait.
+    /// instead of making the host wait. The OS then wakes the thread at
+    /// `ready_at`: the controller has already queued the flash fill when it
+    /// answers, so that is the fill's scheduled completion.
     pub delay_hint: bool,
-    /// With a delay hint: the controller's estimate of when the data will be
-    /// ready in SSD DRAM, carried in the `SkyByte-Delay` response so the OS
-    /// can schedule the wake-up. The controller has already queued the flash
-    /// fill when it answers, so the estimate is the scheduled completion of
-    /// that fill (Algorithm 1's queue-counter estimate is only the trigger
-    /// heuristic — it deliberately over-counts programs/erases that reads
-    /// pre-empt, and waking on it would oversleep).
-    pub estimated_ready_at: Nanos,
-    /// Device-side latency breakdown (Figure 17 components).
+    /// Device-side latency breakdown (Figure 17 components). `ready_at` is
+    /// the arrival time plus its three components.
     pub breakdown: AccessBreakdown,
 }
 
@@ -99,10 +93,13 @@ pub struct SsdController {
     write_log: Option<WriteLog>,
     data_cache: DataCache,
     hotness: HotnessTracker,
-    trigger: ThresholdPolicy,
 
     /// Whether the variant answers slow reads with `SkyByte-Delay` hints.
     context_switch: bool,
+    /// Algorithm 1's latency threshold: a flash fetch estimated to take
+    /// longer is answered with a hint (2 µs in Table II, tunable per
+    /// Figure 9).
+    cs_threshold: Nanos,
     dram_latency: Nanos,
     log_index_latency: Nanos,
     cache_index_latency: Nanos,
@@ -157,8 +154,8 @@ impl SsdController {
                 cfg.policy.eviction,
             ),
             hotness: HotnessTracker::new(cfg.policy.hotness, cfg.migration.hotness_threshold),
-            trigger: ThresholdPolicy::new(cfg.cs_threshold),
             context_switch: cfg.variant.context_switch(),
+            cs_threshold: cfg.cs_threshold,
             dram_latency: ssd.dram.access_latency,
             log_index_latency: ssd.dram.write_log_index_latency,
             cache_index_latency: ssd.dram.data_cache_index_latency,
@@ -181,7 +178,6 @@ impl SsdController {
     pub fn handle_read(&mut self, lpa: Lpa, cl: CachelineIndex, now: Nanos) -> SsdAccessOutcome {
         self.stats.reads += 1;
         self.hotness.record_access(lpa);
-        self.note_tracked_pages();
         self.lazy_tick(now);
 
         let index_latency = self.read_index_latency();
@@ -191,78 +187,32 @@ impl SsdController {
         if let Some(log) = &mut self.write_log {
             if log.lookup(lpa, cl).is_some() {
                 self.stats.read_log_hits += 1;
-                return SsdAccessOutcome {
-                    ready_at: t_indexed + self.dram_latency,
-                    served_by: ServedBy::WriteLog,
-                    delay_hint: false,
-                    estimated_ready_at: Nanos::ZERO,
-                    breakdown: AccessBreakdown {
-                        indexing: index_latency,
-                        ssd_dram: self.dram_latency,
-                        flash: Nanos::ZERO,
-                    },
-                };
+                return self.outcome(now, index_latency, Nanos::ZERO, ServedBy::WriteLog);
             }
         }
 
         // R1: data-cache hit.
         if self.data_cache.access(lpa, cl) {
             self.stats.read_cache_hits += 1;
-            return SsdAccessOutcome {
-                ready_at: t_indexed + self.dram_latency,
-                served_by: ServedBy::DataCache,
-                delay_hint: false,
-                estimated_ready_at: Nanos::ZERO,
-                breakdown: AccessBreakdown {
-                    indexing: index_latency,
-                    ssd_dram: self.dram_latency,
-                    flash: Nanos::ZERO,
-                },
-            };
+            return self.outcome(now, index_latency, Nanos::ZERO, ServedBy::DataCache);
         }
 
         // Never-written pages are served as zeroes straight from DRAM.
         if !self.ftl.is_mapped(lpa) {
             self.stats.read_zero_fills += 1;
             self.insert_page_into_cache(lpa, t_indexed);
-            return SsdAccessOutcome {
-                ready_at: t_indexed + self.dram_latency,
-                served_by: ServedBy::ZeroFill,
-                delay_hint: false,
-                estimated_ready_at: Nanos::ZERO,
-                breakdown: AccessBreakdown {
-                    indexing: index_latency,
-                    ssd_dram: self.dram_latency,
-                    flash: Nanos::ZERO,
-                },
-            };
+            return self.outcome(now, index_latency, Nanos::ZERO, ServedBy::ZeroFill);
         }
 
         // R3: flash fetch required.
         self.stats.read_flash_misses += 1;
-        let decision = self
-            .trigger
-            .should_context_switch(lpa, now, &self.ftl, &self.flash);
-        let flash_ready = self.fetch_page(lpa, t_indexed);
-        self.insert_page_into_cache(lpa, flash_ready);
+        let (flash_ready, delay_hint) = self.fill_from_flash(lpa, now, t_indexed);
         self.data_cache.access(lpa, cl);
         self.maybe_prefetch(lpa, flash_ready);
-
-        let ready_at = flash_ready + self.dram_latency;
-        let delay_hint = self.context_switch && decision.trigger;
-        if delay_hint {
-            self.stats.delay_hints += 1;
-        }
+        let flash = flash_ready.since(t_indexed);
         SsdAccessOutcome {
-            ready_at,
-            served_by: ServedBy::Flash,
             delay_hint,
-            estimated_ready_at: flash_ready + self.dram_latency,
-            breakdown: AccessBreakdown {
-                indexing: index_latency,
-                ssd_dram: self.dram_latency,
-                flash: flash_ready.since(t_indexed),
-            },
+            ..self.outcome(now, index_latency, flash, ServedBy::Flash)
         }
     }
 
@@ -272,7 +222,6 @@ impl SsdController {
     pub fn handle_write(&mut self, lpa: Lpa, cl: CachelineIndex, now: Nanos) -> SsdAccessOutcome {
         self.stats.writes += 1;
         self.hotness.record_access(lpa);
-        self.note_tracked_pages();
         self.lazy_tick(now);
 
         if self.write_log.is_some() {
@@ -305,18 +254,7 @@ impl SsdController {
         if outcome.log_full {
             self.execute_compaction(now);
         }
-
-        SsdAccessOutcome {
-            ready_at: now + self.log_index_latency + self.dram_latency,
-            served_by: ServedBy::WriteLog,
-            delay_hint: false,
-            estimated_ready_at: Nanos::ZERO,
-            breakdown: AccessBreakdown {
-                indexing: self.log_index_latency,
-                ssd_dram: self.dram_latency,
-                flash: Nanos::ZERO,
-            },
-        }
+        self.outcome(now, self.log_index_latency, Nanos::ZERO, ServedBy::WriteLog)
     }
 
     /// Base-CSSD write path: the DRAM cache is page-granular, so a write miss
@@ -335,58 +273,23 @@ impl SsdController {
         if self.data_cache.access(lpa, cl) {
             self.data_cache.mark_dirty(lpa, cl);
             self.stats.write_cache_hits += 1;
-            return SsdAccessOutcome {
-                ready_at: t_indexed + self.dram_latency,
-                served_by: ServedBy::DataCache,
-                delay_hint: false,
-                estimated_ready_at: Nanos::ZERO,
-                breakdown: AccessBreakdown {
-                    indexing: index_latency,
-                    ssd_dram: self.dram_latency,
-                    flash: Nanos::ZERO,
-                },
-            };
+            return self.outcome(now, index_latency, Nanos::ZERO, ServedBy::DataCache);
         }
 
         if !self.ftl.is_mapped(lpa) {
             // First touch of the page: materialise it in the cache.
             self.insert_page_into_cache(lpa, t_indexed);
             self.data_cache.mark_dirty(lpa, cl);
-            return SsdAccessOutcome {
-                ready_at: t_indexed + self.dram_latency,
-                served_by: ServedBy::ZeroFill,
-                delay_hint: false,
-                estimated_ready_at: Nanos::ZERO,
-                breakdown: AccessBreakdown {
-                    indexing: index_latency,
-                    ssd_dram: self.dram_latency,
-                    flash: Nanos::ZERO,
-                },
-            };
+            return self.outcome(now, index_latency, Nanos::ZERO, ServedBy::ZeroFill);
         }
 
         self.stats.write_flash_misses += 1;
-        let decision = self
-            .trigger
-            .should_context_switch(lpa, now, &self.ftl, &self.flash);
-        let flash_ready = self.fetch_page(lpa, t_indexed);
-        self.insert_page_into_cache(lpa, flash_ready);
+        let (flash_ready, delay_hint) = self.fill_from_flash(lpa, now, t_indexed);
         self.data_cache.mark_dirty(lpa, cl);
-
-        let delay_hint = self.context_switch && decision.trigger;
-        if delay_hint {
-            self.stats.delay_hints += 1;
-        }
+        let flash = flash_ready.since(t_indexed);
         SsdAccessOutcome {
-            ready_at: flash_ready + self.dram_latency,
-            served_by: ServedBy::Flash,
             delay_hint,
-            estimated_ready_at: flash_ready + self.dram_latency,
-            breakdown: AccessBreakdown {
-                indexing: index_latency,
-                ssd_dram: self.dram_latency,
-                flash: flash_ready.since(t_indexed),
-            },
+            ..self.outcome(now, index_latency, flash, ServedBy::Flash)
         }
     }
 
@@ -399,7 +302,6 @@ impl SsdController {
             log.invalidate_page(lpa);
         }
         self.hotness.mark_promoted(lpa);
-        self.note_tracked_pages();
         self.stats.pages_promoted += 1;
     }
 
@@ -408,7 +310,6 @@ impl SsdController {
     /// Returns the completion time of the flash program.
     pub fn demote_page(&mut self, lpa: Lpa, now: Nanos) -> Nanos {
         self.hotness.mark_demoted(lpa);
-        self.note_tracked_pages();
         let outcome = self.ftl.write_page(lpa, now, &mut self.flash);
         self.insert_page_into_cache(lpa, now);
         outcome.completes_at
@@ -418,15 +319,7 @@ impl SsdController {
     /// any (adaptive policy of §III-C).
     pub fn promotion_candidate(&mut self) -> Option<Lpa> {
         let cache = &self.data_cache;
-        let got = self.hotness.take_candidate(|lpa| cache.contains(lpa));
-        self.note_tracked_pages();
-        got
-    }
-
-    /// Refreshes the tracker-memory gauge surfaced in
-    /// [`SsdStats::tracked_pages`].
-    fn note_tracked_pages(&mut self) {
-        self.stats.tracked_pages = self.hotness.tracked_pages();
+        self.hotness.take_candidate(|lpa| cache.contains(lpa))
     }
 
     /// Whether a log compaction is running at `now`.
@@ -445,9 +338,13 @@ impl SsdController {
         self.ftl.precondition(lpas);
     }
 
-    /// Controller statistics.
-    pub fn stats(&self) -> &SsdStats {
-        &self.stats
+    /// Controller statistics, with the [`SsdStats::tracked_pages`] gauge
+    /// read from the hotness tracker now.
+    pub fn stats(&self) -> SsdStats {
+        SsdStats {
+            tracked_pages: self.hotness.tracked_pages(),
+            ..self.stats
+        }
     }
 
     /// Flash traffic statistics (Figure 18 / Figure 20).
@@ -559,6 +456,60 @@ impl SsdController {
         }
     }
 
+    /// The outcome of an access that arrives at `now`, spends `indexing`
+    /// in the indexes and `flash` waiting for a fill, then makes one SSD-DRAM
+    /// access. Every outcome is built here, so `ready_at` always equals
+    /// `now` plus the breakdown.
+    fn outcome(
+        &self,
+        now: Nanos,
+        indexing: Nanos,
+        flash: Nanos,
+        served_by: ServedBy,
+    ) -> SsdAccessOutcome {
+        SsdAccessOutcome {
+            ready_at: now + indexing + flash + self.dram_latency,
+            served_by,
+            delay_hint: false,
+            breakdown: AccessBreakdown {
+                indexing,
+                ssd_dram: self.dram_latency,
+                flash,
+            },
+        }
+    }
+
+    /// Algorithm 1 (`shd_ctx_swtc`) for a flash fetch of `lpa` arriving at
+    /// `now`: translate the address (line 2), read the queue counters of its
+    /// channel (lines 3–4) and estimate the delay as
+    /// `read_lat*(nr+1) + write_lat*nw + erase_lat*ne` (lines 5–6). A fetch
+    /// estimated above the threshold, or blocked by an ongoing GC campaign
+    /// (§III-A), is answered with `SkyByte-Delay` when the variant context
+    /// switches. Callers ask only for mapped pages: an unmapped one is a
+    /// zero-fill from DRAM.
+    fn delay_hint(&self, lpa: Lpa, now: Nanos) -> bool {
+        self.context_switch
+            && (self.ftl.gc_active(now)
+                || self
+                    .ftl
+                    .translate(lpa)
+                    .is_some_and(|ppa| self.flash.estimate_read_latency(ppa) > self.cs_threshold))
+    }
+
+    /// The flash half of a read miss (R3) or of a Base-CSSD write miss:
+    /// decides the hint on the queues as the request finds them, fetches the
+    /// mapped page and inserts it into the data cache. Returns when the page
+    /// lands in SSD DRAM, and whether to answer with `SkyByte-Delay`.
+    fn fill_from_flash(&mut self, lpa: Lpa, now: Nanos, t_indexed: Nanos) -> (Nanos, bool) {
+        let delay_hint = self.delay_hint(lpa, now);
+        if delay_hint {
+            self.stats.delay_hints += 1;
+        }
+        let flash_ready = self.fetch_page(lpa, t_indexed);
+        self.insert_page_into_cache(lpa, flash_ready);
+        (flash_ready, delay_hint)
+    }
+
     /// Housekeeping performed at the start of every request: retire finished
     /// flash commands and recycle finished compactions / page fills.
     fn lazy_tick(&mut self, now: Nanos) {
@@ -651,7 +602,7 @@ impl SsdController {
             let outcome = self.ftl.write_page(lpa, write_start, &mut self.flash);
             finish = finish.max(outcome.completes_at);
             if let Some(gc) = outcome.gc {
-                finish = finish.max(gc.completes_at);
+                finish = finish.max(gc);
             }
         }
         // Account only the *non-overlapping extension* of the device's
@@ -677,7 +628,8 @@ impl SsdController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use skybyte_types::{SsdGeometry, VariantKind, MIB};
+    use skybyte_flash::FlashCommandKind;
+    use skybyte_types::{Ppa, SsdGeometry, VariantKind, MIB};
 
     fn small_cfg(variant: VariantKind) -> SimConfig {
         let mut cfg = SimConfig::default().with_variant(variant);
@@ -765,7 +717,7 @@ mod tests {
         ssd.precondition([Lpa::new(1)]);
         let out = ssd.handle_read(Lpa::new(1), 0, Nanos::ZERO);
         assert!(out.delay_hint);
-        assert!(out.estimated_ready_at >= Nanos::from_micros(3));
+        assert!(out.ready_at >= Nanos::from_micros(3));
         assert_eq!(ssd.stats().delay_hints, 1);
 
         // SSD-DRAM hits never send hints.
@@ -938,6 +890,52 @@ mod tests {
 
     fn ssd_dram(cfg: &SimConfig) -> Nanos {
         cfg.ssd.dram.access_latency
+    }
+
+    /// A context-switching controller with Algorithm 1's threshold at
+    /// `threshold` and page 1 mapped; returns it with page 1's location.
+    fn switching(threshold: Nanos) -> (SsdController, Ppa) {
+        let mut cfg = small_cfg(VariantKind::SkyByteC);
+        cfg.cs_threshold = threshold;
+        let mut ssd = SsdController::new(&cfg);
+        ssd.precondition([Lpa::new(1)]);
+        let ppa = ssd.ftl.translate(Lpa::new(1)).unwrap();
+        (ssd, ppa)
+    }
+
+    #[test]
+    fn idle_channel_triggers_when_read_exceeds_threshold() {
+        let (ssd, ppa) = switching(Nanos::from_micros(2));
+        // tR = 3 µs > 2 µs threshold: even an idle channel triggers, which is
+        // why the paper sets the threshold below the flash read latency.
+        assert_eq!(ssd.flash.estimate_read_latency(ppa), Nanos::from_micros(3));
+        assert!(!ssd.ftl.gc_active(Nanos::ZERO));
+        assert!(ssd.delay_hint(Lpa::new(1), Nanos::ZERO));
+    }
+
+    #[test]
+    fn high_threshold_suppresses_trigger() {
+        let (ssd, _) = switching(Nanos::from_micros(80));
+        assert!(!ssd.delay_hint(Lpa::new(1), Nanos::ZERO));
+    }
+
+    #[test]
+    fn queued_work_raises_estimate() {
+        let (mut ssd, ppa) = switching(Nanos::from_micros(80));
+        // Queue two programs and an erase on the page's channel.
+        for kind in [
+            FlashCommandKind::Program,
+            FlashCommandKind::Program,
+            FlashCommandKind::Erase,
+        ] {
+            ssd.flash.submit(kind, ppa, Nanos::ZERO);
+        }
+        // 2 queued programs + 1 erase + the new read.
+        assert_eq!(
+            ssd.flash.estimate_read_latency(ppa),
+            Nanos::from_micros(1203)
+        );
+        assert!(ssd.delay_hint(Lpa::new(1), Nanos::ZERO));
     }
 
     #[test]

@@ -27,7 +27,6 @@
 //! also list the pages they counted, so a halving round or a window close
 //! visits those pages only.
 
-use serde::{Deserialize, Serialize};
 use skybyte_types::policy::HotnessPolicyKind;
 use skybyte_types::Lpa;
 use std::cmp::Reverse;
@@ -49,7 +48,7 @@ const LISTED: u8 = 2;
 
 /// The hotness tracker of the SSD controller: decides which pages are
 /// promotion candidates for adaptive migration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HotnessTracker {
     kind: HotnessPolicyKind,
     /// Nomination threshold (`threshold`, `decay`; unused by `topk`).

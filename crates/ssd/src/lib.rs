@@ -8,10 +8,10 @@
 //! * [`SsdController`] serves cacheline reads and writes arriving over
 //!   CXL.mem, following the R1/R2/R3 and W1/W2/W3 paths of Figure 11 when the
 //!   write log is enabled, or the conventional page-granular cache of the
-//!   Base-CSSD baseline when it is not;
-//! * [`ThresholdPolicy`] implements Algorithm 1, estimating the delay of a
-//!   flash access from the per-channel queue occupancy and deciding whether to
-//!   answer with the `SkyByte-Delay` NDR opcode;
+//!   Base-CSSD baseline when it is not. On a flash miss it applies
+//!   Algorithm 1: it estimates the fetch's delay from its channel's queue
+//!   occupancy and decides whether to answer with the `SkyByte-Delay` NDR
+//!   opcode;
 //! * the [`HotnessTracker`] nominates promotion candidates for the adaptive
 //!   page-migration mechanism (§III-C), matching on its
 //!   [`HotnessPolicyKind`](skybyte_types::HotnessPolicyKind): `threshold` is
@@ -50,12 +50,10 @@
 mod controller;
 pub mod hotness;
 mod stats;
-mod trigger;
 
 pub use controller::SsdController;
 pub use hotness::HotnessTracker;
 pub use stats::{AccessBreakdown, ServedBy, SsdStats};
-pub use trigger::{ThresholdPolicy, TriggerDecision};
 
 // Re-exported so the simulation core can snapshot every device layer's
 // counters into its per-run `LayerCounters` (the conservation audit's input)

@@ -5,7 +5,7 @@ use skybyte_types::Nanos;
 use std::fmt;
 
 /// Which structure ultimately served (or absorbed) a CXL access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ServedBy {
     /// The cacheline-granular write log (write append or read hit).
     WriteLog,
@@ -32,7 +32,7 @@ impl fmt::Display for ServedBy {
 
 /// Per-access latency breakdown inside the SSD, in the components plotted in
 /// Figure 17 (the host adds the CXL-protocol and host-DRAM components).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AccessBreakdown {
     /// Time spent looking up the write-log / data-cache indexes.
     pub indexing: Nanos,

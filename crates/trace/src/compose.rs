@@ -38,19 +38,20 @@ pub type BoxedSource = Box<dyn TraceSource>;
 /// emitted exactly once, so a mix conserves total access count.
 #[derive(Debug)]
 pub struct Mix {
-    inputs: Vec<(BoxedSource, u64)>,
+    inputs: Vec<(BoxedSource, u32)>,
     /// Per thread, per source: (credit, exhausted).
     state: Vec<Vec<(i64, bool)>>,
     threads: u32,
 }
 
 impl Mix {
-    /// Mixes `inputs` proportionally by the given weights.
+    /// Mixes `inputs` proportionally by the given weights. Weights are
+    /// `u32`, so a thread's credits (sums of weights) cannot overflow.
     ///
     /// # Panics
     ///
     /// Panics if `inputs` is empty or any weight is zero.
-    pub fn new(inputs: Vec<(BoxedSource, u64)>) -> Self {
+    pub fn new(inputs: Vec<(BoxedSource, u32)>) -> Self {
         assert!(!inputs.is_empty(), "Mix needs at least one input");
         assert!(
             inputs.iter().all(|(_, w)| *w > 0),
@@ -95,7 +96,7 @@ impl TraceSource for Mix {
             let mut live_weight = 0i64;
             for (i, (source, weight)) in self.inputs.iter().enumerate() {
                 if !state[i].1 && thread < source.threads() {
-                    live_weight += *weight as i64;
+                    live_weight += i64::from(*weight);
                 }
             }
             if live_weight == 0 {
@@ -106,7 +107,7 @@ impl TraceSource for Mix {
                 if state[i].1 || thread >= source.threads() {
                     continue;
                 }
-                state[i].0 += *weight as i64;
+                state[i].0 += i64::from(*weight);
                 if best.is_none_or(|b| state[i].0 > state[b].0) {
                     best = Some(i);
                 }

@@ -2,11 +2,10 @@
 //! the SSD controller.
 
 use crate::addr::VirtAddr;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Whether an access reads or writes memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessKind {
     /// A load (read) of one cacheline.
     Read,
@@ -51,7 +50,7 @@ impl fmt::Display for AccessKind {
 /// assert!(a.kind.is_read());
 /// assert_eq!(a.addr.page().index(), 1);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MemAccess {
     /// Virtual address of the accessed cacheline (need not be aligned; the
     /// memory system aligns it).

@@ -42,7 +42,7 @@ impl fmt::Display for TenantId {
 /// point. Tenant ids need not be contiguous in the map, but
 /// [`tenant_count`](TenantMap::tenant_count) reports `max id + 1` so dense
 /// per-tenant counter vectors can be indexed directly.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TenantMap {
     tenants: Vec<TenantId>,
 }

@@ -14,12 +14,11 @@ use crate::zipf::Zipf;
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha12Rng;
-use serde::{Deserialize, Serialize};
 use skybyte_types::{AccessKind, MemAccess, VirtAddr, CACHELINES_PER_PAGE, PAGE_SIZE};
 use std::sync::Arc;
 
 /// One unit of work: compute, then a single off-chip memory access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WorkUnit {
     /// Number of non-stalled instructions executed before the access.
     pub instructions: u64,
