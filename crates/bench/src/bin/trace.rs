@@ -65,9 +65,10 @@ const USAGE: &str = "usage: trace <record|replay|stat|mix|verify-corpus> [option
 
   mix --out FILE INPUT[:WEIGHT]... [--mode mix|concat|stack]
       [--shift-stride BYTES] [--loop N]
-      Compose INPUTs into a new trace: proportional interleave (mix),
-      back-to-back (concat), or side-by-side on the thread axis with one
-      tenant per input (stack); --shift-stride re-bases input i by
+      Compose INPUTs into a new trace: proportional interleave (mix, by
+      each input's WEIGHT, default 1), back-to-back (concat), or
+      side-by-side on the thread axis with one tenant per input (stack;
+      concat and stack take no WEIGHT); --shift-stride re-bases input i by
       i*BYTES; --loop repeats each input N times. Multi-tenant outputs
       carry their thread->tenant table in the header (format version 2)
       so replay keeps the partition.
@@ -383,17 +384,17 @@ fn cmd_verify_corpus(args: &[String]) -> Result<(), String> {
     ))
 }
 
-/// Parses `FILE[:WEIGHT]` (the weight defaults to 1).
-fn parse_input(spec: &str) -> Result<(PathBuf, u32), String> {
+/// Parses `FILE[:WEIGHT]`; `None` when no weight is given.
+fn parse_input(spec: &str) -> Result<(PathBuf, Option<u32>), String> {
     match spec.rsplit_once(':') {
         Some((path, weight))
             if weight.chars().all(|c| c.is_ascii_digit()) && !weight.is_empty() =>
         {
             let what = format!("the weight of '{path}'");
             let w = parse_count(&what, weight, u32::MAX.into())?;
-            Ok((PathBuf::from(path), w as u32))
+            Ok((PathBuf::from(path), Some(w as u32)))
         }
-        _ => Ok((PathBuf::from(spec), 1)),
+        _ => Ok((PathBuf::from(spec), None)),
     }
 }
 
@@ -406,7 +407,7 @@ fn cmd_mix(args: &[String]) -> Result<(), String> {
     let mut mode = "mix".to_string();
     let mut shift_stride: u64 = 0;
     let mut loop_times: u32 = 1;
-    let mut inputs: Vec<(PathBuf, u32)> = Vec::new();
+    let mut inputs: Vec<(PathBuf, Option<u32>)> = Vec::new();
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -431,6 +432,14 @@ fn cmd_mix(args: &[String]) -> Result<(), String> {
     }
     if mode != "mix" && mode != "concat" && mode != "stack" {
         return Err(format!("unknown --mode '{mode}' (mix|concat|stack)"));
+    }
+    if mode != "mix" {
+        if let Some((path, Some(weight))) = inputs.iter().find(|(_, w)| w.is_some()) {
+            return Err(format!(
+                "input '{}:{weight}' has a weight, which only --mode mix reads, not --mode {mode}",
+                path.display()
+            ));
+        }
     }
 
     let mut sources: Vec<(BoxedSource, u32)> = Vec::new();
@@ -458,7 +467,7 @@ fn cmd_mix(args: &[String]) -> Result<(), String> {
         if loop_times != 1 {
             source = Box::new(LoopN::new(source, loop_times));
         }
-        sources.push((source, *weight));
+        sources.push((source, weight.unwrap_or(1)));
     }
     let mut composite: BoxedSource = match mode.as_str() {
         "concat" => Box::new(Concat::new(sources.into_iter().map(|(s, _)| s).collect())),

@@ -68,6 +68,43 @@ fn mix_refuses_a_weight_its_credits_cannot_hold() {
 }
 
 #[test]
+fn mix_refuses_a_weight_outside_mix_mode() {
+    // Concat and stack take every record of every input once, so a weight
+    // there would be dropped without a word.
+    let dir = scratch("weightless");
+    let input =
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("../../corpus/traces/ycsb-one-thread.sbt");
+    let weighted = format!("{}:2", input.display());
+    for mode in ["concat", "stack"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_trace"))
+            .args(["mix", "--mode", mode, "--out"])
+            .arg(dir.join("mixed.sbt"))
+            .arg(&input)
+            .arg(&weighted)
+            .output()
+            .unwrap();
+        let names = format!(
+            "input '{weighted}' has a weight, which only --mode mix reads, not --mode {mode}"
+        );
+        assert_one_error_line(&out, &names);
+        assert!(!dir.join("mixed.sbt").exists());
+    }
+    let out = Command::new(env!("CARGO_BIN_EXE_trace"))
+        .args(["mix", "--mode", "mix", "--out"])
+        .arg(dir.join("mixed.sbt"))
+        .arg(&input)
+        .arg(&weighted)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn record_refuses_an_access_budget_that_would_wrap() {
     let dir = scratch("accesses");
     // 2^61 accesses times 8 cores wraps the per-thread budget to 0, which

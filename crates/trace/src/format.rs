@@ -36,10 +36,15 @@
 //! Address deltas chain per thread across chunks (wrapping `u64`
 //! arithmetic), so hot/cold pointer-chasing streams stay compact while a
 //! reader that filters a single thread can skip foreign chunks without
-//! decoding them. Both [`TraceWriter`] and the readers stream with O(1)
-//! memory: the writer buffers at most one chunk, the readers at most one
-//! record. Replay (`TraceFileSource`) reads the file into memory once and
-//! runs one [`ThreadReader`] per stream over those shared bytes.
+//! decoding them. A chunk's `count` records must fill its declared
+//! `bytes` exactly; every reader rejects a mismatch as
+//! [`TraceError::Corrupt`], so all of them frame a file alike.
+//!
+//! [`TraceWriter`] streams with at most one buffered chunk, and
+//! [`TraceReader`] with at most one buffered payload. Replay
+//! (`TraceFileSource`) reads the file into memory once, indexes chunk
+//! offsets per stream as its streams first need them, and decodes each
+//! record straight from those bytes with the same record decoder.
 
 use crate::error::TraceError;
 use crate::record::TraceRecord;
@@ -313,109 +318,117 @@ impl TraceWriter<BufWriter<std::fs::File>> {
 
 /// One decoded chunk header.
 #[derive(Debug, Clone, Copy)]
-struct ChunkHeader {
-    thread: u32,
-    count: u64,
-    bytes: u64,
+pub(crate) struct ChunkHeader {
+    pub(crate) thread: u32,
+    pub(crate) count: u64,
+    /// The declared payload length.
+    pub(crate) bytes: u64,
 }
 
-/// Shared low-level decoding over any byte stream.
-#[derive(Debug)]
-struct Decoder<R: Read> {
-    input: R,
-    threads: u32,
-}
-
-impl<R: Read> Decoder<R> {
-    /// Reads the next chunk header, or `None` on clean EOF. EOF is clean only
-    /// at a chunk boundary.
-    fn next_chunk(&mut self) -> Result<Option<ChunkHeader>, TraceError> {
-        // Probe one byte so EOF at a boundary is distinguishable from
-        // truncation inside a varint.
-        let mut first = [0u8; 1];
-        match self.input.read(&mut first) {
-            Ok(0) => return Ok(None),
-            Ok(_) => {}
-            Err(e) => return Err(TraceError::Io(e)),
-        }
-        let thread = varint::read_u64(&mut (&first[..]).chain(&mut self.input))?;
-        if thread >= self.threads as u64 {
+impl ChunkHeader {
+    /// Decodes a chunk header of a file of `threads` streams from the
+    /// varints `next` yields: [`varint::read_u64`] over a stream (callers
+    /// that allow a clean EOF check for one more byte first), or
+    /// [`varint::take_u64`] over in-memory bytes.
+    pub(crate) fn decode(
+        mut next: impl FnMut() -> Result<u64, TraceError>,
+        threads: u32,
+    ) -> Result<Self, TraceError> {
+        let thread = next()?;
+        if thread >= threads as u64 {
             return Err(TraceError::Corrupt("chunk thread index out of range"));
         }
-        let count = varint::read_u64(&mut self.input)?;
+        let count = next()?;
         if count == 0 {
             return Err(TraceError::Corrupt("empty chunk"));
         }
-        let bytes = varint::read_u64(&mut self.input)?;
-        Ok(Some(ChunkHeader {
+        let bytes = next()?;
+        Ok(ChunkHeader {
             thread: thread as u32,
             count,
             bytes,
-        }))
-    }
-
-    /// Decodes one record, updating the per-thread delta-chain state.
-    fn read_record(&mut self, last_addr: &mut u64) -> Result<TraceRecord, TraceError> {
-        let instructions = varint::read_u64(&mut self.input)?;
-        let delta = varint::unzigzag(varint::read_u64(&mut self.input)?);
-        let addr = varint::apply_delta(*last_addr, delta);
-        *last_addr = addr;
-        let mut op = [0u8; 1];
-        self.input.read_exact(&mut op).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                TraceError::Truncated {
-                    context: "record ended before the op byte",
-                }
-            } else {
-                TraceError::Io(e)
-            }
-        })?;
-        let kind = match op[0] {
-            0 => AccessKind::Read,
-            1 => AccessKind::Write,
-            _ => return Err(TraceError::Corrupt("unknown op byte")),
-        };
-        let size = varint::read_u64(&mut self.input)?;
-        if size > u32::MAX as u64 {
-            return Err(TraceError::Corrupt("access size overflows u32"));
-        }
-        Ok(TraceRecord::new(instructions, addr, kind, size as u32))
-    }
-
-    /// Skips `bytes` of payload without decoding.
-    fn skip(&mut self, bytes: u64) -> Result<(), TraceError> {
-        let copied = std::io::copy(&mut (&mut self.input).take(bytes), &mut std::io::sink())?;
-        if copied != bytes {
-            return Err(TraceError::Truncated {
-                context: "chunk payload shorter than its declared length",
-            });
-        }
-        Ok(())
+        })
     }
 }
 
+/// A chunk's payload runs past the end of the file.
+pub(crate) const PAYLOAD_TRUNCATED: TraceError = TraceError::Truncated {
+    context: "chunk payload shorter than its declared length",
+};
+
+/// A chunk's records overrun or fall short of its declared payload.
+pub(crate) const LENGTH_MISMATCH: &str = "chunk records do not fill its declared length";
+
+/// Decodes the next record of a chunk from `payload`, the undecoded rest of
+/// the chunk's declared payload, and advances `payload` past it; on an error
+/// `payload` is left as it was. `remaining` (at least 1) counts the records
+/// the chunk has left, this one included, and `last_addr` is the previous
+/// address of the chunk's thread. A record that runs past the payload, or a
+/// last record that ends before it, is [`LENGTH_MISMATCH`].
+#[inline]
+pub(crate) fn decode_record(
+    payload: &mut &[u8],
+    remaining: u64,
+    last_addr: u64,
+) -> Result<TraceRecord, TraceError> {
+    // Inside a payload the bytes are all there, so running out is a framing
+    // error, not a truncated file.
+    let within = |e| match e {
+        TraceError::Truncated { .. } => TraceError::Corrupt(LENGTH_MISMATCH),
+        e => e,
+    };
+    let mut rest = *payload;
+    let instructions = varint::take_u64(&mut rest).map_err(within)?;
+    let delta = varint::unzigzag(varint::take_u64(&mut rest).map_err(within)?);
+    let (tail, kind) = match rest.split_first() {
+        Some((0, tail)) => (tail, AccessKind::Read),
+        Some((1, tail)) => (tail, AccessKind::Write),
+        Some(_) => return Err(TraceError::Corrupt("unknown op byte")),
+        None => return Err(TraceError::Corrupt(LENGTH_MISMATCH)),
+    };
+    rest = tail;
+    let size = varint::take_u64(&mut rest).map_err(within)?;
+    if size > u32::MAX as u64 {
+        return Err(TraceError::Corrupt("access size overflows u32"));
+    }
+    if remaining == 1 && !rest.is_empty() {
+        return Err(TraceError::Corrupt(LENGTH_MISMATCH));
+    }
+    *payload = rest;
+    let addr = varint::apply_delta(last_addr, delta);
+    Ok(TraceRecord::new(instructions, addr, kind, size as u32))
+}
+
 /// Streaming reader over **all** thread streams of an `.sbt` file, yielding
-/// `(thread, record)` pairs in file order. Used by the `stat` pass and the
-/// compositor CLI.
+/// `(thread, record)` pairs in file order. Used by the `stat` pass and to
+/// read headers. It reads one chunk's payload at a time into a reused
+/// buffer and decodes records from it.
 #[derive(Debug)]
 pub struct TraceReader<R: Read> {
-    decoder: Decoder<R>,
+    input: R,
     header: TraceHeader,
     last_addr: Vec<u64>,
-    /// `(thread, records remaining)` of the chunk being decoded.
-    current: Option<(u32, u64)>,
+    /// Thread of the chunk in `payload`.
+    thread: u32,
+    /// Records of that chunk not yet decoded.
+    remaining: u64,
+    /// The chunk's payload, of which the first `decoded` bytes are decoded.
+    payload: Vec<u8>,
+    decoded: usize,
 }
 
 impl<R: Read> TraceReader<R> {
     /// Parses the header and prepares to stream records.
     pub fn new(mut input: R) -> Result<Self, TraceError> {
         let header = TraceHeader::read_from(&mut input)?;
-        let threads = header.threads;
         Ok(TraceReader {
-            decoder: Decoder { input, threads },
-            last_addr: vec![0; threads as usize],
+            input,
+            last_addr: vec![0; header.threads as usize],
             header,
-            current: None,
+            thread: 0,
+            remaining: 0,
+            payload: Vec::new(),
+            decoded: 0,
         })
     }
 
@@ -424,26 +437,47 @@ impl<R: Read> TraceReader<R> {
         &self.header
     }
 
+    /// Reads the next chunk's header and payload; `false` at a clean EOF,
+    /// which is clean only at a chunk boundary.
+    fn next_chunk(&mut self) -> Result<bool, TraceError> {
+        // Probe one byte so EOF at a boundary is distinguishable from
+        // truncation inside a varint.
+        let mut first = [0u8; 1];
+        if self.input.read(&mut first)? == 0 {
+            return Ok(false);
+        }
+        let mut input = (&first[..]).chain(&mut self.input);
+        let chunk = ChunkHeader::decode(|| varint::read_u64(&mut input), self.header.threads)?;
+        // The buffer grows with the bytes the file holds, never with the
+        // declared length, which a corrupt file can set to anything.
+        self.payload.clear();
+        (&mut self.input)
+            .take(chunk.bytes)
+            .read_to_end(&mut self.payload)?;
+        if (self.payload.len() as u64) < chunk.bytes {
+            return Err(PAYLOAD_TRUNCATED);
+        }
+        self.thread = chunk.thread;
+        self.remaining = chunk.count;
+        self.decoded = 0;
+        Ok(true)
+    }
+
     /// The next `(thread, record)` pair, or `None` at clean EOF.
     #[allow(clippy::should_implement_trait)] // fallible streaming next
     pub fn next(&mut self) -> Result<Option<(u32, TraceRecord)>, TraceError> {
-        loop {
-            if let Some((thread, remaining)) = self.current {
-                if remaining == 0 {
-                    self.current = None;
-                    continue;
-                }
-                let record = self
-                    .decoder
-                    .read_record(&mut self.last_addr[thread as usize])?;
-                self.current = Some((thread, remaining - 1));
-                return Ok(Some((thread, record)));
-            }
-            match self.decoder.next_chunk()? {
-                Some(chunk) => self.current = Some((chunk.thread, chunk.count)),
-                None => return Ok(None),
+        while self.remaining == 0 {
+            if !self.next_chunk()? {
+                return Ok(None);
             }
         }
+        let last_addr = &mut self.last_addr[self.thread as usize];
+        let mut rest = &self.payload[self.decoded..];
+        let record = decode_record(&mut rest, self.remaining, *last_addr)?;
+        *last_addr = record.addr();
+        self.decoded = self.payload.len() - rest.len();
+        self.remaining -= 1;
+        Ok(Some((self.thread, record)))
     }
 }
 
@@ -455,63 +489,47 @@ impl TraceReader<BufReader<std::fs::File>> {
     }
 }
 
-/// Streaming reader filtered to **one** thread stream; chunks of other
-/// threads are skipped without decoding (their lengths are in the chunk
-/// headers). This is what per-thread replay uses — one cursor per thread
-/// over the file's bytes, read once and shared, O(1) memory each.
+/// The reference model of one replayed stream: a sequential scan of the
+/// whole file that decodes `thread`'s chunks and skips every other chunk by
+/// its declared length. `TraceFileSource` must give the same record or
+/// error on every pull, whatever order its streams are pulled in.
+#[cfg(test)]
 #[derive(Debug)]
-pub struct ThreadReader<R: Read> {
-    decoder: Decoder<R>,
+pub(crate) struct ThreadReader<R: Read> {
+    reader: TraceReader<R>,
     thread: u32,
-    last_addr: u64,
-    /// Records remaining in the current chunk of *this* thread.
-    remaining: u64,
 }
 
+#[cfg(test)]
 impl<R: Read> ThreadReader<R> {
     /// Wraps a fresh stream (header not yet consumed), filtering `thread`.
-    pub fn new(mut input: R, thread: u32) -> Result<Self, TraceError> {
-        let header = TraceHeader::read_from(&mut input)?;
-        Self::after_header(input, header.threads, thread)
-    }
-
-    /// Filters `thread` from `input`, which is positioned just past a
-    /// header that declares `threads` streams.
-    pub(crate) fn after_header(input: R, threads: u32, thread: u32) -> Result<Self, TraceError> {
+    pub(crate) fn new(input: R, thread: u32) -> Result<Self, TraceError> {
+        let reader = TraceReader::new(input)?;
+        let threads = reader.header.threads;
         if thread >= threads {
             return Err(TraceError::ThreadOutOfRange {
                 threads,
                 requested: thread,
             });
         }
-        Ok(ThreadReader {
-            decoder: Decoder { input, threads },
-            thread,
-            last_addr: 0,
-            remaining: 0,
-        })
+        Ok(ThreadReader { reader, thread })
     }
 
     /// The next record of this thread's stream, or `None` at clean EOF.
-    #[allow(clippy::should_implement_trait)] // fallible streaming next
-    pub fn next(&mut self) -> Result<Option<TraceRecord>, TraceError> {
-        loop {
-            if self.remaining > 0 {
-                self.remaining -= 1;
-                return Ok(Some(self.decoder.read_record(&mut self.last_addr)?));
-            }
-            match self.decoder.next_chunk()? {
-                Some(chunk) if chunk.thread == self.thread => self.remaining = chunk.count,
-                Some(chunk) => self.decoder.skip(chunk.bytes)?,
-                None => return Ok(None),
+    pub(crate) fn next(&mut self) -> Result<Option<TraceRecord>, TraceError> {
+        while self.reader.remaining == 0 || self.reader.thread != self.thread {
+            if !self.reader.next_chunk()? {
+                return Ok(None);
             }
         }
+        Ok(self.reader.next()?.map(|(_, record)| record))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::source::{TraceFileSource, TraceSource};
     use proptest::prelude::*;
 
     fn header(threads: u32) -> TraceHeader {
@@ -744,28 +762,229 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn every_truncation_point_is_a_typed_error_never_a_panic() {
-        let records: Vec<(u32, TraceRecord)> = (0..40u64)
-            .map(|i| ((i % 2) as u32, TraceRecord::write(i, u64::MAX - i * 7)))
-            .collect();
-        let bytes = encode(2, &records);
-        for cut in 0..bytes.len() {
-            let mut r = match TraceReader::new(&bytes[..cut]) {
-                Ok(r) => r,
-                Err(
-                    TraceError::Truncated { .. } | TraceError::Corrupt(_) | TraceError::BadMagic,
-                ) => continue,
-                Err(e) => panic!("unexpected header error at cut {cut}: {e}"),
-            };
+    /// Replays `bytes` as if read from a file.
+    fn replay(bytes: &[u8]) -> Result<TraceFileSource, TraceError> {
+        TraceFileSource::from_bytes("test.sbt".into(), bytes.to_vec())
+    }
+
+    /// Every stream of `bytes` as `TraceReader` reads it, the footprint
+    /// bound applied as replay applies it, or the first error.
+    fn scan_streams(bytes: &[u8]) -> Result<Vec<Vec<TraceRecord>>, TraceError> {
+        let mut reader = TraceReader::new(bytes)?;
+        let footprint = reader.header().footprint_bytes;
+        let mut streams = vec![Vec::new(); reader.header().threads as usize];
+        while let Some((thread, record)) = reader.next()? {
+            if record.addr() >= footprint {
+                return Err(TraceError::Corrupt("record past the footprint"));
+            }
+            streams[thread as usize].push(record);
+        }
+        Ok(streams)
+    }
+
+    /// Every stream of `bytes` as `TraceFileSource` replays it, each pulled
+    /// to its end in turn, or the first error any stream met.
+    fn replay_streams(bytes: &[u8]) -> Result<Vec<Vec<TraceRecord>>, TraceError> {
+        let mut source = replay(bytes)?;
+        let mut streams = Vec::new();
+        let mut first_error = None;
+        for thread in 0..source.threads() {
+            let mut records = Vec::new();
             loop {
-                match r.next() {
-                    Ok(Some(_)) => {}
-                    Ok(None) => break, // truncation fell on a chunk boundary
-                    Err(TraceError::Truncated { .. } | TraceError::Corrupt(_)) => break,
-                    Err(e) => panic!("unexpected error at cut {cut}: {e}"),
+                match source.next_record(thread) {
+                    Ok(Some(record)) => records.push(record),
+                    Ok(None) => break,
+                    Err(e) => {
+                        first_error.get_or_insert(e);
+                        break;
+                    }
                 }
             }
+            streams.push(records);
+        }
+        first_error.map_or(Ok(streams), Err)
+    }
+
+    /// Reads `bytes` through both readers. Each must end in `Ok(None)` or
+    /// one of the typed input errors, never a panic or an allocation sized
+    /// by a corrupt field (a 2^60-byte one aborts the test binary), and
+    /// `TraceReader` accepts the whole file exactly when every replayed
+    /// stream does, with the same records per thread.
+    fn assert_readers_agree(bytes: &[u8], case: &str) {
+        let input_error = |e: &TraceError| {
+            matches!(
+                e,
+                TraceError::Truncated { .. }
+                    | TraceError::Corrupt(_)
+                    | TraceError::BadMagic
+                    | TraceError::UnsupportedVersion(_)
+            )
+        };
+        match (scan_streams(bytes), replay_streams(bytes)) {
+            (Ok(scanned), Ok(replayed)) => assert_eq!(scanned, replayed, "{case}"),
+            (Err(a), Err(b)) => assert!(input_error(&a) && input_error(&b), "{case}: {a}; {b}"),
+            (scanned, replayed) => {
+                panic!("{case}: the readers disagree: {scanned:?} against {replayed:?}")
+            }
+        }
+    }
+
+    #[test]
+    fn every_truncation_point_is_a_typed_error_never_a_panic() {
+        // Truncate at every offset and flip one bit of every byte, in the
+        // corpus traces of up to 4 KiB (the larger ones would add 11 s in a
+        // debug build), a writer-made trace of 20-record chunks and one of
+        // mostly 1-record chunks, the shape a live recording writes.
+        let corpus = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../corpus/traces");
+        let mut inputs = Vec::new();
+        for name in ["hot-page", "pure-write", "shift-ycsb", "mix-ycsb-tpcc"] {
+            let bytes = std::fs::read(corpus.join(format!("{name}.sbt"))).unwrap();
+            inputs.push((name.to_string(), bytes));
+        }
+        let chunked: Vec<(u32, TraceRecord)> = (0..40u64)
+            .map(|i| {
+                (
+                    (i / 20) as u32,
+                    TraceRecord::write(i, (8 << 20) - 64 - i * 4099),
+                )
+            })
+            .collect();
+        inputs.push(("20-record chunks".into(), encode(2, &chunked)));
+        let interleaved: Vec<(u32, TraceRecord)> = (0..150u64)
+            .map(|i| {
+                let thread = ((i * 7 + i / 3) % 5) as u32;
+                (thread, TraceRecord::read(i % 5, (i * 4160) % (8 << 20)))
+            })
+            .collect();
+        inputs.push(("1-record chunks".into(), encode(5, &interleaved)));
+        for (name, bytes) in &inputs {
+            assert!(
+                scan_streams(bytes).is_ok() && replay_streams(bytes).is_ok(),
+                "{name}"
+            );
+            for cut in 0..bytes.len() {
+                assert_readers_agree(&bytes[..cut], &format!("{name} cut at {cut}"));
+            }
+            let mut flipped = bytes.clone();
+            for at in 0..bytes.len() {
+                flipped[at] ^= 1 << (at % 8);
+                assert_readers_agree(&flipped, &format!("{name} with byte {at} flipped"));
+                flipped[at] = bytes[at];
+            }
+        }
+    }
+
+    /// A file of `threads` streams followed by raw chunks, each
+    /// `(thread, count, declared payload length, payload)`.
+    fn raw_file(threads: u32, chunks: &[(u64, u64, u64, Vec<u8>)]) -> Vec<u8> {
+        let mut bytes = encode(threads, &[]);
+        for (thread, count, len, payload) in chunks {
+            for value in [*thread, *count, *len] {
+                varint::write_u64(&mut bytes, value).unwrap();
+            }
+            bytes.extend_from_slice(payload);
+        }
+        bytes
+    }
+
+    /// One encoded record: instructions, zigzagged address delta, op byte
+    /// and size.
+    fn raw_record(instructions: u64, delta: u64, op: u8, size: u64) -> Vec<u8> {
+        let mut out = Vec::new();
+        varint::write_u64(&mut out, instructions).unwrap();
+        varint::write_u64(&mut out, delta).unwrap();
+        out.push(op);
+        varint::write_u64(&mut out, size).unwrap();
+        out
+    }
+
+    /// The error the first record of `bytes` gives in `TraceReader` and in
+    /// stream 0 of a replay, which must agree.
+    fn first_error(bytes: &[u8]) -> String {
+        let scanned = TraceReader::new(bytes).unwrap().next().unwrap_err();
+        let replayed = replay(bytes).unwrap().next_record(0).unwrap_err();
+        assert_eq!(format!("{scanned:?}"), format!("{replayed:?}"));
+        scanned.to_string()
+    }
+
+    #[test]
+    fn every_framing_check_holds_in_both_readers() {
+        let ok = raw_record(1, 2, 0, 64);
+        let cases: [(&str, Vec<u8>); 10] = [
+            (
+                "thread index",
+                raw_file(2, &[(2, 1, ok.len() as u64, ok.clone())]),
+            ),
+            ("empty chunk", raw_file(2, &[(0, 0, 0, Vec::new())])),
+            ("unknown op", {
+                let bad = raw_record(1, 2, 2, 64);
+                raw_file(2, &[(0, 1, bad.len() as u64, bad)])
+            }),
+            ("access size", {
+                let bad = raw_record(1, 2, 1, 1 << 32);
+                raw_file(2, &[(0, 1, bad.len() as u64, bad)])
+            }),
+            ("varint overflow", {
+                let mut bad = vec![0xFF; 9];
+                bad.push(0x7F);
+                bad.extend_from_slice(&ok);
+                raw_file(2, &[(0, 1, bad.len() as u64, bad)])
+            }),
+            ("varint length", {
+                let mut bad = vec![0x80; 9];
+                bad.extend_from_slice(&[0x81, 0x01]);
+                bad.extend_from_slice(&ok);
+                raw_file(2, &[(0, 1, bad.len() as u64, bad)])
+            }),
+            (
+                "records overrun",
+                raw_file(2, &[(0, 1, ok.len() as u64 - 1, ok.clone())]),
+            ),
+            // Two threads, one record a chunk; the first chunk declares one
+            // byte more than its record holds, so its payload swallows the
+            // next chunk's thread byte. Reading past the declared length
+            // once gave 4 valid records, while skipping by it gave thread 1
+            // `unknown op byte`.
+            ("records underfill", {
+                let records = [
+                    (0, TraceRecord::read(3, 64)),
+                    (1, TraceRecord::read(4, 128)),
+                    (0, TraceRecord::write(5, 192)),
+                    (1, TraceRecord::write(6, 256)),
+                ];
+                let mut bytes = encode(2, &records);
+                let first_chunk = encode(2, &[]).len();
+                assert_eq!(bytes[first_chunk..first_chunk + 2], [0, 1]); // thread 0, 1 record
+                bytes[first_chunk + 2] += 1;
+                bytes
+            }),
+            // A corrupt length far past the file is a truncation, read
+            // without a buffer of that size.
+            (
+                "declared length",
+                raw_file(2, &[(0, 1, 1 << 60, ok.clone())]),
+            ),
+            ("cut chunk header", {
+                let mut cut = encode(2, &[]);
+                cut.push(0x80);
+                cut
+            }),
+        ];
+        let expected = [
+            "corrupt trace: chunk thread index out of range",
+            "corrupt trace: empty chunk",
+            "corrupt trace: unknown op byte",
+            "corrupt trace: access size overflows u32",
+            "corrupt trace: varint overflows u64",
+            "corrupt trace: varint longer than 10 bytes",
+            "corrupt trace: chunk records do not fill its declared length",
+            "corrupt trace: chunk records do not fill its declared length",
+            "truncated trace: chunk payload shorter than its declared length",
+            "truncated trace: varint ended mid-value",
+        ];
+        for ((name, bytes), want) in cases.iter().zip(expected) {
+            assert_eq!(first_error(bytes), want, "{name}");
+            assert_readers_agree(bytes, name);
         }
     }
 

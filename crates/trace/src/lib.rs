@@ -7,13 +7,15 @@
 //!   versioned, self-describing container — a provenance header followed by
 //!   per-thread streams of varint + zigzag delta-encoded `(timestamp-delta,
 //!   address-delta, op, size)` records,
-//! * **streaming I/O** with O(1) memory: [`TraceWriter`], the all-stream
-//!   [`TraceReader`], the single-stream [`ThreadReader`], and a
+//! * **streaming I/O**: [`TraceWriter`] and the all-stream [`TraceReader`],
+//!   each holding at most one chunk in memory, and a
 //!   [`TraceStats`] pass whose footprint / write-ratio / page-coverage
 //!   read-outs are directly comparable to the paper's Table I and
 //!   Figures 5–6,
 //! * the [`TraceSource`] trait unifying live generators and replayed files,
-//!   with a [`Record`] adapter that tees any source to disk, and
+//!   with [`TraceFileSource`] replaying a file's streams from one in-memory
+//!   copy through a per-stream chunk index, and a [`Record`] adapter that
+//!   tees any source to disk, and
 //! * **compositors** ([`Mix`], [`Concat`], [`LoopN`], [`Shift`], and the
 //!   thread-stacking [`Tenants`]) that build multi-tenant scenarios out of
 //!   existing traces; every source reports its thread → tenant partition
@@ -60,8 +62,8 @@ mod varint;
 pub use compose::{BoxedSource, Concat, LoopN, Mix, Shift, Tenants};
 pub use error::TraceError;
 pub use format::{
-    ThreadReader, TraceHeader, TraceReader, TraceWriter, FORMAT_VERSION, MAGIC,
-    MAX_SOURCE_IDENTITY_BYTES, MAX_THREADS, TENANT_FORMAT_VERSION,
+    TraceHeader, TraceReader, TraceWriter, FORMAT_VERSION, MAGIC, MAX_SOURCE_IDENTITY_BYTES,
+    MAX_THREADS, TENANT_FORMAT_VERSION,
 };
 pub use record::TraceRecord;
 pub use source::{record_to_file, Record, TraceFileSource, TraceSource, VecSource};

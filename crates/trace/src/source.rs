@@ -3,12 +3,12 @@
 //! files, and compositions thereof ([`crate::compose`]).
 
 use crate::error::TraceError;
-use crate::format::{ThreadReader, TraceHeader, TraceWriter};
+use crate::format::{decode_record, ChunkHeader, TraceHeader, TraceWriter, PAYLOAD_TRUNCATED};
 use crate::record::TraceRecord;
+use crate::varint;
 use skybyte_types::{TenantId, TenantMap};
-use std::io::{Cursor, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 /// A set of independent per-thread access streams.
 ///
@@ -123,10 +123,16 @@ impl<S: TraceSource, W: Write + std::fmt::Debug> TraceSource for Record<S, W> {
 
 /// Replays an `.sbt` file as a [`TraceSource`].
 ///
-/// The file is read once into memory, and each thread gets its own
-/// [`ThreadReader`] over a cursor into those shared bytes, so the engine can
-/// interleave threads in any order with O(1) extra memory per stream and
-/// one file handle however many streams the header declares.
+/// The file is read once into memory. A shared frontier walks its chunk
+/// headers in file order, but only as far as some stream needs: it appends
+/// each chunk's offset to the list of the stream that owns it (8 bytes a
+/// chunk). Each stream then walks its own list and decodes its records
+/// straight from the file's bytes, so a stream never decodes another's
+/// chunks, the engine can interleave streams in any order, one file handle
+/// serves however many streams the header declares, and
+/// [`reset_thread`](TraceSource::reset_thread) rewinds a stream without
+/// rescanning the file. A framing error surfaces on the first pull that
+/// needs to pass it, and on every such pull after it.
 ///
 /// A version-1 `.sbt` file is tenant-agnostic (tenancy is a
 /// composition-time concept), so every replayed stream reports
@@ -145,41 +151,72 @@ pub struct TraceFileSource {
     path: PathBuf,
     header: TraceHeader,
     /// The whole file.
-    bytes: Arc<[u8]>,
-    /// Offset of the first chunk in `bytes`, just past the header.
-    records_start: u64,
-    cursors: Vec<ThreadReader<Cursor<Arc<[u8]>>>>,
+    bytes: Vec<u8>,
+    /// Offset of the first chunk not yet indexed; every chunk before it is.
+    frontier: usize,
+    /// Per stream, the offsets of its chunks before the frontier, in file
+    /// order.
+    chunks: Vec<Vec<usize>>,
+    /// Per stream, how far it has been replayed.
+    streams: Vec<StreamCursor>,
+}
+
+/// Where one replayed stream stands.
+#[derive(Debug, Clone, Copy, Default)]
+struct StreamCursor {
+    /// Chunks of the stream entered so far.
+    entered: usize,
+    /// The undecoded rest of the current chunk's payload, `bytes[pos..end]`,
+    /// which holds `remaining` records.
+    pos: usize,
+    end: usize,
+    remaining: u64,
+    /// Address of the stream's previous record (delta-chain state).
+    last_addr: u64,
 }
 
 impl TraceFileSource {
     /// Opens `path` for replay.
     pub fn open(path: &Path) -> Result<Self, TraceError> {
-        let bytes: Arc<[u8]> = std::fs::read(path)?.into();
-        let mut input = Cursor::new(Arc::clone(&bytes));
-        let header = TraceHeader::read_from(&mut input)?;
-        let mut source = TraceFileSource {
-            path: path.to_path_buf(),
-            header,
-            bytes,
-            records_start: input.position(),
-            cursors: Vec::new(),
-        };
-        source.cursors = (0..source.header.threads)
-            .map(|t| source.reader(t))
-            .collect::<Result<_, _>>()?;
-        Ok(source)
+        Self::from_bytes(path.to_path_buf(), std::fs::read(path)?)
     }
 
-    /// A reader of `thread`'s stream from its first record.
-    fn reader(&self, thread: u32) -> Result<ThreadReader<Cursor<Arc<[u8]>>>, TraceError> {
-        let mut input = Cursor::new(Arc::clone(&self.bytes));
-        input.set_position(self.records_start);
-        ThreadReader::after_header(input, self.header.threads, thread)
+    /// Replays `bytes`, the contents of the file at `path`.
+    pub(crate) fn from_bytes(path: PathBuf, bytes: Vec<u8>) -> Result<Self, TraceError> {
+        let mut rest = bytes.as_slice();
+        let header = TraceHeader::read_from(&mut rest)?;
+        let frontier = bytes.len() - rest.len();
+        let threads = header.threads as usize;
+        Ok(TraceFileSource {
+            path,
+            header,
+            bytes,
+            frontier,
+            chunks: vec![Vec::new(); threads],
+            streams: vec![StreamCursor::default(); threads],
+        })
     }
 
     /// The file's provenance header.
     pub fn header(&self) -> &TraceHeader {
         &self.header
+    }
+
+    /// Indexes the chunk at the frontier and moves the frontier past it;
+    /// `false` at the end of the file.
+    fn index_next_chunk(&mut self) -> Result<bool, TraceError> {
+        let mut rest = &self.bytes[self.frontier..];
+        if rest.is_empty() {
+            return Ok(false);
+        }
+        let chunk = ChunkHeader::decode(|| varint::take_u64(&mut rest), self.header.threads)?;
+        let payload = usize::try_from(chunk.bytes)
+            .ok()
+            .filter(|&len| len <= rest.len())
+            .ok_or(PAYLOAD_TRUNCATED)?;
+        self.chunks[chunk.thread as usize].push(self.frontier);
+        self.frontier = self.bytes.len() - rest.len() + payload;
+        Ok(true)
     }
 }
 
@@ -200,26 +237,58 @@ impl TraceSource for TraceFileSource {
     }
 
     fn next_record(&mut self, thread: u32) -> Result<Option<TraceRecord>, TraceError> {
-        let record = match self.cursors.get_mut(thread as usize) {
-            Some(cursor) => cursor.next()?,
-            None => {
-                return Err(TraceError::ThreadOutOfRange {
-                    threads: self.header.threads,
-                    requested: thread,
-                })
-            }
+        let t = thread as usize;
+        let Some(&stream) = self.streams.get(t) else {
+            return Err(TraceError::ThreadOutOfRange {
+                threads: self.header.threads,
+                requested: thread,
+            });
         };
-        match record {
-            Some(r) if r.addr() >= self.header.footprint_bytes => Err(TraceError::Corrupt(
-                "record address lies past the header's footprint",
-            )),
-            record => Ok(record),
+        // Work on a copy, stored back only once a record decodes, so a pull
+        // that fails leaves the stream where it was.
+        let mut s = stream;
+        if s.remaining == 0 {
+            let offset = loop {
+                if let Some(&offset) = self.chunks[t].get(s.entered) {
+                    break offset;
+                }
+                if !self.index_next_chunk()? {
+                    return Ok(None);
+                }
+            };
+            let mut rest = &self.bytes[offset..];
+            let chunk = ChunkHeader::decode(|| varint::take_u64(&mut rest), self.header.threads)?;
+            s.entered += 1;
+            s.pos = self.bytes.len() - rest.len();
+            // The frontier checked that the payload lies inside the file.
+            s.end = s.pos + chunk.bytes as usize;
+            s.remaining = chunk.count;
         }
+        let mut rest = &self.bytes[s.pos..s.end];
+        let record = decode_record(&mut rest, s.remaining, s.last_addr)?;
+        s.pos = s.end - rest.len();
+        s.remaining -= 1;
+        s.last_addr = record.addr();
+        self.streams[t] = s;
+        if record.addr() >= self.header.footprint_bytes {
+            return Err(TraceError::Corrupt(
+                "record address lies past the header's footprint",
+            ));
+        }
+        Ok(Some(record))
     }
 
     fn reset_thread(&mut self, thread: u32) -> Result<bool, TraceError> {
-        self.cursors[thread as usize] = self.reader(thread)?;
-        Ok(true)
+        match self.streams.get_mut(thread as usize) {
+            Some(stream) => {
+                *stream = StreamCursor::default();
+                Ok(true)
+            }
+            None => Err(TraceError::ThreadOutOfRange {
+                threads: self.header.threads,
+                requested: thread,
+            }),
+        }
     }
 
     fn tenant_of(&self, thread: u32) -> TenantId {
@@ -326,7 +395,8 @@ pub fn record_to_file<S: TraceSource>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::format::TraceWriter;
+    use crate::format::ThreadReader;
+    use skybyte_types::AccessKind;
 
     fn records(n: u64, base: u64) -> Vec<TraceRecord> {
         (0..n)
@@ -511,6 +581,122 @@ mod tests {
             Err(TraceError::ThreadOutOfRange { .. })
         ));
         std::fs::remove_file(&path).ok();
+    }
+
+    /// A xorshift64 stream for the randomised tests.
+    struct Draws(u64);
+
+    impl Draws {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0 % n
+        }
+    }
+
+    #[test]
+    fn replay_matches_one_thread_reader_per_stream_in_any_pull_order() {
+        const FOOTPRINT: u64 = 1 << 20;
+        for seed in 1..=36u64 {
+            let mut draws = Draws(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            let threads = 1 + draws.below(6) as u32;
+            // A thread switch after every record (1-record chunks, as a
+            // live recording writes), runs past a full 512-record chunk, or
+            // short random runs; a few records lie past the footprint.
+            let total = 300 + draws.below(1_500) as usize;
+            let mut records = Vec::with_capacity(total);
+            let mut thread = 0;
+            while records.len() < total {
+                let run = match seed % 3 {
+                    0 => 1,
+                    1 => 500 + draws.below(100),
+                    _ => 1 + draws.below(40),
+                };
+                for _ in 0..run {
+                    let addr = match draws.below(400) {
+                        0 => FOOTPRINT + draws.below(1 << 40),
+                        _ => draws.below(FOOTPRINT),
+                    };
+                    let kind = match draws.below(4) {
+                        0 => AccessKind::Write,
+                        _ => AccessKind::Read,
+                    };
+                    let size = draws.below(1 << 13) as u32;
+                    records.push((thread, TraceRecord::new(draws.below(300), addr, kind, size)));
+                }
+                thread = draws.below(threads as u64) as u32;
+            }
+            let header = TraceHeader {
+                threads,
+                footprint_bytes: FOOTPRINT,
+                seed,
+                source: "vec:reference".into(),
+                tenant_of_thread: None,
+            };
+            let mut writer = TraceWriter::new(Vec::new(), &header).unwrap();
+            for (thread, record) in &records {
+                writer.push(*thread, record).unwrap();
+            }
+            let bytes = writer.finish().unwrap();
+
+            let mut replay =
+                TraceFileSource::from_bytes("reference.sbt".into(), bytes.clone()).unwrap();
+            let model = |thread| ThreadReader::new(bytes.as_slice(), thread).unwrap();
+            let mut models: Vec<_> = (0..threads).map(model).collect();
+            let pull = |replay: &mut TraceFileSource,
+                        models: &mut Vec<ThreadReader<&[u8]>>,
+                        thread: u32,
+                        step: usize| {
+                let got = replay.next_record(thread);
+                let want = models[thread as usize]
+                    .next()
+                    .and_then(|record| match record {
+                        Some(r) if r.addr() >= FOOTPRINT => Err(TraceError::Corrupt(
+                            "record address lies past the header's footprint",
+                        )),
+                        record => Ok(record),
+                    });
+                assert_eq!(
+                    format!("{got:?}"),
+                    format!("{want:?}"),
+                    "seed {seed}, step {step}, thread {thread}"
+                );
+                matches!(got, Ok(None))
+            };
+            // Pull uniformly, or mostly one stream so the frontier runs far
+            // ahead of the others; now and then rewind a stream.
+            let favourite = draws.below(threads as u64) as u32;
+            for step in 0..3 * total {
+                let thread = match (seed % 2, draws.below(4)) {
+                    (0, 1..) => favourite,
+                    _ => draws.below(threads as u64) as u32,
+                };
+                if draws.below(150) == 0 {
+                    assert!(replay.reset_thread(thread).unwrap());
+                    models[thread as usize] = model(thread);
+                } else {
+                    pull(&mut replay, &mut models, thread, step);
+                }
+            }
+            for thread in 0..threads {
+                while !pull(&mut replay, &mut models, thread, usize::MAX) {}
+            }
+            for out_of_range in [threads, u32::MAX] {
+                assert!(matches!(
+                    replay.next_record(out_of_range),
+                    Err(TraceError::ThreadOutOfRange { .. })
+                ));
+                assert!(matches!(
+                    replay.reset_thread(out_of_range),
+                    Err(TraceError::ThreadOutOfRange { .. })
+                ));
+                assert!(matches!(
+                    ThreadReader::new(bytes.as_slice(), out_of_range),
+                    Err(TraceError::ThreadOutOfRange { .. })
+                ));
+            }
+        }
     }
 
     #[test]

@@ -37,20 +37,41 @@ pub fn write_u64<W: Write>(out: &mut W, mut value: u64) -> std::io::Result<()> {
 /// the first byte themselves) and [`TraceError::Corrupt`] when the encoding
 /// overflows 64 bits.
 pub fn read_u64<R: Read>(input: &mut R) -> Result<u64, TraceError> {
+    decode_u64(|| {
+        let mut byte = [0u8; 1];
+        match input.read_exact(&mut byte) {
+            Ok(()) => Ok(byte[0]),
+            Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => Err(ENDED_MID_VALUE),
+            Err(e) => Err(TraceError::Io(e)),
+        }
+    })
+}
+
+/// Decodes one LEB128 `u64` from the front of `input` and advances `input`
+/// past it: [`read_u64`] for in-memory bytes, with the same errors.
+#[inline]
+pub fn take_u64(input: &mut &[u8]) -> Result<u64, TraceError> {
+    decode_u64(|| {
+        let Some((&byte, rest)) = input.split_first() else {
+            return Err(ENDED_MID_VALUE);
+        };
+        *input = rest;
+        Ok(byte)
+    })
+}
+
+const ENDED_MID_VALUE: TraceError = TraceError::Truncated {
+    context: "varint ended mid-value",
+};
+
+/// The LEB128 decoder both readers share, over the bytes `next` yields.
+#[inline(always)]
+fn decode_u64(mut next: impl FnMut() -> Result<u8, TraceError>) -> Result<u64, TraceError> {
     let mut value: u64 = 0;
     let mut shift = 0u32;
     loop {
-        let mut byte = [0u8; 1];
-        match input.read_exact(&mut byte) {
-            Ok(()) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => {
-                return Err(TraceError::Truncated {
-                    context: "varint ended mid-value",
-                });
-            }
-            Err(e) => return Err(TraceError::Io(e)),
-        }
-        let payload = (byte[0] & 0x7F) as u64;
+        let byte = next()?;
+        let payload = (byte & 0x7F) as u64;
         if shift == 63 && payload > 1 {
             return Err(TraceError::Corrupt("varint overflows u64"));
         }
@@ -58,7 +79,7 @@ pub fn read_u64<R: Read>(input: &mut R) -> Result<u64, TraceError> {
             return Err(TraceError::Corrupt("varint longer than 10 bytes"));
         }
         value |= payload << shift;
-        if byte[0] & 0x80 == 0 {
+        if byte & 0x80 == 0 {
             return Ok(value);
         }
         shift += 7;
@@ -97,7 +118,13 @@ mod tests {
         let mut buf = Vec::new();
         write_u64(&mut buf, v).unwrap();
         assert!(buf.len() <= MAX_VARINT_LEN);
-        read_u64(&mut buf.as_slice()).unwrap()
+        buf.push(0xAB); // a following byte neither decoder may consume
+        let mut rest = buf.as_slice();
+        let taken = take_u64(&mut rest).unwrap();
+        assert_eq!(rest, &[0xAB]);
+        let read = read_u64(&mut buf.as_slice()).unwrap();
+        assert_eq!(taken, read);
+        read
     }
 
     #[test]
@@ -128,6 +155,10 @@ mod tests {
                 read_u64(&mut &buf[..cut]),
                 Err(TraceError::Truncated { .. })
             ));
+            assert!(matches!(
+                take_u64(&mut &buf[..cut]),
+                Err(TraceError::Truncated { .. })
+            ));
         }
         // 10 continuation bytes followed by a large final payload overflow.
         let overlong = [0xFFu8; 9]
@@ -137,7 +168,11 @@ mod tests {
             .collect::<Vec<_>>();
         assert!(matches!(
             read_u64(&mut overlong.as_slice()),
-            Err(TraceError::Corrupt(_))
+            Err(TraceError::Corrupt("varint overflows u64"))
+        ));
+        assert!(matches!(
+            take_u64(&mut overlong.as_slice()),
+            Err(TraceError::Corrupt("varint overflows u64"))
         ));
         let too_long = [0xFFu8; 10]
             .iter()
@@ -146,6 +181,10 @@ mod tests {
             .collect::<Vec<_>>();
         assert!(matches!(
             read_u64(&mut too_long.as_slice()),
+            Err(TraceError::Corrupt(_))
+        ));
+        assert!(matches!(
+            take_u64(&mut too_long.as_slice()),
             Err(TraceError::Corrupt(_))
         ));
     }
