@@ -13,7 +13,7 @@
 //! `record` writes the synthetic workload stream the simulator would
 //! consume (without simulating), `replay` drives a full simulation from a
 //! trace (the trace defines footprint, thread count and the amount of
-//! work), `stat` streams the Table I / Figures 5–6 characteristics of a
+//! work), `stat` prints the Table I / Figures 5–6 characteristics of a
 //! trace, and `mix` composes new traces out of existing ones — proportional
 //! interleave, concatenation, or tenant stacking, with optional per-tenant
 //! address shifting and looping. A multi-tenant composition records its
@@ -27,8 +27,8 @@ use skybyte_bench::{
 };
 use skybyte_sim::{ExperimentScale, PerfReport, RunTiming, SimResult, Simulation};
 use skybyte_trace::{
-    BoxedSource, Concat, LoopN, Mix, Shift, Tenants, TraceFileSource, TraceHeader, TraceReader,
-    TraceSource, TraceStats, TraceWriter,
+    record_to_file, BoxedSource, Concat, LoopN, Mix, Shift, Tenants, TraceFileSource, TraceHeader,
+    TraceReader, TraceSource, TraceStats, MAX_THREADS,
 };
 use skybyte_types::{PolicyOverride, SimConfig, VariantKind};
 use skybyte_workloads::WorkloadKind;
@@ -60,7 +60,7 @@ const USAGE: &str = "usage: trace <record|replay|stat|mix|verify-corpus> [option
       with or without it.
 
   stat --trace FILE
-      Stream the trace once and print footprint / write ratio / per-page
+      Read the trace once and print footprint / write ratio / per-page
       cacheline coverage (comparable to Table I and Figures 5-6).
 
   mix --out FILE INPUT[:WEIGHT]... [--mode mix|concat|stack]
@@ -135,7 +135,7 @@ fn cmd_record(args: &[String]) -> Result<(), String> {
             "--scale" => scale = parse_scale(flag_value(args, &mut i, "--scale")?)?,
             "--threads" => {
                 let t = flag_value(args, &mut i, "--threads")?;
-                threads = Some(parse_count("--threads", t, u32::MAX.into())? as u32);
+                threads = Some(parse_count("--threads", t, MAX_THREADS.into())? as u32);
             }
             "--accesses" => {
                 let n = flag_value(args, &mut i, "--accesses")?;
@@ -487,21 +487,8 @@ fn cmd_mix(args: &[String]) -> Result<(), String> {
         source: composite.identity(),
         tenant_of_thread,
     };
-    let mut writer =
-        TraceWriter::create(&out, &header).map_err(|e| format!("cannot create output: {e}"))?;
-    let mut total = 0u64;
-    for t in 0..threads {
-        while let Some(record) = composite
-            .next_record(t)
-            .map_err(|e| format!("compose failed on thread {t}: {e}"))?
-        {
-            writer
-                .push(t, &record)
-                .map_err(|e| format!("write failed: {e}"))?;
-            total += 1;
-        }
-    }
-    writer.finish().map_err(|e| format!("write failed: {e}"))?;
+    let total = record_to_file(&mut composite, &out, &header, u64::MAX)
+        .map_err(|e| format!("cannot compose {}: {e}", out.display()))?;
     println!(
         "composed {total} records ({threads} thread(s), mode {mode}) into {}",
         out.display()

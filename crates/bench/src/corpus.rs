@@ -27,7 +27,7 @@ use skybyte_sim::metrics::DiffSummary;
 use skybyte_sim::runner::parallel_map;
 use skybyte_sim::{ExperimentScale, SimResult, Simulation, TelemetryOutput};
 use skybyte_trace::{
-    record_to_file, BoxedSource, Mix, Shift, TraceHeader, TraceRecord, TraceSource, TraceWriter,
+    record_to_file, BoxedSource, Mix, Shift, TraceHeader, TraceRecord, TraceSource, VecSource,
 };
 use skybyte_types::{SimConfig, TelemetryConfig, VariantKind, KIB, MIB, PAGE_SIZE};
 use skybyte_workloads::{WorkloadKind, WorkloadSource};
@@ -120,18 +120,16 @@ impl CorpusEntry {
                     source: format!("corpus:{}:crafted", self.name),
                     tenant_of_thread: None,
                 };
-                let mut writer = TraceWriter::create(&path, &header)
-                    .map_err(|e| format!("creating {}: {e}", self.name))?;
-                for t in 0..*threads {
-                    for i in 0..*records_per_thread {
-                        writer
-                            .push(t, &gen(t, i))
-                            .map_err(|e| format!("writing {}: {e}", self.name))?;
-                    }
-                }
-                writer
-                    .finish()
-                    .map_err(|e| format!("finishing {}: {e}", self.name))?;
+                let streams = (0..*threads)
+                    .map(|t| (0..*records_per_thread).map(|i| gen(t, i)).collect())
+                    .collect();
+                record_to_file(
+                    &mut VecSource::new(self.name, streams),
+                    &path,
+                    &header,
+                    u64::MAX,
+                )
+                .map_err(|e| format!("writing {}: {e}", self.name))?;
             }
             EntrySource::Composed {
                 threads,

@@ -131,6 +131,27 @@ fn record_refuses_an_access_budget_that_would_wrap() {
 }
 
 #[test]
+fn record_refuses_a_thread_count_the_format_cannot_hold() {
+    let dir = scratch("threads");
+    // No header holds more than `MAX_THREADS` streams, so such a count is
+    // refused before any generator is built or any file created.
+    for threads in ["65537", "0"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_trace"))
+            .args(["record", "--workload", "ycsb", "--scale", "tiny"])
+            .args(["--threads", threads, "--out"])
+            .arg(dir.join("recorded.sbt"))
+            .output()
+            .unwrap();
+        assert_one_error_line(
+            &out,
+            &format!("--threads must be between 1 and 65536, got '{threads}'"),
+        );
+        assert!(!dir.join("recorded.sbt").exists());
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn perf_without_a_path_leaves_a_following_short_flag_alone() {
     let dir = scratch("perf");
     let out = Command::new(env!("CARGO_BIN_EXE_figures"))

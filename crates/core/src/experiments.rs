@@ -31,7 +31,7 @@ use skybyte_types::{
     EvictionPolicyKind, HotnessPolicyKind, NandKind, Nanos, PolicyConfig, SchedPolicy, SimConfig,
     TenantSchedKind, VariantKind, KIB, MIB,
 };
-use skybyte_workloads::{page_locality_cdf, TraceGenerator, WorkloadKind};
+use skybyte_workloads::{page_locality_cdf, TraceSource, WorkloadKind, WorkloadSource};
 use std::sync::Arc;
 
 /// A generic result table: one labelled row per entity (workload, variant,
@@ -278,10 +278,11 @@ pub fn fig05_06_locality_cdf(scale: &ExperimentScale, write: bool) -> Experiment
         WorkloadKind::Radix,
         WorkloadKind::Ycsb,
     ] {
-        let spec = scale.workload_spec(w);
-        let mut gen = TraceGenerator::new(&spec, 0, 4, scale.seed);
-        let trace = gen.generate(scale.accesses_per_thread as usize * 2);
-        let (read_cdf, write_cdf) = page_locality_cdf(&trace);
+        // Thread 0 of a four-thread workload.
+        let mut source = WorkloadSource::new(&scale.workload_spec(w), 4, scale.seed);
+        let trace = std::iter::from_fn(|| source.next_record(0).expect("thread 0 exists"));
+        let (read_cdf, write_cdf) =
+            page_locality_cdf(trace.take(scale.accesses_per_thread as usize * 2));
         let cdf = if write { write_cdf } else { read_cdf };
         t.push(
             w.name(),

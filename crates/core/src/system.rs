@@ -45,7 +45,7 @@ use skybyte_cxl::CxlPort;
 use skybyte_os::{BlockReason, PagePlacement, PageTable, Scheduler, ThreadId, Tlb};
 use skybyte_ssd::{ServedBy, SsdController};
 use skybyte_types::{LatencyHistogram, Lpa, Nanos, PageNumber, SimConfig, TenantMap};
-use skybyte_workloads::{TraceError, TraceSource, WorkUnit};
+use skybyte_workloads::{TraceError, TraceRecord, TraceSource};
 
 /// How often (in SSD accesses, squashed or not) the background migration
 /// policy gets a chance to promote a page. Public so the conservation audit
@@ -459,7 +459,7 @@ impl SystemState {
         &mut self,
         core: usize,
         tid: ThreadId,
-        unit: &WorkUnit,
+        unit: &TraceRecord,
         now: Nanos,
     ) -> (Nanos, PagePlacement) {
         let tenant = self.tenant_map.tenant_of(tid.0).index();
@@ -487,7 +487,7 @@ impl SystemState {
     /// Host-DRAM access step: the page is host-resident (or the run models
     /// infinite host DRAM); the access resolves locally and feeds the
     /// migration engine's recency state.
-    fn host_access(&mut self, core: usize, tid: ThreadId, unit: &WorkUnit, t: Nanos) -> Nanos {
+    fn host_access(&mut self, core: usize, tid: ThreadId, unit: &TraceRecord, t: Nanos) -> Nanos {
         let tenant = self.tenant_map.tenant_of(tid.0).index();
         let vpage = unit.access.addr.page();
         let done = self.host_dram.access(t);
@@ -516,7 +516,7 @@ impl SystemState {
         &mut self,
         core: usize,
         tid: ThreadId,
-        unit: WorkUnit,
+        unit: TraceRecord,
         lpa: Lpa,
         t: Nanos,
     ) -> Nanos {

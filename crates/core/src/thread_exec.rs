@@ -1,14 +1,14 @@
 //! Per-thread trace execution state.
 //!
-//! Each application thread replays a bounded stream of work units pulled
-//! from the simulation's [`TraceSource`] — a live synthetic generator, a
+//! Each application thread replays a bounded stream of records pulled from
+//! the simulation's [`TraceSource`] — a live synthetic generator, a
 //! recorded `.sbt` trace, or a composition. When the coordinated context
 //! switch yields a thread in the middle of a memory access (the instruction
 //! is squashed, §III-A), the access is *pushed back* so that the thread
 //! re-issues it when it is scheduled again, exactly like the replayed
 //! instruction of step C4 in Figure 7.
 //!
-//! The executor prefetches exactly one unit ahead of execution. That keeps
+//! The executor prefetches exactly one record ahead of execution. That keeps
 //! [`is_finished`](ThreadExecutor::is_finished) exact for *finite* sources
 //! too (a replayed trace ends when the stream does, a generator when the
 //! budget is spent), so the engine observes the same thread-completion
@@ -18,7 +18,7 @@
 //! A source failure (an I/O error or corruption in a replayed trace) is
 //! returned as the source's [`TraceError`], for the engine to pass up.
 
-use skybyte_workloads::{TraceError, TraceSource, WorkUnit};
+use skybyte_workloads::{TraceError, TraceRecord, TraceSource};
 
 /// The execution state of one thread: its stream position, its remaining
 /// work budget, and an optional access pending re-issue.
@@ -28,14 +28,14 @@ pub struct ThreadExecutor {
     budget: u64,
     issued: u64,
     /// Access pending re-issue after a context switch.
-    pending: Option<WorkUnit>,
-    /// The next unit of the stream, pulled one step ahead.
-    prefetched: Option<WorkUnit>,
+    pending: Option<TraceRecord>,
+    /// The next record of the stream, pulled one step ahead.
+    prefetched: Option<TraceRecord>,
 }
 
 impl ThreadExecutor {
     /// Creates the executor for stream `thread` of `source`, limited to
-    /// `budget` work units, and prefetches the first unit.
+    /// `budget` work units, and prefetches the first record.
     pub fn new(thread: u32, budget: u64, source: &mut dyn TraceSource) -> Result<Self, TraceError> {
         let mut exec = ThreadExecutor {
             thread,
@@ -52,18 +52,18 @@ impl ThreadExecutor {
 
     fn prefetch(&mut self, source: &mut dyn TraceSource) -> Result<(), TraceError> {
         debug_assert!(self.prefetched.is_none());
-        self.prefetched = source.next_record(self.thread)?.map(WorkUnit::from);
+        self.prefetched = source.next_record(self.thread)?;
         Ok(())
     }
 
-    /// The next work unit to execute, or `None` when the trace is finished.
+    /// The next record to execute, or `None` when the trace is finished.
     /// A pushed-back access is returned first (with zero compute, since the
     /// compute burst before it already executed). Fails if the source fails
     /// while prefetching the successor.
     pub fn next_unit(
         &mut self,
         source: &mut dyn TraceSource,
-    ) -> Result<Option<WorkUnit>, TraceError> {
+    ) -> Result<Option<TraceRecord>, TraceError> {
         if let Some(p) = self.pending.take() {
             return Ok(Some(p));
         }
@@ -79,16 +79,16 @@ impl ThreadExecutor {
 
     /// Pushes an access back for re-issue after a context switch. The compute
     /// part is zeroed: it has already been accounted.
-    pub fn push_back(&mut self, unit: WorkUnit) {
+    pub fn push_back(&mut self, unit: TraceRecord) {
         debug_assert!(self.pending.is_none(), "only one access can be pending");
-        self.pending = Some(WorkUnit {
+        self.pending = Some(TraceRecord {
             instructions: 0,
-            access: unit.access,
+            ..unit
         });
     }
 
     /// Whether the trace is exhausted and nothing is pending. Exact even
-    /// for finite sources, thanks to the one-unit prefetch.
+    /// for finite sources, thanks to the one-record prefetch.
     pub fn is_finished(&self) -> bool {
         self.pending.is_none() && self.prefetched.is_none()
     }
@@ -121,7 +121,7 @@ mod tests {
     fn finite_sources_end_the_trace_before_the_budget() {
         let spec = WorkloadKind::Ycsb.spec().scaled_to(8 << 20);
         let mut live = WorkloadSource::new(&spec, 1, 3);
-        let units: Vec<skybyte_workloads::TraceRecord> = (0..4)
+        let units: Vec<TraceRecord> = (0..4)
             .map(|_| live.next_record(0).unwrap().unwrap())
             .collect();
         let mut replay = skybyte_trace::VecSource::new("finite", vec![units]);

@@ -14,7 +14,7 @@ pub enum TraceError {
     /// The file does not start with the `.sbt` magic.
     BadMagic,
     /// The file's format version is newer than this reader understands.
-    UnsupportedVersion(u32),
+    UnsupportedVersion(u64),
     /// The stream ended in the middle of a header, chunk or record.
     Truncated {
         /// What was being decoded when the stream ended.

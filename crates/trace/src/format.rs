@@ -37,20 +37,21 @@
 //! arithmetic), so hot/cold pointer-chasing streams stay compact while a
 //! reader that filters a single thread can skip foreign chunks without
 //! decoding them. A chunk's `count` records must fill its declared
-//! `bytes` exactly; every reader rejects a mismatch as
-//! [`TraceError::Corrupt`], so all of them frame a file alike.
+//! `bytes` exactly, and its payload must lie inside the file; anything
+//! else is a [`TraceError`].
 //!
-//! [`TraceWriter`] streams with at most one buffered chunk, and
-//! [`TraceReader`] with at most one buffered payload. Replay
-//! (`TraceFileSource`) reads the file into memory once, indexes chunk
-//! offsets per stream as its streams first need them, and decodes each
-//! record straight from those bytes with the same record decoder.
+//! [`TraceWriter`] streams with at most one buffered chunk. Every reader
+//! decodes a file's in-memory bytes with one header decoder, one chunk
+//! walk and one record decoder, so all of them frame a file alike:
+//! [`TraceReader`] walks the chunks in file order, and replay
+//! (`TraceFileSource`) indexes chunk offsets per stream as its streams
+//! first need them.
 
 use crate::error::TraceError;
 use crate::record::TraceRecord;
 use crate::varint;
 use skybyte_types::AccessKind;
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufWriter, Write};
 use std::path::Path;
 
 /// The 8-byte file magic.
@@ -115,10 +116,10 @@ pub struct TraceHeader {
 }
 
 impl TraceHeader {
-    /// Serialises the header. Source identities longer than
-    /// [`MAX_SOURCE_IDENTITY_BYTES`] are truncated so the file stays
-    /// readable (the reader rejects longer ones as corrupt).
-    fn write_to<W: Write>(&self, out: &mut W) -> Result<(), TraceError> {
+    /// Serialises the header, or refuses one the reader would reject.
+    /// Source identities longer than [`MAX_SOURCE_IDENTITY_BYTES`] are
+    /// truncated so the file stays readable.
+    fn encode(&self) -> Result<Vec<u8>, TraceError> {
         if self.threads == 0 || self.threads > MAX_THREADS {
             return Err(TraceError::Corrupt("thread count out of range"));
         }
@@ -128,73 +129,68 @@ impl TraceHeader {
         } else {
             FORMAT_VERSION
         };
-        out.write_all(&MAGIC)?;
-        varint::write_u64(out, version as u64)?;
-        varint::write_u64(out, self.threads as u64)?;
-        varint::write_u64(out, self.footprint_bytes)?;
-        varint::write_u64(out, self.seed)?;
-        varint::write_u64(out, source.len() as u64)?;
-        out.write_all(source.as_bytes())?;
+        let mut out = MAGIC.to_vec();
+        varint::write_u64(&mut out, version as u64)?;
+        varint::write_u64(&mut out, self.threads as u64)?;
+        varint::write_u64(&mut out, self.footprint_bytes)?;
+        varint::write_u64(&mut out, self.seed)?;
+        varint::write_u64(&mut out, source.len() as u64)?;
+        out.extend_from_slice(source.as_bytes());
         if let Some(table) = &self.tenant_of_thread {
             if table.len() != self.threads as usize {
                 return Err(TraceError::Corrupt(
                     "tenant table length does not match thread count",
                 ));
             }
-            varint::write_u64(out, table.len() as u64)?;
+            varint::write_u64(&mut out, table.len() as u64)?;
             for &tenant in table {
                 if tenant >= self.threads {
                     return Err(TraceError::Corrupt("tenant id out of range"));
                 }
-                varint::write_u64(out, tenant as u64)?;
+                varint::write_u64(&mut out, tenant as u64)?;
             }
         }
-        Ok(())
+        Ok(out)
     }
 
-    /// Parses the header from the start of a stream.
-    pub(crate) fn read_from<R: Read>(input: &mut R) -> Result<Self, TraceError> {
-        let mut magic = [0u8; 8];
-        input.read_exact(&mut magic).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                TraceError::Truncated {
-                    context: "file shorter than the magic",
-                }
-            } else {
-                TraceError::Io(e)
-            }
-        })?;
-        if magic != MAGIC {
+    /// Decodes the header from the front of a file's bytes and advances
+    /// `input` to the first chunk.
+    pub(crate) fn decode(input: &mut &[u8]) -> Result<Self, TraceError> {
+        let (magic, rest) = input
+            .split_first_chunk::<8>()
+            .ok_or(TraceError::Truncated {
+                context: "file shorter than the magic",
+            })?;
+        if *magic != MAGIC {
             return Err(TraceError::BadMagic);
         }
-        let version = varint::read_u64(input)? as u32;
-        if version != FORMAT_VERSION && version != TENANT_FORMAT_VERSION {
+        *input = rest;
+        let version = varint::take_u64(input)?;
+        if version != FORMAT_VERSION.into() && version != TENANT_FORMAT_VERSION.into() {
             return Err(TraceError::UnsupportedVersion(version));
         }
-        let threads = varint::read_u64(input)?;
+        let threads = varint::take_u64(input)?;
         if threads == 0 || threads > MAX_THREADS as u64 {
             return Err(TraceError::Corrupt("thread count out of range"));
         }
-        let footprint_bytes = varint::read_u64(input)?;
-        let seed = varint::read_u64(input)?;
-        let name_len = varint::read_u64(input)?;
+        let footprint_bytes = varint::take_u64(input)?;
+        let seed = varint::take_u64(input)?;
+        let name_len = varint::take_u64(input)?;
         if name_len > MAX_SOURCE_IDENTITY_BYTES as u64 {
             return Err(TraceError::Corrupt("source identity too long"));
         }
-        let mut name = vec![0u8; name_len as usize];
-        input.read_exact(&mut name).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                TraceError::Truncated {
+        let (name, rest) =
+            input
+                .split_at_checked(name_len as usize)
+                .ok_or(TraceError::Truncated {
                     context: "header ended mid source identity",
-                }
-            } else {
-                TraceError::Io(e)
-            }
-        })?;
-        let source = String::from_utf8(name)
-            .map_err(|_| TraceError::Corrupt("source identity is not UTF-8"))?;
-        let tenant_of_thread = if version >= TENANT_FORMAT_VERSION {
-            let len = varint::read_u64(input)?;
+                })?;
+        *input = rest;
+        let source = std::str::from_utf8(name)
+            .map_err(|_| TraceError::Corrupt("source identity is not UTF-8"))?
+            .to_string();
+        let tenant_of_thread = if version == TENANT_FORMAT_VERSION.into() {
+            let len = varint::take_u64(input)?;
             if len != threads {
                 return Err(TraceError::Corrupt(
                     "tenant table length does not match thread count",
@@ -202,7 +198,7 @@ impl TraceHeader {
             }
             let mut table = Vec::with_capacity(len as usize);
             for _ in 0..len {
-                let tenant = varint::read_u64(input)?;
+                let tenant = varint::take_u64(input)?;
                 if tenant >= threads {
                     return Err(TraceError::Corrupt("tenant id out of range"));
                 }
@@ -243,8 +239,13 @@ pub struct TraceWriter<W: Write> {
 
 impl<W: Write> TraceWriter<W> {
     /// Starts a trace on `out`, writing the header immediately.
-    pub fn new(mut out: W, header: &TraceHeader) -> Result<Self, TraceError> {
-        header.write_to(&mut out)?;
+    pub fn new(out: W, header: &TraceHeader) -> Result<Self, TraceError> {
+        Self::start(out, header, &header.encode()?)
+    }
+
+    /// Starts a trace on `out` by writing `encoded`, the header's bytes.
+    fn start(mut out: W, header: &TraceHeader, encoded: &[u8]) -> Result<Self, TraceError> {
+        out.write_all(encoded)?;
         Ok(TraceWriter {
             out,
             threads: header.threads,
@@ -309,126 +310,151 @@ impl<W: Write> TraceWriter<W> {
 }
 
 impl TraceWriter<BufWriter<std::fs::File>> {
-    /// Creates (truncating) an `.sbt` file at `path`.
+    /// Creates (truncating) an `.sbt` file at `path`. The header is encoded
+    /// first, so one the format cannot hold is an error that leaves no
+    /// file behind.
     pub fn create(path: &Path, header: &TraceHeader) -> Result<Self, TraceError> {
+        let encoded = header.encode()?;
         let file = std::fs::File::create(path)?;
-        Self::new(BufWriter::new(file), header)
-    }
-}
-
-/// One decoded chunk header.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ChunkHeader {
-    pub(crate) thread: u32,
-    pub(crate) count: u64,
-    /// The declared payload length.
-    pub(crate) bytes: u64,
-}
-
-impl ChunkHeader {
-    /// Decodes a chunk header of a file of `threads` streams from the
-    /// varints `next` yields: [`varint::read_u64`] over a stream (callers
-    /// that allow a clean EOF check for one more byte first), or
-    /// [`varint::take_u64`] over in-memory bytes.
-    pub(crate) fn decode(
-        mut next: impl FnMut() -> Result<u64, TraceError>,
-        threads: u32,
-    ) -> Result<Self, TraceError> {
-        let thread = next()?;
-        if thread >= threads as u64 {
-            return Err(TraceError::Corrupt("chunk thread index out of range"));
-        }
-        let count = next()?;
-        if count == 0 {
-            return Err(TraceError::Corrupt("empty chunk"));
-        }
-        let bytes = next()?;
-        Ok(ChunkHeader {
-            thread: thread as u32,
-            count,
-            bytes,
-        })
+        Self::start(BufWriter::new(file), header, &encoded)
     }
 }
 
 /// A chunk's payload runs past the end of the file.
-pub(crate) const PAYLOAD_TRUNCATED: TraceError = TraceError::Truncated {
+const PAYLOAD_TRUNCATED: TraceError = TraceError::Truncated {
     context: "chunk payload shorter than its declared length",
 };
 
 /// A chunk's records overrun or fall short of its declared payload.
-pub(crate) const LENGTH_MISMATCH: &str = "chunk records do not fill its declared length";
+const LENGTH_MISMATCH: &str = "chunk records do not fill its declared length";
 
-/// Decodes the next record of a chunk from `payload`, the undecoded rest of
-/// the chunk's declared payload, and advances `payload` past it; on an error
-/// `payload` is left as it was. `remaining` (at least 1) counts the records
-/// the chunk has left, this one included, and `last_addr` is the previous
-/// address of the chunk's thread. A record that runs past the payload, or a
-/// last record that ends before it, is [`LENGTH_MISMATCH`].
-#[inline]
-pub(crate) fn decode_record(
-    payload: &mut &[u8],
+/// The undecoded rest of one chunk: `remaining` records in
+/// `bytes[pos..end]` of the file, where `end` is the end of the chunk's
+/// declared payload.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Chunk {
+    pos: usize,
+    end: usize,
     remaining: u64,
-    last_addr: u64,
-) -> Result<TraceRecord, TraceError> {
-    // Inside a payload the bytes are all there, so running out is a framing
-    // error, not a truncated file.
-    let within = |e| match e {
-        TraceError::Truncated { .. } => TraceError::Corrupt(LENGTH_MISMATCH),
-        e => e,
-    };
-    let mut rest = *payload;
-    let instructions = varint::take_u64(&mut rest).map_err(within)?;
-    let delta = varint::unzigzag(varint::take_u64(&mut rest).map_err(within)?);
-    let (tail, kind) = match rest.split_first() {
-        Some((0, tail)) => (tail, AccessKind::Read),
-        Some((1, tail)) => (tail, AccessKind::Write),
-        Some(_) => return Err(TraceError::Corrupt("unknown op byte")),
-        None => return Err(TraceError::Corrupt(LENGTH_MISMATCH)),
-    };
-    rest = tail;
-    let size = varint::take_u64(&mut rest).map_err(within)?;
-    if size > u32::MAX as u64 {
-        return Err(TraceError::Corrupt("access size overflows u32"));
-    }
-    if remaining == 1 && !rest.is_empty() {
-        return Err(TraceError::Corrupt(LENGTH_MISMATCH));
-    }
-    *payload = rest;
-    let addr = varint::apply_delta(last_addr, delta);
-    Ok(TraceRecord::new(instructions, addr, kind, size as u32))
 }
 
-/// Streaming reader over **all** thread streams of an `.sbt` file, yielding
+impl Chunk {
+    /// Decodes the chunk header at `offset` of `bytes`, a file of `threads`
+    /// streams, and returns the chunk's thread and records. The payload
+    /// must lie inside `bytes`.
+    pub(crate) fn at(bytes: &[u8], offset: usize, threads: u32) -> Result<(u32, Self), TraceError> {
+        let mut rest = &bytes[offset..];
+        let thread = varint::take_u64(&mut rest)?;
+        if thread >= threads as u64 {
+            return Err(TraceError::Corrupt("chunk thread index out of range"));
+        }
+        let remaining = varint::take_u64(&mut rest)?;
+        if remaining == 0 {
+            return Err(TraceError::Corrupt("empty chunk"));
+        }
+        // A corrupt length can be anything, so it is checked against the
+        // bytes that are there before it is added to an offset.
+        let len = usize::try_from(varint::take_u64(&mut rest)?)
+            .ok()
+            .filter(|&len| len <= rest.len())
+            .ok_or(PAYLOAD_TRUNCATED)?;
+        let pos = bytes.len() - rest.len();
+        let end = pos + len;
+        Ok((
+            thread as u32,
+            Chunk {
+                pos,
+                end,
+                remaining,
+            },
+        ))
+    }
+
+    /// Whether every record of the chunk is decoded.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.remaining == 0
+    }
+
+    /// Decodes the next record from the file's `bytes`, given `last_addr`,
+    /// the previous address of the chunk's thread; on an error the chunk
+    /// stays where it was. A record that runs past the declared payload, or
+    /// a last record that ends before it, is [`LENGTH_MISMATCH`].
+    #[inline]
+    pub(crate) fn next(&mut self, bytes: &[u8], last_addr: u64) -> Result<TraceRecord, TraceError> {
+        // Inside a payload the bytes are all there, so running out is a
+        // framing error, not a truncated file.
+        let within = |e| match e {
+            TraceError::Truncated { .. } => TraceError::Corrupt(LENGTH_MISMATCH),
+            e => e,
+        };
+        let mut rest = &bytes[self.pos..self.end];
+        let instructions = varint::take_u64(&mut rest).map_err(within)?;
+        let delta = varint::unzigzag(varint::take_u64(&mut rest).map_err(within)?);
+        let (tail, kind) = match rest.split_first() {
+            Some((0, tail)) => (tail, AccessKind::Read),
+            Some((1, tail)) => (tail, AccessKind::Write),
+            Some(_) => return Err(TraceError::Corrupt("unknown op byte")),
+            None => return Err(TraceError::Corrupt(LENGTH_MISMATCH)),
+        };
+        rest = tail;
+        let size = varint::take_u64(&mut rest).map_err(within)?;
+        if size > u32::MAX as u64 {
+            return Err(TraceError::Corrupt("access size overflows u32"));
+        }
+        if self.remaining == 1 && !rest.is_empty() {
+            return Err(TraceError::Corrupt(LENGTH_MISMATCH));
+        }
+        self.pos = self.end - rest.len();
+        self.remaining -= 1;
+        let addr = varint::apply_delta(last_addr, delta);
+        Ok(TraceRecord::new(instructions, addr, kind, size as u32))
+    }
+}
+
+/// The walk every reader makes over a file's chunks in file order: the
+/// chunk whose header starts at `*next`, with its thread, moving `*next`
+/// past its payload; `None` at the end of `bytes`.
+pub(crate) fn next_chunk(
+    bytes: &[u8],
+    next: &mut usize,
+    threads: u32,
+) -> Result<Option<(u32, Chunk)>, TraceError> {
+    if *next == bytes.len() {
+        return Ok(None);
+    }
+    let (thread, chunk) = Chunk::at(bytes, *next, threads)?;
+    *next = chunk.end;
+    Ok(Some((thread, chunk)))
+}
+
+/// Reader over **all** thread streams of an `.sbt` file's bytes, yielding
 /// `(thread, record)` pairs in file order. Used by the `stat` pass and to
-/// read headers. It reads one chunk's payload at a time into a reused
-/// buffer and decodes records from it.
+/// read headers.
 #[derive(Debug)]
-pub struct TraceReader<R: Read> {
-    input: R,
+pub struct TraceReader<B> {
+    bytes: B,
     header: TraceHeader,
-    last_addr: Vec<u64>,
-    /// Thread of the chunk in `payload`.
+    /// Offset of the next chunk's header.
+    next_chunk: usize,
+    /// Thread of the current chunk, and its records not yet decoded.
     thread: u32,
-    /// Records of that chunk not yet decoded.
-    remaining: u64,
-    /// The chunk's payload, of which the first `decoded` bytes are decoded.
-    payload: Vec<u8>,
-    decoded: usize,
+    chunk: Chunk,
+    /// Previous absolute address per thread (delta-chain state).
+    last_addr: Vec<u64>,
 }
 
-impl<R: Read> TraceReader<R> {
-    /// Parses the header and prepares to stream records.
-    pub fn new(mut input: R) -> Result<Self, TraceError> {
-        let header = TraceHeader::read_from(&mut input)?;
+impl<B: AsRef<[u8]>> TraceReader<B> {
+    /// Parses the header of the file whose contents are `bytes`.
+    pub fn new(bytes: B) -> Result<Self, TraceError> {
+        let mut rest = bytes.as_ref();
+        let header = TraceHeader::decode(&mut rest)?;
         Ok(TraceReader {
-            input,
+            next_chunk: bytes.as_ref().len() - rest.len(),
+            bytes,
             last_addr: vec![0; header.threads as usize],
             header,
             thread: 0,
-            remaining: 0,
-            payload: Vec::new(),
-            decoded: 0,
+            chunk: Chunk::default(),
         })
     }
 
@@ -437,55 +463,36 @@ impl<R: Read> TraceReader<R> {
         &self.header
     }
 
-    /// Reads the next chunk's header and payload; `false` at a clean EOF,
-    /// which is clean only at a chunk boundary.
-    fn next_chunk(&mut self) -> Result<bool, TraceError> {
-        // Probe one byte so EOF at a boundary is distinguishable from
-        // truncation inside a varint.
-        let mut first = [0u8; 1];
-        if self.input.read(&mut first)? == 0 {
+    /// Enters the next chunk in file order; `false` at the end of the file.
+    fn enter_next_chunk(&mut self) -> Result<bool, TraceError> {
+        let bytes = self.bytes.as_ref();
+        let Some((thread, chunk)) = next_chunk(bytes, &mut self.next_chunk, self.header.threads)?
+        else {
             return Ok(false);
-        }
-        let mut input = (&first[..]).chain(&mut self.input);
-        let chunk = ChunkHeader::decode(|| varint::read_u64(&mut input), self.header.threads)?;
-        // The buffer grows with the bytes the file holds, never with the
-        // declared length, which a corrupt file can set to anything.
-        self.payload.clear();
-        (&mut self.input)
-            .take(chunk.bytes)
-            .read_to_end(&mut self.payload)?;
-        if (self.payload.len() as u64) < chunk.bytes {
-            return Err(PAYLOAD_TRUNCATED);
-        }
-        self.thread = chunk.thread;
-        self.remaining = chunk.count;
-        self.decoded = 0;
+        };
+        (self.thread, self.chunk) = (thread, chunk);
         Ok(true)
     }
 
-    /// The next `(thread, record)` pair, or `None` at clean EOF.
+    /// The next `(thread, record)` pair, or `None` at the end of the file.
     #[allow(clippy::should_implement_trait)] // fallible streaming next
     pub fn next(&mut self) -> Result<Option<(u32, TraceRecord)>, TraceError> {
-        while self.remaining == 0 {
-            if !self.next_chunk()? {
+        while self.chunk.is_empty() {
+            if !self.enter_next_chunk()? {
                 return Ok(None);
             }
         }
         let last_addr = &mut self.last_addr[self.thread as usize];
-        let mut rest = &self.payload[self.decoded..];
-        let record = decode_record(&mut rest, self.remaining, *last_addr)?;
+        let record = self.chunk.next(self.bytes.as_ref(), *last_addr)?;
         *last_addr = record.addr();
-        self.decoded = self.payload.len() - rest.len();
-        self.remaining -= 1;
         Ok(Some((self.thread, record)))
     }
 }
 
-impl TraceReader<BufReader<std::fs::File>> {
-    /// Opens an `.sbt` file for sequential reading.
+impl TraceReader<Vec<u8>> {
+    /// Reads the `.sbt` file at `path` into memory.
     pub fn open(path: &Path) -> Result<Self, TraceError> {
-        let file = std::fs::File::open(path)?;
-        Self::new(BufReader::new(file))
+        Self::new(std::fs::read(path)?)
     }
 }
 
@@ -495,16 +502,16 @@ impl TraceReader<BufReader<std::fs::File>> {
 /// error on every pull, whatever order its streams are pulled in.
 #[cfg(test)]
 #[derive(Debug)]
-pub(crate) struct ThreadReader<R: Read> {
-    reader: TraceReader<R>,
+pub(crate) struct ThreadReader<B> {
+    reader: TraceReader<B>,
     thread: u32,
 }
 
 #[cfg(test)]
-impl<R: Read> ThreadReader<R> {
-    /// Wraps a fresh stream (header not yet consumed), filtering `thread`.
-    pub(crate) fn new(input: R, thread: u32) -> Result<Self, TraceError> {
-        let reader = TraceReader::new(input)?;
+impl<B: AsRef<[u8]>> ThreadReader<B> {
+    /// Reads `thread`'s stream of the file whose contents are `bytes`.
+    pub(crate) fn new(bytes: B, thread: u32) -> Result<Self, TraceError> {
+        let reader = TraceReader::new(bytes)?;
         let threads = reader.header.threads;
         if thread >= threads {
             return Err(TraceError::ThreadOutOfRange {
@@ -515,10 +522,11 @@ impl<R: Read> ThreadReader<R> {
         Ok(ThreadReader { reader, thread })
     }
 
-    /// The next record of this thread's stream, or `None` at clean EOF.
+    /// The next record of this thread's stream, or `None` at the end of the
+    /// file.
     pub(crate) fn next(&mut self) -> Result<Option<TraceRecord>, TraceError> {
-        while self.reader.remaining == 0 || self.reader.thread != self.thread {
-            if !self.reader.next_chunk()? {
+        while self.reader.chunk.is_empty() || self.reader.thread != self.thread {
+            if !self.reader.enter_next_chunk()? {
                 return Ok(None);
             }
         }
@@ -748,18 +756,35 @@ mod tests {
     }
 
     #[test]
+    fn create_refuses_a_header_before_creating_the_file() {
+        let path = std::env::temp_dir().join(format!("skybyte-refused-{}.sbt", std::process::id()));
+        let mut wild = header(2);
+        wild.tenant_of_thread = Some(vec![0, 7]);
+        for refused in [header(0), header(MAX_THREADS + 1), wild] {
+            assert!(matches!(
+                TraceWriter::create(&path, &refused),
+                Err(TraceError::Corrupt(_))
+            ));
+            assert!(!path.exists(), "{refused:?}");
+        }
+    }
+
+    #[test]
     fn bad_magic_and_version_are_typed_errors() {
         assert!(matches!(
             TraceReader::new(&b"NOTATRACE-------"[..]),
             Err(TraceError::BadMagic)
         ));
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&MAGIC);
-        varint::write_u64(&mut bytes, 99).unwrap();
-        assert!(matches!(
-            TraceReader::new(bytes.as_slice()),
-            Err(TraceError::UnsupportedVersion(99))
-        ));
+        // A version past u32 once read as its low 32 bits: 2^32 + 1 as 1.
+        for version in [99, (1 << 32) + 1] {
+            let mut bytes = MAGIC.to_vec();
+            varint::write_u64(&mut bytes, version).unwrap();
+            bytes.extend_from_slice(&[1, 1, 0, 0]); // threads, footprint, seed, source
+            assert!(matches!(
+                TraceReader::new(bytes.as_slice()),
+                Err(TraceError::UnsupportedVersion(v)) if v == version
+            ));
+        }
     }
 
     /// Replays `bytes` as if read from a file.
@@ -958,8 +983,8 @@ mod tests {
                 bytes[first_chunk + 2] += 1;
                 bytes
             }),
-            // A corrupt length far past the file is a truncation, read
-            // without a buffer of that size.
+            // A corrupt length far past the file is a truncation, and is
+            // never added to an offset.
             (
                 "declared length",
                 raw_file(2, &[(0, 1, 1 << 60, ok.clone())]),

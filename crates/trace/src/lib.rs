@@ -7,11 +7,12 @@
 //!   versioned, self-describing container — a provenance header followed by
 //!   per-thread streams of varint + zigzag delta-encoded `(timestamp-delta,
 //!   address-delta, op, size)` records,
-//! * **streaming I/O**: [`TraceWriter`] and the all-stream [`TraceReader`],
-//!   each holding at most one chunk in memory, and a
-//!   [`TraceStats`] pass whose footprint / write-ratio / page-coverage
-//!   read-outs are directly comparable to the paper's Table I and
-//!   Figures 5–6,
+//! * **I/O**: [`TraceWriter`], which streams with at most one buffered
+//!   chunk, and [`TraceReader`], which walks a file's in-memory bytes in
+//!   file order with the same header, chunk and record decoders replay
+//!   uses, and a [`TraceStats`] pass whose footprint / write-ratio /
+//!   page-coverage read-outs are directly comparable to the paper's
+//!   Table I and Figures 5–6,
 //! * the [`TraceSource`] trait unifying live generators and replayed files,
 //!   with [`TraceFileSource`] replaying a file's streams from one in-memory
 //!   copy through a per-stream chunk index, and a [`Record`] adapter that

@@ -3,9 +3,8 @@
 //! files, and compositions thereof ([`crate::compose`]).
 
 use crate::error::TraceError;
-use crate::format::{decode_record, ChunkHeader, TraceHeader, TraceWriter, PAYLOAD_TRUNCATED};
+use crate::format::{next_chunk, Chunk, TraceHeader, TraceWriter};
 use crate::record::TraceRecord;
-use crate::varint;
 use skybyte_types::{TenantId, TenantMap};
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -166,11 +165,8 @@ pub struct TraceFileSource {
 struct StreamCursor {
     /// Chunks of the stream entered so far.
     entered: usize,
-    /// The undecoded rest of the current chunk's payload, `bytes[pos..end]`,
-    /// which holds `remaining` records.
-    pos: usize,
-    end: usize,
-    remaining: u64,
+    /// The undecoded rest of the current chunk.
+    chunk: Chunk,
     /// Address of the stream's previous record (delta-chain state).
     last_addr: u64,
 }
@@ -184,7 +180,7 @@ impl TraceFileSource {
     /// Replays `bytes`, the contents of the file at `path`.
     pub(crate) fn from_bytes(path: PathBuf, bytes: Vec<u8>) -> Result<Self, TraceError> {
         let mut rest = bytes.as_slice();
-        let header = TraceHeader::read_from(&mut rest)?;
+        let header = TraceHeader::decode(&mut rest)?;
         let frontier = bytes.len() - rest.len();
         let threads = header.threads as usize;
         Ok(TraceFileSource {
@@ -205,17 +201,12 @@ impl TraceFileSource {
     /// Indexes the chunk at the frontier and moves the frontier past it;
     /// `false` at the end of the file.
     fn index_next_chunk(&mut self) -> Result<bool, TraceError> {
-        let mut rest = &self.bytes[self.frontier..];
-        if rest.is_empty() {
+        let offset = self.frontier;
+        let Some((thread, _)) = next_chunk(&self.bytes, &mut self.frontier, self.header.threads)?
+        else {
             return Ok(false);
-        }
-        let chunk = ChunkHeader::decode(|| varint::take_u64(&mut rest), self.header.threads)?;
-        let payload = usize::try_from(chunk.bytes)
-            .ok()
-            .filter(|&len| len <= rest.len())
-            .ok_or(PAYLOAD_TRUNCATED)?;
-        self.chunks[chunk.thread as usize].push(self.frontier);
-        self.frontier = self.bytes.len() - rest.len() + payload;
+        };
+        self.chunks[thread as usize].push(offset);
         Ok(true)
     }
 }
@@ -247,7 +238,7 @@ impl TraceSource for TraceFileSource {
         // Work on a copy, stored back only once a record decodes, so a pull
         // that fails leaves the stream where it was.
         let mut s = stream;
-        if s.remaining == 0 {
+        if s.chunk.is_empty() {
             let offset = loop {
                 if let Some(&offset) = self.chunks[t].get(s.entered) {
                     break offset;
@@ -256,18 +247,10 @@ impl TraceSource for TraceFileSource {
                     return Ok(None);
                 }
             };
-            let mut rest = &self.bytes[offset..];
-            let chunk = ChunkHeader::decode(|| varint::take_u64(&mut rest), self.header.threads)?;
+            (_, s.chunk) = Chunk::at(&self.bytes, offset, self.header.threads)?;
             s.entered += 1;
-            s.pos = self.bytes.len() - rest.len();
-            // The frontier checked that the payload lies inside the file.
-            s.end = s.pos + chunk.bytes as usize;
-            s.remaining = chunk.count;
         }
-        let mut rest = &self.bytes[s.pos..s.end];
-        let record = decode_record(&mut rest, s.remaining, s.last_addr)?;
-        s.pos = s.end - rest.len();
-        s.remaining -= 1;
+        let record = s.chunk.next(&self.bytes, s.last_addr)?;
         s.last_addr = record.addr();
         self.streams[t] = s;
         if record.addr() >= self.header.footprint_bytes {

@@ -1,4 +1,4 @@
-//! A streaming statistics pass over a trace.
+//! A statistics pass over a trace's records.
 //!
 //! [`TraceStats`] accumulates the characteristics the paper tabulates for
 //! its workloads: footprint and write ratio (Table I) and the per-page
@@ -10,7 +10,6 @@ use crate::format::{TraceHeader, TraceReader};
 use crate::record::TraceRecord;
 use skybyte_types::{CACHELINES_PER_PAGE, CACHELINE_SIZE, PAGE_SIZE};
 use std::collections::HashMap;
-use std::io::Read;
 use std::path::Path;
 
 /// Aggregate characteristics of a trace.
@@ -68,8 +67,8 @@ impl TraceStats {
 
     /// Runs the pass over every record of `reader`, returning the header and
     /// the accumulated statistics.
-    pub fn scan<R: Read>(
-        mut reader: TraceReader<R>,
+    pub fn scan<B: AsRef<[u8]>>(
+        mut reader: TraceReader<B>,
     ) -> Result<(TraceHeader, TraceStats), TraceError> {
         let mut stats = TraceStats::default();
         while let Some((thread, record)) = reader.next()? {
@@ -78,7 +77,8 @@ impl TraceStats {
         Ok((reader.header().clone(), stats))
     }
 
-    /// Convenience: [`scan`](Self::scan) over an `.sbt` file.
+    /// [`scan`](Self::scan) over the `.sbt` file at `path`, read into
+    /// memory.
     pub fn scan_file(path: &Path) -> Result<(TraceHeader, TraceStats), TraceError> {
         Self::scan(TraceReader::open(path)?)
     }

@@ -7,7 +7,7 @@
 //! that small negative address deltas stay short.
 
 use crate::error::TraceError;
-use std::io::{Read, Write};
+use std::io::Write;
 
 /// Maximum encoded length of a `u64` varint.
 pub const MAX_VARINT_LEN: usize = 10;
@@ -30,47 +30,24 @@ pub fn write_u64<W: Write>(out: &mut W, mut value: u64) -> std::io::Result<()> {
     out.write_all(&buf[..n])
 }
 
-/// Decodes one LEB128 `u64` from `input`.
-///
-/// Returns [`TraceError::Truncated`] when the stream ends mid-varint (an
-/// empty stream is reported the same way; callers that allow clean EOF probe
-/// the first byte themselves) and [`TraceError::Corrupt`] when the encoding
-/// overflows 64 bits.
-pub fn read_u64<R: Read>(input: &mut R) -> Result<u64, TraceError> {
-    decode_u64(|| {
-        let mut byte = [0u8; 1];
-        match input.read_exact(&mut byte) {
-            Ok(()) => Ok(byte[0]),
-            Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => Err(ENDED_MID_VALUE),
-            Err(e) => Err(TraceError::Io(e)),
-        }
-    })
-}
-
 /// Decodes one LEB128 `u64` from the front of `input` and advances `input`
-/// past it: [`read_u64`] for in-memory bytes, with the same errors.
+/// past it.
+///
+/// Returns [`TraceError::Truncated`] when the bytes end mid-varint (empty
+/// bytes are reported the same way; callers that allow a clean end check
+/// for one more byte themselves) and [`TraceError::Corrupt`] when the
+/// encoding overflows 64 bits. On an error `input` may have advanced.
 #[inline]
 pub fn take_u64(input: &mut &[u8]) -> Result<u64, TraceError> {
-    decode_u64(|| {
-        let Some((&byte, rest)) = input.split_first() else {
-            return Err(ENDED_MID_VALUE);
-        };
-        *input = rest;
-        Ok(byte)
-    })
-}
-
-const ENDED_MID_VALUE: TraceError = TraceError::Truncated {
-    context: "varint ended mid-value",
-};
-
-/// The LEB128 decoder both readers share, over the bytes `next` yields.
-#[inline(always)]
-fn decode_u64(mut next: impl FnMut() -> Result<u8, TraceError>) -> Result<u64, TraceError> {
     let mut value: u64 = 0;
     let mut shift = 0u32;
     loop {
-        let byte = next()?;
+        let Some((&byte, rest)) = input.split_first() else {
+            return Err(TraceError::Truncated {
+                context: "varint ended mid-value",
+            });
+        };
+        *input = rest;
         let payload = (byte & 0x7F) as u64;
         if shift == 63 && payload > 1 {
             return Err(TraceError::Corrupt("varint overflows u64"));
@@ -118,13 +95,11 @@ mod tests {
         let mut buf = Vec::new();
         write_u64(&mut buf, v).unwrap();
         assert!(buf.len() <= MAX_VARINT_LEN);
-        buf.push(0xAB); // a following byte neither decoder may consume
+        buf.push(0xAB); // a following byte the decoder must not consume
         let mut rest = buf.as_slice();
         let taken = take_u64(&mut rest).unwrap();
         assert_eq!(rest, &[0xAB]);
-        let read = read_u64(&mut buf.as_slice()).unwrap();
-        assert_eq!(taken, read);
-        read
+        taken
     }
 
     #[test]
@@ -152,10 +127,6 @@ mod tests {
         write_u64(&mut buf, u64::MAX).unwrap();
         for cut in 0..buf.len() {
             assert!(matches!(
-                read_u64(&mut &buf[..cut]),
-                Err(TraceError::Truncated { .. })
-            ));
-            assert!(matches!(
                 take_u64(&mut &buf[..cut]),
                 Err(TraceError::Truncated { .. })
             ));
@@ -167,10 +138,6 @@ mod tests {
             .chain(std::iter::once(0x7F))
             .collect::<Vec<_>>();
         assert!(matches!(
-            read_u64(&mut overlong.as_slice()),
-            Err(TraceError::Corrupt("varint overflows u64"))
-        ));
-        assert!(matches!(
             take_u64(&mut overlong.as_slice()),
             Err(TraceError::Corrupt("varint overflows u64"))
         ));
@@ -179,10 +146,6 @@ mod tests {
             .copied()
             .chain(std::iter::once(0x01))
             .collect::<Vec<_>>();
-        assert!(matches!(
-            read_u64(&mut too_long.as_slice()),
-            Err(TraceError::Corrupt(_))
-        ));
         assert!(matches!(
             take_u64(&mut too_long.as_slice()),
             Err(TraceError::Corrupt(_))

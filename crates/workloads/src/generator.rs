@@ -1,10 +1,10 @@
 //! The per-thread trace generator.
 //!
-//! A trace is a stream of [`WorkUnit`]s: a burst of non-stalled instructions
-//! followed by one off-chip memory access. The burst length is derived from
-//! the workload's LLC MPKI (Table I), the read/write mix from its write
-//! ratio, and the address from its access-pattern model (hot-set Zipf plus a
-//! per-pattern cold component). Every thread of a workload shares the hot
+//! A trace is a stream of [`TraceRecord`]s: a burst of non-stalled
+//! instructions followed by one cacheline-sized off-chip memory access. The
+//! burst length is derived from the workload's LLC MPKI (Table I), the
+//! read/write mix from its write ratio, and the address from its
+//! access-pattern model (hot-set Zipf plus a per-pattern cold component). Every thread of a workload shares the hot
 //! set (graph vertices, database rows, embedding rows are shared) and owns a
 //! private partition of the cold region, as in the original multi-threaded
 //! benchmarks.
@@ -14,21 +14,14 @@ use crate::zipf::Zipf;
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha12Rng;
-use skybyte_types::{AccessKind, MemAccess, VirtAddr, CACHELINES_PER_PAGE, PAGE_SIZE};
+use skybyte_trace::TraceRecord;
+use skybyte_types::{CACHELINES_PER_PAGE, CACHELINE_SIZE, PAGE_SIZE};
 use std::sync::Arc;
 
-/// One unit of work: compute, then a single off-chip memory access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WorkUnit {
-    /// Number of non-stalled instructions executed before the access.
-    pub instructions: u64,
-    /// The off-chip (post-LLC) memory access.
-    pub access: MemAccess,
-}
-
-/// Deterministic, seedable generator of one thread's trace.
+/// Deterministic, seedable generator of one thread's trace; a
+/// [`WorkloadSource`](crate::WorkloadSource) holds one per thread.
 #[derive(Debug, Clone)]
-pub struct TraceGenerator {
+pub(crate) struct TraceGenerator {
     spec: WorkloadSpec,
     rng: ChaCha12Rng,
     /// The hot set's Zipf table, shared read-only by every thread of a
@@ -54,31 +47,6 @@ pub struct TraceGenerator {
 }
 
 impl TraceGenerator {
-    /// Creates the generator for `thread` of `threads` total, with a
-    /// deterministic seed.
-    ///
-    /// # Determinism
-    ///
-    /// The same `(spec, thread, threads, seed)` tuple yields an **identical
-    /// [`WorkUnit`] stream** on every construction: the generator's only
-    /// state is a [`ChaCha12Rng`] seeded from `seed ^ f(thread)` plus
-    /// counters derived from the spec, and no global or ambient state is
-    /// consulted. The hot set's Zipf table is a pure function of the spec
-    /// and is only ever read, so sharing one table among the threads of a
-    /// [`WorkloadSource`](crate::WorkloadSource) changes no stream. This is
-    /// the contract that makes trace recording/replay bit-exact and the
-    /// memoizing parallel runner sound — harness output is identical across
-    /// `--jobs` values because each thread's stream never depends on who
-    /// pulls it or when (`generator_stream_is_a_pure_function_of_its_inputs`
-    /// locks this).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is zero or `thread >= threads`.
-    pub fn new(spec: &WorkloadSpec, thread: u32, threads: u32, seed: u64) -> Self {
-        Self::with_hot_table(spec, thread, threads, seed, Self::hot_table(spec))
-    }
-
     /// The hot set's Zipf table for `spec`, which every thread of a workload
     /// shares.
     pub(crate) fn hot_table(spec: &WorkloadSpec) -> Arc<Zipf> {
@@ -88,9 +56,16 @@ impl TraceGenerator {
         Arc::new(Zipf::new(zipf_n, spec.zipf_exponent.max(0.0)))
     }
 
-    /// [`Self::new`] over a hot-set table already built by
-    /// [`Self::hot_table`] for the same spec.
-    pub(crate) fn with_hot_table(
+    /// Creates the generator for `thread` of `threads` total, drawing hot
+    /// pages from `hot_zipf`, the table [`Self::hot_table`] builds for
+    /// `spec`. Its stream depends on nothing else: see the determinism
+    /// contract of [`WorkloadSource`](crate::WorkloadSource), which
+    /// `generator_stream_is_a_pure_function_of_its_inputs` locks.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `threads` is zero or `thread >= threads`.
+    pub(crate) fn new(
         spec: &WorkloadSpec,
         thread: u32,
         threads: u32,
@@ -126,19 +101,15 @@ impl TraceGenerator {
         }
     }
 
-    /// The workload spec driving this generator.
-    pub fn spec(&self) -> &WorkloadSpec {
-        &self.spec
-    }
-
     /// The hot-set table this generator draws from.
     #[cfg(test)]
     pub(crate) fn hot_zipf(&self) -> &Arc<Zipf> {
         &self.hot_zipf
     }
 
-    /// Produces the next work unit.
-    pub fn next_unit(&mut self) -> WorkUnit {
+    /// Produces the next record: a compute gap, then one cacheline-sized
+    /// access.
+    pub(crate) fn next_unit(&mut self) -> TraceRecord {
         let base = self.instructions_per_miss;
         // ±50 % jitter around the MPKI-derived mean keeps bursts irregular
         // while preserving the average.
@@ -149,23 +120,12 @@ impl TraceGenerator {
         };
         let is_write = self.rng.gen_bool(self.write_ratio);
         let (page, cl) = self.pick_location(is_write);
-        let addr = VirtAddr::new(page * PAGE_SIZE as u64 + cl as u64 * 64);
-        WorkUnit {
-            instructions,
-            access: MemAccess::new(
-                addr,
-                if is_write {
-                    AccessKind::Write
-                } else {
-                    AccessKind::Read
-                },
-            ),
+        let addr = page * PAGE_SIZE as u64 + cl as u64 * CACHELINE_SIZE as u64;
+        if is_write {
+            TraceRecord::write(instructions, addr)
+        } else {
+            TraceRecord::read(instructions, addr)
         }
-    }
-
-    /// Generates `n` work units into a vector.
-    pub fn generate(&mut self, n: usize) -> Vec<WorkUnit> {
-        (0..n).map(|_| self.next_unit()).collect()
     }
 
     fn pick_location(&mut self, is_write: bool) -> (u64, u8) {
@@ -231,14 +191,6 @@ fn coverage_cachelines(spec: &WorkloadSpec) -> u32 {
         .clamp(1, CACHELINES_PER_PAGE as u32)
 }
 
-impl Iterator for TraceGenerator {
-    type Item = WorkUnit;
-
-    fn next(&mut self) -> Option<WorkUnit> {
-        Some(self.next_unit())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -249,18 +201,34 @@ mod tests {
         kind.spec().scaled_to(32 << 20) // 32 MiB
     }
 
+    /// The generator of `thread` of `threads`, over its own hot table.
+    fn generator(spec: &WorkloadSpec, thread: u32, threads: u32, seed: u64) -> TraceGenerator {
+        TraceGenerator::new(spec, thread, threads, seed, TraceGenerator::hot_table(spec))
+    }
+
+    /// The first `n` records of `thread`'s stream.
+    fn stream(
+        spec: &WorkloadSpec,
+        thread: u32,
+        threads: u32,
+        seed: u64,
+        n: usize,
+    ) -> Vec<TraceRecord> {
+        let mut g = generator(spec, thread, threads, seed);
+        (0..n).map(|_| g.next_unit()).collect()
+    }
+
     #[test]
     fn addresses_stay_inside_footprint() {
         for kind in WorkloadKind::ALL {
             let spec = scaled(kind);
-            let mut g = TraceGenerator::new(&spec, 0, 4, 1);
-            for _ in 0..2_000 {
-                let u = g.next_unit();
+            for u in stream(&spec, 0, 4, 1, 2_000) {
                 assert!(
-                    u.access.addr.as_u64() < spec.footprint_bytes,
+                    u.addr() < spec.footprint_bytes,
                     "{kind}: address out of range"
                 );
                 assert!(u.instructions >= 1);
+                assert_eq!(u.size_bytes, CACHELINE_SIZE as u32);
             }
         }
     }
@@ -269,10 +237,8 @@ mod tests {
     fn write_ratio_matches_table1() {
         for kind in WorkloadKind::ALL {
             let spec = scaled(kind);
-            let mut g = TraceGenerator::new(&spec, 0, 4, 7);
             let n = 20_000;
-            let writes = g
-                .generate(n)
+            let writes = stream(&spec, 0, 4, 7, n)
                 .iter()
                 .filter(|u| u.access.kind.is_write())
                 .count();
@@ -289,9 +255,11 @@ mod tests {
     fn mean_instructions_match_mpki() {
         for kind in [WorkloadKind::BfsDense, WorkloadKind::Tpcc, WorkloadKind::Bc] {
             let spec = scaled(kind);
-            let mut g = TraceGenerator::new(&spec, 0, 4, 3);
             let n = 20_000usize;
-            let total: u64 = g.generate(n).iter().map(|u| u.instructions).sum();
+            let total: u64 = stream(&spec, 0, 4, 3, n)
+                .iter()
+                .map(|u| u.instructions)
+                .sum();
             let mean = total as f64 / n as f64;
             let expected = spec.instructions_per_miss() as f64;
             assert!(
@@ -304,39 +272,36 @@ mod tests {
     #[test]
     fn generator_stream_is_a_pure_function_of_its_inputs() {
         // The determinism contract of `TraceGenerator::new`: the same
-        // (spec, thread, threads, seed) tuple yields an identical WorkUnit
+        // (spec, thread, threads, seed) tuple yields an identical record
         // stream across constructions — previously asserted only indirectly
         // via figure-table equivalence across `--jobs` values. Long streams
         // and every workload, so cursor/Zipf state is exercised too.
         for kind in WorkloadKind::ALL {
             let spec = scaled(kind);
             for thread in [0u32, 3] {
-                let a = TraceGenerator::new(&spec, thread, 4, 0xD5).generate(5_000);
-                let b = TraceGenerator::new(&spec, thread, 4, 0xD5).generate(5_000);
+                let a = stream(&spec, thread, 4, 0xD5, 5_000);
+                let b = stream(&spec, thread, 4, 0xD5, 5_000);
                 assert_eq!(a, b, "{kind}: stream differs across constructions");
             }
         }
         // Interleaved consumption (as under a parallel harness) cannot
         // perturb a sibling thread's stream: generators are independent.
         let spec = scaled(WorkloadKind::Tpcc);
-        let mut g0 = TraceGenerator::new(&spec, 0, 2, 1);
-        let mut g1 = TraceGenerator::new(&spec, 1, 2, 1);
+        let mut g0 = generator(&spec, 0, 2, 1);
+        let mut g1 = generator(&spec, 1, 2, 1);
         let mut interleaved = Vec::new();
         for _ in 0..1_000 {
             interleaved.push(g0.next_unit());
             let _ = g1.next_unit();
         }
-        let solo = TraceGenerator::new(&spec, 0, 2, 1).generate(1_000);
+        let solo = stream(&spec, 0, 2, 1, 1_000);
         assert_eq!(interleaved, solo);
     }
 
     #[test]
     fn generator_is_deterministic_per_seed_and_thread() {
         let spec = scaled(WorkloadKind::Ycsb);
-        let run = |thread, seed| {
-            let mut g = TraceGenerator::new(&spec, thread, 4, seed);
-            g.generate(100)
-        };
+        let run = |thread, seed| stream(&spec, thread, 4, seed, 100);
         assert_eq!(run(0, 9), run(0, 9));
         assert_ne!(run(0, 9), run(1, 9));
         assert_ne!(run(0, 9), run(0, 10));
@@ -347,8 +312,7 @@ mod tests {
         let spec = scaled(WorkloadKind::Bc);
         let hot_pages = hot_pages(&spec);
         let pages_of = |thread| {
-            let mut g = TraceGenerator::new(&spec, thread, 4, 5);
-            g.generate(5_000)
+            stream(&spec, thread, 4, 5, 5_000)
                 .iter()
                 .map(|u| u.access.addr.page().index())
                 .collect::<HashSet<_>>()
@@ -368,9 +332,8 @@ mod tests {
     #[test]
     fn page_coverage_is_sparse_for_graph_workloads() {
         let spec = scaled(WorkloadKind::Bc);
-        let mut g = TraceGenerator::new(&spec, 0, 1, 11);
         let mut per_page: std::collections::HashMap<u64, HashSet<u8>> = Default::default();
-        for u in g.generate(50_000) {
+        for u in stream(&spec, 0, 1, 11, 50_000) {
             per_page
                 .entry(u.access.addr.page().index())
                 .or_default()
@@ -391,9 +354,7 @@ mod tests {
     #[test]
     fn streaming_workload_has_sequential_runs() {
         let spec = scaled(WorkloadKind::Radix);
-        let mut g = TraceGenerator::new(&spec, 0, 1, 13);
-        let pages: Vec<u64> = g
-            .generate(10_000)
+        let pages: Vec<u64> = stream(&spec, 0, 1, 13, 10_000)
             .iter()
             .filter(|u| u.access.addr.page().index() >= 1000) // skip hot set
             .map(|u| u.access.addr.page().index())
@@ -417,6 +378,6 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn rejects_bad_thread_index() {
         let spec = scaled(WorkloadKind::Bc);
-        let _ = TraceGenerator::new(&spec, 4, 4, 0);
+        let _ = generator(&spec, 4, 4, 0);
     }
 }

@@ -22,12 +22,13 @@
 //! # Example
 //!
 //! ```
-//! use skybyte_workloads::{TraceGenerator, WorkloadKind};
+//! use skybyte_workloads::{TraceSource, WorkloadKind, WorkloadSource};
 //!
 //! let spec = WorkloadKind::Bc.spec().scaled_to(64 << 20); // 64 MiB footprint
-//! let mut gen = TraceGenerator::new(&spec, /*thread*/ 0, /*threads*/ 4, /*seed*/ 42);
-//! let unit = gen.next_unit();
-//! assert!(unit.access.addr.as_u64() < spec.footprint_bytes);
+//! let mut source = WorkloadSource::new(&spec, /*threads*/ 4, /*seed*/ 42);
+//! let record = source.next_record(/*thread*/ 0).unwrap().expect("unbounded");
+//! assert!(record.addr() < spec.footprint_bytes);
+//! assert_eq!(record.size_bytes, 64); // one cacheline
 //! ```
 
 #![forbid(unsafe_code)]
@@ -39,7 +40,6 @@ mod source;
 mod spec;
 mod zipf;
 
-pub use generator::{TraceGenerator, WorkUnit};
 pub use locality::{page_locality_cdf, LocalityCdf};
 pub use source::WorkloadSource;
 pub use spec::{table1_characteristics, AccessPattern, WorkloadKind, WorkloadSpec};

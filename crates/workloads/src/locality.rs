@@ -7,8 +7,8 @@
 //! motivation for the cacheline-granular write log. This module computes the
 //! same CDFs directly from a generated trace.
 
-use crate::generator::WorkUnit;
 use serde::{Deserialize, Serialize};
+use skybyte_trace::TraceRecord;
 use skybyte_types::CACHELINES_PER_PAGE;
 use std::collections::HashMap;
 
@@ -57,17 +57,17 @@ impl LocalityCdf {
 /// Returns `(read_cdf, write_cdf)`: the read CDF covers every accessed page
 /// (Figure 5), the write CDF covers only pages with at least one written
 /// cacheline (Figure 6).
-pub fn page_locality_cdf<'a, I>(units: I) -> (LocalityCdf, LocalityCdf)
+pub fn page_locality_cdf<I>(records: I) -> (LocalityCdf, LocalityCdf)
 where
-    I: IntoIterator<Item = &'a WorkUnit>,
+    I: IntoIterator<Item = TraceRecord>,
 {
     let mut read_sets: HashMap<u64, u64> = HashMap::new();
     let mut write_sets: HashMap<u64, u64> = HashMap::new();
-    for u in units {
-        let page = u.access.addr.page().index();
-        let bit = 1u64 << u.access.addr.cacheline_in_page();
+    for record in records {
+        let page = record.access.addr.page().index();
+        let bit = 1u64 << record.access.addr.cacheline_in_page();
         *read_sets.entry(page).or_insert(0) |= bit;
-        if u.access.kind.is_write() {
+        if record.access.kind.is_write() {
             *write_sets.entry(page).or_insert(0) |= bit;
         }
     }
@@ -101,22 +101,31 @@ fn build_cdf(sets: &HashMap<u64, u64>) -> LocalityCdf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generator::TraceGenerator;
     use crate::spec::WorkloadKind;
-    use skybyte_types::{AccessKind, MemAccess, VirtAddr};
+    use crate::WorkloadSource;
+    use skybyte_trace::TraceSource;
 
-    fn unit(page: u64, cl: u64, write: bool) -> WorkUnit {
-        WorkUnit {
-            instructions: 10,
-            access: MemAccess::new(
-                VirtAddr::new(page * 4096 + cl * 64),
-                if write {
-                    AccessKind::Write
-                } else {
-                    AccessKind::Read
-                },
-            ),
+    fn unit(page: u64, cl: u64, write: bool) -> TraceRecord {
+        let addr = page * 4096 + cl * 64;
+        if write {
+            TraceRecord::write(10, addr)
+        } else {
+            TraceRecord::read(10, addr)
         }
+    }
+
+    /// The first `n` records of thread 0 of a `threads`-thread workload.
+    fn thread_0(
+        kind: WorkloadKind,
+        footprint: u64,
+        threads: u32,
+        seed: u64,
+        n: usize,
+    ) -> Vec<TraceRecord> {
+        let mut source = WorkloadSource::new(&kind.spec().scaled_to(footprint), threads, seed);
+        (0..n)
+            .map(|_| source.next_record(0).unwrap().expect("unbounded"))
+            .collect()
     }
 
     #[test]
@@ -126,7 +135,7 @@ mod tests {
         for cl in 0..32 {
             trace.push(unit(1, cl, false));
         }
-        let (read, write) = page_locality_cdf(&trace);
+        let (read, write) = page_locality_cdf(trace);
         assert_eq!(read.pages, 2);
         assert_eq!(write.pages, 1);
         // Page 0 covers 2/64 ≈ 0.031; page 1 covers 32/64 = 0.5.
@@ -138,7 +147,7 @@ mod tests {
 
     #[test]
     fn empty_trace_has_empty_cdf() {
-        let (read, write) = page_locality_cdf(&[]);
+        let (read, write) = page_locality_cdf([]);
         assert_eq!(read.pages, 0);
         assert_eq!(write.pages, 0);
         assert_eq!(read.fraction_of_pages_below(1.0), 0.0);
@@ -151,10 +160,8 @@ mod tests {
         // "Many workloads only access less than 40% of the cache lines in
         // more than 75% of pages" — check it for the sparse workloads.
         for kind in [WorkloadKind::Bc, WorkloadKind::Dlrm, WorkloadKind::Ycsb] {
-            let spec = kind.spec().scaled_to(32 << 20);
-            let mut g = TraceGenerator::new(&spec, 0, 4, 21);
-            let trace = g.generate(40_000);
-            let (read, _write) = page_locality_cdf(&trace);
+            let trace = thread_0(kind, 32 << 20, 4, 21, 40_000);
+            let (read, _write) = page_locality_cdf(trace);
             assert!(
                 read.fraction_of_pages_below(0.4) > 0.75,
                 "{kind}: only {:.2} of pages below 40% coverage",
@@ -165,10 +172,8 @@ mod tests {
 
     #[test]
     fn cdf_is_monotone() {
-        let spec = WorkloadKind::Radix.spec().scaled_to(16 << 20);
-        let mut g = TraceGenerator::new(&spec, 0, 2, 3);
-        let trace = g.generate(20_000);
-        let (read, write) = page_locality_cdf(&trace);
+        let trace = thread_0(WorkloadKind::Radix, 16 << 20, 2, 3, 20_000);
+        let (read, write) = page_locality_cdf(trace);
         for cdf in [&read, &write] {
             for w in cdf.points.windows(2) {
                 assert!(w[0].0 < w[1].0);

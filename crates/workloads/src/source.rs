@@ -1,66 +1,28 @@
-//! [`TraceSource`] implementations for the synthetic generators, so the
-//! simulation engine can be driven interchangeably by live generation, a
-//! recorded `.sbt` file, or any composition of the two.
+//! The synthetic workload as a [`TraceSource`], so the simulation engine
+//! can be driven interchangeably by live generation, a recorded `.sbt`
+//! file, or any composition of the two.
 
-use crate::generator::{TraceGenerator, WorkUnit};
+use crate::generator::TraceGenerator;
 use crate::spec::WorkloadSpec;
 use crate::zipf::Zipf;
 use skybyte_trace::{TraceError, TraceRecord, TraceSource};
-use skybyte_types::{TenantId, CACHELINE_SIZE};
+use skybyte_types::TenantId;
 use std::sync::Arc;
 
-impl From<WorkUnit> for TraceRecord {
-    /// A work unit is one cacheline-sized access after a compute gap.
-    fn from(unit: WorkUnit) -> Self {
-        TraceRecord {
-            instructions: unit.instructions,
-            access: unit.access,
-            size_bytes: CACHELINE_SIZE as u32,
-        }
-    }
-}
-
-impl From<TraceRecord> for WorkUnit {
-    /// The engine consumes cacheline-granular accesses; a record's size is
-    /// provenance (the memory system aligns the address).
-    fn from(record: TraceRecord) -> Self {
-        WorkUnit {
-            instructions: record.instructions,
-            access: record.access,
-        }
-    }
-}
-
-/// A single [`TraceGenerator`] viewed as a one-thread, unbounded source.
-impl TraceSource for TraceGenerator {
-    fn threads(&self) -> u32 {
-        1
-    }
-
-    fn identity(&self) -> String {
-        format!(
-            "generator:{}:fp{}",
-            self.spec().name(),
-            self.spec().footprint_bytes
-        )
-    }
-
-    fn next_record(&mut self, thread: u32) -> Result<Option<TraceRecord>, TraceError> {
-        if thread != 0 {
-            return Err(TraceError::ThreadOutOfRange {
-                threads: 1,
-                requested: thread,
-            });
-        }
-        Ok(Some(self.next_unit().into()))
-    }
-}
-
 /// The multi-threaded synthetic source the engine runs by default: one
-/// deterministic [`TraceGenerator`] per thread, all derived from the same
-/// `(spec, threads, seed)` tuple that [`TraceGenerator::new`] documents.
+/// deterministic generator per thread, each emitting one-cacheline records.
 ///
-/// The threads share one read-only hot-set Zipf table, built once here.
+/// # Determinism
+///
+/// The same `(spec, threads, seed)` tuple yields an **identical stream per
+/// thread** on every construction: each thread's generator is a
+/// `ChaCha12Rng` seeded from `seed ^ f(thread)` plus counters derived from
+/// the spec, and no global or ambient state is consulted. The threads share
+/// one read-only hot-set Zipf table, built once here; it is a pure function
+/// of the spec, so sharing it changes no stream. This is the contract that
+/// makes trace recording/replay bit-exact and the memoizing parallel
+/// runner sound — harness output is identical across `--jobs` values
+/// because each thread's stream never depends on who pulls it or when.
 ///
 /// The source is unbounded (generators never end); consumers bound it with
 /// their own budget, and [`TraceSource::reset_thread`] rebuilds one thread's
@@ -85,7 +47,7 @@ impl WorkloadSource {
         assert!(threads > 0, "at least one thread required");
         let hot_zipf = TraceGenerator::hot_table(spec);
         let generators = (0..threads)
-            .map(|t| TraceGenerator::with_hot_table(spec, t, threads, seed, Arc::clone(&hot_zipf)))
+            .map(|t| TraceGenerator::new(spec, t, threads, seed, Arc::clone(&hot_zipf)))
             .collect();
         WorkloadSource {
             spec: *spec,
@@ -136,7 +98,7 @@ impl TraceSource for WorkloadSource {
 
     fn next_record(&mut self, thread: u32) -> Result<Option<TraceRecord>, TraceError> {
         match self.generators.get_mut(thread as usize) {
-            Some(generator) => Ok(Some(generator.next_unit().into())),
+            Some(generator) => Ok(Some(generator.next_unit())),
             None => Err(TraceError::ThreadOutOfRange {
                 threads: self.threads(),
                 requested: thread,
@@ -148,7 +110,7 @@ impl TraceSource for WorkloadSource {
         let threads = self.threads();
         match self.generators.get_mut(thread as usize) {
             Some(generator) => {
-                *generator = TraceGenerator::with_hot_table(
+                *generator = TraceGenerator::new(
                     &self.spec,
                     thread,
                     threads,
@@ -183,13 +145,17 @@ mod tests {
         let spec = spec();
         let mut source = WorkloadSource::new(&spec, 4, 11);
         for t in 0..4u32 {
-            let mut reference = TraceGenerator::new(&spec, t, 4, 11);
+            let own_table = TraceGenerator::hot_table(&spec);
+            let mut reference = TraceGenerator::new(&spec, t, 4, 11, own_table);
             for _ in 0..500 {
-                let from_source: WorkUnit =
-                    source.next_record(t).unwrap().expect("unbounded").into();
+                let from_source = source.next_record(t).unwrap().expect("unbounded");
                 assert_eq!(from_source, reference.next_unit(), "thread {t}");
             }
         }
+        assert!(matches!(
+            source.next_record(4),
+            Err(TraceError::ThreadOutOfRange { .. })
+        ));
     }
 
     #[test]
@@ -248,21 +214,6 @@ mod tests {
     }
 
     #[test]
-    fn single_generator_is_a_one_thread_source() {
-        let spec = spec();
-        let mut g = TraceGenerator::new(&spec, 0, 2, 3);
-        let mut reference = TraceGenerator::new(&spec, 0, 2, 3);
-        assert_eq!(TraceSource::threads(&g), 1);
-        assert!(g.identity().contains("ycsb"));
-        let r = g.next_record(0).unwrap().unwrap();
-        assert_eq!(WorkUnit::from(r), reference.next_unit());
-        assert!(matches!(
-            g.next_record(1),
-            Err(TraceError::ThreadOutOfRange { .. })
-        ));
-    }
-
-    #[test]
     fn tenant_tag_is_reported_and_scoped_to_the_identity_suffix() {
         use skybyte_types::TenantId;
         let spec = spec();
@@ -278,18 +229,6 @@ mod tests {
         let mut b = WorkloadSource::new(&spec, 2, 3).with_tenant(TenantId(1));
         for _ in 0..100 {
             assert_eq!(a.next_record(0).unwrap(), b.next_record(0).unwrap());
-        }
-    }
-
-    #[test]
-    fn unit_record_conversion_round_trips() {
-        let spec = spec();
-        let mut g = TraceGenerator::new(&spec, 0, 1, 1);
-        for _ in 0..100 {
-            let unit = g.next_unit();
-            let record: TraceRecord = unit.into();
-            assert_eq!(record.size_bytes, 64);
-            assert_eq!(WorkUnit::from(record), unit);
         }
     }
 }
