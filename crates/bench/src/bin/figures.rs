@@ -15,8 +15,9 @@
 //! runner (`--jobs N` workers, defaulting to the host's available
 //! parallelism), so baselines needed by several figures are simulated once.
 //! `--out DIR` additionally writes each regenerated table as `DIR/<id>.csv`
-//! for plotting. `--record-dir DIR` tees every simulation's consumed
-//! workload stream to an `.sbt` trace in `DIR`; `--replay-dir DIR` drives
+//! for plotting. `--record-dir DIR` records every simulation's workload
+//! stream to an `.sbt` trace in `DIR` (the file `trace record` writes for
+//! that stream) and simulates it live; `--replay-dir DIR` drives
 //! the simulations from those traces instead of the live generators —
 //! replayed output is bit-identical to the recorded run.
 //!
@@ -118,7 +119,7 @@ fn parse_args() -> Result<Options, String> {
                      \u{20}                  e.g. clock, 2q, decay, topk, fair-share,\n\
                      \u{20}                  tpp, rr — unified name registry)\n\
                      --out DIR          also write each regenerated table as DIR/<id>.csv\n\
-                     --record-dir DIR   tee every simulation's workload stream to .sbt traces\n\
+                     --record-dir DIR   record every simulation's workload stream to .sbt traces\n\
                      --replay-dir DIR   drive the simulations from recorded .sbt traces\n\
                      --audit            run the cross-layer conservation audit on every\n\
                      \u{20}                  simulation and fail on any violated invariant\n\

@@ -105,6 +105,53 @@ fn mix_refuses_a_weight_outside_mix_mode() {
 }
 
 #[test]
+fn a_mix_that_fails_mid_way_leaves_no_partial_output() {
+    // An input that fails mid-way must leave nothing at the output path:
+    // not the chunks written before the failure, which read as a valid,
+    // shorter trace, and not a temp file.
+    let dir = scratch("cut");
+    let ycsb = dir.join("ycsb.sbt");
+    let out = Command::new(env!("CARGO_BIN_EXE_trace"))
+        .args(["record", "--workload", "ycsb", "--scale", "tiny", "--out"])
+        .arg(&ycsb)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let bytes = std::fs::read(&ycsb).unwrap();
+    let cut = dir.join("cut.sbt");
+    std::fs::write(&cut, &bytes[..bytes.len() / 2]).unwrap();
+    let mixed = dir.join("mixed.sbt");
+    let mix = || {
+        let out = Command::new(env!("CARGO_BIN_EXE_trace"))
+            .args(["mix", "--out"])
+            .arg(&mixed)
+            .arg(&cut)
+            .arg(&ycsb)
+            .output()
+            .unwrap();
+        let names = format!("cannot compose {}: truncated trace", mixed.display());
+        assert_one_error_line(&out, &names);
+        let left_over: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().path())
+            .filter(|path| path.extension().is_some_and(|ext| ext == "tmp"))
+            .collect();
+        assert!(left_over.is_empty(), "{left_over:?}");
+    };
+    mix();
+    assert!(!mixed.exists());
+    // An output that stood before stays as it was.
+    std::fs::write(&mixed, &bytes).unwrap();
+    mix();
+    assert_eq!(std::fs::read(&mixed).unwrap(), bytes);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn record_refuses_an_access_budget_that_would_wrap() {
     let dir = scratch("accesses");
     // 2^61 accesses times 8 cores wraps the per-thread budget to 0, which
@@ -218,7 +265,7 @@ fn a_header_declaring_u32_max_threads_is_rejected_before_allocating() {
         }
         out.push(v as u8);
     }
-    let dir = scratch("threads");
+    let dir = scratch("u32-threads");
     let path = dir.join("threads.sbt");
     let mut bytes = MAGIC.to_vec();
     for field in [FORMAT_VERSION as u64, u32::MAX as u64, 1 << 20, 0, 0] {
@@ -242,7 +289,7 @@ fn a_header_declaring_u32_max_threads_is_rejected_before_allocating() {
 
 #[test]
 fn replay_rejects_a_record_far_past_the_footprint() {
-    use skybyte_trace::{TraceHeader, TraceRecord, TraceWriter};
+    use skybyte_trace::{record_to_file, TraceHeader, TraceRecord, VecSource};
     let dir = scratch("far-record");
     let path = dir.join("far.sbt");
     let header = TraceHeader {
@@ -252,16 +299,19 @@ fn replay_rejects_a_record_far_past_the_footprint() {
         source: "crafted".into(),
         tenant_of_thread: None,
     };
-    let mut writer = TraceWriter::create(&path, &header).unwrap();
-    for record in [
+    let records = vec![
         TraceRecord::read(10, 0),
         TraceRecord::write(10, 4096),
         TraceRecord::write(10, 1 << 62),
         TraceRecord::read(10, 64),
-    ] {
-        writer.push(0, &record).unwrap();
-    }
-    writer.finish().unwrap();
+    ];
+    record_to_file(
+        &mut VecSource::new("crafted", vec![records]),
+        &path,
+        &header,
+        u64::MAX,
+    )
+    .unwrap();
     let out = Command::new(env!("CARGO_BIN_EXE_trace"))
         .args(["replay", "--scale", "tiny", "--workload", "ycsb", "--trace"])
         .arg(&path)
@@ -277,7 +327,7 @@ fn replay_rejects_a_record_far_past_the_footprint() {
 
 #[test]
 fn a_wide_trace_replays_through_one_file_handle() {
-    use skybyte_trace::{TraceHeader, TraceWriter};
+    use skybyte_trace::{record_to_file, TraceHeader, VecSource};
     // Replay once opened one file handle per declared stream. Under a
     // descriptor limit of 256, a 4,096-stream header shows whether it
     // still does, on any host.
@@ -290,10 +340,8 @@ fn a_wide_trace_replays_through_one_file_handle() {
         source: "crafted".into(),
         tenant_of_thread: None,
     };
-    TraceWriter::create(&path, &header)
-        .unwrap()
-        .finish()
-        .unwrap();
+    let mut empty = VecSource::new("crafted", vec![Vec::new(); 4096]);
+    record_to_file(&mut empty, &path, &header, u64::MAX).unwrap();
     let out = Command::new("sh")
         .arg("-c")
         .arg("ulimit -n 256 && exec \"$0\" replay --scale tiny --workload ycsb --trace \"$1\"")

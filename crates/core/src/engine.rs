@@ -15,26 +15,13 @@ use crate::scale::ExperimentScale;
 use crate::system::SystemState;
 use crate::telemetry::TelemetryOutput;
 use skybyte_trace::{
-    record_to_file, BoxedSource, Record, Shift, Tenants, TraceError, TraceFileSource, TraceHeader,
-    TraceWriter,
+    record_to_file, BoxedSource, Shift, Tenants, TraceError, TraceFileSource, TraceHeader,
 };
-use skybyte_types::{SimConfig, TenantId, VariantKind, PAGE_SIZE};
+use skybyte_types::{SimConfig, VariantKind, PAGE_SIZE};
 use skybyte_workloads::{TraceSource, WorkloadKind, WorkloadSource};
 use std::path::{Path, PathBuf};
 
 pub use crate::system::MIGRATION_PERIOD_ACCESSES;
-
-/// A process-unique token for record temp-file names, so concurrent runner
-/// workers recording the same stream never collide.
-fn next_record_token() -> String {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static COUNTER: AtomicU64 = AtomicU64::new(0);
-    format!(
-        "{}-{}",
-        std::process::id(),
-        COUNTER.fetch_add(1, Ordering::Relaxed)
-    )
-}
 
 /// Where a simulation's access streams come from.
 ///
@@ -47,8 +34,10 @@ pub enum TraceDrive {
     /// Generate the synthetic trace live (the default).
     #[default]
     Synthetic,
-    /// Generate live **and** tee the consumed stream to
-    /// `dir/<trace file name>` (see [`Simulation::trace_file_name`]).
+    /// Record the stream to `dir/<trace file name>` (see
+    /// [`Simulation::trace_file_name`]) with
+    /// [`Simulation::record_trace_file`], then generate it live again and
+    /// simulate as [`TraceDrive::Synthetic`] does.
     Record {
         /// Directory the `.sbt` file is written into (created if missing).
         dir: PathBuf,
@@ -147,10 +136,11 @@ impl Simulation {
         ((self.scale.footprint_bytes / n) / page * page).max(page)
     }
 
-    /// The composed trace source of a multi-tenant run: one tenant-tagged
+    /// The composed trace source of a multi-tenant run: one
     /// [`WorkloadSource`] per tenant (distinct seeds so identical workloads
     /// do not phase-lock), address-shifted onto its footprint slice and
-    /// stacked on the thread axis.
+    /// stacked on the thread axis, where [`Tenants`] makes input `i`
+    /// tenant `i`.
     fn multi_source(&self) -> Tenants {
         let slice = self.tenant_slice_bytes();
         let inputs: Vec<BoxedSource> = self
@@ -159,8 +149,7 @@ impl Simulation {
             .enumerate()
             .map(|(i, (workload, threads))| {
                 let spec = workload.spec().scaled_to(slice);
-                let source = WorkloadSource::new(&spec, *threads, self.scale.seed + i as u64)
-                    .with_tenant(TenantId(i as u32));
+                let source = WorkloadSource::new(&spec, *threads, self.scale.seed + i as u64);
                 if i == 0 {
                     Box::new(source) as BoxedSource
                 } else {
@@ -234,8 +223,9 @@ impl Simulation {
     }
 
     /// Runs the simulation, materialising the trace source described by the
-    /// drive: live generation, generation teed to disk, or file replay. A
-    /// trace that fails mid-run (I/O error or corruption) returns its error.
+    /// drive: live generation, recording then live generation, or file
+    /// replay. A trace that fails mid-run (I/O error or corruption), or a
+    /// recording that fails, returns its error.
     ///
     /// # Panics
     ///
@@ -259,20 +249,12 @@ impl Simulation {
         match &self.drive {
             TraceDrive::Synthetic => self.run_loop(self.live_source().as_mut(), budget),
             TraceDrive::Record { dir } => {
-                let (source, header) = self.recorded_stream()?;
+                // The run simulates live rather than replaying the file, so
+                // a replay of the file is checked against a live run.
+                self.require_single_tenant()?;
                 std::fs::create_dir_all(dir)?;
-                let name = self.trace_file_name();
-                // Concurrent runner workers may record the same (workload,
-                // scale) stream for different variants; each writes a unique
-                // temp file whose deterministic content is renamed over the
-                // final name, so the last rename wins harmlessly.
-                let tmp = dir.join(format!(".{name}.{}.tmp", next_record_token()));
-                let writer = TraceWriter::create(&tmp, &header)?;
-                let mut tee = Record::new(source, writer);
-                let result = self.run_loop(&mut tee, budget)?;
-                tee.finish()?;
-                std::fs::rename(&tmp, dir.join(&name))?;
-                Ok(result)
+                self.record_trace_file(&dir.join(self.trace_file_name()))?;
+                self.run_loop(self.live_source().as_mut(), budget)
             }
             TraceDrive::Replay { dir } => {
                 self.require_single_tenant()?;
@@ -311,12 +293,17 @@ impl Simulation {
         WorkloadSource::new(&spec, self.cfg.threads, self.scale.seed)
     }
 
-    /// The stream a recording captures and the `.sbt` header describing
-    /// it, shared by the [`TraceDrive::Record`] tee and
-    /// [`record_trace_file`](Self::record_trace_file).
-    fn recorded_stream(&self) -> Result<(WorkloadSource, TraceHeader), TraceError> {
+    /// Writes the stream this simulation would consume to the `.sbt` file at
+    /// `path`, without simulating: each thread's
+    /// [`per_thread_budget`](Self::per_thread_budget) records of the
+    /// synthetic workload, through [`record_to_file`]. A
+    /// [`TraceDrive::Record`] run writes its file here too, so `trace
+    /// record` and `figures --record-dir` write the same bytes for one
+    /// stream, and replaying the file reproduces the live run. Returns the
+    /// number of records written.
+    pub fn record_trace_file(&self, path: &Path) -> Result<u64, TraceError> {
         self.require_single_tenant()?;
-        let source = self.workload_source();
+        let mut source = self.workload_source();
         let header = TraceHeader {
             threads: self.cfg.threads,
             footprint_bytes: self.scale.workload_spec(self.workload).footprint_bytes,
@@ -327,17 +314,6 @@ impl Simulation {
             // byte-identical to earlier releases.
             tenant_of_thread: None,
         };
-        Ok((source, header))
-    }
-
-    /// Writes the stream this simulation would consume to the `.sbt` file at
-    /// `path`, without simulating: each thread's
-    /// [`per_thread_budget`](Self::per_thread_budget) records of the
-    /// synthetic workload, under the header a [`TraceDrive::Record`] run
-    /// writes, so replaying either recording reproduces the live run.
-    /// Returns the number of records written.
-    pub fn record_trace_file(&self, path: &Path) -> Result<u64, TraceError> {
-        let (mut source, header) = self.recorded_stream()?;
         record_to_file(&mut source, path, &header, self.per_thread_budget())
     }
 
@@ -466,7 +442,7 @@ impl Simulation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use skybyte_types::Nanos;
+    use skybyte_types::{Nanos, TenantId};
 
     fn run(variant: VariantKind, workload: WorkloadKind) -> SimResult {
         Simulation::build(variant, workload, &ExperimentScale::tiny()).run()
@@ -626,7 +602,7 @@ mod tests {
             .with_drive(TraceDrive::Replay { dir: dir.clone() })
             .run();
         assert_eq!(live, replayed, "replay must be bit-identical to live");
-        // Recording is a pure tee: it does not perturb the simulation.
+        // Recording does not perturb the simulation.
         assert_eq!(sim.run(), live);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -647,7 +623,7 @@ mod tests {
 
     #[test]
     fn a_trace_that_fails_mid_run_is_a_typed_error() {
-        use skybyte_trace::{TraceHeader, TraceRecord, TraceWriter};
+        use skybyte_trace::{TraceRecord, VecSource};
         let dir = std::env::temp_dir().join(format!("skybyte-far-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("far.sbt");
@@ -658,17 +634,15 @@ mod tests {
             source: "crafted".into(),
             tenant_of_thread: None,
         };
-        let mut writer = TraceWriter::create(&path, &header).unwrap();
         // The third record lies far past the footprint: the executor meets
         // it while prefetching, after the run has started.
-        for record in [
+        let records = vec![
             TraceRecord::read(10, 0),
             TraceRecord::write(10, 4096),
             TraceRecord::write(10, 1 << 62),
-        ] {
-            writer.push(0, &record).unwrap();
-        }
-        writer.finish().unwrap();
+        ];
+        let mut source = VecSource::new("crafted", vec![records]);
+        record_to_file(&mut source, &path, &header, u64::MAX).unwrap();
         let scale = ExperimentScale::tiny();
         let cfg = scale.apply(SimConfig::default()).with_threads(1);
         let sim = Simulation::with_config(cfg, WorkloadKind::Ycsb, &scale);

@@ -40,18 +40,21 @@
 //! `bytes` exactly, and its payload must lie inside the file; anything
 //! else is a [`TraceError`].
 //!
-//! [`TraceWriter`] streams with at most one buffered chunk. Every reader
-//! decodes a file's in-memory bytes with one header decoder, one chunk
-//! walk and one record decoder, so all of them frame a file alike:
-//! [`TraceReader`] walks the chunks in file order, and replay
-//! (`TraceFileSource`) indexes chunk offsets per stream as its streams
-//! first need them.
+//! Every `.sbt` file the workspace writes goes through
+//! [`record_to_file`](crate::record_to_file), which drains a source one
+//! thread at a time, so each stream lands in chunks of up to 512 records.
+//! Files from other producers may interleave threads in chunks as short as
+//! one record, and readers accept any chunking: every reader decodes a
+//! file's in-memory bytes with one header decoder, one chunk walk and one
+//! record decoder, so all of them frame a file alike. [`TraceReader`] walks
+//! the chunks in file order, and replay (`TraceFileSource`) indexes chunk
+//! offsets per stream as its streams first need them.
 
 use crate::error::TraceError;
 use crate::record::TraceRecord;
 use crate::varint;
 use skybyte_types::AccessKind;
-use std::io::{BufWriter, Write};
+use std::io::Write;
 use std::path::Path;
 
 /// The 8-byte file magic.
@@ -224,7 +227,7 @@ impl TraceHeader {
 /// [`finish`](Self::finish) flushes the trailing chunk. Dropping the writer
 /// without finishing loses the buffered tail.
 #[derive(Debug)]
-pub struct TraceWriter<W: Write> {
+pub(crate) struct TraceWriter<W: Write> {
     out: W,
     threads: u32,
     /// Previous absolute address per thread (delta-chain state).
@@ -234,18 +237,13 @@ pub struct TraceWriter<W: Write> {
     /// Encoded records of the buffered chunk.
     chunk: Vec<u8>,
     chunk_count: u64,
-    records: u64,
 }
 
 impl<W: Write> TraceWriter<W> {
-    /// Starts a trace on `out`, writing the header immediately.
-    pub fn new(out: W, header: &TraceHeader) -> Result<Self, TraceError> {
-        Self::start(out, header, &header.encode()?)
-    }
-
-    /// Starts a trace on `out` by writing `encoded`, the header's bytes.
-    fn start(mut out: W, header: &TraceHeader, encoded: &[u8]) -> Result<Self, TraceError> {
-        out.write_all(encoded)?;
+    /// Starts a trace on `out`, writing the header immediately, or refuses
+    /// a header the reader would reject before writing anything.
+    pub(crate) fn new(mut out: W, header: &TraceHeader) -> Result<Self, TraceError> {
+        out.write_all(&header.encode()?)?;
         Ok(TraceWriter {
             out,
             threads: header.threads,
@@ -253,12 +251,11 @@ impl<W: Write> TraceWriter<W> {
             chunk_thread: 0,
             chunk: Vec::new(),
             chunk_count: 0,
-            records: 0,
         })
     }
 
     /// Appends one record to `thread`'s stream.
-    pub fn push(&mut self, thread: u32, record: &TraceRecord) -> Result<(), TraceError> {
+    pub(crate) fn push(&mut self, thread: u32, record: &TraceRecord) -> Result<(), TraceError> {
         if thread >= self.threads {
             return Err(TraceError::ThreadOutOfRange {
                 threads: self.threads,
@@ -279,13 +276,7 @@ impl<W: Write> TraceWriter<W> {
         self.chunk.push(record.access.kind.is_write() as u8);
         varint::write_u64(&mut self.chunk, record.size_bytes as u64)?;
         self.chunk_count += 1;
-        self.records += 1;
         Ok(())
-    }
-
-    /// Total records pushed so far.
-    pub fn records_written(&self) -> u64 {
-        self.records
     }
 
     fn flush_chunk(&mut self) -> Result<(), TraceError> {
@@ -302,21 +293,10 @@ impl<W: Write> TraceWriter<W> {
     }
 
     /// Flushes the trailing chunk and the underlying writer, returning it.
-    pub fn finish(mut self) -> Result<W, TraceError> {
+    pub(crate) fn finish(mut self) -> Result<W, TraceError> {
         self.flush_chunk()?;
         self.out.flush()?;
         Ok(self.out)
-    }
-}
-
-impl TraceWriter<BufWriter<std::fs::File>> {
-    /// Creates (truncating) an `.sbt` file at `path`. The header is encoded
-    /// first, so one the format cannot hold is an error that leaves no
-    /// file behind.
-    pub fn create(path: &Path, header: &TraceHeader) -> Result<Self, TraceError> {
-        let encoded = header.encode()?;
-        let file = std::fs::File::create(path)?;
-        Self::start(BufWriter::new(file), header, &encoded)
     }
 }
 
@@ -537,7 +517,8 @@ impl<B: AsRef<[u8]>> ThreadReader<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::source::{TraceFileSource, TraceSource};
+    use crate::source::{record_to_file, TraceFileSource, TraceSource, VecSource};
+    use crate::stats::TraceStats;
     use proptest::prelude::*;
 
     fn header(threads: u32) -> TraceHeader {
@@ -757,16 +738,82 @@ mod tests {
 
     #[test]
     fn create_refuses_a_header_before_creating_the_file() {
-        let path = std::env::temp_dir().join(format!("skybyte-refused-{}.sbt", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("skybyte-refused-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("refused.sbt");
         let mut wild = header(2);
         wild.tenant_of_thread = Some(vec![0, 7]);
         for refused in [header(0), header(MAX_THREADS + 1), wild] {
+            let mut source = VecSource::new("refused", vec![vec![TraceRecord::read(1, 64)]; 2]);
             assert!(matches!(
-                TraceWriter::create(&path, &refused),
+                record_to_file(&mut source, &path, &refused, u64::MAX),
                 Err(TraceError::Corrupt(_))
             ));
             assert!(!path.exists(), "{refused:?}");
+            let left: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+            assert!(left.is_empty(), "{refused:?} left {left:?}");
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn round_robin_and_thread_major_layouts_read_alike() {
+        // `record_to_file` writes each stream in turn, in chunks of up to
+        // 512 records; a producer that switches thread at every record,
+        // as external files may, writes one-record chunks. Every reader
+        // must frame both layouts of one stream alike.
+        const THREADS: u32 = 8;
+        const PER_THREAD: u64 = 600;
+        let mut draw = 0x9E37_79B9_7F4A_7C15u64;
+        let streams: Vec<Vec<TraceRecord>> = (0..THREADS)
+            .map(|_| {
+                (0..PER_THREAD)
+                    .map(|_| {
+                        draw ^= draw << 13;
+                        draw ^= draw >> 7;
+                        draw ^= draw << 17;
+                        let addr = draw % (8 << 20) / 64 * 64;
+                        match draw % 5 {
+                            0 => TraceRecord::write(draw % 300, addr),
+                            _ => TraceRecord::read(draw % 300, addr),
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let round_robin: Vec<(u32, TraceRecord)> = (0..PER_THREAD as usize)
+            .flat_map(|i| (0..THREADS).map(move |t| (t, i)))
+            .map(|(t, i)| (t, streams[t as usize][i]))
+            .collect();
+        let thread_major: Vec<(u32, TraceRecord)> = (0..THREADS)
+            .flat_map(|t| streams[t as usize].iter().map(move |r| (t, *r)))
+            .collect();
+        let chunks = |bytes: &[u8]| {
+            let mut next = encode(THREADS, &[]).len();
+            let mut count = 0;
+            while next_chunk(bytes, &mut next, THREADS).unwrap().is_some() {
+                count += 1;
+            }
+            count
+        };
+        let interleaved = encode(THREADS, &round_robin);
+        let grouped = encode(THREADS, &thread_major);
+        assert_eq!(chunks(&interleaved), THREADS as usize * PER_THREAD as usize);
+        assert_eq!(chunks(&grouped), THREADS as usize * 2); // 512 + 88 records
+        let scan = |bytes: &[u8]| TraceStats::scan(TraceReader::new(bytes).unwrap()).unwrap();
+        let ((header_a, a), (header_b, b)) = (scan(&interleaved), scan(&grouped));
+        assert_eq!(header_a, header_b);
+        assert_eq!(
+            (a.records, a.reads, a.writes, a.total_instructions),
+            (b.records, b.reads, b.writes, b.total_instructions)
+        );
+        assert_eq!(
+            (&a.per_thread, a.min_addr, a.max_addr_end),
+            (&b.per_thread, b.min_addr, b.max_addr_end)
+        );
+        assert_eq!(a.render(&header_a), b.render(&header_b));
+        assert_eq!(replay_streams(&interleaved).unwrap(), streams);
+        assert_eq!(replay_streams(&grouped).unwrap(), streams);
     }
 
     #[test]

@@ -7,16 +7,16 @@
 //!   versioned, self-describing container — a provenance header followed by
 //!   per-thread streams of varint + zigzag delta-encoded `(timestamp-delta,
 //!   address-delta, op, size)` records,
-//! * **I/O**: [`TraceWriter`], which streams with at most one buffered
-//!   chunk, and [`TraceReader`], which walks a file's in-memory bytes in
+//! * **I/O**: [`record_to_file`], the one writer, which drains a source's
+//!   streams one thread at a time into a file it puts in place only once
+//!   whole, and [`TraceReader`], which walks a file's in-memory bytes in
 //!   file order with the same header, chunk and record decoders replay
 //!   uses, and a [`TraceStats`] pass whose footprint / write-ratio /
 //!   page-coverage read-outs are directly comparable to the paper's
 //!   Table I and Figures 5–6,
 //! * the [`TraceSource`] trait unifying live generators and replayed files,
 //!   with [`TraceFileSource`] replaying a file's streams from one in-memory
-//!   copy through a per-stream chunk index, and a [`Record`] adapter that
-//!   tees any source to disk, and
+//!   copy through a per-stream chunk index, and
 //! * **compositors** ([`Mix`], [`Concat`], [`LoopN`], [`Shift`], and the
 //!   thread-stacking [`Tenants`]) that build multi-tenant scenarios out of
 //!   existing traces; every source reports its thread → tenant partition
@@ -29,7 +29,7 @@
 //! # Example
 //!
 //! ```
-//! use skybyte_trace::{TraceHeader, TraceReader, TraceRecord, TraceWriter};
+//! use skybyte_trace::{record_to_file, TraceHeader, TraceReader, TraceRecord, VecSource};
 //!
 //! let header = TraceHeader {
 //!     threads: 1,
@@ -38,15 +38,16 @@
 //!     source: "doc-example".into(),
 //!     tenant_of_thread: None,
 //! };
-//! let mut writer = TraceWriter::new(Vec::new(), &header).unwrap();
-//! writer.push(0, &TraceRecord::read(12, 0x4000)).unwrap();
-//! writer.push(0, &TraceRecord::write(3, 0x4040)).unwrap();
-//! let bytes = writer.finish().unwrap();
+//! let stream = vec![TraceRecord::read(12, 0x4000), TraceRecord::write(3, 0x4040)];
+//! let mut source = VecSource::new("doc-example", vec![stream]);
+//! let path = std::env::temp_dir().join(format!("doc-example-{}.sbt", std::process::id()));
+//! assert_eq!(record_to_file(&mut source, &path, &header, u64::MAX).unwrap(), 2);
 //!
-//! let mut reader = TraceReader::new(bytes.as_slice()).unwrap();
+//! let mut reader = TraceReader::open(&path).unwrap();
 //! assert_eq!(reader.header().source, "doc-example");
 //! let (thread, first) = reader.next().unwrap().unwrap();
 //! assert_eq!((thread, first.addr()), (0, 0x4000));
+//! # std::fs::remove_file(&path).unwrap();
 //! ```
 
 #![forbid(unsafe_code)]
@@ -63,9 +64,9 @@ mod varint;
 pub use compose::{BoxedSource, Concat, LoopN, Mix, Shift, Tenants};
 pub use error::TraceError;
 pub use format::{
-    TraceHeader, TraceReader, TraceWriter, FORMAT_VERSION, MAGIC, MAX_SOURCE_IDENTITY_BYTES,
-    MAX_THREADS, TENANT_FORMAT_VERSION,
+    TraceHeader, TraceReader, FORMAT_VERSION, MAGIC, MAX_SOURCE_IDENTITY_BYTES, MAX_THREADS,
+    TENANT_FORMAT_VERSION,
 };
 pub use record::TraceRecord;
-pub use source::{record_to_file, Record, TraceFileSource, TraceSource, VecSource};
+pub use source::{record_to_file, TraceFileSource, TraceSource, VecSource};
 pub use stats::TraceStats;

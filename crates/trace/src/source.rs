@@ -6,7 +6,7 @@ use crate::error::TraceError;
 use crate::format::{next_chunk, Chunk, TraceHeader, TraceWriter};
 use crate::record::TraceRecord;
 use skybyte_types::{TenantId, TenantMap};
-use std::io::Write;
+use std::io::BufWriter;
 use std::path::{Path, PathBuf};
 
 /// A set of independent per-thread access streams.
@@ -70,53 +70,6 @@ impl<S: TraceSource + ?Sized> TraceSource for Box<S> {
 
     fn tenant_of(&self, thread: u32) -> TenantId {
         (**self).tenant_of(thread)
-    }
-}
-
-/// Tees any source to an `.sbt` writer: every record pulled through the
-/// adapter is also appended to the trace file, so a live simulation records
-/// exactly the stream it consumed.
-#[derive(Debug)]
-pub struct Record<S: TraceSource, W: Write> {
-    inner: S,
-    writer: TraceWriter<W>,
-}
-
-impl<S: TraceSource, W: Write> Record<S, W> {
-    /// Wraps `inner`, teeing to `writer` (whose header is already written).
-    pub fn new(inner: S, writer: TraceWriter<W>) -> Self {
-        Record { inner, writer }
-    }
-
-    /// Flushes the writer and returns the inner source.
-    pub fn finish(self) -> Result<S, TraceError> {
-        self.writer.finish()?;
-        Ok(self.inner)
-    }
-}
-
-impl<S: TraceSource, W: Write + std::fmt::Debug> TraceSource for Record<S, W> {
-    fn threads(&self) -> u32 {
-        self.inner.threads()
-    }
-
-    fn identity(&self) -> String {
-        self.inner.identity()
-    }
-
-    fn next_record(&mut self, thread: u32) -> Result<Option<TraceRecord>, TraceError> {
-        let record = self.inner.next_record(thread)?;
-        if let Some(r) = &record {
-            self.writer.push(thread, r)?;
-        }
-        Ok(record)
-    }
-
-    // reset_thread deliberately keeps the default: rewinding a tee would
-    // re-record the rewound prefix.
-
-    fn tenant_of(&self, thread: u32) -> TenantId {
-        self.inner.tenant_of(thread)
     }
 }
 
@@ -348,29 +301,68 @@ impl TraceSource for VecSource {
     }
 }
 
-/// Drains every stream of `source` into an `.sbt` file at `path`.
+/// Drains every stream of `source` into an `.sbt` file at `path`, and
+/// returns the number of records written.
 ///
-/// This is the offline "record without simulating" path: it pulls each
-/// thread's stream to exhaustion, or up to `limit_per_thread` records for
-/// unbounded generator sources.
+/// This is the one writer of `.sbt` files: it pulls each thread's stream
+/// to exhaustion in turn, or up to `limit_per_thread` records for
+/// unbounded generator sources, so each stream lands in chunks of up to
+/// 512 records. It writes a process-unique temp file beside `path` and
+/// renames it into place only once the whole file is written, so an error
+/// (a header the format cannot hold, a failing source, a full disk)
+/// leaves neither a partial file nor a temp file, and whatever stood at
+/// `path` stays as it was. Concurrent writers of one path, such as runner
+/// workers recording one stream for several variants, each rename a
+/// complete file into place.
 pub fn record_to_file<S: TraceSource>(
     source: &mut S,
     path: &Path,
     header: &TraceHeader,
     limit_per_thread: u64,
 ) -> Result<u64, TraceError> {
-    let mut writer = TraceWriter::create(path, header)?;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    static WRITES: AtomicU64 = AtomicU64::new(0);
+    let name = path.file_name().ok_or_else(|| {
+        std::io::Error::new(std::io::ErrorKind::InvalidInput, "the path names no file")
+    })?;
+    let tmp = path.with_file_name(format!(
+        ".{}.{}-{}.tmp",
+        name.to_string_lossy(),
+        std::process::id(),
+        WRITES.fetch_add(1, Ordering::Relaxed)
+    ));
+    let written = write_streams(source, &tmp, header, limit_per_thread).and_then(|total| {
+        std::fs::rename(&tmp, path)?;
+        Ok(total)
+    });
+    if written.is_err() {
+        // The write's own error is the one to report.
+        let _ = std::fs::remove_file(&tmp);
+    }
+    written
+}
+
+/// [`record_to_file`]'s writer loop, into the file at `path`.
+fn write_streams<S: TraceSource>(
+    source: &mut S,
+    path: &Path,
+    header: &TraceHeader,
+    limit_per_thread: u64,
+) -> Result<u64, TraceError> {
+    let file = BufWriter::new(std::fs::File::create(path)?);
+    let mut writer = TraceWriter::new(file, header)?;
+    let mut total = 0u64;
     for thread in 0..source.threads() {
         let mut taken = 0u64;
         while taken < limit_per_thread {
-            match source.next_record(thread)? {
-                Some(record) => writer.push(thread, &record)?,
-                None => break,
-            }
+            let Some(record) = source.next_record(thread)? else {
+                break;
+            };
+            writer.push(thread, &record)?;
             taken += 1;
         }
+        total += taken;
     }
-    let total = writer.records_written();
     writer.finish()?;
     Ok(total)
 }
@@ -430,53 +422,6 @@ mod tests {
                 "record address lies past the header's footprint"
             ))
         ));
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn record_tee_then_file_replay_is_identical() {
-        let path = tmp_path("tee");
-        let streams = vec![records(700, 0), records(650, 1 << 20)];
-        let header = TraceHeader {
-            threads: 2,
-            footprint_bytes: 2 << 20,
-            seed: 1,
-            source: "vec:a".into(),
-            tenant_of_thread: None,
-        };
-        let writer = TraceWriter::create(&path, &header).unwrap();
-        let mut tee = Record::new(VecSource::new("a", streams.clone()), writer);
-        // Interleave pulls the way an engine would.
-        let mut pulled: Vec<Vec<TraceRecord>> = vec![Vec::new(), Vec::new()];
-        loop {
-            let mut progressed = false;
-            for t in 0..2u32 {
-                if let Some(r) = tee.next_record(t).unwrap() {
-                    pulled[t as usize].push(r);
-                    progressed = true;
-                }
-            }
-            if !progressed {
-                break;
-            }
-        }
-        assert_eq!(tee.writer.records_written(), 1350);
-        tee.finish().unwrap();
-        assert_eq!(pulled, streams);
-
-        let mut replay = TraceFileSource::open(&path).unwrap();
-        assert_eq!(replay.header().source, "vec:a");
-        for (t, stream) in streams.iter().enumerate() {
-            let mut got = Vec::new();
-            while let Some(r) = replay.next_record(t as u32).unwrap() {
-                got.push(r);
-            }
-            assert_eq!(&got, stream, "thread {t}");
-        }
-        // Rewind one thread and replay it again.
-        assert!(replay.reset_thread(1).unwrap());
-        assert_eq!(replay.next_record(1).unwrap(), Some(streams[1][0]));
-        assert!(replay.identity().contains("vec:a"));
         std::fs::remove_file(&path).ok();
     }
 
@@ -550,10 +495,8 @@ mod tests {
             source: "vec:wide".into(),
             tenant_of_thread: None,
         };
-        TraceWriter::create(&path, &header)
-            .unwrap()
-            .finish()
-            .unwrap();
+        let mut empty = VecSource::new("wide", vec![Vec::new(); header.threads as usize]);
+        record_to_file(&mut empty, &path, &header, u64::MAX).unwrap();
         let mut replay = TraceFileSource::open(&path).unwrap();
         assert_eq!(replay.threads(), crate::format::MAX_THREADS);
         let last = crate::format::MAX_THREADS - 1;

@@ -6,7 +6,6 @@ use crate::generator::TraceGenerator;
 use crate::spec::WorkloadSpec;
 use crate::zipf::Zipf;
 use skybyte_trace::{TraceError, TraceRecord, TraceSource};
-use skybyte_types::TenantId;
 use std::sync::Arc;
 
 /// The multi-threaded synthetic source the engine runs by default: one
@@ -32,7 +31,6 @@ use std::sync::Arc;
 pub struct WorkloadSource {
     spec: WorkloadSpec,
     seed: u64,
-    tenant: TenantId,
     hot_zipf: Arc<Zipf>,
     generators: Vec<TraceGenerator>,
 }
@@ -52,18 +50,9 @@ impl WorkloadSource {
         WorkloadSource {
             spec: *spec,
             seed,
-            tenant: TenantId::ZERO,
             hot_zipf,
             generators,
         }
-    }
-
-    /// Returns a copy whose streams all report `tenant` (the multi-tenant
-    /// constructor tags each co-located application's source this way before
-    /// stacking them with [`skybyte_trace::Tenants`]).
-    pub fn with_tenant(mut self, tenant: TenantId) -> Self {
-        self.tenant = tenant;
-        self
     }
 
     /// The workload spec driving every thread.
@@ -78,17 +67,8 @@ impl TraceSource for WorkloadSource {
     }
 
     fn identity(&self) -> String {
-        // The tenant tag is appended only when set, so single-tenant
-        // identities (and everything derived from them — recorded trace
-        // headers, memo fingerprints) are byte-identical to the pre-tenant
-        // format.
-        let tenant = if self.tenant == TenantId::ZERO {
-            String::new()
-        } else {
-            format!(":{}", self.tenant)
-        };
         format!(
-            "synthetic:{}:fp{}:t{}:seed{}{tenant}",
+            "synthetic:{}:fp{}:t{}:seed{}",
             self.spec.name(),
             self.spec.footprint_bytes,
             self.generators.len(),
@@ -124,10 +104,6 @@ impl TraceSource for WorkloadSource {
                 requested: thread,
             }),
         }
-    }
-
-    fn tenant_of(&self, _thread: u32) -> TenantId {
-        self.tenant
     }
 }
 
@@ -211,24 +187,5 @@ mod tests {
         assert!(shares_one_table(&source));
         // The source and its four generators hold the only references.
         assert_eq!(Arc::strong_count(&source.hot_zipf), 5);
-    }
-
-    #[test]
-    fn tenant_tag_is_reported_and_scoped_to_the_identity_suffix() {
-        use skybyte_types::TenantId;
-        let spec = spec();
-        let plain = WorkloadSource::new(&spec, 2, 3);
-        assert_eq!(plain.tenant_of(0), TenantId::ZERO);
-        assert!(!plain.identity().contains(":t1:seed3:"));
-        let tagged = WorkloadSource::new(&spec, 2, 3).with_tenant(TenantId(2));
-        assert_eq!(tagged.tenant_of(1), TenantId(2));
-        assert_eq!(tagged.identity(), format!("{}:t2", plain.identity()));
-        assert_eq!(tagged.tenant_map().tenant_count(), 3);
-        // The tag never perturbs the generated streams.
-        let mut a = WorkloadSource::new(&spec, 2, 3);
-        let mut b = WorkloadSource::new(&spec, 2, 3).with_tenant(TenantId(1));
-        for _ in 0..100 {
-            assert_eq!(a.next_record(0).unwrap(), b.next_record(0).unwrap());
-        }
     }
 }

@@ -47,14 +47,14 @@ fn record_then_replay_is_bit_identical_across_workloads_and_variants() {
             live, replayed,
             "{workload:?}/{variant:?}: replay must be bit-identical to the live run"
         );
-        // The tee is transparent: recording did not change the result.
+        // Recording did not change the result.
         assert_eq!(
             sim.run(),
             live,
-            "{workload:?}/{variant:?}: tee perturbed the run"
+            "{workload:?}/{variant:?}: recording perturbed the run"
         );
         // A standalone recording (what `trace record` writes) replays to
-        // the same result as the tee's.
+        // the same result as the drive's.
         let replay = TraceDrive::Replay {
             dir: standalone.clone(),
         };
@@ -93,37 +93,32 @@ fn recorded_traces_describe_what_the_engine_consumed() {
 }
 
 #[test]
-fn stat_reads_a_live_recording_as_it_reads_a_standalone_one() {
-    // A live recording switches thread almost every record, so most of its
-    // chunks hold one record; `record_trace_file` writes each thread's
-    // stream in turn, in chunks of up to 512 records. The one decoder must
-    // frame both layouts of the same stream alike.
-    let (live_dir, standalone_dir) = (scratch_dir("live-layout"), scratch_dir("thread-major"));
+fn the_record_drive_writes_the_bytes_record_trace_file_writes() {
+    // `figures --record-dir` and `trace record` write one stream through
+    // one writer loop, so the two files are the same bytes.
+    let (drive_dir, standalone_dir) = (scratch_dir("drive"), scratch_dir("thread-major"));
     let scale = ExperimentScale::tiny();
     let sim = Simulation::build(VariantKind::BaseCssd, WorkloadKind::Ycsb, &scale);
     let _ = sim
         .clone()
         .with_drive(TraceDrive::Record {
-            dir: live_dir.clone(),
+            dir: drive_dir.clone(),
         })
         .run();
-    let live = live_dir.join(sim.trace_file_name());
     let standalone = standalone_dir.join(sim.trace_file_name());
-    sim.record_trace_file(&standalone).unwrap();
-    // The records encode to the same bytes in both layouts, so the live
-    // file is larger by its extra chunk headers (59,542 bytes against
-    // 40,422 when this was written).
-    let size = |path: &PathBuf| std::fs::metadata(path).unwrap().len();
-    assert!(size(&live) > size(&standalone) * 5 / 4);
-    let (live_header, live_stats) = TraceStats::scan_file(&live).unwrap();
-    let (header, stats) = TraceStats::scan_file(&standalone).unwrap();
-    assert_eq!(live_header, header);
+    let written = sim.record_trace_file(&standalone).unwrap();
     assert_eq!(
-        (live_stats.per_thread.clone(), live_stats.total_instructions),
-        (stats.per_thread.clone(), stats.total_instructions)
+        written,
+        sim.per_thread_budget() * sim.config().threads as u64
     );
-    assert_eq!(live_stats.render(&live_header), stats.render(&header));
-    std::fs::remove_dir_all(&live_dir).ok();
+    let recorded = drive_dir.join(sim.trace_file_name());
+    assert!(
+        std::fs::read(&recorded).unwrap() == std::fs::read(&standalone).unwrap(),
+        "the record drive and record_trace_file wrote different files"
+    );
+    // The drive leaves its recording and nothing else, no temp file.
+    assert_eq!(std::fs::read_dir(&drive_dir).unwrap().count(), 1);
+    std::fs::remove_dir_all(&drive_dir).ok();
     std::fs::remove_dir_all(&standalone_dir).ok();
 }
 
