@@ -28,7 +28,7 @@ use skybyte_bench::{
 use skybyte_sim::{ExperimentScale, PerfReport, RunTiming, SimResult, Simulation};
 use skybyte_trace::{
     record_to_file, BoxedSource, Concat, LoopN, Mix, Shift, Tenants, TraceFileSource, TraceHeader,
-    TraceReader, TraceSource, TraceStats, MAX_THREADS,
+    TraceSource, TraceStats, MAX_THREADS,
 };
 use skybyte_types::{PolicyOverride, SimConfig, VariantKind};
 use skybyte_workloads::WorkloadKind;
@@ -226,18 +226,14 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
         i += 1;
     }
     let trace = trace.ok_or("replay needs --trace")?;
-    let header = TraceReader::open(&trace)
-        .map_err(|e| format!("cannot open {}: {e}", trace.display()))?
-        .header()
-        .clone();
-    let workload = workload_for_replay(workload, &header)?;
+    let source = open_input(&trace)?;
+    let workload = workload_for_replay(workload, source.header())?;
     // The trace defines the footprint and thread count; the scale defines
     // the simulated device around it (shared with the golden corpus via
     // `replay_trace_file`, capacity guard included).
     let started = Instant::now();
     let (result, output) = replay_trace_file(
-        &trace,
-        &header,
+        source,
         variant,
         workload,
         scale,

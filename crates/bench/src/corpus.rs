@@ -27,7 +27,8 @@ use skybyte_sim::metrics::DiffSummary;
 use skybyte_sim::runner::parallel_map;
 use skybyte_sim::{ExperimentScale, SimResult, Simulation, TelemetryOutput};
 use skybyte_trace::{
-    record_to_file, BoxedSource, Mix, Shift, TraceHeader, TraceRecord, TraceSource, VecSource,
+    record_to_file, BoxedSource, Mix, Shift, TraceFileSource, TraceHeader, TraceRecord,
+    TraceSource, VecSource,
 };
 use skybyte_types::{SimConfig, TelemetryConfig, VariantKind, KIB, MIB, PAGE_SIZE};
 use skybyte_workloads::{WorkloadKind, WorkloadSource};
@@ -175,14 +176,10 @@ impl CorpusEntry {
         variant: VariantKind,
         telemetry: TelemetryConfig,
     ) -> Result<(SimResult, Option<TelemetryOutput>), String> {
-        let path = self.trace_path(corpus);
-        let header = skybyte_trace::TraceReader::open(&path)
-            .map_err(|e| format!("{}: cannot open trace: {e}", self.name))?
-            .header()
-            .clone();
+        let source = TraceFileSource::open(&self.trace_path(corpus))
+            .map_err(|e| format!("{}: cannot open trace: {e}", self.name))?;
         crate::replay_trace_file(
-            &path,
-            &header,
+            source,
             variant,
             self.label,
             ExperimentScale::tiny(),

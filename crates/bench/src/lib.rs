@@ -26,7 +26,7 @@ use skybyte_sim::{
     chrome_trace_json, metrics_csv, ExperimentScale, PerfReport, Runner, SimResult, Simulation,
     TelemetryOutput,
 };
-use skybyte_trace::TraceHeader;
+use skybyte_trace::TraceFileSource;
 use skybyte_types::{Nanos, PolicyOverride, SimConfig, TelemetryConfig, VariantKind};
 use skybyte_workloads::WorkloadKind;
 use std::path::{Path, PathBuf};
@@ -166,11 +166,12 @@ pub fn variant_from_name(name: &str) -> Option<VariantKind> {
         .find(|v| v.to_string().eq_ignore_ascii_case(name))
 }
 
-/// Replays an `.sbt` trace file as one full simulation: the trace (via its
-/// `header`) defines the footprint, thread count and amount of work, `scale`
-/// defines the simulated device around it, `policies` selects off-default
-/// policies (empty for the pinned defaults — what the golden corpus passes),
-/// and `workload` is the label the result carries. When
+/// Replays an opened `.sbt` trace file as one full simulation: the trace
+/// (via its header) defines the footprint, thread count and amount of work,
+/// `scale` defines the simulated device around it, `policies` selects
+/// off-default policies (empty for the pinned defaults — what the golden
+/// corpus passes), and `workload` is the label the result carries. Taking
+/// the opened file lets a caller read its header without a second read. When
 /// `telemetry.enabled`, the returned [`TelemetryOutput`] carries the sampled
 /// metrics and (optionally) the timeline of the replay; telemetry is
 /// observe-only, so the [`SimResult`] is bit-identical either way.
@@ -181,14 +182,14 @@ pub fn variant_from_name(name: &str) -> Option<VariantKind> {
 /// chosen device, and every built-in scale keeps footprint ≤ flash/2 for GC
 /// headroom — failing with a hint beats an FTL panic mid-simulation.
 pub fn replay_trace_file(
-    path: &Path,
-    header: &TraceHeader,
+    mut source: TraceFileSource,
     variant: VariantKind,
     workload: WorkloadKind,
     scale: ExperimentScale,
     policies: &[PolicyOverride],
     telemetry: TelemetryConfig,
 ) -> Result<(SimResult, Option<TelemetryOutput>), String> {
+    let header = source.header();
     let scale = scale.with_footprint(header.footprint_bytes);
     if header.footprint_bytes.saturating_mul(2) > scale.flash_bytes() {
         return Err(format!(
@@ -205,8 +206,9 @@ pub fn replay_trace_file(
     for p in policies {
         p.apply(&mut cfg);
     }
+    // The trace defines the work; no budget caps it.
     Simulation::with_config(cfg.with_telemetry(telemetry), workload, &scale)
-        .run_trace_file_with_telemetry(path)
+        .run_source(&mut source, u64::MAX)
         .map_err(|e| format!("replay failed: {e}"))
 }
 

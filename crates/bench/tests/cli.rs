@@ -322,6 +322,49 @@ fn replay_rejects_a_record_far_past_the_footprint() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "{err}");
     assert!(!err.contains("panicked"), "{err}");
+    // `trace stat` reads the file as replay does, so it rejects it too.
+    let out = Command::new(env!("CARGO_BIN_EXE_trace"))
+        .args(["stat", "--trace"])
+        .arg(&path)
+        .output()
+        .unwrap();
+    assert_one_error_line(&out, "record address lies past the header's footprint");
+    assert!(out.stdout.is_empty());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_trace_piped_through_stdin_replays_as_its_file_does() {
+    // Replay opens its file once, so a pipe, which can be read only once,
+    // replays too. A `< file` redirect would reopen the file and prove
+    // nothing.
+    let dir = scratch("stdin");
+    let path = dir.join("ycsb.sbt");
+    let out = Command::new(env!("CARGO_BIN_EXE_trace"))
+        .args(["record", "--workload", "ycsb", "--scale", "tiny", "--out"])
+        .arg(&path)
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{out:?}");
+    let replay = |script: &str| {
+        let out = Command::new("sh")
+            .arg("-c")
+            .arg(script)
+            .arg(env!("CARGO_BIN_EXE_trace"))
+            .arg(&path)
+            .output()
+            .unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{script}: {err}");
+        String::from_utf8(out.stdout).unwrap()
+    };
+    let by_path = replay("exec \"$0\" replay --scale tiny --trace \"$1\"");
+    let piped = replay("cat \"$1\" | \"$0\" replay --scale tiny --trace /dev/stdin");
+    // The first line names the path the trace was read from.
+    let (first, rest) = piped.split_once('\n').unwrap();
+    assert!(first.starts_with("replayed /dev/stdin as "), "{first}");
+    assert_eq!(rest, by_path.split_once('\n').unwrap().1);
+    assert!(rest.contains("exec time"), "{rest}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -247,14 +247,14 @@ impl Simulation {
             .expect("invalid simulation configuration");
         let budget = self.per_thread_budget();
         match &self.drive {
-            TraceDrive::Synthetic => self.run_loop(self.live_source().as_mut(), budget),
+            TraceDrive::Synthetic => self.run_source(self.live_source().as_mut(), budget),
             TraceDrive::Record { dir } => {
                 // The run simulates live rather than replaying the file, so
                 // a replay of the file is checked against a live run.
                 self.require_single_tenant()?;
                 std::fs::create_dir_all(dir)?;
                 self.record_trace_file(&dir.join(self.trace_file_name()))?;
-                self.run_loop(self.live_source().as_mut(), budget)
+                self.run_source(self.live_source().as_mut(), budget)
             }
             TraceDrive::Replay { dir } => {
                 self.require_single_tenant()?;
@@ -327,27 +327,17 @@ impl Simulation {
 
     /// [`run_trace_file`](Self::run_trace_file), additionally returning the
     /// telemetry captured over the replay — `Some` exactly when
-    /// `config().telemetry.enabled` is set. Every file replay, the
-    /// [`TraceDrive::Replay`] drive included, goes through here.
+    /// `config().telemetry.enabled` is set. The file is opened once and
+    /// replayed through [`run_source`](Self::run_source), unbudgeted.
     pub fn run_trace_file_with_telemetry(
         &self,
         path: &Path,
     ) -> Result<(SimResult, Option<TelemetryOutput>), TraceError> {
-        let mut source = TraceFileSource::open(path)?;
-        if source.threads() != self.cfg.threads {
-            return Err(TraceError::ThreadMismatch {
-                expected: self.cfg.threads,
-                got: source.threads(),
-            });
-        }
-        // The trace defines the work; no budget caps it.
-        self.run_loop(&mut source, u64::MAX)
+        self.run_source(&mut TraceFileSource::open(path)?, u64::MAX)
     }
 
-    /// Runs the simulation driven by an arbitrary [`TraceSource`] whose
-    /// stream count matches the configured thread count. Each thread
-    /// executes at most `per_thread_budget` units (pass `u64::MAX` to let
-    /// finite sources define the work).
+    /// [`run_source`](Self::run_source) for callers that treat a trace
+    /// error as fatal, returning only the result.
     ///
     /// # Panics
     ///
@@ -358,9 +348,30 @@ impl Simulation {
         source: &mut dyn TraceSource,
         per_thread_budget: u64,
     ) -> SimResult {
-        self.run_loop(source, per_thread_budget)
+        self.run_source(source, per_thread_budget)
             .unwrap_or_else(|e| panic!("trace source failed: {e}"))
             .0
+    }
+
+    /// Runs the simulation driven by `source`, the core every other run
+    /// entry point calls. Each thread executes at most `per_thread_budget`
+    /// units (`u64::MAX` lets a finite source define the work); telemetry
+    /// comes back as from [`try_run_with_telemetry`](Self::try_run_with_telemetry).
+    /// A stream count other than `config().threads` is
+    /// [`TraceError::ThreadMismatch`], and a source that fails mid-run ends
+    /// the run with its error.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration is invalid.
+    pub fn run_source(
+        &self,
+        source: &mut dyn TraceSource,
+        per_thread_budget: u64,
+    ) -> Result<(SimResult, Option<TelemetryOutput>), TraceError> {
+        let (mut system, label) = self.build_system(source, per_thread_budget)?;
+        system.run(source)?;
+        Ok(system.into_result(&label))
     }
 
     /// The result's workload label and the total footprint (in pages) the
@@ -382,21 +393,6 @@ impl Simulation {
         }
     }
 
-    /// Drives the [`SystemState`] access pipeline (`crate::system`) over
-    /// `source` to completion and assembles the result, beside the telemetry
-    /// output when capture is enabled on the configuration. A source failure
-    /// ends the run with its error.
-    fn run_loop(
-        &self,
-        source: &mut dyn TraceSource,
-        per_thread_budget: u64,
-    ) -> Result<(SimResult, Option<TelemetryOutput>), TraceError> {
-        let (label, footprint_pages) = self.label_and_footprint_pages();
-        let mut system = self.build_system(source, per_thread_budget, footprint_pages)?;
-        system.run(source)?;
-        Ok(system.into_result(&label))
-    }
-
     /// Runs the synthetic workload through the min-clock reference scan
     /// instead of the event queue: each step runs a pass on the unparked
     /// core with the lowest clock, under the same park and wake rules. The
@@ -404,11 +400,9 @@ impl Simulation {
     /// those tests can drive the executable specification.
     #[cfg(test)]
     pub(crate) fn run_reference(&self) -> SimResult {
-        let budget = self.per_thread_budget();
-        let (label, footprint_pages) = self.label_and_footprint_pages();
         let mut source = self.live_source();
-        let mut system = self
-            .build_system(source.as_mut(), budget, footprint_pages)
+        let (mut system, label) = self
+            .build_system(source.as_mut(), self.per_thread_budget())
             .expect("live sources do not fail");
         system
             .run_reference(source.as_mut())
@@ -420,14 +414,23 @@ impl Simulation {
         &self,
         source: &mut dyn TraceSource,
         per_thread_budget: u64,
-        footprint_pages: u64,
-    ) -> Result<SystemState, TraceError> {
+    ) -> Result<(SystemState, String), TraceError> {
+        self.cfg
+            .validate()
+            .expect("invalid simulation configuration");
+        if source.threads() != self.cfg.threads {
+            return Err(TraceError::ThreadMismatch {
+                expected: self.cfg.threads,
+                got: source.threads(),
+            });
+        }
+        let (label, footprint_pages) = self.label_and_footprint_pages();
         // The truncation guard counts retired work units (idle iterations
         // are free in the event engine and deliberately don't count): the
         // budgeted accesses of every thread, a 64x allowance for squashed
         // re-issues, plus slack for tiny scales.
         let max_units = self.cfg.threads as u64 * self.scale.accesses_per_thread * 64 + 1_000_000;
-        SystemState::new(
+        let system = SystemState::new(
             &self.cfg,
             self.scale.seed,
             source,
@@ -435,7 +438,8 @@ impl Simulation {
             footprint_pages,
             self.scale.precondition_fraction,
             max_units,
-        )
+        )?;
+        Ok((system, label))
     }
 }
 
@@ -656,6 +660,29 @@ mod tests {
     }
 
     #[test]
+    fn a_source_with_the_wrong_stream_count_is_a_typed_error() {
+        use skybyte_trace::{TraceRecord, VecSource};
+        let scale = ExperimentScale::tiny();
+        let cfg = scale.apply(SimConfig::default()).with_threads(1);
+        let sim = Simulation::with_config(cfg, WorkloadKind::Ycsb, &scale);
+        let two_streams = || VecSource::new("two", vec![vec![TraceRecord::read(10, 0)]; 2]);
+        assert!(matches!(
+            sim.run_source(&mut two_streams(), u64::MAX),
+            Err(TraceError::ThreadMismatch {
+                expected: 1,
+                got: 2
+            })
+        ));
+        let panic = std::panic::catch_unwind(|| sim.run_with_source(&mut two_streams(), u64::MAX))
+            .expect_err("run_with_source panics on a trace error");
+        let message = panic.downcast_ref::<String>().expect("a formatted message");
+        assert!(
+            message.ends_with("trace has 2 thread stream(s), expected 1"),
+            "{message}"
+        );
+    }
+
+    #[test]
     fn a_custom_source_record_past_the_device_is_a_typed_error() {
         use skybyte_trace::{TraceRecord, VecSource};
         let scale = ExperimentScale::tiny();
@@ -666,7 +693,7 @@ mod tests {
         let run = |addr: u64| {
             let records = vec![TraceRecord::read(10, 0), TraceRecord::read(10, addr)];
             let mut source = VecSource::new("far", vec![records]);
-            sim.run_loop(&mut source, u64::MAX)
+            sim.run_source(&mut source, u64::MAX)
                 .map(|(result, _)| result)
         };
         // The last page of the device is fine; the first page past it, or a

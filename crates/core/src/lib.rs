@@ -44,24 +44,22 @@ mod event;
 pub mod experiments;
 pub mod fleet;
 pub mod metrics;
-pub mod migration;
+mod migration;
 pub mod report;
 pub mod runner;
 pub mod scale;
-pub mod system;
+mod system;
 pub mod telemetry;
 mod tenant_sched;
-pub mod thread_exec;
+mod thread_exec;
 
 pub use engine::{Simulation, TraceDrive};
 pub use fleet::{audit_fleet, run_fleet, DeviceOutcome, FleetConfig, FleetResult, TenantDemand};
 pub use metrics::{AmatBreakdown, LayerCounters, RequestBreakdown, SimResult, TenantCounters};
-pub use migration::MigrationEngine;
+pub use migration::MigrationStats;
 pub use runner::{PerfReport, RunRequest, RunTiming, Runner};
 pub use scale::ExperimentScale;
-pub use system::SystemState;
 pub use telemetry::{
-    chrome_trace_json, metrics_csv, EventKind, MetricsLog, MetricsSample, Telemetry,
-    TelemetryOutput, Timeline, TimelineEvent,
+    chrome_trace_json, metrics_csv, EventKind, MetricsLog, MetricsSample, TelemetryOutput,
+    Timeline, TimelineEvent,
 };
-pub use thread_exec::ThreadExecutor;

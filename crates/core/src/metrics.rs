@@ -117,7 +117,7 @@ impl RequestBreakdown {
 
 /// Per-tenant slice of a run's metrics, accumulated by the engine at its
 /// attribution points (every access retires against the issuing thread's
-/// tenant; see `skybyte_sim::system`).
+/// tenant in the engine's access pipeline).
 ///
 /// These are the only copy the engine keeps: the run-wide `instructions`,
 /// `requests`, `amat`, `latency_hist` and `squashed_accesses` of

@@ -32,7 +32,7 @@ use skybyte_types::{Lpa, MigrationPolicyKind, Nanos, PageNumber, SimConfig, PAGE
 /// Counters of migration activity.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MigrationStats {
-    /// Invocations of the background promotion policy ([`MigrationEngine::run`]).
+    /// Invocations of the background promotion policy (`MigrationEngine::run`).
     pub runs: u64,
     /// Pages promoted from the SSD to host DRAM.
     pub promotions: u64,

@@ -1,6 +1,6 @@
 //! The system state and access pipeline of the simulation engine.
 //!
-//! `Simulation::run_loop` used to be a ~280-line monolith that owned every
+//! The engine's run loop used to be a ~280-line monolith that owned every
 //! device and counter as loose locals and assumed exactly one workload per
 //! run. This module decomposes it into a [`SystemState`] — every simulated
 //! component (SSD, CXL port, host DRAM, scheduler, page table, TLB,
@@ -149,11 +149,9 @@ impl SystemState {
     /// the golden coverage check in `crates/bench/tests/corpus.rs` lists
     /// the GC counters as zero in every golden.
     ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is invalid or the source's stream count
-    /// differs from `cfg.threads`. A source that fails while the executors
-    /// prefetch their first units returns its error.
+    /// The caller validates `cfg` and checks the source's stream count
+    /// against it (`Simulation::run_source`). A source that fails while the
+    /// executors prefetch their first units returns its error.
     pub(crate) fn new(
         cfg: &SimConfig,
         seed: u64,
@@ -163,12 +161,6 @@ impl SystemState {
         precondition_fraction: f64,
         max_units: u64,
     ) -> Result<Self, TraceError> {
-        cfg.validate().expect("invalid simulation configuration");
-        assert_eq!(
-            source.threads(),
-            cfg.threads,
-            "trace source must provide one stream per configured thread"
-        );
         let cores = cfg.cpu.cores as usize;
         let threads = cfg.threads;
 

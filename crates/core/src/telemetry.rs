@@ -3,8 +3,8 @@
 //!
 //! Every number the simulator otherwise emits is an end-of-run aggregate
 //! ([`crate::metrics::SimResult`]); this module adds the time axis. Two
-//! capture mechanisms share one [`Telemetry`] recorder, armed by
-//! [`skybyte_types::TelemetryConfig`] on the simulation config:
+//! capture mechanisms share one recorder (the crate-private `Telemetry`),
+//! armed by [`skybyte_types::TelemetryConfig`] on the simulation config:
 //!
 //! * a **periodic sampler** — a self-re-enqueuing sentinel event in the
 //!   discrete-event queue (core id [`u32::MAX`], so it retires *after* every
@@ -486,7 +486,7 @@ struct OpenSlice {
 /// only append to internal buffers — the recorder can observe the
 /// simulation but never influence it.
 #[derive(Debug)]
-pub struct Telemetry {
+pub(crate) struct Telemetry {
     cfg: TelemetryConfig,
     metrics: MetricsLog,
     timeline: Timeline,

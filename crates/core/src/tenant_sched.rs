@@ -1,8 +1,9 @@
 //! Tenant-aware scheduling: which runnable thread an empty core picks.
 //!
-//! The pipeline's `schedule` stage ([`SystemState`](crate::SystemState))
-//! places a thread on an empty core with [`schedule_on`], which matches on
-//! the run's [`TenantSchedKind`]:
+//! The pipeline's `schedule` stage
+//! ([`SystemState`](crate::system::SystemState)) places a thread on an
+//! empty core with [`schedule_on`], which matches on the run's
+//! [`TenantSchedKind`]:
 //!
 //! * `passthrough` (the default) delegates straight to the OS scheduler's
 //!   configured policy (RR / Random / CFS) and is bit-identical to the

@@ -44,18 +44,18 @@
 //! [`record_to_file`](crate::record_to_file), which drains a source one
 //! thread at a time, so each stream lands in chunks of up to 512 records.
 //! Files from other producers may interleave threads in chunks as short as
-//! one record, and readers accept any chunking: every reader decodes a
-//! file's in-memory bytes with one header decoder, one chunk walk and one
-//! record decoder, so all of them frame a file alike. [`TraceReader`] walks
-//! the chunks in file order, and replay (`TraceFileSource`) indexes chunk
-//! offsets per stream as its streams first need them.
+//! one record, and the reader accepts any chunking. Every production read
+//! goes through [`TraceFileSource`](crate::TraceFileSource), which decodes
+//! a file's in-memory bytes with one header decoder, one chunk walk and one
+//! record decoder, indexing chunk offsets per stream as its streams first
+//! need them. The tests keep a file-order walk over the same decoders as
+//! its reference model.
 
 use crate::error::TraceError;
 use crate::record::TraceRecord;
 use crate::varint;
 use skybyte_types::AccessKind;
 use std::io::Write;
-use std::path::Path;
 
 /// The 8-byte file magic.
 pub const MAGIC: [u8; 8] = *b"SBTRACE\0";
@@ -407,11 +407,14 @@ pub(crate) fn next_chunk(
     Ok(Some((thread, chunk)))
 }
 
-/// Reader over **all** thread streams of an `.sbt` file's bytes, yielding
-/// `(thread, record)` pairs in file order. Used by the `stat` pass and to
-/// read headers.
+/// The file-order reference model of replay: a walk over **all** thread
+/// streams of an `.sbt` file's bytes, yielding `(thread, record)` pairs in
+/// file order. Replay (`TraceFileSource`) must accept a file exactly when
+/// this walk does, with the same records per stream; `ThreadReader` and the
+/// corruption sweep below check it against replay.
+#[cfg(test)]
 #[derive(Debug)]
-pub struct TraceReader<B> {
+struct TraceReader<B> {
     bytes: B,
     header: TraceHeader,
     /// Offset of the next chunk's header.
@@ -423,9 +426,10 @@ pub struct TraceReader<B> {
     last_addr: Vec<u64>,
 }
 
+#[cfg(test)]
 impl<B: AsRef<[u8]>> TraceReader<B> {
     /// Parses the header of the file whose contents are `bytes`.
-    pub fn new(bytes: B) -> Result<Self, TraceError> {
+    fn new(bytes: B) -> Result<Self, TraceError> {
         let mut rest = bytes.as_ref();
         let header = TraceHeader::decode(&mut rest)?;
         Ok(TraceReader {
@@ -439,7 +443,7 @@ impl<B: AsRef<[u8]>> TraceReader<B> {
     }
 
     /// The file's provenance header.
-    pub fn header(&self) -> &TraceHeader {
+    fn header(&self) -> &TraceHeader {
         &self.header
     }
 
@@ -455,8 +459,7 @@ impl<B: AsRef<[u8]>> TraceReader<B> {
     }
 
     /// The next `(thread, record)` pair, or `None` at the end of the file.
-    #[allow(clippy::should_implement_trait)] // fallible streaming next
-    pub fn next(&mut self) -> Result<Option<(u32, TraceRecord)>, TraceError> {
+    fn next(&mut self) -> Result<Option<(u32, TraceRecord)>, TraceError> {
         while self.chunk.is_empty() {
             if !self.enter_next_chunk()? {
                 return Ok(None);
@@ -466,13 +469,6 @@ impl<B: AsRef<[u8]>> TraceReader<B> {
         let record = self.chunk.next(self.bytes.as_ref(), *last_addr)?;
         *last_addr = record.addr();
         Ok(Some((self.thread, record)))
-    }
-}
-
-impl TraceReader<Vec<u8>> {
-    /// Reads the `.sbt` file at `path` into memory.
-    pub fn open(path: &Path) -> Result<Self, TraceError> {
-        Self::new(std::fs::read(path)?)
     }
 }
 
@@ -800,7 +796,7 @@ mod tests {
         let grouped = encode(THREADS, &thread_major);
         assert_eq!(chunks(&interleaved), THREADS as usize * PER_THREAD as usize);
         assert_eq!(chunks(&grouped), THREADS as usize * 2); // 512 + 88 records
-        let scan = |bytes: &[u8]| TraceStats::scan(TraceReader::new(bytes).unwrap()).unwrap();
+        let scan = |bytes: &[u8]| TraceStats::scan(replay(bytes).unwrap()).unwrap();
         let ((header_a, a), (header_b, b)) = (scan(&interleaved), scan(&grouped));
         assert_eq!(header_a, header_b);
         assert_eq!(

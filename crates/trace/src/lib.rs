@@ -9,14 +9,13 @@
 //!   address-delta, op, size)` records,
 //! * **I/O**: [`record_to_file`], the one writer, which drains a source's
 //!   streams one thread at a time into a file it puts in place only once
-//!   whole, and [`TraceReader`], which walks a file's in-memory bytes in
-//!   file order with the same header, chunk and record decoders replay
-//!   uses, and a [`TraceStats`] pass whose footprint / write-ratio /
-//!   page-coverage read-outs are directly comparable to the paper's
-//!   Table I and Figures 5–6,
-//! * the [`TraceSource`] trait unifying live generators and replayed files,
-//!   with [`TraceFileSource`] replaying a file's streams from one in-memory
-//!   copy through a per-stream chunk index, and
+//!   whole; [`TraceFileSource`], the one reader, which reads a file into
+//!   memory once and replays its streams through a per-stream chunk index;
+//!   and a [`TraceStats`] pass over a [`TraceFileSource`] whose footprint /
+//!   write-ratio / page-coverage read-outs are directly comparable to the
+//!   paper's Table I and Figures 5–6,
+//! * the [`TraceSource`] trait, which unifies live generators and replayed
+//!   files, and
 //! * **compositors** ([`Mix`], [`Concat`], [`LoopN`], [`Shift`], and the
 //!   thread-stacking [`Tenants`]) that build multi-tenant scenarios out of
 //!   existing traces; every source reports its thread → tenant partition
@@ -29,7 +28,9 @@
 //! # Example
 //!
 //! ```
-//! use skybyte_trace::{record_to_file, TraceHeader, TraceReader, TraceRecord, VecSource};
+//! use skybyte_trace::{
+//!     record_to_file, TraceFileSource, TraceHeader, TraceRecord, TraceSource, VecSource,
+//! };
 //!
 //! let header = TraceHeader {
 //!     threads: 1,
@@ -43,10 +44,10 @@
 //! let path = std::env::temp_dir().join(format!("doc-example-{}.sbt", std::process::id()));
 //! assert_eq!(record_to_file(&mut source, &path, &header, u64::MAX).unwrap(), 2);
 //!
-//! let mut reader = TraceReader::open(&path).unwrap();
-//! assert_eq!(reader.header().source, "doc-example");
-//! let (thread, first) = reader.next().unwrap().unwrap();
-//! assert_eq!((thread, first.addr()), (0, 0x4000));
+//! let mut replay = TraceFileSource::open(&path).unwrap();
+//! assert_eq!(replay.header().source, "doc-example");
+//! let first = replay.next_record(0).unwrap().unwrap();
+//! assert_eq!(first.addr(), 0x4000);
 //! # std::fs::remove_file(&path).unwrap();
 //! ```
 
@@ -64,7 +65,7 @@ mod varint;
 pub use compose::{BoxedSource, Concat, LoopN, Mix, Shift, Tenants};
 pub use error::TraceError;
 pub use format::{
-    TraceHeader, TraceReader, FORMAT_VERSION, MAGIC, MAX_SOURCE_IDENTITY_BYTES, MAX_THREADS,
+    TraceHeader, FORMAT_VERSION, MAGIC, MAX_SOURCE_IDENTITY_BYTES, MAX_THREADS,
     TENANT_FORMAT_VERSION,
 };
 pub use record::TraceRecord;

@@ -73,7 +73,9 @@ impl<S: TraceSource + ?Sized> TraceSource for Box<S> {
     }
 }
 
-/// Replays an `.sbt` file as a [`TraceSource`].
+/// Replays an `.sbt` file as a [`TraceSource`]: the one reader of `.sbt`
+/// files, behind replay, [`TraceStats::scan`](crate::TraceStats::scan) and
+/// the inputs of `trace mix`, each of which opens its file once.
 ///
 /// The file is read once into memory. A shared frontier walks its chunk
 /// headers in file order, but only as far as some stream needs: it appends

@@ -6,8 +6,9 @@
 //! so coverage is tracked as one `u64` bitmap per touched page.
 
 use crate::error::TraceError;
-use crate::format::{TraceHeader, TraceReader};
+use crate::format::TraceHeader;
 use crate::record::TraceRecord;
+use crate::source::{TraceFileSource, TraceSource};
 use skybyte_types::{CACHELINES_PER_PAGE, CACHELINE_SIZE, PAGE_SIZE};
 use std::collections::HashMap;
 use std::path::Path;
@@ -65,22 +66,23 @@ impl TraceStats {
         }
     }
 
-    /// Runs the pass over every record of `reader`, returning the header and
-    /// the accumulated statistics.
-    pub fn scan<B: AsRef<[u8]>>(
-        mut reader: TraceReader<B>,
-    ) -> Result<(TraceHeader, TraceStats), TraceError> {
+    /// Runs the pass over every record of `source`, one stream at a time,
+    /// returning the file's header and the accumulated statistics. The pass
+    /// reads what replay reads, so it fails on every file replay rejects,
+    /// a record at or past the header's footprint included.
+    pub fn scan(mut source: TraceFileSource) -> Result<(TraceHeader, TraceStats), TraceError> {
         let mut stats = TraceStats::default();
-        while let Some((thread, record)) = reader.next()? {
-            stats.add(thread, &record);
+        for thread in 0..source.threads() {
+            while let Some(record) = source.next_record(thread)? {
+                stats.add(thread, &record);
+            }
         }
-        Ok((reader.header().clone(), stats))
+        Ok((source.header().clone(), stats))
     }
 
-    /// [`scan`](Self::scan) over the `.sbt` file at `path`, read into
-    /// memory.
+    /// [`scan`](Self::scan) over the `.sbt` file at `path`.
     pub fn scan_file(path: &Path) -> Result<(TraceHeader, TraceStats), TraceError> {
-        Self::scan(TraceReader::open(path)?)
+        Self::scan(TraceFileSource::open(path)?)
     }
 
     /// Fraction of records that are writes (Table I's write ratio).
@@ -257,7 +259,8 @@ mod tests {
             w.push((i % 2) as u32, &r).unwrap();
         }
         let bytes = w.finish().unwrap();
-        let (h, s) = TraceStats::scan(TraceReader::new(bytes.as_slice()).unwrap()).unwrap();
+        let source = TraceFileSource::from_bytes("stat-test.sbt".into(), bytes).unwrap();
+        let (h, s) = TraceStats::scan(source).unwrap();
         assert_eq!(h, header);
         assert_eq!(s.records, 100);
         assert_eq!(s.writes, 20);

@@ -6,7 +6,7 @@
 //! workload (real PIN imports, multi-tenant mixes, fuzzed streams).
 
 use skybyte::sim::{ExperimentScale, Simulation, TraceDrive};
-use skybyte::trace::{Mix, TraceFileSource, TraceReader, TraceSource, TraceStats};
+use skybyte::trace::{Mix, TraceFileSource, TraceSource, TraceStats};
 use skybyte::types::VariantKind;
 use skybyte::workloads::WorkloadKind;
 use std::path::PathBuf;
@@ -165,8 +165,8 @@ fn trace_headers_carry_provenance() {
         .clone()
         .with_drive(TraceDrive::Record { dir: dir.clone() })
         .run();
-    let reader = TraceReader::open(&dir.join(sim.trace_file_name())).unwrap();
-    let header = reader.header();
+    let source = TraceFileSource::open(&dir.join(sim.trace_file_name())).unwrap();
+    let header = source.header();
     assert!(header.source.contains("dlrm"));
     assert_eq!(header.seed, scale.seed);
     assert_eq!(
