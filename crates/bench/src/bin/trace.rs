@@ -67,8 +67,9 @@ const USAGE: &str = "usage: trace <record|replay|stat|mix|verify-corpus> [option
       [--shift-stride BYTES] [--loop N]
       Compose INPUTs into a new trace: proportional interleave (mix, by
       each input's WEIGHT, default 1), back-to-back (concat), or
-      side-by-side on the thread axis with one tenant per input (stack;
-      concat and stack take no WEIGHT); --shift-stride re-bases input i by
+      side-by-side on the thread axis, each input's tenants numbered after
+      the previous inputs' (stack; a plain input is one tenant; concat and
+      stack take no WEIGHT); --shift-stride re-bases input i by
       i*BYTES; --loop repeats each input N times. Multi-tenant outputs
       carry their thread->tenant table in the header (format version 2)
       so replay keeps the partition.

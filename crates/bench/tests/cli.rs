@@ -478,3 +478,50 @@ fn a_shifted_stack_of_a_corpus_trace_still_replays() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn a_stack_of_stacked_traces_keeps_every_tenant() {
+    // Stacking a one-tenant trace with itself gives two tenants; stacking
+    // that output with itself must give four, not merge them back to two.
+    let dir = scratch("nested");
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let (one, two, four) = (path("one.sbt"), path("two.sbt"), path("four.sbt"));
+    let metrics = path("metrics.csv");
+    let trace = |args: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_trace"))
+            .args(args)
+            .output()
+            .unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{args:?}: {err}");
+    };
+    trace(&[
+        "record",
+        "--workload",
+        "ycsb",
+        "--scale",
+        "tiny",
+        "--threads",
+        "1",
+        "--out",
+        &one,
+    ]);
+    trace(&["mix", "--mode", "stack", "--out", &two, &one, &one]);
+    trace(&["mix", "--mode", "stack", "--out", &four, &two, &two]);
+    trace(&[
+        "replay",
+        "--scale",
+        "tiny",
+        "--trace",
+        &four,
+        "--metrics",
+        &metrics,
+    ]);
+    let csv = std::fs::read_to_string(&metrics).unwrap();
+    let header = csv.lines().next().unwrap();
+    let tenant_columns = header
+        .split(',')
+        .filter(|c| c.starts_with("tenant") && c.ends_with("_accesses"));
+    assert_eq!(tenant_columns.count(), 4, "{header}");
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -7,9 +7,7 @@ use skybyte_sim::fleet::{fleet_population, FLEET_PLACEMENTS};
 use skybyte_sim::report::{find, Kind, EXPERIMENTS};
 use skybyte_sim::{audit_fleet, run_fleet, FleetConfig};
 use skybyte_sim::{ExperimentScale, Runner};
-use skybyte_types::{
-    PlacementPolicyKind, PolicyOverride, RebalancePolicyKind, SchedPolicy, SimConfig, VariantKind,
-};
+use skybyte_types::{PlacementPolicyKind, PolicyOverride, SchedPolicy, SimConfig, VariantKind};
 
 /// The whole figure, exactly as `figures --fig fleet --audit` resolves it,
 /// must render byte-identically for any worker count: placement, rebalance
@@ -88,16 +86,12 @@ fn every_placement_policy_runs_a_clean_fleet() {
     }
 }
 
-/// The fleet dimensions resolve to `FleetConfig` knobs, never to device
-/// policies: `--policy` refuses their names, which is what keeps
-/// single-device goldens (and the memo table) unaware of placement.
+/// The fleet dimensions are `FleetConfig` knobs, never device policies:
+/// `--policy` refuses their names, which is what keeps single-device goldens
+/// (and the memo table) unaware of placement.
 #[test]
 fn fleet_policy_names_resolve_and_leave_device_configs_untouched() {
-    let mut fleet = FleetConfig::new(2, VariantKind::SkyByteFull, ExperimentScale::tiny());
-    fleet.placement = "round-robin".parse().unwrap();
-    fleet.rebalance = "swap-worst".parse().unwrap();
-    assert_eq!(fleet.placement, PlacementPolicyKind::RoundRobin);
-    assert_eq!(fleet.rebalance, RebalancePolicyKind::SwapWorst);
+    assert_eq!(PlacementPolicyKind::RoundRobin.to_string(), "round-robin");
     for name in ["round-robin", "swap-worst"] {
         assert!(
             name.parse::<PolicyOverride>().is_err(),

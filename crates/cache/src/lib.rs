@@ -30,7 +30,7 @@
 //!
 //! ```
 //! use skybyte_cache::{DataCache, WriteLog};
-//! use skybyte_types::prelude::*;
+//! use skybyte_types::Lpa;
 //!
 //! // 1 MiB write log, 4 MiB / 8-way data cache.
 //! let mut log = WriteLog::new(1 << 20, 0.75);
@@ -48,6 +48,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod data_cache;
 mod log_index;

@@ -138,19 +138,13 @@ impl LogIndex {
     }
 }
 
-impl Default for LogIndex {
-    fn default() -> Self {
-        LogIndex::new(0.75)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn insert_lookup_replace() {
-        let mut idx = LogIndex::default();
+        let mut idx = LogIndex::new(0.75);
         idx.insert(Lpa::new(1), 3, 100);
         assert_eq!(idx.lookup(Lpa::new(1), 3), Some(100));
         assert_eq!(idx.lookup(Lpa::new(1), 4), None);
@@ -164,7 +158,7 @@ mod tests {
 
     #[test]
     fn page_entries_sorted_and_bitmap() {
-        let mut idx = LogIndex::default();
+        let mut idx = LogIndex::new(0.75);
         idx.insert(Lpa::new(7), 9, 1);
         idx.insert(Lpa::new(7), 2, 2);
         idx.insert(Lpa::new(7), 63, 3);
@@ -175,7 +169,7 @@ mod tests {
 
     #[test]
     fn second_level_tables_resize_on_demand() {
-        let mut idx = LogIndex::default();
+        let mut idx = LogIndex::new(0.75);
         // 4 initial slots, load factor 0.75 -> resize after the 4th insert.
         for cl in 0..16u8 {
             idx.insert(Lpa::new(1), cl, cl as u32);
@@ -190,13 +184,13 @@ mod tests {
     fn memory_accounting_matches_paper_worst_case_reasoning() {
         // One dirty cacheline per page: 16 B first-level + 16 B (4 slots * 4 B)
         // second-level = 32 B per page, the "resized" footprint of §III-B.
-        let mut idx = LogIndex::default();
+        let mut idx = LogIndex::new(0.75);
         for p in 0..1000u64 {
             idx.insert(Lpa::new(p), 0, p as u32);
         }
         assert_eq!(idx.memory_bytes(), 1000 * 32);
         // A fully dirty page allocates all 64 slots: 16 + 256 bytes.
-        let mut idx2 = LogIndex::default();
+        let mut idx2 = LogIndex::new(0.75);
         for cl in 0..64u8 {
             idx2.insert(Lpa::new(0), cl, cl as u32);
         }
@@ -205,7 +199,7 @@ mod tests {
 
     #[test]
     fn remove_page_and_clear() {
-        let mut idx = LogIndex::default();
+        let mut idx = LogIndex::new(0.75);
         idx.insert(Lpa::new(1), 0, 0);
         idx.insert(Lpa::new(2), 0, 1);
         assert!(idx.remove_page(Lpa::new(1)));
@@ -219,7 +213,7 @@ mod tests {
 
     #[test]
     fn pages_iterator_covers_all() {
-        let mut idx = LogIndex::default();
+        let mut idx = LogIndex::new(0.75);
         for p in 0..10u64 {
             idx.insert(Lpa::new(p), (p % 64) as u8, p as u32);
         }

@@ -769,6 +769,27 @@ mod tests {
     }
 
     #[test]
+    fn a_stack_of_stacks_runs_one_tenant_per_inner_input() {
+        use skybyte_trace::{TraceRecord, VecSource};
+        let scale = ExperimentScale::tiny();
+        let cfg = scale.apply(SimConfig::default()).with_threads(4);
+        let sim = Simulation::with_config(cfg, WorkloadKind::Ycsb, &scale);
+        let one = |name: &str| {
+            let records = (0..8).map(|i| TraceRecord::read(10, i * 4096)).collect();
+            Box::new(VecSource::new(name, vec![records])) as BoxedSource
+        };
+        let pair = |a, b| Box::new(Tenants::new(vec![one(a), one(b)])) as BoxedSource;
+        let mut nested = Tenants::new(vec![pair("a", "b"), pair("c", "d")]);
+        let (r, _) = sim.run_source(&mut nested, u64::MAX).unwrap();
+        assert_eq!(r.per_tenant.len(), 4);
+        for (i, t) in r.per_tenant.iter().enumerate() {
+            assert_eq!(t.tenant, TenantId(i as u32));
+            assert_eq!(t.threads, 1);
+            assert_eq!(t.requests.total(), 8);
+        }
+    }
+
+    #[test]
     fn multi_tenant_runs_are_deterministic() {
         let scale = ExperimentScale::tiny().with_accesses_per_thread(150);
         let tenants = [(WorkloadKind::Ycsb, 2), (WorkloadKind::Tpcc, 2)];

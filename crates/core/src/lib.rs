@@ -24,7 +24,7 @@
 //!
 //! ```
 //! use skybyte_sim::{ExperimentScale, Simulation};
-//! use skybyte_types::prelude::*;
+//! use skybyte_types::{Nanos, VariantKind};
 //! use skybyte_workloads::WorkloadKind;
 //!
 //! // A deliberately tiny run so the doctest finishes quickly.
@@ -37,6 +37,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod audit;
 pub mod engine;

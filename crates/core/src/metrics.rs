@@ -685,7 +685,7 @@ mod tests {
     #[test]
     fn utilisation_reports_raw_over_unity_ratios() {
         // Over-unity utilisation must be *visible* (the audit flags it), not
-        // clamped away as it used to be.
+        // clamped away.
         let mut r = dummy(1_000_000);
         r.flash_busy_time = r.exec_time * (r.flash_channels as u64) * 2;
         assert!((r.ssd_bandwidth_utilisation() - 2.0).abs() < 1e-12);

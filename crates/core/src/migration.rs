@@ -43,7 +43,7 @@ pub struct MigrationStats {
 }
 
 /// Everything the migration engine needs to touch when moving a page.
-pub struct MigrationContext<'a> {
+pub(crate) struct MigrationContext<'a> {
     /// The SSD controller (source/sink of migrated pages).
     pub ssd: &'a mut SsdController,
     /// The OS page table.
@@ -58,7 +58,7 @@ pub struct MigrationContext<'a> {
 
 /// The page-migration engine.
 #[derive(Debug)]
-pub struct MigrationEngine {
+pub(crate) struct MigrationEngine {
     policy: MigrationPolicyKind,
     /// TPP's access sampler, configured with the sampling period and the
     /// per-period promotion budget (`tpp_promotions_per_period`). Only the
@@ -72,7 +72,7 @@ impl MigrationEngine {
     /// Creates the engine for the configuration's migration policy and host
     /// DRAM promotion budget. A variant that does not migrate keeps the
     /// engine disabled whatever `cfg.migration.policy` says.
-    pub fn new(cfg: &SimConfig) -> Self {
+    pub(crate) fn new(cfg: &SimConfig) -> Self {
         let policy = if cfg.variant.migration_policy() == MigrationPolicyKind::Disabled {
             MigrationPolicyKind::Disabled
         } else {
@@ -87,18 +87,18 @@ impl MigrationEngine {
     }
 
     /// Whether any migration happens at all.
-    pub fn enabled(&self) -> bool {
+    pub(crate) fn enabled(&self) -> bool {
         self.policy != MigrationPolicyKind::Disabled
     }
 
     /// Records an access to a promoted page (maintains the active/inactive
     /// reclamation lists).
-    pub fn record_host_access(&mut self, lpa: Lpa) {
+    pub(crate) fn record_host_access(&mut self, lpa: Lpa) {
         self.pool.record_access(lpa);
     }
 
     /// Records an access to an SSD-resident page (feeds the TPP sampler).
-    pub fn record_ssd_access(&mut self, lpa: Lpa, now: Nanos) {
+    pub(crate) fn record_ssd_access(&mut self, lpa: Lpa, now: Nanos) {
         if self.policy == MigrationPolicyKind::Tpp {
             self.tpp.record_access(lpa, now);
         }
@@ -106,7 +106,7 @@ impl MigrationEngine {
 
     /// Runs the background promotion policy once: nominates at most one
     /// candidate and migrates it. Returns the promoted page, if any.
-    pub fn run(&mut self, now: Nanos, ctx: &mut MigrationContext<'_>) -> Option<Lpa> {
+    pub(crate) fn run(&mut self, now: Nanos, ctx: &mut MigrationContext<'_>) -> Option<Lpa> {
         self.stats.runs += 1;
         let lpa = match self.policy {
             MigrationPolicyKind::Adaptive => ctx.ssd.promotion_candidate(),
@@ -122,7 +122,7 @@ impl MigrationEngine {
     /// On-demand fill: promote the page that just missed in SSD DRAM. Called
     /// by the engine on every SSD read miss; a no-op unless the policy
     /// promotes on demand (AstriFlash's page-cache semantics).
-    pub fn on_demand_fill(
+    pub(crate) fn on_demand_fill(
         &mut self,
         lpa: Lpa,
         now: Nanos,
@@ -135,7 +135,7 @@ impl MigrationEngine {
     }
 
     /// Migration statistics.
-    pub fn stats(&self) -> &MigrationStats {
+    pub(crate) fn stats(&self) -> &MigrationStats {
         &self.stats
     }
 

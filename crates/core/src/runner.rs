@@ -53,11 +53,15 @@ impl RunRequest {
     }
 
     /// Wraps an already-built simulation.
-    pub fn from_simulation(sim: Simulation) -> Self {
+    pub fn from_simulation(mut sim: Simulation) -> Self {
         // The debug representation covers every field of the configuration,
         // workload and scale, and is deterministic — exactly what a memo key
-        // needs within one harness invocation.
+        // needs within one harness invocation. Telemetry is observe-only and
+        // `Runner::execute` applies the runner's own, so the key renders it
+        // at its default: requests that differ only in telemetry share one.
+        let telemetry = std::mem::take(&mut sim.config_mut().telemetry);
         let fingerprint = format!("{sim:?}");
+        sim.config_mut().telemetry = telemetry;
         RunRequest { sim, fingerprint }
     }
 
@@ -225,7 +229,7 @@ pub struct Runner {
     audit: bool,
     /// Telemetry settings applied to every request this runner executes (the
     /// `figures --metrics` / `--timeline` hook). Telemetry is observe-only
-    /// and its configuration is deliberately excluded from fingerprints, so
+    /// and [`RunRequest::from_simulation`] leaves it out of fingerprints, so
     /// enabling it never splits the memo table — but memo hits recall a
     /// cached [`SimResult`] without re-executing, so they contribute no
     /// telemetry output.
@@ -530,13 +534,6 @@ fn label(req: &RunRequest) -> String {
     format!("{}/{}", sim.config().variant, sim.workload())
 }
 
-impl Default for Runner {
-    /// A runner sized to the host's available parallelism.
-    fn default() -> Self {
-        Self::new(default_parallelism())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -581,6 +578,30 @@ mod tests {
         // Identical requests share a fingerprint.
         let a2 = RunRequest::build(VariantKind::BaseCssd, WorkloadKind::Ycsb, &scale);
         assert_eq!(a.fingerprint(), a2.fingerprint());
+    }
+
+    #[test]
+    fn requests_differing_only_in_telemetry_share_a_fingerprint() {
+        let scale = tiny();
+        let plain = RunRequest::build(VariantKind::BaseCssd, WorkloadKind::Ycsb, &scale);
+        let mut sim = plain.simulation().clone();
+        sim.config_mut().telemetry = TelemetryConfig {
+            enabled: true,
+            sample_interval: Nanos::from_micros(1),
+            timeline: false,
+        };
+        let observed = RunRequest::from_simulation(sim);
+        assert_eq!(plain.fingerprint(), observed.fingerprint());
+        assert!(observed.simulation().config().telemetry.enabled);
+        let runner = Runner::new(1);
+        let first = runner.run(&plain);
+        let second = runner.run(&observed);
+        assert!(
+            Arc::ptr_eq(&first, &second),
+            "second run must be a memo hit"
+        );
+        assert_eq!(runner.runs_executed(), 1);
+        assert_eq!(runner.memo_hits(), 1);
     }
 
     #[test]
@@ -694,7 +715,7 @@ mod tests {
     fn jobs_are_clamped_to_at_least_one() {
         assert_eq!(Runner::new(0).jobs(), 1);
         assert_eq!(Runner::new(7).jobs(), 7);
-        assert!(Runner::default().jobs() >= 1);
+        assert!(Runner::new(default_parallelism()).jobs() >= 1);
         assert!(default_parallelism() >= 1);
     }
 

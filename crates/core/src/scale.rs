@@ -157,12 +157,6 @@ impl ExperimentScale {
     }
 }
 
-impl Default for ExperimentScale {
-    fn default() -> Self {
-        Self::default_scale()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

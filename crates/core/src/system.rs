@@ -1,11 +1,9 @@
 //! The system state and access pipeline of the simulation engine.
 //!
-//! The engine's run loop used to be a ~280-line monolith that owned every
-//! device and counter as loose locals and assumed exactly one workload per
-//! run. This module decomposes it into a [`SystemState`] — every simulated
-//! component (SSD, CXL port, host DRAM, scheduler, page table, TLB,
-//! migration engine, per-core clocks and boundedness) plus all run counters
-//! — and a pipeline of composable steps executed once per work unit:
+//! A run is a [`SystemState`] — every simulated component (SSD, CXL port,
+//! host DRAM, scheduler, page table, TLB, migration engine, per-core clocks
+//! and boundedness) plus all run counters — and a pipeline of composable
+//! steps executed once per work unit:
 //!
 //! 1. `schedule` — ensure a thread runs on the core whose event fired, or
 //!    idle the core to the next wake-up, or park it; which runnable thread
@@ -82,7 +80,7 @@ enum Pass {
 /// Everything one simulation run owns: the simulated devices, the OS-side
 /// models, per-core execution state and every counter the run accumulates
 /// (per tenant, apart from the migration cadence's access count).
-pub struct SystemState {
+pub(crate) struct SystemState {
     cfg: SimConfig,
     // Devices and OS models.
     core_model: CoreTimingModel,

@@ -23,8 +23,9 @@
 //! core has at most one pending event, so `(time, core)` already totally
 //! orders them and the sentinel core sorts last). The golden-trace corpus
 //! verifies bit-identical with telemetry enabled, and the run fingerprint
-//! ignores telemetry settings entirely (see `TelemetryConfig`'s constant
-//! `Debug` impl), so memoised runners never split on it. The flip side:
+//! renders every request's telemetry at its default
+//! ([`RunRequest::from_simulation`](crate::runner::RunRequest::from_simulation)),
+//! so memoised runners never split on it. The flip side:
 //! a memoised run that was *served from* the memo table executed without
 //! telemetry injected and therefore produces no telemetry output.
 
@@ -500,7 +501,7 @@ pub(crate) struct Telemetry {
 
 impl Telemetry {
     /// Creates a recorder for a run with the given dimensions.
-    pub fn new(cfg: TelemetryConfig, cores: u32, channels: usize, tenants: usize) -> Self {
+    pub(crate) fn new(cfg: TelemetryConfig, cores: u32, channels: usize, tenants: usize) -> Self {
         Telemetry {
             cfg,
             metrics: MetricsLog::new(channels, tenants),
@@ -512,13 +513,13 @@ impl Telemetry {
     }
 
     /// The capture configuration this recorder was armed with.
-    pub fn config(&self) -> &TelemetryConfig {
+    pub(crate) fn config(&self) -> &TelemetryConfig {
         &self.cfg
     }
 
     /// Records one metrics sample, deriving its windowed hit rate from the
     /// cumulative hit/miss counters of the previous sample.
-    pub fn record_sample(&mut self, mut sample: MetricsSample) {
+    pub(crate) fn record_sample(&mut self, mut sample: MetricsSample) {
         let dh = sample.cache_hits - self.window_hits;
         let dm = sample.cache_misses - self.window_misses;
         sample.window_hit_rate = if dh + dm > 0 {
@@ -533,7 +534,7 @@ impl Telemetry {
 
     /// Accounts one pipeline pass of `tid` on `core` over `[start, end]`,
     /// merging it into the core's open slice when contiguous.
-    pub fn thread_pass(&mut self, core: usize, tid: u32, start: Nanos, end: Nanos) {
+    pub(crate) fn thread_pass(&mut self, core: usize, tid: u32, start: Nanos, end: Nanos) {
         if !self.cfg.timeline {
             return;
         }
@@ -550,7 +551,7 @@ impl Telemetry {
     }
 
     /// Marks a device-triggered context switch away from `tid` on `core`.
-    pub fn context_switch(&mut self, core: usize, time: Nanos, tid: u32, wake: Nanos) {
+    pub(crate) fn context_switch(&mut self, core: usize, time: Nanos, tid: u32, wake: Nanos) {
         if !self.cfg.timeline {
             return;
         }
@@ -564,7 +565,7 @@ impl Telemetry {
 
     /// Records a flash command service window `[arrival, done]` with its
     /// latency breakdown components.
-    pub fn flash_window(
+    pub(crate) fn flash_window(
         &mut self,
         write: bool,
         arrival: Nanos,
@@ -587,7 +588,7 @@ impl Telemetry {
     }
 
     /// Records a write-log compaction window `[start, until]`.
-    pub fn compaction_window(&mut self, start: Nanos, until: Nanos, compactions: u64) {
+    pub(crate) fn compaction_window(&mut self, start: Nanos, until: Nanos, compactions: u64) {
         if !self.cfg.timeline || until < start {
             return;
         }
@@ -597,7 +598,7 @@ impl Telemetry {
     }
 
     /// Marks one or more garbage-collection campaigns triggered at `time`.
-    pub fn gc_campaign(&mut self, time: Nanos, campaigns: u64) {
+    pub(crate) fn gc_campaign(&mut self, time: Nanos, campaigns: u64) {
         if !self.cfg.timeline {
             return;
         }
@@ -607,7 +608,7 @@ impl Telemetry {
     }
 
     /// Marks a migration-policy invocation at `time` that moved pages.
-    pub fn migration_event(&mut self, time: Nanos, promoted: u64, demoted: u64) {
+    pub(crate) fn migration_event(&mut self, time: Nanos, promoted: u64, demoted: u64) {
         if !self.cfg.timeline {
             return;
         }
@@ -619,7 +620,7 @@ impl Telemetry {
     /// Closes the run: flushes open slices, records the final cumulative
     /// sample (taken at `exec_time` after the end-of-run device flush) and
     /// hands the captured data back.
-    pub fn finish(mut self, final_sample: MetricsSample) -> TelemetryOutput {
+    pub(crate) fn finish(mut self, final_sample: MetricsSample) -> TelemetryOutput {
         for core in 0..self.open.len() {
             if let Some(slice) = self.open[core].take() {
                 self.timeline.push_slice(core, slice);

@@ -23,7 +23,7 @@ use skybyte_workloads::{TraceError, TraceRecord, TraceSource};
 /// The execution state of one thread: its stream position, its remaining
 /// work budget, and an optional access pending re-issue.
 #[derive(Debug, Clone)]
-pub struct ThreadExecutor {
+pub(crate) struct ThreadExecutor {
     thread: u32,
     budget: u64,
     issued: u64,
@@ -36,7 +36,11 @@ pub struct ThreadExecutor {
 impl ThreadExecutor {
     /// Creates the executor for stream `thread` of `source`, limited to
     /// `budget` work units, and prefetches the first record.
-    pub fn new(thread: u32, budget: u64, source: &mut dyn TraceSource) -> Result<Self, TraceError> {
+    pub(crate) fn new(
+        thread: u32,
+        budget: u64,
+        source: &mut dyn TraceSource,
+    ) -> Result<Self, TraceError> {
         let mut exec = ThreadExecutor {
             thread,
             budget,
@@ -60,7 +64,7 @@ impl ThreadExecutor {
     /// A pushed-back access is returned first (with zero compute, since the
     /// compute burst before it already executed). Fails if the source fails
     /// while prefetching the successor.
-    pub fn next_unit(
+    pub(crate) fn next_unit(
         &mut self,
         source: &mut dyn TraceSource,
     ) -> Result<Option<TraceRecord>, TraceError> {
@@ -79,7 +83,7 @@ impl ThreadExecutor {
 
     /// Pushes an access back for re-issue after a context switch. The compute
     /// part is zeroed: it has already been accounted.
-    pub fn push_back(&mut self, unit: TraceRecord) {
+    pub(crate) fn push_back(&mut self, unit: TraceRecord) {
         debug_assert!(self.pending.is_none(), "only one access can be pending");
         self.pending = Some(TraceRecord {
             instructions: 0,
@@ -89,7 +93,7 @@ impl ThreadExecutor {
 
     /// Whether the trace is exhausted and nothing is pending. Exact even
     /// for finite sources, thanks to the one-record prefetch.
-    pub fn is_finished(&self) -> bool {
+    pub(crate) fn is_finished(&self) -> bool {
         self.pending.is_none() && self.prefetched.is_none()
     }
 }

@@ -20,7 +20,7 @@
 //!
 //! ```
 //! use skybyte_cpu::{CoreTimingModel, HostDram};
-//! use skybyte_types::prelude::*;
+//! use skybyte_types::{CpuConfig, HostDramConfig, Nanos};
 //!
 //! let cfg = CpuConfig::default();
 //! let core = CoreTimingModel::new(&cfg);
@@ -36,6 +36,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod core_model;
 mod dram;

@@ -43,11 +43,6 @@ impl FlashArray {
         }
     }
 
-    /// The NAND timing parameters in use.
-    pub fn timing(&self) -> &FlashTimingConfig {
-        &self.timing
-    }
-
     /// Submits a command to the channel named by `ppa.channel` at time `now`
     /// and returns its completion time.
     ///
@@ -133,6 +128,14 @@ mod tests {
     use super::*;
     use skybyte_types::{NandKind, SsdConfig};
 
+    /// Page 0 of block 0 on `channel`.
+    fn on_channel(channel: u16) -> Ppa {
+        Ppa {
+            channel,
+            ..Ppa::default()
+        }
+    }
+
     fn small_array() -> FlashArray {
         let geometry = SsdGeometry {
             channels: 4,
@@ -156,23 +159,18 @@ mod tests {
     #[test]
     fn channels_are_independent() {
         let mut arr = small_array();
-        let a = arr.submit(
-            FlashCommandKind::Read,
-            Ppa::new(0, 0, 0, 0, 0, 0),
-            Nanos::ZERO,
-        );
-        let b = arr.submit(
-            FlashCommandKind::Read,
-            Ppa::new(1, 0, 0, 0, 0, 0),
-            Nanos::ZERO,
-        );
+        let a = arr.submit(FlashCommandKind::Read, on_channel(0), Nanos::ZERO);
+        let b = arr.submit(FlashCommandKind::Read, on_channel(1), Nanos::ZERO);
         // Different channels: both finish after one tR.
         assert_eq!(a, Nanos::from_micros(3));
         assert_eq!(b, Nanos::from_micros(3));
         // Same channel: serialised.
         let c = arr.submit(
             FlashCommandKind::Read,
-            Ppa::new(0, 0, 0, 0, 0, 1),
+            Ppa {
+                page: 1,
+                ..on_channel(0)
+            },
             Nanos::ZERO,
         );
         assert_eq!(c, Nanos::from_micros(6));
@@ -181,21 +179,9 @@ mod tests {
     #[test]
     fn stats_accumulate() {
         let mut arr = small_array();
-        arr.submit(
-            FlashCommandKind::Read,
-            Ppa::new(0, 0, 0, 0, 0, 0),
-            Nanos::ZERO,
-        );
-        arr.submit(
-            FlashCommandKind::Program,
-            Ppa::new(1, 0, 0, 0, 0, 0),
-            Nanos::ZERO,
-        );
-        arr.submit(
-            FlashCommandKind::Erase,
-            Ppa::new(2, 0, 0, 0, 0, 0),
-            Nanos::ZERO,
-        );
+        arr.submit(FlashCommandKind::Read, on_channel(0), Nanos::ZERO);
+        arr.submit(FlashCommandKind::Program, on_channel(1), Nanos::ZERO);
+        arr.submit(FlashCommandKind::Erase, on_channel(2), Nanos::ZERO);
         let s = arr.stats();
         assert_eq!(s.pages_read, 1);
         assert_eq!(s.pages_programmed, 1);
@@ -207,7 +193,7 @@ mod tests {
     #[test]
     fn estimate_tracks_queue_contents() {
         let mut arr = small_array();
-        let target = Ppa::new(2, 0, 0, 0, 0, 0);
+        let target = on_channel(2);
         assert_eq!(arr.estimate_read_latency(target), Nanos::from_micros(3));
         arr.submit(FlashCommandKind::Program, target, Nanos::ZERO);
         assert_eq!(arr.estimate_read_latency(target), Nanos::from_micros(103));
@@ -215,22 +201,18 @@ mod tests {
         assert_eq!(arr.estimate_read_latency(target), Nanos::from_micros(1103));
         // Other channels are unaffected.
         assert_eq!(
-            arr.estimate_read_latency(Ppa::new(3, 0, 0, 0, 0, 0)),
+            arr.estimate_read_latency(on_channel(3)),
             Nanos::from_micros(3)
         );
         // After retirement the estimate drops back.
-        arr.retire_completed(Nanos::from_secs(1));
+        arr.retire_completed(Nanos::from_millis(1_000));
         assert_eq!(arr.estimate_read_latency(target), Nanos::from_micros(3));
     }
 
     #[test]
     fn retire_is_gated_on_the_earliest_completion() {
         let mut arr = small_array();
-        let (a, b, c) = (
-            Ppa::new(0, 0, 0, 0, 0, 0),
-            Ppa::new(1, 0, 0, 0, 0, 0),
-            Ppa::new(2, 0, 0, 0, 0, 0),
-        );
+        let (a, b, c) = (on_channel(0), on_channel(1), on_channel(2));
         let t1 = arr.submit(FlashCommandKind::Read, a, Nanos::ZERO);
         let t2 = arr.submit(FlashCommandKind::Program, b, Nanos::ZERO);
         assert!(t1 < t2);
@@ -262,10 +244,6 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn rejects_out_of_range_channel() {
         let mut arr = small_array();
-        arr.submit(
-            FlashCommandKind::Read,
-            Ppa::new(99, 0, 0, 0, 0, 0),
-            Nanos::ZERO,
-        );
+        arr.submit(FlashCommandKind::Read, on_channel(99), Nanos::ZERO);
     }
 }

@@ -249,7 +249,7 @@ mod tests {
         assert_eq!(q.counters().writes + q.counters().erases, 2);
 
         // Far in the future everything drains.
-        assert_eq!(q.retire_completed(Nanos::from_secs(1)), 2);
+        assert_eq!(q.retire_completed(Nanos::from_millis(1_000)), 2);
         assert_eq!(q.depth(), 0);
         assert_eq!(q.counters(), QueueCounters::default());
     }

@@ -1,7 +1,6 @@
 //! The NAND operations a flash channel serves.
 
 use skybyte_types::{FlashTimingConfig, Nanos};
-use std::fmt;
 
 /// The three NAND operations and their Table IV timings.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -25,17 +24,6 @@ impl FlashCommandKind {
     }
 }
 
-impl fmt::Display for FlashCommandKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            FlashCommandKind::Read => "read",
-            FlashCommandKind::Program => "program",
-            FlashCommandKind::Erase => "erase",
-        };
-        f.write_str(s)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -53,12 +41,5 @@ mod tests {
             FlashCommandKind::Erase.latency(&t),
             Nanos::from_micros(1000)
         );
-    }
-
-    #[test]
-    fn display_names() {
-        assert_eq!(FlashCommandKind::Read.to_string(), "read");
-        assert_eq!(FlashCommandKind::Program.to_string(), "program");
-        assert_eq!(FlashCommandKind::Erase.to_string(), "erase");
     }
 }

@@ -15,11 +15,11 @@
 //!
 //! ```
 //! use skybyte_flash::{FlashArray, FlashCommandKind};
-//! use skybyte_types::prelude::*;
+//! use skybyte_types::{Nanos, Ppa, SsdConfig};
 //!
 //! let cfg = SsdConfig::default();
 //! let mut flash = FlashArray::new(cfg.geometry, cfg.flash);
-//! let ppa = Ppa::new(0, 0, 0, 0, 0, 0);
+//! let ppa = Ppa::default(); // channel 0, chip 0, ..., page 0
 //! let done = flash.submit(FlashCommandKind::Read, ppa, Nanos::ZERO);
 //! assert_eq!(done, Nanos::from_micros(3)); // tR of Z-NAND
 //! // A second read on the same channel queues behind the first.
@@ -29,6 +29,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod array;
 mod channel;

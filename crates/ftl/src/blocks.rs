@@ -11,13 +11,6 @@ use std::collections::VecDeque;
 #[serde(transparent)]
 pub struct BlockId(pub u64);
 
-impl BlockId {
-    /// The raw linear block index.
-    pub const fn index(self) -> u64 {
-        self.0
-    }
-}
-
 /// Lifecycle state of an erase block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BlockState {

@@ -18,7 +18,7 @@
 //! ```
 //! use skybyte_flash::FlashArray;
 //! use skybyte_ftl::Ftl;
-//! use skybyte_types::prelude::*;
+//! use skybyte_types::{Lpa, Nanos, SsdConfig};
 //!
 //! let cfg = SsdConfig::default();
 //! let mut flash = FlashArray::new(cfg.geometry, cfg.flash);
@@ -35,6 +35,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod blocks;
 mod ftl_impl;

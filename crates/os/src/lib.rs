@@ -19,8 +19,8 @@
 //! # Example
 //!
 //! ```
-//! use skybyte_os::prelude::*;
-//! use skybyte_types::prelude::*;
+//! use skybyte_os::Scheduler;
+//! use skybyte_types::{Nanos, SchedPolicy};
 //!
 //! let mut sched = Scheduler::new(SchedPolicy::Cfs, Nanos::from_micros(2), 42);
 //! let t0 = sched.spawn();
@@ -32,21 +32,13 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod memory;
 pub mod sched;
 pub mod thread;
 pub mod tpp;
 pub mod vm;
-
-/// Commonly used items.
-pub mod prelude {
-    pub use crate::memory::{HostMemoryPool, PoolDecision};
-    pub use crate::sched::{SchedStats, Scheduler};
-    pub use crate::thread::{BlockReason, ThreadId, ThreadState};
-    pub use crate::tpp::TppSampler;
-    pub use crate::vm::{PagePlacement, PageTable, Tlb};
-}
 
 pub use memory::{HostMemoryPool, PoolDecision};
 pub use sched::{SchedStats, Scheduler};

@@ -382,7 +382,7 @@ mod tests {
             let mut reference = ReferencePool::new(capacity);
             for step in 0..600 {
                 let lpa = Lpa::new(rng.gen_range(0..pages));
-                let what = format!("seed {seed} step {step} page {lpa}");
+                let what = format!("seed {seed} step {step} page {lpa:?}");
                 match rng.gen_range(0..10u32) {
                     0..=2 => assert_eq!(p.promote(lpa), reference.promote(lpa), "{what}"),
                     3..=6 => {

@@ -412,7 +412,12 @@ mod tests {
             for _ in 0..8 {
                 let t = s.schedule_on(0, Nanos::ZERO).unwrap();
                 order.push(t);
-                s.yield_current(0, Nanos::ZERO, Nanos::from_secs(1), BlockReason::Other);
+                s.yield_current(
+                    0,
+                    Nanos::ZERO,
+                    Nanos::from_millis(1_000),
+                    BlockReason::Other,
+                );
             }
             order
         };

@@ -2,7 +2,6 @@
 
 use serde::{Deserialize, Serialize};
 use skybyte_types::Nanos;
-use std::fmt;
 
 /// Identifier of an application thread.
 #[derive(
@@ -10,12 +9,6 @@ use std::fmt;
 )]
 #[serde(transparent)]
 pub struct ThreadId(pub u32);
-
-impl fmt::Display for ThreadId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "T{}", self.0)
-    }
-}
 
 /// Why a thread is not currently runnable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,7 +86,7 @@ mod tests {
         assert!(t.is_runnable());
         assert_ne!(t.state, ThreadState::Finished);
         assert_eq!(t.vruntime, Nanos::ZERO);
-        assert_eq!(format!("{}", t.id), "T3");
+        assert_eq!(t.id, ThreadId(3));
     }
 
     #[test]

@@ -342,14 +342,14 @@ mod tests {
                     assert_eq!(
                         tlb.shootdown(page),
                         reference.shootdown(page),
-                        "seed {seed} step {step}: shootdown of {page}"
+                        "seed {seed} step {step}: shootdown of {page:?}"
                     );
                 } else {
                     let hit = tlb.access(page) == Nanos::ZERO;
                     assert_eq!(
                         hit,
                         reference.access(page),
-                        "seed {seed} step {step}: access to {page}"
+                        "seed {seed} step {step}: access to {page:?}"
                     );
                 }
             }

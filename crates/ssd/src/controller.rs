@@ -606,17 +606,16 @@ impl SsdController {
             }
         }
         // Account only the *non-overlapping extension* of the device's
-        // compaction-busy window: overlapping campaigns used to each add
-        // their full `finish - now` span, double-counting busy time that
-        // `compaction_active_until` already modelled. The result is the
-        // measure of the union of all campaign windows when campaigns start
-        // in nondecreasing order, and a conservative lower bound otherwise
-        // (a campaign whose whole window falls inside a gap *before*
-        // `compaction_active_until` — possible because per-core clocks are
-        // not globally monotone — contributes nothing rather than
-        // double-counting). Either way the total never exceeds the covered
-        // wall-clock span, which is what the conservation audit bounds by
-        // the execution time.
+        // compaction-busy window, so overlapping campaigns never count the
+        // busy time `compaction_active_until` already covers twice. The
+        // result is the measure of the union of all campaign windows when
+        // campaigns start in nondecreasing order, and a conservative lower
+        // bound otherwise (a campaign whose whole window falls inside a gap
+        // *before* `compaction_active_until` — possible because per-core
+        // clocks are not globally monotone — contributes nothing rather
+        // than double-counting). Either way the total never exceeds the
+        // covered wall-clock span, which is what the conservation audit
+        // bounds by the execution time.
         let busy_from = now.max(self.compaction_active_until);
         if finish > busy_from {
             self.stats.compaction_time += finish.since(busy_from);
@@ -801,7 +800,7 @@ mod tests {
         // The last campaign extends past `now`; the windowed view excludes
         // the part beyond the horizon.
         assert!(ssd.compaction_time_within(now) <= now);
-        let far = Nanos::from_secs(1);
+        let far = Nanos::from_millis(1_000);
         assert_eq!(ssd.compaction_time_within(far), ssd.stats().compaction_time);
     }
 

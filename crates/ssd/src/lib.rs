@@ -25,7 +25,7 @@
 //!
 //! ```
 //! use skybyte_ssd::{ServedBy, SsdController};
-//! use skybyte_types::prelude::*;
+//! use skybyte_types::{Lpa, Nanos, SimConfig, VariantKind};
 //!
 //! let mut cfg = SimConfig::default().with_variant(VariantKind::SkyByteFull);
 //! // Shrink the device so the example runs instantly.
@@ -46,6 +46,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod controller;
 pub mod hotness;

@@ -2,7 +2,6 @@
 
 use serde::{Deserialize, Serialize};
 use skybyte_types::Nanos;
-use std::fmt;
 
 /// Which structure ultimately served (or absorbed) a CXL access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -16,18 +15,6 @@ pub enum ServedBy {
     /// The page was never written: the controller returns zeroes without
     /// touching flash.
     ZeroFill,
-}
-
-impl fmt::Display for ServedBy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            ServedBy::WriteLog => "write-log",
-            ServedBy::DataCache => "data-cache",
-            ServedBy::Flash => "flash",
-            ServedBy::ZeroFill => "zero-fill",
-        };
-        f.write_str(s)
-    }
 }
 
 /// Per-access latency breakdown inside the SSD, in the components plotted in
@@ -87,15 +74,4 @@ pub struct SsdStats {
     /// Gauge: pages the hotness tracker currently holds state for (counters,
     /// pending candidates, promoted marks); 0 before the first access.
     pub tracked_pages: u64,
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn served_by_display() {
-        assert_eq!(ServedBy::WriteLog.to_string(), "write-log");
-        assert_eq!(ServedBy::Flash.to_string(), "flash");
-    }
 }

@@ -5,8 +5,8 @@
 //! * [`Concat`] — one source after another, per thread,
 //! * [`LoopN`] — repeat a rewindable source a fixed number of times,
 //! * [`Shift`] — re-base a source's footprint by a byte offset,
-//! * [`Tenants`] — stack sources side by side on the thread axis, one
-//!   tenant per input.
+//! * [`Tenants`] — stack sources side by side on the thread axis, each
+//!   input's tenants numbered after the previous inputs'.
 //!
 //! All compositors are themselves [`TraceSource`]s, so they nest: a two
 //! tenant mix of a shifted replay and a live generator is
@@ -17,7 +17,8 @@
 //! their inner source's tenancy, [`Mix`] and [`Concat`] report the tenant
 //! of the first input contributing to a thread (their output threads merge
 //! streams, so tenancy is per-thread, not per-record), and [`Tenants`]
-//! assigns each input a fresh tenant id.
+//! gives each input its own range of tenant ids, so stacked stacks keep
+//! every tenant apart.
 
 use crate::error::TraceError;
 use crate::record::TraceRecord;
@@ -317,41 +318,52 @@ impl TraceSource for Shift {
 /// [`TraceSource::tenant_map`] records the partition the per-tenant
 /// counters are attributed by.
 ///
-/// Tenancy: an input that reports an explicit (nonzero) tenant for a stream
-/// keeps it; untagged streams ([`TenantId::ZERO`], the single-tenant
-/// default every plain source reports) are assigned their input's position
-/// as the tenant id. A caller's explicit tag is therefore never silently
-/// overridden, while stacking plain sources still yields one tenant per
-/// input.
+/// Tenancy: each input's tenants are numbered after those of the inputs
+/// before it. Input `i`'s tenant `t` becomes tenant `base + t`, where `base`
+/// is the sum of the earlier inputs' tenant counts
+/// ([`TenantMap::tenant_count`](skybyte_types::TenantMap::tenant_count)).
+/// Plain sources report the single tenant [`TenantId::ZERO`], so stacking
+/// them yields tenants 0, 1, 2, … in input order, and stacking two
+/// two-tenant stacks yields four tenants.
 #[derive(Debug)]
 pub struct Tenants {
     inputs: Vec<BoxedSource>,
     /// Exclusive prefix sums of the inputs' thread counts.
     starts: Vec<u32>,
+    /// Exclusive prefix sums of the inputs' tenant counts.
+    bases: Vec<u32>,
     threads: u32,
 }
 
 impl Tenants {
-    /// Stacks `inputs`, assigning input `i` the tenant id `i`.
+    /// Stacks `inputs`, numbering each input's tenants after the previous
+    /// inputs' (input `i` is tenant `i` when every input is single-tenant).
     ///
     /// # Panics
     ///
-    /// Panics if `inputs` is empty or the total thread count overflows
-    /// `u32`.
+    /// Panics if `inputs` is empty or the total thread or tenant count
+    /// overflows `u32`.
     pub fn new(inputs: Vec<BoxedSource>) -> Self {
         assert!(!inputs.is_empty(), "Tenants needs at least one input");
         let mut starts = Vec::with_capacity(inputs.len());
-        let mut total: u32 = 0;
+        let mut bases = Vec::with_capacity(inputs.len());
+        let (mut threads, mut tenants) = (0u32, 0u32);
         for s in &inputs {
-            starts.push(total);
-            total = total
+            starts.push(threads);
+            bases.push(tenants);
+            threads = threads
                 .checked_add(s.threads())
                 .expect("total thread count overflows u32");
+            tenants = u32::try_from(s.tenant_map().tenant_count())
+                .ok()
+                .and_then(|n| tenants.checked_add(n))
+                .expect("total tenant count overflows u32");
         }
         Tenants {
             inputs,
             starts,
-            threads: total,
+            bases,
+            threads,
         }
     }
 
@@ -390,14 +402,7 @@ impl TraceSource for Tenants {
 
     fn tenant_of(&self, thread: u32) -> TenantId {
         match self.locate(thread) {
-            Ok((i, local)) => {
-                let tagged = self.inputs[i].tenant_of(local);
-                if tagged == TenantId::ZERO {
-                    TenantId(i as u32)
-                } else {
-                    tagged
-                }
-            }
+            Ok((i, local)) => TenantId(self.bases[i] + self.inputs[i].tenant_of(local).0),
             Err(_) => TenantId::ZERO,
         }
     }
@@ -557,8 +562,9 @@ mod tests {
 
     #[test]
     fn tenants_honours_explicit_inner_tags() {
-        // An inner source's explicit nonzero tenant wins over the
-        // positional id; untagged inputs fall back to their position.
+        // An inner source's tenant ids are kept, offset by the tenant
+        // counts of the inputs before it: the tag-5 input spans tenants
+        // 0..=5, so the plain input after it is tenant 6.
         #[derive(Debug)]
         struct Tagged(VecSource, TenantId);
         impl TraceSource for Tagged {
@@ -581,8 +587,23 @@ mod tests {
             boxed("b", vec![tagged(1, 2)]),
         ]);
         assert_eq!(stacked.tenant_of(0), TenantId(5), "explicit tag kept");
-        assert_eq!(stacked.tenant_of(1), TenantId(1), "untagged: positional");
-        assert_eq!(stacked.tenant_map().tenant_count(), 6);
+        assert_eq!(stacked.tenant_of(1), TenantId(6), "numbered after it");
+        assert_eq!(stacked.tenant_map().tenant_count(), 7);
+    }
+
+    #[test]
+    fn stacked_stacks_keep_every_tenant_apart() {
+        let pair = |a: &str, b: &str| {
+            Box::new(Tenants::new(vec![
+                boxed(a, vec![tagged(1, 1)]),
+                boxed(b, vec![tagged(1, 2)]),
+            ])) as BoxedSource
+        };
+        let nested = Tenants::new(vec![pair("a", "b"), pair("c", "d")]);
+        assert_eq!(nested.threads(), 4);
+        let tenants: Vec<TenantId> = (0..4).map(|t| nested.tenant_of(t)).collect();
+        assert_eq!(tenants, [0, 1, 2, 3].map(TenantId));
+        assert_eq!(nested.tenant_map().tenant_count(), 4);
     }
 
     #[test]

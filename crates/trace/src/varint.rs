@@ -10,10 +10,10 @@ use crate::error::TraceError;
 use std::io::Write;
 
 /// Maximum encoded length of a `u64` varint.
-pub const MAX_VARINT_LEN: usize = 10;
+pub(crate) const MAX_VARINT_LEN: usize = 10;
 
 /// Encodes `value` as LEB128 into `out`.
-pub fn write_u64<W: Write>(out: &mut W, mut value: u64) -> std::io::Result<()> {
+pub(crate) fn write_u64<W: Write>(out: &mut W, mut value: u64) -> std::io::Result<()> {
     let mut buf = [0u8; MAX_VARINT_LEN];
     let mut n = 0;
     loop {
@@ -38,7 +38,7 @@ pub fn write_u64<W: Write>(out: &mut W, mut value: u64) -> std::io::Result<()> {
 /// for one more byte themselves) and [`TraceError::Corrupt`] when the
 /// encoding overflows 64 bits. On an error `input` may have advanced.
 #[inline]
-pub fn take_u64(input: &mut &[u8]) -> Result<u64, TraceError> {
+pub(crate) fn take_u64(input: &mut &[u8]) -> Result<u64, TraceError> {
     let mut value: u64 = 0;
     let mut shift = 0u32;
     loop {
@@ -65,12 +65,12 @@ pub fn take_u64(input: &mut &[u8]) -> Result<u64, TraceError> {
 
 /// Zigzag-maps a signed delta to unsigned space (`0, -1, 1, -2, … → 0, 1, 2,
 /// 3, …`).
-pub fn zigzag(value: i64) -> u64 {
+pub(crate) fn zigzag(value: i64) -> u64 {
     ((value << 1) ^ (value >> 63)) as u64
 }
 
 /// Inverse of [`zigzag`].
-pub fn unzigzag(value: u64) -> i64 {
+pub(crate) fn unzigzag(value: u64) -> i64 {
     ((value >> 1) as i64) ^ -((value & 1) as i64)
 }
 
@@ -78,12 +78,12 @@ pub fn unzigzag(value: u64) -> i64 {
 ///
 /// Wrapping arithmetic makes the delta chain total: even a `u64`-wrapping
 /// address jump round-trips exactly through [`apply_delta`].
-pub fn address_delta(from: u64, to: u64) -> i64 {
+pub(crate) fn address_delta(from: u64, to: u64) -> i64 {
     to.wrapping_sub(from) as i64
 }
 
 /// Applies a decoded delta to the previous absolute address.
-pub fn apply_delta(from: u64, delta: i64) -> u64 {
+pub(crate) fn apply_delta(from: u64, delta: i64) -> u64 {
     from.wrapping_add(delta as u64)
 }
 

@@ -2,7 +2,6 @@
 //! the SSD controller.
 
 use crate::addr::VirtAddr;
-use std::fmt;
 
 /// Whether an access reads or writes memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -27,15 +26,6 @@ impl AccessKind {
     }
 }
 
-impl fmt::Display for AccessKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            AccessKind::Read => write!(f, "R"),
-            AccessKind::Write => write!(f, "W"),
-        }
-    }
-}
-
 /// A single off-chip memory access as produced by a workload trace.
 ///
 /// Workload generators emit cacheline-granular virtual addresses plus the
@@ -46,7 +36,7 @@ impl fmt::Display for AccessKind {
 ///
 /// ```
 /// use skybyte_types::{AccessKind, MemAccess, VirtAddr};
-/// let a = MemAccess::read(VirtAddr::new(0x1000));
+/// let a = MemAccess::new(VirtAddr::new(0x1000), AccessKind::Read);
 /// assert!(a.kind.is_read());
 /// assert_eq!(a.addr.page().index(), 1);
 /// ```
@@ -60,31 +50,9 @@ pub struct MemAccess {
 }
 
 impl MemAccess {
-    /// Creates a read access.
-    pub const fn read(addr: VirtAddr) -> Self {
-        MemAccess {
-            addr,
-            kind: AccessKind::Read,
-        }
-    }
-
-    /// Creates a write access.
-    pub const fn write(addr: VirtAddr) -> Self {
-        MemAccess {
-            addr,
-            kind: AccessKind::Write,
-        }
-    }
-
     /// Creates an access of the given kind.
     pub const fn new(addr: VirtAddr, kind: AccessKind) -> Self {
         MemAccess { addr, kind }
-    }
-}
-
-impl fmt::Display for MemAccess {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} {}", self.kind, self.addr)
     }
 }
 
@@ -102,18 +70,11 @@ mod tests {
 
     #[test]
     fn constructors_set_kind() {
-        let r = MemAccess::read(VirtAddr::new(64));
-        let w = MemAccess::write(VirtAddr::new(64));
+        let r = MemAccess::new(VirtAddr::new(64), AccessKind::Read);
+        let w = MemAccess::new(VirtAddr::new(64), AccessKind::Write);
         assert_eq!(r.kind, AccessKind::Read);
         assert_eq!(w.kind, AccessKind::Write);
         assert_eq!(r.addr, w.addr);
-        assert_eq!(MemAccess::new(VirtAddr::new(64), AccessKind::Write), w);
-    }
-
-    #[test]
-    fn display_contains_kind_and_addr() {
-        let s = format!("{}", MemAccess::write(VirtAddr::new(0x40)));
-        assert!(s.starts_with('W'));
-        assert!(s.contains("0x40"));
+        assert_ne!(r, w);
     }
 }

@@ -351,15 +351,9 @@ pub enum SchedPolicy {
     /// A runnable thread is chosen uniformly at random.
     Random,
     /// Completely Fair Scheduler: the runnable thread with the smallest
-    /// received execution time (vruntime) runs next.
+    /// received execution time (vruntime) runs next. SkyByte's default
+    /// (§III-A).
     Cfs,
-}
-
-impl Default for SchedPolicy {
-    /// CFS, the default policy of SkyByte (§III-A).
-    fn default() -> Self {
-        SchedPolicy::Cfs
-    }
 }
 
 impl fmt::Display for SchedPolicy {
@@ -568,10 +562,9 @@ impl fmt::Display for VariantKind {
 /// sampler plus a span/instant timeline (Chrome trace-event JSON).
 ///
 /// Telemetry is strictly observe-only: enabling it changes no simulated
-/// outcome, and its [`Debug`] rendering is deliberately field-free so run
-/// fingerprints (which are built from a config's `Debug` output) never
-/// split a memoisation table on telemetry settings.
-#[derive(Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// outcome, so a run's fingerprint (`skybyte_sim::runner::RunRequest`)
+/// leaves it out and never splits a memoisation table on telemetry settings.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TelemetryConfig {
     /// Master switch. Off by default; when off, the engine allocates no
     /// telemetry state and the hot path pays a single `Option` check.
@@ -594,15 +587,6 @@ impl Default for TelemetryConfig {
     }
 }
 
-impl fmt::Debug for TelemetryConfig {
-    /// Deliberately constant: the runner memoises runs keyed on the
-    /// config's `Debug` rendering, and telemetry is observe-only, so two
-    /// configs differing only in telemetry must share one fingerprint.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("TelemetryConfig(observe-only)")
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Top-level configuration
 // ---------------------------------------------------------------------------
@@ -616,7 +600,7 @@ impl fmt::Debug for TelemetryConfig {
 /// # Example
 ///
 /// ```
-/// use skybyte_types::prelude::*;
+/// use skybyte_types::{Nanos, SimConfig, VariantKind};
 ///
 /// let mut cfg = SimConfig::default()
 ///     .with_variant(VariantKind::SkyByteFull)
@@ -652,12 +636,9 @@ pub struct SimConfig {
     /// Pluggable policy selection (data-cache eviction, hotness tracking,
     /// tenant scheduling), each a kind its owner matches on.
     /// The default reproduces the pre-policy-layer behaviour exactly.
-    #[serde(default)]
     pub policy: PolicyConfig,
     /// Observe-only telemetry capture (periodic metric sampling and the
-    /// Chrome trace-event timeline). Excluded from run fingerprints via its
-    /// constant `Debug` rendering.
-    #[serde(default)]
+    /// Chrome trace-event timeline). Run fingerprints leave it out.
     pub telemetry: TelemetryConfig,
 }
 
@@ -809,44 +790,21 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_defaults_off_and_never_splits_fingerprints() {
+    fn telemetry_defaults_off() {
         let cfg = SimConfig::default();
         assert!(!cfg.telemetry.enabled);
         assert_eq!(cfg.telemetry.sample_interval, Nanos::from_micros(10));
-        // The Debug rendering — and therefore any fingerprint derived from
-        // it — must be identical regardless of the telemetry settings.
-        let mut on = cfg.clone();
-        on.telemetry = TelemetryConfig {
+        let mut on = cfg.with_telemetry(TelemetryConfig {
             enabled: true,
             sample_interval: Nanos::from_micros(1),
             timeline: false,
-        };
-        assert_eq!(format!("{cfg:?}"), format!("{on:?}"));
+        });
         on.validate().unwrap();
         // A zero cadence with telemetry enabled is rejected.
         on.telemetry.sample_interval = Nanos::ZERO;
         assert!(on.validate().is_err());
         on.telemetry.enabled = false;
         on.validate().unwrap();
-    }
-
-    #[test]
-    fn configs_without_a_telemetry_field_still_deserialize() {
-        // Serialized configs predating the telemetry field (golden corpus
-        // metadata included) must keep loading via the serde default.
-        let json = serde_json::to_string(&SimConfig::default()).unwrap();
-        let mut v: serde::Value = serde_json::from_str(&json).unwrap();
-        match &mut v {
-            serde::Value::Map(entries) => {
-                let before = entries.len();
-                entries.retain(|(k, _)| k != "telemetry");
-                assert_eq!(entries.len(), before - 1, "telemetry must serialize");
-            }
-            other => panic!("a config must serialize as a map, got {other:?}"),
-        }
-        let stripped = serde_json::to_string(&v).unwrap();
-        let cfg: SimConfig = serde_json::from_str(&stripped).unwrap();
-        assert_eq!(cfg.telemetry, TelemetryConfig::default());
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! This crate defines the vocabulary shared by every other crate in the
 //! workspace:
 //!
-//! * [`addr`] — strongly-typed addresses for each address space that appears in
-//!   a memory-semantic SSD system (host virtual, host physical, SSD logical
-//!   page, flash physical page, cacheline offsets, …).
+//! * [`addr`] — strongly-typed addresses for the address spaces of a
+//!   memory-semantic SSD system (host virtual, SSD logical page, flash
+//!   physical page, cacheline offsets, …).
 //! * [`time`] — nanosecond-resolution simulated time ([`Nanos`]) and frequency
 //!   helpers.
 //! * [`access`] — the memory-access records exchanged between the host CPU
@@ -23,7 +23,7 @@
 //! # Example
 //!
 //! ```
-//! use skybyte_types::prelude::*;
+//! use skybyte_types::{Nanos, SimConfig, VirtAddr, PAGE_SIZE};
 //!
 //! let cfg = SimConfig::default();
 //! assert_eq!(cfg.ssd.flash.read_latency, Nanos::from_micros(3));
@@ -36,6 +36,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod access;
 pub mod addr;
@@ -48,34 +49,9 @@ pub mod stats;
 pub mod tenant;
 pub mod time;
 
-/// Convenient glob import of the most frequently used items.
-pub mod prelude {
-    pub use crate::access::{AccessKind, MemAccess};
-    pub use crate::addr::{
-        CachelineIndex, Lpa, PageNumber, PhysAddr, Ppa, VirtAddr, CACHELINES_PER_PAGE,
-        CACHELINE_SIZE, PAGE_SIZE,
-    };
-    pub use crate::audit::{AuditReport, Violation};
-    pub use crate::config::{
-        CpuConfig, FlashTimingConfig, HostDramConfig, MigrationConfig, MigrationPolicyKind,
-        NandKind, SchedPolicy, SimConfig, SsdConfig, SsdDramConfig, SsdGeometry, TelemetryConfig,
-        TlbConfig, VariantKind,
-    };
-    pub use crate::error::ConfigError;
-    pub use crate::fasthash::{FastHashMap, FxBuildHasher, FxHasher};
-    pub use crate::policy::{
-        EvictionPolicyKind, HotnessPolicyKind, PlacementPolicyKind, PolicyConfig, PolicyOverride,
-        RebalancePolicyKind, TenantSchedKind,
-    };
-    pub use crate::stats::LatencyHistogram;
-    pub use crate::tenant::{TenantId, TenantMap};
-    pub use crate::time::{Freq, Nanos};
-}
-
 pub use access::{AccessKind, MemAccess};
 pub use addr::{
-    CachelineIndex, Lpa, PageNumber, PhysAddr, Ppa, VirtAddr, CACHELINES_PER_PAGE, CACHELINE_SIZE,
-    PAGE_SIZE,
+    CachelineIndex, Lpa, PageNumber, Ppa, VirtAddr, CACHELINES_PER_PAGE, CACHELINE_SIZE, PAGE_SIZE,
 };
 pub use audit::{AuditReport, Violation};
 pub use config::{

@@ -26,9 +26,10 @@
 //! exactly the behaviour the simulator had before policies were pluggable —
 //! the golden-trace corpus pins that equivalence bit for bit.
 //!
-//! Every kind has a stable name (`Display`/`FromStr`), all registry names
-//! are distinct, and [`PolicyOverride::from_str`] rejects unknown names with
-//! the full valid list — one registry shared by every CLI that takes
+//! Every device kind has a stable `Display` name, all registry names are
+//! distinct, and [`PolicyOverride::from_str`] is the one parser: it looks a
+//! name up in the kinds' `ALL` lists and rejects an unknown name with the
+//! full valid list — one registry shared by every CLI that takes
 //! `--policy`.
 
 use crate::config::{MigrationPolicyKind, SchedPolicy, SimConfig};
@@ -44,7 +45,7 @@ fn lookup<T: Copy + fmt::Display>(all: &[T], name: &str) -> Option<T> {
 }
 
 // ---------------------------------------------------------------------------
-// Parse paths for the pre-existing policy enums (satellite: one registry)
+// Registry lists of the two policy enums defined in `config`
 // ---------------------------------------------------------------------------
 
 impl SchedPolicy {
@@ -56,13 +57,6 @@ impl SchedPolicy {
     ];
 }
 
-impl FromStr for SchedPolicy {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        lookup(&Self::ALL, s).ok_or_else(|| format!("unknown scheduling policy '{s}'"))
-    }
-}
-
 impl MigrationPolicyKind {
     /// Every migration policy, in declaration order.
     pub const ALL: [MigrationPolicyKind; 4] = [
@@ -71,13 +65,6 @@ impl MigrationPolicyKind {
         MigrationPolicyKind::AstriFlash,
         MigrationPolicyKind::Disabled,
     ];
-}
-
-impl FromStr for MigrationPolicyKind {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        lookup(&Self::ALL, s).ok_or_else(|| format!("unknown migration policy '{s}'"))
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -124,13 +111,6 @@ impl fmt::Display for EvictionPolicyKind {
     }
 }
 
-impl FromStr for EvictionPolicyKind {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        lookup(&Self::ALL, s).ok_or_else(|| format!("unknown eviction policy '{s}'"))
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Hot-page tracking
 // ---------------------------------------------------------------------------
@@ -170,13 +150,6 @@ impl fmt::Display for HotnessPolicyKind {
             HotnessPolicyKind::TopK => "topk",
         };
         f.write_str(s)
-    }
-}
-
-impl FromStr for HotnessPolicyKind {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        lookup(&Self::ALL, s).ok_or_else(|| format!("unknown hotness policy '{s}'"))
     }
 }
 
@@ -220,13 +193,6 @@ impl fmt::Display for TenantSchedKind {
             TenantSchedKind::Qos => "qos",
         };
         f.write_str(s)
-    }
-}
-
-impl FromStr for TenantSchedKind {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        lookup(&Self::ALL, s).ok_or_else(|| format!("unknown tenant scheduler '{s}'"))
     }
 }
 
@@ -280,13 +246,6 @@ impl fmt::Display for PlacementPolicyKind {
     }
 }
 
-impl FromStr for PlacementPolicyKind {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        lookup(&Self::ALL, s).ok_or_else(|| format!("unknown placement policy '{s}'"))
-    }
-}
-
 /// How a fleet migrates tenants between rounds once per-tenant slowdowns are
 /// measured (`skybyte_sim::fleet`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -297,29 +256,6 @@ pub enum RebalancePolicyKind {
     /// Each round, move the tenant with the worst measured slowdown to the
     /// device with the lowest mean slowdown that can hold it.
     SwapWorst,
-}
-
-impl RebalancePolicyKind {
-    /// Every rebalance policy, in declaration order.
-    pub const ALL: [RebalancePolicyKind; 2] =
-        [RebalancePolicyKind::Pin, RebalancePolicyKind::SwapWorst];
-}
-
-impl fmt::Display for RebalancePolicyKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            RebalancePolicyKind::Pin => "pin",
-            RebalancePolicyKind::SwapWorst => "swap-worst",
-        };
-        f.write_str(s)
-    }
-}
-
-impl FromStr for RebalancePolicyKind {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        lookup(&Self::ALL, s).ok_or_else(|| format!("unknown rebalance policy '{s}'"))
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -339,13 +275,10 @@ impl FromStr for RebalancePolicyKind {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct PolicyConfig {
     /// Data-cache eviction policy.
-    #[serde(default)]
     pub eviction: EvictionPolicyKind,
     /// Controller hot-page tracking policy.
-    #[serde(default)]
     pub hotness: HotnessPolicyKind,
     /// Tenant-aware scheduling hook.
-    #[serde(default)]
     pub tenant_sched: TenantSchedKind,
 }
 
@@ -412,18 +345,6 @@ impl PolicyOverride {
     }
 }
 
-impl fmt::Display for PolicyOverride {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PolicyOverride::Eviction(k) => k.fmt(f),
-            PolicyOverride::Hotness(k) => k.fmt(f),
-            PolicyOverride::TenantSched(k) => k.fmt(f),
-            PolicyOverride::Migration(k) => k.fmt(f),
-            PolicyOverride::Sched(k) => k.fmt(f),
-        }
-    }
-}
-
 impl FromStr for PolicyOverride {
     type Err = String;
 
@@ -463,11 +384,22 @@ mod tests {
         assert!(p.is_default());
     }
 
+    /// The registry name of the kind an override carries.
+    fn name_of(over: PolicyOverride) -> String {
+        match over {
+            PolicyOverride::Eviction(k) => k.to_string(),
+            PolicyOverride::Hotness(k) => k.to_string(),
+            PolicyOverride::TenantSched(k) => k.to_string(),
+            PolicyOverride::Migration(k) => k.to_string(),
+            PolicyOverride::Sched(k) => k.to_string(),
+        }
+    }
+
     #[test]
     fn every_name_round_trips_through_the_registry() {
         for name in PolicyOverride::all_names() {
             let over: PolicyOverride = name.parse().unwrap_or_else(|e| panic!("{e}"));
-            assert_eq!(over.to_string(), name, "Display must match the registry");
+            assert_eq!(name_of(over), name, "Display must match the registry");
             // Case-insensitive.
             let upper: PolicyOverride = name.to_uppercase().parse().unwrap();
             assert_eq!(upper, over);
@@ -513,20 +445,13 @@ mod tests {
     #[test]
     fn fleet_dimensions_parse_but_leave_device_config_untouched() {
         // Placement and rebalance are FleetConfig fields, not device
-        // policies: their names parse only as their own kinds, and the
-        // device registry refuses them with the list of valid names, so a
-        // device config never changes under a fleet name.
-        assert_eq!(
-            "pin".parse::<RebalancePolicyKind>().unwrap(),
-            RebalancePolicyKind::Pin
-        );
-        assert!("first-fit".parse::<PlacementPolicyKind>().is_ok());
-        assert!("nope".parse::<PlacementPolicyKind>().is_err());
-        assert!("nope".parse::<RebalancePolicyKind>().is_err());
+        // policies: the device registry refuses their names with the list
+        // of valid names, so a device config never changes under a fleet
+        // name.
         let fleet_names = PlacementPolicyKind::ALL
             .iter()
             .map(|k| k.to_string())
-            .chain(RebalancePolicyKind::ALL.iter().map(|k| k.to_string()));
+            .chain(["pin", "swap-worst"].map(String::from));
         for name in fleet_names {
             let mut cfg = SimConfig::default();
             let before = format!("{cfg:?}");
@@ -560,16 +485,20 @@ mod tests {
 
     #[test]
     fn sched_and_migration_kinds_parse_from_display_names() {
-        assert_eq!("cfs".parse::<SchedPolicy>().unwrap(), SchedPolicy::Cfs);
+        let parse = |name: &str| name.parse::<PolicyOverride>().unwrap();
+        assert_eq!(parse("cfs"), PolicyOverride::Sched(SchedPolicy::Cfs));
+        assert_eq!(parse("RR"), PolicyOverride::Sched(SchedPolicy::RoundRobin));
         assert_eq!(
-            "RR".parse::<SchedPolicy>().unwrap(),
-            SchedPolicy::RoundRobin
+            parse("adaptive"),
+            PolicyOverride::Migration(MigrationPolicyKind::Adaptive)
         );
         assert_eq!(
-            "adaptive".parse::<MigrationPolicyKind>().unwrap(),
-            MigrationPolicyKind::Adaptive
+            parse("fifo"),
+            PolicyOverride::Eviction(EvictionPolicyKind::Fifo)
         );
-        assert!("fifo".parse::<SchedPolicy>().is_err());
-        assert!("clock".parse::<MigrationPolicyKind>().is_err());
+        assert_eq!(
+            parse("clock"),
+            PolicyOverride::Eviction(EvictionPolicyKind::Clock)
+        );
     }
 }

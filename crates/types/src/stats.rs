@@ -177,8 +177,8 @@ mod tests {
 
     #[test]
     fn histogram_default_equals_new() {
-        // The derived Default used to produce empty buckets and min_ns = 0,
-        // breaking equality between sample-free histograms.
+        // A derived Default would leave the buckets empty and min_ns at 0,
+        // so it is written out to build exactly what new() builds.
         assert_eq!(LatencyHistogram::default(), LatencyHistogram::new());
         // Recording into a default-built histogram lands in the same state
         // as recording into a new()-built one.

@@ -8,7 +8,6 @@
 //! and latency sample to the issuing thread's tenant.
 
 use serde::{Deserialize, Serialize};
-use std::fmt;
 
 /// The identity of one tenant (co-located application) of the simulated
 /// device. Tenant ids are dense and zero-based; a single-tenant run uses
@@ -26,12 +25,6 @@ impl TenantId {
     /// The dense zero-based index of this tenant.
     pub fn index(self) -> usize {
         self.0 as usize
-    }
-}
-
-impl fmt::Display for TenantId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "t{}", self.0)
     }
 }
 
@@ -90,7 +83,7 @@ mod tests {
 
     #[test]
     fn tenant_id_display_and_index() {
-        assert_eq!(TenantId(3).to_string(), "t3");
+        assert_eq!(TenantId(3).index(), 3);
         assert_eq!(TenantId::ZERO.index(), 0);
         assert_eq!(TenantId::default(), TenantId::ZERO);
     }

@@ -8,7 +8,7 @@
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
-use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
+use std::ops::{Add, AddAssign, Div, Mul, Sub};
 
 /// A duration or point in simulated time, in nanoseconds.
 ///
@@ -55,12 +55,6 @@ impl Nanos {
         Nanos(ms * 1_000_000)
     }
 
-    /// Creates a time value from seconds.
-    #[inline]
-    pub const fn from_secs(s: u64) -> Self {
-        Nanos(s * 1_000_000_000)
-    }
-
     /// Raw nanosecond count.
     #[inline]
     pub const fn as_nanos(self) -> u64 {
@@ -86,9 +80,7 @@ impl Nanos {
     }
 
     /// Monotone elapsed time: `self - earlier`, panicking if time ran
-    /// backwards. This is the audit-friendly replacement for the
-    /// `saturating_sub` calls that used to silently clamp negative latencies
-    /// to zero and mask accounting bugs.
+    /// backwards, so an accounting bug cannot pass as a zero latency.
     ///
     /// # Panics
     ///
@@ -147,13 +139,6 @@ impl Sub for Nanos {
     }
 }
 
-impl SubAssign for Nanos {
-    #[inline]
-    fn sub_assign(&mut self, rhs: Nanos) {
-        self.0 -= rhs.0;
-    }
-}
-
 impl Mul<u64> for Nanos {
     type Output = Nanos;
     #[inline]
@@ -173,18 +158,6 @@ impl Div<u64> for Nanos {
 impl Sum for Nanos {
     fn sum<I: Iterator<Item = Nanos>>(iter: I) -> Nanos {
         iter.fold(Nanos::ZERO, |a, b| a + b)
-    }
-}
-
-impl From<u64> for Nanos {
-    fn from(ns: u64) -> Self {
-        Nanos(ns)
-    }
-}
-
-impl From<Nanos> for u64 {
-    fn from(n: Nanos) -> u64 {
-        n.0
     }
 }
 
@@ -233,13 +206,6 @@ impl Freq {
     }
 }
 
-impl Default for Freq {
-    /// 4 GHz, the core frequency of Table II.
-    fn default() -> Self {
-        Freq::from_ghz(4.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -248,7 +214,6 @@ mod tests {
     fn nanos_constructors() {
         assert_eq!(Nanos::from_micros(2).as_nanos(), 2_000);
         assert_eq!(Nanos::from_millis(3).as_nanos(), 3_000_000);
-        assert_eq!(Nanos::from_secs(1).as_nanos(), 1_000_000_000);
     }
 
     #[test]
@@ -263,8 +228,6 @@ mod tests {
         let mut c = a;
         c += b;
         assert_eq!(c, Nanos::new(140));
-        c -= b;
-        assert_eq!(c, a);
     }
 
     #[test]
@@ -294,7 +257,7 @@ mod tests {
         assert_eq!(format!("{}", Nanos::new(999)), "999ns");
         assert_eq!(format!("{}", Nanos::new(1500)), "1.500us");
         assert_eq!(format!("{}", Nanos::from_millis(2)), "2.000ms");
-        assert_eq!(format!("{}", Nanos::from_secs(2)), "2.000s");
+        assert_eq!(format!("{}", Nanos::from_millis(2_000)), "2.000s");
     }
 
     #[test]

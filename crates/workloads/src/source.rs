@@ -54,11 +54,6 @@ impl WorkloadSource {
             generators,
         }
     }
-
-    /// The workload spec driving every thread.
-    pub fn spec(&self) -> &WorkloadSpec {
-        &self.spec
-    }
 }
 
 impl TraceSource for WorkloadSource {

@@ -7,6 +7,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub use skybyte_sim as sim;
 pub use skybyte_ssd as ssd;

@@ -63,7 +63,7 @@ fn multi_tenant_colocation_conserves_for_every_variant() {
             assert!(
                 t.requests.total() > 0,
                 "{variant}: tenant {} starved",
-                t.tenant
+                t.tenant.0
             );
         }
     }

@@ -119,7 +119,7 @@ fn fair_share_tenant_scheduling_conserves_and_serves_every_tenant() {
         assert!(
             t.requests.total() > 0,
             "tenant {} starved under fair-share",
-            t.tenant
+            t.tenant.0
         );
     }
 }
